@@ -13,11 +13,13 @@ checked by perfbench/oracle.py after the child exits, outside the timed
 region.
 
 --trace 0 prints the end-to-end metrics: setup_s, wall_s, peak_rss_mb,
-op_p50_ms, op_p90_ms and ops_per_s.  --trace 1 runs the same untraced
-passes, then one traced pass, and prints the per-layer metrics of
-perfbench/layers.py plus the tracing overhead; the spans are written to
-perfbench/traces/.  Either way the last line of stdout is one JSON object
-with the keys correct, attempted, failed and metrics.
+op_p50_ms, op_p90_ms and ops_per_s.  --trace 1 follows every untraced
+pass with a traced one and prints the per-layer metrics of
+perfbench/layers.py, from the last traced pass, whose spans are written
+to perfbench/traces/, plus the tracing overhead: the median over the
+pairs of traced minus untraced wall time.  Either way the last line of
+stdout is one JSON object with the keys correct, attempted, failed and
+metrics.
 """
 
 from __future__ import annotations
@@ -91,23 +93,25 @@ def setup_sample() -> tuple[float, float]:
 
 
 def measure(ops: list[list[str]], seconds: float, spans_file: Path | None
-            ) -> tuple[list[dict], list[tuple[float, float]], dict | None]:
-    """Untraced passes, each in a fresh child, until `seconds` have elapsed.
+            ) -> tuple[list[dict], list[tuple[float, float]], list[dict]]:
+    """Passes, each in a fresh child, until `seconds` have elapsed.
 
-    Without `spans_file`, SETUP_PER_PASS set-up samples (raw, normalised) are
-    taken before each pass, so that they spread over the run like the passes
-    do.  With it, one traced pass follows the untraced ones.
+    Without `spans_file`, every pass is untraced, and SETUP_PER_PASS set-up
+    samples (raw, normalised) are taken before each pass, so that they
+    spread over the run like the passes do.  With it, every untraced pass
+    is followed by a traced one, so that each traced pass can be compared
+    with the untraced pass next to it.
     """
     stdin_text = json.dumps(ops)
-    passes, setups, traced = [], [], None
+    passes, setups, traced = [], [], []
     spawn(["setup"])  # warm-up: byte-compiles src/ on a fresh checkout
     reference_kernel()
     start = time.monotonic()
     while not passes or time.monotonic() - start < seconds:
         setups += [setup_sample() for _ in range(0 if spans_file else SETUP_PER_PASS)]
         passes.append(spawn(["pass"], stdin_text))
-    if spans_file:
-        traced = spawn(["pass", str(spans_file)], stdin_text)
+        if spans_file:
+            traced.append(spawn(["pass", str(spans_file)], stdin_text))
     return passes, setups, traced
 
 
@@ -158,6 +162,10 @@ def normalised_seconds(run: dict) -> list[float]:
             for _, _, _, seconds, start in run["results"]]
 
 
+def fmt_list(values: list[float]) -> str:
+    return "[" + ", ".join(f"{v:.4f}" for v in values) + "]"
+
+
 def per_layer(workload: str, trace: dict, overhead_s: float) -> dict:
     calls, self_s, total_s, counts = (trace[k] for k in ("calls", "self_s", "total_s", "counts"))
     values = dict(counts)
@@ -206,15 +214,17 @@ def main(argv: list[str] | None = None) -> int:
         spans_file.parent.mkdir(exist_ok=True)
     try:
         passes, setups, traced = measure(ops, args.seconds, spans_file)
-        failures = check(Oracle(ops), ops, passes + ([traced] if traced else []))
-        attempted = len(ops) * (len(passes) + (traced is not None))
+        failures = check(Oracle(ops), ops, passes + traced)
+        attempted = len(ops) * (len(passes) + len(traced))
         e2e = end_to_end(passes, setups)
-        if traced is None:
+        if not traced:
             metrics = {name: {"value": e2e[name], "unit": unit}
                        for name, unit in END_TO_END_UNITS.items()}
         else:
-            overhead_s = sum(normalised_seconds(traced)) - e2e["wall_s"]
-            metrics = per_layer(args.workload, traced["trace"], overhead_s)
+            untraced_s = [sum(normalised_seconds(run)) for run in passes]
+            traced_s = [sum(normalised_seconds(run)) for run in traced]
+            overhead_s = statistics.median(t - u for t, u in zip(traced_s, untraced_s))
+            metrics = per_layer(args.workload, traced[-1]["trace"], overhead_s)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -227,14 +237,15 @@ def main(argv: list[str] | None = None) -> int:
           f"repeat_share={repeat_share(ops):.4f} "
           f"failed_share={len(failures) / attempted:.4f} ratio "
           f"({len(failures)}/{attempted})")
-    if traced is None:
+    if not traced:
         print(f"raw wall_s={e2e['raw']['wall_s']:.4f} s, "
               f"raw setup_s={e2e['raw']['setup_s']:.4f} s, "
               f"kernel_s={e2e['raw']['kernel_s']:.6f} s")
     else:
-        print(f"traced wall_s={sum(normalised_seconds(traced)):.4f} s, untraced "
-              f"wall_s={e2e['wall_s']:.4f} s (both normalised), "
-              f"spans={sum(traced['trace']['calls'].values())}")
+        print(f"traced wall_s={fmt_list(traced_s)} s, untraced wall_s={fmt_list(untraced_s)} s "
+              f"(pass by pass, normalised), untraced pass-to-pass spread "
+              f"{max(untraced_s) - min(untraced_s):.4f} s, "
+              f"spans={sum(traced[-1]['trace']['calls'].values())}")
     for name, metric in metrics.items():
         print(f"  {name:48s} {metric['value']:.6g} {metric['unit']}")
     print(json.dumps({"correct": not failures, "attempted": attempted,

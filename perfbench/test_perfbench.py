@@ -53,6 +53,16 @@ def test_every_workload_prints_every_metric_with_its_unit(workload):
     assert "failed_share=0.0000 ratio" in proc.stdout
 
 
+def test_set_up_child_loads_nothing_of_the_harness_before_the_program():
+    # set-up time must be the program's import, so mpmath (speed.py) and
+    # the tracer may load only after binpart.cli
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench'); import worker; "
+         "print(sorted(m for m in ('mpmath', 'speed', 'tracing', 'json') if m in sys.modules))"],
+        capture_output=True, text=True, cwd=HERE.parent, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stderr
+
+
 def test_same_seed_same_operations():
     for workload in WORKLOADS:
         assert make_ops(workload, 9) == make_ops(workload, 9)

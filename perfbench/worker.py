@@ -11,23 +11,27 @@ Started by run.py from the checkout root with `src` on PYTHONPATH:
         start time (time.monotonic), then the pass's wall time, peak RSS and
         the reference kernel samples taken during the pass (speed.py).
         With SPANS_FILE the pass is traced and the spans go there.
+
+Only `sys` and `time` are imported before `binpart.cli`, so that a set-up
+child's time is the program's import and nothing the harness loads:
+everything else, mpmath for speed.py included, is imported later.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
-import resource
 import sys
 import time
-import traceback
-
-from speed import SpeedSampler
 
 
 def run_pass(ops: list[list[str]], spans_file: str | None) -> dict:
+    import contextlib
+    import io
+    import json
+    import resource
+    import traceback
+
     import binpart.cli as cli
+    from speed import SpeedSampler
 
     tracer = None
     if spans_file is not None:
@@ -71,9 +75,11 @@ def run_pass(ops: list[list[str]], spans_file: str | None) -> dict:
 def main(argv: list[str]) -> int:
     if argv[1:] == ["setup"]:
         import binpart.cli  # noqa: F401
-        print(json.dumps({"ready": time.monotonic()}))
+        ready = time.monotonic()
+        print(f'{{"ready": {ready!r}}}')
         return 0
     if argv[1:2] == ["pass"] and len(argv) <= 3:
+        import json
         ops = json.load(sys.stdin)
         doc = run_pass(ops, argv[2] if len(argv) == 3 else None)
         sys.stdout.write(json.dumps(doc) + "\n")

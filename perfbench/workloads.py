@@ -26,6 +26,15 @@ WORKLOADS = ("verify-default", "rows-2000", "queries")
 # B - max(A, floor) + 1 values of n.
 VERIFY_FLOOR = {"thm2": 4, "thm3": 1, "lemma-gr": 4}
 
+# The `queries` mix; README.md gives the source or reason for each.
+PER_KIND = 40          # operations of each of the seven commands
+P_MAX = 5000           # N of `compute p` and `compute pk`
+PK_K_MAX = 15          # K of `compute pk`: the genfun claim's default range
+TRIANGLE_MAX = 1000    # N of `compute pnk`, `peak` and `mu`: thm2/thm3 rows
+TABLE_MAX = 300        # N of `table`: eq9, the sweep over whole rows
+FILIFORM_SHARE = 0.2   # share of `mu` calls with --filiform
+Q_DEN_MAX = 64         # denominator of q in `product`
+
 
 def _strata(rng: random.Random, count: int, lo: int, hi: int) -> list[int]:
     """`count` integers in [lo, hi], one drawn from each of `count` equal strata.
@@ -55,10 +64,18 @@ def rows_2000(seed: int, tiny: bool) -> list[list[str]]:
 
 
 def queries(seed: int, tiny: bool) -> list[list[str]]:
+    """PER_KIND operations of each command, shuffled.
+
+    README.md ("Where the `queries` mix comes from") gives the source of
+    each weight and range, or the reason for it where the repository has
+    no source to take it from.
+    """
     rng = random.Random(seed)
-    per_kind = 2 if tiny else 40
-    n_tri = 40 if tiny else 1000   # largest triangle row built by one query
-    n_p = 200 if tiny else 5000
+    per_kind = 2 if tiny else PER_KIND
+    n_p = 200 if tiny else P_MAX
+    n_tri = 40 if tiny else TRIANGLE_MAX
+    n_table = 12 if tiny else TABLE_MAX
+    k_max = 5 if tiny else PK_K_MAX
     ops: list[list[str]] = []
 
     for n in _strata(rng, per_kind, 1, n_p):
@@ -66,27 +83,27 @@ def queries(seed: int, tiny: bool) -> list[list[str]]:
 
     # cost grows with K*N: pairing small K with large N keeps its spread
     # the same on every seed
-    ks = _strata(rng, per_kind, 1, 10 if tiny else 100)
-    for k, n in zip(ks, reversed(_strata(rng, per_kind, 1, n_p // 2))):
+    ks = _strata(rng, per_kind, 1, k_max)
+    for k, n in zip(ks, reversed(_strata(rng, per_kind, 1, n_p))):
         ops.append(["compute", "pk", str(k), str(n)])
 
     for n in _strata(rng, per_kind, 1, n_tri):
         ops.append(["compute", "pnk", str(n), str(rng.randint(0, n))])
 
-    for n in _strata(rng, per_kind, 1, n_tri * 3 // 10):
+    for n in _strata(rng, per_kind, 1, n_table):
         ops.append(["table", str(n)])
 
     for n in _strata(rng, per_kind, 4, n_tri):
         ops.append(["peak", str(n)])
 
     for n in _strata(rng, per_kind, 2, n_tri):
-        if rng.random() < 0.2:
+        if rng.random() < FILIFORM_SHARE:
             ops.append(["mu", str(n), str(n - 1), "--filiform"])
         else:
             ops.append(["mu", str(n), str(rng.randint(1, n - 1))])
 
     # q <= 1/2 always encloses at the depth cap
-    for den, digits in zip(_strata(rng, per_kind, 2, 64),
+    for den, digits in zip(_strata(rng, per_kind, 2, Q_DEN_MAX),
                            reversed(_strata(rng, per_kind, 12, 40))):
         num = rng.randint(1, den // 2)
         ops.append(["product", str(num), str(den), f"1e-{digits}"])
