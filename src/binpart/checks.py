@@ -60,6 +60,38 @@ def _relative_slack(lhs: int, rhs: int) -> float:
     return (rhs - lhs) / rhs
 
 
+def _certified(claim: str, n: int, gaps, start_bits: int,
+               counterexample: tuple) -> VerificationReport:
+    """Decide that every gap in gaps(bits) is positive, escalating precision.
+
+    gaps(bits) returns a tuple of BoundReal enclosures at that precision.
+    The outcome is undecided while any gap straddles zero, verified when
+    every gap is certainly positive and violated otherwise.  The margin is
+    the smallest certified lower bound among the gaps.
+    """
+    margin_holder = {}
+
+    def evaluate(bits):
+        enclosures = gaps(bits)
+        signs = [gap.certainly_positive() for gap in enclosures]
+        if None in signs:
+            return None
+        if all(signs):
+            margin_holder["m"] = min(float(gap.lower) for gap in enclosures)
+            return True
+        return False
+
+    outcome, bits = decide_with_escalation(evaluate, start_bits)
+    if outcome is None:
+        return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
+    if not outcome:
+        return VerificationReport(claim, n, VIOLATED,
+                                  counterexample=counterexample,
+                                  precision_bits=bits)
+    return VerificationReport(claim, n, VERIFIED, margin=margin_holder["m"],
+                              precision_bits=bits)
+
+
 def alpha_bound(bits: int = DEFAULT_PRECISION_BITS) -> BoundReal:
     """Enclosure of the growth constant sqrt(2/3)*pi."""
     return (BoundReal.exact(Fraction(2, 3), bits).sqrt()) * BoundReal.pi(bits)
@@ -107,48 +139,14 @@ def central_binomial_check(
     c = math.comb(n, kn)
     lhs_int = c * c * n
     rhs_int = 2 << (2 * n)
-    margin_holder = {}
 
-    def evaluate(bits):
+    def gaps(bits):
+        # rhs is a power of two, so dividing by it is exact and keeps the sign
         rhs = BoundReal.exact(rhs_int, bits)
         gap = rhs - BoundReal.exact(lhs_int, bits) * BoundReal.pi(bits)
-        outcome = gap.certainly_positive()
-        if outcome:
-            margin_holder["m"] = float((gap / rhs).lower)
-        return outcome
+        return (gap / rhs,)
 
-    outcome, bits = decide_with_escalation(evaluate, start_bits)
-    if outcome is None:
-        return VerificationReport("central-binomial", n, INCONCLUSIVE,
-                                  precision_bits=bits)
-    if not outcome:
-        return VerificationReport("central-binomial", n, VIOLATED,
-                                  counterexample=(n, kn), precision_bits=bits)
-    return VerificationReport("central-binomial", n, VERIFIED,
-                              margin=margin_holder["m"], precision_bits=bits)
-
-
-def _certified_log_gap(claim: str, n: int, gap_builder, start_bits: int,
-                       counterexample=None) -> VerificationReport:
-    """Decide gap > 0 with escalation; margin reports the certified gap."""
-    margin_holder = {}
-
-    def evaluate(bits):
-        gap = gap_builder(bits)
-        outcome = gap.certainly_positive()
-        if outcome:
-            margin_holder["m"] = float(gap.lower)
-        return outcome
-
-    outcome, bits = decide_with_escalation(evaluate, start_bits)
-    if outcome is None:
-        return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
-    if not outcome:
-        return VerificationReport(claim, n, VIOLATED,
-                                  counterexample=counterexample or (n,),
-                                  precision_bits=bits)
-    return VerificationReport(claim, n, VERIFIED, margin=margin_holder["m"],
-                              precision_bits=bits)
+    return _certified("central-binomial", n, gaps, start_bits, (n, kn))
 
 
 def partition_bound_check(
@@ -163,14 +161,14 @@ def partition_bound_check(
         raise ValueError("n must be >= 1")
     pn = table[n]
 
-    def gap(bits):
+    def gaps(bits):
         nn = BoundReal.exact(n, bits)
         lhs = BoundReal.exact(pn, bits).log()
         rhs = (BoundReal.pi(bits) / (6 * nn).sqrt()).log() \
             + alpha_bound(bits) * nn.sqrt()
-        return rhs - lhs
+        return (rhs - lhs,)
 
-    return _certified_log_gap("partition-bound", n, gap, start_bits)
+    return _certified("partition-bound", n, gaps, start_bits, (n,))
 
 
 def growth_chain_check(
@@ -184,32 +182,16 @@ def growth_chain_check(
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    margin_holder = {}
 
-    def evaluate(bits):
+    def gaps(bits):
         nn = BoundReal.exact(n, bits)
         sqrt_n = nn.sqrt()
         left = sqrt_n / ((nn + 1).sqrt() - 1)
         mid = 1 + BoundReal.pi(bits) / (6 * nn).sqrt()
         right = (alpha_bound(bits) * sqrt_n * ((1 + 1 / nn).sqrt() - 1)).exp()
-        g1 = (mid - left).certainly_positive()
-        g2 = (right - mid).certainly_positive()
-        if g1 is None or g2 is None:
-            return None
-        if g1 and g2:
-            margin_holder["m"] = min(float((mid - left).lower),
-                                     float((right - mid).lower))
-            return True
-        return False
+        return (mid - left, right - mid)
 
-    outcome, bits = decide_with_escalation(evaluate, start_bits)
-    if outcome is None:
-        return VerificationReport("growth-chain", n, INCONCLUSIVE, precision_bits=bits)
-    if not outcome:
-        return VerificationReport("growth-chain", n, VIOLATED,
-                                  counterexample=(n,), precision_bits=bits)
-    return VerificationReport("growth-chain", n, VERIFIED,
-                              margin=margin_holder["m"], precision_bits=bits)
+    return _certified("growth-chain", n, gaps, start_bits, (n,))
 
 
 def diagonal_bound_check(
@@ -224,12 +206,12 @@ def diagonal_bound_check(
         raise ValueError("n must be >= 1")
     value = table_like.value(n - 1, n - 1)
 
-    def gap(bits):
+    def gaps(bits):
         lhs = BoundReal.exact(value, bits).log()
         rhs = alpha_bound(bits) * BoundReal.exact(n, bits).sqrt()
-        return rhs - lhs
+        return (rhs - lhs,)
 
-    return _certified_log_gap("diagonal-bound", n, gap, start_bits)
+    return _certified("diagonal-bound", n, gaps, start_bits, (n,))
 
 
 def subdiagonal_bound_check(
@@ -240,13 +222,13 @@ def subdiagonal_bound_check(
         raise ValueError("n must be >= 1")
     value = table_like.value(n, n - 1)
 
-    def gap(bits):
+    def gaps(bits):
         nn = BoundReal.exact(n, bits)
         lhs = BoundReal.exact(value, bits).log()
         rhs = nn.log() / 2 + alpha_bound(bits) * nn.sqrt()
-        return rhs - lhs
+        return (rhs - lhs,)
 
-    return _certified_log_gap("subdiagonal-bound", n, gap, start_bits)
+    return _certified("subdiagonal-bound", n, gaps, start_bits, (n,))
 
 
 def product_bound_check(

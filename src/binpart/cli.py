@@ -212,8 +212,8 @@ def cmd_peak(args) -> int:
 def cmd_product(args) -> int:
     if args.q_den <= 0 or not 0 < args.q_num < args.q_den:
         raise UsageError("need 0 < QNUM/QDEN < 1")
-    if args.tol <= 0:
-        raise UsageError("TOL must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError("TOL must be a finite positive number")
     q = Fraction(args.q_num, args.q_den)
     try:
         enclosure, ell = enclose_euler_product(q, args.tol)

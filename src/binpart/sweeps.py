@@ -1,8 +1,9 @@
 """Range sweeps over the verification checks, one per CLI claim id.
 
-Each sweep walks its n-range, running the underlying exact or certified
-check, and condenses the outcomes into a ClaimSummary.  Claim ids are the
-stable identifiers exposed by `binpart verify`:
+Every claim runs through the same sweep loop: its per-n function returns
+the VerificationReports for one n, and the loop folds them into a
+ClaimSummary, stopping at the first report that is not verified.  Claim
+ids are the stable identifiers exposed by `binpart verify`:
 
     thm2          strict unimodality of every row, unique peak
     thm3          1600*n*p(n,k)^2 < 12769*4^n for all k (exact)
@@ -29,13 +30,16 @@ from typing import Optional
 from . import checks
 from .binomial_sums import (
     DiagonalTable,
+    build_triangle,
     dominance_check,
-    iter_triangle_rows,
     peak_k,
     peak_sign_sum,
+    verify_unimodal_profile,
 )
 from .checks import VERIFIED, VIOLATED
 from .partitions import build_partition_table, check_generating_functions
+
+GENFUN_DEGREE = 60  # series coefficients compared per k by the genfun claim
 
 
 @dataclass
@@ -49,10 +53,6 @@ class ClaimSummary:
     min_margin: Optional[float] = None
     max_precision_bits: Optional[int] = None
     notes: dict = field(default_factory=dict)
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome == VERIFIED
 
 
 def _merge(summary: ClaimSummary, report: checks.VerificationReport) -> bool:
@@ -72,9 +72,11 @@ def _merge(summary: ClaimSummary, report: checks.VerificationReport) -> bool:
     return True
 
 
-def _new_summary(claim: str, n_min: int, n_max: int) -> ClaimSummary:
-    return ClaimSummary(claim=claim, n_min=n_min, n_max=n_max,
-                        checked=0, outcome=VERIFIED)
+def _exact(claim: str, n: int, violation) -> checks.VerificationReport:
+    """Report of an exact check that returns its first violation, or None."""
+    if violation is None:
+        return checks.VerificationReport(claim, n, VERIFIED)
+    return checks.VerificationReport(claim, n, VIOLATED, counterexample=violation)
 
 
 class SweepContext:
@@ -82,7 +84,7 @@ class SweepContext:
 
     def __init__(self):
         self._table = None
-        self._triangle_rows = None
+        self._triangle = None
         self._diag = None
 
     def table(self, max_n: int):
@@ -90,27 +92,10 @@ class SweepContext:
             self._table = build_partition_table(max_n)
         return self._table
 
-    def triangle_rows(self, max_n: int):
-        """Materialized triangle rows 0..max_n (cached, grow-only)."""
-        if self._triangle_rows is None or len(self._triangle_rows) <= max_n:
-            table = self.table(max_n)
-            self._triangle_rows = [
-                row for _, row in iter_triangle_rows(max_n, table)
-            ]
-        return self._triangle_rows
-
-    class _RowsView:
-        def __init__(self, rows):
-            self._rows = rows
-
-        def row(self, n):
-            return self._rows[n]
-
-        def value(self, n, k):
-            return self._rows[n][k]
-
     def triangle(self, max_n: int):
-        return self._RowsView(self.triangle_rows(max_n))
+        if self._triangle is None or self._triangle.max_n < max_n:
+            self._triangle = build_triangle(max_n, self.table(max_n))
+        return self._triangle
 
     def diagonal(self, max_n: int):
         if self._diag is None or self._diag.max_n < max_n:
@@ -118,197 +103,123 @@ class SweepContext:
         return self._diag
 
 
-def sweep_unimodality(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    """Strict ascent / strict descent / unique peak for each row."""
-    n_min = max(n_min, 4)
-    summary = _new_summary("thm2", n_min, n_max)
-    rows = ctx.triangle_rows(n_max)
-    for n in range(n_min, n_max + 1):
-        row = rows[n]
-        kn = peak_k(n)
-        bad = None
-        for k in range(1, kn):
-            if not row[k] < row[k + 1]:
-                bad = (n, k)
-                break
-        if bad is None:
-            for k in range(kn, n):
-                if not row[k] > row[k + 1]:
-                    bad = (n, k)
-                    break
-        summary.checked += 1
-        if bad is not None:
-            summary.outcome = VIOLATED
-            summary.counterexample = bad
-            break
-    return summary
+def _claim(claim: str, per_n, data=None, notes=None):
+    """The sweep of one claim, as registered in CLAIMS.
+
+    `data` is the SweepContext method that supplies the claim's input
+    (table, triangle or diagonal), sized once from n_max; None when the
+    claim needs no table.  `per_n(n, input)` returns the reports for one n.
+    """
+
+    def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
+        source = None if data is None else data(ctx, n_max)
+        summary = ClaimSummary(claim=claim, n_min=n_min, n_max=n_max,
+                               checked=0, outcome=VERIFIED,
+                               notes=dict(notes or {}))
+        for n in range(n_min, n_max + 1):
+            for report in per_n(n, source):
+                if not _merge(summary, report):
+                    return summary
+        return summary
+
+    return sweep
 
 
-def sweep_row_bound(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 1)
-    summary = _new_summary("thm3", n_min, n_max)
-    triangle = ctx.triangle(n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.row_bound_check(n, triangle)):
-            break
-    return summary
+# -- per-n checks: (n, claim input) -> reports ---------------------------
 
 
-def sweep_recursion(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    """p(n+1,k) = p(n,k) + p(n,k-1) over the stored triangle."""
-    n_min = max(n_min, 0)
-    summary = _new_summary("recursion", n_min, n_max)
-    rows = ctx.triangle_rows(n_max)
-    for n in range(n_min, n_max):
-        cur, nxt = rows[n], rows[n + 1]
-        summary.checked += 1
-        for k in range(1, n + 1):
-            if nxt[k] != cur[k] + cur[k - 1]:
-                summary.outcome = VIOLATED
-                summary.counterexample = (n + 1, k)
-                return summary
-    return summary
+def _unimodality(n, triangle):
+    violation = verify_unimodal_profile(n, triangle).first_violation
+    return [_exact("thm2", n, violation)]
 
 
-def _sweep_sign(claim: str, offset: int, expect_positive: bool,
-                n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 4)
-    summary = _new_summary(claim, n_min, n_max)
-    table = ctx.table(n_max + 2)
-    for n in range(n_min, n_max + 1):
-        k = peak_k(n) + offset
-        value = peak_sign_sum(n, k, table)
-        summary.checked += 1
-        ok = value > 0 if expect_positive else value < 0
-        if not ok:
-            summary.outcome = VIOLATED
-            summary.counterexample = (n, k)
-            break
-    return summary
+def _row_bound(n, triangle):
+    return [checks.row_bound_check(n, triangle)]
 
 
-def sweep_ascent_sign(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    return _sweep_sign("lemma-links", 0, True, n_min, n_max, ctx)
+def _diagonal_bound(n, diag):
+    return [checks.diagonal_bound_check(n, diag)]
 
 
-def sweep_descent_sign(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    return _sweep_sign("lemma-rechts", 1, False, n_min, n_max, ctx)
+def _subdiagonal_bound(n, diag):
+    return [checks.subdiagonal_bound_check(n, diag)]
 
 
-def sweep_dominance(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 4)
-    summary = _new_summary("lemma-gr", n_min, n_max)
-    triangle = ctx.triangle(n_max)
-    for n in range(n_min, n_max + 1):
-        bad_k = dominance_check(n, triangle)
-        summary.checked += 1
-        if bad_k is not None:
-            summary.outcome = VIOLATED
-            summary.counterexample = (n, bad_k)
-            break
-    return summary
+def _ascent_sign(n, table):
+    k = peak_k(n)
+    violation = None if peak_sign_sum(n, k, table) > 0 else (n, k)
+    return [_exact("lemma-links", n, violation)]
 
 
-def sweep_growth_chain(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 3)
-    summary = _new_summary("lemma13", n_min, n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.growth_chain_check(n)):
-            break
-    return summary
+def _descent_sign(n, table):
+    k = peak_k(n) + 1
+    violation = None if peak_sign_sum(n, k, table) < 0 else (n, k)
+    return [_exact("lemma-rechts", n, violation)]
 
 
-def sweep_partition_bound(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 1)
-    summary = _new_summary("apostol", n_min, n_max)
-    table = ctx.table(n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.partition_bound_check(n, table)):
-            break
-    return summary
+def _dominance(n, triangle):
+    bad_k = dominance_check(n, triangle)
+    return [_exact("lemma-gr", n, None if bad_k is None else (n, bad_k))]
 
 
-def sweep_central_binomial(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 1)
-    summary = _new_summary("stirling", n_min, n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.central_binomial_check(n)):
-            break
-    return summary
+def _growth_chain(n, _):
+    return [checks.growth_chain_check(n)]
 
 
-def sweep_diagonal_bound(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 1)
-    summary = _new_summary("prop1", n_min, n_max)
-    diag = ctx.diagonal(n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.diagonal_bound_check(n, diag)):
-            break
-    return summary
+def _partition_bound(n, table):
+    return [checks.partition_bound_check(n, table)]
 
 
-def sweep_subdiagonal_bound(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    n_min = max(n_min, 1)
-    summary = _new_summary("prop2", n_min, n_max)
-    diag = ctx.diagonal(n_max)
-    for n in range(n_min, n_max + 1):
-        if not _merge(summary, checks.subdiagonal_bound_check(n, diag)):
-            break
-    return summary
+def _central_binomial(n, _):
+    return [checks.central_binomial_check(n)]
 
 
-def sweep_product_bound(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-    """Eq-9 style bound, every 1 <= k <= n-1 per n."""
-    n_min = max(n_min, 2)
-    summary = _new_summary("eq9", n_min, n_max)
-    triangle = ctx.triangle(n_max)
-    for n in range(n_min, n_max + 1):
-        for k in range(1, n):
-            if not _merge(summary, checks.product_bound_check(n, k, triangle)):
-                return summary
-    return summary
+def _product_bound(n, triangle):
+    """Every 1 <= k <= n-1, lazily, so the sweep stops at the first failure."""
+    return (checks.product_bound_check(n, k, triangle) for k in range(1, n))
 
 
-def sweep_series_identities(k_min: int, k_max: int, ctx: SweepContext,
-                            degree: int = 60) -> ClaimSummary:
-    k_min = max(k_min, 1)
-    summary = _new_summary("genfun", k_min, k_max)
-    summary.notes["degree"] = degree
-    for k in range(k_min, k_max + 1):
-        report = check_generating_functions(k, degree)
-        summary.checked += 1
-        if not report.ok:
-            summary.outcome = VIOLATED
-            summary.counterexample = report.first_mismatch
-            break
-    return summary
+def _series_identities(k, _):
+    report = check_generating_functions(k, GENFUN_DEGREE)
+    return [_exact("genfun", k, report.first_mismatch)]
 
 
 # claim id -> (sweep function, default range)
 CLAIMS = {
-    "thm2": (sweep_unimodality, (4, 1000)),
-    "thm3": (sweep_row_bound, (1, 1000)),
-    "prop1": (sweep_diagonal_bound, (1, 2000)),
-    "prop2": (sweep_subdiagonal_bound, (1, 2000)),
-    "lemma-links": (sweep_ascent_sign, (4, 1000)),
-    "lemma-rechts": (sweep_descent_sign, (4, 1000)),
-    "lemma-gr": (sweep_dominance, (4, 500)),
-    "lemma13": (sweep_growth_chain, (3, 2000)),
-    "apostol": (sweep_partition_bound, (1, 2000)),
-    "stirling": (sweep_central_binomial, (1, 2000)),
-    "eq9": (sweep_product_bound, (2, 300)),
-    "genfun": (sweep_series_identities, (1, 15)),
+    "thm2": (_claim("thm2", _unimodality, SweepContext.triangle), (4, 1000)),
+    "thm3": (_claim("thm3", _row_bound, SweepContext.triangle), (1, 1000)),
+    "prop1": (_claim("prop1", _diagonal_bound, SweepContext.diagonal), (1, 2000)),
+    "prop2": (_claim("prop2", _subdiagonal_bound, SweepContext.diagonal), (1, 2000)),
+    "lemma-links": (_claim("lemma-links", _ascent_sign, SweepContext.table),
+                    (4, 1000)),
+    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, SweepContext.table),
+                     (4, 1000)),
+    "lemma-gr": (_claim("lemma-gr", _dominance, SweepContext.triangle), (4, 500)),
+    "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
+    "apostol": (_claim("apostol", _partition_bound, SweepContext.table), (1, 2000)),
+    "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
+    "eq9": (_claim("eq9", _product_bound, SweepContext.triangle), (2, 300)),
+    "genfun": (_claim("genfun", _series_identities,
+                      notes={"degree": GENFUN_DEGREE}), (1, 15)),
 }
 
 
 def run_claim(claim: str, n_min: int | None, n_max: int | None,
               ctx: SweepContext | None = None) -> ClaimSummary:
-    """Run one claim sweep; None range components fall back to defaults."""
+    """Run one claim sweep; None range components fall back to defaults.
+
+    A range with no n left once clamped to the claim's minimum raises
+    ValueError: an empty sweep checks nothing and must not verify.
+    """
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim {claim!r}")
     sweep, (default_min, default_max) = CLAIMS[claim]
     lo = default_min if n_min is None else max(n_min, default_min)
     hi = default_max if n_max is None else n_max
+    if lo > hi:
+        raise ValueError(
+            f"claim {claim} starts at n = {default_min}: "
+            f"nothing to check in the range {n_min}..{n_max}")
     if ctx is None:
         ctx = SweepContext()
     return sweep(lo, hi, ctx)

@@ -10,6 +10,7 @@ from binpart import (
     build_partition_table,
     build_triangle,
 )
+from binpart.sweeps import SweepContext
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -37,3 +38,9 @@ def triangle_1000(table_2001):
 @pytest.fixture(scope="session")
 def diagonal_2001(table_2001):
     return DiagonalTable(2001, table_2001)
+
+
+@pytest.fixture(scope="session")
+def sweep_ctx():
+    """The tables `binpart verify` shares across claims, kept for the session."""
+    return SweepContext()

@@ -1,6 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS line
 with its runtime and worst margin (visible with pytest -s).
 
+Criteria that a `binpart verify` claim covers take their verdict from
+sweeps.run_claim over the claim's default range, the code path the CLI
+ships; the default ranges are the criteria's ranges.
+
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
@@ -12,22 +16,14 @@ import pytest
 
 from binpart import (
     build_restricted_table,
-    central_binomial_check,
-    check_generating_functions,
     closed_form_even,
     closed_form_odd,
-    diagonal_bound_check,
     enumerate_partitions,
-    growth_chain_check,
-    partition_bound_check,
     peak_k,
-    product_bound_check,
-    row_bound_check,
-    subdiagonal_bound_check,
-    verify_unimodal_profile,
+    sweeps,
 )
 from binpart import best_bound, NilpotentProfile
-from binpart.binomial_sums import partial_sign_sum_ratio, peak_sign_sum
+from binpart.binomial_sums import partial_sign_sum_ratio
 from binpart.checks import VERIFIED
 from binpart.cli import EXIT_OK, main
 from binpart.qseries import TailParams, euler_product_upper, weighted_sum_upper
@@ -50,6 +46,14 @@ def _report(tag: str, detail: str, t0: float, budget: float):
     assert elapsed < budget, f"{tag} exceeded {budget}s budget ({elapsed:.2f}s)"
 
 
+def _verified_claim(claim: str, ctx, checked: int) -> sweeps.ClaimSummary:
+    """Run `claim` over its default range; it must verify exactly `checked` cases."""
+    summary = sweeps.run_claim(claim, None, None, ctx)
+    assert summary.outcome == VERIFIED, (claim, summary.counterexample)
+    assert summary.checked == checked, (claim, summary.checked)
+    return summary
+
+
 def test_criterion_01_table_reproduction(capsys):
     t0 = time.time()
     code = main(["table", "50"])
@@ -62,44 +66,32 @@ def test_criterion_01_table_reproduction(capsys):
     _report("01 table-50", "100/100 values exact", t0, 1.0)
 
 
-def test_criterion_02_unimodality_to_1000(triangle_1000):
+def test_criterion_02_unimodality_to_1000(sweep_ctx, triangle_1000):
     t0 = time.time()
+    _verified_claim("thm2", sweep_ctx, 997)
     for n in range(4, 1001):
-        profile = verify_unimodal_profile(n, triangle_1000)
-        assert profile.ok, (n, profile.first_violation)
         row = triangle_1000.row(n)
-        peak_value = row[profile.peak_k]
+        peak_value = row[peak_k(n)]
         assert all(row[k] < peak_value for k in range(1, n + 1)
-                   if k != profile.peak_k), n
+                   if k != peak_k(n)), n
     _report("02 unimodality", "rows 4..1000 strictly unimodal, peaks unique",
             t0, 60.0)
 
 
-def test_criterion_03_row_bound_to_1000(triangle_1000):
+def test_criterion_03_row_bound_to_1000(sweep_ctx):
     t0 = time.time()
-    worst = None
-    for n in range(1, 1001):
-        report = row_bound_check(n, triangle_1000)
-        assert report.verified, n
-        if worst is None or report.margin < worst:
-            worst = report.margin
+    worst = _verified_claim("thm3", sweep_ctx, 1000).min_margin
     _report("03 row-bound", f"n=1..1000 exact, min rel margin {worst:.3e}",
             t0, 120.0)
 
 
-def test_criterion_04_diagonal_bounds_to_2000(diagonal_2001):
+def test_criterion_04_diagonal_bounds_to_2000(sweep_ctx):
     t0 = time.time()
-    worst_bits = 0
-    worst_margin = None
-    for n in range(1, 2001):
-        r1 = diagonal_bound_check(n, diagonal_2001)
-        r2 = subdiagonal_bound_check(n, diagonal_2001)
-        for r in (r1, r2):
-            assert r.outcome == VERIFIED, (n, r)
-            assert r.margin > 0
-            worst_bits = max(worst_bits, r.precision_bits)
-            if worst_margin is None or r.margin < worst_margin:
-                worst_margin = r.margin
+    summaries = [_verified_claim(claim, sweep_ctx, 2000)
+                 for claim in ("prop1", "prop2")]
+    worst_bits = max(s.max_precision_bits for s in summaries)
+    worst_margin = min(s.min_margin for s in summaries)
+    assert worst_margin > 0
     assert worst_bits <= 512
     _report("04 diagonal-bounds",
             f"n=1..2000, min margin {worst_margin:.3e} at <= {worst_bits} bits",
@@ -123,12 +115,10 @@ def test_criterion_05_product_constants():
             t0, 60.0)
 
 
-def test_criterion_06_sign_sums_to_1000(table_2001):
+def test_criterion_06_sign_sums_to_1000(sweep_ctx, table_2001):
     t0 = time.time()
-    for n in range(4, 1001):
-        k = peak_k(n)
-        assert peak_sign_sum(n, k, table_2001) > 0, n
-        assert peak_sign_sum(n, k + 1, table_2001) < 0, n
+    _verified_claim("lemma-links", sweep_ctx, 997)
+    _verified_claim("lemma-rechts", sweep_ctx, 997)
     for n in (4, 10, 50, 100, 200, 300, 400, 500, 750, 1000):
         k = (n + 2) // 2
         assert partial_sign_sum_ratio(n, k, 3, table_2001) == closed_form_even(n)
@@ -140,29 +130,21 @@ def test_criterion_06_sign_sums_to_1000(table_2001):
             t0, 60.0)
 
 
-def test_criterion_07_dominance_to_500(triangle_1000):
+def test_criterion_07_dominance_to_500(sweep_ctx):
     t0 = time.time()
-    from binpart import dominance_check
-
-    for n in range(4, 501):
-        assert dominance_check(n, triangle_1000) is None, n
+    _verified_claim("lemma-gr", sweep_ctx, 497)
     _report("07 dominance", "512*p(n,k) > 1745*C(n,k) on 4..500", t0, 60.0)
 
 
-def test_criterion_08_product_bound_to_300(triangle_1000):
+def test_criterion_08_product_bound_to_300(sweep_ctx):
     t0 = time.time()
-    checked = 0
-    for n in range(2, 301):
-        for k in range(1, n):
-            report = product_bound_check(n, k, triangle_1000)
-            assert report.outcome == VERIFIED, (n, k, report.outcome)
-            checked += 1
+    checked = _verified_claim("eq9", sweep_ctx, 44850).checked
     _report("08 product-bound",
             f"{checked} pairs verified, zero inconclusive at depth cap 256",
             t0, 120.0)
 
 
-def test_criterion_09_oracle_equivalence(table_2001):
+def test_criterion_09_oracle_equivalence(sweep_ctx, table_2001):
     t0 = time.time()
     for n in range(41):
         assert len(enumerate_partitions(n, max(n, 1))) == table_2001[n], n
@@ -170,9 +152,8 @@ def test_criterion_09_oracle_equivalence(table_2001):
         restricted = build_restricted_table(k, 30)
         for j in range(31):
             assert restricted[j] == len(enumerate_partitions(j, k)), (j, k)
-    for k in range(1, 16):
-        report = check_generating_functions(k, 60)
-        assert report.ok, (k, report.first_mismatch)
+    genfun = _verified_claim("genfun", sweep_ctx, 15)
+    assert genfun.notes == {"degree": 60}
     _report("09 oracle-equivalence",
             "enumeration matches p(n) to 40 and p_k(j) to 30; series to k=15",
             t0, 120.0)
@@ -188,17 +169,11 @@ def test_criterion_10_recursion_full_triangle(triangle_1000):
     _report("10 recursion", "exact over the full 1000-row triangle", t0, 60.0)
 
 
-def test_criterion_11_certified_sweeps_to_2000(table_2001):
+def test_criterion_11_certified_sweeps_to_2000(sweep_ctx):
     t0 = time.time()
-    for n in range(3, 2001):
-        report = growth_chain_check(n)
-        assert report.outcome == VERIFIED, ("growth-chain", n)
-    for n in range(1, 2001):
-        report = partition_bound_check(n, table_2001)
-        assert report.outcome == VERIFIED, ("partition-bound", n)
-    for n in range(1, 2001):
-        report = central_binomial_check(n)
-        assert report.outcome == VERIFIED, ("central-binomial", n)
+    _verified_claim("lemma13", sweep_ctx, 1998)
+    _verified_claim("apostol", sweep_ctx, 2000)
+    _verified_claim("stirling", sweep_ctx, 2000)
     _report("11 certified-sweeps",
             "growth chain 3..2000, partition bound and central binomial 1..2000",
             t0, 120.0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binpart import (
+    BoundReal,
     DiagonalTable,
     asymptotic_ratio,
     central_binomial_check,
@@ -14,7 +15,7 @@ from binpart import (
     row_bound_check,
     subdiagonal_bound_check,
 )
-from binpart.checks import INCONCLUSIVE
+from binpart.checks import INCONCLUSIVE, VIOLATED, _certified
 
 from reference_values import EULER_PRODUCT_HALF
 
@@ -110,6 +111,40 @@ class TestDiagonalBounds:
         for n in range(1, 301):
             assert diagonal_bound_check(n, diagonal_2001).verified, n
             assert subdiagonal_bound_check(n, diagonal_2001).verified, n
+
+
+class TestCertifiedOutcomes:
+    """The non-verified outcomes of the shared escalate-and-report scaffold."""
+
+    def test_huge_value_is_violated(self):
+        class HugeDiagonal:
+            def value(self, n, k):
+                return 10**100
+
+        report = diagonal_bound_check(1, HugeDiagonal())
+        assert report.outcome == VIOLATED
+        assert report.counterexample == (1,)
+
+    def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
+        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        report = _certified(
+            "straddle", 1,
+            lambda bits: (BoundReal.from_endpoints(-1, 1, bits),), 128, (1,))
+        assert report.outcome == INCONCLUSIVE
+        assert report.precision_bits == 256
+
+    def test_undecided_gap_escalates_past_negative_gap(self, monkeypatch):
+        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        seen = []
+
+        def gaps(bits):
+            seen.append(bits)
+            return (BoundReal.from_endpoints(-1, 1, bits),
+                    BoundReal.from_endpoints(-2, -1, bits))
+
+        report = _certified("mixed", 1, gaps, 128, (1,))
+        assert report.outcome == INCONCLUSIVE
+        assert seen == [128, 256]
 
 
 class TestProductBound:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from binpart import sweeps
 from binpart.cli import (
@@ -13,6 +18,8 @@ from binpart.cli import (
 from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
+REPO = Path(__file__).parents[1]
+GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
 
 
 def run(capsys, *argv):
@@ -98,6 +105,23 @@ class TestVerify:
         assert len(doc["claims"]) == 12
         assert {c["claim"] for c in doc["claims"]} == set(sweeps.CLAIMS)
 
+    def test_all_matches_golden_report(self, capsys):
+        code, out = run(capsys, "verify", "all")
+        assert code == EXIT_OK
+        assert out == GOLDEN_VERIFY_ALL.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm2", "1", "3"],
+        ["verify", "eq9", "0", "1"],
+        ["verify", "genfun", "0", "0"],
+        ["verify", "all", "1", "3"],
+    ])
+    def test_empty_range_rejected(self, capsys, argv):
+        # clamped to the claim's minimum n the range is empty: no vacuous pass
+        code, out = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_unknown_claim(self, capsys):
         code, _ = run(capsys, "verify", "bogus")
         assert code == EXIT_USAGE
@@ -182,6 +206,12 @@ class TestProduct:
         code, _ = run(capsys, "product", "3", "2", "1e-6")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol(self, capsys, tol):
+        code, out = run(capsys, "product", "1", "2", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestMu:
     def test_3_2(self, capsys):
@@ -217,3 +247,15 @@ class TestMu:
 
 def test_usage_error_on_no_args(capsys):
     assert main([]) == EXIT_USAGE
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "binpart", "verify", "thm2", "4", "10"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["claims"][0]["checked"] == 7
