@@ -6,9 +6,12 @@ Two kinds of checks live here:
     no real arithmetic at all, so the outcome is exact by construction;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log):
-    decided through BoundReal enclosures, declared only when the gap
-    exceeds the total enclosure error, with automatic precision
-    escalation and an explicit "inconclusive" outcome at the cap.
+    each check's gaps(bits) computes on raw outward-rounded `iv` intervals
+    inside the one precision context `_certified` enters per rung, with pi
+    and sqrt(2/3)*pi cached per bit width; the gaps are wrapped as
+    BoundReal only to read their sign and margin.  A claim is declared
+    only when the gap exceeds the total enclosure error, with automatic
+    precision escalation and an explicit "inconclusive" outcome at the cap.
 
 Every check returns a VerificationReport; "verified" always means the
 strict inequality holds with positive certified margin.
@@ -19,12 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
+
+from mpmath import iv
 
 from .intervals import (
     BoundReal,
     DEFAULT_PRECISION_BITS,
     decide_with_escalation,
+    working_precision,
 )
 from .partitions import PartitionTable
 from .qseries import DEFAULT_DEPTH_CAP
@@ -64,15 +71,17 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
                counterexample: tuple) -> VerificationReport:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
-    gaps(bits) returns a tuple of BoundReal enclosures at that precision.
-    The outcome is undecided while any gap straddles zero, verified when
-    every gap is certainly positive and violated otherwise.  The margin is
-    the smallest certified lower bound among the gaps.
+    Each rung enters working_precision(bits) once and calls gaps(bits)
+    inside it; gaps returns a tuple of raw `iv` intervals evaluated at that
+    precision.  The outcome is undecided while any gap straddles zero,
+    verified when every gap is certainly positive and violated otherwise.
+    The margin is the smallest certified lower bound among the gaps.
     """
     margin_holder = {}
 
     def evaluate(bits):
-        enclosures = gaps(bits)
+        with working_precision(bits):
+            enclosures = [BoundReal(gap, bits) for gap in gaps(bits)]
         signs = [gap.certainly_positive() for gap in enclosures]
         if None in signs:
             return None
@@ -92,9 +101,16 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
                               precision_bits=bits)
 
 
-def alpha_bound(bits: int = DEFAULT_PRECISION_BITS) -> BoundReal:
-    """Enclosure of the growth constant sqrt(2/3)*pi."""
-    return (BoundReal.exact(Fraction(2, 3), bits).sqrt()) * BoundReal.pi(bits)
+@lru_cache(maxsize=None)
+def _pi_alpha(bits: int):
+    """Raw `iv` enclosures of pi and the growth constant a = sqrt(2/3)*pi.
+
+    Keyed on the escalation rung, so the cache holds one entry per rung
+    ever used (a handful: the ladder doubles from 128 bits to the cap).
+    """
+    with working_precision(bits):
+        pi = +iv.pi
+        return pi, iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi
 
 
 def row_bound_check(n: int, triangle) -> VerificationReport:
@@ -108,15 +124,13 @@ def row_bound_check(n: int, triangle) -> VerificationReport:
     row = triangle.row(n)
     rhs = 12769 << (2 * n)
     factor = 1600 * n
-    worst = None
-    for k in range(1, n + 1):
-        lhs = factor * row[k] * row[k]
-        if lhs >= rhs:
-            return VerificationReport(
-                claim="row-bound", n=n, outcome=VIOLATED, counterexample=(n, k)
-            )
-        if worst is None or lhs > worst:
-            worst = lhs
+    top = max(row[1:n + 1])
+    worst = factor * top * top
+    if worst >= rhs:
+        k = next(k for k in range(1, n + 1) if factor * row[k] * row[k] >= rhs)
+        return VerificationReport(
+            claim="row-bound", n=n, outcome=VIOLATED, counterexample=(n, k)
+        )
     return VerificationReport(
         claim="row-bound",
         n=n,
@@ -142,8 +156,9 @@ def central_binomial_check(
 
     def gaps(bits):
         # rhs is a power of two, so dividing by it is exact and keeps the sign
-        rhs = BoundReal.exact(rhs_int, bits)
-        gap = rhs - BoundReal.exact(lhs_int, bits) * BoundReal.pi(bits)
+        pi, _ = _pi_alpha(bits)
+        rhs = iv.mpf(rhs_int)
+        gap = rhs - iv.mpf(lhs_int) * pi
         return (gap / rhs,)
 
     return _certified("central-binomial", n, gaps, start_bits, (n, kn))
@@ -162,10 +177,10 @@ def partition_bound_check(
     pn = table[n]
 
     def gaps(bits):
-        nn = BoundReal.exact(n, bits)
-        lhs = BoundReal.exact(pn, bits).log()
-        rhs = (BoundReal.pi(bits) / (6 * nn).sqrt()).log() \
-            + alpha_bound(bits) * nn.sqrt()
+        pi, alpha = _pi_alpha(bits)
+        nn = iv.mpf(n)
+        lhs = iv.log(iv.mpf(pn))
+        rhs = iv.log(pi / iv.sqrt(nn * 6)) + alpha * iv.sqrt(nn)
         return (rhs - lhs,)
 
     return _certified("partition-bound", n, gaps, start_bits, (n,))
@@ -184,11 +199,12 @@ def growth_chain_check(
         raise ValueError("n must be >= 3")
 
     def gaps(bits):
-        nn = BoundReal.exact(n, bits)
-        sqrt_n = nn.sqrt()
-        left = sqrt_n / ((nn + 1).sqrt() - 1)
-        mid = 1 + BoundReal.pi(bits) / (6 * nn).sqrt()
-        right = (alpha_bound(bits) * sqrt_n * ((1 + 1 / nn).sqrt() - 1)).exp()
+        pi, alpha = _pi_alpha(bits)
+        nn = iv.mpf(n)
+        sqrt_n = iv.sqrt(nn)
+        left = sqrt_n / (iv.sqrt(nn + 1) - 1)
+        mid = 1 + pi / iv.sqrt(nn * 6)
+        right = iv.exp(alpha * sqrt_n * (iv.sqrt(1 + 1 / nn) - 1))
         return (mid - left, right - mid)
 
     return _certified("growth-chain", n, gaps, start_bits, (n,))
@@ -207,8 +223,9 @@ def diagonal_bound_check(
     value = table_like.value(n - 1, n - 1)
 
     def gaps(bits):
-        lhs = BoundReal.exact(value, bits).log()
-        rhs = alpha_bound(bits) * BoundReal.exact(n, bits).sqrt()
+        _, alpha = _pi_alpha(bits)
+        lhs = iv.log(iv.mpf(value))
+        rhs = alpha * iv.sqrt(iv.mpf(n))
         return (rhs - lhs,)
 
     return _certified("diagonal-bound", n, gaps, start_bits, (n,))
@@ -223,9 +240,10 @@ def subdiagonal_bound_check(
     value = table_like.value(n, n - 1)
 
     def gaps(bits):
-        nn = BoundReal.exact(n, bits)
-        lhs = BoundReal.exact(value, bits).log()
-        rhs = nn.log() / 2 + alpha_bound(bits) * nn.sqrt()
+        _, alpha = _pi_alpha(bits)
+        nn = iv.mpf(n)
+        lhs = iv.log(iv.mpf(value))
+        rhs = iv.log(nn) / 2 + alpha * iv.sqrt(nn)
         return (rhs - lhs,)
 
     return _certified("subdiagonal-bound", n, gaps, start_bits, (n,))

@@ -11,6 +11,11 @@ The escalation ladder starts at DEFAULT_PRECISION_BITS and doubles up to
 DEFAULT_PRECISION_CAP_BITS; the environment variable PRECISION_CAP_BITS
 overrides the cap.
 
+Each BoundReal operation sets the precision for that one operation.  The
+certified checks in `checks` instead set it once per escalation rung:
+they evaluate their gaps on raw `iv` intervals inside a single
+working_precision(bits) and wrap only the results as BoundReal.
+
 Note: mpmath's interval context precision is process-global, so the
 working_precision switches here are not thread-safe.  Everything in this
 package runs checks sequentially; callers parallelizing sweeps should use

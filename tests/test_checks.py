@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath import iv
 
+from binpart import checks
 from binpart import (
     BoundReal,
     DiagonalTable,
@@ -15,7 +18,14 @@ from binpart import (
     row_bound_check,
     subdiagonal_bound_check,
 )
-from binpart.checks import INCONCLUSIVE, VIOLATED, _certified
+from binpart.checks import (
+    INCONCLUSIVE,
+    VERIFIED,
+    VIOLATED,
+    _certified,
+    _pi_alpha,
+)
+from binpart.intervals import decide_with_escalation, mpf_to_fraction
 
 from reference_values import EULER_PRODUCT_HALF
 
@@ -37,6 +47,23 @@ class TestRowBound:
             report = row_bound_check(n, triangle_120)
             assert report.verified, n
             assert report.margin > 0
+
+    def test_margin_matches_per_k_formula(self, triangle_120):
+        for n in range(1, 121):
+            row = triangle_120.row(n)
+            rhs = 12769 << (2 * n)
+            worst = max(1600 * n * row[k] * row[k] for k in range(1, n + 1))
+            assert row_bound_check(n, triangle_120).margin == (rhs - worst) / rhs, n
+
+    def test_reports_first_violating_k(self):
+        class FakeTriangle:
+            def row(self, n):
+                # p(4,2) and the larger p(4,3) both break 1600*4*p^2 < 12769*4^4
+                return (0, 1, 10**6, 10**7, 1)
+
+        report = row_bound_check(4, FakeTriangle())
+        assert report.outcome == VIOLATED
+        assert report.counterexample == (4, 2)
 
 
 class TestCentralBinomial:
@@ -129,7 +156,7 @@ class TestCertifiedOutcomes:
         monkeypatch.setenv("PRECISION_CAP_BITS", "256")
         report = _certified(
             "straddle", 1,
-            lambda bits: (BoundReal.from_endpoints(-1, 1, bits),), 128, (1,))
+            lambda bits: (iv.mpf([-1, 1]),), 128, (1,))
         assert report.outcome == INCONCLUSIVE
         assert report.precision_bits == 256
 
@@ -139,12 +166,140 @@ class TestCertifiedOutcomes:
 
         def gaps(bits):
             seen.append(bits)
-            return (BoundReal.from_endpoints(-1, 1, bits),
-                    BoundReal.from_endpoints(-2, -1, bits))
+            return (iv.mpf([-1, 1]), iv.mpf([-2, -1]))
 
         report = _certified("mixed", 1, gaps, 128, (1,))
         assert report.outcome == INCONCLUSIVE
         assert seen == [128, 256]
+
+
+def _reference_alpha(bits):
+    return BoundReal.exact(Fraction(2, 3), bits).sqrt() * BoundReal.pi(bits)
+
+
+def _reference_gaps(claim, n, table, diagonal):
+    """Each certified check's gaps as BoundReal expressions, one context per operation."""
+    if claim == "central-binomial":
+        kn = (n + 3) // 2
+        c = math.comb(n, kn)
+
+        def gaps(bits):
+            rhs = BoundReal.exact(2 << (2 * n), bits)
+            gap = rhs - BoundReal.exact(c * c * n, bits) * BoundReal.pi(bits)
+            return (gap / rhs,)
+    elif claim == "partition-bound":
+        def gaps(bits):
+            nn = BoundReal.exact(n, bits)
+            lhs = BoundReal.exact(table[n], bits).log()
+            rhs = (BoundReal.pi(bits) / (6 * nn).sqrt()).log() \
+                + _reference_alpha(bits) * nn.sqrt()
+            return (rhs - lhs,)
+    elif claim == "growth-chain":
+        def gaps(bits):
+            nn = BoundReal.exact(n, bits)
+            sqrt_n = nn.sqrt()
+            left = sqrt_n / ((nn + 1).sqrt() - 1)
+            mid = 1 + BoundReal.pi(bits) / (6 * nn).sqrt()
+            right = (_reference_alpha(bits) * sqrt_n
+                     * ((1 + 1 / nn).sqrt() - 1)).exp()
+            return (mid - left, right - mid)
+    elif claim == "diagonal-bound":
+        def gaps(bits):
+            lhs = BoundReal.exact(diagonal.value(n - 1, n - 1), bits).log()
+            rhs = _reference_alpha(bits) * BoundReal.exact(n, bits).sqrt()
+            return (rhs - lhs,)
+    else:
+        def gaps(bits):
+            nn = BoundReal.exact(n, bits)
+            lhs = BoundReal.exact(diagonal.value(n, n - 1), bits).log()
+            rhs = nn.log() / 2 + _reference_alpha(bits) * nn.sqrt()
+            return (rhs - lhs,)
+    return gaps
+
+
+def _reference_decision(gaps, start_bits):
+    """(outcome, margin, bits) from BoundReal gaps, as _certified reports them."""
+    margin = {}
+
+    def evaluate(bits):
+        enclosures = gaps(bits)
+        signs = [gap.certainly_positive() for gap in enclosures]
+        if None in signs:
+            return None
+        if all(signs):
+            margin["m"] = min(float(gap.lower) for gap in enclosures)
+            return True
+        return False
+
+    outcome, bits = decide_with_escalation(evaluate, start_bits)
+    if outcome is None:
+        return INCONCLUSIVE, None, bits
+    return (VERIFIED if outcome else VIOLATED), margin.get("m"), bits
+
+
+class TestRawIntervalGaps:
+    """The certified checks' raw-interval gaps against BoundReal references."""
+
+    CHECKS = {
+        "central-binomial": (1, lambda n, t, d, b: central_binomial_check(n, b)),
+        "partition-bound": (1, lambda n, t, d, b: partition_bound_check(n, t, b)),
+        "growth-chain": (3, lambda n, t, d, b: growth_chain_check(n, b)),
+        "diagonal-bound": (1, lambda n, t, d, b: diagonal_bound_check(n, d, b)),
+        "subdiagonal-bound": (1, lambda n, t, d, b: subdiagonal_bound_check(n, d, b)),
+    }
+
+    @pytest.mark.parametrize("start_bits", [128, 256])
+    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    def test_matches_bound_real_reference(self, claim, start_bits,
+                                          table_2001, diagonal_2001):
+        n_min, check = self.CHECKS[claim]
+        for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
+            report = check(n, table_2001, diagonal_2001, start_bits)
+            gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
+            assert (report.outcome, report.margin, report.precision_bits) \
+                == _reference_decision(gaps, start_bits), n
+
+    @staticmethod
+    def _count_enters(monkeypatch):
+        enters = []
+        original = checks.working_precision
+
+        def counting(bits):
+            enters.append(bits)
+            return original(bits)
+
+        monkeypatch.setattr(checks, "working_precision", counting)
+        return enters
+
+    def test_one_precision_switch_per_rung(self, monkeypatch):
+        _pi_alpha(128)  # warm the constants so only the rung is counted
+        enters = self._count_enters(monkeypatch)
+        assert growth_chain_check(100).precision_bits == 128
+        assert enters == [128]
+
+    def test_straddling_gap_switches_once_per_rung(self, monkeypatch):
+        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        enters = self._count_enters(monkeypatch)
+        report = _certified("straddle", 1, lambda bits: (iv.mpf([-1, 1]),),
+                            128, (1,))
+        assert report.outcome == INCONCLUSIVE
+        assert enters == [128, 256]
+
+    def test_cached_constants_enclose_pi_and_alpha(self):
+        with mpmath.workprec(1024):
+            pi = +mpmath.pi
+            alpha = mpmath.sqrt(mpmath.mpf(2) / 3) * pi
+        exact = (mpf_to_fraction(pi), mpf_to_fraction(alpha))
+        widths = []
+        for bits in (128, 256, 512):
+            assert _pi_alpha(bits) is _pi_alpha(bits)
+            enclosures = [BoundReal(x, bits) for x in _pi_alpha(bits)]
+            for enclosure, value in zip(enclosures, exact):
+                assert enclosure.contains(value), bits
+            widths.append([e.upper_fraction() - e.lower_fraction()
+                           for e in enclosures])
+        for coarse, fine in zip(widths, widths[1:]):
+            assert all(f < c for c, f in zip(coarse, fine))
 
 
 class TestProductBound:

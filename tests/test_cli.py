@@ -249,13 +249,22 @@ def test_usage_error_on_no_args(capsys):
     assert main([]) == EXIT_USAGE
 
 
-def test_python_dash_m_entry_point():
+def _assert_module_runs_verify(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "binpart", "verify", "thm2", "4", "10"],
+        [sys.executable, "-m", module, "verify", "thm2", "4", "10"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["claims"][0]["checked"] == 7
+
+
+def test_python_dash_m_entry_point():
+    _assert_module_runs_verify("binpart")
+
+
+def test_python_dash_m_cli_module():
+    # without a __main__ guard this printed nothing and exited 0
+    _assert_module_runs_verify("binpart.cli")

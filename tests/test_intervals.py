@@ -1,6 +1,9 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpart.intervals import (
     BoundReal,
@@ -123,3 +126,18 @@ def test_precision_cap_env_invalid(monkeypatch):
     monkeypatch.setenv("PRECISION_CAP_BITS", "16")
     with pytest.raises(ValueError):
         precision_cap_bits()
+
+
+# numerators and denominators past 128 bits, so exact() itself must round outward
+rationals = st.builds(Fraction, st.integers(-10**45, 10**45), st.integers(1, 10**45))
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a=rationals, b=rationals)
+def test_arithmetic_encloses_exact_result(bits, a, b):
+    x, y = BoundReal.exact(a, bits), BoundReal.exact(b, bits)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and b == 0:
+            continue
+        assert op(x, y).contains(op(a, b)), (op.__name__, a, b)
