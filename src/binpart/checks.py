@@ -73,12 +73,10 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
 
     Each rung enters working_precision(bits) once and calls gaps(bits)
     inside it; gaps returns a tuple of raw `iv` intervals evaluated at that
-    precision.  The outcome is undecided while any gap straddles zero,
+    precision.  The rung is undecided while any gap straddles zero,
     verified when every gap is certainly positive and violated otherwise.
     The margin is the smallest certified lower bound among the gaps.
     """
-    margin_holder = {}
-
     def evaluate(bits):
         with working_precision(bits):
             enclosures = [BoundReal(gap, bits) for gap in gaps(bits)]
@@ -86,19 +84,17 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
         if None in signs:
             return None
         if all(signs):
-            margin_holder["m"] = min(float(gap.lower) for gap in enclosures)
-            return True
-        return False
-
-    outcome, bits = decide_with_escalation(evaluate, start_bits)
-    if outcome is None:
-        return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
-    if not outcome:
+            margin = min(float(gap.lower) for gap in enclosures)
+            return VerificationReport(claim, n, VERIFIED, margin=margin,
+                                      precision_bits=bits)
         return VerificationReport(claim, n, VIOLATED,
                                   counterexample=counterexample,
                                   precision_bits=bits)
-    return VerificationReport(claim, n, VERIFIED, margin=margin_holder["m"],
-                              precision_bits=bits)
+
+    report, bits = decide_with_escalation(evaluate, start_bits)
+    if report is None:
+        return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
+    return report
 
 
 @lru_cache(maxsize=None)
@@ -259,17 +255,16 @@ def product_bound_check(
 
         p(n,k) * prod_{j<=L} (n^j - k^j)  <  C(n,k) * prod_{j<=L} n^j
 
-    for some depth L; the check deepens L (4, 8, 16, ...) until the
-    integer comparison goes through or the depth cap is reached, in which
-    case the outcome is inconclusive (never asserted false).
+    for some depth L; decide_with_escalation deepens L (4, 8, 16, ...)
+    until the integer comparison goes through or depth_cap is reached, in
+    which case the outcome is inconclusive (never asserted false).
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     p_val = triangle.value(n, k)
     c = math.comb(n, k)
-    depth = 4
-    while True:
-        depth = min(depth, depth_cap)
+
+    def evaluate(depth):
         num = 1
         den = 1
         npow = 1
@@ -282,21 +277,18 @@ def product_bound_check(
         lhs = p_val * den
         rhs = c * num
         if lhs < rhs:
-            return VerificationReport(
-                "product-bound", n, VERIFIED,
-                margin=_relative_slack(lhs, rhs),
-                counterexample=None,
-            )
-        if depth >= depth_cap:
-            return VerificationReport(
-                "product-bound", n, INCONCLUSIVE, counterexample=(n, k)
-            )
-        depth *= 2
+            return VerificationReport("product-bound", n, VERIFIED,
+                                      margin=_relative_slack(lhs, rhs))
+        return None
+
+    report, _ = decide_with_escalation(evaluate, 4, depth_cap)
+    if report is None:
+        return VerificationReport("product-bound", n, INCONCLUSIVE,
+                                  counterexample=(n, k))
+    return report
 
 
-def asymptotic_ratio(
-    n: int, k: int, triangle, ell: int = 64, bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReal:
+def asymptotic_ratio(n: int, k: int, triangle) -> BoundReal:
     """Enclosure of the ratio p(n,k) / (C(n,k) * F(k/n)).
 
     Reported for trend inspection only: the ratio approaches 1 as n grows
@@ -307,7 +299,7 @@ def asymptotic_ratio(
 
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    product = euler_product_upper(TailParams(q=Fraction(k, n), ell=ell), bits)
-    numerator = BoundReal.exact(triangle.value(n, k), bits)
-    denominator = BoundReal.exact(math.comb(n, k), bits) * product
+    product = euler_product_upper(TailParams(q=Fraction(k, n), ell=64))
+    numerator = BoundReal.exact(triangle.value(n, k))
+    denominator = BoundReal.exact(math.comb(n, k)) * product
     return numerator / denominator

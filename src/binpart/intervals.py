@@ -7,9 +7,11 @@ inequalities between BoundReals are decided only when the enclosures
 separate; otherwise the decision is escalated to a higher working
 precision, up to a cap, and reported as inconclusive if the cap is hit.
 
-The escalation ladder starts at DEFAULT_PRECISION_BITS and doubles up to
-DEFAULT_PRECISION_CAP_BITS; the environment variable PRECISION_CAP_BITS
-overrides the cap.
+decide_with_escalation is the one ladder for every verdict that can end
+inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
+doubling to DEFAULT_PRECISION_CAP_BITS (the environment variable
+PRECISION_CAP_BITS overrides the cap); the eq. 9 product check climbs its
+truncation depth, 4 doubling to 256.
 
 Each BoundReal operation sets the precision for that one operation.  The
 certified checks in `checks` instead set it once per escalation rung:
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import mpmath
 from mpmath import iv
@@ -236,22 +238,23 @@ class BoundReal:
 
 
 def decide_with_escalation(
-    evaluate: Callable[[int], Optional[bool]],
+    evaluate: Callable[[int], Any],
     start_bits: int = DEFAULT_PRECISION_BITS,
     cap_bits: int | None = None,
-) -> tuple[Optional[bool], int]:
-    """Run a certified yes/no evaluation, doubling precision while undecided.
+) -> tuple[Any, int]:
+    """Run a certified evaluation, doubling its level while undecided.
 
-    `evaluate(bits)` returns True/False when certain at that precision and
-    None otherwise.  Returns (outcome, bits used); outcome None means the
-    precision cap was reached without a decision.
+    `evaluate(level)` returns None while undecided and any other value,
+    falsy ones such as 0.0 included, once decided.  The first level is
+    min(start_bits, cap), and each next one doubles, clamped to the cap.
+    Returns (result, level used); result None means the cap was reached.
     """
     cap = precision_cap_bits() if cap_bits is None else cap_bits
-    bits = start_bits
+    level = min(start_bits, cap)
     while True:
-        outcome = evaluate(bits)
-        if outcome is not None:
-            return outcome, bits
-        if bits >= cap:
-            return None, bits
-        bits = min(2 * bits, cap)
+        result = evaluate(level)
+        if result is not None:
+            return result, level
+        if level >= cap:
+            return None, level
+        level = min(2 * level, cap)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intervals import BoundReal, DEFAULT_PRECISION_BITS
+from .intervals import BoundReal
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def filiform_bound(n: int, triangle) -> int:
     return 1 + triangle.value(n - 2, n - 2)
 
 
-def corollary_bound(n: int, bits: int = DEFAULT_PRECISION_BITS) -> BoundReal:
+def corollary_bound(n: int) -> BoundReal:
     """Certified enclosure of (3/sqrt(n)) * 2^n.
 
     A strict upper bound for every p(n,k) (the exact row bound carries
@@ -97,12 +97,10 @@ def corollary_bound(n: int, bits: int = DEFAULT_PRECISION_BITS) -> BoundReal:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (3 * BoundReal.exact(1 << n, bits)) / BoundReal.exact(n, bits).sqrt()
+    return (3 * BoundReal.exact(1 << n)) / BoundReal.exact(n).sqrt()
 
 
-def best_bound(
-    profile: NilpotentProfile, triangle, bits: int = DEFAULT_PRECISION_BITS
-) -> MuBoundReport:
+def best_bound(profile: NilpotentProfile, triangle) -> MuBoundReport:
     """Compute every applicable bound and identify the exact minimizer."""
     n, k = profile.dim_n, profile.class_k
     birkhoff = birkhoff_bound(n, k)
@@ -124,7 +122,7 @@ def best_bound(
         reed=reed,
         pnk=pnk,
         filiform_bound=fili,
-        corollary_numeric=corollary_bound(n, bits),
+        corollary_numeric=corollary_bound(n),
         best=best,
         pnk_beats_reed=pnk < reed,
     )

@@ -84,9 +84,7 @@ def euler_product_upper(
     return BoundReal(enclosure, bits)
 
 
-def weighted_sum_upper(
-    params: TailParams, bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReal:
+def weighted_sum_upper(params: TailParams) -> BoundReal:
     """Enclosure of S(q): lower = partial sum, upper = tail-bounded.
 
     Upper bound: q/(1-q)^3 plus the correction terms
@@ -96,7 +94,7 @@ def weighted_sum_upper(
     monotonically in ell.
     """
     q_frac, ell = params.q, params.ell
-    with working_precision(bits):
+    with working_precision(DEFAULT_PRECISION_BITS):
         q = _q_interval(q_frac)
         leading = q / (1 - q) ** 3
         one_minus_q = 1 - q
@@ -116,32 +114,26 @@ def weighted_sum_upper(
             if best_hi is None or mpf_lt(hi, best_hi):
                 best_hi = hi
         enclosure = iv.make_mpf((best_lo, best_hi))
-    return BoundReal(enclosure, bits)
+    return BoundReal(enclosure, DEFAULT_PRECISION_BITS)
 
 
-def enclose_euler_product(
-    q: Fraction,
-    tol: float,
-    max_ell: int = DEFAULT_DEPTH_CAP,
-    bits: int | None = None,
-) -> tuple[BoundReal, int]:
+def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:
     """Shrink the F(q) enclosure below width `tol` by raising ell.
 
-    Doubles ell from 8 up to max_ell; raises EnclosureWidthError when the
-    tolerance stays out of reach at the cap.  Returns (enclosure, ell used).
-    The working precision is chosen from the tolerance unless given.
+    Doubles ell from 8 up to DEFAULT_DEPTH_CAP; raises EnclosureWidthError
+    when the tolerance stays out of reach at the cap.  Returns (enclosure,
+    ell used).  The working precision is chosen from the tolerance.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if bits is None:
-        bits = max(DEFAULT_PRECISION_BITS, 64 + int(-math.log2(tol)))
+    bits = max(DEFAULT_PRECISION_BITS, 64 + int(-math.log2(tol)))
     ell = 8
     while True:
-        enclosure = euler_product_upper(TailParams(q=q, ell=min(ell, max_ell)), bits)
+        enclosure = euler_product_upper(TailParams(q=q, ell=ell), bits)
         if float(enclosure.width) <= tol:
-            return enclosure, min(ell, max_ell)
-        if ell >= max_ell:
+            return enclosure, ell
+        if ell >= DEFAULT_DEPTH_CAP:
             raise EnclosureWidthError(
-                f"width {float(enclosure.width):.3g} > tol {tol:.3g} at ell={max_ell}"
+                f"width {float(enclosure.width):.3g} > tol {tol:.3g} at ell={ell}"
             )
         ell *= 2

@@ -331,6 +331,80 @@ class TestProductBound:
             product_bound_check(5, 5, triangle_120)
 
 
+def _reference_product(n, k, triangle, depth_cap=256):
+    """(outcome, margin, counterexample) from the hand-written depth loop."""
+    p_val = triangle.value(n, k)
+    c = math.comb(n, k)
+    depth = 4
+    while True:
+        depth = min(depth, depth_cap)
+        num = 1
+        den = 1
+        npow = 1
+        kpow = 1
+        for _ in range(depth):
+            npow *= n
+            kpow *= k
+            num *= npow
+            den *= npow - kpow
+        lhs = p_val * den
+        rhs = c * num
+        if lhs < rhs:
+            return VERIFIED, (rhs - lhs) / rhs, None
+        if depth >= depth_cap:
+            return INCONCLUSIVE, None, (n, k)
+        depth *= 2
+
+
+class TestProductLadder:
+    """product_bound_check on decide_with_escalation, against the old loop."""
+
+    @staticmethod
+    def _as_tuple(report):
+        return report.outcome, report.margin, report.counterexample
+
+    def test_matches_reference_to_120(self, triangle_120):
+        for n in range(2, 121):
+            for k in range(1, n):
+                report = product_bound_check(n, k, triangle_120)
+                assert self._as_tuple(report) == _reference_product(
+                    n, k, triangle_120), (n, k)
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 8])
+    def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
+        for k in range(1, 50):
+            report = product_bound_check(50, k, triangle_120, depth_cap=depth_cap)
+            assert self._as_tuple(report) == _reference_product(
+                50, k, triangle_120, depth_cap), k
+
+    @staticmethod
+    def _rungs(monkeypatch, *args, **kwargs):
+        visited = []
+
+        def recording(evaluate, *ladder_args):
+            def evaluate_and_record(level):
+                visited.append(level)
+                return evaluate(level)
+            return decide_with_escalation(evaluate_and_record, *ladder_args)
+
+        monkeypatch.setattr(checks, "decide_with_escalation", recording)
+        report = product_bound_check(*args, **kwargs)
+        return report, visited
+
+    def test_rungs_to_depth_16(self, monkeypatch, triangle_1000):
+        # (130, 117) is the first pair that the partial product at depth 8
+        # does not clear
+        report, visited = self._rungs(monkeypatch, 130, 117, triangle_1000)
+        assert report.verified
+        assert visited == [4, 8, 16]
+
+    def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):
+        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120,
+                                      depth_cap=1)
+        assert report.outcome == INCONCLUSIVE
+        assert visited == [1]
+
+
 class TestAsymptoticRatio:
     def test_ratio_in_unit_interval(self, triangle_120):
         ratio = asymptotic_ratio(50, 25, triangle_120)

@@ -110,6 +110,30 @@ def test_escalation_hits_cap_on_equality():
     assert bits == 512
 
 
+def test_escalation_stops_on_falsy_result():
+    levels = []
+
+    def evaluate(level):
+        levels.append(level)
+        return 0.0
+
+    assert decide_with_escalation(evaluate, start_bits=128) == (0.0, 128)
+    assert levels == [128]
+
+
+def test_escalation_start_above_cap_evaluates_once_at_cap():
+    levels = []
+
+    def never(level):
+        levels.append(level)
+        return None
+
+    outcome, bits = decide_with_escalation(never, start_bits=1024, cap_bits=256)
+    assert outcome is None
+    assert bits == 256
+    assert levels == [256]
+
+
 def test_precision_cap_env_override(monkeypatch):
     monkeypatch.setenv("PRECISION_CAP_BITS", "256")
     assert precision_cap_bits() == 256
