@@ -25,6 +25,7 @@ row is still ascending into k (positive) or already descending (negative).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -83,9 +84,10 @@ def iter_triangle_rows(
     yield 0, row
     for n in range(max_n):
         prev = row
+        # interior k = 1..n: prev[k] + prev[k-1], pairing prev[1:] with prev
         row = (
             (1,)
-            + tuple(prev[k] + prev[k - 1] for k in range(1, n + 1))
+            + tuple(map(operator.add, prev[1:], prev))
             + (prev[n] + table[n + 1],)
         )
         yield n + 1, row

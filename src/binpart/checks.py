@@ -6,10 +6,11 @@ Two kinds of checks live here:
     no real arithmetic at all, so the outcome is exact by construction;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log):
-    each check's gaps(bits) computes on raw outward-rounded `iv` intervals
-    inside the one precision context `_certified` enters per rung, with pi
-    and sqrt(2/3)*pi cached per bit width; the gaps are wrapped as
-    BoundReal only to read their sign and margin.  A claim is declared
+    each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
+    interval functions directly on endpoint pairs, at the explicit
+    precision bits, with pi and sqrt(2/3)*pi cached per bit width; each
+    finished gap is wrapped once as an `iv` interval, and `_certified`
+    reads its sign and margin from the raw endpoints.  A claim is declared
     only when the gap exceeds the total enclosure error, with automatic
     precision escalation and an explicit "inconclusive" outcome at the cap.
 
@@ -26,6 +27,22 @@ from functools import lru_cache
 from typing import Optional
 
 from mpmath import iv
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_sign,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
 from .intervals import (
     BoundReal,
@@ -67,24 +84,42 @@ def _relative_slack(lhs: int, rhs: int) -> float:
     return (rhs - lhs) / rhs
 
 
+def _certainly_positive(gap) -> Optional[bool]:
+    """BoundReal.certainly_positive read from the raw endpoints of an `iv` gap.
+
+    True when lower > 0, False when upper <= 0, None otherwise; a NaN
+    endpoint (mpf_sign 0, but neither positive nor <= 0) leaves it None.
+    """
+    lower, upper = gap._mpi_
+    if mpf_sign(lower) > 0:
+        return True
+    if mpf_sign(upper) < 0 or upper == fzero:
+        return False
+    return None
+
+
 def _certified(claim: str, n: int, gaps, start_bits: int,
                counterexample: tuple) -> VerificationReport:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
     Each rung enters working_precision(bits) once and calls gaps(bits)
-    inside it; gaps returns a tuple of raw `iv` intervals evaluated at that
-    precision.  The rung is undecided while any gap straddles zero,
-    verified when every gap is certainly positive and violated otherwise.
-    The margin is the smallest certified lower bound among the gaps.
+    inside it; gaps returns a tuple of `iv` intervals evaluated at that
+    precision (the checks compute them with direct `libmpi` calls and
+    wrap each finished gap once).  The rung is undecided while any gap
+    straddles zero, verified when every gap is certainly positive and
+    violated otherwise.  The margin is the smallest certified lower bound
+    among the gaps, rounded to the nearest float as float(mpf) rounds it
+    (to_float's own default rounds toward zero).
     """
     def evaluate(bits):
         with working_precision(bits):
-            enclosures = [BoundReal(gap, bits) for gap in gaps(bits)]
-        signs = [gap.certainly_positive() for gap in enclosures]
+            enclosures = gaps(bits)
+        signs = [_certainly_positive(gap) for gap in enclosures]
         if None in signs:
             return None
         if all(signs):
-            margin = min(float(gap.lower) for gap in enclosures)
+            margin = min(to_float(gap._mpi_[0], rnd=round_nearest)
+                         for gap in enclosures)
             return VerificationReport(claim, n, VERIFIED, margin=margin,
                                       precision_bits=bits)
         return VerificationReport(claim, n, VIOLATED,
@@ -95,6 +130,11 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
     if report is None:
         return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
     return report
+
+
+def _int_interval(x: int, bits: int):
+    """Endpoints of the integer x rounded outward to bits, as iv.mpf(x) gives."""
+    return from_int(x, bits, round_floor), from_int(x, bits, round_ceiling)
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +193,10 @@ def central_binomial_check(
     def gaps(bits):
         # rhs is a power of two, so dividing by it is exact and keeps the sign
         pi, _ = _pi_alpha(bits)
-        rhs = iv.mpf(rhs_int)
-        gap = rhs - iv.mpf(lhs_int) * pi
-        return (gap / rhs,)
+        rhs = _int_interval(rhs_int, bits)
+        lhs = mpi_mul(_int_interval(lhs_int, bits), pi._mpi_, bits)
+        gap = mpi_sub(rhs, lhs, bits)
+        return (iv.make_mpf(mpi_div(gap, rhs, bits)),)
 
     return _certified("central-binomial", n, gaps, start_bits, (n, kn))
 
@@ -174,10 +215,12 @@ def partition_bound_check(
 
     def gaps(bits):
         pi, alpha = _pi_alpha(bits)
-        nn = iv.mpf(n)
-        lhs = iv.log(iv.mpf(pn))
-        rhs = iv.log(pi / iv.sqrt(nn * 6)) + alpha * iv.sqrt(nn)
-        return (rhs - lhs,)
+        nn = _int_interval(n, bits)
+        lhs = mpi_log(_int_interval(pn, bits), bits)
+        sqrt_6n = mpi_sqrt(mpi_mul(nn, _int_interval(6, bits), bits), bits)
+        rhs = mpi_add(mpi_log(mpi_div(pi._mpi_, sqrt_6n, bits), bits),
+                      mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
+        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
 
     return _certified("partition-bound", n, gaps, start_bits, (n,))
 
@@ -196,12 +239,20 @@ def growth_chain_check(
 
     def gaps(bits):
         pi, alpha = _pi_alpha(bits)
-        nn = iv.mpf(n)
-        sqrt_n = iv.sqrt(nn)
-        left = sqrt_n / (iv.sqrt(nn + 1) - 1)
-        mid = 1 + pi / iv.sqrt(nn * 6)
-        right = iv.exp(alpha * sqrt_n * (iv.sqrt(1 + 1 / nn) - 1))
-        return (mid - left, right - mid)
+        one = _int_interval(1, bits)
+        nn = _int_interval(n, bits)
+        sqrt_n = mpi_sqrt(nn, bits)
+        left = mpi_div(
+            sqrt_n,
+            mpi_sub(mpi_sqrt(mpi_add(nn, one, bits), bits), one, bits), bits)
+        sqrt_6n = mpi_sqrt(mpi_mul(nn, _int_interval(6, bits), bits), bits)
+        mid = mpi_add(one, mpi_div(pi._mpi_, sqrt_6n, bits), bits)
+        sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
+        right = mpi_exp(
+            mpi_mul(mpi_mul(alpha._mpi_, sqrt_n, bits),
+                    mpi_sub(sqrt_step, one, bits), bits), bits)
+        return (iv.make_mpf(mpi_sub(mid, left, bits)),
+                iv.make_mpf(mpi_sub(right, mid, bits)))
 
     return _certified("growth-chain", n, gaps, start_bits, (n,))
 
@@ -220,9 +271,9 @@ def diagonal_bound_check(
 
     def gaps(bits):
         _, alpha = _pi_alpha(bits)
-        lhs = iv.log(iv.mpf(value))
-        rhs = alpha * iv.sqrt(iv.mpf(n))
-        return (rhs - lhs,)
+        lhs = mpi_log(_int_interval(value, bits), bits)
+        rhs = mpi_mul(alpha._mpi_, mpi_sqrt(_int_interval(n, bits), bits), bits)
+        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
 
     return _certified("diagonal-bound", n, gaps, start_bits, (n,))
 
@@ -237,10 +288,11 @@ def subdiagonal_bound_check(
 
     def gaps(bits):
         _, alpha = _pi_alpha(bits)
-        nn = iv.mpf(n)
-        lhs = iv.log(iv.mpf(value))
-        rhs = iv.log(nn) / 2 + alpha * iv.sqrt(nn)
-        return (rhs - lhs,)
+        nn = _int_interval(n, bits)
+        lhs = mpi_log(_int_interval(value, bits), bits)
+        rhs = mpi_add(mpi_div(mpi_log(nn, bits), _int_interval(2, bits), bits),
+                      mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
+        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
 
     return _certified("subdiagonal-bound", n, gaps, start_bits, (n,))
 
@@ -257,23 +309,26 @@ def product_bound_check(
 
     for some depth L; decide_with_escalation deepens L (4, 8, 16, ...)
     until the integer comparison goes through or depth_cap is reached, in
-    which case the outcome is inconclusive (never asserted false).
+    which case the outcome is inconclusive (never asserted false).  Each
+    rung extends the previous rung's partial products from j = L_prev + 1.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     p_val = triangle.value(n, k)
     c = math.comb(n, k)
 
+    num = den = npow = kpow = 1
+    built = 0  # the depth num and den are built to
+
     def evaluate(depth):
-        num = 1
-        den = 1
-        npow = 1
-        kpow = 1
-        for _ in range(depth):
+        # the ladder's depths only grow, so extend the previous rung's products
+        nonlocal num, den, npow, kpow, built
+        for _ in range(built, depth):
             npow *= n
             kpow *= k
             num *= npow
             den *= npow - kpow
+        built = depth
         lhs = p_val * den
         rhs = c * num
         if lhs < rhs:

@@ -14,9 +14,11 @@ PRECISION_CAP_BITS overrides the cap); the eq. 9 product check climbs its
 truncation depth, 4 doubling to 256.
 
 Each BoundReal operation sets the precision for that one operation.  The
-certified checks in `checks` instead set it once per escalation rung:
-they evaluate their gaps on raw `iv` intervals inside a single
-working_precision(bits) and wrap only the results as BoundReal.
+certified checks in `checks` bypass both BoundReal and `iv`'s operator
+dispatch: they call mpmath's `libmpi` interval functions (the ones `iv`
+itself calls) directly on endpoint pairs at an explicit precision, inside
+the single working_precision(bits) `_certified` enters per rung, and wrap
+each finished gap once as an `iv` interval.
 
 Note: mpmath's interval context precision is process-global, so the
 working_precision switches here are not thread-safe.  Everything in this

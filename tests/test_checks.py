@@ -3,7 +3,21 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fnone,
+    fone,
+    fzero,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_sqrt,
+)
 
 from binpart import checks
 from binpart import (
@@ -23,6 +37,7 @@ from binpart.checks import (
     VERIFIED,
     VIOLATED,
     _certified,
+    _int_interval,
     _pi_alpha,
 )
 from binpart.intervals import decide_with_escalation, mpf_to_fraction
@@ -173,6 +188,43 @@ class TestCertifiedOutcomes:
         assert seen == [128, 256]
 
 
+class TestSignRule:
+    """_certified reads a gap's sign from its raw endpoints as
+    BoundReal.certainly_positive does: lower > 0 is positive, upper <= 0 is
+    not, anything else (a NaN endpoint included) is undecided."""
+
+    @pytest.mark.parametrize("lower, upper, sign", [
+        (fzero, fone, None),     # touches 0 from above: undecided
+        (fnone, fzero, False),   # touches 0 from below: violated
+        (fzero, fzero, False),
+        (fninf, finf, None),
+        (fnan, fone, None),
+        (fnone, fnan, None),     # mpf_sign(nan) == 0, yet not <= 0
+        (fnan, fnan, None),
+        (fnan, fnone, False),
+        (fone, fnan, True),
+        (fone, finf, True),
+    ])
+    def test_edges_match_bound_real(self, monkeypatch, lower, upper, sign):
+        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
+        gap = iv.make_mpf((lower, upper))
+        assert BoundReal(gap, 128).certainly_positive() is sign
+        seen = []
+
+        def gaps(bits):
+            seen.append(bits)
+            return (gap,)
+
+        report = _certified("edge", 1, gaps, 128, (1,))
+        expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
+        assert report.outcome == expected
+        assert seen == ([128, 256] if sign is None else [128])
+        assert report.precision_bits == seen[-1]
+        if sign is False:
+            assert report.counterexample == (1,)
+
+
 def _reference_alpha(bits):
     return BoundReal.exact(Fraction(2, 3), bits).sqrt() * BoundReal.pi(bits)
 
@@ -258,6 +310,43 @@ class TestRawIntervalGaps:
             gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
             assert (report.outcome, report.margin, report.precision_bits) \
                 == _reference_decision(gaps, start_bits), n
+
+    @pytest.mark.parametrize("start_bits", [128, 256])
+    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    def test_every_n_to_400_matches_reference(self, claim, start_bits,
+                                              table_2001, diagonal_2001):
+        n_min, check = self.CHECKS[claim]
+        for n in range(n_min, 401):
+            report = check(n, table_2001, diagonal_2001, start_bits)
+            gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
+            assert (report.outcome, report.margin, report.precision_bits) \
+                == _reference_decision(gaps, start_bits), n
+
+    # growth_chain_check's exp argument has endpoints 0 or >= 2^(1-bits):
+    # sqrt(1+1/n) - 1 is a multiple of 2^(1-bits), then multiplied by
+    # alpha*sqrt(n) > 1.  Denominators below 2^120 keep y there at 128 and
+    # 256 bits.  (mpmath 1.3.0's mpf_exp rounds exp(y) up to exactly 1 for
+    # y in [2^-(bits+15), 2^-(bits+14)), an argument the kernel never forms.)
+    @pytest.mark.parametrize("bits", [128, 256])
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(x=st.builds(Fraction, st.integers(1, 10**45), st.integers(1, 10**45)),
+           y=st.builds(Fraction, st.integers(1, 10**39),
+                       st.integers(10**33, 10**36)))
+    def test_libmpi_functions_enclose_high_precision_values(self, bits, x, y):
+        # entered as the kernel enters them: integer endpoints, then mpi_div
+        for fn, reference, arg in ((mpi_sqrt, mpmath.sqrt, x),
+                                   (mpi_log, mpmath.log, x),
+                                   (mpi_exp, mpmath.exp, y)):
+            entered = mpi_div(_int_interval(arg.numerator, bits),
+                              _int_interval(arg.denominator, bits), bits)
+            enclosure = BoundReal(iv.make_mpf(fn(entered, bits)), bits)
+            with mpmath.workprec(1024):
+                value = mpf_to_fraction(
+                    reference(mpmath.mpf(arg.numerator) / arg.denominator))
+            assert enclosure.contains(value), (fn.__name__, arg)
+            width = enclosure.upper_fraction() - enclosure.lower_fraction()
+            assert width <= Fraction(2) ** (12 - bits) \
+                * max(1, abs(value)) * max(1, arg), (fn.__name__, arg)
 
     @staticmethod
     def _count_enters(monkeypatch):
