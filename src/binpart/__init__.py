@@ -25,7 +25,6 @@ from .binomial_sums import (
 )
 from .checks import (
     VerificationReport,
-    asymptotic_ratio,
     central_binomial_check,
     diagonal_bound_check,
     growth_chain_check,

@@ -9,8 +9,9 @@ Pascal-style recursion F(n+1,ell) = F(n,ell) + F(n,ell-1).  Back in the
 
     p(n+1,k) = p(n,k) + p(n,k-1)        (1 <= k <= n)
 
-with p(n,0) = 1 and p(n,n) = p(0) + ... + p(n), which is how PnkTriangle
-is filled row by row.
+with p(n,0) = 1 and p(n,n) = p(0) + ... + p(n), which is how
+iter_triangle_rows streams the triangle row by row (build_triangle
+collects that stream into a PnkTriangle).
 
 For fixed n >= 4 the row k -> p(n,k) rises strictly to its unique peak at
 k = floor((n+3)/2) and falls strictly afterwards.  The sign machinery that
@@ -71,7 +72,11 @@ def iter_triangle_rows(
 
     Rows are produced by the recursion p(n+1,k) = p(n,k) + p(n,k-1); the
     diagonal is seeded with p(n+1,n+1) = p(n,n) + p(n+1) from the
-    partition table.
+    partition table.  This is the one row builder: the sweeps stream it
+    and build_triangle collects it.  Every row is spot-checked against
+    the direct sum at k in {0, 1, n} before it is yielded (k = n against
+    an independently accumulated prefix sum of the partition table, which
+    is what the direct sum collapses to).
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -81,30 +86,16 @@ def iter_triangle_rows(
         raise ValueError("partition table too small for requested triangle")
 
     row = (1,)
-    yield 0, row
-    for n in range(max_n):
-        prev = row
-        # interior k = 1..n: prev[k] + prev[k-1], pairing prev[1:] with prev
-        row = (
-            (1,)
-            + tuple(map(operator.add, prev[1:], prev))
-            + (prev[n] + table[n + 1],)
-        )
-        yield n + 1, row
-
-
-def build_triangle(max_n: int, table: PartitionTable | None = None) -> PnkTriangle:
-    """Build the full p(n,k) triangle up to row max_n.
-
-    Every row is spot-checked against the direct sum at k in {0, 1, n}
-    (k = n is checked against an independently accumulated prefix sum of
-    the partition table, which is what the direct sum collapses to).
-    """
-    if table is None:
-        table = build_partition_table(max_n)
-    rows = []
     prefix = 0
-    for n, row in iter_triangle_rows(max_n, table):
+    for n in range(max_n + 1):
+        if n:
+            prev = row
+            # interior k = 1..n-1: prev[k] + prev[k-1], pairing prev[1:] with prev
+            row = (
+                (1,)
+                + tuple(map(operator.add, prev[1:], prev))
+                + (prev[n - 1] + table[n],)
+            )
         prefix += table[n]
         if row[0] != 1:
             raise AssertionError(f"p({n},0) != 1")
@@ -112,8 +103,15 @@ def build_triangle(max_n: int, table: PartitionTable | None = None) -> PnkTriang
             raise AssertionError(f"p({n},1) != {n + 1}")
         if row[n] != prefix:
             raise AssertionError(f"p({n},{n}) != sum of p(0..{n})")
-        rows.append(row)
-    return PnkTriangle(rows=tuple(rows))
+        yield n, row
+
+
+def build_triangle(max_n: int, table: PartitionTable | None = None) -> PnkTriangle:
+    """Collect rows 0..max_n of iter_triangle_rows into a PnkTriangle.
+
+    The rows carry iter_triangle_rows' spot checks; this adds none.
+    """
+    return PnkTriangle(rows=tuple(row for _, row in iter_triangle_rows(max_n, table)))
 
 
 class DiagonalTable:
@@ -249,17 +247,16 @@ class UnimodalProfile:
         return self.strict_up and self.strict_down
 
 
-def verify_unimodal_profile(n: int, triangle: PnkTriangle) -> UnimodalProfile:
+def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> UnimodalProfile:
     """Check strict ascent to the peak and strict descent after it.
 
-    Scans row n of the triangle: p(n,1) < ... < p(n,peak) and
+    Scans row = (p(n,0), ..., p(n,n)): p(n,1) < ... < p(n,peak) and
     p(n,peak) > ... > p(n,n).  Any broken step is recorded as the first
     violation (the scan does not continue past it on that side).
     """
     if n < 4:
         raise ValueError("profiles are scanned for n >= 4")
     kn = peak_k(n)
-    row = triangle.row(n)
 
     strict_up = True
     strict_down = True
@@ -352,15 +349,15 @@ def closed_form_odd(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def dominance_check(n: int, triangle: PnkTriangle) -> int | None:
+def dominance_check(n: int, row: tuple[int, ...]) -> int | None:
     """Exact check that 512 * p(n,k) > 1745 * C(n,k) on the descent range.
 
-    The range is floor((n+5)/2) <= k <= n, n >= 4.  Returns None when the
-    inequality holds throughout, else the first violating k.
+    row is row n of the triangle.  The range is floor((n+5)/2) <= k <= n,
+    n >= 4.  Returns None when the inequality holds throughout, else the
+    first violating k.
     """
     if n < 4:
         raise ValueError("defined for n >= 4")
-    row = triangle.row(n)
     ell = (n + 5) // 2
     c = math.comb(n, ell)
     for k in range(ell, n + 1):

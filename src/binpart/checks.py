@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -45,7 +44,6 @@ from mpmath.libmp import (
 )
 
 from .intervals import (
-    BoundReal,
     DEFAULT_PRECISION_BITS,
     decide_with_escalation,
     working_precision,
@@ -149,15 +147,15 @@ def _pi_alpha(bits: int):
         return pi, iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi
 
 
-def row_bound_check(n: int, triangle) -> VerificationReport:
+def row_bound_check(n: int, row: tuple[int, ...]) -> VerificationReport:
     """Exact check of 1600*n*p(n,k)^2 < 12769*4^n for every 1 <= k <= n.
 
-    This is the squared, cleared-denominator form of
-    p(n,k) < (113/40)/sqrt(n) * 2^n; only integer arithmetic is used.
+    row is row n of the triangle.  This is the squared, cleared-denominator
+    form of p(n,k) < (113/40)/sqrt(n) * 2^n; only integer arithmetic is
+    used.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = triangle.row(n)
     rhs = 12769 << (2 * n)
     factor = 1600 * n
     top = max(row[1:n + 1])
@@ -298,12 +296,13 @@ def subdiagonal_bound_check(
 
 
 def product_bound_check(
-    n: int, k: int, triangle, depth_cap: int = DEFAULT_DEPTH_CAP
+    n: int, k: int, row: tuple[int, ...], depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> VerificationReport:
     """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j).
 
-    The infinite product is lower-bounded by its partial products (every
-    omitted factor exceeds 1), so it suffices to verify
+    row is row n of the triangle.  The infinite product is lower-bounded
+    by its partial products (every omitted factor exceeds 1), so it
+    suffices to verify
 
         p(n,k) * prod_{j<=L} (n^j - k^j)  <  C(n,k) * prod_{j<=L} n^j
 
@@ -314,7 +313,7 @@ def product_bound_check(
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    p_val = triangle.value(n, k)
+    p_val = row[k]
     c = math.comb(n, k)
 
     num = den = npow = kpow = 1
@@ -341,20 +340,3 @@ def product_bound_check(
         return VerificationReport("product-bound", n, INCONCLUSIVE,
                                   counterexample=(n, k))
     return report
-
-
-def asymptotic_ratio(n: int, k: int, triangle) -> BoundReal:
-    """Enclosure of the ratio p(n,k) / (C(n,k) * F(k/n)).
-
-    Reported for trend inspection only: the ratio approaches 1 as n grows
-    with k/n bounded away from 1, but no finite-n inequality is asserted
-    here beyond what product_bound_check certifies.
-    """
-    from .qseries import TailParams, euler_product_upper
-
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    product = euler_product_upper(TailParams(q=Fraction(k, n), ell=64))
-    numerator = BoundReal.exact(triangle.value(n, k))
-    denominator = BoundReal.exact(math.comb(n, k)) * product
-    return numerator / denominator

@@ -191,9 +191,8 @@ def cmd_peak(args) -> int:
     n = args.n
     if n < 4:
         raise UsageError("peak is only unique for N >= 4")
-    triangle = build_triangle(n)
-    profile = verify_unimodal_profile(n, triangle)
-    row = triangle.row(n)
+    row = build_triangle(n).row(n)
+    profile = verify_unimodal_profile(n, row)
     scan_max = max(range(1, n + 1), key=lambda k: row[k])
     _emit({
         "n": n,

@@ -25,13 +25,14 @@ range runs the full desk-scale verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Optional
 
 from . import checks
 from .binomial_sums import (
     DiagonalTable,
-    build_triangle,
     dominance_check,
+    iter_triangle_rows,
     peak_k,
     peak_sign_sum,
     verify_unimodal_profile,
@@ -80,11 +81,11 @@ def _exact(claim: str, n: int, violation) -> checks.VerificationReport:
 
 
 class SweepContext:
-    """Shared tables, built lazily and sized to the largest request."""
+    """Tables shared across claims, built lazily and sized to the largest
+    request; each row claim streams its own rows instead (see _rows)."""
 
     def __init__(self):
         self._table = None
-        self._triangle = None
         self._diag = None
 
     def table(self, max_n: int):
@@ -92,31 +93,45 @@ class SweepContext:
             self._table = build_partition_table(max_n)
         return self._table
 
-    def triangle(self, max_n: int):
-        if self._triangle is None or self._triangle.max_n < max_n:
-            self._triangle = build_triangle(max_n, self.table(max_n))
-        return self._triangle
-
     def diagonal(self, max_n: int):
         if self._diag is None or self._diag.max_n < max_n:
             self._diag = DiagonalTable(max_n, self.table(max_n))
         return self._diag
 
 
-def _claim(claim: str, per_n, data=None, notes=None):
+def _rows(ctx: SweepContext, n_min: int, n_max: int):
+    """(n, row n) for n_min..n_max, streamed; rows below n_min are skipped."""
+    return islice(iter_triangle_rows(n_max, ctx.table(n_max)), n_min, None)
+
+
+def _shared(table=None):
+    """Pairs (n, table) for n_min..n_max; `table` is the SweepContext method
+    that supplies it, sized once from n_max (None: the claim needs none)."""
+
+    def pairs(ctx: SweepContext, n_min: int, n_max: int):
+        shared = None if table is None else table(ctx, n_max)
+        return zip(range(n_min, n_max + 1), repeat(shared))
+
+    return pairs
+
+
+_TABLE = _shared(SweepContext.table)
+_DIAGONAL = _shared(SweepContext.diagonal)
+
+
+def _claim(claim: str, per_n, pairs=_shared(), notes=None):
     """The sweep of one claim, as registered in CLAIMS.
 
-    `data` is the SweepContext method that supplies the claim's input
-    (table, triangle or diagonal), sized once from n_max; None when the
-    claim needs no table.  `per_n(n, input)` returns the reports for one n.
+    `pairs(ctx, n_min, n_max)` yields the claim's (n, input) pairs: a
+    streamed triangle row for the row claims (_rows), a shared table
+    otherwise (_shared).  `per_n(n, input)` returns the reports for one n.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-        source = None if data is None else data(ctx, n_max)
         summary = ClaimSummary(claim=claim, n_min=n_min, n_max=n_max,
                                checked=0, outcome=VERIFIED,
                                notes=dict(notes or {}))
-        for n in range(n_min, n_max + 1):
+        for n, source in pairs(ctx, n_min, n_max):
             for report in per_n(n, source):
                 if not _merge(summary, report):
                     return summary
@@ -128,13 +143,13 @@ def _claim(claim: str, per_n, data=None, notes=None):
 # -- per-n checks: (n, claim input) -> reports ---------------------------
 
 
-def _unimodality(n, triangle):
-    violation = verify_unimodal_profile(n, triangle).first_violation
+def _unimodality(n, row):
+    violation = verify_unimodal_profile(n, row).first_violation
     return [_exact("thm2", n, violation)]
 
 
-def _row_bound(n, triangle):
-    return [checks.row_bound_check(n, triangle)]
+def _row_bound(n, row):
+    return [checks.row_bound_check(n, row)]
 
 
 def _diagonal_bound(n, diag):
@@ -157,8 +172,8 @@ def _descent_sign(n, table):
     return [_exact("lemma-rechts", n, violation)]
 
 
-def _dominance(n, triangle):
-    bad_k = dominance_check(n, triangle)
+def _dominance(n, row):
+    bad_k = dominance_check(n, row)
     return [_exact("lemma-gr", n, None if bad_k is None else (n, bad_k))]
 
 
@@ -174,9 +189,9 @@ def _central_binomial(n, _):
     return [checks.central_binomial_check(n)]
 
 
-def _product_bound(n, triangle):
+def _product_bound(n, row):
     """Every 1 <= k <= n-1, lazily, so the sweep stops at the first failure."""
-    return (checks.product_bound_check(n, k, triangle) for k in range(1, n))
+    return (checks.product_bound_check(n, k, row) for k in range(1, n))
 
 
 def _series_identities(k, _):
@@ -186,19 +201,17 @@ def _series_identities(k, _):
 
 # claim id -> (sweep function, default range)
 CLAIMS = {
-    "thm2": (_claim("thm2", _unimodality, SweepContext.triangle), (4, 1000)),
-    "thm3": (_claim("thm3", _row_bound, SweepContext.triangle), (1, 1000)),
-    "prop1": (_claim("prop1", _diagonal_bound, SweepContext.diagonal), (1, 2000)),
-    "prop2": (_claim("prop2", _subdiagonal_bound, SweepContext.diagonal), (1, 2000)),
-    "lemma-links": (_claim("lemma-links", _ascent_sign, SweepContext.table),
-                    (4, 1000)),
-    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, SweepContext.table),
-                     (4, 1000)),
-    "lemma-gr": (_claim("lemma-gr", _dominance, SweepContext.triangle), (4, 500)),
+    "thm2": (_claim("thm2", _unimodality, _rows), (4, 1000)),
+    "thm3": (_claim("thm3", _row_bound, _rows), (1, 1000)),
+    "prop1": (_claim("prop1", _diagonal_bound, _DIAGONAL), (1, 2000)),
+    "prop2": (_claim("prop2", _subdiagonal_bound, _DIAGONAL), (1, 2000)),
+    "lemma-links": (_claim("lemma-links", _ascent_sign, _TABLE), (4, 1000)),
+    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, _TABLE), (4, 1000)),
+    "lemma-gr": (_claim("lemma-gr", _dominance, _rows), (4, 500)),
     "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
-    "apostol": (_claim("apostol", _partition_bound, SweepContext.table), (1, 2000)),
+    "apostol": (_claim("apostol", _partition_bound, _TABLE), (1, 2000)),
     "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
-    "eq9": (_claim("eq9", _product_bound, SweepContext.triangle), (2, 300)),
+    "eq9": (_claim("eq9", _product_bound, _rows), (2, 300)),
     "genfun": (_claim("genfun", _series_identities,
                       notes={"degree": GENFUN_DEGREE}), (1, 15)),
 }
@@ -227,7 +240,8 @@ def run_claim(claim: str, n_min: int | None, n_max: int | None,
 
 def run_all(n_min: int | None, n_max: int | None,
             ctx: SweepContext | None = None) -> list[ClaimSummary]:
-    """Run every claim, sharing tables across sweeps."""
+    """Run every claim, sharing the partition and diagonal tables across
+    sweeps; each row claim streams its own rows."""
     if ctx is None:
         ctx = SweepContext()
     return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]

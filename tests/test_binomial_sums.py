@@ -168,32 +168,32 @@ class TestPeak:
 
 class TestUnimodalProfile:
     def test_row4(self, triangle_120):
-        profile = verify_unimodal_profile(4, triangle_120)
+        profile = verify_unimodal_profile(4, triangle_120.row(4))
         assert profile.ok
         assert profile.peak_k == 3
         assert profile.values == (5, 11, 14, 12)
 
     def test_row50(self, triangle_120):
-        profile = verify_unimodal_profile(50, triangle_120)
+        profile = verify_unimodal_profile(50, triangle_120.row(50))
         assert profile.ok and profile.strict_up and profile.strict_down
         assert profile.peak_k == 26
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert verify_unimodal_profile(n, triangle_120).ok
+            assert verify_unimodal_profile(n, triangle_120.row(n)).ok
 
     def test_violation_reported(self):
         # hand-built triangle with a flat step in row 4
         fake = PnkTriangle(rows=(
             (1,), (1, 2), (1, 3, 4), (1, 4, 7, 7), (1, 5, 11, 11, 12),
         ))
-        profile = verify_unimodal_profile(4, fake)
+        profile = verify_unimodal_profile(4, fake.row(4))
         assert not profile.ok
         assert profile.first_violation == (4, 2)
 
     def test_small_n_rejected(self, triangle_120):
         with pytest.raises(ValueError):
-            verify_unimodal_profile(3, triangle_120)
+            verify_unimodal_profile(3, triangle_120.row(3))
 
 
 class TestBinomialRatio:
@@ -255,12 +255,12 @@ class TestSignSums:
 class TestDominance:
     def test_row50_k28(self, triangle_120):
         assert 512 * triangle_120.value(50, 28) > 1745 * math.comb(50, 28)
-        assert dominance_check(50, triangle_120) is None
+        assert dominance_check(50, triangle_120.row(50)) is None
 
     def test_n4(self, triangle_120):
         # p(4,4) = 12 far above (1745/512)*C(4,4) ~ 3.41
-        assert dominance_check(4, triangle_120) is None
+        assert dominance_check(4, triangle_120.row(4)) is None
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert dominance_check(n, triangle_120) is None
+            assert dominance_check(n, triangle_120.row(n)) is None

@@ -23,7 +23,6 @@ from binpart import checks
 from binpart import (
     BoundReal,
     DiagonalTable,
-    asymptotic_ratio,
     central_binomial_check,
     diagonal_bound_check,
     growth_chain_check,
@@ -48,18 +47,18 @@ from reference_values import EULER_PRODUCT_HALF
 class TestRowBound:
     def test_n1(self, triangle_120):
         # p(1,1) = 2: 1600*1*4 < 12769*4
-        report = row_bound_check(1, triangle_120)
+        report = row_bound_check(1, triangle_120.row(1))
         assert report.verified
         assert report.precision_bits is None  # pure integer check
 
     def test_n50_peak_value(self, triangle_120):
         v = triangle_120.value(50, 26)
         assert 1600 * 50 * v * v < 12769 * 4**50
-        assert row_bound_check(50, triangle_120).verified
+        assert row_bound_check(50, triangle_120.row(50)).verified
 
     def test_sweep(self, triangle_120):
         for n in range(1, 121):
-            report = row_bound_check(n, triangle_120)
+            report = row_bound_check(n, triangle_120.row(n))
             assert report.verified, n
             assert report.margin > 0
 
@@ -68,7 +67,7 @@ class TestRowBound:
             row = triangle_120.row(n)
             rhs = 12769 << (2 * n)
             worst = max(1600 * n * row[k] * row[k] for k in range(1, n + 1))
-            assert row_bound_check(n, triangle_120).margin == (rhs - worst) / rhs, n
+            assert row_bound_check(n, triangle_120.row(n)).margin == (rhs - worst) / rhs, n
 
     def test_reports_first_violating_k(self):
         class FakeTriangle:
@@ -76,7 +75,7 @@ class TestRowBound:
                 # p(4,2) and the larger p(4,3) both break 1600*4*p^2 < 12769*4^4
                 return (0, 1, 10**6, 10**7, 1)
 
-        report = row_bound_check(4, FakeTriangle())
+        report = row_bound_check(4, FakeTriangle().row(4))
         assert report.outcome == VIOLATED
         assert report.counterexample == (4, 2)
 
@@ -393,7 +392,7 @@ class TestRawIntervalGaps:
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):
-        report = product_bound_check(50, 25, triangle_120)
+        report = product_bound_check(50, 25, triangle_120.row(50))
         assert report.verified
         # sanity anchor: p(50,25) < C(50,25) * 3.4627...
         assert triangle_120.value(50, 25) < math.comb(50, 25) * EULER_PRODUCT_HALF
@@ -401,23 +400,23 @@ class TestProductBound:
     def test_n2_k1(self, triangle_120):
         # p(2,1) = 3 < 2 * F(1/2) ~ 6.93
         assert triangle_120.value(2, 1) == 3
-        assert product_bound_check(2, 1, triangle_120).verified
+        assert product_bound_check(2, 1, triangle_120.row(2)).verified
 
     def test_sweep_zero_inconclusive(self, triangle_120):
         for n in range(2, 81):
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120)
+                report = product_bound_check(n, k, triangle_120.row(n))
                 assert report.verified, (n, k)
 
     def test_depth_cap_reports_inconclusive(self, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
-        report = product_bound_check(50, 49, triangle_120, depth_cap=1)
+        report = product_bound_check(50, 49, triangle_120.row(50), depth_cap=1)
         assert report.outcome == INCONCLUSIVE
         assert report.counterexample == (50, 49)
 
     def test_domain(self, triangle_120):
         with pytest.raises(ValueError):
-            product_bound_check(5, 5, triangle_120)
+            product_bound_check(5, 5, triangle_120.row(5))
 
 
 def _reference_product(n, k, triangle, depth_cap=256):
@@ -455,14 +454,15 @@ class TestProductLadder:
     def test_matches_reference_to_120(self, triangle_120):
         for n in range(2, 121):
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120)
+                report = product_bound_check(n, k, triangle_120.row(n))
                 assert self._as_tuple(report) == _reference_product(
                     n, k, triangle_120), (n, k)
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
     def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
         for k in range(1, 50):
-            report = product_bound_check(50, k, triangle_120, depth_cap=depth_cap)
+            report = product_bound_check(50, k, triangle_120.row(50),
+                                         depth_cap=depth_cap)
             assert self._as_tuple(report) == _reference_product(
                 50, k, triangle_120, depth_cap), k
 
@@ -483,33 +483,13 @@ class TestProductLadder:
     def test_rungs_to_depth_16(self, monkeypatch, triangle_1000):
         # (130, 117) is the first pair that the partial product at depth 8
         # does not clear
-        report, visited = self._rungs(monkeypatch, 130, 117, triangle_1000)
+        report, visited = self._rungs(monkeypatch, 130, 117,
+                                      triangle_1000.row(130))
         assert report.verified
         assert visited == [4, 8, 16]
 
     def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):
-        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120,
+        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120.row(50),
                                       depth_cap=1)
         assert report.outcome == INCONCLUSIVE
         assert visited == [1]
-
-
-class TestAsymptoticRatio:
-    def test_ratio_in_unit_interval(self, triangle_120):
-        ratio = asymptotic_ratio(50, 25, triangle_120)
-        assert 0 < float(ratio.lower) and float(ratio.upper) < 1
-
-    def test_trend_toward_one(self, triangle_1000):
-        near = asymptotic_ratio(300, 150, triangle_1000)
-        far = asymptotic_ratio(50, 25, triangle_1000)
-        assert float(far.upper) < float(near.lower) < 1
-
-    def test_half_ratio_product_constant(self):
-        from binpart import TailParams, euler_product_upper
-
-        from reference_values import EULER_PRODUCT_HALF_BRACKET
-
-        enc = euler_product_upper(TailParams(q=Fraction(1, 2), ell=64))
-        bracket_lo, bracket_hi = (Fraction(s) for s in EULER_PRODUCT_HALF_BRACKET)
-        assert enc.lower_fraction() < bracket_hi
-        assert enc.upper_fraction() > bracket_lo

@@ -42,6 +42,17 @@ def test_half_enclosure_hits_constant():
     assert float(enc.width) <= 1e-12
 
 
+def test_half_ratio_product_constant():
+    from binpart import TailParams, euler_product_upper
+
+    from reference_values import EULER_PRODUCT_HALF_BRACKET
+
+    enc = euler_product_upper(TailParams(q=Fraction(1, 2), ell=64))
+    bracket_lo, bracket_hi = (Fraction(s) for s in EULER_PRODUCT_HALF_BRACKET)
+    assert enc.lower_fraction() < bracket_hi
+    assert enc.upper_fraction() > bracket_lo
+
+
 def test_q252_product_constant():
     enc = euler_product_upper(TailParams(q=Fraction(252, 500), ell=96))
     assert _upper_fraction(enc) < Fraction(Q252_PRODUCT_UPPER)
