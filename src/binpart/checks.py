@@ -8,10 +8,12 @@ Two kinds of checks live here:
   * certified real comparisons (everything involving pi, sqrt, exp, log):
     each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
     interval functions directly on endpoint pairs, at the explicit
-    precision bits, with pi and sqrt(2/3)*pi cached per bit width; each
-    finished gap is wrapped once as an `iv` interval, and `_certified`
-    reads its sign and margin from the raw endpoints.  A claim is declared
-    only when the gap exceeds the total enclosure error, with automatic
+    precision bits, taking integers from intervals.int_interval and pi
+    and sqrt(2/3)*pi from intervals.pi_alpha; each finished gap is
+    wrapped once as an `iv` interval, and `_certified` reads its sign
+    (intervals.certainly_positive) and margin from the raw endpoints.
+    No rung sets the global `iv` precision.  A claim is declared only
+    when the gap exceeds the total enclosure error, with automatic
     precision escalation and an explicit "inconclusive" outcome at the cap.
 
 Every check returns a VerificationReport; "verified" always means the
@@ -22,14 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from mpmath import iv
 from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_sign,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -37,16 +35,16 @@ from mpmath.libmp import (
     mpi_mul,
     mpi_sqrt,
     mpi_sub,
-    round_ceiling,
-    round_floor,
     round_nearest,
     to_float,
 )
 
 from .intervals import (
     DEFAULT_PRECISION_BITS,
+    certainly_positive,
     decide_with_escalation,
-    working_precision,
+    int_interval,
+    pi_alpha,
 )
 from .partitions import PartitionTable
 from .qseries import DEFAULT_DEPTH_CAP
@@ -82,37 +80,22 @@ def _relative_slack(lhs: int, rhs: int) -> float:
     return (rhs - lhs) / rhs
 
 
-def _certainly_positive(gap) -> Optional[bool]:
-    """BoundReal.certainly_positive read from the raw endpoints of an `iv` gap.
-
-    True when lower > 0, False when upper <= 0, None otherwise; a NaN
-    endpoint (mpf_sign 0, but neither positive nor <= 0) leaves it None.
-    """
-    lower, upper = gap._mpi_
-    if mpf_sign(lower) > 0:
-        return True
-    if mpf_sign(upper) < 0 or upper == fzero:
-        return False
-    return None
-
-
 def _certified(claim: str, n: int, gaps, start_bits: int,
                counterexample: tuple) -> VerificationReport:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
-    Each rung enters working_precision(bits) once and calls gaps(bits)
-    inside it; gaps returns a tuple of `iv` intervals evaluated at that
-    precision (the checks compute them with direct `libmpi` calls and
-    wrap each finished gap once).  The rung is undecided while any gap
+    Each rung calls gaps(bits), which returns a tuple of `iv` intervals
+    evaluated at the explicit precision bits (the checks compute them with
+    direct `libmpi` calls and wrap each finished gap once); no rung sets
+    the global `iv` precision.  The rung is undecided while any gap
     straddles zero, verified when every gap is certainly positive and
     violated otherwise.  The margin is the smallest certified lower bound
     among the gaps, rounded to the nearest float as float(mpf) rounds it
     (to_float's own default rounds toward zero).
     """
     def evaluate(bits):
-        with working_precision(bits):
-            enclosures = gaps(bits)
-        signs = [_certainly_positive(gap) for gap in enclosures]
+        enclosures = gaps(bits)
+        signs = [certainly_positive(gap) for gap in enclosures]
         if None in signs:
             return None
         if all(signs):
@@ -128,23 +111,6 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
     if report is None:
         return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
     return report
-
-
-def _int_interval(x: int, bits: int):
-    """Endpoints of the integer x rounded outward to bits, as iv.mpf(x) gives."""
-    return from_int(x, bits, round_floor), from_int(x, bits, round_ceiling)
-
-
-@lru_cache(maxsize=None)
-def _pi_alpha(bits: int):
-    """Raw `iv` enclosures of pi and the growth constant a = sqrt(2/3)*pi.
-
-    Keyed on the escalation rung, so the cache holds one entry per rung
-    ever used (a handful: the ladder doubles from 128 bits to the cap).
-    """
-    with working_precision(bits):
-        pi = +iv.pi
-        return pi, iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi
 
 
 def row_bound_check(n: int, row: tuple[int, ...]) -> VerificationReport:
@@ -190,9 +156,9 @@ def central_binomial_check(
 
     def gaps(bits):
         # rhs is a power of two, so dividing by it is exact and keeps the sign
-        pi, _ = _pi_alpha(bits)
-        rhs = _int_interval(rhs_int, bits)
-        lhs = mpi_mul(_int_interval(lhs_int, bits), pi._mpi_, bits)
+        pi, _ = pi_alpha(bits)
+        rhs = int_interval(rhs_int, bits)
+        lhs = mpi_mul(int_interval(lhs_int, bits), pi._mpi_, bits)
         gap = mpi_sub(rhs, lhs, bits)
         return (iv.make_mpf(mpi_div(gap, rhs, bits)),)
 
@@ -212,10 +178,10 @@ def partition_bound_check(
     pn = table[n]
 
     def gaps(bits):
-        pi, alpha = _pi_alpha(bits)
-        nn = _int_interval(n, bits)
-        lhs = mpi_log(_int_interval(pn, bits), bits)
-        sqrt_6n = mpi_sqrt(mpi_mul(nn, _int_interval(6, bits), bits), bits)
+        pi, alpha = pi_alpha(bits)
+        nn = int_interval(n, bits)
+        lhs = mpi_log(int_interval(pn, bits), bits)
+        sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
         rhs = mpi_add(mpi_log(mpi_div(pi._mpi_, sqrt_6n, bits), bits),
                       mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
         return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
@@ -236,14 +202,14 @@ def growth_chain_check(
         raise ValueError("n must be >= 3")
 
     def gaps(bits):
-        pi, alpha = _pi_alpha(bits)
-        one = _int_interval(1, bits)
-        nn = _int_interval(n, bits)
+        pi, alpha = pi_alpha(bits)
+        one = int_interval(1, bits)
+        nn = int_interval(n, bits)
         sqrt_n = mpi_sqrt(nn, bits)
         left = mpi_div(
             sqrt_n,
             mpi_sub(mpi_sqrt(mpi_add(nn, one, bits), bits), one, bits), bits)
-        sqrt_6n = mpi_sqrt(mpi_mul(nn, _int_interval(6, bits), bits), bits)
+        sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
         mid = mpi_add(one, mpi_div(pi._mpi_, sqrt_6n, bits), bits)
         sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
         right = mpi_exp(
@@ -268,9 +234,9 @@ def diagonal_bound_check(
     value = table_like.value(n - 1, n - 1)
 
     def gaps(bits):
-        _, alpha = _pi_alpha(bits)
-        lhs = mpi_log(_int_interval(value, bits), bits)
-        rhs = mpi_mul(alpha._mpi_, mpi_sqrt(_int_interval(n, bits), bits), bits)
+        _, alpha = pi_alpha(bits)
+        lhs = mpi_log(int_interval(value, bits), bits)
+        rhs = mpi_mul(alpha._mpi_, mpi_sqrt(int_interval(n, bits), bits), bits)
         return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
 
     return _certified("diagonal-bound", n, gaps, start_bits, (n,))
@@ -285,10 +251,10 @@ def subdiagonal_bound_check(
     value = table_like.value(n, n - 1)
 
     def gaps(bits):
-        _, alpha = _pi_alpha(bits)
-        nn = _int_interval(n, bits)
-        lhs = mpi_log(_int_interval(value, bits), bits)
-        rhs = mpi_add(mpi_div(mpi_log(nn, bits), _int_interval(2, bits), bits),
+        _, alpha = pi_alpha(bits)
+        nn = int_interval(n, bits)
+        lhs = mpi_log(int_interval(value, bits), bits)
+        rhs = mpi_add(mpi_div(mpi_log(nn, bits), int_interval(2, bits), bits),
                       mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
         return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
 

@@ -10,7 +10,9 @@ and the partition-sum bound mu <= p(n,k), which for k not small beats
 both by a wide margin.  Filiform algebras (k = n-1) admit the sharper
 mu <= 1 + p(n-2,n-2).  All of these are exact integers; the dimension-only
 corollary bound (3/sqrt(n)) * 2^n is a real and is reported as a certified
-enclosure, never rounded into an integer claim.
+enclosure, never rounded into an integer claim; it is computed with
+mpmath's `libmpi` interval functions on endpoint pairs at
+DEFAULT_PRECISION_BITS, as the certified checks compute their gaps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intervals import BoundReal
+from mpmath import iv
+from mpmath.libmp import mpi_div, mpi_mul, mpi_sqrt
+
+from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,10 @@ def corollary_bound(n: int) -> BoundReal:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (3 * BoundReal.exact(1 << n)) / BoundReal.exact(n).sqrt()
+    bits = DEFAULT_PRECISION_BITS
+    numerator = mpi_mul(int_interval(1 << n, bits), int_interval(3, bits), bits)
+    enclosure = mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
+    return BoundReal(iv.make_mpf(enclosure), bits)
 
 
 def best_bound(profile: NilpotentProfile, triangle) -> MuBoundReport:

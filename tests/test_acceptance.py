@@ -109,7 +109,11 @@ def test_criterion_05_product_constants():
     weighted = weighted_sum_upper(params)
     assert product.upper_fraction() < Fraction(Q252_PRODUCT_UPPER)
     assert weighted.upper_fraction() < Fraction(Q252_WEIGHTED_UPPER)
-    assert (product * weighted).upper_fraction() < Fraction(Q252_COMBINED_UPPER)
+    # both factors are positive, so the product of the upper endpoints
+    # bounds the product of the enclosed values
+    assert product.lower_fraction() > 0 and weighted.lower_fraction() > 0
+    assert product.upper_fraction() * weighted.upper_fraction() \
+        < Fraction(Q252_COMBINED_UPPER)
     _report("05 product-constants",
             "F(1/2) enclosed at 1e-12; all three q=252/500 bounds reproduced",
             t0, 60.0)

@@ -19,11 +19,12 @@ from mpmath.libmp import (
     mpi_sqrt,
 )
 
-from binpart import checks
+from binpart import checks, intervals
 from binpart import (
     BoundReal,
     DiagonalTable,
     central_binomial_check,
+    corollary_bound,
     diagonal_bound_check,
     growth_chain_check,
     partition_bound_check,
@@ -31,15 +32,15 @@ from binpart import (
     row_bound_check,
     subdiagonal_bound_check,
 )
-from binpart.checks import (
-    INCONCLUSIVE,
-    VERIFIED,
-    VIOLATED,
-    _certified,
-    _int_interval,
-    _pi_alpha,
+from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED, _certified
+from binpart.intervals import (
+    certainly_positive,
+    decide_with_escalation,
+    int_interval,
+    mpf_to_fraction,
+    pi_alpha,
+    working_precision,
 )
-from binpart.intervals import decide_with_escalation, mpf_to_fraction
 
 from reference_values import EULER_PRODUCT_HALF
 
@@ -167,7 +168,7 @@ class TestCertifiedOutcomes:
         assert report.counterexample == (1,)
 
     def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
-        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         report = _certified(
             "straddle", 1,
             lambda bits: (iv.mpf([-1, 1]),), 128, (1,))
@@ -175,7 +176,7 @@ class TestCertifiedOutcomes:
         assert report.precision_bits == 256
 
     def test_undecided_gap_escalates_past_negative_gap(self, monkeypatch):
-        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         seen = []
 
         def gaps(bits):
@@ -187,10 +188,21 @@ class TestCertifiedOutcomes:
         assert seen == [128, 256]
 
 
+def _record_sign(record):
+    """The sign rule read from a BoundReal record's endpoints: lower > 0 is
+    positive, upper <= 0 is not, anything else (a NaN endpoint included) is
+    undecided."""
+    if record.lower > 0:
+        return True
+    if record.upper <= 0:
+        return False
+    return None
+
+
 class TestSignRule:
-    """_certified reads a gap's sign from its raw endpoints as
-    BoundReal.certainly_positive does: lower > 0 is positive, upper <= 0 is
-    not, anything else (a NaN endpoint included) is undecided."""
+    """certainly_positive, the sign rule _certified reads from a gap's raw
+    endpoints, agrees with mpmath's own interval comparison gap > 0 and
+    with the gap's BoundReal record on every edge gap."""
 
     @pytest.mark.parametrize("lower, upper, sign", [
         (fzero, fone, None),     # touches 0 from above: undecided
@@ -205,10 +217,12 @@ class TestSignRule:
         (fone, finf, True),
     ])
     def test_edges_match_bound_real(self, monkeypatch, lower, upper, sign):
-        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
         gap = iv.make_mpf((lower, upper))
-        assert BoundReal(gap, 128).certainly_positive() is sign
+        assert (gap > 0) is sign
+        assert certainly_positive(gap) is sign
+        assert _record_sign(BoundReal(gap, 128)) is sign
         seen = []
 
         def gaps(bits):
@@ -224,47 +238,58 @@ class TestSignRule:
             assert report.counterexample == (1,)
 
 
-def _reference_alpha(bits):
-    return BoundReal.exact(Fraction(2, 3), bits).sqrt() * BoundReal.pi(bits)
-
-
 def _reference_gaps(claim, n, table, diagonal):
-    """Each certified check's gaps as BoundReal expressions, one context per operation."""
+    """Each certified check's gaps as `iv` operator expressions, as BoundReal records.
+
+    mpmath's operator dispatch, inside one working_precision(bits), is a
+    route separate from the checks' direct `libmpi` calls.
+    """
+    def constants():
+        pi = +iv.pi
+        return pi, iv.sqrt(iv.mpf(2) / 3) * pi
+
     if claim == "central-binomial":
         kn = (n + 3) // 2
         c = math.comb(n, kn)
 
-        def gaps(bits):
-            rhs = BoundReal.exact(2 << (2 * n), bits)
-            gap = rhs - BoundReal.exact(c * c * n, bits) * BoundReal.pi(bits)
+        def expressions():
+            pi, _ = constants()
+            rhs = iv.mpf(2 << (2 * n))
+            gap = rhs - iv.mpf(c * c * n) * pi
             return (gap / rhs,)
     elif claim == "partition-bound":
-        def gaps(bits):
-            nn = BoundReal.exact(n, bits)
-            lhs = BoundReal.exact(table[n], bits).log()
-            rhs = (BoundReal.pi(bits) / (6 * nn).sqrt()).log() \
-                + _reference_alpha(bits) * nn.sqrt()
+        def expressions():
+            pi, alpha = constants()
+            nn = iv.mpf(n)
+            lhs = iv.log(iv.mpf(table[n]))
+            rhs = iv.log(pi / iv.sqrt(6 * nn)) + alpha * iv.sqrt(nn)
             return (rhs - lhs,)
     elif claim == "growth-chain":
-        def gaps(bits):
-            nn = BoundReal.exact(n, bits)
-            sqrt_n = nn.sqrt()
-            left = sqrt_n / ((nn + 1).sqrt() - 1)
-            mid = 1 + BoundReal.pi(bits) / (6 * nn).sqrt()
-            right = (_reference_alpha(bits) * sqrt_n
-                     * ((1 + 1 / nn).sqrt() - 1)).exp()
+        def expressions():
+            pi, alpha = constants()
+            nn = iv.mpf(n)
+            sqrt_n = iv.sqrt(nn)
+            left = sqrt_n / (iv.sqrt(nn + 1) - 1)
+            mid = 1 + pi / iv.sqrt(6 * nn)
+            right = iv.exp(alpha * sqrt_n * (iv.sqrt(1 + 1 / nn) - 1))
             return (mid - left, right - mid)
     elif claim == "diagonal-bound":
-        def gaps(bits):
-            lhs = BoundReal.exact(diagonal.value(n - 1, n - 1), bits).log()
-            rhs = _reference_alpha(bits) * BoundReal.exact(n, bits).sqrt()
+        def expressions():
+            _, alpha = constants()
+            lhs = iv.log(iv.mpf(diagonal.value(n - 1, n - 1)))
+            rhs = alpha * iv.sqrt(iv.mpf(n))
             return (rhs - lhs,)
     else:
-        def gaps(bits):
-            nn = BoundReal.exact(n, bits)
-            lhs = BoundReal.exact(diagonal.value(n, n - 1), bits).log()
-            rhs = nn.log() / 2 + _reference_alpha(bits) * nn.sqrt()
+        def expressions():
+            _, alpha = constants()
+            nn = iv.mpf(n)
+            lhs = iv.log(iv.mpf(diagonal.value(n, n - 1)))
+            rhs = iv.log(nn) / 2 + alpha * iv.sqrt(nn)
             return (rhs - lhs,)
+
+    def gaps(bits):
+        with working_precision(bits):
+            return tuple(BoundReal(gap, bits) for gap in expressions())
     return gaps
 
 
@@ -274,7 +299,7 @@ def _reference_decision(gaps, start_bits):
 
     def evaluate(bits):
         enclosures = gaps(bits)
-        signs = [gap.certainly_positive() for gap in enclosures]
+        signs = [_record_sign(gap) for gap in enclosures]
         if None in signs:
             return None
         if all(signs):
@@ -289,7 +314,8 @@ def _reference_decision(gaps, start_bits):
 
 
 class TestRawIntervalGaps:
-    """The certified checks' raw-interval gaps against BoundReal references."""
+    """The certified checks' raw-interval gaps against BoundReal records of
+    `iv` operator references."""
 
     CHECKS = {
         "central-binomial": (1, lambda n, t, d, b: central_binomial_check(n, b)),
@@ -336,8 +362,8 @@ class TestRawIntervalGaps:
         for fn, reference, arg in ((mpi_sqrt, mpmath.sqrt, x),
                                    (mpi_log, mpmath.log, x),
                                    (mpi_exp, mpmath.exp, y)):
-            entered = mpi_div(_int_interval(arg.numerator, bits),
-                              _int_interval(arg.denominator, bits), bits)
+            entered = mpi_div(int_interval(arg.numerator, bits),
+                              int_interval(arg.denominator, bits), bits)
             enclosure = BoundReal(iv.make_mpf(fn(entered, bits)), bits)
             with mpmath.workprec(1024):
                 value = mpf_to_fraction(
@@ -347,31 +373,32 @@ class TestRawIntervalGaps:
             assert width <= Fraction(2) ** (12 - bits) \
                 * max(1, abs(value)) * max(1, arg), (fn.__name__, arg)
 
-    @staticmethod
-    def _count_enters(monkeypatch):
+    def test_results_ignore_global_precision(self, table_2001, diagonal_2001):
+        def run_all():
+            reports = [check(n, table_2001, diagonal_2001, 128)
+                       for n_min, check in self.CHECKS.values()
+                       for n in (n_min, 10, 1000)]
+            corollary = corollary_bound(50)
+            return reports, corollary.lower_fraction(), corollary.upper_fraction()
+
+        results = []
+        for prec in (53, 2048):
+            with working_precision(prec):
+                results.append(run_all())
+        assert results[0] == results[1]
+
+    def test_no_precision_switch_once_constants_cached(self, monkeypatch):
+        pi_alpha(128)
         enters = []
-        original = checks.working_precision
+        original = intervals.working_precision
 
         def counting(bits):
             enters.append(bits)
             return original(bits)
 
-        monkeypatch.setattr(checks, "working_precision", counting)
-        return enters
-
-    def test_one_precision_switch_per_rung(self, monkeypatch):
-        _pi_alpha(128)  # warm the constants so only the rung is counted
-        enters = self._count_enters(monkeypatch)
+        monkeypatch.setattr(intervals, "working_precision", counting)
         assert growth_chain_check(100).precision_bits == 128
-        assert enters == [128]
-
-    def test_straddling_gap_switches_once_per_rung(self, monkeypatch):
-        monkeypatch.setenv("PRECISION_CAP_BITS", "256")
-        enters = self._count_enters(monkeypatch)
-        report = _certified("straddle", 1, lambda bits: (iv.mpf([-1, 1]),),
-                            128, (1,))
-        assert report.outcome == INCONCLUSIVE
-        assert enters == [128, 256]
+        assert enters == []
 
     def test_cached_constants_enclose_pi_and_alpha(self):
         with mpmath.workprec(1024):
@@ -380,8 +407,8 @@ class TestRawIntervalGaps:
         exact = (mpf_to_fraction(pi), mpf_to_fraction(alpha))
         widths = []
         for bits in (128, 256, 512):
-            assert _pi_alpha(bits) is _pi_alpha(bits)
-            enclosures = [BoundReal(x, bits) for x in _pi_alpha(bits)]
+            assert pi_alpha(bits) is pi_alpha(bits)
+            enclosures = [BoundReal(x, bits) for x in pi_alpha(bits)]
             for enclosure, value in zip(enclosures, exact):
                 assert enclosure.contains(value), bits
             widths.append([e.upper_fraction() - e.lower_fraction()

@@ -20,6 +20,8 @@ from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
 REPO = Path(__file__).parents[1]
 GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
+# stdout and exit code of fixed `mu` and `product` command lines
+GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -268,3 +270,9 @@ def test_python_dash_m_entry_point():
 def test_python_dash_m_cli_module():
     # without a __main__ guard this printed nothing and exited 0
     _assert_module_runs_verify("binpart.cli")
+
+
+@pytest.mark.parametrize("entry", GOLDEN_CLI, ids=lambda e: " ".join(e["argv"]))
+def test_mu_and_product_match_golden(capsys, entry):
+    code, out = run(capsys, *entry["argv"])
+    assert (code, out) == (entry["exit"], entry["stdout"])

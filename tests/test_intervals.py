@@ -1,43 +1,68 @@
-import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
+from mpmath.libmp import (
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_sqrt,
+    mpi_sub,
+)
 
+from binpart import intervals
 from binpart.intervals import (
     BoundReal,
+    certainly_positive,
     decide_with_escalation,
+    int_interval,
     mpf_to_fraction,
-    precision_cap_bits,
+    pi_alpha,
 )
+
+BITS = 128
+
+
+def _record(endpoints, bits=BITS):
+    """A raw endpoint pair as the BoundReal record callers read."""
+    return BoundReal(iv.make_mpf(endpoints), bits)
+
+
+def _rational(x: Fraction, bits=BITS):
+    """x entered as the certified checks enter a ratio of integers."""
+    return mpi_div(int_interval(x.numerator, bits),
+                   int_interval(x.denominator, bits), bits)
 
 
 def test_exact_int_is_tight():
-    b = BoundReal.exact(7)
+    b = _record(int_interval(7, BITS))
     assert b.contains(7)
     assert float(b.width) == 0.0
 
 
 def test_exact_fraction_encloses():
-    b = BoundReal.exact(Fraction(1, 3))
+    b = _record(_rational(Fraction(1, 3)))
     assert b.contains(Fraction(1, 3))
     assert float(b.width) > 0  # 1/3 is not dyadic
 
 
 def test_huge_int_enclosed():
     big = 10**600 + 12345
-    b = BoundReal.exact(big)
+    b = _record(int_interval(big, BITS))
     assert b.contains(big)
 
 
 def test_sqrt_squared_contains_two():
-    sq = BoundReal.exact(2).sqrt()
-    assert (sq * sq).contains(2)
+    sq = mpi_sqrt(int_interval(2, BITS), BITS)
+    assert _record(mpi_mul(sq, sq, BITS)).contains(2)
 
 
 def test_pi_enclosure():
-    pi = BoundReal.pi()
+    pi = BoundReal(pi_alpha(BITS)[0], BITS)
     lo = mpf_to_fraction(pi.lower)
     hi = mpf_to_fraction(pi.upper)
     # rational bracket around the true value, one ulp-of-25-digits wide
@@ -49,40 +74,14 @@ def test_pi_enclosure():
 
 
 def test_exp_log_round_trip():
-    x = BoundReal.exact(10)
-    assert x.log().exp().contains(10)
-
-
-def test_radius_covers_endpoints():
-    b = BoundReal.exact(1) / BoundReal.exact(3)
-    mid = mpf_to_fraction(b.midpoint)
-    rad = mpf_to_fraction(b.radius)
-    assert mid - rad <= Fraction(1, 3) <= mid + rad
+    x = int_interval(10, BITS)
+    assert _record(mpi_exp(mpi_log(x, BITS), BITS)).contains(10)
 
 
 def test_arithmetic_widens_not_loses():
-    a = BoundReal.exact(1) / 3
-    total = a + a + a
-    assert total.contains(1)
-
-
-def test_mixed_operand_types():
-    b = 2 * BoundReal.exact(3) - 1
-    assert b.contains(5)
-    c = 1 / BoundReal.exact(4)
-    assert c.contains(Fraction(1, 4))
-    d = BoundReal.exact(2) ** 10
-    assert d.contains(1024)
-
-
-def test_certainly_less():
-    a = BoundReal.exact(1)
-    b = BoundReal.exact(2)
-    assert a.certainly_less(b) is True
-    assert b.certainly_less(a) is False
-    # overlapping enclosures cannot decide
-    wide = BoundReal.from_endpoints(0, 3)
-    assert wide.certainly_less(b) is None
+    a = _rational(Fraction(1, 3))
+    total = mpi_add(mpi_add(a, a, BITS), a, BITS)
+    assert _record(total).contains(1)
 
 
 def test_escalation_resolves_tight_gap():
@@ -90,8 +89,8 @@ def test_escalation_resolves_tight_gap():
     target = 1 + Fraction(1, 2**100)
 
     def evaluate(bits):
-        gap = BoundReal.exact(target, bits).log()
-        return gap.certainly_positive()
+        gap = mpi_log(_rational(target, bits), bits)
+        return certainly_positive(iv.make_mpf(gap))
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=64)
     assert outcome is True
@@ -101,9 +100,9 @@ def test_escalation_resolves_tight_gap():
 def test_escalation_hits_cap_on_equality():
     # exp(log(2)) == 2 exactly: enclosures always straddle, never decide
     def evaluate(bits):
-        value = BoundReal.exact(2, bits).log().exp()
-        gap = value - 2
-        return gap.certainly_positive()
+        two = int_interval(2, bits)
+        gap = mpi_sub(mpi_exp(mpi_log(two, bits), bits), two, bits)
+        return certainly_positive(iv.make_mpf(gap))
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=128, cap_bits=512)
     assert outcome is None
@@ -134,9 +133,8 @@ def test_escalation_start_above_cap_evaluates_once_at_cap():
     assert levels == [256]
 
 
-def test_precision_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PRECISION_CAP_BITS", "256")
-    assert precision_cap_bits() == 256
+def test_default_cap_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
 
     def never(bits):
         return None
@@ -146,13 +144,7 @@ def test_precision_cap_env_override(monkeypatch):
     assert bits == 256
 
 
-def test_precision_cap_env_invalid(monkeypatch):
-    monkeypatch.setenv("PRECISION_CAP_BITS", "16")
-    with pytest.raises(ValueError):
-        precision_cap_bits()
-
-
-# numerators and denominators past 128 bits, so exact() itself must round outward
+# numerators and denominators past 128 bits, so int_interval itself must round outward
 rationals = st.builds(Fraction, st.integers(-10**45, 10**45), st.integers(1, 10**45))
 
 
@@ -160,8 +152,9 @@ rationals = st.builds(Fraction, st.integers(-10**45, 10**45), st.integers(1, 10*
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(a=rationals, b=rationals)
 def test_arithmetic_encloses_exact_result(bits, a, b):
-    x, y = BoundReal.exact(a, bits), BoundReal.exact(b, bits)
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-        if op is operator.truediv and b == 0:
-            continue
-        assert op(x, y).contains(op(a, b)), (op.__name__, a, b)
+    x, y = _rational(a, bits), _rational(b, bits)
+    ops = [(mpi_add, a + b), (mpi_sub, a - b), (mpi_mul, a * b)]
+    if b != 0:
+        ops.append((mpi_div, a / b))
+    for op, exact in ops:
+        assert _record(op(x, y, bits), bits).contains(exact), (op.__name__, a, b)

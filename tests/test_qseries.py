@@ -66,7 +66,11 @@ def test_q252_weighted_constant():
 def test_q252_combined_constant():
     product = euler_product_upper(TailParams(q=Fraction(252, 500), ell=96))
     weighted = weighted_sum_upper(TailParams(q=Fraction(252, 500), ell=96))
-    assert _upper_fraction(product * weighted) < Fraction(Q252_COMBINED_UPPER)
+    # both factors are positive, so the product of the upper endpoints
+    # bounds the product of the enclosed values
+    assert _lower_fraction(product) > 0 and _lower_fraction(weighted) > 0
+    assert _upper_fraction(product) * _upper_fraction(weighted) \
+        < Fraction(Q252_COMBINED_UPPER)
 
 
 def test_enclosure_ordering_small_q():
