@@ -9,9 +9,9 @@ Two kinds of checks live here:
     each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
     interval functions directly on endpoint pairs, at the explicit
     precision bits, taking integers from intervals.int_interval and pi
-    and sqrt(2/3)*pi from intervals.pi_alpha; each finished gap is
-    wrapped once as an `iv` interval, and `_certified` reads its sign
-    (intervals.certainly_positive) and margin from the raw endpoints.
+    and sqrt(2/3)*pi from intervals.pi_alpha, and returns each gap as
+    its endpoint pair (lower, upper); `_certified` reads the sign
+    (intervals.certainly_positive) and margin from those endpoints.
     No rung sets the global `iv` precision.  A claim is declared only
     when the gap exceeds the total enclosure error, with automatic
     precision escalation and an explicit "inconclusive" outcome at the cap.
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath import iv
 from mpmath.libmp import (
     mpi_add,
     mpi_div,
@@ -84,14 +83,14 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
                counterexample: tuple) -> VerificationReport:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
-    Each rung calls gaps(bits), which returns a tuple of `iv` intervals
-    evaluated at the explicit precision bits (the checks compute them with
-    direct `libmpi` calls and wrap each finished gap once); no rung sets
-    the global `iv` precision.  The rung is undecided while any gap
-    straddles zero, verified when every gap is certainly positive and
-    violated otherwise.  The margin is the smallest certified lower bound
-    among the gaps, rounded to the nearest float as float(mpf) rounds it
-    (to_float's own default rounds toward zero).
+    Each rung calls gaps(bits), which returns a tuple of endpoint pairs
+    (lower, upper) evaluated at the explicit precision bits (the checks
+    compute them with direct `libmpi` calls); no rung sets the global
+    `iv` precision.  The rung is undecided while any gap straddles zero,
+    verified when every gap is certainly positive and violated otherwise.
+    The margin is the smallest certified lower bound among the gaps,
+    rounded to the nearest float as float(mpf) rounds it (to_float's own
+    default rounds toward zero).
     """
     def evaluate(bits):
         enclosures = gaps(bits)
@@ -99,8 +98,8 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
         if None in signs:
             return None
         if all(signs):
-            margin = min(to_float(gap._mpi_[0], rnd=round_nearest)
-                         for gap in enclosures)
+            margin = min(to_float(lower, rnd=round_nearest)
+                         for lower, _ in enclosures)
             return VerificationReport(claim, n, VERIFIED, margin=margin,
                                       precision_bits=bits)
         return VerificationReport(claim, n, VIOLATED,
@@ -158,9 +157,9 @@ def central_binomial_check(
         # rhs is a power of two, so dividing by it is exact and keeps the sign
         pi, _ = pi_alpha(bits)
         rhs = int_interval(rhs_int, bits)
-        lhs = mpi_mul(int_interval(lhs_int, bits), pi._mpi_, bits)
+        lhs = mpi_mul(int_interval(lhs_int, bits), pi, bits)
         gap = mpi_sub(rhs, lhs, bits)
-        return (iv.make_mpf(mpi_div(gap, rhs, bits)),)
+        return (mpi_div(gap, rhs, bits),)
 
     return _certified("central-binomial", n, gaps, start_bits, (n, kn))
 
@@ -182,9 +181,9 @@ def partition_bound_check(
         nn = int_interval(n, bits)
         lhs = mpi_log(int_interval(pn, bits), bits)
         sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
-        rhs = mpi_add(mpi_log(mpi_div(pi._mpi_, sqrt_6n, bits), bits),
-                      mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
-        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
+        rhs = mpi_add(mpi_log(mpi_div(pi, sqrt_6n, bits), bits),
+                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
+        return (mpi_sub(rhs, lhs, bits),)
 
     return _certified("partition-bound", n, gaps, start_bits, (n,))
 
@@ -210,13 +209,12 @@ def growth_chain_check(
             sqrt_n,
             mpi_sub(mpi_sqrt(mpi_add(nn, one, bits), bits), one, bits), bits)
         sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
-        mid = mpi_add(one, mpi_div(pi._mpi_, sqrt_6n, bits), bits)
+        mid = mpi_add(one, mpi_div(pi, sqrt_6n, bits), bits)
         sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
         right = mpi_exp(
-            mpi_mul(mpi_mul(alpha._mpi_, sqrt_n, bits),
+            mpi_mul(mpi_mul(alpha, sqrt_n, bits),
                     mpi_sub(sqrt_step, one, bits), bits), bits)
-        return (iv.make_mpf(mpi_sub(mid, left, bits)),
-                iv.make_mpf(mpi_sub(right, mid, bits)))
+        return (mpi_sub(mid, left, bits), mpi_sub(right, mid, bits))
 
     return _certified("growth-chain", n, gaps, start_bits, (n,))
 
@@ -236,8 +234,8 @@ def diagonal_bound_check(
     def gaps(bits):
         _, alpha = pi_alpha(bits)
         lhs = mpi_log(int_interval(value, bits), bits)
-        rhs = mpi_mul(alpha._mpi_, mpi_sqrt(int_interval(n, bits), bits), bits)
-        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
+        rhs = mpi_mul(alpha, mpi_sqrt(int_interval(n, bits), bits), bits)
+        return (mpi_sub(rhs, lhs, bits),)
 
     return _certified("diagonal-bound", n, gaps, start_bits, (n,))
 
@@ -255,8 +253,8 @@ def subdiagonal_bound_check(
         nn = int_interval(n, bits)
         lhs = mpi_log(int_interval(value, bits), bits)
         rhs = mpi_add(mpi_div(mpi_log(nn, bits), int_interval(2, bits), bits),
-                      mpi_mul(alpha._mpi_, mpi_sqrt(nn, bits), bits), bits)
-        return (iv.make_mpf(mpi_sub(rhs, lhs, bits)),)
+                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
+        return (mpi_sub(rhs, lhs, bits),)
 
     return _certified("subdiagonal-bound", n, gaps, start_bits, (n,))
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import sweeps
 from .binomial_sums import build_triangle, peak_k, verify_unimodal_profile
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
-from .intervals import BoundReal, mpf_to_fraction
+from .intervals import BoundReal
 from .lie import MuBoundReport, NilpotentProfile, best_bound
 from .partitions import build_partition_table, build_restricted_table
 from .qseries import EnclosureWidthError, enclose_euler_product
@@ -58,8 +58,8 @@ def _decimal_str(fr: Fraction, digits: int, round_up: bool) -> str:
 def bound_to_strings(b: BoundReal, digits: int = 24) -> dict:
     """Endpoints of an enclosure, rounded outward in decimal."""
     return {
-        "lower": _decimal_str(mpf_to_fraction(b.lower), digits, round_up=False),
-        "upper": _decimal_str(mpf_to_fraction(b.upper), digits, round_up=True),
+        "lower": _decimal_str(b.lower_fraction(), digits, round_up=False),
+        "upper": _decimal_str(b.upper_fraction(), digits, round_up=True),
     }
 
 

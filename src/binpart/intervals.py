@@ -2,15 +2,16 @@
 
 Every real-valued decision is made on outward-rounded enclosures built
 by mpmath's `libmpi` interval functions (the ones `iv` itself calls),
-called directly on raw endpoint pairs at an explicit precision.  This
-module holds the pieces those computations share: int_interval enters an
-integer, pi_alpha caches pi and the growth constant a = sqrt(2/3)*pi per
-bit width, and certainly_positive is the one sign rule.  None of them
-reads the process-global `iv.prec`; pi_alpha alone sets it, inside its
-own working_precision(bits).
+called directly at an explicit precision.  An enclosure is its endpoint
+pair (lower, upper) of raw mpf values from first operation to verdict.
+This module holds the pieces those computations share: int_interval
+enters an integer, pi_alpha caches the pairs of pi and a = sqrt(2/3)*pi
+per bit width, and certainly_positive is the one sign rule.  None of
+them reads the process-global `iv.prec`; pi_alpha alone sets it, inside
+its own working_precision(bits).
 
-BoundReal is a finished enclosure [lower, upper] that callers read
-endpoints from; it does no arithmetic.
+BoundReal is a finished enclosure, a pair and its precision, that
+callers read endpoints from; it does no arithmetic.
 
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
@@ -32,7 +33,8 @@ from typing import Any, Callable, Optional
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import from_int, fzero, mpf_sign, round_ceiling, round_floor
+from mpmath.libmp import (from_int, fzero, mpf_sign, mpf_sub, round_ceiling,
+                          round_floor, round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 4096
@@ -55,12 +57,12 @@ def int_interval(x: int, bits: int):
 
 
 def certainly_positive(gap) -> Optional[bool]:
-    """The sign of an `iv` gap, read from its raw endpoints.
+    """The sign of a gap given as its endpoint pair (lower, upper).
 
     True when lower > 0, False when upper <= 0, None otherwise; a NaN
     endpoint (mpf_sign 0, but neither positive nor <= 0) leaves it None.
     """
-    lower, upper = gap._mpi_
+    lower, upper = gap
     if mpf_sign(lower) > 0:
         return True
     if mpf_sign(upper) < 0 or upper == fzero:
@@ -70,14 +72,14 @@ def certainly_positive(gap) -> Optional[bool]:
 
 @lru_cache(maxsize=None)
 def pi_alpha(bits: int):
-    """`iv` enclosures of pi and the growth constant a = sqrt(2/3)*pi.
+    """Endpoint pairs of pi and the growth constant a = sqrt(2/3)*pi.
 
     Keyed on the escalation rung, so the cache holds one entry per rung
     ever used (a handful: the ladder doubles from 128 bits to the cap).
     """
     with working_precision(bits):
         pi = +iv.pi
-        return pi, iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi
+        return pi._mpi_, (iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi)._mpi_
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -95,16 +97,6 @@ def _raw_to_mpf(raw) -> mpmath.mpf:
     return mpmath.mp.make_mpf(raw)
 
 
-def _fraction_to_mpf_exact(fr: Fraction) -> mpmath.mpf:
-    """Exact mpf for a dyadic rational (denominator a power of two)."""
-    den = fr.denominator
-    if den & (den - 1):
-        raise ValueError("not a dyadic rational")
-    return _raw_to_mpf(
-        mpmath.libmp.from_man_exp(fr.numerator, -(den.bit_length() - 1))
-    )
-
-
 def mpf_to_fraction(x) -> Fraction:
     """Exact value of an mpf (dyadic rational) as a Fraction."""
     raw = x._mpf_ if hasattr(x, "_mpf_") else mpmath.mpf(x)._mpf_
@@ -114,33 +106,35 @@ def mpf_to_fraction(x) -> Fraction:
 class BoundReal:
     """A real number certified to lie in [lower, upper], computed at precision_bits.
 
-    Endpoints are extracted exactly, never re-rounded.
+    endpoints is the raw mpf pair (lower, upper) that `libmpi` returns;
+    lower, upper and their fractions read it exactly, never re-rounded.
     """
 
-    __slots__ = ("_ival", "precision_bits")
+    __slots__ = ("endpoints", "precision_bits")
 
-    def __init__(self, ival, precision_bits: int):
-        self._ival = ival
+    def __init__(self, endpoints, precision_bits: int):
+        self.endpoints = endpoints
         self.precision_bits = precision_bits
 
     @property
     def lower(self) -> mpmath.mpf:
-        return _raw_to_mpf(self._ival._mpi_[0])
+        return _raw_to_mpf(self.endpoints[0])
 
     @property
     def upper(self) -> mpmath.mpf:
-        return _raw_to_mpf(self._ival._mpi_[1])
+        return _raw_to_mpf(self.endpoints[1])
 
     def lower_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._ival._mpi_[0])
+        return _raw_to_fraction(self.endpoints[0])
 
     def upper_fraction(self) -> Fraction:
-        return _raw_to_fraction(self._ival._mpi_[1])
+        return _raw_to_fraction(self.endpoints[1])
 
     @property
     def width(self) -> mpmath.mpf:
-        lo, hi = self.lower_fraction(), self.upper_fraction()
-        return _fraction_to_mpf_exact(hi - lo)
+        """upper - lower, rounded to nearest at the 53 bits float(width) keeps."""
+        lo, hi = self.endpoints
+        return _raw_to_mpf(mpf_sub(hi, lo, 53, round_nearest))
 
     def contains(self, x: int | float | Fraction) -> bool:
         return self.lower_fraction() <= Fraction(x) <= self.upper_fraction()

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath import iv
 from mpmath.libmp import mpi_div, mpi_mul, mpi_sqrt
 
 from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
@@ -98,14 +97,15 @@ def corollary_bound(n: int) -> BoundReal:
     """Certified enclosure of (3/sqrt(n)) * 2^n.
 
     A strict upper bound for every p(n,k) (the exact row bound carries
-    constant 113/40 < 3), hence a class-independent bound for mu.
+    constant 113/40 < 3), hence a class-independent bound for mu.  The
+    BoundReal holds the endpoint pair `libmpi` returns, as it is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     bits = DEFAULT_PRECISION_BITS
     numerator = mpi_mul(int_interval(1 << n, bits), int_interval(3, bits), bits)
     enclosure = mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
-    return BoundReal(iv.make_mpf(enclosure), bits)
+    return BoundReal(enclosure, bits)
 
 
 def best_bound(profile: NilpotentProfile, triangle) -> MuBoundReport:

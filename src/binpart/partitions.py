@@ -109,7 +109,8 @@ def build_restricted_table(k: int, max_n: int) -> RestrictedTable:
     """Compute p_k(0..max_n) by the coin-counting dynamic program.
 
     Parts are admitted one size at a time, so after processing sizes
-    1..m the row holds partitions with all parts <= m.
+    1..m the row holds partitions with all parts <= m.  No part above
+    max_n fits, so sizes stop at min(k, max_n).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -117,7 +118,7 @@ def build_restricted_table(k: int, max_n: int) -> RestrictedTable:
         raise ValueError("max_n must be >= 0")
     values = [0] * (max_n + 1)
     values[0] = 1
-    for part in range(1, k + 1):
+    for part in range(1, min(k, max_n) + 1):
         for j in range(part, max_n + 1):
             values[j] += values[j - part]
     return RestrictedTable(k=k, values=tuple(values))
@@ -160,10 +161,11 @@ def _truncated_product_of_geometric(k: int, degree: int) -> list[int]:
 
     Each factor is expanded as the geometric series 1 + q^j + q^(2j) + ...
     and multiplied in as a sparse convolution (in place, ascending powers).
+    A factor with j > degree is 1 up to q^degree, so j stops at degree.
     """
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
-    for j in range(1, k + 1):
+    for j in range(1, min(k, degree) + 1):
         # multiply by 1/(1-q^j): new[m] = new[m - j] + old[m]
         for m in range(j, degree + 1):
             coeffs[m] += coeffs[m - j]
@@ -174,10 +176,10 @@ def _weighted_tail_series(k: int, degree: int) -> list[int]:
     """Coefficients 0..degree of sum_{j=1}^{k} j*q^j/(1-q^j).
 
     The j-th summand contributes j to every coefficient at a positive
-    multiple of j.
+    multiple of j, so summands with j > degree contribute nothing.
     """
     coeffs = [0] * (degree + 1)
-    for j in range(1, k + 1):
+    for j in range(1, min(k, degree) + 1):
         for m in range(j, degree + 1, j):
             coeffs[m] += j
     return coeffs

@@ -80,8 +80,7 @@ def euler_product_upper(
                 best_lo = lo
             if best_hi is None or mpf_lt(hi, best_hi):
                 best_hi = hi
-        enclosure = iv.make_mpf((best_lo, best_hi))
-    return BoundReal(enclosure, bits)
+    return BoundReal((best_lo, best_hi), bits)
 
 
 def weighted_sum_upper(params: TailParams) -> BoundReal:
@@ -113,8 +112,7 @@ def weighted_sum_upper(params: TailParams) -> BoundReal:
                 best_lo = lo
             if best_hi is None or mpf_lt(hi, best_hi):
                 best_hi = hi
-        enclosure = iv.make_mpf((best_lo, best_hi))
-    return BoundReal(enclosure, DEFAULT_PRECISION_BITS)
+    return BoundReal((best_lo, best_hi), DEFAULT_PRECISION_BITS)
 
 
 def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:

@@ -12,6 +12,7 @@ from mpmath.libmp import (
     fninf,
     fnone,
     fone,
+    from_int,
     fzero,
     mpi_div,
     mpi_exp,
@@ -171,7 +172,7 @@ class TestCertifiedOutcomes:
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         report = _certified(
             "straddle", 1,
-            lambda bits: (iv.mpf([-1, 1]),), 128, (1,))
+            lambda bits: ((fnone, fone),), 128, (1,))
         assert report.outcome == INCONCLUSIVE
         assert report.precision_bits == 256
 
@@ -181,7 +182,7 @@ class TestCertifiedOutcomes:
 
         def gaps(bits):
             seen.append(bits)
-            return (iv.mpf([-1, 1]), iv.mpf([-2, -1]))
+            return ((fnone, fone), (from_int(-2), fnone))
 
         report = _certified("mixed", 1, gaps, 128, (1,))
         assert report.outcome == INCONCLUSIVE
@@ -218,9 +219,9 @@ class TestSignRule:
     ])
     def test_edges_match_bound_real(self, monkeypatch, lower, upper, sign):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
+        gap = (lower, upper)
         # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
-        gap = iv.make_mpf((lower, upper))
-        assert (gap > 0) is sign
+        assert (iv.make_mpf(gap) > 0) is sign
         assert certainly_positive(gap) is sign
         assert _record_sign(BoundReal(gap, 128)) is sign
         seen = []
@@ -289,8 +290,31 @@ def _reference_gaps(claim, n, table, diagonal):
 
     def gaps(bits):
         with working_precision(bits):
-            return tuple(BoundReal(gap, bits) for gap in expressions())
+            return tuple(BoundReal(gap._mpi_, bits) for gap in expressions())
     return gaps
+
+
+def _report_and_gaps(monkeypatch, run_check):
+    """run_check()'s report and the gaps(bits) its check handed _certified."""
+    handed = []
+
+    def recording(claim, n, gaps, start_bits, counterexample):
+        handed.append(gaps)
+        return _certified(claim, n, gaps, start_bits, counterexample)
+
+    monkeypatch.setattr(checks, "_certified", recording)
+    report = run_check()
+    (gaps,) = handed
+    return report, gaps
+
+
+def _assert_same_endpoints(gaps, reference, start_bits, last_bits):
+    """gaps(bits) equals the reference records' endpoints exactly, at
+    every rung from start_bits to last_bits."""
+    bits = start_bits
+    while bits <= last_bits:
+        assert gaps(bits) == tuple(r.endpoints for r in reference(bits)), bits
+        bits *= 2
 
 
 def _reference_decision(gaps, start_bits):
@@ -315,7 +339,7 @@ def _reference_decision(gaps, start_bits):
 
 class TestRawIntervalGaps:
     """The certified checks' raw-interval gaps against BoundReal records of
-    `iv` operator references."""
+    `iv` operator references: the decision, and every gap endpoint exactly."""
 
     CHECKS = {
         "central-binomial": (1, lambda n, t, d, b: central_binomial_check(n, b)),
@@ -327,25 +351,29 @@ class TestRawIntervalGaps:
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_matches_bound_real_reference(self, claim, start_bits,
+    def test_matches_bound_real_reference(self, monkeypatch, claim, start_bits,
                                           table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
-            report = check(n, table_2001, diagonal_2001, start_bits)
+            report, raw = _report_and_gaps(
+                monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
             gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
             assert (report.outcome, report.margin, report.precision_bits) \
                 == _reference_decision(gaps, start_bits), n
+            _assert_same_endpoints(raw, gaps, start_bits, report.precision_bits)
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_every_n_to_400_matches_reference(self, claim, start_bits,
+    def test_every_n_to_400_matches_reference(self, monkeypatch, claim, start_bits,
                                               table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in range(n_min, 401):
-            report = check(n, table_2001, diagonal_2001, start_bits)
+            report, raw = _report_and_gaps(
+                monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
             gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
             assert (report.outcome, report.margin, report.precision_bits) \
                 == _reference_decision(gaps, start_bits), n
+            _assert_same_endpoints(raw, gaps, start_bits, report.precision_bits)
 
     # growth_chain_check's exp argument has endpoints 0 or >= 2^(1-bits):
     # sqrt(1+1/n) - 1 is a multiple of 2^(1-bits), then multiplied by
@@ -364,7 +392,7 @@ class TestRawIntervalGaps:
                                    (mpi_exp, mpmath.exp, y)):
             entered = mpi_div(int_interval(arg.numerator, bits),
                               int_interval(arg.denominator, bits), bits)
-            enclosure = BoundReal(iv.make_mpf(fn(entered, bits)), bits)
+            enclosure = BoundReal(fn(entered, bits), bits)
             with mpmath.workprec(1024):
                 value = mpf_to_fraction(
                     reference(mpmath.mpf(arg.numerator) / arg.denominator))

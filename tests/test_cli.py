@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,20 @@ class TestProduct:
         code, out = run(capsys, "product", "9", "10", "1e-30")
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["outcome"] == INCONCLUSIVE
+
+    # 1-q = 2^-16 puts the tail factor's upper endpoint near 2^(6e9), and at
+    # 128 bits the enclosure of 1 - (2^200-1)/2^200 straddles 0; the width
+    # of either must come out as inf, not as an exact rational
+    @pytest.mark.parametrize("q_num, q_den", [
+        (65535, 65536),
+        (2**200 - 1, 2**200),
+    ])
+    def test_q_near_one_is_inconclusive_within_a_second(self, capsys, q_num, q_den):
+        start = time.perf_counter()
+        code, out = run(capsys, "product", str(q_num), str(q_den), "1e-3")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INCONCLUSIVE
+        assert json.loads(out)["detail"] == "width inf > tol 0.001 at ell=256"
 
     def test_q_out_of_range(self, capsys):
         code, _ = run(capsys, "product", "3", "2", "1e-6")

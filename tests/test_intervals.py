@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv
 from mpmath.libmp import (
     mpi_add,
     mpi_div,
@@ -29,7 +28,7 @@ BITS = 128
 
 def _record(endpoints, bits=BITS):
     """A raw endpoint pair as the BoundReal record callers read."""
-    return BoundReal(iv.make_mpf(endpoints), bits)
+    return BoundReal(endpoints, bits)
 
 
 def _rational(x: Fraction, bits=BITS):
@@ -90,7 +89,7 @@ def test_escalation_resolves_tight_gap():
 
     def evaluate(bits):
         gap = mpi_log(_rational(target, bits), bits)
-        return certainly_positive(iv.make_mpf(gap))
+        return certainly_positive(gap)
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=64)
     assert outcome is True
@@ -102,7 +101,7 @@ def test_escalation_hits_cap_on_equality():
     def evaluate(bits):
         two = int_interval(2, bits)
         gap = mpi_sub(mpi_exp(mpi_log(two, bits), bits), two, bits)
-        return certainly_positive(iv.make_mpf(gap))
+        return certainly_positive(gap)
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=128, cap_bits=512)
     assert outcome is None

@@ -100,6 +100,12 @@ class TestRestricted:
         table = build_restricted_table(3, 5)
         assert table[5] == len(enumerate_partitions(5, 3)) == 5
 
+    def test_parts_beyond_max_n_cost_nothing(self, table_2001):
+        # only parts 1..5 fit below 6, so this must not walk k part sizes
+        table = build_restricted_table(10**12, 5)
+        assert table.k == 10**12
+        assert table.values == tuple(table_2001[j] for j in range(6))
+
     def test_zero_always_one(self):
         for k in (1, 4, 9):
             assert build_restricted_table(k, 12)[0] == 1
@@ -131,7 +137,7 @@ class TestSeriesIdentities:
         table = build_restricted_table(1, 5)
         assert all(table[j] == 1 for j in range(6))
 
-    @pytest.mark.parametrize("k,degree", [(3, 10), (12, 50)])
+    @pytest.mark.parametrize("k,degree", [(3, 10), (12, 50), (10**12, 20)])
     def test_known_passes(self, k, degree):
         assert check_generating_functions(k, degree).ok
 
