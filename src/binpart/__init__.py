@@ -55,7 +55,6 @@ from .partitions import (
 )
 from .qseries import (
     EnclosureWidthError,
-    TailParams,
     enclose_euler_product,
     euler_product_upper,
     weighted_sum_upper,

@@ -16,7 +16,8 @@ callers read endpoints from; it does no arithmetic.
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
 doubling to DEFAULT_PRECISION_CAP_BITS; the eq. 9 product check climbs its
-truncation depth, 4 doubling to 256.
+truncation depth, 4 doubling to 256, and `qseries.enclose_euler_product`
+its truncation point ell, 8 doubling to 256.
 
 Note: mpmath's interval context precision is process-global, so the
 working_precision switches in pi_alpha and `qseries` are not thread-safe.

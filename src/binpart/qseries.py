@@ -12,70 +12,62 @@ omitted terms are positive), and the analytic tail estimates
     S(q) < q/(1-q)^3 + sum_{j<ell} j*q^j*(q^j-q) / ((1-q^j)*(1-q))
 
 turn the truncations into two-sided enclosures.  Both right-hand sides are
-nonincreasing in ell, so raising ell only tightens the result.
+nonincreasing in ell, so raising ell only tightens the result.  One scan,
+_tightest_bounds, walks the truncation points of either series, and
+enclose_euler_product raises ell on decide_with_escalation, the ladder
+every other inconclusive verdict climbs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
-from .intervals import BoundReal, DEFAULT_PRECISION_BITS, working_precision
+from .intervals import (BoundReal, DEFAULT_PRECISION_BITS,
+                        decide_with_escalation, working_precision)
 from mpmath import iv
-from mpmath.libmp import mpf_gt, mpf_lt
+from mpmath.libmp import fone, mpf_gt, mpf_lt
 
 DEFAULT_DEPTH_CAP = 256
-
-
-@dataclass(frozen=True)
-class TailParams:
-    """Truncation point for the tail estimates: rational q in (0,1), ell >= 2."""
-
-    q: Fraction
-    ell: int
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise ValueError(f"q must lie in (0,1), got {self.q}")
-        if self.ell < 2:
-            raise ValueError(f"ell must be >= 2, got {self.ell}")
 
 
 class EnclosureWidthError(Exception):
     """Requested tolerance unreachable within the depth cap."""
 
 
-def _q_interval(q: Fraction):
-    """q as an interval at the current working precision."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _tail_factor(x):
+    """Enclosure of exp(x) for an interval 0 < x <= 1.
 
-
-def euler_product_upper(
-    params: TailParams, bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReal:
-    """Enclosure of F(q): lower = partial product, upper = tail-bounded.
-
-    The partial product prod_{j=1}^{ell-1} 1/(1-q^j) is a certified lower
-    bound; multiplying the partial product at truncation point t by
-    exp(q^t/(1-q)^2) gives a certified upper bound for every t <= ell.
-    The returned enclosure keeps the best bounds seen across truncation
-    points 2..ell, which makes raising ell tighten the result even when
-    the analytic improvement falls below one rounding ulp.
+    Under round_ceiling, mpmath 1.3.0's mpf_exp returns exactly 1 for some
+    tiny x > 0, below exp(x) > 1.  Only then is the upper endpoint
+    replaced, by 1 + 2x rounded up: exp(x) <= 1 + 2x on [0, 1].
     """
-    q_frac, ell = params.q, params.ell
+    factor = iv.exp(x)
+    if factor._mpi_[1] == fone:
+        return iv.mpf([1, (1 + 2 * x).b])
+    return factor
+
+
+def _tightest_bounds(q: Fraction, ell: int, bits: int, steps) -> BoundReal:
+    """The best bounds across truncation points 2..ell, as one enclosure.
+
+    steps(q) receives q as an interval at `bits` and yields, for
+    j = 1, 2, ..., a pair of intervals: the lower endpoint of the first
+    and the upper endpoint of the second bound the series truncated after
+    term j.  Keeping the highest lower and lowest upper endpoint makes
+    raising ell tighten the result even when the analytic improvement
+    falls below one rounding ulp.
+    """
+    if not 0 < q < 1:
+        raise ValueError(f"q must lie in (0,1), got {q}")
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
+    best_lo = best_hi = None
     with working_precision(bits):
-        q = _q_interval(q_frac)
-        inv_square = 1 / (1 - q) ** 2
-        partial = iv.mpf(1)
-        qj = iv.mpf(1)
-        best_lo = None
-        best_hi = None
-        for _ in range(1, ell):
-            qj = qj * q
-            partial = partial / (1 - qj)
-            upper = partial * iv.exp(qj * q * inv_square)
-            lo, hi = partial._mpi_[0], upper._mpi_[1]
+        q_iv = iv.mpf(q.numerator) / iv.mpf(q.denominator)
+        for lower, upper in islice(steps(q_iv), ell - 1):
+            lo, hi = lower._mpi_[0], upper._mpi_[1]
             if best_lo is None or mpf_gt(lo, best_lo):
                 best_lo = lo
             if best_hi is None or mpf_lt(hi, best_hi):
@@ -83,36 +75,49 @@ def euler_product_upper(
     return BoundReal((best_lo, best_hi), bits)
 
 
-def weighted_sum_upper(params: TailParams) -> BoundReal:
+def _product_steps(q):
+    inv_square = 1 / (1 - q) ** 2
+    partial = iv.mpf(1)
+    qj = iv.mpf(1)
+    while True:
+        qj = qj * q
+        partial = partial / (1 - qj)
+        yield partial, partial * _tail_factor(qj * q * inv_square)
+
+
+def _weighted_steps(q):
+    leading = q / (1 - q) ** 3
+    one_minus_q = 1 - q
+    partial = iv.mpf(0)
+    correction = iv.mpf(0)
+    qj = iv.mpf(1)
+    for j in count(1):
+        qj = qj * q
+        partial = partial + j * qj / (1 - qj)
+        correction = correction + j * qj * (qj - q) / ((1 - qj) * one_minus_q)
+        yield partial, leading + correction
+
+
+def euler_product_upper(
+    q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS
+) -> BoundReal:
+    """Enclosure of F(q): lower = partial product, upper = tail-bounded.
+
+    The partial product prod_{j=1}^{ell-1} 1/(1-q^j) is a certified lower
+    bound; multiplying the partial product at truncation point t by
+    exp(q^t/(1-q)^2) gives a certified upper bound for every t <= ell.
+    """
+    return _tightest_bounds(q, ell, bits, _product_steps)
+
+
+def weighted_sum_upper(q: Fraction, ell: int) -> BoundReal:
     """Enclosure of S(q): lower = partial sum, upper = tail-bounded.
 
     Upper bound: q/(1-q)^3 plus the correction terms
     j*q^j*(q^j-q)/((1-q^j)*(1-q)) for j < ell (nonpositive for j >= 2,
-    zero at j = 1).  As in euler_product_upper, the best bounds across
-    truncation points 2..ell are kept, so the output tightens
-    monotonically in ell.
+    zero at j = 1).
     """
-    q_frac, ell = params.q, params.ell
-    with working_precision(DEFAULT_PRECISION_BITS):
-        q = _q_interval(q_frac)
-        leading = q / (1 - q) ** 3
-        one_minus_q = 1 - q
-        partial = iv.mpf(0)
-        correction = iv.mpf(0)
-        qj = iv.mpf(1)
-        best_lo = None
-        best_hi = None
-        for j in range(1, ell):
-            qj = qj * q
-            partial = partial + j * qj / (1 - qj)
-            correction = correction + j * qj * (qj - q) / ((1 - qj) * one_minus_q)
-            upper = leading + correction
-            lo, hi = partial._mpi_[0], upper._mpi_[1]
-            if best_lo is None or mpf_gt(lo, best_lo):
-                best_lo = lo
-            if best_hi is None or mpf_lt(hi, best_hi):
-                best_hi = hi
-    return BoundReal((best_lo, best_hi), DEFAULT_PRECISION_BITS)
+    return _tightest_bounds(q, ell, DEFAULT_PRECISION_BITS, _weighted_steps)
 
 
 def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:
@@ -125,13 +130,15 @@ def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:
     if tol <= 0:
         raise ValueError("tol must be positive")
     bits = max(DEFAULT_PRECISION_BITS, 64 + int(-math.log2(tol)))
-    ell = 8
-    while True:
-        enclosure = euler_product_upper(TailParams(q=q, ell=ell), bits)
-        if float(enclosure.width) <= tol:
-            return enclosure, ell
-        if ell >= DEFAULT_DEPTH_CAP:
-            raise EnclosureWidthError(
-                f"width {float(enclosure.width):.3g} > tol {tol:.3g} at ell={ell}"
-            )
-        ell *= 2
+    widths = []
+
+    def evaluate(ell):
+        enclosure = euler_product_upper(q, ell, bits)
+        widths.append(float(enclosure.width))
+        return enclosure if widths[-1] <= tol else None
+
+    enclosure, ell = decide_with_escalation(evaluate, 8, DEFAULT_DEPTH_CAP)
+    if enclosure is None:
+        raise EnclosureWidthError(
+            f"width {widths[-1]:.3g} > tol {tol:.3g} at ell={ell}")
+    return enclosure, ell

@@ -26,7 +26,7 @@ from binpart import best_bound, NilpotentProfile
 from binpart.binomial_sums import partial_sign_sum_ratio
 from binpart.checks import VERIFIED
 from binpart.cli import EXIT_OK, main
-from binpart.qseries import TailParams, euler_product_upper, weighted_sum_upper
+from binpart.qseries import euler_product_upper, weighted_sum_upper
 
 from reference_values import (
     EULER_PRODUCT_HALF,
@@ -100,13 +100,13 @@ def test_criterion_04_diagonal_bounds_to_2000(sweep_ctx):
 
 def test_criterion_05_product_constants():
     t0 = time.time()
-    half = euler_product_upper(TailParams(q=Fraction(1, 2), ell=48))
+    half = euler_product_upper(Fraction(1, 2), 48)
     assert float(half.width) <= 1e-12
     assert half.contains(EULER_PRODUCT_HALF)
 
-    params = TailParams(q=Fraction(252, 500), ell=96)
-    product = euler_product_upper(params)
-    weighted = weighted_sum_upper(params)
+    q, ell = Fraction(252, 500), 96
+    product = euler_product_upper(q, ell)
+    weighted = weighted_sum_upper(q, ell)
     assert product.upper_fraction() < Fraction(Q252_PRODUCT_UPPER)
     assert weighted.upper_fraction() < Fraction(Q252_WEIGHTED_UPPER)
     # both factors are positive, so the product of the upper endpoints

@@ -153,7 +153,14 @@ class TestSeriesIdentities:
         )
         report = check_generating_functions(4, 12, table=corrupt)
         assert not report.ok
-        assert report.first_mismatch == ("product", 7)
+        assert report.first_mismatch == ("weighted", 7)
+
+    def test_scaled_table_detected(self):
+        # the weighted identity is linear in the table; p_k(0) = 1 anchors it
+        good = build_restricted_table(4, 12)
+        doubled = RestrictedTable(k=4, values=tuple(2 * v for v in good.values))
+        report = check_generating_functions(4, 12, table=doubled)
+        assert report.first_mismatch == ("weighted", 0)
 
     def test_table_must_cover_degree(self):
         table = build_restricted_table(3, 5)

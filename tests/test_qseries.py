@@ -1,15 +1,18 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath import iv
 
 from binpart import (
     EnclosureWidthError,
-    TailParams,
+    decide_with_escalation,
     enclose_euler_product,
     euler_product_upper,
     weighted_sum_upper,
 )
-from binpart.intervals import mpf_to_fraction
+from binpart import qseries
+from binpart.intervals import mpf_to_fraction, working_precision
 
 from reference_values import (
     EULER_PRODUCT_HALF,
@@ -28,44 +31,43 @@ def _lower_fraction(bound):
 
 
 def test_params_validated():
-    with pytest.raises(ValueError):
-        TailParams(q=Fraction(3, 2), ell=4)
-    with pytest.raises(ValueError):
-        TailParams(q=Fraction(0), ell=4)
-    with pytest.raises(ValueError):
-        TailParams(q=Fraction(1, 2), ell=1)
+    for series in (euler_product_upper, weighted_sum_upper):
+        with pytest.raises(ValueError, match="q must lie in"):
+            series(Fraction(3, 2), 4)
+        with pytest.raises(ValueError, match="q must lie in"):
+            series(Fraction(0), 4)
+        with pytest.raises(ValueError, match="ell must be"):
+            series(Fraction(1, 2), 1)
 
 
 def test_half_enclosure_hits_constant():
-    enc = euler_product_upper(TailParams(q=Fraction(1, 2), ell=48))
+    enc = euler_product_upper(Fraction(1, 2), 48)
     assert enc.contains(EULER_PRODUCT_HALF)
     assert float(enc.width) <= 1e-12
 
 
 def test_half_ratio_product_constant():
-    from binpart import TailParams, euler_product_upper
-
     from reference_values import EULER_PRODUCT_HALF_BRACKET
 
-    enc = euler_product_upper(TailParams(q=Fraction(1, 2), ell=64))
+    enc = euler_product_upper(Fraction(1, 2), 64)
     bracket_lo, bracket_hi = (Fraction(s) for s in EULER_PRODUCT_HALF_BRACKET)
     assert enc.lower_fraction() < bracket_hi
     assert enc.upper_fraction() > bracket_lo
 
 
 def test_q252_product_constant():
-    enc = euler_product_upper(TailParams(q=Fraction(252, 500), ell=96))
+    enc = euler_product_upper(Fraction(252, 500), 96)
     assert _upper_fraction(enc) < Fraction(Q252_PRODUCT_UPPER)
 
 
 def test_q252_weighted_constant():
-    enc = weighted_sum_upper(TailParams(q=Fraction(252, 500), ell=96))
+    enc = weighted_sum_upper(Fraction(252, 500), 96)
     assert _upper_fraction(enc) < Fraction(Q252_WEIGHTED_UPPER)
 
 
 def test_q252_combined_constant():
-    product = euler_product_upper(TailParams(q=Fraction(252, 500), ell=96))
-    weighted = weighted_sum_upper(TailParams(q=Fraction(252, 500), ell=96))
+    product = euler_product_upper(Fraction(252, 500), 96)
+    weighted = weighted_sum_upper(Fraction(252, 500), 96)
     # both factors are positive, so the product of the upper endpoints
     # bounds the product of the enclosed values
     assert _lower_fraction(product) > 0 and _lower_fraction(weighted) > 0
@@ -74,19 +76,19 @@ def test_q252_combined_constant():
 
 
 def test_enclosure_ordering_small_q():
-    enc = euler_product_upper(TailParams(q=Fraction(1, 1000), ell=2))
+    enc = euler_product_upper(Fraction(1, 1000), 2)
     assert _lower_fraction(enc) <= _upper_fraction(enc)
     # at ell=2 the lower bound is exactly the single factor 1/(1-q)
     assert _lower_fraction(enc) <= Fraction(1000, 999) <= _upper_fraction(enc)
     # coarse enclosure still contains the sharp one
-    sharp = euler_product_upper(TailParams(q=Fraction(1, 1000), ell=64))
+    sharp = euler_product_upper(Fraction(1, 1000), 64)
     assert _lower_fraction(enc) <= _lower_fraction(sharp)
     assert _upper_fraction(sharp) <= _upper_fraction(enc)
 
 
 def test_weighted_tiny_q_dominated_by_leading_term():
     q = Fraction(1, 1000)
-    enc = weighted_sum_upper(TailParams(q=q, ell=2))
+    enc = weighted_sum_upper(q, 2)
     # upper bound collapses to q/(1-q)^3, which dominates the true sum
     assert _upper_fraction(enc) < q / (1 - q) ** 3 + Fraction(1, 10**30)
     assert _lower_fraction(enc) <= _upper_fraction(enc)
@@ -97,7 +99,7 @@ def test_raising_ell_tightens_monotonically(q):
     prev_upper = None
     prev_lower = None
     for ell in range(2, 65):
-        enc = euler_product_upper(TailParams(q=q, ell=ell))
+        enc = euler_product_upper(q, ell)
         lo, hi = _lower_fraction(enc), _upper_fraction(enc)
         assert lo <= hi
         if prev_upper is not None:
@@ -110,7 +112,7 @@ def test_raising_ell_tightens_monotonically(q):
 def test_weighted_upper_nonincreasing_in_ell(q):
     prev = None
     for ell in range(2, 65):
-        enc = weighted_sum_upper(TailParams(q=q, ell=ell))
+        enc = weighted_sum_upper(q, ell)
         hi = _upper_fraction(enc)
         assert _lower_fraction(enc) <= hi
         if prev is not None:
@@ -127,3 +129,41 @@ def test_adaptive_enclosure_small_ell_suffices():
 def test_adaptive_enclosure_tolerance_unreachable():
     with pytest.raises(EnclosureWidthError):
         enclose_euler_product(Fraction(9, 10), 1e-30)
+
+
+def _record_levels(monkeypatch):
+    """Route enclose_euler_product's ladder through a recorder of its levels."""
+    visited = []
+
+    def recording(evaluate, *ladder_args):
+        def evaluate_and_record(level):
+            visited.append(level)
+            return evaluate(level)
+        return decide_with_escalation(evaluate_and_record, *ladder_args)
+
+    monkeypatch.setattr(qseries, "decide_with_escalation", recording)
+    return visited
+
+
+def test_ladder_decides_at_first_level(monkeypatch):
+    visited = _record_levels(monkeypatch)
+    _, ell = enclose_euler_product(Fraction(1, 10), 1e-6)
+    assert visited == [8] and ell == 8
+
+
+def test_ladder_climbs_to_depth_cap(monkeypatch):
+    visited = _record_levels(monkeypatch)
+    with pytest.raises(EnclosureWidthError, match="at ell=256$"):
+        enclose_euler_product(Fraction(9, 10), 1e-30)
+    assert visited == [8, 16, 32, 64, 128, 256]
+
+
+def test_tail_factor_upper_bounds_exp_of_tiny_argument():
+    # mpmath 1.3.0's exp rounds this argument's upper endpoint down to 1
+    denominator = 5575186299632655785383929568162090376527872
+    with working_precision(128):
+        factor = qseries._tail_factor(iv.mpf(1) / iv.mpf(denominator))
+    with mpmath.workprec(1024):
+        exact = mpmath.exp(mpmath.mpf(1) / denominator)
+    upper = mpf_to_fraction(mpmath.mp.make_mpf(factor._mpi_[1]))
+    assert upper >= mpf_to_fraction(exact)
