@@ -20,6 +20,7 @@ from .binomial_sums import (
     peak_k,
     peak_sign_sum,
     pnk_direct,
+    triangle_row,
     verify_unimodal_profile,
     weighted_binomial_sum,
 )

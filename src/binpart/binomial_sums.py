@@ -10,8 +10,9 @@ Pascal-style recursion F(n+1,ell) = F(n,ell) + F(n,ell-1).  Back in the
     p(n+1,k) = p(n,k) + p(n,k-1)        (1 <= k <= n)
 
 with p(n,0) = 1 and p(n,n) = p(0) + ... + p(n), which is how
-iter_triangle_rows streams the triangle row by row (build_triangle
-collects that stream into a PnkTriangle).
+iter_triangle_rows streams the triangle row by row (triangle_row keeps
+only the last row of that stream, build_triangle collects all of it into
+a PnkTriangle).  A single value p(n,k) is pnk_direct's O(k) direct sum.
 
 For fixed n >= 4 the row k -> p(n,k) rises strictly to its unique peak at
 k = floor((n+3)/2) and falls strictly afterwards.  The sign machinery that
@@ -57,12 +58,23 @@ class PnkTriangle:
 
 
 def pnk_direct(n: int, k: int, table: PartitionTable) -> int:
-    """Evaluate p(n,k) term by term from the defining sum."""
+    """Evaluate p(n,k) term by term from the defining sum.
+
+    O(k) terms on a partition table covering 0..k.  Binomials are updated
+    incrementally, C(n-j-1, k-j-1) = C(n-j, k-j) * (k-j) / (n-j), as in
+    peak_sign_sum.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if table.max_n < k:
         raise ValueError(f"partition table covers only 0..{table.max_n}, need {k}")
-    return sum(math.comb(n - j, k - j) * table[j] for j in range(k + 1))
+    c = math.comb(n, k)  # C(n-j, k-j) at j=0, updated in the loop
+    total = 0
+    for j in range(k + 1):
+        total += c * table[j]
+        if j < k:
+            c = c * (k - j) // (n - j)
+    return total
 
 
 def iter_triangle_rows(
@@ -72,11 +84,11 @@ def iter_triangle_rows(
 
     Rows are produced by the recursion p(n+1,k) = p(n,k) + p(n,k-1); the
     diagonal is seeded with p(n+1,n+1) = p(n,n) + p(n+1) from the
-    partition table.  This is the one row builder: the sweeps stream it
-    and build_triangle collects it.  Every row is spot-checked against
-    the direct sum at k in {0, 1, n} before it is yielded (k = n against
-    an independently accumulated prefix sum of the partition table, which
-    is what the direct sum collapses to).
+    partition table.  This is the one row builder: the sweeps and
+    triangle_row stream it, and build_triangle collects it.  Every row is
+    spot-checked against the direct sum at k in {0, 1, n} before it is
+    yielded (k = n against an independently accumulated prefix sum of the
+    partition table, which is what the direct sum collapses to).
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -104,6 +116,16 @@ def iter_triangle_rows(
         if row[n] != prefix:
             raise AssertionError(f"p({n},{n}) != sum of p(0..{n})")
         yield n, row
+
+
+def triangle_row(n: int, table: PartitionTable | None = None) -> tuple[int, ...]:
+    """Row n of iter_triangle_rows, holding one row at a time on the way.
+
+    Every row passed on the way keeps iter_triangle_rows' spot checks.
+    """
+    for _, row in iter_triangle_rows(n, table):
+        pass
+    return row
 
 
 def build_triangle(max_n: int, table: PartitionTable | None = None) -> PnkTriangle:

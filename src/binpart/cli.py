@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import sweeps
-from .binomial_sums import build_triangle, peak_k, verify_unimodal_profile
+from .binomial_sums import build_triangle, triangle_row, verify_unimodal_profile
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
 from .intervals import BoundReal
 from .lie import MuBoundReport, NilpotentProfile, best_bound
@@ -103,8 +103,7 @@ def cmd_compute(args) -> int:
 
 def _table_rows(n: int) -> list[tuple[int, int, int]]:
     table = build_partition_table(n)
-    triangle = build_triangle(n, table)
-    row = triangle.row(n)
+    row = triangle_row(n, table)
     return [(k, table[k], row[k]) for k in range(1, n + 1)]
 
 
@@ -191,7 +190,7 @@ def cmd_peak(args) -> int:
     n = args.n
     if n < 4:
         raise UsageError("peak is only unique for N >= 4")
-    row = build_triangle(n).row(n)
+    row = triangle_row(n)
     profile = verify_unimodal_profile(n, row)
     scan_max = max(range(1, n + 1), key=lambda k: row[k])
     _emit({
@@ -261,8 +260,7 @@ def cmd_mu(args) -> int:
     if args.filiform and k != n - 1:
         raise UsageError("--filiform requires K = N-1")
     profile = NilpotentProfile(dim_n=n, class_k=k, filiform=args.filiform)
-    triangle = build_triangle(n)
-    report = best_bound(profile, triangle)
+    report = best_bound(profile, build_partition_table(k))
     _emit(_mu_doc(report, args.filiform))
     return EXIT_OK
 
@@ -327,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -98,12 +98,6 @@ def _raw_to_mpf(raw) -> mpmath.mpf:
     return mpmath.mp.make_mpf(raw)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpf (dyadic rational) as a Fraction."""
-    raw = x._mpf_ if hasattr(x, "_mpf_") else mpmath.mpf(x)._mpf_
-    return _raw_to_fraction(raw)
-
-
 class BoundReal:
     """A real number certified to lie in [lower, upper], computed at precision_bits.
 

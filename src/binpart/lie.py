@@ -8,9 +8,11 @@ classical bounds on the minimal dimension mu of a faithful module are
 
 and the partition-sum bound mu <= p(n,k), which for k not small beats
 both by a wide margin.  Filiform algebras (k = n-1) admit the sharper
-mu <= 1 + p(n-2,n-2).  All of these are exact integers; the dimension-only
-corollary bound (3/sqrt(n)) * 2^n is a real and is reported as a certified
-enclosure, never rounded into an integer claim; it is computed with
+mu <= 1 + p(n-2,n-2); both are binomial_sums.pnk_direct sums on a
+partition table covering 0..k, never read from a triangle.  All of
+these are exact integers; the dimension-only corollary bound
+(3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
+never rounded into an integer claim; it is computed with
 mpmath's `libmpi` interval functions on endpoint pairs at
 DEFAULT_PRECISION_BITS, as the certified checks compute their gaps.
 """
@@ -22,7 +24,9 @@ from typing import Optional
 
 from mpmath.libmp import mpi_div, mpi_mul, mpi_sqrt
 
+from .binomial_sums import pnk_direct
 from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
+from .partitions import PartitionTable
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,12 @@ class MuBoundReport:
 
 
 def birkhoff_bound(n: int, k: int) -> int:
-    """1 + n + n^2 + ... + n^(k+1), exactly."""
+    """1 + n + n^2 + ... + n^(k+1), exactly, as (n^(k+2) - 1) / (n - 1)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return sum(n**i for i in range(k + 2))
+    if n == 1:
+        return k + 2
+    return (n ** (k + 2) - 1) // (n - 1)
 
 
 def reed_bound(n: int, k: int) -> int:
@@ -81,16 +87,19 @@ def reed_bound(n: int, k: int) -> int:
     return 1 + n**k
 
 
-def pnk_bound(profile: NilpotentProfile, triangle) -> int:
-    """The partition-sum bound p(n,k)."""
-    return triangle.value(profile.dim_n, profile.class_k)
+def pnk_bound(profile: NilpotentProfile, table: PartitionTable) -> int:
+    """The partition-sum bound p(n,k); table must cover 0..k."""
+    return pnk_direct(profile.dim_n, profile.class_k, table)
 
 
-def filiform_bound(n: int, triangle) -> int:
-    """1 + p(n-2,n-2), the sharper bound available when k = n-1."""
+def filiform_bound(n: int, table: PartitionTable) -> int:
+    """1 + p(n-2,n-2), the sharper bound available when k = n-1.
+
+    table must cover 0..n-2.
+    """
     if n < 2:
         raise ValueError("filiform bound needs n >= 2")
-    return 1 + triangle.value(n - 2, n - 2)
+    return 1 + pnk_direct(n - 2, n - 2, table)
 
 
 def corollary_bound(n: int) -> BoundReal:
@@ -108,13 +117,16 @@ def corollary_bound(n: int) -> BoundReal:
     return BoundReal(enclosure, bits)
 
 
-def best_bound(profile: NilpotentProfile, triangle) -> MuBoundReport:
-    """Compute every applicable bound and identify the exact minimizer."""
+def best_bound(profile: NilpotentProfile, table: PartitionTable) -> MuBoundReport:
+    """Compute every applicable bound and identify the exact minimizer.
+
+    table must cover 0..k, which also covers the filiform bound's n-2.
+    """
     n, k = profile.dim_n, profile.class_k
     birkhoff = birkhoff_bound(n, k)
     reed = reed_bound(n, k)
-    pnk = pnk_bound(profile, triangle)
-    fili = filiform_bound(n, triangle) if profile.filiform else None
+    pnk = pnk_bound(profile, table)
+    fili = filiform_bound(n, table) if profile.filiform else None
 
     candidates = [("pnk", pnk)]
     if fili is not None:

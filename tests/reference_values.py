@@ -3,8 +3,19 @@
 The 50-row table lists (p(k), p(50,k)) for k = 1..50.  These are
 long-established reference values for the partition function and the
 binomial partition sums; the suite treats them as an external oracle
-that the implementation must reproduce exactly.
+that the implementation must reproduce exactly.  mpf_to_fraction reads
+high-precision mpmath reference values exactly.
 """
+
+from fractions import Fraction
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """Exact value of a finite mpf (a dyadic rational) as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(int(man)) * Fraction(2) ** exp
+    return -value if sign else value
+
 
 # p(k) for k = 1..50
 PK_VALUES = [

@@ -183,9 +183,9 @@ def test_criterion_11_certified_sweeps_to_2000(sweep_ctx):
             t0, 120.0)
 
 
-def test_criterion_note_mu_report_surrogate(triangle_120):
+def test_criterion_note_mu_report_surrogate(table_120):
     t0 = time.time()
-    report = best_bound(NilpotentProfile(3, 2), triangle_120)
+    report = best_bound(NilpotentProfile(3, 2), table_120)
     assert report.pnk == 7 < report.reed == 10 < report.birkhoff == 40
     assert report.best == "pnk"
     _report("12 mu-surrogate", "pnk=7 < reed=10 < birkhoff=40 at (3,2)", t0, 10.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from binpart import (
     peak_k,
     peak_sign_sum,
     pnk_direct,
+    triangle_row,
     verify_unimodal_profile,
     weighted_binomial_sum,
 )
@@ -52,6 +54,16 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             pnk_direct(5, -1, table_2001)
 
+    def test_agrees_with_triangle_everywhere_to_120(self, triangle_120, table_2001):
+        for n in range(121):
+            assert tuple(pnk_direct(n, k, table_2001)
+                         for k in range(n + 1)) == triangle_120.row(n), n
+
+    def test_agrees_with_row_1000(self, triangle_1000, table_2001):
+        row = triangle_1000.row(1000)
+        for k in range(0, 1001, 7):
+            assert pnk_direct(1000, k, table_2001) == row[k], k
+
 
 class TestTriangle:
     def test_row50_matches_golden(self, triangle_120):
@@ -83,6 +95,22 @@ class TestTriangle:
     def test_streaming_matches_built(self, triangle_120, table_2001):
         for n, row in iter_triangle_rows(80, table_2001):
             assert row == triangle_120.row(n)
+
+    def test_single_row_matches_built(self, triangle_120, table_2001):
+        for n in (0, 1, 4, 50, 120):
+            assert triangle_row(n, table_2001) == triangle_120.row(n)
+        assert triangle_row(50) == triangle_120.row(50)
+
+    def test_single_row_holds_one_row(self, table_2001):
+        # build_triangle(600) peaks at about 13.2 MB under tracemalloc
+        tracemalloc.start()
+        try:
+            row = triangle_row(600, table_2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(row) == 601
+        assert peak < 2**20
 
     def test_range_errors(self, triangle_120):
         with pytest.raises(ValueError):

@@ -38,12 +38,11 @@ from binpart.intervals import (
     certainly_positive,
     decide_with_escalation,
     int_interval,
-    mpf_to_fraction,
     pi_alpha,
     working_precision,
 )
 
-from reference_values import EULER_PRODUCT_HALF
+from reference_values import EULER_PRODUCT_HALF, mpf_to_fraction
 
 
 class TestRowBound:

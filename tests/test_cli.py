@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from binpart import sweeps
+from binpart import binomial_sums, cli, sweeps
 from binpart.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -21,7 +21,7 @@ from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
 REPO = Path(__file__).parents[1]
 GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
-# stdout and exit code of fixed `mu` and `product` command lines
+# stdout and exit code of fixed `mu`, `product`, `peak` and `table` command lines
 GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -260,6 +260,48 @@ class TestMu:
     def test_filiform_flag_needs_maximal_class(self, capsys):
         code, _ = run(capsys, "mu", "5", "3", "--filiform")
         assert code == EXIT_USAGE
+
+    def test_filiform_at_ten_thousand_within_five_seconds(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "mu", "10000", "9999", "--filiform")
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_OK
+        assert json.loads(out)["best"] == "filiform"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "300", "150"],
+    ["mu", "300", "299", "--filiform"],
+    ["peak", "300"],
+    ["table", "300"],
+    ["table", "300", "--format", "json"],
+], ids=" ".join)
+def test_single_value_and_row_commands_never_build_the_triangle(
+        capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command built the whole triangle")
+
+    monkeypatch.setattr(binomial_sums, "build_triangle", refuse)
+    monkeypatch.setattr(cli, "build_triangle", refuse)
+    monkeypatch.setattr(binomial_sums, "PnkTriangle", refuse)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "p", str(10**20)],
+    ["compute", "pk", "2", str(10**20)],
+    ["table", str(10**20)],
+    ["mu", str(10**20), "5"],
+    ["peak", str(10**20)],
+], ids=" ".join)
+def test_index_overflow_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_usage_error_on_no_args(capsys):

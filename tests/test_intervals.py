@@ -19,7 +19,6 @@ from binpart.intervals import (
     certainly_positive,
     decide_with_escalation,
     int_interval,
-    mpf_to_fraction,
     pi_alpha,
 )
 
@@ -62,8 +61,8 @@ def test_sqrt_squared_contains_two():
 
 def test_pi_enclosure():
     pi = BoundReal(pi_alpha(BITS)[0], BITS)
-    lo = mpf_to_fraction(pi.lower)
-    hi = mpf_to_fraction(pi.upper)
+    lo = pi.lower_fraction()
+    hi = pi.upper_fraction()
     # rational bracket around the true value, one ulp-of-25-digits wide
     bracket_lo = Fraction(31415926535897932384626433, 10**25)
     bracket_hi = Fraction(31415926535897932384626434, 10**25)

@@ -35,6 +35,11 @@ class TestIndividualBounds:
         # closed form (n^(k+2)-1)/(n-1) agrees with the loop
         assert birkhoff_bound(50, 26) == (50**28 - 1) // 49
 
+    def test_birkhoff_closed_form_equals_sum(self):
+        for n in range(1, 31):
+            for k in range(1, 31):
+                assert birkhoff_bound(n, k) == sum(n**i for i in range(k + 2)), (n, k)
+
     def test_reed(self):
         assert reed_bound(3, 2) == 10
         assert reed_bound(2, 1) == 3
@@ -45,20 +50,20 @@ class TestIndividualBounds:
             for k in range(1, n):
                 assert reed_bound(n, k) < birkhoff_bound(n, k)
 
-    def test_pnk(self, triangle_120):
-        assert pnk_bound(NilpotentProfile(50, 26), triangle_120) == 412637434996367
-        assert pnk_bound(NilpotentProfile(3, 2), triangle_120) == 7
-        assert pnk_bound(NilpotentProfile(50, 49), triangle_120) == 6547151
+    def test_pnk(self, table_120):
+        assert pnk_bound(NilpotentProfile(50, 26), table_120) == 412637434996367
+        assert pnk_bound(NilpotentProfile(3, 2), table_120) == 7
+        assert pnk_bound(NilpotentProfile(50, 49), table_120) == 6547151
 
-    def test_filiform(self, triangle_120):
-        assert filiform_bound(2, triangle_120) == 2  # 1 + p(0,0)
-        assert filiform_bound(52, triangle_120) == 1295972  # 1 + p(50,50)
+    def test_filiform(self, table_120):
+        assert filiform_bound(2, table_120) == 2  # 1 + p(0,0)
+        assert filiform_bound(52, table_120) == 1295972  # 1 + p(50,50)
         # 1 + p(8,8) = 1 + sum p(0..8)
-        assert filiform_bound(10, triangle_120) == 1 + 67
+        assert filiform_bound(10, table_120) == 1 + 67
 
-    def test_filiform_domain(self, triangle_120):
+    def test_filiform_domain(self, table_120):
         with pytest.raises(ValueError):
-            filiform_bound(1, triangle_120)
+            filiform_bound(1, table_120)
 
     def test_corollary(self, triangle_120):
         assert corollary_bound(1).contains(6)  # 3*2/sqrt(1)
@@ -69,8 +74,8 @@ class TestIndividualBounds:
 
 
 class TestBestBound:
-    def test_small_case_prefers_pnk(self, triangle_120):
-        report = best_bound(NilpotentProfile(3, 2), triangle_120)
+    def test_small_case_prefers_pnk(self, table_120):
+        report = best_bound(NilpotentProfile(3, 2), table_120)
         assert report.pnk == 7
         assert report.reed == 10
         assert report.birkhoff == 40
@@ -78,20 +83,20 @@ class TestBestBound:
         assert report.pnk_beats_reed
         assert report.filiform_bound is None
 
-    def test_n50_k2(self, triangle_120):
-        report = best_bound(NilpotentProfile(50, 2), triangle_120)
+    def test_n50_k2(self, table_120):
+        report = best_bound(NilpotentProfile(50, 2), table_120)
         assert report.pnk == 1276
         assert report.reed == 2501
         assert report.best == "pnk"
 
-    def test_n50_k26_wins_by_orders(self, triangle_120):
-        report = best_bound(NilpotentProfile(50, 26), triangle_120)
+    def test_n50_k26_wins_by_orders(self, table_120):
+        report = best_bound(NilpotentProfile(50, 26), table_120)
         assert report.pnk == 412637434996367
         assert report.reed == 1 + 50**26
         assert report.pnk * 10**29 < report.reed
 
-    def test_filiform_included_when_flagged(self, triangle_120):
-        report = best_bound(NilpotentProfile(52, 51, filiform=True), triangle_120)
+    def test_filiform_included_when_flagged(self, table_120):
+        report = best_bound(NilpotentProfile(52, 51, filiform=True), table_120)
         assert report.filiform_bound == 1295972
         assert report.best == "filiform"
 

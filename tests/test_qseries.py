@@ -12,22 +12,15 @@ from binpart import (
     weighted_sum_upper,
 )
 from binpart import qseries
-from binpart.intervals import mpf_to_fraction, working_precision
+from binpart.intervals import working_precision
 
 from reference_values import (
     EULER_PRODUCT_HALF,
     Q252_COMBINED_UPPER,
     Q252_PRODUCT_UPPER,
     Q252_WEIGHTED_UPPER,
+    mpf_to_fraction,
 )
-
-
-def _upper_fraction(bound):
-    return mpf_to_fraction(bound.upper)
-
-
-def _lower_fraction(bound):
-    return mpf_to_fraction(bound.lower)
 
 
 def test_params_validated():
@@ -57,12 +50,12 @@ def test_half_ratio_product_constant():
 
 def test_q252_product_constant():
     enc = euler_product_upper(Fraction(252, 500), 96)
-    assert _upper_fraction(enc) < Fraction(Q252_PRODUCT_UPPER)
+    assert enc.upper_fraction() < Fraction(Q252_PRODUCT_UPPER)
 
 
 def test_q252_weighted_constant():
     enc = weighted_sum_upper(Fraction(252, 500), 96)
-    assert _upper_fraction(enc) < Fraction(Q252_WEIGHTED_UPPER)
+    assert enc.upper_fraction() < Fraction(Q252_WEIGHTED_UPPER)
 
 
 def test_q252_combined_constant():
@@ -70,28 +63,28 @@ def test_q252_combined_constant():
     weighted = weighted_sum_upper(Fraction(252, 500), 96)
     # both factors are positive, so the product of the upper endpoints
     # bounds the product of the enclosed values
-    assert _lower_fraction(product) > 0 and _lower_fraction(weighted) > 0
-    assert _upper_fraction(product) * _upper_fraction(weighted) \
+    assert product.lower_fraction() > 0 and weighted.lower_fraction() > 0
+    assert product.upper_fraction() * weighted.upper_fraction() \
         < Fraction(Q252_COMBINED_UPPER)
 
 
 def test_enclosure_ordering_small_q():
     enc = euler_product_upper(Fraction(1, 1000), 2)
-    assert _lower_fraction(enc) <= _upper_fraction(enc)
+    assert enc.lower_fraction() <= enc.upper_fraction()
     # at ell=2 the lower bound is exactly the single factor 1/(1-q)
-    assert _lower_fraction(enc) <= Fraction(1000, 999) <= _upper_fraction(enc)
+    assert enc.lower_fraction() <= Fraction(1000, 999) <= enc.upper_fraction()
     # coarse enclosure still contains the sharp one
     sharp = euler_product_upper(Fraction(1, 1000), 64)
-    assert _lower_fraction(enc) <= _lower_fraction(sharp)
-    assert _upper_fraction(sharp) <= _upper_fraction(enc)
+    assert enc.lower_fraction() <= sharp.lower_fraction()
+    assert sharp.upper_fraction() <= enc.upper_fraction()
 
 
 def test_weighted_tiny_q_dominated_by_leading_term():
     q = Fraction(1, 1000)
     enc = weighted_sum_upper(q, 2)
     # upper bound collapses to q/(1-q)^3, which dominates the true sum
-    assert _upper_fraction(enc) < q / (1 - q) ** 3 + Fraction(1, 10**30)
-    assert _lower_fraction(enc) <= _upper_fraction(enc)
+    assert enc.upper_fraction() < q / (1 - q) ** 3 + Fraction(1, 10**30)
+    assert enc.lower_fraction() <= enc.upper_fraction()
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(1, 2), Fraction(252, 500)])
@@ -100,7 +93,7 @@ def test_raising_ell_tightens_monotonically(q):
     prev_lower = None
     for ell in range(2, 65):
         enc = euler_product_upper(q, ell)
-        lo, hi = _lower_fraction(enc), _upper_fraction(enc)
+        lo, hi = enc.lower_fraction(), enc.upper_fraction()
         assert lo <= hi
         if prev_upper is not None:
             assert hi <= prev_upper
@@ -113,8 +106,8 @@ def test_weighted_upper_nonincreasing_in_ell(q):
     prev = None
     for ell in range(2, 65):
         enc = weighted_sum_upper(q, ell)
-        hi = _upper_fraction(enc)
-        assert _lower_fraction(enc) <= hi
+        hi = enc.upper_fraction()
+        assert enc.lower_fraction() <= hi
         if prev is not None:
             assert hi <= prev
         prev = hi
