@@ -1,20 +1,17 @@
 """binpart: exact binomial partition sums and certified bound verification.
 
 Core objects: partition tables (exact, arbitrary precision), the p(n,k)
-triangle with its unimodality structure, tail-bounded Euler-product
-enclosures, certified inequality checks, and Ado-type dimension bounds
-for nilpotent Lie algebras.
+triangle with its unimodality structure, tail-bounded enclosures of the
+Euler product, certified inequality checks, and Ado-type dimension bounds
+for nilpotent Lie algebras.  Everything exported here is run by one of
+the six commands of `binpart.cli`; test-only oracles live with the tests.
 """
 
 from .binomial_sums import (
     DiagonalTable,
     PnkTriangle,
     UnimodalProfile,
-    binomial_ratio,
     build_triangle,
-    check_growth_conditions,
-    closed_form_even,
-    closed_form_odd,
     dominance_check,
     iter_triangle_rows,
     peak_k,
@@ -22,7 +19,6 @@ from .binomial_sums import (
     pnk_direct,
     triangle_row,
     verify_unimodal_profile,
-    weighted_binomial_sum,
 )
 from .checks import (
     VerificationReport,
@@ -46,19 +42,14 @@ from .lie import (
     reed_bound,
 )
 from .partitions import (
-    PartitionMultiset,
     PartitionTable,
     RestrictedTable,
     build_partition_table,
     build_restricted_table,
     check_generating_functions,
-    enumerate_partitions,
 )
 from .qseries import (
     EnclosureWidthError,
     enclose_euler_product,
     euler_product_upper,
-    weighted_sum_upper,
 )
-
-__version__ = "0.1.0"

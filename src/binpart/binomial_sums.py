@@ -22,6 +22,8 @@ decides ascent/descent at a given k is the exact integer sum
 
 which equals (n+1-k) * (2*p(n,k) - p(n+1,k)); its sign tells whether the
 row is still ascending into k (positive) or already descending (negative).
+The paper's closed rational forms of its truncated, C(n,k)-normalised
+sums are references for the tests, not code the commands run.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .partitions import PartitionTable, build_partition_table
 
@@ -174,74 +175,6 @@ class DiagonalTable:
         raise ValueError(f"DiagonalTable holds only k in {{n-1, n}}, got k={k}")
 
 
-def weighted_binomial_sum(f: Callable[[int], int], n: int, ell: int) -> int:
-    """sum_{j=0}^{n} C(n-j, ell) * f(j), with C(m, ell) = 0 when m < ell.
-
-    With f constant 1 this collapses to the hockey-stick value
-    C(n+1, ell+1); with f the partition function and ell = n-k it equals
-    p(n,k).
-    """
-    if not 0 <= ell <= n:
-        raise ValueError(f"need 0 <= ell <= n, got n={n}, ell={ell}")
-    return sum(math.comb(n - j, ell) * f(j) for j in range(n + 1))
-
-
-@dataclass(frozen=True)
-class GrowthConditionReport:
-    """Which of the three growth conditions hold for f on 0..n_max.
-
-    (a) f(n) > 0 everywhere and f(3) <= 2*f(0) + f(1)
-    (b) f nondecreasing
-    (c) f(n) < f(0) + ... + f(n-1) for every n >= 3
-
-    A sequence satisfying all three has unimodal weighted binomial sums.
-    Each counterexample field holds the first offending index, or None.
-    """
-
-    n_max: int
-    holds_a: bool
-    holds_b: bool
-    holds_c: bool
-    counterexample_a: int | None
-    counterexample_b: int | None
-    counterexample_c: int | None
-
-    @property
-    def all_hold(self) -> bool:
-        return self.holds_a and self.holds_b and self.holds_c
-
-
-def check_growth_conditions(f: Callable[[int], int], n_max: int) -> GrowthConditionReport:
-    """Test conditions (a), (b), (c) for f on 0..n_max."""
-    if n_max < 3:
-        raise ValueError("need n_max >= 3 to test all conditions")
-    values = [f(n) for n in range(n_max + 1)]
-
-    ex_a = next((n for n, v in enumerate(values) if v <= 0), None)
-    if ex_a is None and values[3] > 2 * values[0] + values[1]:
-        ex_a = 3
-    ex_b = next(
-        (n + 1 for n in range(n_max) if values[n + 1] < values[n]), None
-    )
-    ex_c = None
-    acc = values[0] + values[1] + values[2]
-    for n in range(3, n_max + 1):
-        if values[n] >= acc:
-            ex_c = n
-            break
-        acc += values[n]
-
-    return GrowthConditionReport(
-        n_max=n_max,
-        holds_a=ex_a is None,
-        holds_b=ex_b is None,
-        holds_c=ex_c is None,
-        counterexample_a=ex_a,
-        counterexample_b=ex_b,
-        counterexample_c=ex_c,
-    )
-
-
 def peak_k(n: int) -> int:
     """The unique maximizer floor((n+3)/2) of k -> p(n,k), valid for n >= 4.
 
@@ -305,17 +238,6 @@ def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> UnimodalProfile:
     )
 
 
-def binomial_ratio(n: int, k: int, j: int) -> Fraction:
-    """Exact C(n-j, k-j) / C(n, k) as a reduced fraction.
-
-    Equals the falling product (k/n) * ((k-1)/(n-1)) * ... * ((k-j+1)/(n-j+1)),
-    so it is bounded by (k/n)^j whenever k <= n.
-    """
-    if not 0 <= j <= k <= n:
-        raise ValueError(f"need 0 <= j <= k <= n, got ({n},{k},{j})")
-    return Fraction(math.comb(n - j, k - j), math.comb(n, k))
-
-
 def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
     """Exact signed sum S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j,k-j) * p(j).
 
@@ -336,39 +258,6 @@ def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
         if j < k:
             c = c * (k - j) // (n - j)
     return total
-
-
-def partial_sign_sum_ratio(
-    n: int, k: int, j_max: int, table: PartitionTable
-) -> Fraction:
-    """Exact sum_{j=0}^{j_max} (n+1-2k+j) * a(n,k,j) * p(j) as a fraction,
-
-    where a(n,k,j) = C(n-j,k-j)/C(n,k) normalizes the sign sum by C(n,k).
-    For the two peak candidates this truncated sum has closed rational
-    forms (see closed_form_even / closed_form_odd).
-    """
-    if not 0 <= j_max <= k:
-        raise ValueError("need 0 <= j_max <= k")
-    return sum(
-        (n + 1 - 2 * k + j) * binomial_ratio(n, k, j) * table[j]
-        for j in range(j_max + 1)
-    )
-
-
-def closed_form_even(n: int) -> Fraction:
-    """Value of partial_sign_sum_ratio(n, (n+2)/2, 3) for even n >= 4."""
-    if n < 4 or n % 2:
-        raise ValueError("defined for even n >= 4")
-    return Fraction(n + 14, 4 * (n - 1))
-
-
-def closed_form_odd(n: int) -> Fraction:
-    """Value of partial_sign_sum_ratio(n, (n+3)/2, 7) for odd n >= 11."""
-    if n < 11 or n % 2 == 0:
-        raise ValueError("defined for odd n >= 11")
-    num = 5 * (11 * n**4 + 120 * n**3 - 2966 * n**2 + 9864 * n + 10251)
-    den = 128 * n * (n - 2) * (n - 4) * (n - 6)
-    return Fraction(num, den)
 
 
 def dominance_check(n: int, row: tuple[int, ...]) -> int | None:

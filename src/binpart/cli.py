@@ -23,11 +23,14 @@ import math
 import sys
 from fractions import Fraction
 
+from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
+
 from . import sweeps
 from .binomial_sums import build_triangle, triangle_row, verify_unimodal_profile
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
-from .intervals import BoundReal
-from .lie import MuBoundReport, NilpotentProfile, best_bound
+from .intervals import (DEFAULT_PRECISION_BITS, BoundReal, certainly_positive,
+                        int_interval)
+from .lie import MuBoundReport, NilpotentProfile, best_bound, corollary_bound
 from .partitions import build_partition_table, build_restricted_table
 from .qseries import EnclosureWidthError, enclose_euler_product
 
@@ -35,6 +38,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+MAX_STR_DIGITS = 2_000_000  # the int-to-str limit main sets
+# enclosure of 10^MAX_STR_DIGITS, the least number too long to print
+_TOO_LONG = mpi_pow_int(int_interval(10, DEFAULT_PRECISION_BITS), MAX_STR_DIGITS,
+                        DEFAULT_PRECISION_BITS)
 
 
 class UsageError(Exception):
@@ -253,12 +261,33 @@ def _mu_doc(report: MuBoundReport, filiform_requested: bool) -> dict:
     return doc
 
 
+def _mu_prints_too_many_digits(n: int, k: int) -> bool:
+    """Whether `mu N K` would print a number of more than MAX_STR_DIGITS digits.
+
+    The longest it prints are Birkhoff's (n^(k+2) - 1)/(n - 1) and the
+    corollary's endpoints with 6 decimals.  Both are compared with
+    10^MAX_STR_DIGITS on 128-bit enclosures, never built.  A comparison
+    the enclosures leave open counts as fitting.
+    """
+    bits = DEFAULT_PRECISION_BITS
+    # (n^(k+2) - 1)/(n - 1) >= 10^L exactly when n^(k+2) > (n - 1)*10^L
+    birkhoff = mpi_sub(mpi_pow_int(int_interval(n, bits), k + 2, bits),
+                       mpi_mul(int_interval(n - 1, bits), _TOO_LONG, bits), bits)
+    corollary = mpi_mul(corollary_bound(n).endpoints,
+                        int_interval(10**6, bits), bits)
+    return any(certainly_positive(gap)
+               for gap in (birkhoff, mpi_sub(corollary, _TOO_LONG, bits)))
+
+
 def cmd_mu(args) -> int:
     n, k = args.n, args.k
     if not 1 <= k <= n - 1:
         raise UsageError(f"mu needs 1 <= K <= N-1, got N={n}, K={k}")
     if args.filiform and k != n - 1:
         raise UsageError("--filiform requires K = N-1")
+    if _mu_prints_too_many_digits(n, k):
+        raise UsageError(f"mu N={n}, K={k} would print a number of more than "
+                         f"{MAX_STR_DIGITS} digits, the int-to-str limit")
     profile = NilpotentProfile(dim_n=n, class_k=k, filiform=args.filiform)
     report = best_bound(profile, build_partition_table(k))
     _emit(_mu_doc(report, args.filiform))
@@ -315,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(MAX_STR_DIGITS)
     except AttributeError:
         pass
     parser = build_parser()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath.libmp import mpi_div, mpi_mul, mpi_sqrt
+from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
 
 from .binomial_sums import pnk_direct
 from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
@@ -112,7 +112,9 @@ def corollary_bound(n: int) -> BoundReal:
     if n < 1:
         raise ValueError("n must be >= 1")
     bits = DEFAULT_PRECISION_BITS
-    numerator = mpi_mul(int_interval(1 << n, bits), int_interval(3, bits), bits)
+    # 2^n is exact at any precision (one mantissa bit), and no n-bit int is built
+    two_to_n = mpi_pow_int(int_interval(2, bits), n, bits)
+    numerator = mpi_mul(two_to_n, int_interval(3, bits), bits)
     enclosure = mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
     return BoundReal(enclosure, bits)
 

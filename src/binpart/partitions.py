@@ -1,25 +1,22 @@
 """Exact partition counting.
 
 Everything here is arbitrary-precision integer arithmetic (Python ints).
-The module provides three independent routes to partition counts:
+The module provides two independent routes to partition counts:
 
   1. build_partition_table  -- p(n) via Euler's pentagonal-number recurrence,
   2. build_restricted_table -- p_k(j) (largest part <= k) via the standard
-     coin-counting dynamic program,
-  3. enumerate_partitions   -- explicit generation of the partitions
-     themselves, used as a brute-force oracle by the test suite.
+     coin-counting dynamic program.
 
-check_generating_functions checks route 2 against a fourth: the logarithmic
+check_generating_functions checks route 2 against a third: the logarithmic
 derivative of prod_{j=1}^{k} 1/(1-q^j), which gives the recurrence
 j*p_k(j) = sum_{m=1}^{j} s_k(m)*p_k(j-m), where s_k(m) is the sum of the
 divisors of m that are <= k.  It shares no step with the coin-counting DP.
+The brute-force enumeration oracle lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-ENUMERATION_CAP = 60  # p(60) ~ 1e6 partitions; hard stop for the oracle
 
 
 @dataclass(frozen=True)
@@ -35,9 +32,6 @@ class PartitionTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class RestrictedTable:
@@ -52,23 +46,6 @@ class RestrictedTable:
 
     def __getitem__(self, j: int) -> int:
         return self.values[j]
-
-
-@dataclass(frozen=True)
-class PartitionMultiset:
-    """One partition, stored as a nonincreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be nonincreasing")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
 
 
 def build_partition_table(max_n: int) -> PartitionTable:
@@ -122,38 +99,6 @@ def build_restricted_table(k: int, max_n: int) -> RestrictedTable:
         for j in range(part, max_n + 1):
             values[j] += values[j - part]
     return RestrictedTable(k=k, values=tuple(values))
-
-
-def enumerate_partitions(
-    n: int, max_part: int, cap: int = ENUMERATION_CAP
-) -> list[PartitionMultiset]:
-    """Generate every partition of n with all parts <= max_part.
-
-    Returned largest-part-first, in descending lexicographic order, e.g.
-    n=5, max_part=3 gives 3+2, 3+1+1, 2+2+1, 2+1+1+1, 1+1+1+1+1.
-    Refuses n beyond `cap` to keep the oracle at desk scale.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if max_part < 1:
-        raise ValueError("max_part must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
-
-    out: list[PartitionMultiset] = []
-    prefix: list[int] = []
-
-    def descend(remaining: int, limit: int):
-        if remaining == 0:
-            out.append(PartitionMultiset(parts=tuple(prefix)))
-            return
-        for part in range(min(limit, remaining), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part)
-            prefix.pop()
-
-    descend(n, max_part)
-    return out
 
 
 def _weighted_tail_series(k: int, degree: int) -> list[int]:

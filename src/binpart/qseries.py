@@ -1,28 +1,26 @@
-"""Tail-bounded enclosures for the Euler product and its weighted companion.
+"""Tail-bounded enclosures of the Euler product.
 
-For rational 0 < q < 1 the two quantities of interest are
+For rational 0 < q < 1 the quantity of interest is
 
     F(q) = prod_{j>=1} 1/(1-q^j)          (partition generating value)
-    S(q) = sum_{j>=1}  j*q^j/(1-q^j)
 
-Truncating at ell gives certified lower bounds (omitted factors exceed 1,
-omitted terms are positive), and the analytic tail estimates
+Truncating at ell gives a certified lower bound (every omitted factor
+exceeds 1), and the analytic tail estimate
 
     F(q) < exp(q^ell/(1-q)^2) * prod_{j<ell} 1/(1-q^j)
-    S(q) < q/(1-q)^3 + sum_{j<ell} j*q^j*(q^j-q) / ((1-q^j)*(1-q))
 
-turn the truncations into two-sided enclosures.  Both right-hand sides are
+turns the truncation into a two-sided enclosure.  The right-hand side is
 nonincreasing in ell, so raising ell only tightens the result.  One scan,
-_tightest_bounds, walks the truncation points of either series, and
-enclose_euler_product raises ell on decide_with_escalation, the ladder
-every other inconclusive verdict climbs.
+_tightest_bounds, walks the truncation points of a series given as its
+steps, and enclose_euler_product raises ell on decide_with_escalation,
+the ladder every other inconclusive verdict climbs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from .intervals import (BoundReal, DEFAULT_PRECISION_BITS,
                         decide_with_escalation, working_precision)
@@ -85,19 +83,6 @@ def _product_steps(q):
         yield partial, partial * _tail_factor(qj * q * inv_square)
 
 
-def _weighted_steps(q):
-    leading = q / (1 - q) ** 3
-    one_minus_q = 1 - q
-    partial = iv.mpf(0)
-    correction = iv.mpf(0)
-    qj = iv.mpf(1)
-    for j in count(1):
-        qj = qj * q
-        partial = partial + j * qj / (1 - qj)
-        correction = correction + j * qj * (qj - q) / ((1 - qj) * one_minus_q)
-        yield partial, leading + correction
-
-
 def euler_product_upper(
     q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundReal:
@@ -108,16 +93,6 @@ def euler_product_upper(
     exp(q^t/(1-q)^2) gives a certified upper bound for every t <= ell.
     """
     return _tightest_bounds(q, ell, bits, _product_steps)
-
-
-def weighted_sum_upper(q: Fraction, ell: int) -> BoundReal:
-    """Enclosure of S(q): lower = partial sum, upper = tail-bounded.
-
-    Upper bound: q/(1-q)^3 plus the correction terms
-    j*q^j*(q^j-q)/((1-q^j)*(1-q)) for j < ell (nonpositive for j >= 2,
-    zero at j = 1).
-    """
-    return _tightest_bounds(q, ell, DEFAULT_PRECISION_BITS, _weighted_steps)
 
 
 def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:

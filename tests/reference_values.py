@@ -1,13 +1,26 @@
-"""Frozen golden values used across the test suite.
+"""Frozen golden values and the reference routes the test suite checks against.
 
 The 50-row table lists (p(k), p(50,k)) for k = 1..50.  These are
 long-established reference values for the partition function and the
 binomial partition sums; the suite treats them as an external oracle
 that the implementation must reproduce exactly.  mpf_to_fraction reads
 high-precision mpmath reference values exactly.
+
+The functions below are oracles no command runs: brute-force partition
+enumeration, the paper's closed forms of the truncated sign sums, the
+growth conditions behind unimodal weighted binomial sums, and the
+enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j).
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count
+
+from mpmath import iv
+
+from binpart import qseries
+from binpart.intervals import DEFAULT_PRECISION_BITS
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -15,6 +28,130 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     value = Fraction(int(man)) * Fraction(2) ** exp
     return -value if sign else value
+
+
+@dataclass(frozen=True)
+class PartitionMultiset:
+    """One partition, stored as a nonincreasing tuple of positive parts."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(p <= 0 for p in self.parts):
+            raise ValueError("parts must be positive")
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+            raise ValueError("parts must be nonincreasing")
+
+    @property
+    def total(self) -> int:
+        return sum(self.parts)
+
+
+def enumerate_partitions(n: int, max_part: int, cap: int = 60):
+    """Every partition of n with all parts <= max_part, largest part first.
+
+    In descending lexicographic order: n=5, max_part=3 gives 3+2, 3+1+1,
+    2+2+1, 2+1+1+1, 1+1+1+1+1.  Refuses n above cap (p(60) ~ 1e6).
+    """
+    if not 0 <= n <= cap or max_part < 1:
+        raise ValueError(f"need 0 <= n <= {cap}, max_part >= 1; got {n}, {max_part}")
+    out, prefix = [], []
+
+    def descend(remaining, limit):
+        if remaining == 0:
+            out.append(PartitionMultiset(parts=tuple(prefix)))
+        for part in range(min(limit, remaining), 0, -1):
+            prefix.append(part)
+            descend(remaining - part, part)
+            prefix.pop()
+
+    descend(n, max_part)
+    return out
+
+
+def binomial_ratio(n: int, k: int, j: int) -> Fraction:
+    """Exact C(n-j, k-j) / C(n, k), a falling product bounded by (k/n)^j."""
+    if not 0 <= j <= k <= n:
+        raise ValueError(f"need 0 <= j <= k <= n, got ({n},{k},{j})")
+    return Fraction(math.comb(n - j, k - j), math.comb(n, k))
+
+
+def partial_sign_sum_ratio(n: int, k: int, j_max: int, table) -> Fraction:
+    """peak_sign_sum(n, k) / C(n,k) truncated after term j_max, exactly."""
+    if not 0 <= j_max <= k:
+        raise ValueError("need 0 <= j_max <= k")
+    return sum((n + 1 - 2 * k + j) * binomial_ratio(n, k, j) * table[j]
+               for j in range(j_max + 1))
+
+
+def closed_form_even(n: int) -> Fraction:
+    """Value of partial_sign_sum_ratio(n, (n+2)/2, 3) for even n >= 4."""
+    if n < 4 or n % 2:
+        raise ValueError("defined for even n >= 4")
+    return Fraction(n + 14, 4 * (n - 1))
+
+
+def closed_form_odd(n: int) -> Fraction:
+    """Value of partial_sign_sum_ratio(n, (n+3)/2, 7) for odd n >= 11."""
+    if n < 11 or n % 2 == 0:
+        raise ValueError("defined for odd n >= 11")
+    num = 5 * (11 * n**4 + 120 * n**3 - 2966 * n**2 + 9864 * n + 10251)
+    return Fraction(num, 128 * n * (n - 2) * (n - 4) * (n - 6))
+
+
+@dataclass(frozen=True)
+class GrowthConditionReport:
+    """First index at which f breaks each growth condition, or None.
+
+    (a) f(n) > 0 everywhere and f(3) <= 2*f(0) + f(1); (b) f nondecreasing;
+    (c) f(n) < f(0) + ... + f(n-1) for every n >= 3.  A sequence meeting
+    all three has unimodal weighted binomial sums.
+    """
+
+    counterexample_a: int | None
+    counterexample_b: int | None
+    counterexample_c: int | None
+
+    holds_a = property(lambda self: self.counterexample_a is None)
+    holds_b = property(lambda self: self.counterexample_b is None)
+    holds_c = property(lambda self: self.counterexample_c is None)
+    all_hold = property(lambda self: self.holds_a and self.holds_b and self.holds_c)
+
+
+def check_growth_conditions(f, n_max: int) -> GrowthConditionReport:
+    """Test conditions (a), (b), (c) for f on 0..n_max."""
+    if n_max < 3:
+        raise ValueError("need n_max >= 3 to test all conditions")
+    v = [f(n) for n in range(n_max + 1)]
+    ex_a = next((n for n in range(n_max + 1) if v[n] <= 0), None)
+    if ex_a is None and v[3] > 2 * v[0] + v[1]:
+        ex_a = 3
+    below = list(accumulate(v))  # below[n - 1] = f(0) + ... + f(n-1)
+    return GrowthConditionReport(
+        ex_a,
+        next((n for n in range(1, n_max + 1) if v[n] < v[n - 1]), None),
+        next((n for n in range(3, n_max + 1) if v[n] >= below[n - 1]), None))
+
+
+def _weighted_steps(q):
+    """S(q) per truncation point j, for qseries._tightest_bounds: the partial
+    sum, and q/(1-q)^3 plus the corrections j*q^j*(q^j-q)/((1-q^j)*(1-q))
+    (nonpositive for j >= 2, zero at j = 1)."""
+    leading = q / (1 - q) ** 3
+    one_minus_q = 1 - q
+    partial = iv.mpf(0)
+    correction = iv.mpf(0)
+    qj = iv.mpf(1)
+    for j in count(1):
+        qj = qj * q
+        partial = partial + j * qj / (1 - qj)
+        correction = correction + j * qj * (qj - q) / ((1 - qj) * one_minus_q)
+        yield partial, leading + correction
+
+
+def weighted_sum_upper(q: Fraction, ell: int):
+    """Enclosure of S(q) over truncation points 2..ell, as F(q)'s is built."""
+    return qseries._tightest_bounds(q, ell, DEFAULT_PRECISION_BITS, _weighted_steps)
 
 
 # p(k) for k = 1..50

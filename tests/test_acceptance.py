@@ -12,21 +12,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from binpart import (
-    build_restricted_table,
-    closed_form_even,
-    closed_form_odd,
-    enumerate_partitions,
-    peak_k,
-    sweeps,
-)
+from binpart import build_restricted_table, peak_k, sweeps
 from binpart import best_bound, NilpotentProfile
-from binpart.binomial_sums import partial_sign_sum_ratio
 from binpart.checks import VERIFIED
 from binpart.cli import EXIT_OK, main
-from binpart.qseries import euler_product_upper, weighted_sum_upper
+from binpart.qseries import euler_product_upper
 
 from reference_values import (
     EULER_PRODUCT_HALF,
@@ -35,6 +25,11 @@ from reference_values import (
     Q252_COMBINED_UPPER,
     Q252_PRODUCT_UPPER,
     Q252_WEIGHTED_UPPER,
+    closed_form_even,
+    closed_form_odd,
+    enumerate_partitions,
+    partial_sign_sum_ratio,
+    weighted_sum_upper,
 )
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"

@@ -7,24 +7,24 @@ import pytest
 from binpart import (
     DiagonalTable,
     PnkTriangle,
-    binomial_ratio,
-    build_triangle,
-    check_growth_conditions,
-    closed_form_even,
-    closed_form_odd,
     dominance_check,
-    enumerate_partitions,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
     pnk_direct,
     triangle_row,
     verify_unimodal_profile,
-    weighted_binomial_sum,
 )
-from binpart.binomial_sums import partial_sign_sum_ratio
 
-from reference_values import P50K_VALUES
+from reference_values import (
+    P50K_VALUES,
+    binomial_ratio,
+    check_growth_conditions,
+    closed_form_even,
+    closed_form_odd,
+    enumerate_partitions,
+    partial_sign_sum_ratio,
+)
 
 
 class TestDirectSum:
@@ -35,6 +35,10 @@ class TestDirectSum:
     def test_k_zero_is_one(self, table_2001):
         for n in (0, 1, 17, 240):
             assert pnk_direct(n, 0, table_2001) == 1
+
+    def test_tie_at_n3(self, table_2001):
+        assert pnk_direct(3, 3, table_2001) == 7
+        assert pnk_direct(3, 2, table_2001) == 7
 
     def test_hand_sum_4_3(self, table_2001):
         # C(4,3)*1 + C(3,2)*1 + C(2,1)*2 + C(1,0)*3 = 4 + 3 + 4 + 3
@@ -133,25 +137,6 @@ class TestDiagonalTable:
     def test_only_two_columns(self, diagonal_2001):
         with pytest.raises(ValueError):
             diagonal_2001.value(10, 8)
-
-
-class TestWeightedSum:
-    def test_hockey_stick(self):
-        one = lambda j: 1
-        for n in range(201):
-            for ell in range(n + 1):
-                assert weighted_binomial_sum(one, n, ell) == math.comb(n + 1, ell + 1)
-
-    def test_partition_weights_reproduce_pnk(self, triangle_120, table_2001):
-        f = lambda j: table_2001[j]
-        for n in range(35):
-            for k in range(n + 1):
-                assert weighted_binomial_sum(f, n, n - k) == triangle_120.value(n, k)
-
-    def test_tie_at_n3(self, table_2001):
-        f = lambda j: table_2001[j]
-        assert weighted_binomial_sum(f, 3, 0) == 7
-        assert weighted_binomial_sum(f, 3, 1) == 7
 
 
 class TestGrowthConditions:

@@ -21,7 +21,8 @@ from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
 REPO = Path(__file__).parents[1]
 GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
-# stdout and exit code of fixed `mu`, `product`, `peak` and `table` command lines
+# stdout and exit code of fixed `compute`, `mu`, `product`, `peak` and `table`
+# command lines
 GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -260,6 +261,23 @@ class TestMu:
     def test_filiform_flag_needs_maximal_class(self, capsys):
         code, _ = run(capsys, "mu", "5", "3", "--filiform")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n, k", [(400000, 399999), (7000000, 5)])
+    def test_output_above_digit_limit_is_refused_within_a_second(self, capsys, n, k):
+        start = time.perf_counter()
+        code = main(["mu", str(n), str(k)])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert "more than 2000000 digits" in captured.err
+
+    def test_digit_limit_is_exact_at_its_boundaries(self):
+        # as the exact integers show: the corollary's upper endpoint with 6
+        # decimals first reaches 10^2000000 at N = 6643847, Birkhoff's bound
+        # at N = 400000 first at K = 357011
+        too_long = [cli._mu_prints_too_many_digits(n, k) for n, k in
+                    [(6643846, 1), (6643847, 1), (400000, 357010), (400000, 357011)]]
+        assert too_long == [False, True, False, True]
 
     def test_filiform_at_ten_thousand_within_five_seconds(self, capsys):
         start = time.perf_counter()

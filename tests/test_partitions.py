@@ -1,15 +1,13 @@
 import pytest
 
 from binpart import (
-    PartitionMultiset,
     build_partition_table,
     build_restricted_table,
     check_generating_functions,
-    enumerate_partitions,
 )
 from binpart.partitions import RestrictedTable
 
-from reference_values import PK_VALUES
+from reference_values import PK_VALUES, PartitionMultiset, enumerate_partitions
 
 
 def test_table_base_case():
@@ -36,6 +34,14 @@ def test_table_monotone_and_sub_fibonacci(table_2001):
 def test_decimal_round_trip(table_2001):
     for n in (0, 1, 50, 700, 2001):
         assert int(str(table_2001[n])) == table_2001[n]
+
+
+@pytest.mark.parametrize("modulus, offset", [(5, 4), (7, 5), (11, 6)])
+def test_ramanujan_congruences(table_2001, modulus, offset):
+    # p(5m+4) = 0 mod 5, p(7m+5) = 0 mod 7, p(11m+6) = 0 mod 11: evidence
+    # for the pentagonal table that shares no step with its recurrence
+    assert all(table_2001[n] % modulus == 0
+               for n in range(offset, table_2001.max_n + 1, modulus))
 
 
 def test_negative_max_n_rejected():

@@ -9,7 +9,6 @@ from binpart import (
     decide_with_escalation,
     enclose_euler_product,
     euler_product_upper,
-    weighted_sum_upper,
 )
 from binpart import qseries
 from binpart.intervals import working_precision
@@ -20,6 +19,7 @@ from reference_values import (
     Q252_PRODUCT_UPPER,
     Q252_WEIGHTED_UPPER,
     mpf_to_fraction,
+    weighted_sum_upper,
 )
 
 
