@@ -9,8 +9,6 @@ the six commands of `binpart.cli`; test-only oracles live with the tests.
 
 from .binomial_sums import (
     DiagonalTable,
-    PnkTriangle,
-    UnimodalProfile,
     build_triangle,
     dominance_check,
     iter_triangle_rows,
@@ -32,13 +30,10 @@ from .checks import (
 )
 from .intervals import BoundReal, decide_with_escalation
 from .lie import (
-    MuBoundReport,
-    NilpotentProfile,
     best_bound,
     birkhoff_bound,
     corollary_bound,
     filiform_bound,
-    pnk_bound,
     reed_bound,
 )
 from .partitions import (

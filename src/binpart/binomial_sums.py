@@ -12,7 +12,7 @@ Pascal-style recursion F(n+1,ell) = F(n,ell) + F(n,ell-1).  Back in the
 with p(n,0) = 1 and p(n,n) = p(0) + ... + p(n), which is how
 iter_triangle_rows streams the triangle row by row (triangle_row keeps
 only the last row of that stream, build_triangle collects all of it into
-a PnkTriangle).  A single value p(n,k) is pnk_direct's O(k) direct sum.
+a tuple of rows).  A single value p(n,k) is pnk_direct's O(k) direct sum.
 
 For fixed n >= 4 the row k -> p(n,k) rises strictly to its unique peak at
 k = floor((n+3)/2) and falls strictly afterwards.  The sign machinery that
@@ -30,32 +30,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 from .partitions import PartitionTable, build_partition_table
-
-
-@dataclass(frozen=True)
-class PnkTriangle:
-    """Immutable triangle of p(n,k) for 0 <= k <= n <= max_n."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"row {n} outside triangle (max_n={self.max_n})")
-        return self.rows[n]
-
-    def value(self, n: int, k: int) -> int:
-        row = self.row(n)
-        if not 0 <= k <= n:
-            raise ValueError(f"k={k} outside 0..{n}")
-        return row[k]
 
 
 def pnk_direct(n: int, k: int, table: PartitionTable) -> int:
@@ -129,12 +106,14 @@ def triangle_row(n: int, table: PartitionTable | None = None) -> tuple[int, ...]
     return row
 
 
-def build_triangle(max_n: int, table: PartitionTable | None = None) -> PnkTriangle:
-    """Collect rows 0..max_n of iter_triangle_rows into a PnkTriangle.
+def build_triangle(
+    max_n: int, table: PartitionTable | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..max_n of iter_triangle_rows, collected: p(n,k) is [n][k].
 
     The rows carry iter_triangle_rows' spot checks; this adds none.
     """
-    return PnkTriangle(rows=tuple(row for _, row in iter_triangle_rows(max_n, table)))
+    return tuple(row for _, row in iter_triangle_rows(max_n, table))
 
 
 class DiagonalTable:
@@ -142,8 +121,8 @@ class DiagonalTable:
 
     Uses p(n,n) = sum_{j<=n} p(j) and the incremental identity
     p(n,n-1) = p(n-1,n-2) + p(n-1,n-1); only these two columns are stored,
-    which keeps sweeps over large n cheap.  Shares the `value(n,k)`
-    access contract with PnkTriangle for k in {n-1, n}.
+    which keeps sweeps over large n cheap.  `diagonal[n]` is p(n,n) and
+    `subdiagonal[n]` is p(n,n-1) (0 at n = 0), as tuples indexed by n.
     """
 
     def __init__(self, max_n: int, table: PartitionTable | None = None):
@@ -162,17 +141,8 @@ class DiagonalTable:
             acc += table[n]
             diag[n] = acc
         self.max_n = max_n
-        self._diag = tuple(diag)
-        self._sub = tuple(sub)
-
-    def value(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"n={n} outside 0..{self.max_n}")
-        if k == n:
-            return self._diag[n]
-        if k == n - 1 and n >= 1:
-            return self._sub[n]
-        raise ValueError(f"DiagonalTable holds only k in {{n-1, n}}, got k={k}")
+        self.diagonal = tuple(diag)
+        self.subdiagonal = tuple(sub)
 
 
 def peak_k(n: int) -> int:
@@ -186,56 +156,24 @@ def peak_k(n: int) -> int:
     return (n + 3) // 2
 
 
-@dataclass(frozen=True)
-class UnimodalProfile:
-    """Scan result of one triangle row over 1 <= k <= n."""
-
-    n: int
-    values: tuple[int, ...]  # p(n,1), ..., p(n,n)
-    peak_k: int
-    strict_up: bool
-    strict_down: bool
-    first_violation: tuple[int, int] | None  # (n, k) of first broken step
-
-    @property
-    def ok(self) -> bool:
-        return self.strict_up and self.strict_down
-
-
-def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> UnimodalProfile:
+def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | None:
     """Check strict ascent to the peak and strict descent after it.
 
     Scans row = (p(n,0), ..., p(n,n)): p(n,1) < ... < p(n,peak) and
-    p(n,peak) > ... > p(n,n).  Any broken step is recorded as the first
-    violation (the scan does not continue past it on that side).
+    p(n,peak) > ... > p(n,n).  Returns the (n, k) of the first broken
+    step, k < peak on the ascent and k >= peak on the descent, or None.
+    The descent is scanned only once the ascent holds.
     """
     if n < 4:
         raise ValueError("profiles are scanned for n >= 4")
     kn = peak_k(n)
-
-    strict_up = True
-    strict_down = True
-    violation = None
     for k in range(1, kn):
         if not row[k] < row[k + 1]:
-            strict_up = False
-            violation = (n, k)
-            break
-    if violation is None:
-        for k in range(kn, n):
-            if not row[k] > row[k + 1]:
-                strict_down = False
-                violation = (n, k)
-                break
-
-    return UnimodalProfile(
-        n=n,
-        values=row[1:],
-        peak_k=kn,
-        strict_up=strict_up,
-        strict_down=strict_down,
-        first_violation=violation,
-    )
+            return (n, k)
+    for k in range(kn, n):
+        if not row[k] > row[k + 1]:
+            return (n, k)
+    return None
 
 
 def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:

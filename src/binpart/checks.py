@@ -16,8 +16,10 @@ Two kinds of checks live here:
     when the gap exceeds the total enclosure error, with automatic
     precision escalation and an explicit "inconclusive" outcome at the cap.
 
-Every check returns a VerificationReport; "verified" always means the
-strict inequality holds with positive certified margin.
+The row checks take their row and the diagonal checks the integer they
+bound, p(n-1,n-1) or p(n,n-1); no check reads a triangle.  Every check
+returns a VerificationReport; "verified" always means the strict
+inequality holds with positive certified margin.
 """
 
 from __future__ import annotations
@@ -220,16 +222,14 @@ def growth_chain_check(
 
 
 def diagonal_bound_check(
-    n: int, table_like, start_bits: int = DEFAULT_PRECISION_BITS
+    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
 ) -> VerificationReport:
     """Certified check of p(n-1,n-1) < e^(a*sqrt(n)) for n >= 1.
 
-    table_like needs only `value(n, k)`; both PnkTriangle and
-    DiagonalTable qualify.
+    value is p(n-1,n-1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    value = table_like.value(n - 1, n - 1)
 
     def gaps(bits):
         _, alpha = pi_alpha(bits)
@@ -241,12 +241,14 @@ def diagonal_bound_check(
 
 
 def subdiagonal_bound_check(
-    n: int, table_like, start_bits: int = DEFAULT_PRECISION_BITS
+    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
 ) -> VerificationReport:
-    """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1."""
+    """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1.
+
+    value is p(n,n-1).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    value = table_like.value(n, n - 1)
 
     def gaps(bits):
         _, alpha = pi_alpha(bits)

@@ -26,11 +26,12 @@ from fractions import Fraction
 from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
 
 from . import sweeps
-from .binomial_sums import build_triangle, triangle_row, verify_unimodal_profile
+from .binomial_sums import (build_triangle, peak_k, triangle_row,
+                            verify_unimodal_profile)
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
 from .intervals import (DEFAULT_PRECISION_BITS, BoundReal, certainly_positive,
                         int_interval)
-from .lie import MuBoundReport, NilpotentProfile, best_bound, corollary_bound
+from .lie import best_bound, corollary_bound
 from .partitions import build_partition_table, build_restricted_table
 from .qseries import EnclosureWidthError, enclose_euler_product
 
@@ -97,8 +98,7 @@ def cmd_compute(args) -> int:
         n, k = values
         if not 0 <= k <= n:
             raise UsageError(f"pnk needs 0 <= K <= N, got N={n}, K={k}")
-        triangle = build_triangle(n)
-        result = triangle.value(n, k)
+        result = build_triangle(n)[n][k]
         arglist = [n, k]
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown kind {kind!r}")
@@ -199,17 +199,19 @@ def cmd_peak(args) -> int:
     if n < 4:
         raise UsageError("peak is only unique for N >= 4")
     row = triangle_row(n)
-    profile = verify_unimodal_profile(n, row)
+    violation = verify_unimodal_profile(n, row)
+    kn = peak_k(n)
     scan_max = max(range(1, n + 1), key=lambda k: row[k])
     _emit({
         "n": n,
-        "peak_k": profile.peak_k,
+        "peak_k": kn,
         "scan_argmax": scan_max,
-        "strict_up": profile.strict_up,
-        "strict_down": profile.strict_down,
-        "peak_value": str(row[profile.peak_k]),
+        # after a broken ascent the descent is not scanned, and reads true
+        "strict_up": violation is None or violation[1] >= kn,
+        "strict_down": violation is None or violation[1] < kn,
+        "peak_value": str(row[kn]),
     })
-    return EXIT_OK if profile.ok and scan_max == profile.peak_k else EXIT_VIOLATION
+    return EXIT_OK if violation is None and scan_max == kn else EXIT_VIOLATION
 
 
 # -- product ------------------------------------------------------------
@@ -242,23 +244,17 @@ def cmd_product(args) -> int:
 # -- mu -----------------------------------------------------------------
 
 
-def _mu_doc(report: MuBoundReport, filiform_requested: bool) -> dict:
-    doc = {
-        "n": report.n,
-        "k": report.k,
-        "filiform": filiform_requested,
-        "bounds": {
-            "birkhoff": str(report.birkhoff),
-            "reed": str(report.reed),
-            "pnk": str(report.pnk),
-        },
-        "corollary": bound_to_strings(report.corollary_numeric, 6),
-        "best": report.best,
-        "pnk_beats_reed": report.pnk_beats_reed,
+def _mu_doc(n: int, k: int, filiform: bool) -> dict:
+    bounds, best = best_bound(n, k, filiform, build_partition_table(k))
+    return {
+        "n": n,
+        "k": k,
+        "filiform": filiform,
+        "bounds": {label: str(bound) for label, bound in bounds.items()},
+        "corollary": bound_to_strings(corollary_bound(n), 6),
+        "best": best,
+        "pnk_beats_reed": bounds["pnk"] < bounds["reed"],
     }
-    if report.filiform_bound is not None:
-        doc["bounds"]["filiform"] = str(report.filiform_bound)
-    return doc
 
 
 def _mu_prints_too_many_digits(n: int, k: int) -> bool:
@@ -288,9 +284,7 @@ def cmd_mu(args) -> int:
     if _mu_prints_too_many_digits(n, k):
         raise UsageError(f"mu N={n}, K={k} would print a number of more than "
                          f"{MAX_STR_DIGITS} digits, the int-to-str limit")
-    profile = NilpotentProfile(dim_n=n, class_k=k, filiform=args.filiform)
-    report = best_bound(profile, build_partition_table(k))
-    _emit(_mu_doc(report, args.filiform))
+    _emit(_mu_doc(n, k, args.filiform))
     return EXIT_OK
 
 
@@ -356,6 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: an argument needs more memory than is available",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -10,7 +10,8 @@ and the partition-sum bound mu <= p(n,k), which for k not small beats
 both by a wide margin.  Filiform algebras (k = n-1) admit the sharper
 mu <= 1 + p(n-2,n-2); both are binomial_sums.pnk_direct sums on a
 partition table covering 0..k, never read from a triangle.  All of
-these are exact integers; the dimension-only corollary bound
+these are exact integers, which best_bound returns keyed by label with
+the label of the least; the dimension-only corollary bound
 (3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
 never rounded into an integer claim; it is computed with
 mpmath's `libmpi` interval functions on endpoint pairs at
@@ -19,56 +20,11 @@ DEFAULT_PRECISION_BITS, as the certified checks compute their gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
 
 from .binomial_sums import pnk_direct
 from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
 from .partitions import PartitionTable
-
-
-@dataclass(frozen=True)
-class NilpotentProfile:
-    """Dimension and nilpotency class of a nilpotent Lie algebra.
-
-    Setting `filiform` asserts maximal class and unlocks the sharper
-    1 + p(n-2,n-2) bound; it is only consistent with k = n-1.
-    """
-
-    dim_n: int
-    class_k: int
-    filiform: bool = False
-
-    def __post_init__(self):
-        if self.dim_n < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 1 <= self.class_k <= self.dim_n - 1:
-            raise ValueError(
-                f"class k={self.class_k} must satisfy 1 <= k <= n-1 for n={self.dim_n}"
-            )
-        if self.filiform and self.class_k != self.dim_n - 1:
-            raise ValueError("filiform requires class k = n-1")
-
-
-@dataclass(frozen=True)
-class MuBoundReport:
-    """All applicable bounds for one (n,k), plus the best exact one.
-
-    best is the label of the minimal exact bound; ties prefer "pnk",
-    then "filiform", then "reed", then "birkhoff".
-    """
-
-    n: int
-    k: int
-    birkhoff: int
-    reed: int
-    pnk: int
-    filiform_bound: Optional[int]
-    corollary_numeric: BoundReal
-    best: str
-    pnk_beats_reed: bool
 
 
 def birkhoff_bound(n: int, k: int) -> int:
@@ -85,11 +41,6 @@ def reed_bound(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return 1 + n**k
-
-
-def pnk_bound(profile: NilpotentProfile, table: PartitionTable) -> int:
-    """The partition-sum bound p(n,k); table must cover 0..k."""
-    return pnk_direct(profile.dim_n, profile.class_k, table)
 
 
 def filiform_bound(n: int, table: PartitionTable) -> int:
@@ -119,32 +70,23 @@ def corollary_bound(n: int) -> BoundReal:
     return BoundReal(enclosure, bits)
 
 
-def best_bound(profile: NilpotentProfile, table: PartitionTable) -> MuBoundReport:
-    """Compute every applicable bound and identify the exact minimizer.
+def best_bound(
+    n: int, k: int, filiform: bool, table: PartitionTable
+) -> tuple[dict[str, int], str]:
+    """Every applicable exact bound for (n, k), and the label of the least.
 
-    table must cover 0..k, which also covers the filiform bound's n-2.
+    The bounds are keyed birkhoff, reed, pnk and, when filiform is set,
+    filiform, in that order.  Ties for the least prefer pnk, then
+    filiform, then reed, then birkhoff.  The caller has checked
+    1 <= k <= n-1; filiform set with k != n-1 raises ValueError.  table
+    must cover 0..k, which also covers the filiform bound's n-2.
     """
-    n, k = profile.dim_n, profile.class_k
-    birkhoff = birkhoff_bound(n, k)
-    reed = reed_bound(n, k)
-    pnk = pnk_bound(profile, table)
-    fili = filiform_bound(n, table) if profile.filiform else None
-
-    candidates = [("pnk", pnk)]
-    if fili is not None:
-        candidates.append(("filiform", fili))
-    candidates.append(("reed", reed))
-    candidates.append(("birkhoff", birkhoff))
-    best = min(candidates, key=lambda item: item[1])[0]
-
-    return MuBoundReport(
-        n=n,
-        k=k,
-        birkhoff=birkhoff,
-        reed=reed,
-        pnk=pnk,
-        filiform_bound=fili,
-        corollary_numeric=corollary_bound(n),
-        best=best,
-        pnk_beats_reed=pnk < reed,
-    )
+    if filiform and k != n - 1:
+        raise ValueError("the filiform bound needs k = n-1")
+    bounds = {"birkhoff": birkhoff_bound(n, k), "reed": reed_bound(n, k),
+              "pnk": pnk_direct(n, k, table)}
+    if filiform:
+        bounds["filiform"] = filiform_bound(n, table)
+    best = min((label for label in ("pnk", "filiform", "reed", "birkhoff")
+                if label in bounds), key=bounds.__getitem__)
+    return bounds, best

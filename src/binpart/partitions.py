@@ -126,19 +126,9 @@ def _convolve_truncated(a: list[int], b: list[int], degree: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SeriesIdentityReport:
-    """Outcome of the generating-function coefficient comparison."""
-
-    k: int
-    degree: int
-    ok: bool
-    first_mismatch: tuple[str, int] | None  # (identity name, coefficient index)
-
-
 def check_generating_functions(
     k: int, degree: int, table: RestrictedTable | None = None
-) -> SeriesIdentityReport:
+) -> tuple[str, int] | None:
     """Verify the weighted series identity for p_k against the DP table.
 
     Identity "weighted": coefficient j of
@@ -147,6 +137,7 @@ def check_generating_functions(
     identity is linear in the table, so it is anchored by p_k(0) = 1,
     reported as index 0; together they determine every p_k(j).  All
     coefficients are exact integers; comparison is for all j <= degree.
+    Returns the first mismatch ("weighted", j), or None.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -158,12 +149,11 @@ def check_generating_functions(
         raise ValueError("table does not cover the requested check")
 
     if table[0] != 1:
-        return SeriesIdentityReport(k, degree, False, ("weighted", 0))
+        return ("weighted", 0)
     weighted = _convolve_truncated(
         _weighted_tail_series(k, degree), table.values, degree
     )
     for j in range(degree + 1):
         if weighted[j] != j * table[j]:
-            return SeriesIdentityReport(k, degree, False, ("weighted", j))
-
-    return SeriesIdentityReport(k, degree, True, None)
+            return ("weighted", j)
+    return None

@@ -144,8 +144,7 @@ def _claim(claim: str, per_n, pairs=_shared(), notes=None):
 
 
 def _unimodality(n, row):
-    violation = verify_unimodal_profile(n, row).first_violation
-    return [_exact("thm2", n, violation)]
+    return [_exact("thm2", n, verify_unimodal_profile(n, row))]
 
 
 def _row_bound(n, row):
@@ -153,11 +152,11 @@ def _row_bound(n, row):
 
 
 def _diagonal_bound(n, diag):
-    return [checks.diagonal_bound_check(n, diag)]
+    return [checks.diagonal_bound_check(n, diag.diagonal[n - 1])]
 
 
 def _subdiagonal_bound(n, diag):
-    return [checks.subdiagonal_bound_check(n, diag)]
+    return [checks.subdiagonal_bound_check(n, diag.subdiagonal[n])]
 
 
 def _ascent_sign(n, table):
@@ -195,8 +194,7 @@ def _product_bound(n, row):
 
 
 def _series_identities(k, _):
-    report = check_generating_functions(k, GENFUN_DEGREE)
-    return [_exact("genfun", k, report.first_mismatch)]
+    return [_exact("genfun", k, check_generating_functions(k, GENFUN_DEGREE))]
 
 
 # claim id -> (sweep function, default range)

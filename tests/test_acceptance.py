@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from binpart import build_restricted_table, peak_k, sweeps
-from binpart import best_bound, NilpotentProfile
+from binpart import best_bound
 from binpart.checks import VERIFIED
 from binpart.cli import EXIT_OK, main
 from binpart.qseries import euler_product_upper
@@ -65,7 +65,7 @@ def test_criterion_02_unimodality_to_1000(sweep_ctx, triangle_1000):
     t0 = time.time()
     _verified_claim("thm2", sweep_ctx, 997)
     for n in range(4, 1001):
-        row = triangle_1000.row(n)
+        row = triangle_1000[n]
         peak_value = row[peak_k(n)]
         assert all(row[k] < peak_value for k in range(1, n + 1)
                    if k != peak_k(n)), n
@@ -161,8 +161,8 @@ def test_criterion_09_oracle_equivalence(sweep_ctx, table_2001):
 def test_criterion_10_recursion_full_triangle(triangle_1000):
     t0 = time.time()
     for n in range(1000):
-        cur = triangle_1000.row(n)
-        nxt = triangle_1000.row(n + 1)
+        cur = triangle_1000[n]
+        nxt = triangle_1000[n + 1]
         for k in range(1, n + 1):
             assert nxt[k] == cur[k] + cur[k - 1], (n + 1, k)
     _report("10 recursion", "exact over the full 1000-row triangle", t0, 60.0)
@@ -180,7 +180,7 @@ def test_criterion_11_certified_sweeps_to_2000(sweep_ctx):
 
 def test_criterion_note_mu_report_surrogate(table_120):
     t0 = time.time()
-    report = best_bound(NilpotentProfile(3, 2), table_120)
-    assert report.pnk == 7 < report.reed == 10 < report.birkhoff == 40
-    assert report.best == "pnk"
+    bounds, best = best_bound(3, 2, False, table_120)
+    assert bounds["pnk"] == 7 < bounds["reed"] == 10 < bounds["birkhoff"] == 40
+    assert best == "pnk"
     _report("12 mu-surrogate", "pnk=7 < reed=10 < birkhoff=40 at (3,2)", t0, 10.0)

@@ -6,7 +6,7 @@ import pytest
 
 from binpart import (
     DiagonalTable,
-    PnkTriangle,
+    build_triangle,
     dominance_check,
     iter_triangle_rows,
     peak_k,
@@ -61,49 +61,49 @@ class TestDirectSum:
     def test_agrees_with_triangle_everywhere_to_120(self, triangle_120, table_2001):
         for n in range(121):
             assert tuple(pnk_direct(n, k, table_2001)
-                         for k in range(n + 1)) == triangle_120.row(n), n
+                         for k in range(n + 1)) == triangle_120[n], n
 
     def test_agrees_with_row_1000(self, triangle_1000, table_2001):
-        row = triangle_1000.row(1000)
+        row = triangle_1000[1000]
         for k in range(0, 1001, 7):
             assert pnk_direct(1000, k, table_2001) == row[k], k
 
 
 class TestTriangle:
     def test_row50_matches_golden(self, triangle_120):
-        assert list(triangle_120.row(50)[1:]) == P50K_VALUES
+        assert list(triangle_120[50][1:]) == P50K_VALUES
 
     def test_diagonal_prefix_sums(self, triangle_120, table_2001):
-        assert triangle_120.value(2, 2) == 4  # 1 + 1 + 2
+        assert triangle_120[2][2] == 4  # 1 + 1 + 2
         acc = 0
         for n in range(61):
             acc += table_2001[n]
-            assert triangle_120.value(n, n) == acc
+            assert triangle_120[n][n] == acc
 
     def test_column_one(self, triangle_120):
         for n in range(1, 121):
-            assert triangle_120.value(n, 1) == n + 1
+            assert triangle_120[n][1] == n + 1
 
     def test_full_direct_agreement_small(self, triangle_120, table_2001):
         for n in range(41):
             for k in range(n + 1):
-                assert triangle_120.value(n, k) == pnk_direct(n, k, table_2001)
+                assert triangle_120[n][k] == pnk_direct(n, k, table_2001)
 
     def test_recursion_identity(self, triangle_120):
         for n in range(120):
             for k in range(1, n + 1):
-                assert triangle_120.value(n + 1, k) == (
-                    triangle_120.value(n, k) + triangle_120.value(n, k - 1)
+                assert triangle_120[n + 1][k] == (
+                    triangle_120[n][k] + triangle_120[n][k - 1]
                 )
 
     def test_streaming_matches_built(self, triangle_120, table_2001):
         for n, row in iter_triangle_rows(80, table_2001):
-            assert row == triangle_120.row(n)
+            assert row == triangle_120[n]
 
     def test_single_row_matches_built(self, triangle_120, table_2001):
         for n in (0, 1, 4, 50, 120):
-            assert triangle_row(n, table_2001) == triangle_120.row(n)
-        assert triangle_row(50) == triangle_120.row(50)
+            assert triangle_row(n, table_2001) == triangle_120[n]
+        assert triangle_row(50) == triangle_120[50]
 
     def test_single_row_holds_one_row(self, table_2001):
         # build_triangle(600) peaks at about 13.2 MB under tracemalloc
@@ -116,27 +116,29 @@ class TestTriangle:
         assert len(row) == 601
         assert peak < 2**20
 
-    def test_range_errors(self, triangle_120):
+    def test_range_errors(self, table_2001):
         with pytest.raises(ValueError):
-            triangle_120.row(121)
+            build_triangle(-1, table_2001)
         with pytest.raises(ValueError):
-            triangle_120.value(10, 11)
+            build_triangle(2002, table_2001)
 
 
 class TestDiagonalTable:
     def test_agrees_with_triangle(self, triangle_120, table_2001):
         diag = DiagonalTable(120, table_2001)
         for n in range(1, 121):
-            assert diag.value(n, n) == triangle_120.value(n, n)
-            assert diag.value(n, n - 1) == triangle_120.value(n, n - 1)
+            assert diag.diagonal[n] == triangle_120[n][n]
+            assert diag.subdiagonal[n] == triangle_120[n][n - 1]
 
     def test_golden_corner_values(self, diagonal_2001):
-        assert diagonal_2001.value(50, 50) == 1295971
-        assert diagonal_2001.value(50, 49) == 6547151
+        assert diagonal_2001.diagonal[50] == 1295971
+        assert diagonal_2001.subdiagonal[50] == 6547151
 
-    def test_only_two_columns(self, diagonal_2001):
+    def test_range_errors(self, table_2001):
         with pytest.raises(ValueError):
-            diagonal_2001.value(10, 8)
+            DiagonalTable(-1, table_2001)
+        with pytest.raises(ValueError):
+            DiagonalTable(2002, table_2001)
 
 
 class TestGrowthConditions:
@@ -171,42 +173,34 @@ class TestPeak:
                 peak_k(n)
 
     def test_scan_agrees_row11(self, triangle_120):
-        row = triangle_120.row(11)
+        row = triangle_120[11]
         argmax = max(range(1, 12), key=lambda k: row[k])
         assert argmax == peak_k(11) == 7
 
     def test_row4_shape(self, triangle_120):
-        assert triangle_120.row(4)[1:] == (5, 11, 14, 12)
+        assert triangle_120[4][1:] == (5, 11, 14, 12)
 
 
 class TestUnimodalProfile:
     def test_row4(self, triangle_120):
-        profile = verify_unimodal_profile(4, triangle_120.row(4))
-        assert profile.ok
-        assert profile.peak_k == 3
-        assert profile.values == (5, 11, 14, 12)
+        assert verify_unimodal_profile(4, triangle_120[4]) is None
 
     def test_row50(self, triangle_120):
-        profile = verify_unimodal_profile(50, triangle_120.row(50))
-        assert profile.ok and profile.strict_up and profile.strict_down
-        assert profile.peak_k == 26
+        assert verify_unimodal_profile(50, triangle_120[50]) is None
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert verify_unimodal_profile(n, triangle_120.row(n)).ok
+            assert verify_unimodal_profile(n, triangle_120[n]) is None
 
     def test_violation_reported(self):
-        # hand-built triangle with a flat step in row 4
-        fake = PnkTriangle(rows=(
-            (1,), (1, 2), (1, 3, 4), (1, 4, 7, 7), (1, 5, 11, 11, 12),
-        ))
-        profile = verify_unimodal_profile(4, fake.row(4))
-        assert not profile.ok
-        assert profile.first_violation == (4, 2)
+        # row 4 is (1, 5, 11, 14, 12) with its peak at k = 3; a flat step
+        # on either side is the first violation
+        assert verify_unimodal_profile(4, (1, 5, 11, 11, 12)) == (4, 2)
+        assert verify_unimodal_profile(4, (1, 5, 11, 14, 14)) == (4, 3)
 
     def test_small_n_rejected(self, triangle_120):
         with pytest.raises(ValueError):
-            verify_unimodal_profile(3, triangle_120.row(3))
+            verify_unimodal_profile(3, triangle_120[3])
 
 
 class TestBinomialRatio:
@@ -238,7 +232,7 @@ class TestSignSums:
             for k in range(1, n + 1):
                 lhs = peak_sign_sum(n, k, table_2001)
                 rhs = (n + 1 - k) * (
-                    2 * triangle_120.value(n, k) - triangle_120.value(n + 1, k)
+                    2 * triangle_120[n][k] - triangle_120[n + 1][k]
                 )
                 assert lhs == rhs, (n, k)
 
@@ -267,13 +261,13 @@ class TestSignSums:
 
 class TestDominance:
     def test_row50_k28(self, triangle_120):
-        assert 512 * triangle_120.value(50, 28) > 1745 * math.comb(50, 28)
-        assert dominance_check(50, triangle_120.row(50)) is None
+        assert 512 * triangle_120[50][28] > 1745 * math.comb(50, 28)
+        assert dominance_check(50, triangle_120[50]) is None
 
     def test_n4(self, triangle_120):
         # p(4,4) = 12 far above (1745/512)*C(4,4) ~ 3.41
-        assert dominance_check(4, triangle_120.row(4)) is None
+        assert dominance_check(4, triangle_120[4]) is None
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert dominance_check(n, triangle_120.row(n)) is None
+            assert dominance_check(n, triangle_120[n]) is None

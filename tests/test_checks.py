@@ -48,35 +48,31 @@ from reference_values import EULER_PRODUCT_HALF, mpf_to_fraction
 class TestRowBound:
     def test_n1(self, triangle_120):
         # p(1,1) = 2: 1600*1*4 < 12769*4
-        report = row_bound_check(1, triangle_120.row(1))
+        report = row_bound_check(1, triangle_120[1])
         assert report.verified
         assert report.precision_bits is None  # pure integer check
 
     def test_n50_peak_value(self, triangle_120):
-        v = triangle_120.value(50, 26)
+        v = triangle_120[50][26]
         assert 1600 * 50 * v * v < 12769 * 4**50
-        assert row_bound_check(50, triangle_120.row(50)).verified
+        assert row_bound_check(50, triangle_120[50]).verified
 
     def test_sweep(self, triangle_120):
         for n in range(1, 121):
-            report = row_bound_check(n, triangle_120.row(n))
+            report = row_bound_check(n, triangle_120[n])
             assert report.verified, n
             assert report.margin > 0
 
     def test_margin_matches_per_k_formula(self, triangle_120):
         for n in range(1, 121):
-            row = triangle_120.row(n)
+            row = triangle_120[n]
             rhs = 12769 << (2 * n)
             worst = max(1600 * n * row[k] * row[k] for k in range(1, n + 1))
-            assert row_bound_check(n, triangle_120.row(n)).margin == (rhs - worst) / rhs, n
+            assert row_bound_check(n, triangle_120[n]).margin == (rhs - worst) / rhs, n
 
     def test_reports_first_violating_k(self):
-        class FakeTriangle:
-            def row(self, n):
-                # p(4,2) and the larger p(4,3) both break 1600*4*p^2 < 12769*4^4
-                return (0, 1, 10**6, 10**7, 1)
-
-        report = row_bound_check(4, FakeTriangle().row(4))
+        # p(4,2) and the larger p(4,3) both break 1600*4*p^2 < 12769*4^4
+        report = row_bound_check(4, (0, 1, 10**6, 10**7, 1))
         assert report.outcome == VIOLATED
         assert report.counterexample == (4, 2)
 
@@ -133,37 +129,33 @@ class TestGrowthChain:
 class TestDiagonalBounds:
     def test_base_cases(self, diagonal_2001):
         # p(0,0) = 1 < e^a and p(1,0) = 1 < 1*e^a
-        assert diagonal_bound_check(1, diagonal_2001).verified
-        assert subdiagonal_bound_check(1, diagonal_2001).verified
+        assert diagonal_bound_check(1, diagonal_2001.diagonal[0]).verified
+        assert subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1]).verified
 
-    def test_golden_values(self, diagonal_2001):
+    def test_golden_values(self):
         # p(50,50) = 1295971 < e^(a*sqrt(51)), p(50,49) = 6547151 < sqrt(50)e^(a*sqrt(50))
-        assert diagonal_bound_check(51, diagonal_2001).verified
-        assert subdiagonal_bound_check(50, diagonal_2001).verified
+        assert diagonal_bound_check(51, 1295971).verified
+        assert subdiagonal_bound_check(50, 6547151).verified
 
     def test_triangle_and_diagonal_agree(self, triangle_120, table_2001):
         diag = DiagonalTable(120, table_2001)
         for n in (5, 17, 60, 101):
-            r1 = diagonal_bound_check(n, triangle_120)
-            r2 = diagonal_bound_check(n, diag)
+            r1 = diagonal_bound_check(n, triangle_120[n - 1][n - 1])
+            r2 = diagonal_bound_check(n, diag.diagonal[n - 1])
             assert r1.verified and r2.verified
             assert r1.margin == r2.margin
 
     def test_sweep(self, diagonal_2001):
         for n in range(1, 301):
-            assert diagonal_bound_check(n, diagonal_2001).verified, n
-            assert subdiagonal_bound_check(n, diagonal_2001).verified, n
+            assert diagonal_bound_check(n, diagonal_2001.diagonal[n - 1]).verified, n
+            assert subdiagonal_bound_check(n, diagonal_2001.subdiagonal[n]).verified, n
 
 
 class TestCertifiedOutcomes:
     """The non-verified outcomes of the shared escalate-and-report scaffold."""
 
     def test_huge_value_is_violated(self):
-        class HugeDiagonal:
-            def value(self, n, k):
-                return 10**100
-
-        report = diagonal_bound_check(1, HugeDiagonal())
+        report = diagonal_bound_check(1, 10**100)
         assert report.outcome == VIOLATED
         assert report.counterexample == (1,)
 
@@ -276,14 +268,14 @@ def _reference_gaps(claim, n, table, diagonal):
     elif claim == "diagonal-bound":
         def expressions():
             _, alpha = constants()
-            lhs = iv.log(iv.mpf(diagonal.value(n - 1, n - 1)))
+            lhs = iv.log(iv.mpf(diagonal.diagonal[n - 1]))
             rhs = alpha * iv.sqrt(iv.mpf(n))
             return (rhs - lhs,)
     else:
         def expressions():
             _, alpha = constants()
             nn = iv.mpf(n)
-            lhs = iv.log(iv.mpf(diagonal.value(n, n - 1)))
+            lhs = iv.log(iv.mpf(diagonal.subdiagonal[n]))
             rhs = iv.log(nn) / 2 + alpha * iv.sqrt(nn)
             return (rhs - lhs,)
 
@@ -344,8 +336,10 @@ class TestRawIntervalGaps:
         "central-binomial": (1, lambda n, t, d, b: central_binomial_check(n, b)),
         "partition-bound": (1, lambda n, t, d, b: partition_bound_check(n, t, b)),
         "growth-chain": (3, lambda n, t, d, b: growth_chain_check(n, b)),
-        "diagonal-bound": (1, lambda n, t, d, b: diagonal_bound_check(n, d, b)),
-        "subdiagonal-bound": (1, lambda n, t, d, b: subdiagonal_bound_check(n, d, b)),
+        "diagonal-bound": (
+            1, lambda n, t, d, b: diagonal_bound_check(n, d.diagonal[n - 1], b)),
+        "subdiagonal-bound": (
+            1, lambda n, t, d, b: subdiagonal_bound_check(n, d.subdiagonal[n], b)),
     }
 
     @pytest.mark.parametrize("start_bits", [128, 256])
@@ -446,36 +440,36 @@ class TestRawIntervalGaps:
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):
-        report = product_bound_check(50, 25, triangle_120.row(50))
+        report = product_bound_check(50, 25, triangle_120[50])
         assert report.verified
         # sanity anchor: p(50,25) < C(50,25) * 3.4627...
-        assert triangle_120.value(50, 25) < math.comb(50, 25) * EULER_PRODUCT_HALF
+        assert triangle_120[50][25] < math.comb(50, 25) * EULER_PRODUCT_HALF
 
     def test_n2_k1(self, triangle_120):
         # p(2,1) = 3 < 2 * F(1/2) ~ 6.93
-        assert triangle_120.value(2, 1) == 3
-        assert product_bound_check(2, 1, triangle_120.row(2)).verified
+        assert triangle_120[2][1] == 3
+        assert product_bound_check(2, 1, triangle_120[2]).verified
 
     def test_sweep_zero_inconclusive(self, triangle_120):
         for n in range(2, 81):
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120.row(n))
+                report = product_bound_check(n, k, triangle_120[n])
                 assert report.verified, (n, k)
 
     def test_depth_cap_reports_inconclusive(self, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
-        report = product_bound_check(50, 49, triangle_120.row(50), depth_cap=1)
+        report = product_bound_check(50, 49, triangle_120[50], depth_cap=1)
         assert report.outcome == INCONCLUSIVE
         assert report.counterexample == (50, 49)
 
     def test_domain(self, triangle_120):
         with pytest.raises(ValueError):
-            product_bound_check(5, 5, triangle_120.row(5))
+            product_bound_check(5, 5, triangle_120[5])
 
 
 def _reference_product(n, k, triangle, depth_cap=256):
     """(outcome, margin, counterexample) from the hand-written depth loop."""
-    p_val = triangle.value(n, k)
+    p_val = triangle[n][k]
     c = math.comb(n, k)
     depth = 4
     while True:
@@ -508,14 +502,14 @@ class TestProductLadder:
     def test_matches_reference_to_120(self, triangle_120):
         for n in range(2, 121):
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120.row(n))
+                report = product_bound_check(n, k, triangle_120[n])
                 assert self._as_tuple(report) == _reference_product(
                     n, k, triangle_120), (n, k)
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
     def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
         for k in range(1, 50):
-            report = product_bound_check(50, k, triangle_120.row(50),
+            report = product_bound_check(50, k, triangle_120[50],
                                          depth_cap=depth_cap)
             assert self._as_tuple(report) == _reference_product(
                 50, k, triangle_120, depth_cap), k
@@ -538,12 +532,12 @@ class TestProductLadder:
         # (130, 117) is the first pair that the partial product at depth 8
         # does not clear
         report, visited = self._rungs(monkeypatch, 130, 117,
-                                      triangle_1000.row(130))
+                                      triangle_1000[130])
         assert report.verified
         assert visited == [4, 8, 16]
 
     def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):
-        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120.row(50),
+        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50],
                                       depth_cap=1)
         assert report.outcome == INCONCLUSIVE
         assert visited == [1]

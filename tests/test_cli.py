@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -60,11 +61,6 @@ class TestCompute:
 
 
 class TestTable:
-    def test_n1_csv(self, capsys):
-        code, out = run(capsys, "table", "1")
-        assert code == EXIT_OK
-        assert out == "k,p_k,p_n_k\n1,1,2\n"
-
     def test_n50_matches_golden_fixture(self, capsys):
         code, out = run(capsys, "table", "50")
         assert code == EXIT_OK
@@ -179,6 +175,28 @@ class TestPeak:
         code, _ = run(capsys, "peak", "3")
         assert code == EXIT_USAGE
 
+    # row 10 is (1, 11, 56, 175, 376, 590, 702, 650, 478, 284, 139), peak at
+    # k = 6; each case breaks it at the given indices.  After a broken
+    # ascent the descent is not scanned and reads true.
+    @pytest.mark.parametrize("breaks, scan_argmax, strict_up, strict_down", [
+        ({5: 702}, 5, "false", "true"),            # last ascent step
+        ({7: 703}, 7, "true", "false"),            # first descent step
+        ({3: 56, 9: 478}, 6, "false", "true"),     # both sides
+    ])
+    def test_row_that_is_not_unimodal(self, capsys, monkeypatch, breaks,
+                                      scan_argmax, strict_up, strict_down):
+        row = list(cli.triangle_row(10))
+        for k, value in breaks.items():
+            row[k] = value
+        monkeypatch.setattr(cli, "triangle_row", lambda n, table=None: tuple(row))
+        code, out = run(capsys, "peak", "10")
+        assert code == EXIT_VIOLATION
+        assert out == (
+            '{\n  "n": 10,\n  "peak_k": 6,\n'
+            f'  "scan_argmax": {scan_argmax},\n'
+            f'  "strict_up": {strict_up},\n  "strict_down": {strict_down},\n'
+            '  "peak_value": "702"\n}\n')
+
 
 class TestProduct:
     def test_half(self, capsys):
@@ -258,6 +276,10 @@ class TestMu:
         code, _ = run(capsys, "mu", "5", "5")
         assert code == EXIT_USAGE
 
+    def test_dimension_one_rejected(self, capsys):
+        code, out = run(capsys, "mu", "1", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+
     def test_filiform_flag_needs_maximal_class(self, capsys):
         code, _ = run(capsys, "mu", "5", "3", "--filiform")
         assert code == EXIT_USAGE
@@ -301,7 +323,6 @@ def test_single_value_and_row_commands_never_build_the_triangle(
 
     monkeypatch.setattr(binomial_sums, "build_triangle", refuse)
     monkeypatch.setattr(cli, "build_triangle", refuse)
-    monkeypatch.setattr(binomial_sums, "PnkTriangle", refuse)
     code, out = run(capsys, *argv)
     assert code == EXIT_OK
     assert out
@@ -322,18 +343,40 @@ def test_index_overflow_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+def _run_module(module, argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          **kwargs)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "p", str(10**10)],
+    ["compute", "pk", "3", str(10**10)],
+    ["compute", "pnk", str(10**10), "1"],
+    ["table", str(10**10)],
+    ["peak", str(10**10)],
+], ids=" ".join)
+def test_argument_too_large_for_memory_is_a_usage_error(argv):
+    # a table of 10^10 + 1 entries does not fit in 1 GiB of address space
+    proc = _run_module("binpart", argv, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert "Traceback" not in proc.stderr
+    assert "more memory than is available" in proc.stderr
+
+
 def test_usage_error_on_no_args(capsys):
     assert main([]) == EXIT_USAGE
 
 
 def _assert_module_runs_verify(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify", "thm2", "4", "10"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_module(module, ["verify", "thm2", "4", "10"])
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["claims"][0]["checked"] == 7
 

@@ -1,31 +1,18 @@
 import pytest
 
 from binpart import (
-    NilpotentProfile,
     best_bound,
     birkhoff_bound,
     corollary_bound,
     filiform_bound,
-    pnk_bound,
     reed_bound,
 )
 
 
 class TestProfiles:
-    def test_valid(self):
-        p = NilpotentProfile(dim_n=5, class_k=3)
-        assert not p.filiform
-        assert NilpotentProfile(dim_n=5, class_k=4, filiform=True).filiform
-
-    def test_class_range_enforced(self):
+    def test_filiform_needs_maximal_class(self, table_120):
         with pytest.raises(ValueError):
-            NilpotentProfile(dim_n=5, class_k=5)
-        with pytest.raises(ValueError):
-            NilpotentProfile(dim_n=1, class_k=1)
-
-    def test_filiform_needs_maximal_class(self):
-        with pytest.raises(ValueError):
-            NilpotentProfile(dim_n=5, class_k=3, filiform=True)
+            best_bound(5, 3, True, table_120)
 
 
 class TestIndividualBounds:
@@ -51,9 +38,9 @@ class TestIndividualBounds:
                 assert reed_bound(n, k) < birkhoff_bound(n, k)
 
     def test_pnk(self, table_120):
-        assert pnk_bound(NilpotentProfile(50, 26), table_120) == 412637434996367
-        assert pnk_bound(NilpotentProfile(3, 2), table_120) == 7
-        assert pnk_bound(NilpotentProfile(50, 49), table_120) == 6547151
+        for n, k, pnk in [(50, 26, 412637434996367), (3, 2, 7), (50, 49, 6547151)]:
+            bounds, _ = best_bound(n, k, False, table_120)
+            assert bounds["pnk"] == pnk
 
     def test_filiform(self, table_120):
         assert filiform_bound(2, table_120) == 2  # 1 + p(0,0)
@@ -68,41 +55,39 @@ class TestIndividualBounds:
     def test_corollary(self, triangle_120):
         assert corollary_bound(1).contains(6)  # 3*2/sqrt(1)
         assert float(corollary_bound(4).lower) > 14  # > p(4,3)
-        row_max = max(triangle_120.row(50))
+        row_max = max(triangle_120[50])
         assert row_max == 412637434996367
         assert float(corollary_bound(50).lower) > row_max
 
 
 class TestBestBound:
     def test_small_case_prefers_pnk(self, table_120):
-        report = best_bound(NilpotentProfile(3, 2), table_120)
-        assert report.pnk == 7
-        assert report.reed == 10
-        assert report.birkhoff == 40
-        assert report.best == "pnk"
-        assert report.pnk_beats_reed
-        assert report.filiform_bound is None
+        bounds, best = best_bound(3, 2, False, table_120)
+        assert bounds == {"birkhoff": 40, "reed": 10, "pnk": 7}
+        assert list(bounds) == ["birkhoff", "reed", "pnk"]  # print order
+        assert best == "pnk"
 
     def test_n50_k2(self, table_120):
-        report = best_bound(NilpotentProfile(50, 2), table_120)
-        assert report.pnk == 1276
-        assert report.reed == 2501
-        assert report.best == "pnk"
+        bounds, best = best_bound(50, 2, False, table_120)
+        assert bounds["pnk"] == 1276
+        assert bounds["reed"] == 2501
+        assert best == "pnk"
 
     def test_n50_k26_wins_by_orders(self, table_120):
-        report = best_bound(NilpotentProfile(50, 26), table_120)
-        assert report.pnk == 412637434996367
-        assert report.reed == 1 + 50**26
-        assert report.pnk * 10**29 < report.reed
+        bounds, _ = best_bound(50, 26, False, table_120)
+        assert bounds["pnk"] == 412637434996367
+        assert bounds["reed"] == 1 + 50**26
+        assert bounds["pnk"] * 10**29 < bounds["reed"]
 
     def test_filiform_included_when_flagged(self, table_120):
-        report = best_bound(NilpotentProfile(52, 51, filiform=True), table_120)
-        assert report.filiform_bound == 1295972
-        assert report.best == "filiform"
+        bounds, best = best_bound(52, 51, True, table_120)
+        assert list(bounds) == ["birkhoff", "reed", "pnk", "filiform"]
+        assert bounds["filiform"] == 1295972
+        assert best == "filiform"
 
     def test_pnk_below_corollary(self, triangle_1000):
         for n in range(2, 301):
             lower = float(corollary_bound(n).lower)
-            row = triangle_1000.row(n)
+            row = triangle_1000[n]
             for k in range(1, n):
                 assert row[k] < lower, (n, k)
