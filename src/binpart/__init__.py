@@ -11,10 +11,12 @@ from .binomial_sums import (
     DiagonalTable,
     build_triangle,
     dominance_check,
+    dominance_weights,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
     pnk_direct,
+    strict_sides,
     triangle_row,
     verify_unimodal_profile,
 )

@@ -2,17 +2,23 @@
 
 Definition:  p(n,k) = sum_{j=0}^{k} C(n-j, k-j) * p(j),  with p(0) = 1.
 
-Writing ell = n-k turns p(n,k) into the weighted binomial sum
-F(n,ell) = sum_{j=0}^{n} C(n-j, ell) * f(j) with f = p, which obeys the
-Pascal-style recursion F(n+1,ell) = F(n,ell) + F(n,ell-1).  Back in the
-(n,k) coordinates that is
+For any weight sequence f the weighted binomial sum
 
-    p(n+1,k) = p(n,k) + p(n,k-1)        (1 <= k <= n)
+    F_f(n,k) = sum_{j=0}^{k} C(n-j, k-j) * f(j)
 
-with p(n,0) = 1 and p(n,n) = p(0) + ... + p(n), which is how
-iter_triangle_rows streams the triangle row by row (triangle_row keeps
-only the last row of that stream, build_triangle collects all of it into
-a tuple of rows).  A single value p(n,k) is pnk_direct's O(k) direct sum.
+obeys the Pascal-style recursion
+
+    F_f(n+1,k) = F_f(n,k) + F_f(n,k-1)        (1 <= k <= n)
+
+with F_f(n,0) = f(0) and F_f(n,n) = f(0) + ... + f(n), which is how
+iter_triangle_rows, the one row builder, streams the triangle of F_f row by
+row.  f = p gives the p(n,k) triangle (triangle_row keeps only the last
+row of that stream, build_triangle collects all of it into a tuple of
+rows).  f = 512*p - 1745*delta_0, that is f(0) = 512 - 1745 and
+f(j) = 512*p(j) for j >= 1 (dominance_weights), gives the gap
+512*p(n,k) - 1745*C(n,k) of the dominance lemma, because the delta_0 term
+contributes exactly C(n,k).  A single value p(n,k) is pnk_direct's O(k)
+direct sum.
 
 For fixed n >= 4 the row k -> p(n,k) rises strictly to its unique peak at
 k = floor((n+3)/2) and falls strictly afterwards.  The sign machinery that
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .partitions import PartitionTable, build_partition_table
 
@@ -56,52 +62,55 @@ def pnk_direct(n: int, k: int, table: PartitionTable) -> int:
 
 
 def iter_triangle_rows(
-    max_n: int, table: PartitionTable | None = None
+    max_n: int, weights: Sequence[int] | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (n, row n) for n = 0..max_n keeping only O(n) memory.
+    """Yield (n, row n of F_f) for n = 0..max_n keeping only O(n) memory.
 
-    Rows are produced by the recursion p(n+1,k) = p(n,k) + p(n,k-1); the
-    diagonal is seeded with p(n+1,n+1) = p(n,n) + p(n+1) from the
-    partition table.  This is the one row builder: the sweeps and
-    triangle_row stream it, and build_triangle collects it.  Every row is
-    spot-checked against the direct sum at k in {0, 1, n} before it is
-    yielded (k = n against an independently accumulated prefix sum of the
-    partition table, which is what the direct sum collapses to).
+    `weights` is f(0..max_n) (or longer); None means the partition numbers,
+    so the rows are p(n,0..n).  Rows are produced by the recursion
+    F_f(n+1,k) = F_f(n,k) + F_f(n,k-1); the diagonal is seeded with
+    F_f(n+1,n+1) = F_f(n,n) + f(n+1).  This is the one row builder: the
+    sweeps and triangle_row stream it, and build_triangle collects it.
+    Every row is spot-checked against the direct sum at k in {0, 1, n}
+    before it is yielded: F_f(n,0) = f(0), F_f(n,1) = n*f(0) + f(1) and
+    F_f(n,n) against an independently accumulated prefix sum of f.  For
+    f = p these read p(n,0) = 1, p(n,1) = n+1 and p(n,n) = p(0)+...+p(n).
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if table is None:
-        table = build_partition_table(max_n)
-    if table.max_n < max_n:
-        raise ValueError("partition table too small for requested triangle")
+    if weights is None:
+        weights = build_partition_table(max_n)
+    if len(weights) <= max_n:
+        raise ValueError("weight sequence too short for requested triangle")
 
-    row = (1,)
+    f0 = weights[0]
+    row = (f0,)
     prefix = 0
     for n in range(max_n + 1):
         if n:
             prev = row
             # interior k = 1..n-1: prev[k] + prev[k-1], pairing prev[1:] with prev
             row = (
-                (1,)
+                (f0,)
                 + tuple(map(operator.add, prev[1:], prev))
-                + (prev[n - 1] + table[n],)
+                + (prev[n - 1] + weights[n],)
             )
-        prefix += table[n]
-        if row[0] != 1:
-            raise AssertionError(f"p({n},0) != 1")
-        if n >= 1 and row[1] != n + 1:
-            raise AssertionError(f"p({n},1) != {n + 1}")
+        prefix += weights[n]
+        if row[0] != f0:
+            raise AssertionError(f"F({n},0) != f(0)")
+        if n >= 1 and row[1] != n * f0 + weights[1]:
+            raise AssertionError(f"F({n},1) != {n}*f(0) + f(1)")
         if row[n] != prefix:
-            raise AssertionError(f"p({n},{n}) != sum of p(0..{n})")
+            raise AssertionError(f"F({n},{n}) != sum of f(0..{n})")
         yield n, row
 
 
-def triangle_row(n: int, table: PartitionTable | None = None) -> tuple[int, ...]:
+def triangle_row(n: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
     """Row n of iter_triangle_rows, holding one row at a time on the way.
 
     Every row passed on the way keeps iter_triangle_rows' spot checks.
     """
-    for _, row in iter_triangle_rows(n, table):
+    for _, row in iter_triangle_rows(n, weights):
         pass
     return row
 
@@ -156,16 +165,30 @@ def peak_k(n: int) -> int:
     return (n + 3) // 2
 
 
-def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | None:
-    """Check strict ascent to the peak and strict descent after it.
+def strict_sides(n: int, row: tuple[int, ...]) -> tuple[bool, bool]:
+    """(ascent holds, descent holds) for row = (p(n,0), ..., p(n,n)), n >= 4.
 
-    Scans row = (p(n,0), ..., p(n,n)): p(n,1) < ... < p(n,peak) and
-    p(n,peak) > ... > p(n,n).  Returns the (n, k) of the first broken
-    step, k < peak on the ascent and k >= peak on the descent, or None.
-    The descent is scanned only once the ascent holds.
+    The ascent is p(n,1) < ... < p(n,peak), the descent
+    p(n,peak) > ... > p(n,n); each side is scanned in full, pairwise at C
+    speed.
     """
     if n < 4:
         raise ValueError("profiles are scanned for n >= 4")
+    kn = peak_k(n)
+    return (all(map(operator.lt, row[1:kn], row[2:kn + 1])),
+            all(map(operator.gt, row[kn:n], row[kn + 1:n + 1])))
+
+
+def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | None:
+    """Check strict ascent to the peak and strict descent after it.
+
+    Scans row = (p(n,0), ..., p(n,n)) with strict_sides.  Returns the
+    (n, k) of the first broken step, k < peak on the ascent and k >= peak
+    on the descent, or None; only a row that fails the scan is walked step
+    by step to locate its violation.
+    """
+    if all(strict_sides(n, row)):
+        return None
     kn = peak_k(n)
     for k in range(1, kn):
         if not row[k] < row[k + 1]:
@@ -173,7 +196,7 @@ def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | N
     for k in range(kn, n):
         if not row[k] > row[k + 1]:
             return (n, k)
-    return None
+    raise AssertionError(f"row {n} failed its scan but no step is broken")
 
 
 def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
@@ -198,19 +221,30 @@ def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
     return total
 
 
-def dominance_check(n: int, row: tuple[int, ...]) -> int | None:
+def dominance_weights(table: PartitionTable, max_n: int) -> tuple[int, ...]:
+    """f(0..max_n) with F_f(n,k) = 512*p(n,k) - 1745*C(n,k).
+
+    f(0) = 512 - 1745 and f(j) = 512*p(j) for j >= 1: the defining sum of
+    512*p(n,k) plus -1745*delta_0, whose binomial sum is -1745*C(n,k).
+    iter_triangle_rows(max_n, f) streams the gap rows dominance_check reads.
+    """
+    if table.max_n < max_n:
+        raise ValueError("partition table too small")
+    return (512 - 1745,) + tuple(512 * p for p in table.values[1:max_n + 1])
+
+
+def dominance_check(n: int, gap_row: tuple[int, ...]) -> int | None:
     """Exact check that 512 * p(n,k) > 1745 * C(n,k) on the descent range.
 
-    row is row n of the triangle.  The range is floor((n+5)/2) <= k <= n,
-    n >= 4.  Returns None when the inequality holds throughout, else the
-    first violating k.
+    gap_row is row n of the gap triangle 512*p(n,k) - 1745*C(n,k) (stream
+    it with dominance_weights).  The range is floor((n+5)/2) <= k <= n,
+    n >= 4.  Returns None when every gap there is positive, else the first
+    k in the range with a gap <= 0; entries below the range are not read.
     """
     if n < 4:
         raise ValueError("defined for n >= 4")
     ell = (n + 5) // 2
-    c = math.comb(n, ell)
-    for k in range(ell, n + 1):
-        if 512 * row[k] <= 1745 * c:
-            return k
-        c = c * (n - k) // (k + 1)  # C(n, k+1)
-    return None
+    tail = gap_row[ell:]
+    if min(tail) > 0:
+        return None
+    return next(k for k, gap in enumerate(tail, ell) if gap <= 0)

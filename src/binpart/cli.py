@@ -26,7 +26,7 @@ from fractions import Fraction
 from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
 
 from . import sweeps
-from .binomial_sums import (build_triangle, peak_k, triangle_row,
+from .binomial_sums import (build_triangle, peak_k, strict_sides, triangle_row,
                             verify_unimodal_profile)
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
 from .intervals import (DEFAULT_PRECISION_BITS, BoundReal, certainly_positive,
@@ -200,15 +200,16 @@ def cmd_peak(args) -> int:
         raise UsageError("peak is only unique for N >= 4")
     row = triangle_row(n)
     violation = verify_unimodal_profile(n, row)
+    # a broken row is scanned in full on each side, so no side reads true unscanned
+    strict_up, strict_down = (True, True) if violation is None else strict_sides(n, row)
     kn = peak_k(n)
     scan_max = max(range(1, n + 1), key=lambda k: row[k])
     _emit({
         "n": n,
         "peak_k": kn,
         "scan_argmax": scan_max,
-        # after a broken ascent the descent is not scanned, and reads true
-        "strict_up": violation is None or violation[1] >= kn,
-        "strict_down": violation is None or violation[1] < kn,
+        "strict_up": strict_up,
+        "strict_down": strict_down,
         "peak_value": str(row[kn]),
     })
     return EXIT_OK if violation is None and scan_max == kn else EXIT_VIOLATION

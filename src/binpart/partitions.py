@@ -32,6 +32,9 @@ class PartitionTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
+    def __len__(self) -> int:
+        return len(self.values)
+
 
 @dataclass(frozen=True)
 class RestrictedTable:

@@ -11,7 +11,8 @@ ids are the stable identifiers exposed by `binpart verify`:
     prop2         p(n,n-1) < sqrt(n)*e^(a*sqrt(n))      (certified)
     lemma-links   sign sum positive at the peak k       (exact)
     lemma-rechts  sign sum negative just past the peak  (exact)
-    lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact)
+    lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact,
+                  on streamed rows of the gap 512*p(n,k) - 1745*C(n,k))
     lemma13       sqrt chain inequality                 (certified)
     apostol       p(n) < pi/sqrt(6n)*e^(a*sqrt(n))      (certified)
     stirling      C(n,peak)^2 * n * pi < 2*4^n          (certified)
@@ -32,6 +33,7 @@ from . import checks
 from .binomial_sums import (
     DiagonalTable,
     dominance_check,
+    dominance_weights,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
@@ -82,7 +84,7 @@ def _exact(claim: str, n: int, violation) -> checks.VerificationReport:
 
 class SweepContext:
     """Tables shared across claims, built lazily and sized to the largest
-    request; each row claim streams its own rows instead (see _rows)."""
+    request; each row claim streams its own rows instead (see _stream)."""
 
     def __init__(self):
         self._table = None
@@ -99,9 +101,19 @@ class SweepContext:
         return self._diag
 
 
-def _rows(ctx: SweepContext, n_min: int, n_max: int):
-    """(n, row n) for n_min..n_max, streamed; rows below n_min are skipped."""
-    return islice(iter_triangle_rows(n_max, ctx.table(n_max)), n_min, None)
+def _stream(weights):
+    """Pairs (n, row n of F_f) for n_min..n_max, streamed; rows below n_min
+    are skipped.  `weights(table, n_max)` gives f from the partition table."""
+
+    def pairs(ctx: SweepContext, n_min: int, n_max: int):
+        f = weights(ctx.table(n_max), n_max)
+        return islice(iter_triangle_rows(n_max, f), n_min, None)
+
+    return pairs
+
+
+_ROWS = _stream(lambda table, _: table)  # p(n,k)
+_GAP_ROWS = _stream(dominance_weights)  # 512*p(n,k) - 1745*C(n,k)
 
 
 def _shared(table=None):
@@ -123,7 +135,7 @@ def _claim(claim: str, per_n, pairs=_shared(), notes=None):
     """The sweep of one claim, as registered in CLAIMS.
 
     `pairs(ctx, n_min, n_max)` yields the claim's (n, input) pairs: a
-    streamed triangle row for the row claims (_rows), a shared table
+    streamed triangle row for the row claims (_stream), a shared table
     otherwise (_shared).  `per_n(n, input)` returns the reports for one n.
     """
 
@@ -171,8 +183,8 @@ def _descent_sign(n, table):
     return [_exact("lemma-rechts", n, violation)]
 
 
-def _dominance(n, row):
-    bad_k = dominance_check(n, row)
+def _dominance(n, gap_row):
+    bad_k = dominance_check(n, gap_row)
     return [_exact("lemma-gr", n, None if bad_k is None else (n, bad_k))]
 
 
@@ -199,17 +211,17 @@ def _series_identities(k, _):
 
 # claim id -> (sweep function, default range)
 CLAIMS = {
-    "thm2": (_claim("thm2", _unimodality, _rows), (4, 1000)),
-    "thm3": (_claim("thm3", _row_bound, _rows), (1, 1000)),
+    "thm2": (_claim("thm2", _unimodality, _ROWS), (4, 1000)),
+    "thm3": (_claim("thm3", _row_bound, _ROWS), (1, 1000)),
     "prop1": (_claim("prop1", _diagonal_bound, _DIAGONAL), (1, 2000)),
     "prop2": (_claim("prop2", _subdiagonal_bound, _DIAGONAL), (1, 2000)),
     "lemma-links": (_claim("lemma-links", _ascent_sign, _TABLE), (4, 1000)),
     "lemma-rechts": (_claim("lemma-rechts", _descent_sign, _TABLE), (4, 1000)),
-    "lemma-gr": (_claim("lemma-gr", _dominance, _rows), (4, 500)),
+    "lemma-gr": (_claim("lemma-gr", _dominance, _GAP_ROWS), (4, 500)),
     "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
     "apostol": (_claim("apostol", _partition_bound, _TABLE), (1, 2000)),
     "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
-    "eq9": (_claim("eq9", _product_bound, _rows), (2, 300)),
+    "eq9": (_claim("eq9", _product_bound, _ROWS), (2, 300)),
     "genfun": (_claim("genfun", _series_identities,
                       notes={"degree": GENFUN_DEGREE}), (1, 15)),
 }

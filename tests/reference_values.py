@@ -7,9 +7,10 @@ that the implementation must reproduce exactly.  mpf_to_fraction reads
 high-precision mpmath reference values exactly.
 
 The functions below are oracles no command runs: brute-force partition
-enumeration, the paper's closed forms of the truncated sign sums, the
-growth conditions behind unimodal weighted binomial sums, and the
-enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j).
+enumeration, the dominance gap by multiplicative binomials, the paper's
+closed forms of the truncated sign sums, the growth conditions behind
+unimodal weighted binomial sums, and the enclosure of
+S(q) = sum_{j>=1} j*q^j/(1-q^j).
 """
 
 import math
@@ -67,6 +68,11 @@ def enumerate_partitions(n: int, max_part: int, cap: int = 60):
 
     descend(n, max_part)
     return out
+
+
+def gap_row(n: int, row) -> tuple:
+    """512*p(n,k) - 1745*C(n,k) for k = 0..n from row n of p, by math.comb."""
+    return tuple(512 * p - 1745 * math.comb(n, k) for k, p in enumerate(row))
 
 
 def binomial_ratio(n: int, k: int, j: int) -> Fraction:

@@ -8,10 +8,12 @@ from binpart import (
     DiagonalTable,
     build_triangle,
     dominance_check,
+    dominance_weights,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
     pnk_direct,
+    strict_sides,
     triangle_row,
     verify_unimodal_profile,
 )
@@ -23,6 +25,7 @@ from reference_values import (
     closed_form_even,
     closed_form_odd,
     enumerate_partitions,
+    gap_row,
     partial_sign_sum_ratio,
 )
 
@@ -201,6 +204,36 @@ class TestUnimodalProfile:
     def test_small_n_rejected(self, triangle_120):
         with pytest.raises(ValueError):
             verify_unimodal_profile(3, triangle_120[3])
+        with pytest.raises(ValueError):
+            strict_sides(3, triangle_120[3])
+
+    def test_every_single_entry_break_of_row60(self, triangle_120):
+        # a tie with or an inversion against either neighbour, at every k on
+        # both sides of the peak, must read as the plain step-by-step loop
+        n, row = 60, triangle_120[60]
+        kn = peak_k(n)
+
+        def plain_loop(r):
+            for k in range(1, kn):
+                if not r[k] < r[k + 1]:
+                    return (n, k)
+            for k in range(kn, n):
+                if not r[k] > r[k + 1]:
+                    return (n, k)
+            return None
+
+        broken = 0
+        for k in range(n + 1):
+            neighbours = [row[j] for j in (k - 1, k + 1) if 0 <= j <= n]
+            for value in {v + d for v in neighbours for d in (-1, 0, 1)}:
+                r = row[:k] + (value,) + row[k + 1:]
+                expected = plain_loop(r)
+                assert verify_unimodal_profile(n, r) == expected, (k, value)
+                assert strict_sides(n, r) == (
+                    all(r[j] < r[j + 1] for j in range(1, kn)),
+                    all(r[j] > r[j + 1] for j in range(kn, n))), (k, value)
+                broken += expected is not None
+        assert broken > 2 * n
 
 
 class TestBinomialRatio:
@@ -262,12 +295,69 @@ class TestSignSums:
 class TestDominance:
     def test_row50_k28(self, triangle_120):
         assert 512 * triangle_120[50][28] > 1745 * math.comb(50, 28)
-        assert dominance_check(50, triangle_120[50]) is None
+        assert dominance_check(50, gap_row(50, triangle_120[50])) is None
 
     def test_n4(self, triangle_120):
         # p(4,4) = 12 far above (1745/512)*C(4,4) ~ 3.41
-        assert dominance_check(4, triangle_120[4]) is None
+        assert dominance_check(4, gap_row(4, triangle_120[4])) is None
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert dominance_check(n, triangle_120[n]) is None
+            assert dominance_check(n, gap_row(n, triangle_120[n])) is None
+
+    def test_gaps_below_the_range_are_negative(self, triangle_120):
+        # the lemma needs the descent range: at k = 1 the gap is negative
+        gap = gap_row(50, triangle_120[50])
+        assert gap[1] < 0
+        assert dominance_check(50, gap) is None
+
+    @pytest.mark.parametrize("n, bad, expected", [
+        (4, {4: 0}, 4),
+        (10, {7: 0}, 7),               # ell = 7: the first k checked
+        (10, {10: -5}, 10),            # the last k checked
+        (10, {8: 0, 9: -1}, 8),        # the first of two
+        (11, {9: -3, 11: 0}, 9),
+    ])
+    def test_first_non_positive_k(self, n, bad, expected):
+        row = [1] * (n + 1)
+        for k, value in bad.items():
+            row[k] = value
+        assert dominance_check(n, tuple(row)) == expected
+
+    def test_entries_below_ell_ignored(self):
+        # ell = (n+5)//2 = 7 for n = 10: k = 0..6 are not in the range
+        row = (-9, 0, -1, 0, -7, 0, -2) + (1, 1, 1, 1)
+        assert dominance_check(10, row) is None
+        assert dominance_check(10, row[:7] + (1, 1, 0, 1)) == 9
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError):
+            dominance_check(3, (1, 1, 1, 1))
+
+
+class TestGapRows:
+    """The gap stream builds C(n,k) through the Pascal recursion; math.comb
+    is a second, multiplicative route."""
+
+    def test_weights(self, table_2001):
+        assert dominance_weights(table_2001, 5) == (
+            512 - 1745, 512, 1024, 1536, 2560, 3584)
+        with pytest.raises(ValueError):
+            dominance_weights(table_2001, 2002)
+
+    def test_every_row_to_300(self, table_2001):
+        gaps = iter_triangle_rows(300, dominance_weights(table_2001, 300))
+        for (n, gap), (_, row) in zip(gaps, iter_triangle_rows(300, table_2001)):
+            assert gap == gap_row(n, row), n
+        assert n == 300
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_large_rows(self, n, table_2001):
+        gap = triangle_row(n, dominance_weights(table_2001, n))
+        assert gap == gap_row(n, triangle_row(n, table_2001))
+
+    def test_spot_checks_generalise(self):
+        # f = (f0, f1, f2): F(2,0) = f0, F(2,1) = 2*f0 + f1, F(2,2) = f0+f1+f2
+        assert triangle_row(2, (3, 5, 7)) == (3, 11, 15)
+        with pytest.raises(ValueError):
+            triangle_row(3, (3, 5, 7))

@@ -8,6 +8,8 @@ from binpart import binomial_sums, sweeps
 from binpart.binomial_sums import dominance_check, verify_unimodal_profile
 from binpart.checks import VERIFIED, VIOLATED, product_bound_check, row_bound_check
 
+from reference_values import gap_row
+
 
 def test_sweeps_never_build_the_triangle(monkeypatch):
     def refuse(*args, **kwargs):
@@ -34,12 +36,38 @@ def test_row_claim_holds_rows_not_the_triangle():
     assert peak < 1.3 * 2**20
 
 
+def test_gap_claim_holds_one_row_and_its_weights():
+    # lemma-gr streams gap rows: one row plus the weight tuple, no triangle
+    tracemalloc.start()
+    try:
+        summary = sweeps.run_claim("lemma-gr", 4, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.outcome == VERIFIED
+    assert summary.checked == 597
+    assert peak < 1.3 * 2**20
+
+
+def test_gap_claim_reads_gap_rows(monkeypatch, triangle_1000):
+    # p rows would pass dominance_check vacuously: every p(n,k) is positive
+    seen = {}
+
+    def spy(n, row):
+        seen[n] = row
+        return dominance_check(n, row)
+
+    monkeypatch.setattr(sweeps, "dominance_check", spy)
+    assert sweeps.run_claim("lemma-gr", 4, 80).outcome == VERIFIED
+    assert seen == {n: gap_row(n, triangle_1000[n]) for n in range(4, 81)}
+
+
 def _row_results(claim, n, row):
     """(holds, margin) of every check the claim makes on row n."""
     if claim == "thm2":
         return [(verify_unimodal_profile(n, row) is None, None)]
     if claim == "lemma-gr":
-        return [(dominance_check(n, row) is None, None)]
+        return [(dominance_check(n, gap_row(n, row)) is None, None)]
     if claim == "thm3":
         reports = [row_bound_check(n, row)]
     else:
