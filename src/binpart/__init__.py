@@ -1,10 +1,11 @@
 """binpart: exact binomial partition sums and certified bound verification.
 
-Core objects: partition tables (exact, arbitrary precision), the p(n,k)
-triangle with its unimodality structure, tail-bounded enclosures of the
-Euler product, certified inequality checks, and Ado-type dimension bounds
-for nilpotent Lie algebras.  Everything exported here is run by one of
-the six commands of `binpart.cli`; test-only oracles live with the tests.
+Core objects: partition tables (exact, arbitrary precision, plain tuples
+indexed by n), the p(n,k) triangle with its unimodality structure,
+tail-bounded enclosures of the Euler product (raw endpoint pairs),
+certified inequality checks, and Ado-type dimension bounds for nilpotent
+Lie algebras.  Everything exported here is run by one of the six
+commands of `binpart.cli`; test-only oracles live with the tests.
 """
 
 from .binomial_sums import (
@@ -30,7 +31,7 @@ from .checks import (
     row_bound_check,
     subdiagonal_bound_check,
 )
-from .intervals import BoundReal, decide_with_escalation
+from .intervals import decide_with_escalation
 from .lie import (
     best_bound,
     birkhoff_bound,
@@ -39,8 +40,6 @@ from .lie import (
     reed_bound,
 )
 from .partitions import (
-    PartitionTable,
-    RestrictedTable,
     build_partition_table,
     build_restricted_table,
     check_generating_functions,

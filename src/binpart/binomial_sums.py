@@ -12,9 +12,10 @@ obeys the Pascal-style recursion
 
 with F_f(n,0) = f(0) and F_f(n,n) = f(0) + ... + f(n), which is how
 iter_triangle_rows, the one row builder, streams the triangle of F_f row by
-row.  f = p gives the p(n,k) triangle (triangle_row keeps only the last
-row of that stream, build_triangle collects all of it into a tuple of
-rows).  f = 512*p - 1745*delta_0, that is f(0) = 512 - 1745 and
+row; it writes F_f(n,0) itself and spot-checks k = 1 and k = n.  f = p
+gives the p(n,k) triangle (triangle_row keeps only the last row of that
+stream, build_triangle collects all of it into a tuple of rows).
+f = 512*p - 1745*delta_0, that is f(0) = 512 - 1745 and
 f(j) = 512*p(j) for j >= 1 (dominance_weights), gives the gap
 512*p(n,k) - 1745*C(n,k) of the dominance lemma, because the delta_0 term
 contributes exactly C(n,k).  A single value p(n,k) is pnk_direct's O(k)
@@ -38,10 +39,10 @@ import math
 import operator
 from typing import Iterator, Sequence
 
-from .partitions import PartitionTable, build_partition_table
+from .partitions import build_partition_table
 
 
-def pnk_direct(n: int, k: int, table: PartitionTable) -> int:
+def pnk_direct(n: int, k: int, table: Sequence[int]) -> int:
     """Evaluate p(n,k) term by term from the defining sum.
 
     O(k) terms on a partition table covering 0..k.  Binomials are updated
@@ -50,8 +51,8 @@ def pnk_direct(n: int, k: int, table: PartitionTable) -> int:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if table.max_n < k:
-        raise ValueError(f"partition table covers only 0..{table.max_n}, need {k}")
+    if len(table) <= k:
+        raise ValueError(f"partition table covers only 0..{len(table) - 1}, need {k}")
     c = math.comb(n, k)  # C(n-j, k-j) at j=0, updated in the loop
     total = 0
     for j in range(k + 1):
@@ -71,10 +72,10 @@ def iter_triangle_rows(
     F_f(n+1,k) = F_f(n,k) + F_f(n,k-1); the diagonal is seeded with
     F_f(n+1,n+1) = F_f(n,n) + f(n+1).  This is the one row builder: the
     sweeps and triangle_row stream it, and build_triangle collects it.
-    Every row is spot-checked against the direct sum at k in {0, 1, n}
-    before it is yielded: F_f(n,0) = f(0), F_f(n,1) = n*f(0) + f(1) and
-    F_f(n,n) against an independently accumulated prefix sum of f.  For
-    f = p these read p(n,0) = 1, p(n,1) = n+1 and p(n,n) = p(0)+...+p(n).
+    Every row is spot-checked against the direct sum at k in {1, n}
+    before it is yielded: F_f(n,1) = n*f(0) + f(1) and F_f(n,n) against an
+    independently accumulated prefix sum of f.  For f = p these read
+    p(n,1) = n+1 and p(n,n) = p(0)+...+p(n).
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -96,8 +97,6 @@ def iter_triangle_rows(
                 + (prev[n - 1] + weights[n],)
             )
         prefix += weights[n]
-        if row[0] != f0:
-            raise AssertionError(f"F({n},0) != f(0)")
         if n >= 1 and row[1] != n * f0 + weights[1]:
             raise AssertionError(f"F({n},1) != {n}*f(0) + f(1)")
         if row[n] != prefix:
@@ -116,7 +115,7 @@ def triangle_row(n: int, weights: Sequence[int] | None = None) -> tuple[int, ...
 
 
 def build_triangle(
-    max_n: int, table: PartitionTable | None = None
+    max_n: int, table: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Rows 0..max_n of iter_triangle_rows, collected: p(n,k) is [n][k].
 
@@ -134,12 +133,12 @@ class DiagonalTable:
     `subdiagonal[n]` is p(n,n-1) (0 at n = 0), as tuples indexed by n.
     """
 
-    def __init__(self, max_n: int, table: PartitionTable | None = None):
+    def __init__(self, max_n: int, table: Sequence[int] | None = None):
         if max_n < 0:
             raise ValueError("max_n must be >= 0")
         if table is None:
             table = build_partition_table(max_n)
-        if table.max_n < max_n:
+        if len(table) <= max_n:
             raise ValueError("partition table too small")
         diag = [0] * (max_n + 1)
         sub = [0] * (max_n + 1)
@@ -199,7 +198,7 @@ def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | N
     raise AssertionError(f"row {n} failed its scan but no step is broken")
 
 
-def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
+def peak_sign_sum(n: int, k: int, table: Sequence[int]) -> int:
     """Exact signed sum S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j,k-j) * p(j).
 
     Positive iff the row still ascends into k, negative iff it descends;
@@ -208,7 +207,7 @@ def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if table.max_n < k:
+    if len(table) <= k:
         raise ValueError("partition table too small")
     c = math.comb(n, k)  # C(n-j, k-j) at j=0, updated in the loop
     total = 0
@@ -221,16 +220,16 @@ def peak_sign_sum(n: int, k: int, table: PartitionTable) -> int:
     return total
 
 
-def dominance_weights(table: PartitionTable, max_n: int) -> tuple[int, ...]:
+def dominance_weights(table: Sequence[int], max_n: int) -> tuple[int, ...]:
     """f(0..max_n) with F_f(n,k) = 512*p(n,k) - 1745*C(n,k).
 
     f(0) = 512 - 1745 and f(j) = 512*p(j) for j >= 1: the defining sum of
     512*p(n,k) plus -1745*delta_0, whose binomial sum is -1745*C(n,k).
     iter_triangle_rows(max_n, f) streams the gap rows dominance_check reads.
     """
-    if table.max_n < max_n:
+    if len(table) <= max_n:
         raise ValueError("partition table too small")
-    return (512 - 1745,) + tuple(512 * p for p in table.values[1:max_n + 1])
+    return (512 - 1745,) + tuple(512 * p for p in table[1:max_n + 1])
 
 
 def dominance_check(n: int, gap_row: tuple[int, ...]) -> int | None:

@@ -47,7 +47,6 @@ from .intervals import (
     int_interval,
     pi_alpha,
 )
-from .partitions import PartitionTable
 from .qseries import DEFAULT_DEPTH_CAP
 
 VERIFIED = "verified"
@@ -70,10 +69,6 @@ class VerificationReport:
     counterexample: Optional[tuple] = None
     margin: Optional[float] = None
     precision_bits: Optional[int] = None
-
-    @property
-    def verified(self) -> bool:
-        return self.outcome == VERIFIED
 
 
 def _relative_slack(lhs: int, rhs: int) -> float:
@@ -167,7 +162,7 @@ def central_binomial_check(
 
 
 def partition_bound_check(
-    n: int, table: PartitionTable, start_bits: int = DEFAULT_PRECISION_BITS
+    n: int, table: tuple[int, ...], start_bits: int = DEFAULT_PRECISION_BITS
 ) -> VerificationReport:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 

@@ -29,8 +29,8 @@ from . import sweeps
 from .binomial_sums import (build_triangle, peak_k, strict_sides, triangle_row,
                             verify_unimodal_profile)
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
-from .intervals import (DEFAULT_PRECISION_BITS, BoundReal, certainly_positive,
-                        int_interval)
+from .intervals import (DEFAULT_PRECISION_BITS, certainly_positive, int_interval,
+                        to_fraction, width)
 from .lie import best_bound, corollary_bound
 from .partitions import build_partition_table, build_restricted_table
 from .qseries import EnclosureWidthError, enclose_euler_product
@@ -64,11 +64,12 @@ def _decimal_str(fr: Fraction, digits: int, round_up: bool) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def bound_to_strings(b: BoundReal, digits: int = 24) -> dict:
-    """Endpoints of an enclosure, rounded outward in decimal."""
+def bound_to_strings(pair, digits: int = 24) -> dict:
+    """An enclosure's endpoint pair (lower, upper), rounded outward in decimal."""
+    lower, upper = pair
     return {
-        "lower": _decimal_str(b.lower_fraction(), digits, round_up=False),
-        "upper": _decimal_str(b.upper_fraction(), digits, round_up=True),
+        "lower": _decimal_str(to_fraction(lower), digits, round_up=False),
+        "upper": _decimal_str(to_fraction(upper), digits, round_up=True),
     }
 
 
@@ -237,7 +238,7 @@ def cmd_product(args) -> int:
     digits = max(6, math.ceil(-math.log10(args.tol)) + 2)
     doc = {"q": f"{args.q_num}/{args.q_den}", "ell": ell}
     doc.update(bound_to_strings(enclosure, digits))
-    doc["width"] = float(enclosure.width)
+    doc["width"] = width(enclosure)
     _emit(doc)
     return EXIT_OK
 
@@ -270,8 +271,7 @@ def _mu_prints_too_many_digits(n: int, k: int) -> bool:
     # (n^(k+2) - 1)/(n - 1) >= 10^L exactly when n^(k+2) > (n - 1)*10^L
     birkhoff = mpi_sub(mpi_pow_int(int_interval(n, bits), k + 2, bits),
                        mpi_mul(int_interval(n - 1, bits), _TOO_LONG, bits), bits)
-    corollary = mpi_mul(corollary_bound(n).endpoints,
-                        int_interval(10**6, bits), bits)
+    corollary = mpi_mul(corollary_bound(n), int_interval(10**6, bits), bits)
     return any(certainly_positive(gap)
                for gap in (birkhoff, mpi_sub(corollary, _TOO_LONG, bits)))
 

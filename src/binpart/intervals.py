@@ -8,10 +8,8 @@ This module holds the pieces those computations share: int_interval
 enters an integer, pi_alpha caches the pairs of pi and a = sqrt(2/3)*pi
 per bit width, and certainly_positive is the one sign rule.  None of
 them reads the process-global `iv.prec`; pi_alpha alone sets it, inside
-its own working_precision(bits).
-
-BoundReal is a finished enclosure, a pair and its precision, that
-callers read endpoints from; it does no arithmetic.
+its own working_precision(bits).  A finished pair is read by to_fraction,
+an endpoint's exact value, and width, upper - lower as a float.
 
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
@@ -32,10 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional
 
-import mpmath
 from mpmath import iv
 from mpmath.libmp import (from_int, fzero, mpf_sign, mpf_sub, round_ceiling,
-                          round_floor, round_nearest)
+                          round_floor, round_nearest, to_float)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 4096
@@ -83,7 +80,7 @@ def pi_alpha(bits: int):
         return pi._mpi_, (iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi)._mpi_
 
 
-def _raw_to_fraction(raw) -> Fraction:
+def to_fraction(raw) -> Fraction:
     """Exact value of a raw mpf tuple (sign, man, exp, bc) as a Fraction."""
     sign, man, exp, _ = raw
     man = int(man)
@@ -93,49 +90,10 @@ def _raw_to_fraction(raw) -> Fraction:
     return -value if sign else value
 
 
-def _raw_to_mpf(raw) -> mpmath.mpf:
-    """Wrap a raw mpf tuple without any re-rounding."""
-    return mpmath.mp.make_mpf(raw)
-
-
-class BoundReal:
-    """A real number certified to lie in [lower, upper], computed at precision_bits.
-
-    endpoints is the raw mpf pair (lower, upper) that `libmpi` returns;
-    lower, upper and their fractions read it exactly, never re-rounded.
-    """
-
-    __slots__ = ("endpoints", "precision_bits")
-
-    def __init__(self, endpoints, precision_bits: int):
-        self.endpoints = endpoints
-        self.precision_bits = precision_bits
-
-    @property
-    def lower(self) -> mpmath.mpf:
-        return _raw_to_mpf(self.endpoints[0])
-
-    @property
-    def upper(self) -> mpmath.mpf:
-        return _raw_to_mpf(self.endpoints[1])
-
-    def lower_fraction(self) -> Fraction:
-        return _raw_to_fraction(self.endpoints[0])
-
-    def upper_fraction(self) -> Fraction:
-        return _raw_to_fraction(self.endpoints[1])
-
-    @property
-    def width(self) -> mpmath.mpf:
-        """upper - lower, rounded to nearest at the 53 bits float(width) keeps."""
-        lo, hi = self.endpoints
-        return _raw_to_mpf(mpf_sub(hi, lo, 53, round_nearest))
-
-    def contains(self, x: int | float | Fraction) -> bool:
-        return self.lower_fraction() <= Fraction(x) <= self.upper_fraction()
-
-    def __repr__(self) -> str:
-        return f"BoundReal[{self.lower!s}, {self.upper!s}] @{self.precision_bits}b"
+def width(pair) -> float:
+    """upper - lower of an endpoint pair, rounded to nearest at 53 bits."""
+    lo, hi = pair
+    return to_float(mpf_sub(hi, lo, 53, round_nearest))
 
 
 def decide_with_escalation(

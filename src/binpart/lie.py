@@ -15,7 +15,8 @@ the label of the least; the dimension-only corollary bound
 (3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
 never rounded into an integer claim; it is computed with
 mpmath's `libmpi` interval functions on endpoint pairs at
-DEFAULT_PRECISION_BITS, as the certified checks compute their gaps.
+DEFAULT_PRECISION_BITS, as the certified checks compute their gaps,
+and returned as the raw endpoint pair (lower, upper).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
 
 from .binomial_sums import pnk_direct
-from .intervals import DEFAULT_PRECISION_BITS, BoundReal, int_interval
-from .partitions import PartitionTable
+from .intervals import DEFAULT_PRECISION_BITS, int_interval
 
 
 def birkhoff_bound(n: int, k: int) -> int:
@@ -43,7 +43,7 @@ def reed_bound(n: int, k: int) -> int:
     return 1 + n**k
 
 
-def filiform_bound(n: int, table: PartitionTable) -> int:
+def filiform_bound(n: int, table: tuple[int, ...]) -> int:
     """1 + p(n-2,n-2), the sharper bound available when k = n-1.
 
     table must cover 0..n-2.
@@ -53,12 +53,11 @@ def filiform_bound(n: int, table: PartitionTable) -> int:
     return 1 + pnk_direct(n - 2, n - 2, table)
 
 
-def corollary_bound(n: int) -> BoundReal:
-    """Certified enclosure of (3/sqrt(n)) * 2^n.
+def corollary_bound(n: int):
+    """Certified endpoint pair (lower, upper) of (3/sqrt(n)) * 2^n.
 
     A strict upper bound for every p(n,k) (the exact row bound carries
-    constant 113/40 < 3), hence a class-independent bound for mu.  The
-    BoundReal holds the endpoint pair `libmpi` returns, as it is.
+    constant 113/40 < 3), hence a class-independent bound for mu.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -66,12 +65,11 @@ def corollary_bound(n: int) -> BoundReal:
     # 2^n is exact at any precision (one mantissa bit), and no n-bit int is built
     two_to_n = mpi_pow_int(int_interval(2, bits), n, bits)
     numerator = mpi_mul(two_to_n, int_interval(3, bits), bits)
-    enclosure = mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
-    return BoundReal(enclosure, bits)
+    return mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
 
 
 def best_bound(
-    n: int, k: int, filiform: bool, table: PartitionTable
+    n: int, k: int, filiform: bool, table: tuple[int, ...]
 ) -> tuple[dict[str, int], str]:
     """Every applicable exact bound for (n, k), and the label of the least.
 

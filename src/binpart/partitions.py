@@ -1,7 +1,8 @@
 """Exact partition counting.
 
 Everything here is arbitrary-precision integer arithmetic (Python ints).
-The module provides two independent routes to partition counts:
+The module provides two independent routes to partition counts, each
+returning its table as a plain tuple indexed by n:
 
   1. build_partition_table  -- p(n) via Euler's pentagonal-number recurrence,
   2. build_restricted_table -- p_k(j) (largest part <= k) via the standard
@@ -16,42 +17,8 @@ The brute-force enumeration oracle lives with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Immutable table of p(0..max_n)."""
-
-    values: tuple[int, ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class RestrictedTable:
-    """Immutable table of p_k(0..max_n): partitions with every part <= k."""
-
-    k: int
-    values: tuple[int, ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
-
-
-def build_partition_table(max_n: int) -> PartitionTable:
+def build_partition_table(max_n: int) -> tuple[int, ...]:
     """Compute p(0..max_n) by the pentagonal-number recurrence.
 
     p(n) = sum_{k>=1} (-1)^(k-1) * [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
@@ -82,10 +49,10 @@ def build_partition_table(max_n: int) -> PartitionTable:
             raise AssertionError(f"p({n}) < p({n - 1}): table corrupt")
         if n >= 2 and total > values[n - 1] + values[n - 2]:
             raise AssertionError(f"p({n}) exceeds p({n - 1}) + p({n - 2})")
-    return PartitionTable(values=tuple(values))
+    return tuple(values)
 
 
-def build_restricted_table(k: int, max_n: int) -> RestrictedTable:
+def build_restricted_table(k: int, max_n: int) -> tuple[int, ...]:
     """Compute p_k(0..max_n) by the coin-counting dynamic program.
 
     Parts are admitted one size at a time, so after processing sizes
@@ -101,7 +68,7 @@ def build_restricted_table(k: int, max_n: int) -> RestrictedTable:
     for part in range(1, min(k, max_n) + 1):
         for j in range(part, max_n + 1):
             values[j] += values[j - part]
-    return RestrictedTable(k=k, values=tuple(values))
+    return tuple(values)
 
 
 def _weighted_tail_series(k: int, degree: int) -> list[int]:
@@ -130,7 +97,7 @@ def _convolve_truncated(a: list[int], b: list[int], degree: int) -> list[int]:
 
 
 def check_generating_functions(
-    k: int, degree: int, table: RestrictedTable | None = None
+    k: int, degree: int, table: tuple[int, ...] | None = None
 ) -> tuple[str, int] | None:
     """Verify the weighted series identity for p_k against the DP table.
 
@@ -148,13 +115,13 @@ def check_generating_functions(
         raise ValueError("degree must be >= 1")
     if table is None:
         table = build_restricted_table(k, degree)
-    if table.k != k or table.max_n < degree:
+    if len(table) <= degree:
         raise ValueError("table does not cover the requested check")
 
     if table[0] != 1:
         return ("weighted", 0)
     weighted = _convolve_truncated(
-        _weighted_tail_series(k, degree), table.values, degree
+        _weighted_tail_series(k, degree), table, degree
     )
     for j in range(degree + 1):
         if weighted[j] != j * table[j]:

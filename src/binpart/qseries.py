@@ -9,7 +9,8 @@ exceeds 1), and the analytic tail estimate
 
     F(q) < exp(q^ell/(1-q)^2) * prod_{j<ell} 1/(1-q^j)
 
-turns the truncation into a two-sided enclosure.  The right-hand side is
+turns the truncation into a two-sided enclosure, returned as its raw
+endpoint pair (lower, upper).  The right-hand side is
 nonincreasing in ell, so raising ell only tightens the result.  One scan,
 _tightest_bounds, walks the truncation points of a series given as its
 steps, and enclose_euler_product raises ell on decide_with_escalation,
@@ -22,8 +23,8 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from .intervals import (BoundReal, DEFAULT_PRECISION_BITS,
-                        decide_with_escalation, working_precision)
+from .intervals import (DEFAULT_PRECISION_BITS, decide_with_escalation, width,
+                        working_precision)
 from mpmath import iv
 from mpmath.libmp import fone, mpf_gt, mpf_lt
 
@@ -47,8 +48,8 @@ def _tail_factor(x):
     return factor
 
 
-def _tightest_bounds(q: Fraction, ell: int, bits: int, steps) -> BoundReal:
-    """The best bounds across truncation points 2..ell, as one enclosure.
+def _tightest_bounds(q: Fraction, ell: int, bits: int, steps):
+    """The best bounds across truncation points 2..ell, as one endpoint pair.
 
     steps(q) receives q as an interval at `bits` and yields, for
     j = 1, 2, ..., a pair of intervals: the lower endpoint of the first
@@ -70,7 +71,7 @@ def _tightest_bounds(q: Fraction, ell: int, bits: int, steps) -> BoundReal:
                 best_lo = lo
             if best_hi is None or mpf_lt(hi, best_hi):
                 best_hi = hi
-    return BoundReal((best_lo, best_hi), bits)
+    return best_lo, best_hi
 
 
 def _product_steps(q):
@@ -83,10 +84,8 @@ def _product_steps(q):
         yield partial, partial * _tail_factor(qj * q * inv_square)
 
 
-def euler_product_upper(
-    q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS
-) -> BoundReal:
-    """Enclosure of F(q): lower = partial product, upper = tail-bounded.
+def euler_product_upper(q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS):
+    """Endpoint pair of F(q): lower = partial product, upper = tail-bounded.
 
     The partial product prod_{j=1}^{ell-1} 1/(1-q^j) is a certified lower
     bound; multiplying the partial product at truncation point t by
@@ -95,12 +94,12 @@ def euler_product_upper(
     return _tightest_bounds(q, ell, bits, _product_steps)
 
 
-def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:
+def enclose_euler_product(q: Fraction, tol: float):
     """Shrink the F(q) enclosure below width `tol` by raising ell.
 
     Doubles ell from 8 up to DEFAULT_DEPTH_CAP; raises EnclosureWidthError
-    when the tolerance stays out of reach at the cap.  Returns (enclosure,
-    ell used).  The working precision is chosen from the tolerance.
+    when the tolerance stays out of reach at the cap.  Returns (endpoint
+    pair, ell used).  The working precision is chosen from the tolerance.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -109,7 +108,7 @@ def enclose_euler_product(q: Fraction, tol: float) -> tuple[BoundReal, int]:
 
     def evaluate(ell):
         enclosure = euler_product_upper(q, ell, bits)
-        widths.append(float(enclosure.width))
+        widths.append(width(enclosure))
         return enclosure if widths[-1] <= tol else None
 
     enclosure, ell = decide_with_escalation(evaluate, 8, DEFAULT_DEPTH_CAP)

@@ -91,7 +91,7 @@ class SweepContext:
         self._diag = None
 
     def table(self, max_n: int):
-        if self._table is None or self._table.max_n < max_n:
+        if self._table is None or len(self._table) <= max_n:
             self._table = build_partition_table(max_n)
         return self._table
 

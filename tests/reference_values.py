@@ -4,7 +4,8 @@ The 50-row table lists (p(k), p(50,k)) for k = 1..50.  These are
 long-established reference values for the partition function and the
 binomial partition sums; the suite treats them as an external oracle
 that the implementation must reproduce exactly.  mpf_to_fraction reads
-high-precision mpmath reference values exactly.
+high-precision mpmath reference values exactly; fractions and contains
+read an enclosure's endpoint pair exactly.
 
 The functions below are oracles no command runs: brute-force partition
 enumeration, the dominance gap by multiplicative binomials, the paper's
@@ -21,7 +22,7 @@ from itertools import accumulate, count
 from mpmath import iv
 
 from binpart import qseries
-from binpart.intervals import DEFAULT_PRECISION_BITS
+from binpart.intervals import DEFAULT_PRECISION_BITS, to_fraction
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -29,6 +30,17 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     value = Fraction(int(man)) * Fraction(2) ** exp
     return -value if sign else value
+
+
+def fractions(pair) -> tuple[Fraction, Fraction]:
+    """Exact values of an endpoint pair (lower, upper) as Fractions."""
+    return to_fraction(pair[0]), to_fraction(pair[1])
+
+
+def contains(pair, x) -> bool:
+    """Whether the enclosure given by its endpoint pair contains x."""
+    lower, upper = fractions(pair)
+    return lower <= Fraction(x) <= upper
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ def _weighted_steps(q):
 
 
 def weighted_sum_upper(q: Fraction, ell: int):
-    """Enclosure of S(q) over truncation points 2..ell, as F(q)'s is built."""
+    """Endpoint pair of S(q) over truncation points 2..ell, as F(q)'s is built."""
     return qseries._tightest_bounds(q, ell, DEFAULT_PRECISION_BITS, _weighted_steps)
 
 

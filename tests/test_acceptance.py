@@ -16,6 +16,7 @@ from binpart import build_restricted_table, peak_k, sweeps
 from binpart import best_bound
 from binpart.checks import VERIFIED
 from binpart.cli import EXIT_OK, main
+from binpart.intervals import width
 from binpart.qseries import euler_product_upper
 
 from reference_values import (
@@ -27,7 +28,9 @@ from reference_values import (
     Q252_WEIGHTED_UPPER,
     closed_form_even,
     closed_form_odd,
+    contains,
     enumerate_partitions,
+    fractions,
     partial_sign_sum_ratio,
     weighted_sum_upper,
 )
@@ -96,19 +99,18 @@ def test_criterion_04_diagonal_bounds_to_2000(sweep_ctx):
 def test_criterion_05_product_constants():
     t0 = time.time()
     half = euler_product_upper(Fraction(1, 2), 48)
-    assert float(half.width) <= 1e-12
-    assert half.contains(EULER_PRODUCT_HALF)
+    assert width(half) <= 1e-12
+    assert contains(half, EULER_PRODUCT_HALF)
 
     q, ell = Fraction(252, 500), 96
-    product = euler_product_upper(q, ell)
-    weighted = weighted_sum_upper(q, ell)
-    assert product.upper_fraction() < Fraction(Q252_PRODUCT_UPPER)
-    assert weighted.upper_fraction() < Fraction(Q252_WEIGHTED_UPPER)
+    product_lo, product_hi = fractions(euler_product_upper(q, ell))
+    weighted_lo, weighted_hi = fractions(weighted_sum_upper(q, ell))
+    assert product_hi < Fraction(Q252_PRODUCT_UPPER)
+    assert weighted_hi < Fraction(Q252_WEIGHTED_UPPER)
     # both factors are positive, so the product of the upper endpoints
     # bounds the product of the enclosed values
-    assert product.lower_fraction() > 0 and weighted.lower_fraction() > 0
-    assert product.upper_fraction() * weighted.upper_fraction() \
-        < Fraction(Q252_COMBINED_UPPER)
+    assert product_lo > 0 and weighted_lo > 0
+    assert product_hi * weighted_hi < Fraction(Q252_COMBINED_UPPER)
     _report("05 product-constants",
             "F(1/2) enclosed at 1e-12; all three q=252/500 bounds reproduced",
             t0, 60.0)

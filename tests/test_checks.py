@@ -22,7 +22,6 @@ from mpmath.libmp import (
 
 from binpart import checks, intervals
 from binpart import (
-    BoundReal,
     DiagonalTable,
     central_binomial_check,
     corollary_bound,
@@ -42,25 +41,26 @@ from binpart.intervals import (
     working_precision,
 )
 
-from reference_values import EULER_PRODUCT_HALF, mpf_to_fraction
+from reference_values import (EULER_PRODUCT_HALF, contains, fractions,
+                              mpf_to_fraction)
 
 
 class TestRowBound:
     def test_n1(self, triangle_120):
         # p(1,1) = 2: 1600*1*4 < 12769*4
         report = row_bound_check(1, triangle_120[1])
-        assert report.verified
+        assert report.outcome == VERIFIED
         assert report.precision_bits is None  # pure integer check
 
     def test_n50_peak_value(self, triangle_120):
         v = triangle_120[50][26]
         assert 1600 * 50 * v * v < 12769 * 4**50
-        assert row_bound_check(50, triangle_120[50]).verified
+        assert row_bound_check(50, triangle_120[50]).outcome == VERIFIED
 
     def test_sweep(self, triangle_120):
         for n in range(1, 121):
             report = row_bound_check(n, triangle_120[n])
-            assert report.verified, n
+            assert report.outcome == VERIFIED, n
             assert report.margin > 0
 
     def test_margin_matches_per_k_formula(self, triangle_120):
@@ -80,46 +80,46 @@ class TestRowBound:
 class TestCentralBinomial:
     def test_zero_binomial_below_cut(self):
         assert math.comb(1, 2) == 0
-        assert central_binomial_check(1).verified
+        assert central_binomial_check(1).outcome == VERIFIED
 
     def test_n50(self):
         report = central_binomial_check(50)
-        assert report.verified
+        assert report.outcome == VERIFIED
         # C(50,26) = 121548660036300 against 2^50/sqrt(25*pi) ~ 1.27e14
         assert math.comb(50, 26) == 121548660036300
 
     def test_sweep(self):
         for n in range(1, 301):
             report = central_binomial_check(n)
-            assert report.verified, n
+            assert report.outcome == VERIFIED, n
             assert report.precision_bits == 128
 
 
 class TestPartitionBound:
     def test_n1(self, table_2001):
-        assert partition_bound_check(1, table_2001).verified
+        assert partition_bound_check(1, table_2001).outcome == VERIFIED
 
     def test_n50(self, table_2001):
         report = partition_bound_check(50, table_2001)
-        assert report.verified
+        assert report.outcome == VERIFIED
         assert report.margin > 0
 
     def test_sweep(self, table_2001):
         for n in range(1, 301):
-            assert partition_bound_check(n, table_2001).verified, n
+            assert partition_bound_check(n, table_2001).outcome == VERIFIED, n
 
 
 class TestGrowthChain:
     @pytest.mark.parametrize("n", [3, 16])
     def test_boundary_values(self, n):
-        assert growth_chain_check(n).verified
+        assert growth_chain_check(n).outcome == VERIFIED
 
     def test_sweep(self):
         for n in range(3, 301):
-            assert growth_chain_check(n).verified, n
+            assert growth_chain_check(n).outcome == VERIFIED, n
 
     def test_large_n(self):
-        assert growth_chain_check(10000).verified
+        assert growth_chain_check(10000).outcome == VERIFIED
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -129,26 +129,30 @@ class TestGrowthChain:
 class TestDiagonalBounds:
     def test_base_cases(self, diagonal_2001):
         # p(0,0) = 1 < e^a and p(1,0) = 1 < 1*e^a
-        assert diagonal_bound_check(1, diagonal_2001.diagonal[0]).verified
-        assert subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1]).verified
+        diagonal = diagonal_bound_check(1, diagonal_2001.diagonal[0])
+        subdiagonal = subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1])
+        assert diagonal.outcome == VERIFIED
+        assert subdiagonal.outcome == VERIFIED
 
     def test_golden_values(self):
         # p(50,50) = 1295971 < e^(a*sqrt(51)), p(50,49) = 6547151 < sqrt(50)e^(a*sqrt(50))
-        assert diagonal_bound_check(51, 1295971).verified
-        assert subdiagonal_bound_check(50, 6547151).verified
+        assert diagonal_bound_check(51, 1295971).outcome == VERIFIED
+        assert subdiagonal_bound_check(50, 6547151).outcome == VERIFIED
 
     def test_triangle_and_diagonal_agree(self, triangle_120, table_2001):
         diag = DiagonalTable(120, table_2001)
         for n in (5, 17, 60, 101):
             r1 = diagonal_bound_check(n, triangle_120[n - 1][n - 1])
             r2 = diagonal_bound_check(n, diag.diagonal[n - 1])
-            assert r1.verified and r2.verified
+            assert r1.outcome == VERIFIED and r2.outcome == VERIFIED
             assert r1.margin == r2.margin
 
     def test_sweep(self, diagonal_2001):
         for n in range(1, 301):
-            assert diagonal_bound_check(n, diagonal_2001.diagonal[n - 1]).verified, n
-            assert subdiagonal_bound_check(n, diagonal_2001.subdiagonal[n]).verified, n
+            diagonal = diagonal_bound_check(n, diagonal_2001.diagonal[n - 1])
+            subdiagonal = subdiagonal_bound_check(n, diagonal_2001.subdiagonal[n])
+            assert diagonal.outcome == VERIFIED, n
+            assert subdiagonal.outcome == VERIFIED, n
 
 
 class TestCertifiedOutcomes:
@@ -180,13 +184,14 @@ class TestCertifiedOutcomes:
         assert seen == [128, 256]
 
 
-def _record_sign(record):
-    """The sign rule read from a BoundReal record's endpoints: lower > 0 is
+def _record_sign(gap):
+    """The sign rule read from a gap's endpoints as mpf values: lower > 0 is
     positive, upper <= 0 is not, anything else (a NaN endpoint included) is
     undecided."""
-    if record.lower > 0:
+    lower, upper = map(mpmath.mp.make_mpf, gap)
+    if lower > 0:
         return True
-    if record.upper <= 0:
+    if upper <= 0:
         return False
     return None
 
@@ -194,7 +199,7 @@ def _record_sign(record):
 class TestSignRule:
     """certainly_positive, the sign rule _certified reads from a gap's raw
     endpoints, agrees with mpmath's own interval comparison gap > 0 and
-    with the gap's BoundReal record on every edge gap."""
+    with mpf comparisons of the gap's endpoints on every edge gap."""
 
     @pytest.mark.parametrize("lower, upper, sign", [
         (fzero, fone, None),     # touches 0 from above: undecided
@@ -214,7 +219,7 @@ class TestSignRule:
         # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
         assert (iv.make_mpf(gap) > 0) is sign
         assert certainly_positive(gap) is sign
-        assert _record_sign(BoundReal(gap, 128)) is sign
+        assert _record_sign(gap) is sign
         seen = []
 
         def gaps(bits):
@@ -231,7 +236,7 @@ class TestSignRule:
 
 
 def _reference_gaps(claim, n, table, diagonal):
-    """Each certified check's gaps as `iv` operator expressions, as BoundReal records.
+    """Each certified check's gaps as `iv` operator expressions, as endpoint pairs.
 
     mpmath's operator dispatch, inside one working_precision(bits), is a
     route separate from the checks' direct `libmpi` calls.
@@ -281,7 +286,7 @@ def _reference_gaps(claim, n, table, diagonal):
 
     def gaps(bits):
         with working_precision(bits):
-            return tuple(BoundReal(gap._mpi_, bits) for gap in expressions())
+            return tuple(gap._mpi_ for gap in expressions())
     return gaps
 
 
@@ -300,16 +305,16 @@ def _report_and_gaps(monkeypatch, run_check):
 
 
 def _assert_same_endpoints(gaps, reference, start_bits, last_bits):
-    """gaps(bits) equals the reference records' endpoints exactly, at
-    every rung from start_bits to last_bits."""
+    """gaps(bits) equals the reference endpoint pairs exactly, at every
+    rung from start_bits to last_bits."""
     bits = start_bits
     while bits <= last_bits:
-        assert gaps(bits) == tuple(r.endpoints for r in reference(bits)), bits
+        assert gaps(bits) == reference(bits), bits
         bits *= 2
 
 
 def _reference_decision(gaps, start_bits):
-    """(outcome, margin, bits) from BoundReal gaps, as _certified reports them."""
+    """(outcome, margin, bits) from mpf endpoint reads, as _certified reports them."""
     margin = {}
 
     def evaluate(bits):
@@ -318,7 +323,8 @@ def _reference_decision(gaps, start_bits):
         if None in signs:
             return None
         if all(signs):
-            margin["m"] = min(float(gap.lower) for gap in enclosures)
+            margin["m"] = min(float(mpmath.mp.make_mpf(lower))
+                              for lower, _ in enclosures)
             return True
         return False
 
@@ -329,7 +335,7 @@ def _reference_decision(gaps, start_bits):
 
 
 class TestRawIntervalGaps:
-    """The certified checks' raw-interval gaps against BoundReal records of
+    """The certified checks' raw-interval gaps against the endpoint pairs of
     `iv` operator references: the decision, and every gap endpoint exactly."""
 
     CHECKS = {
@@ -385,12 +391,13 @@ class TestRawIntervalGaps:
                                    (mpi_exp, mpmath.exp, y)):
             entered = mpi_div(int_interval(arg.numerator, bits),
                               int_interval(arg.denominator, bits), bits)
-            enclosure = BoundReal(fn(entered, bits), bits)
+            enclosure = fn(entered, bits)
             with mpmath.workprec(1024):
                 value = mpf_to_fraction(
                     reference(mpmath.mpf(arg.numerator) / arg.denominator))
-            assert enclosure.contains(value), (fn.__name__, arg)
-            width = enclosure.upper_fraction() - enclosure.lower_fraction()
+            assert contains(enclosure, value), (fn.__name__, arg)
+            lower, upper = fractions(enclosure)
+            width = upper - lower
             assert width <= Fraction(2) ** (12 - bits) \
                 * max(1, abs(value)) * max(1, arg), (fn.__name__, arg)
 
@@ -399,8 +406,7 @@ class TestRawIntervalGaps:
             reports = [check(n, table_2001, diagonal_2001, 128)
                        for n_min, check in self.CHECKS.values()
                        for n in (n_min, 10, 1000)]
-            corollary = corollary_bound(50)
-            return reports, corollary.lower_fraction(), corollary.upper_fraction()
+            return reports, fractions(corollary_bound(50))
 
         results = []
         for prec in (53, 2048):
@@ -429,11 +435,11 @@ class TestRawIntervalGaps:
         widths = []
         for bits in (128, 256, 512):
             assert pi_alpha(bits) is pi_alpha(bits)
-            enclosures = [BoundReal(x, bits) for x in pi_alpha(bits)]
+            enclosures = pi_alpha(bits)
             for enclosure, value in zip(enclosures, exact):
-                assert enclosure.contains(value), bits
-            widths.append([e.upper_fraction() - e.lower_fraction()
-                           for e in enclosures])
+                assert contains(enclosure, value), bits
+            widths.append([upper - lower for lower, upper
+                           in map(fractions, enclosures)])
         for coarse, fine in zip(widths, widths[1:]):
             assert all(f < c for c, f in zip(coarse, fine))
 
@@ -441,20 +447,20 @@ class TestRawIntervalGaps:
 class TestProductBound:
     def test_n50_k25(self, triangle_120):
         report = product_bound_check(50, 25, triangle_120[50])
-        assert report.verified
+        assert report.outcome == VERIFIED
         # sanity anchor: p(50,25) < C(50,25) * 3.4627...
         assert triangle_120[50][25] < math.comb(50, 25) * EULER_PRODUCT_HALF
 
     def test_n2_k1(self, triangle_120):
         # p(2,1) = 3 < 2 * F(1/2) ~ 6.93
         assert triangle_120[2][1] == 3
-        assert product_bound_check(2, 1, triangle_120[2]).verified
+        assert product_bound_check(2, 1, triangle_120[2]).outcome == VERIFIED
 
     def test_sweep_zero_inconclusive(self, triangle_120):
         for n in range(2, 81):
             for k in range(1, n):
                 report = product_bound_check(n, k, triangle_120[n])
-                assert report.verified, (n, k)
+                assert report.outcome == VERIFIED, (n, k)
 
     def test_depth_cap_reports_inconclusive(self, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
@@ -533,7 +539,7 @@ class TestProductLadder:
         # does not clear
         report, visited = self._rungs(monkeypatch, 130, 117,
                                       triangle_1000[130])
-        assert report.verified
+        assert report.outcome == VERIFIED
         assert visited == [4, 8, 16]
 
     def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):

@@ -199,26 +199,6 @@ class TestPeak:
 
 
 class TestProduct:
-    def test_half(self, capsys):
-        code, out = run(capsys, "product", "1", "2", "1e-12")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert float(doc["lower"]) <= 3.4627466194550636 <= float(doc["upper"])
-        assert doc["width"] <= 1e-12
-
-    def test_q252(self, capsys):
-        # the reference upper constant sits ~6e-10 above the true product,
-        # so the enclosure must be tighter than that to land below it
-        code, out = run(capsys, "product", "252", "500", "1e-10")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert float(doc["upper"]) < 3.54029829
-
-    def test_small_q_small_ell(self, capsys):
-        code, out = run(capsys, "product", "1", "10", "1e-6")
-        assert code == EXIT_OK
-        assert json.loads(out)["ell"] == 8
-
     def test_unreachable_tolerance(self, capsys):
         code, out = run(capsys, "product", "9", "10", "1e-30")
         assert code == EXIT_INCONCLUSIVE

@@ -1,11 +1,14 @@
-"""Every module-level definition in src/binpart is reached from a command.
+"""Every definition in src/binpart is reached from a command.
 
 The roots are the console script in pyproject.toml and every module
 statement that is neither a definition nor an import, such as an
 `if __name__ == "__main__"` block.  Imports, the `binpart/__init__`
 re-exports among them, reach nothing.  From the roots the guard follows
-each name and attribute a reached definition mentions; a function, class
-or constant left over is code no command runs.
+each name and attribute a reached definition mentions.  A module-level
+function, class or constant is reached by its name or by an attribute of
+that name; a method or property only by an attribute of its name, and a
+dunder method together with its class.  A definition left over is code
+no command runs.
 """
 
 import ast
@@ -14,39 +17,67 @@ from pathlib import Path
 
 REPO = Path(__file__).parents[1]
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _mentions(node) -> list[str]:
-    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
-            or isinstance(n, ast.Attribute)]
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _mentions(*nodes) -> list[str]:
+    """Names mentioned by nodes; an attribute `x.a` counts as a and as .a."""
+    found = []
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                found.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                found += [n.attr, "." + n.attr]
+    return found
+
+
+def _class_parts(cls: ast.ClassDef):
+    """The methods a class defines apart, and the rest of the class."""
+    methods = [stmt for stmt in cls.body
+               if isinstance(stmt, FUNCTIONS) and not _is_dunder(stmt.name)]
+    rest = [stmt for stmt in cls.body if stmt not in methods]
+    return methods, cls.decorator_list + cls.bases + cls.keywords + rest
 
 
 def unreached_definitions(root: Path) -> list[str]:
-    """`module.name` of each definition in root/src/binpart that no root reaches."""
+    """`module.name` of each definition in root/src/binpart that no root
+    reaches; a method or property reads `module.Class.name`."""
     pending = re.findall(r'^\S+ = "binpart\.\w+:(\w+)"$',
                          (root / "pyproject.toml").read_text(), re.M)
-    definitions = []  # (module, name, defining statement)
+    definitions = []  # (reported name, key it is reached by, mentions)
     for path in sorted((root / "src" / "binpart").glob("*.py")):
+        module = path.stem
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                definitions.append((path.stem, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                methods, rest = _class_parts(stmt)
+                definitions.append((f"{module}.{stmt.name}", stmt.name,
+                                    _mentions(*rest)))
+                definitions += [(f"{module}.{stmt.name}.{m.name}", "." + m.name,
+                                 _mentions(m)) for m in methods]
+            elif isinstance(stmt, FUNCTIONS):
+                definitions.append((f"{module}.{stmt.name}", stmt.name,
+                                    _mentions(stmt)))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = (stmt.targets if isinstance(stmt, ast.Assign)
                            else [stmt.target])
-                definitions += [(path.stem, n.id, stmt) for target in targets
-                                for n in ast.walk(target) if isinstance(n, ast.Name)]
+                definitions += [(f"{module}.{n.id}", n.id, _mentions(stmt))
+                                for target in targets for n in ast.walk(target)
+                                if isinstance(n, ast.Name)]
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 pending += _mentions(stmt)
     reached = set()
     while pending:
-        name = pending.pop()
-        if name not in reached:
-            reached.add(name)
-            pending += [mentioned for _, defined, stmt in definitions
-                        if defined == name for mentioned in _mentions(stmt)]
-    return sorted(f"{module}.{name}" for module, name, _ in definitions
-                  if name not in reached)
+        key = pending.pop()
+        if key not in reached:
+            reached.add(key)
+            pending += [mentioned for _, defined, mentions in definitions
+                        if defined == key for mentioned in mentions]
+    return sorted(name for name, key, _ in definitions if key not in reached)
 
 
 def test_every_definition_is_reached_from_a_command():

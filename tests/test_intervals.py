@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
+    finf,
+    fnan,
+    from_rational,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -15,19 +18,17 @@ from mpmath.libmp import (
 
 from binpart import intervals
 from binpart.intervals import (
-    BoundReal,
     certainly_positive,
     decide_with_escalation,
     int_interval,
     pi_alpha,
+    to_fraction,
+    width,
 )
 
+from reference_values import contains, fractions
+
 BITS = 128
-
-
-def _record(endpoints, bits=BITS):
-    """A raw endpoint pair as the BoundReal record callers read."""
-    return BoundReal(endpoints, bits)
 
 
 def _rational(x: Fraction, bits=BITS):
@@ -37,32 +38,36 @@ def _rational(x: Fraction, bits=BITS):
 
 
 def test_exact_int_is_tight():
-    b = _record(int_interval(7, BITS))
-    assert b.contains(7)
-    assert float(b.width) == 0.0
+    b = int_interval(7, BITS)
+    assert contains(b, 7)
+    assert width(b) == 0.0
 
 
 def test_exact_fraction_encloses():
-    b = _record(_rational(Fraction(1, 3)))
-    assert b.contains(Fraction(1, 3))
-    assert float(b.width) > 0  # 1/3 is not dyadic
+    b = _rational(Fraction(1, 3))
+    assert contains(b, Fraction(1, 3))
+    assert width(b) > 0  # 1/3 is not dyadic
 
 
 def test_huge_int_enclosed():
     big = 10**600 + 12345
-    b = _record(int_interval(big, BITS))
-    assert b.contains(big)
+    assert contains(int_interval(big, BITS), big)
+
+
+def test_to_fraction_is_exact_and_refuses_non_finite():
+    assert to_fraction(from_rational(-3, 8, BITS)) == Fraction(-3, 8)
+    for raw in (finf, fnan):
+        with pytest.raises(ValueError):
+            to_fraction(raw)
 
 
 def test_sqrt_squared_contains_two():
     sq = mpi_sqrt(int_interval(2, BITS), BITS)
-    assert _record(mpi_mul(sq, sq, BITS)).contains(2)
+    assert contains(mpi_mul(sq, sq, BITS), 2)
 
 
 def test_pi_enclosure():
-    pi = BoundReal(pi_alpha(BITS)[0], BITS)
-    lo = pi.lower_fraction()
-    hi = pi.upper_fraction()
+    lo, hi = fractions(pi_alpha(BITS)[0])
     # rational bracket around the true value, one ulp-of-25-digits wide
     bracket_lo = Fraction(31415926535897932384626433, 10**25)
     bracket_hi = Fraction(31415926535897932384626434, 10**25)
@@ -73,13 +78,13 @@ def test_pi_enclosure():
 
 def test_exp_log_round_trip():
     x = int_interval(10, BITS)
-    assert _record(mpi_exp(mpi_log(x, BITS), BITS)).contains(10)
+    assert contains(mpi_exp(mpi_log(x, BITS), BITS), 10)
 
 
 def test_arithmetic_widens_not_loses():
     a = _rational(Fraction(1, 3))
     total = mpi_add(mpi_add(a, a, BITS), a, BITS)
-    assert _record(total).contains(1)
+    assert contains(total, 1)
 
 
 def test_escalation_resolves_tight_gap():
@@ -155,4 +160,4 @@ def test_arithmetic_encloses_exact_result(bits, a, b):
     if b != 0:
         ops.append((mpi_div, a / b))
     for op, exact in ops:
-        assert _record(op(x, y, bits), bits).contains(exact), (op.__name__, a, b)
+        assert contains(op(x, y, bits), exact), (op.__name__, a, b)

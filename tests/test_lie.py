@@ -8,6 +8,8 @@ from binpart import (
     reed_bound,
 )
 
+from reference_values import contains, fractions
+
 
 class TestProfiles:
     def test_filiform_needs_maximal_class(self, table_120):
@@ -53,11 +55,11 @@ class TestIndividualBounds:
             filiform_bound(1, table_120)
 
     def test_corollary(self, triangle_120):
-        assert corollary_bound(1).contains(6)  # 3*2/sqrt(1)
-        assert float(corollary_bound(4).lower) > 14  # > p(4,3)
+        assert contains(corollary_bound(1), 6)  # 3*2/sqrt(1)
+        assert fractions(corollary_bound(4))[0] > 14  # > p(4,3)
         row_max = max(triangle_120[50])
         assert row_max == 412637434996367
-        assert float(corollary_bound(50).lower) > row_max
+        assert fractions(corollary_bound(50))[0] > row_max
 
 
 class TestBestBound:
@@ -87,7 +89,7 @@ class TestBestBound:
 
     def test_pnk_below_corollary(self, triangle_1000):
         for n in range(2, 301):
-            lower = float(corollary_bound(n).lower)
+            lower, _ = fractions(corollary_bound(n))
             row = triangle_1000[n]
             for k in range(1, n):
                 assert row[k] < lower, (n, k)

@@ -1,17 +1,20 @@
 import pytest
 
 from binpart import (
+    DiagonalTable,
     build_partition_table,
     build_restricted_table,
     check_generating_functions,
+    dominance_weights,
+    peak_sign_sum,
+    pnk_direct,
 )
-from binpart.partitions import RestrictedTable
 
 from reference_values import PK_VALUES, PartitionMultiset, enumerate_partitions
 
 
 def test_table_base_case():
-    assert build_partition_table(0).values == (1,)
+    assert build_partition_table(0) == (1,)
 
 
 @pytest.mark.parametrize("n,expected", [(5, 7), (10, 42), (12, 77), (50, 204226)])
@@ -24,7 +27,7 @@ def test_table_matches_golden_column(table_2001):
 
 
 def test_table_monotone_and_sub_fibonacci(table_2001):
-    values = table_2001.values
+    values = table_2001
     for n in range(1, 501):
         assert values[n] >= values[n - 1]
     for n in range(2, 501):
@@ -41,13 +44,13 @@ def test_ramanujan_congruences(table_2001, modulus, offset):
     # p(5m+4) = 0 mod 5, p(7m+5) = 0 mod 7, p(11m+6) = 0 mod 11: evidence
     # for the pentagonal table that shares no step with its recurrence
     assert all(table_2001[n] % modulus == 0
-               for n in range(offset, table_2001.max_n + 1, modulus))
+               for n in range(offset, len(table_2001), modulus))
 
 
 def test_whole_table_matches_coin_counting(table_2001):
     # with every part up to 2001 allowed the DP counts p(j) for all j <= 2001,
     # a route that shares no step with the pentagonal recurrence
-    assert build_restricted_table(2001, 2001).values == table_2001.values
+    assert build_restricted_table(2001, 2001) == table_2001
 
 
 def test_negative_max_n_rejected():
@@ -115,8 +118,8 @@ class TestRestricted:
     def test_parts_beyond_max_n_cost_nothing(self, table_2001):
         # only parts 1..5 fit below 6, so this must not walk k part sizes
         table = build_restricted_table(10**12, 5)
-        assert table.k == 10**12
-        assert table.values == tuple(table_2001[j] for j in range(6))
+        assert check_generating_functions(10**12, 5, table) is None
+        assert table == tuple(table_2001[j] for j in range(6))
 
     def test_zero_always_one(self):
         for k in (1, 4, 9):
@@ -158,18 +161,33 @@ class TestSeriesIdentities:
 
     def test_mismatch_detected(self):
         good = build_restricted_table(4, 12)
-        corrupt = RestrictedTable(
-            k=4, values=good.values[:7] + (good.values[7] + 1,) + good.values[8:]
-        )
+        corrupt = good[:7] + (good[7] + 1,) + good[8:]
         assert check_generating_functions(4, 12, table=corrupt) == ("weighted", 7)
 
     def test_scaled_table_detected(self):
         # the weighted identity is linear in the table; p_k(0) = 1 anchors it
         good = build_restricted_table(4, 12)
-        doubled = RestrictedTable(k=4, values=tuple(2 * v for v in good.values))
+        doubled = tuple(2 * v for v in good)
         assert check_generating_functions(4, 12, table=doubled) == ("weighted", 0)
 
     def test_table_must_cover_degree(self):
         table = build_restricted_table(3, 5)
         with pytest.raises(ValueError):
             check_generating_functions(3, 10, table=table)
+
+    def test_table_for_another_k_detected(self):
+        # a p_3 table first differs from p_5 at j = 4, where the identity breaks
+        table = build_restricted_table(3, 60)
+        assert check_generating_functions(5, 60, table) == ("weighted", 4)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda table: pnk_direct(20, 10, table),
+    lambda table: peak_sign_sum(20, 10, table),
+    lambda table: DiagonalTable(10, table),
+    lambda table: dominance_weights(table, 10),
+], ids=["pnk_direct", "peak_sign_sum", "DiagonalTable", "dominance_weights"])
+def test_table_readers_reject_a_table_one_entry_short(reader, table_2001):
+    reader(table_2001[:11])  # p(0..10) covers the request
+    with pytest.raises(ValueError):
+        reader(table_2001[:10])

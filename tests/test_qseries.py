@@ -11,13 +11,15 @@ from binpart import (
     euler_product_upper,
 )
 from binpart import qseries
-from binpart.intervals import working_precision
+from binpart.intervals import width, working_precision
 
 from reference_values import (
     EULER_PRODUCT_HALF,
     Q252_COMBINED_UPPER,
     Q252_PRODUCT_UPPER,
     Q252_WEIGHTED_UPPER,
+    contains,
+    fractions,
     mpf_to_fraction,
     weighted_sum_upper,
 )
@@ -35,56 +37,56 @@ def test_params_validated():
 
 def test_half_enclosure_hits_constant():
     enc = euler_product_upper(Fraction(1, 2), 48)
-    assert enc.contains(EULER_PRODUCT_HALF)
-    assert float(enc.width) <= 1e-12
+    assert contains(enc, EULER_PRODUCT_HALF)
+    assert width(enc) <= 1e-12
 
 
 def test_half_ratio_product_constant():
     from reference_values import EULER_PRODUCT_HALF_BRACKET
 
-    enc = euler_product_upper(Fraction(1, 2), 64)
+    lo, hi = fractions(euler_product_upper(Fraction(1, 2), 64))
     bracket_lo, bracket_hi = (Fraction(s) for s in EULER_PRODUCT_HALF_BRACKET)
-    assert enc.lower_fraction() < bracket_hi
-    assert enc.upper_fraction() > bracket_lo
+    assert lo < bracket_hi
+    assert hi > bracket_lo
 
 
 def test_q252_product_constant():
-    enc = euler_product_upper(Fraction(252, 500), 96)
-    assert enc.upper_fraction() < Fraction(Q252_PRODUCT_UPPER)
+    _, hi = fractions(euler_product_upper(Fraction(252, 500), 96))
+    assert hi < Fraction(Q252_PRODUCT_UPPER)
 
 
 def test_q252_weighted_constant():
-    enc = weighted_sum_upper(Fraction(252, 500), 96)
-    assert enc.upper_fraction() < Fraction(Q252_WEIGHTED_UPPER)
+    _, hi = fractions(weighted_sum_upper(Fraction(252, 500), 96))
+    assert hi < Fraction(Q252_WEIGHTED_UPPER)
 
 
 def test_q252_combined_constant():
-    product = euler_product_upper(Fraction(252, 500), 96)
-    weighted = weighted_sum_upper(Fraction(252, 500), 96)
+    q = Fraction(252, 500)
+    product_lo, product_hi = fractions(euler_product_upper(q, 96))
+    weighted_lo, weighted_hi = fractions(weighted_sum_upper(q, 96))
     # both factors are positive, so the product of the upper endpoints
     # bounds the product of the enclosed values
-    assert product.lower_fraction() > 0 and weighted.lower_fraction() > 0
-    assert product.upper_fraction() * weighted.upper_fraction() \
-        < Fraction(Q252_COMBINED_UPPER)
+    assert product_lo > 0 and weighted_lo > 0
+    assert product_hi * weighted_hi < Fraction(Q252_COMBINED_UPPER)
 
 
 def test_enclosure_ordering_small_q():
-    enc = euler_product_upper(Fraction(1, 1000), 2)
-    assert enc.lower_fraction() <= enc.upper_fraction()
+    lo, hi = fractions(euler_product_upper(Fraction(1, 1000), 2))
+    assert lo <= hi
     # at ell=2 the lower bound is exactly the single factor 1/(1-q)
-    assert enc.lower_fraction() <= Fraction(1000, 999) <= enc.upper_fraction()
+    assert lo <= Fraction(1000, 999) <= hi
     # coarse enclosure still contains the sharp one
-    sharp = euler_product_upper(Fraction(1, 1000), 64)
-    assert enc.lower_fraction() <= sharp.lower_fraction()
-    assert sharp.upper_fraction() <= enc.upper_fraction()
+    sharp_lo, sharp_hi = fractions(euler_product_upper(Fraction(1, 1000), 64))
+    assert lo <= sharp_lo
+    assert sharp_hi <= hi
 
 
 def test_weighted_tiny_q_dominated_by_leading_term():
     q = Fraction(1, 1000)
-    enc = weighted_sum_upper(q, 2)
+    lo, hi = fractions(weighted_sum_upper(q, 2))
     # upper bound collapses to q/(1-q)^3, which dominates the true sum
-    assert enc.upper_fraction() < q / (1 - q) ** 3 + Fraction(1, 10**30)
-    assert enc.lower_fraction() <= enc.upper_fraction()
+    assert hi < q / (1 - q) ** 3 + Fraction(1, 10**30)
+    assert lo <= hi
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 10), Fraction(1, 2), Fraction(252, 500)])
@@ -92,8 +94,7 @@ def test_raising_ell_tightens_monotonically(q):
     prev_upper = None
     prev_lower = None
     for ell in range(2, 65):
-        enc = euler_product_upper(q, ell)
-        lo, hi = enc.lower_fraction(), enc.upper_fraction()
+        lo, hi = fractions(euler_product_upper(q, ell))
         assert lo <= hi
         if prev_upper is not None:
             assert hi <= prev_upper
@@ -105,9 +106,8 @@ def test_raising_ell_tightens_monotonically(q):
 def test_weighted_upper_nonincreasing_in_ell(q):
     prev = None
     for ell in range(2, 65):
-        enc = weighted_sum_upper(q, ell)
-        hi = enc.upper_fraction()
-        assert enc.lower_fraction() <= hi
+        lo, hi = fractions(weighted_sum_upper(q, ell))
+        assert lo <= hi
         if prev is not None:
             assert hi <= prev
         prev = hi
@@ -116,7 +116,7 @@ def test_weighted_upper_nonincreasing_in_ell(q):
 def test_adaptive_enclosure_small_ell_suffices():
     enc, ell = enclose_euler_product(Fraction(1, 10), 1e-6)
     assert ell == 8
-    assert float(enc.width) <= 1e-6
+    assert width(enc) <= 1e-6
 
 
 def test_adaptive_enclosure_tolerance_unreachable():

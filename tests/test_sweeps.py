@@ -72,7 +72,7 @@ def _row_results(claim, n, row):
         reports = [row_bound_check(n, row)]
     else:
         reports = [product_bound_check(n, k, row) for k in range(1, n)]
-    return [(report.verified, report.margin) for report in reports]
+    return [(report.outcome == VERIFIED, report.margin) for report in reports]
 
 
 @pytest.mark.parametrize("claim, n_min, n_max", [
