@@ -13,6 +13,8 @@ from .binomial_sums import (
     build_triangle,
     dominance_check,
     dominance_weights,
+    iter_central_binomials,
+    iter_pascal_columns,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,

@@ -29,6 +29,10 @@ decides ascent/descent at a given k is the exact integer sum
 
 which equals (n+1-k) * (2*p(n,k) - p(n+1,k)); its sign tells whether the
 row is still ascending into k (positive) or already descending (negative).
+Its binomials C(n-j, k-j) = C(m+i, i), m = n-k and i = k-j, form one
+Pascal column, which iter_pascal_columns streams along a sweep: column
+m+1 is the prefix sum of column m.  iter_central_binomials likewise walks
+C(n, floor((n+3)/2)), the binomial at the peak, along n.
 The paper's closed rational forms of its truncated, C(n,k)-normalised
 sums are references for the tests, not code the commands run.
 """
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import build_partition_table
 
@@ -46,8 +51,7 @@ def pnk_direct(n: int, k: int, table: Sequence[int]) -> int:
     """Evaluate p(n,k) term by term from the defining sum.
 
     O(k) terms on a partition table covering 0..k.  Binomials are updated
-    incrementally, C(n-j-1, k-j-1) = C(n-j, k-j) * (k-j) / (n-j), as in
-    peak_sign_sum.
+    incrementally, C(n-j-1, k-j-1) = C(n-j, k-j) * (k-j) / (n-j).
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
@@ -198,26 +202,77 @@ def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | N
     raise AssertionError(f"row {n} failed its scan but no step is broken")
 
 
-def peak_sign_sum(n: int, k: int, table: Sequence[int]) -> int:
+def iter_pascal_columns(
+    spans: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """For each (m, length) of spans, the Pascal column C(m+i, i), i < length.
+
+    m must never decrease and length must be >= 1.  The first column is
+    built term by term, C(m+i, i) = C(m+i-1, i-1) * (m+i) / i; every later
+    one is walked from the one before: column m+1 is the prefix sum of
+    column m (C(m+1+i, i) = sum_{t<=i} C(m+t, t)), an exact
+    itertools.accumulate at C speed, and a column that must grow gains its
+    next entries by the same term-by-term update.  Each column holds
+    exactly `length` entries.
+    """
+    column = None
+    for m, length in spans:
+        if length < 1:
+            raise ValueError("a column needs length >= 1")
+        if column is None:
+            column, at = (1,), m
+        if m < at:
+            raise ValueError(f"columns must not go back from m={at} to m={m}")
+        for _ in range(at, m):
+            column = tuple(accumulate(column))
+        at = m
+        column = column[:length]
+        for i in range(len(column), length):
+            column += (column[-1] * (m + i) // i,)
+        yield column
+
+
+def iter_central_binomials(n_min: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """Yield (n, C(n, floor((n+3)/2))) for n = n_min..n_max, walked along n.
+
+    Below n = 4 the value is written directly: C(1,2) = 0 and
+    C(2,2) = C(3,3) = 1, which the walk cannot start from.  From there, or
+    from one math.comb at n_min, each next n takes one exact update:
+    k = floor((n+3)/2) grows by one at odd n, C(n,k) = C(n-1,k-1) * n / k,
+    and stays at even n, C(n,k) = C(n-1,k) * n / (n-k).
+    """
+    c = None
+    for n in range(n_min, n_max + 1):
+        k = (n + 3) // 2
+        if n < 4:
+            c = int(n >= 2)
+        elif c is None:
+            c = math.comb(n, k)
+        elif n % 2:
+            c = c * n // k
+        else:
+            c = c * n // (n - k)
+        yield n, c
+
+
+def peak_sign_sum(n: int, k: int, table: Sequence[int],
+                  column: Sequence[int]) -> int:
     """Exact signed sum S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j,k-j) * p(j).
 
     Positive iff the row still ascends into k, negative iff it descends;
-    equals (n+1-k) * (2*p(n,k) - p(n+1,k)).  Binomials are updated
-    incrementally (one small multiply and one exact divide per term).
+    equals (n+1-k) * (2*p(n,k) - p(n+1,k)).  column is the Pascal column
+    C(n-k+i, i) for i = 0..k (or longer), as iter_pascal_columns streams
+    it; term j reads C(n-j, k-j) = column[k-j].  The sum is taken with
+    map at C speed, with no per-term Python loop.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if len(table) <= k:
         raise ValueError("partition table too small")
-    c = math.comb(n, k)  # C(n-j, k-j) at j=0, updated in the loop
-    total = 0
-    for j in range(k + 1):
-        coef = n + 1 - 2 * k + j
-        if coef:
-            total += coef * c * table[j]
-        if j < k:
-            c = c * (k - j) // (n - j)
-    return total
+    if len(column) <= k or column[1] != n - k + 1:
+        raise ValueError(f"need the column C({n - k}+i, i) for i = 0..{k}")
+    return sum(map(operator.mul, range(n + 1 - 2 * k, n + 2 - k),
+                   map(operator.mul, column[k::-1], table)))
 
 
 def dominance_weights(table: Sequence[int], max_n: int) -> tuple[int, ...]:

@@ -4,6 +4,8 @@ Two kinds of checks live here:
 
   * pure big-integer comparisons (row_bound_check, product_bound_check):
     no real arithmetic at all, so the outcome is exact by construction;
+    product_bound_check decides eq. 9 for a whole row at once, one depth
+    ladder per row, walking C(n,k) along the row;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log):
     each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
@@ -16,16 +18,20 @@ Two kinds of checks live here:
     when the gap exceeds the total enclosure error, with automatic
     precision escalation and an explicit "inconclusive" outcome at the cap.
 
-The row checks take their row and the diagonal checks the integer they
-bound, p(n-1,n-1) or p(n,n-1); no check reads a triangle.  Every check
-returns a VerificationReport; "verified" always means the strict
-inequality holds with positive certified margin.
+The row checks take their row, the diagonal checks the integer they
+bound, p(n-1,n-1) or p(n,n-1), and central_binomial_check the binomial
+C(n, floor((n+3)/2)), which the stirling sweep walks along n; no check
+reads a triangle or computes a binomial from scratch.  Every check
+returns a VerificationReport (product_bound_check one per k of its row);
+"verified" always means the strict inequality holds with positive
+certified margin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import lt, mul, not_, sub
 from typing import Optional
 
 from mpmath.libmp import (
@@ -136,18 +142,17 @@ def row_bound_check(n: int, row: tuple[int, ...]) -> VerificationReport:
 
 
 def central_binomial_check(
-    n: int, start_bits: int = DEFAULT_PRECISION_BITS
+    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
 ) -> VerificationReport:
     """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2).
 
-    Equivalent form used: C^2 * n * pi < 2 * 4^n, with pi the only
-    non-integer quantity.
+    value is C(n, floor((n+3)/2)), 0 at n = 1.  Equivalent form used:
+    C^2 * n * pi < 2 * 4^n, with pi the only non-integer quantity.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     kn = (n + 3) // 2
-    c = math.comb(n, kn)
-    lhs_int = c * c * n
+    lhs_int = value * value * n
     rhs_int = 2 << (2 * n)
 
     def gaps(bits):
@@ -257,47 +262,71 @@ def subdiagonal_bound_check(
 
 
 def product_bound_check(
-    n: int, k: int, row: tuple[int, ...], depth_cap: int = DEFAULT_DEPTH_CAP
-) -> VerificationReport:
-    """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j).
+    n: int, row: tuple[int, ...], depth_cap: int = DEFAULT_DEPTH_CAP
+) -> list[VerificationReport]:
+    """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j), k = 1..n-1.
 
     row is row n of the triangle.  The infinite product is lower-bounded
-    by its partial products (every omitted factor exceeds 1), so it
-    suffices to verify
+    by its partial products (every omitted factor exceeds 1), so for each
+    k it suffices to verify
 
         p(n,k) * prod_{j<=L} (n^j - k^j)  <  C(n,k) * prod_{j<=L} n^j
 
-    for some depth L; decide_with_escalation deepens L (4, 8, 16, ...)
-    until the integer comparison goes through or depth_cap is reached, in
-    which case the outcome is inconclusive (never asserted false).  Each
-    rung extends the previous rung's partial products from j = L_prev + 1.
+    for some depth L.  One decide_with_escalation ladder runs for the
+    whole row and deepens L (4, 8, 16, ...) up to depth_cap.  Each rung
+    extends the previous rung's partial products from j = L_prev + 1
+    (prod n^j once for the row, prod (n^j - k^j) per open k) and decides
+    every k still open; a k's margin is taken at the first depth that
+    clears it.  C(n,k) is walked along the row.  The reports run
+    k = 1, 2, ... and end at the first k still open at depth_cap, which
+    is inconclusive (never asserted false).
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    p_val = row[k]
-    c = math.comb(n, k)
+    if n < 2:
+        raise ValueError("need n >= 2: the row has no 1 <= k <= n-1")
+    if len(row) != n + 1:
+        raise ValueError(f"row {n} has {n + 1} entries, got {len(row)}")
+    binomials = []
+    c = 1
+    for k in range(1, n):
+        c = c * (n - k + 1) // k  # C(n,k) from C(n,k-1)
+        binomials.append(c)
 
-    num = den = npow = kpow = 1
-    built = 0  # the depth num and den are built to
+    margins = {}  # k -> relative slack at the first depth that clears k
+    # per open k: k, p(n,k), C(n,k), k^j and prod (n^j - k^j) at the built depth
+    open_k = [list(range(1, n)), list(row[1:n]), binomials,
+              [1] * (n - 1), [1] * (n - 1)]
+    num = npow = 1
+    built = 0  # the depth num and the per-k products are built to
 
     def evaluate(depth):
         # the ladder's depths only grow, so extend the previous rung's products
-        nonlocal num, den, npow, kpow, built
+        nonlocal open_k, num, npow, built
+        ks, p_vals, cs, kpows, dens = open_k
         for _ in range(built, depth):
             npow *= n
-            kpow *= k
             num *= npow
-            den *= npow - kpow
+            kpows = list(map(mul, kpows, ks))
+            dens = list(map(mul, dens, map(sub, repeat(npow), kpows)))
         built = depth
-        lhs = p_val * den
-        rhs = c * num
-        if lhs < rhs:
-            return VerificationReport("product-bound", n, VERIFIED,
-                                      margin=_relative_slack(lhs, rhs))
-        return None
+        lhs = list(map(mul, p_vals, dens))
+        rhs = list(map(mul, cs, repeat(num)))
+        cleared = list(map(lt, lhs, rhs))
+        margins.update(zip(compress(ks, cleared),
+                           map(_relative_slack, compress(lhs, cleared),
+                               compress(rhs, cleared))))
+        still_open = list(map(not_, cleared))
+        open_k = [list(compress(column, still_open))
+                  for column in (ks, p_vals, cs, kpows, dens)]
+        return None if open_k[0] else depth
 
-    report, _ = decide_with_escalation(evaluate, 4, depth_cap)
-    if report is None:
-        return VerificationReport("product-bound", n, INCONCLUSIVE,
-                                  counterexample=(n, k))
-    return report
+    decide_with_escalation(evaluate, 4, depth_cap)
+    reports = []
+    for k in range(1, n):
+        margin = margins.get(k)
+        if margin is None:
+            reports.append(VerificationReport("product-bound", n, INCONCLUSIVE,
+                                              counterexample=(n, k)))
+            break
+        reports.append(VerificationReport("product-bound", n, VERIFIED,
+                                          margin=margin))
+    return reports

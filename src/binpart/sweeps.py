@@ -2,21 +2,26 @@
 
 Every claim runs through the same sweep loop: its per-n function returns
 the VerificationReports for one n, and the loop folds them into a
-ClaimSummary, stopping at the first report that is not verified.  Claim
+ClaimSummary, stopping at the first report that is not verified.  Where a
+claim's input changes little from one n to the next it is streamed, not
+recomputed: triangle rows, Pascal columns and central binomials.  Claim
 ids are the stable identifiers exposed by `binpart verify`:
 
     thm2          strict unimodality of every row, unique peak
     thm3          1600*n*p(n,k)^2 < 12769*4^n for all k (exact)
     prop1         p(n-1,n-1) < e^(a*sqrt(n))            (certified)
     prop2         p(n,n-1) < sqrt(n)*e^(a*sqrt(n))      (certified)
-    lemma-links   sign sum positive at the peak k       (exact)
-    lemma-rechts  sign sum negative just past the peak  (exact)
+    lemma-links   sign sum positive at the peak k       (exact, on
+                  streamed Pascal columns)
+    lemma-rechts  sign sum negative just past the peak  (exact, likewise)
     lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact,
                   on streamed rows of the gap 512*p(n,k) - 1745*C(n,k))
     lemma13       sqrt chain inequality                 (certified)
     apostol       p(n) < pi/sqrt(6n)*e^(a*sqrt(n))      (certified)
-    stirling      C(n,peak)^2 * n * pi < 2*4^n          (certified)
-    eq9           p(n,k) < C(n,k) * partial Euler product (exact)
+    stirling      C(n,peak)^2 * n * pi < 2*4^n          (certified, on
+                  C(n,peak) walked along n)
+    eq9           p(n,k) < C(n,k) * partial Euler product (exact, one depth
+                  ladder per streamed row)
     genfun        generating-function coefficients match the DP table
 
 Default ranges reproduce the acceptance gate, so `verify all` with no
@@ -34,6 +39,8 @@ from .binomial_sums import (
     DiagonalTable,
     dominance_check,
     dominance_weights,
+    iter_central_binomials,
+    iter_pascal_columns,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
@@ -116,6 +123,27 @@ _ROWS = _stream(lambda table, _: table)  # p(n,k)
 _GAP_ROWS = _stream(dominance_weights)  # 512*p(n,k) - 1745*C(n,k)
 
 
+def _columns(shift):
+    """Pairs (n, (k, table, column)) for n_min..n_max, for the sign sum at
+    k = peak_k(n) + shift: column is the Pascal column C(n-k+i, i) for
+    i = 0..k, streamed by iter_pascal_columns, and the partition table is
+    shared."""
+
+    def pairs(ctx: SweepContext, n_min: int, n_max: int):
+        table = ctx.table(n_max)
+        ns = range(n_min, n_max + 1)
+        ks = [peak_k(n) + shift for n in ns]
+        columns = iter_pascal_columns((n - k, k + 1) for n, k in zip(ns, ks))
+        return zip(ns, zip(ks, repeat(table), columns))
+
+    return pairs
+
+
+def _central_binomials(ctx: SweepContext, n_min: int, n_max: int):
+    """Pairs (n, C(n, floor((n+3)/2))) for n_min..n_max, walked along n."""
+    return iter_central_binomials(n_min, n_max)
+
+
 def _shared(table=None):
     """Pairs (n, table) for n_min..n_max; `table` is the SweepContext method
     that supplies it, sized once from n_max (None: the claim needs none)."""
@@ -135,8 +163,10 @@ def _claim(claim: str, per_n, pairs=_shared(), notes=None):
     """The sweep of one claim, as registered in CLAIMS.
 
     `pairs(ctx, n_min, n_max)` yields the claim's (n, input) pairs: a
-    streamed triangle row for the row claims (_stream), a shared table
-    otherwise (_shared).  `per_n(n, input)` returns the reports for one n.
+    streamed triangle row for the row claims (_stream), a streamed Pascal
+    column for the sign sums (_columns), a walked central binomial for
+    stirling, a shared table otherwise (_shared).  `per_n(n, input)`
+    returns the reports for one n.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
@@ -171,15 +201,15 @@ def _subdiagonal_bound(n, diag):
     return [checks.subdiagonal_bound_check(n, diag.subdiagonal[n])]
 
 
-def _ascent_sign(n, table):
-    k = peak_k(n)
-    violation = None if peak_sign_sum(n, k, table) > 0 else (n, k)
+def _ascent_sign(n, source):
+    k, table, column = source
+    violation = None if peak_sign_sum(n, k, table, column) > 0 else (n, k)
     return [_exact("lemma-links", n, violation)]
 
 
-def _descent_sign(n, table):
-    k = peak_k(n) + 1
-    violation = None if peak_sign_sum(n, k, table) < 0 else (n, k)
+def _descent_sign(n, source):
+    k, table, column = source
+    violation = None if peak_sign_sum(n, k, table, column) < 0 else (n, k)
     return [_exact("lemma-rechts", n, violation)]
 
 
@@ -196,13 +226,14 @@ def _partition_bound(n, table):
     return [checks.partition_bound_check(n, table)]
 
 
-def _central_binomial(n, _):
-    return [checks.central_binomial_check(n)]
+def _central_binomial(n, value):
+    return [checks.central_binomial_check(n, value)]
 
 
 def _product_bound(n, row):
-    """Every 1 <= k <= n-1, lazily, so the sweep stops at the first failure."""
-    return (checks.product_bound_check(n, k, row) for k in range(1, n))
+    """Every 1 <= k <= n-1, decided together; the reports end at the first
+    inconclusive k."""
+    return checks.product_bound_check(n, row)
 
 
 def _series_identities(k, _):
@@ -215,12 +246,14 @@ CLAIMS = {
     "thm3": (_claim("thm3", _row_bound, _ROWS), (1, 1000)),
     "prop1": (_claim("prop1", _diagonal_bound, _DIAGONAL), (1, 2000)),
     "prop2": (_claim("prop2", _subdiagonal_bound, _DIAGONAL), (1, 2000)),
-    "lemma-links": (_claim("lemma-links", _ascent_sign, _TABLE), (4, 1000)),
-    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, _TABLE), (4, 1000)),
+    "lemma-links": (_claim("lemma-links", _ascent_sign, _columns(0)), (4, 1000)),
+    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, _columns(1)),
+                     (4, 1000)),
     "lemma-gr": (_claim("lemma-gr", _dominance, _GAP_ROWS), (4, 500)),
     "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
     "apostol": (_claim("apostol", _partition_bound, _TABLE), (1, 2000)),
-    "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
+    "stirling": (_claim("stirling", _central_binomial, _central_binomials),
+                 (1, 2000)),
     "eq9": (_claim("eq9", _product_bound, _ROWS), (2, 300)),
     "genfun": (_claim("genfun", _series_identities,
                       notes={"degree": GENFUN_DEGREE}), (1, 15)),

@@ -87,6 +87,28 @@ def gap_row(n: int, row) -> tuple:
     return tuple(512 * p - 1745 * math.comb(n, k) for k, p in enumerate(row))
 
 
+def pascal_column(m: int, length: int) -> tuple:
+    """C(m+i, i) for i < length, by math.comb."""
+    return tuple(math.comb(m + i, i) for i in range(length))
+
+
+def peak_sign_sum_by_terms(n: int, k: int, table) -> int:
+    """S(n,k) = sum_{j<=k} (n+1-2k+j) * C(n-j,k-j) * p(j), one term at a time.
+
+    The binomial is updated per term, C(n-j-1, k-j-1) = C(n-j, k-j) *
+    (k-j) / (n-j), from one math.comb at j = 0.
+    """
+    c = math.comb(n, k)
+    total = 0
+    for j in range(k + 1):
+        coef = n + 1 - 2 * k + j
+        if coef:
+            total += coef * c * table[j]
+        if j < k:
+            c = c * (k - j) // (n - j)
+    return total
+
+
 def binomial_ratio(n: int, k: int, j: int) -> Fraction:
     """Exact C(n-j, k-j) / C(n, k), a falling product bounded by (k/n)^j."""
     if not 0 <= j <= k <= n:

@@ -80,17 +80,17 @@ class TestRowBound:
 class TestCentralBinomial:
     def test_zero_binomial_below_cut(self):
         assert math.comb(1, 2) == 0
-        assert central_binomial_check(1).outcome == VERIFIED
+        assert central_binomial_check(1, math.comb(1, 2)).outcome == VERIFIED
 
     def test_n50(self):
-        report = central_binomial_check(50)
+        report = central_binomial_check(50, math.comb(50, 26))
         assert report.outcome == VERIFIED
         # C(50,26) = 121548660036300 against 2^50/sqrt(25*pi) ~ 1.27e14
         assert math.comb(50, 26) == 121548660036300
 
     def test_sweep(self):
         for n in range(1, 301):
-            report = central_binomial_check(n)
+            report = central_binomial_check(n, math.comb(n, (n + 3) // 2))
             assert report.outcome == VERIFIED, n
             assert report.precision_bits == 128
 
@@ -339,7 +339,8 @@ class TestRawIntervalGaps:
     `iv` operator references: the decision, and every gap endpoint exactly."""
 
     CHECKS = {
-        "central-binomial": (1, lambda n, t, d, b: central_binomial_check(n, b)),
+        "central-binomial": (1, lambda n, t, d, b: central_binomial_check(
+            n, math.comb(n, (n + 3) // 2), b)),
         "partition-bound": (1, lambda n, t, d, b: partition_bound_check(n, t, b)),
         "growth-chain": (3, lambda n, t, d, b: growth_chain_check(n, b)),
         "diagonal-bound": (
@@ -446,7 +447,7 @@ class TestRawIntervalGaps:
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):
-        report = product_bound_check(50, 25, triangle_120[50])
+        report = product_bound_check(50, triangle_120[50])[24]
         assert report.outcome == VERIFIED
         # sanity anchor: p(50,25) < C(50,25) * 3.4627...
         assert triangle_120[50][25] < math.comb(50, 25) * EULER_PRODUCT_HALF
@@ -454,23 +455,24 @@ class TestProductBound:
     def test_n2_k1(self, triangle_120):
         # p(2,1) = 3 < 2 * F(1/2) ~ 6.93
         assert triangle_120[2][1] == 3
-        assert product_bound_check(2, 1, triangle_120[2]).outcome == VERIFIED
+        assert product_bound_check(2, triangle_120[2])[0].outcome == VERIFIED
 
     def test_sweep_zero_inconclusive(self, triangle_120):
         for n in range(2, 81):
+            reports = product_bound_check(n, triangle_120[n])
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120[n])
+                report = reports[k - 1]
                 assert report.outcome == VERIFIED, (n, k)
 
     def test_depth_cap_reports_inconclusive(self, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
-        report = product_bound_check(50, 49, triangle_120[50], depth_cap=1)
+        report = _product_report(50, 49, triangle_120[50], depth_cap=1)
         assert report.outcome == INCONCLUSIVE
         assert report.counterexample == (50, 49)
 
     def test_domain(self, triangle_120):
         with pytest.raises(ValueError):
-            product_bound_check(5, 5, triangle_120[5])
+            product_bound_check(1, triangle_120[1])
 
 
 def _reference_product(n, k, triangle, depth_cap=256):
@@ -498,6 +500,24 @@ def _reference_product(n, k, triangle, depth_cap=256):
         depth *= 2
 
 
+def _product_report(n, k, row, **kwargs):
+    """The report for k of product_bound_check on row n with every other
+    entry zeroed: those clear at the first depth, so k alone sets the
+    rungs and the reports reach k whatever its outcome."""
+    alone = tuple(value if i == k else 0 for i, value in enumerate(row))
+    return product_bound_check(n, alone, **kwargs)[k - 1]
+
+
+def _reference_row(n, triangle, depth_cap=256):
+    """_reference_product for k = 1, 2, ..., ending at the first inconclusive k."""
+    reports = []
+    for k in range(1, n):
+        reports.append(_reference_product(n, k, triangle, depth_cap))
+        if reports[-1][0] != VERIFIED:
+            break
+    return reports
+
+
 class TestProductLadder:
     """product_bound_check on decide_with_escalation, against the old loop."""
 
@@ -507,18 +527,48 @@ class TestProductLadder:
 
     def test_matches_reference_to_120(self, triangle_120):
         for n in range(2, 121):
+            reports = product_bound_check(n, triangle_120[n])
             for k in range(1, n):
-                report = product_bound_check(n, k, triangle_120[n])
+                report = reports[k - 1]
                 assert self._as_tuple(report) == _reference_product(
                     n, k, triangle_120), (n, k)
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
     def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
         for k in range(1, 50):
-            report = product_bound_check(50, k, triangle_120[50],
-                                         depth_cap=depth_cap)
+            report = _product_report(50, k, triangle_120[50],
+                                     depth_cap=depth_cap)
             assert self._as_tuple(report) == _reference_product(
                 50, k, triangle_120, depth_cap), k
+
+    def test_row_matches_reference_to_300(self, triangle_1000):
+        for n in range(2, 301):
+            reports = product_bound_check(n, triangle_1000[n])
+            assert list(map(self._as_tuple, reports)) \
+                == _reference_row(n, triangle_1000), n
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 8])
+    def test_row_ends_at_first_inconclusive(self, triangle_120, depth_cap):
+        reports = product_bound_check(50, triangle_120[50], depth_cap=depth_cap)
+        expected = _reference_row(50, triangle_120, depth_cap)
+        assert list(map(self._as_tuple, reports)) == expected
+        assert [outcome for outcome, _, _ in expected].count(INCONCLUSIVE) \
+            == (depth_cap < 8)
+
+    def test_one_ladder_per_row(self, monkeypatch, triangle_1000):
+        calls = []
+
+        def recording(evaluate, *ladder_args):
+            calls.append(ladder_args)
+            return decide_with_escalation(evaluate, *ladder_args)
+
+        monkeypatch.setattr(checks, "decide_with_escalation", recording)
+        assert len(product_bound_check(130, triangle_1000[130])) == 129
+        assert calls == [(4, 256)]
+
+    def test_row_length_checked(self, triangle_120):
+        with pytest.raises(ValueError):
+            product_bound_check(50, triangle_120[49])
 
     @staticmethod
     def _rungs(monkeypatch, *args, **kwargs):
@@ -531,7 +581,7 @@ class TestProductLadder:
             return decide_with_escalation(evaluate_and_record, *ladder_args)
 
         monkeypatch.setattr(checks, "decide_with_escalation", recording)
-        report = product_bound_check(*args, **kwargs)
+        report = _product_report(*args, **kwargs)
         return report, visited
 
     def test_rungs_to_depth_16(self, monkeypatch, triangle_1000):
