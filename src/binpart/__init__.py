@@ -45,6 +45,7 @@ from .partitions import (
     build_partition_table,
     build_restricted_table,
     check_generating_functions,
+    rademacher_partition_number,
 )
 from .qseries import (
     EnclosureWidthError,

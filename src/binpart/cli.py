@@ -32,7 +32,8 @@ from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
 from .intervals import (DEFAULT_PRECISION_BITS, certainly_positive, int_interval,
                         to_fraction, width)
 from .lie import best_bound, corollary_bound
-from .partitions import build_partition_table, build_restricted_table
+from .partitions import (build_partition_table, build_restricted_table,
+                         rademacher_partition_number)
 from .qseries import EnclosureWidthError, enclose_euler_product
 
 EXIT_OK = 0
@@ -41,6 +42,12 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_STR_DIGITS = 2_000_000  # the int-to-str limit main sets
+# `compute p N` reads p(N) off Rademacher's series from P_SERIES_FROM on,
+# where the series and the pentagonal table cost about the same (6 ms on a
+# 2-vCPU container), and refuses N above P_CEILING, the largest power of
+# ten that ran under a minute there (10^9: 13-17 s; 10^10: over 100 s)
+P_SERIES_FROM = 1000
+P_CEILING = 10**9
 # enclosure of 10^MAX_STR_DIGITS, the least number too long to print
 _TOO_LONG = mpi_pow_int(int_interval(10, DEFAULT_PRECISION_BITS), MAX_STR_DIGITS,
                         DEFAULT_PRECISION_BITS)
@@ -83,7 +90,11 @@ def cmd_compute(args) -> int:
         if len(values) != 1:
             raise UsageError("compute p takes exactly one argument: N")
         (n,) = values
-        result = build_partition_table(n)[n]
+        if n > P_CEILING:
+            raise UsageError(f"compute p takes N <= {P_CEILING}, got N={n}")
+        result = rademacher_partition_number(n) if n >= P_SERIES_FROM else None
+        if result is None:  # below the threshold, or left undecided
+            result = build_partition_table(n)[n]
         arglist = [n]
     elif kind == "pk":
         if len(values) != 2:

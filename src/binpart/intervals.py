@@ -15,8 +15,10 @@ decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
 doubling to DEFAULT_PRECISION_CAP_BITS; the eq. 9 product check climbs its
 truncation depth, 4 doubling to 256, one ladder per row that decides every
-k of the row still open at each depth; and `qseries.enclose_euler_product`
-its truncation point ell, 8 doubling to 256.
+k of the row still open at each depth; `qseries.enclose_euler_product`
+its truncation point ell, 8 doubling to 256; and
+`partitions.rademacher_partition_number` the guard bits of its series
+terms, 16 doubling to 256.
 
 Note: mpmath's interval context precision is process-global, so the
 working_precision switches in pi_alpha and `qseries` are not thread-safe.

@@ -1,6 +1,6 @@
 """Exact partition counting.
 
-Everything here is arbitrary-precision integer arithmetic (Python ints).
+The tables are arbitrary-precision integer arithmetic (Python ints).
 The module provides two independent routes to partition counts, each
 returning its table as a plain tuple indexed by n:
 
@@ -13,9 +13,29 @@ derivative of prod_{j=1}^{k} 1/(1-q^j), which gives the recurrence
 j*p_k(j) = sum_{m=1}^{j} s_k(m)*p_k(j-m), where s_k(m) is the sum of the
 divisors of m that are <= k.  It shares no step with the coin-counting DP.
 The brute-force enumeration oracle lives with the tests.
+
+rademacher_partition_number gives a single p(n) without a table: the
+unique integer inside a certified enclosure of Rademacher's convergent
+series, truncated where Lehmer's remainder bound falls below 1/4.  Its
+enclosures are raw `libmpi` endpoint pairs at explicit precision, as in
+`checks`; no float and no global precision enters the decision.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+
+from mpmath.libmp import (fzero, mpf_add, mpf_lt, mpf_sub, mpi_add, mpi_cos,
+                          mpi_div, mpi_mul, mpi_sqrt, mpi_sub, round_ceiling,
+                          round_floor, to_int)
+from mpmath.libmp.libmpi import mpi_cosh_sinh, mpi_pi, mpi_shift
+
+from .intervals import decide_with_escalation, int_interval
+
+RADEMACHER_GUARD_BITS = 16      # first rung of the guard-bit ladder
+RADEMACHER_GUARD_CAP_BITS = 256
+_REMAINDER_BITS = 64            # precision of Lehmer's remainder bound
+_QUARTER = (0, 1, -2, 1)        # 1/4 as a raw mpf
 
 
 def build_partition_table(max_n: int) -> tuple[int, ...]:
@@ -127,3 +147,145 @@ def check_generating_functions(
         if weighted[j] != j * table[j]:
             return ("weighted", j)
     return None
+
+
+def rademacher_truncation(n: int):
+    """(N, R): the least N whose certified remainder bound R is below 1/4.
+
+    After N terms of Rademacher's series, |p(n) - sum_{k<=N} t_k(n)| is
+    below Lehmer's bound (Trans. AMS 1938)
+
+        44 pi^2 / (225 sqrt 3) * N^(-1/2)
+          + pi sqrt 2 / 75 * sqrt(N / (n-1)) * sinh(pi/N * sqrt(2n/3)).
+
+    R is a raw mpf at least that bound: every operation rounds outward at
+    _REMAINDER_BITS.  The bound falls as N grows, and its first part alone
+    needs N >= 20, so the search doubles from 20 and then bisects.
+
+    For n >= 1000 the bound is below 0.15 already at N = floor(mu_1), with
+    mu_1 = pi sqrt(24n - 1)/6, and both of its parts fall as n grows.  So
+    N <= mu_1 there: every mu_k = mu_1/k of the sum is >= 1, and the
+    search tries no sinh argument below 1/2.  Both are far from the tiny
+    arguments at which mpmath 1.3.0's exp rounds its upper endpoint down
+    (see qseries).
+    Needs n >= 2.
+    """
+    bits = _REMAINDER_BITS
+    pi = mpi_pi(bits)
+    first = mpi_div(mpi_mul(int_interval(44, bits), mpi_mul(pi, pi, bits), bits),
+                    mpi_mul(int_interval(225, bits),
+                            mpi_sqrt(int_interval(3, bits), bits), bits), bits)
+    second = mpi_div(mpi_mul(pi, mpi_sqrt(int_interval(2, bits), bits), bits),
+                     mpi_mul(int_interval(75, bits),
+                             mpi_sqrt(int_interval(n - 1, bits), bits), bits), bits)
+    argument = mpi_mul(pi, mpi_sqrt(mpi_div(int_interval(2 * n, bits),
+                                            int_interval(3, bits), bits), bits), bits)
+
+    def bound(terms):
+        count = int_interval(terms, bits)
+        root = mpi_sqrt(count, bits)
+        sinh = mpi_cosh_sinh(mpi_div(argument, count, bits), bits)[1]
+        return mpi_add(mpi_div(first, root, bits),
+                       mpi_mul(second, mpi_mul(root, sinh, bits), bits), bits)[1]
+
+    low, high = 19, 20
+    while not mpf_lt(bound(high), _QUARTER):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if mpf_lt(bound(mid), _QUARTER) else (mid, high)
+    return high, bound(high)
+
+
+def _positions(values: list[int], value: int) -> list[int]:
+    """Every index of value in values, found by list.index at C speed."""
+    found = []
+    try:
+        while True:
+            found.append(values.index(value, found[-1] + 1 if found else 0))
+    except ValueError:
+        return found
+
+
+def _selberg_indices(n: int, k: int, pentagonal: list[int]) -> tuple[list[int], bool]:
+    """The l of Selberg's sum for A_k(n), and whether each counts twice.
+
+    The sum runs over 0 <= l < 2k with (3l^2 + l)/2 = -n (mod k);
+    pentagonal holds (3l^2 + l)/2 for at least l < k.  Going from l to
+    l + k adds 3lk + k(3k+1)/2, which is 0 mod k for odd k and k/2 mod k
+    for even k.  For odd k the l >= k repeat the l < k with sign and
+    cosine both flipped, so only l < k are returned, each counting twice.
+    """
+    target = -n % k
+    residues = list(map(k.__rmod__, pentagonal[:k]))
+    low = _positions(residues, target)
+    if k % 2:
+        return low, True
+    return low + [l + k for l in _positions(residues, (target - k // 2) % k)], False
+
+
+def _cos_sum(k: int, indices: tuple[list[int], bool], pi, bits: int):
+    """Selberg's sum S_k(n), with A_k(n) = sqrt(k/3) S_k(n), as an endpoint pair.
+
+    S_k(n) adds (-1)^l cos(pi (6l+1) / (6k)) over the l of _selberg_indices.
+    """
+    ls, doubled = indices
+    six_k = int_interval(6 * k, bits)
+    total = (fzero, fzero)
+    for l in ls:
+        angle = mpi_div(mpi_mul(pi, int_interval(6 * l + 1, bits), bits), six_k, bits)
+        cos = mpi_cos(angle, bits)
+        total = mpi_sub(total, cos, bits) if l % 2 else mpi_add(total, cos, bits)
+    return mpi_shift(total, 1) if doubled else total
+
+
+def rademacher_partition_number(n: int):
+    """p(n) from Rademacher's series, or None when the enclosure never isolates it.
+
+    With mu_k = pi sqrt(24n - 1) / (6k), the k-th term of the series is
+
+        t_k(n) = 4 S_k(n) / (24n - 1) * (cosh mu_k - sinh mu_k / mu_k),
+
+    where S_k is Selberg's sum (_cos_sum).  This is the usual
+    A_k(n) sqrt(k)/(pi sqrt 2) * d/dn[sinh(C lambda/k)/lambda] with
+    lambda = sqrt(n - 1/24) and C = pi sqrt(2/3), simplified.  The N terms
+    of rademacher_truncation leave a remainder below R < 1/4, so p(n) is the
+    one integer in [lo - R, hi + R] once the enclosure [lo, hi] of the sum
+    is narrow enough.  Term k is about e^mu_k / n, and an error in mu_k
+    grows by mu_k ~ sqrt(n), so it is computed at the bits of e^mu_k less
+    half those of n, plus the guard bits (Johansson, LMS J. Comput. Math.
+    2012, sizes each term the same way).  The guard bits climb on
+    decide_with_escalation from RADEMACHER_GUARD_BITS to
+    RADEMACHER_GUARD_CAP_BITS.  Needs n >= 2.
+    """
+    terms, remainder = rademacher_truncation(n)
+    root = isqrt(24 * n - 1) + 1
+    drop = n.bit_length() // 2
+    pentagonal = [l * (3 * l + 1) // 2 for l in range(terms)]
+    plan = []  # (k, Selberg indices, bits of term k before the guard)
+    for k in range(1, terms + 1):
+        indices = _selberg_indices(n, k, pentagonal)
+        if indices[0]:  # else A_k(n) = 0
+            # log2(e) * pi/6 = 0.75551... < 7556/10000
+            plan.append((k, indices, max(root * 7556 // (10000 * k) + 1 - drop, 1)))
+
+    def evaluate(guard):
+        top = plan[0][2] + guard
+        pi_top = mpi_pi(top)
+        pi_root = mpi_mul(pi_top, mpi_sqrt(int_interval(24 * n - 1, top), top), top)
+        total = (fzero, fzero)
+        for k, indices, bits in plan:
+            bits += guard
+            mu = mpi_div(pi_root, int_interval(6 * k, bits), bits)
+            cosh, sinh = mpi_cosh_sinh(mu, bits)
+            bracket = mpi_sub(cosh, mpi_div(sinh, mu, bits), bits)
+            total = mpi_add(total, mpi_mul(_cos_sum(k, indices, pi_top, bits),
+                                           bracket, bits), top)
+        lo, hi = mpi_div(mpi_mul(int_interval(4, top), total, top),
+                         int_interval(24 * n - 1, top), top)
+        least = to_int(mpf_sub(lo, remainder, top, round_floor), round_ceiling)
+        most = to_int(mpf_add(hi, remainder, top, round_ceiling), round_floor)
+        return least if least == most else None
+
+    return decide_with_escalation(evaluate, RADEMACHER_GUARD_BITS,
+                                  RADEMACHER_GUARD_CAP_BITS)[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from binpart import binomial_sums, cli, sweeps
+from binpart import binomial_sums, cli, partitions, sweeps
 from binpart.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -18,6 +18,7 @@ from binpart.cli import (
     main,
 )
 from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
+from binpart.partitions import rademacher_partition_number
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
 REPO = Path(__file__).parents[1]
@@ -306,7 +307,6 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    ["compute", "p", str(10**10)],
     ["compute", "pk", "3", str(10**10)],
     ["compute", "pnk", str(10**10), "1"],
     ["table", str(10**10)],
@@ -318,6 +318,51 @@ def test_argument_too_large_for_memory_is_a_usage_error(argv):
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert "Traceback" not in proc.stderr
     assert "more memory than is available" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [cli.P_CEILING + 1, 10**10])
+def test_compute_p_above_its_ceiling_is_refused_at_once(n):
+    start = time.perf_counter()
+    proc = _run_module("binpart", ["compute", "p", str(n)])
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert "Traceback" not in proc.stderr
+    assert str(cli.P_CEILING) in proc.stderr
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("took the other route")
+
+
+def test_compute_p_takes_the_series_from_its_threshold(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_partition_table", _refuse)
+    code, out = run(capsys, "compute", "p", str(cli.P_SERIES_FROM))
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == "24061467864032622473692149727991"
+
+
+def test_compute_p_takes_the_table_below_its_threshold(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rademacher_partition_number", _refuse)
+    code, out = run(capsys, "compute", "p", str(cli.P_SERIES_FROM - 1))
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == "23127843459154899464880444632250"
+
+
+def test_compute_p_falls_back_to_the_table_when_the_series_is_undecided(
+        capsys, monkeypatch):
+    undecided = []
+
+    def capped(n):
+        undecided.append(rademacher_partition_number(n))
+        return undecided[-1]
+
+    monkeypatch.setattr(partitions, "RADEMACHER_GUARD_BITS", 1)
+    monkeypatch.setattr(partitions, "RADEMACHER_GUARD_CAP_BITS", 1)
+    monkeypatch.setattr(cli, "rademacher_partition_number", capped)
+    code, out = run(capsys, "compute", "p", "5000")
+    assert undecided == [None]
+    golden = next(e for e in GOLDEN_CLI if e["argv"] == ["compute", "p", "5000"])
+    assert (code, out) == (golden["exit"], golden["stdout"])
 
 
 def test_usage_error_on_no_args(capsys):

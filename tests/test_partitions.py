@@ -1,5 +1,12 @@
+import math
+
+import mpmath
 import pytest
 
+from binpart import partitions
+from binpart.cli import P_SERIES_FROM
+from binpart.intervals import decide_with_escalation
+from binpart.partitions import rademacher_partition_number, rademacher_truncation
 from binpart import (
     DiagonalTable,
     build_partition_table,
@@ -192,3 +199,75 @@ def test_table_readers_reject_a_table_one_entry_short(reader, table_2001):
     reader(table_2001[:11])  # p(0..10) covers the request
     with pytest.raises(ValueError):
         reader(table_2001[:10])
+
+
+class TestRademacher:
+    """p(n) read off Rademacher's series, the route of `compute p N` from
+    cli.P_SERIES_FROM on, against the pentagonal table and against
+    congruences that share nothing with either."""
+
+    @pytest.fixture(scope="class")
+    def table_20000(self):
+        return build_partition_table(20000)
+
+    def test_matches_table_past_threshold_and_sampled_to_20000(self, table_20000):
+        ns = [*range(P_SERIES_FROM, P_SERIES_FROM + 301), *range(2, 20001, 61)]
+        assert [n for n in ns if rademacher_partition_number(n) != table_20000[n]] == []
+
+    @pytest.mark.parametrize("modulus, offset", [(5, 4), (7, 5), (11, 6)])
+    def test_ramanujan_congruences_beyond_the_table(self, modulus, offset):
+        first = 10**5 + (offset - 10**5) % modulus
+        last = 10**6 - (10**6 - offset) % modulus
+        middle = first + (last - first) // (2 * modulus) * modulus
+        for n in (first, middle, last):
+            assert rademacher_partition_number(n) % modulus == 0, n
+
+    def test_known_leading_digits(self):
+        assert str(rademacher_partition_number(10**6)).startswith("14716849863582")
+
+    @pytest.mark.parametrize("n", [P_SERIES_FROM, 5000])
+    def test_ladder_climbs_from_a_guard_too_small(self, monkeypatch, table_20000, n):
+        levels = []
+
+        def recording(evaluate, start, cap):
+            def record(guard):
+                result = evaluate(guard)
+                levels.append((guard, result is not None))
+                return result
+            return decide_with_escalation(record, start, cap)
+
+        monkeypatch.setattr(partitions, "decide_with_escalation", recording)
+        monkeypatch.setattr(partitions, "RADEMACHER_GUARD_BITS", 1)
+        assert rademacher_partition_number(n) == table_20000[n]
+        assert levels[0] == (1, False)
+        assert len(levels) > 1 and levels[-1][1]
+
+    def test_undecided_at_the_cap_is_none(self, monkeypatch):
+        monkeypatch.setattr(partitions, "RADEMACHER_GUARD_BITS", 1)
+        monkeypatch.setattr(partitions, "RADEMACHER_GUARD_CAP_BITS", 1)
+        assert rademacher_partition_number(5000) is None
+
+    @pytest.mark.parametrize("n", [2, 110, 111, P_SERIES_FROM, 5000,
+                                   10**5, 10**6, 10**9])
+    def test_remainder_bound_is_outward_and_least(self, n):
+        terms, remainder = rademacher_truncation(n)
+        # Lehmer's bound in mpmath's floating point at 200 bits, no intervals;
+        # the 64-bit endpoint converts exactly at that precision
+        with mpmath.workprec(200):
+            def lehmer(terms):
+                pi, terms = mpmath.pi, mpmath.mpf(terms)
+                return (44 * pi**2 / (225 * mpmath.sqrt(3)) / mpmath.sqrt(terms)
+                        + pi * mpmath.sqrt(2) / 75 * mpmath.sqrt(terms / (n - 1))
+                        * mpmath.sinh(pi / terms * mpmath.sqrt(mpmath.mpf(2 * n) / 3)))
+
+            bound = mpmath.mpf(remainder)
+            assert lehmer(terms) <= bound < 0.25
+            assert bound - lehmer(terms) < 1e-15
+            assert lehmer(terms - 1) >= 0.25  # no fewer terms would do
+
+    def test_every_exp_argument_at_least_one_on_the_route(self):
+        # mu_N = pi sqrt(24n - 1)/(6N) is the least cosh and sinh argument
+        for n in [*range(P_SERIES_FROM, P_SERIES_FROM + 301),
+                  *range(P_SERIES_FROM, 10**6, 9973), 10**9]:
+            terms = rademacher_truncation(n)[0]
+            assert math.pi * math.sqrt(24 * n - 1) / (6 * terms) >= 1, n
