@@ -12,12 +12,14 @@ Subcommands:
 Exit codes: 0 success/verified, 1 violation found, 2 usage error,
 3 inconclusive (precision or depth cap hit).  All big integers are
 emitted as decimal strings; output is deterministic for a given command
-line (stable key order, no timestamps).
+line (stable key order, no timestamps).  The parser is built once per
+process, on main's first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -303,6 +305,7 @@ def cmd_mu(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binpart",

@@ -18,7 +18,9 @@ truncation depth, 4 doubling to 256, one ladder per row that decides every
 k of the row still open at each depth; `qseries.enclose_euler_product`
 its truncation point ell, 8 doubling to 256; and
 `partitions.rademacher_partition_number` the guard bits of its series
-terms, 16 doubling to 256.
+terms, 16 doubling to 256.  The depth and ell ladders resume, each rung
+extending the products or the walk of the rung below at one precision;
+the precision and guard-bit ladders restart, as each rung changes precision.
 
 Note: mpmath's interval context precision is process-global, so the
 working_precision switches in pi_alpha and `qseries` are not thread-safe.

@@ -11,10 +11,12 @@ exceeds 1), and the analytic tail estimate
 
 turns the truncation into a two-sided enclosure, returned as its raw
 endpoint pair (lower, upper).  The right-hand side is
-nonincreasing in ell, so raising ell only tightens the result.  One scan,
-_tightest_bounds, walks the truncation points of a series given as its
-steps, and enclose_euler_product raises ell on decide_with_escalation,
-the ladder every other inconclusive verdict climbs.
+nonincreasing in ell, so raising ell only tightens the result.
+_walk_bounds walks the truncation points of a series given as its steps,
+and enclose_euler_product raises ell on decide_with_escalation, the
+ladder every other inconclusive verdict climbs, resuming one walk across
+its rungs at the call's fixed precision, as eq. 9 resumes its depth; the
+precision and guard-bit ladders restart, since each rung changes precision.
 """
 
 from __future__ import annotations
@@ -48,30 +50,37 @@ def _tail_factor(x):
     return factor
 
 
-def _tightest_bounds(q: Fraction, ell: int, bits: int, steps):
-    """The best bounds across truncation points 2..ell, as one endpoint pair.
+def _walk_bounds(q: Fraction, bits: int, steps):
+    """Walk a series' truncation points: walk(ell) is the best endpoint pair.
 
     steps(q) receives q as an interval at `bits` and yields, for
     j = 1, 2, ..., a pair of intervals: the lower endpoint of the first
     and the upper endpoint of the second bound the series truncated after
-    term j.  Keeping the highest lower and lowest upper endpoint makes
-    raising ell tighten the result even when the analytic improvement
-    falls below one rounding ulp.
+    term j.  walk(ell) goes on from the last ell asked, inside
+    working_precision(bits), and keeps the highest lower and lowest upper
+    endpoint across points 2..ell: raising ell then tightens the result
+    even when the analytic improvement falls below one rounding ulp.
     """
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
-    best_lo = best_hi = None
-    with working_precision(bits):
-        q_iv = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        for lower, upper in islice(steps(q_iv), ell - 1):
-            lo, hi = lower._mpi_[0], upper._mpi_[1]
-            if best_lo is None or mpf_gt(lo, best_lo):
-                best_lo = lo
-            if best_hi is None or mpf_lt(hi, best_hi):
-                best_hi = hi
-    return best_lo, best_hi
+    pairs, reached, best_lo, best_hi = None, 1, None, None
+
+    def walk(ell):
+        nonlocal pairs, reached, best_lo, best_hi
+        if ell < 2:
+            raise ValueError(f"ell must be >= 2, got {ell}")
+        with working_precision(bits):
+            pairs = pairs or steps(iv.mpf(q.numerator) / iv.mpf(q.denominator))
+            for lower, upper in islice(pairs, ell - reached):
+                lo, hi = lower._mpi_[0], upper._mpi_[1]
+                if best_lo is None or mpf_gt(lo, best_lo):
+                    best_lo = lo
+                if best_hi is None or mpf_lt(hi, best_hi):
+                    best_hi = hi
+        reached = ell
+        return best_lo, best_hi
+
+    return walk
 
 
 def _product_steps(q):
@@ -84,14 +93,16 @@ def _product_steps(q):
         yield partial, partial * _tail_factor(qj * q * inv_square)
 
 
-def euler_product_upper(q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS):
+def euler_product_upper(q: Fraction, ell: int, bits: int = DEFAULT_PRECISION_BITS,
+                        walk=None):
     """Endpoint pair of F(q): lower = partial product, upper = tail-bounded.
 
     The partial product prod_{j=1}^{ell-1} 1/(1-q^j) is a certified lower
     bound; multiplying the partial product at truncation point t by
     exp(q^t/(1-q)^2) gives a certified upper bound for every t <= ell.
+    A `walk` of F(q) at `bits` from _walk_bounds resumes where it stopped.
     """
-    return _tightest_bounds(q, ell, bits, _product_steps)
+    return (walk or _walk_bounds(q, bits, _product_steps))(ell)
 
 
 def enclose_euler_product(q: Fraction, tol: float):
@@ -99,15 +110,18 @@ def enclose_euler_product(q: Fraction, tol: float):
 
     Doubles ell from 8 up to DEFAULT_DEPTH_CAP; raises EnclosureWidthError
     when the tolerance stays out of reach at the cap.  Returns (endpoint
-    pair, ell used).  The working precision is chosen from the tolerance.
+    pair, ell used).  The working precision is chosen from the tolerance
+    and fixed, so the rungs resume one walk: reaching ell takes ell - 1
+    steps, each rung's pair that of a fresh euler_product_upper(q, ell, bits).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     bits = max(DEFAULT_PRECISION_BITS, 64 + int(-math.log2(tol)))
+    walk = _walk_bounds(q, bits, _product_steps)
     widths = []
 
     def evaluate(ell):
-        enclosure = euler_product_upper(q, ell, bits)
+        enclosure = euler_product_upper(q, ell, bits, walk)
         widths.append(width(enclosure))
         return enclosure if widths[-1] <= tol else None
 

@@ -174,7 +174,7 @@ def check_growth_conditions(f, n_max: int) -> GrowthConditionReport:
 
 
 def _weighted_steps(q):
-    """S(q) per truncation point j, for qseries._tightest_bounds: the partial
+    """S(q) per truncation point j, for qseries._walk_bounds: the partial
     sum, and q/(1-q)^3 plus the corrections j*q^j*(q^j-q)/((1-q^j)*(1-q))
     (nonpositive for j >= 2, zero at j = 1)."""
     leading = q / (1 - q) ** 3
@@ -191,7 +191,7 @@ def _weighted_steps(q):
 
 def weighted_sum_upper(q: Fraction, ell: int):
     """Endpoint pair of S(q) over truncation points 2..ell, as F(q)'s is built."""
-    return qseries._tightest_bounds(q, ell, DEFAULT_PRECISION_BITS, _weighted_steps)
+    return qseries._walk_bounds(q, DEFAULT_PRECISION_BITS, _weighted_steps)(ell)
 
 
 # p(k) for k = 1..50

@@ -213,7 +213,7 @@ class TestSignRule:
         (fone, fnan, True),
         (fone, finf, True),
     ])
-    def test_edges_match_bound_real(self, monkeypatch, lower, upper, sign):
+    def test_edges_match_iv_comparison(self, monkeypatch, lower, upper, sign):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         gap = (lower, upper)
         # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
@@ -351,8 +351,8 @@ class TestRawIntervalGaps:
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_matches_bound_real_reference(self, monkeypatch, claim, start_bits,
-                                          table_2001, diagonal_2001):
+    def test_matches_iv_operator_reference(self, monkeypatch, claim, start_bits,
+                                           table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
             report, raw = _report_and_gaps(

@@ -26,6 +26,10 @@ GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
 # stdout and exit code of fixed `compute`, `mu`, `product`, `peak` and `table`
 # command lines
 GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+# stdout and exit code of the 335 distinct `product` command lines that
+# perfbench's `queries` mix draws for seeds 1-10
+GOLDEN_PRODUCT = json.loads(
+    (Path(__file__).parent / "data" / "product_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -388,3 +392,19 @@ def test_python_dash_m_cli_module():
 def test_mu_and_product_match_golden(capsys, entry):
     code, out = run(capsys, *entry["argv"])
     assert (code, out) == (entry["exit"], entry["stdout"])
+
+
+@pytest.mark.parametrize("entry", GOLDEN_PRODUCT, ids=lambda e: " ".join(e["argv"]))
+def test_product_matches_golden(capsys, entry):
+    code, out = run(capsys, *entry["argv"])
+    assert (code, out) == (entry["exit"], entry["stdout"])
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    usage_errors = [["compute"], ["verify", "thm2", "5"], ["product", "1", "2", "nan"]]
+    cli.build_parser.cache_clear()
+    for i, entry in enumerate(GOLDEN_CLI + GOLDEN_CLI[::-1]):
+        code, out = run(capsys, *entry["argv"])
+        assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
+        assert run(capsys, *usage_errors[i % 3]) == (EXIT_USAGE, "")
+    assert cli.build_parser.cache_info().misses == 1

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -23,6 +25,10 @@ from reference_values import (
     mpf_to_fraction,
     weighted_sum_upper,
 )
+
+# the `product` command lines of perfbench's `queries` mix, seeds 1-10
+GOLDEN_PRODUCT = json.loads(
+    (Path(__file__).parent / "data" / "product_golden.json").read_text())
 
 
 def test_params_validated():
@@ -149,6 +155,38 @@ def test_ladder_climbs_to_depth_cap(monkeypatch):
     with pytest.raises(EnclosureWidthError, match="at ell=256$"):
         enclose_euler_product(Fraction(9, 10), 1e-30)
     assert visited == [8, 16, 32, 64, 128, 256]
+
+
+def test_ladder_walks_each_truncation_point_once(monkeypatch):
+    taken = []
+    steps = qseries._product_steps
+
+    def counting(q):
+        for pair in steps(q):
+            taken.append(pair)
+            yield pair
+
+    monkeypatch.setattr(qseries, "_product_steps", counting)
+    _, ell = enclose_euler_product(Fraction(1, 2), 1e-40)
+    # rungs 8, 16, ..., 256 resume one walk: 255 steps, not 7 + 15 + ... + 255
+    assert (ell, len(taken)) == (256, 255)
+
+
+def test_every_rung_equals_a_fresh_walk_on_golden_arguments(monkeypatch):
+    rungs = []
+
+    def recording(q, ell, bits, walk):
+        rungs.append((q, ell, bits, euler_product_upper(q, ell, bits, walk)))
+        return rungs[-1][3]
+
+    monkeypatch.setattr(qseries, "euler_product_upper", recording)
+    for entry in GOLDEN_PRODUCT:
+        num, den, tol = entry["argv"][1:]
+        rungs.clear()
+        enclosure, ell = enclose_euler_product(Fraction(int(num), int(den)), float(tol))
+        assert (rungs[-1][1], rungs[-1][3]) == (ell, enclosure)
+        for q, ell, bits, pair in rungs:
+            assert pair == euler_product_upper(q, ell, bits), (entry["argv"], ell)
 
 
 def test_tail_factor_upper_bounds_exp_of_tiny_argument():
