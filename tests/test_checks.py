@@ -351,8 +351,8 @@ class TestRawIntervalGaps:
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_matches_iv_operator_reference(self, monkeypatch, claim, start_bits,
-                                           table_2001, diagonal_2001):
+    def test_matches_bound_real_reference(self, monkeypatch, claim, start_bits,
+                                          table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
             report, raw = _report_and_gaps(
