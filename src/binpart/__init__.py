@@ -24,7 +24,6 @@ from .binomial_sums import (
     verify_unimodal_profile,
 )
 from .checks import (
-    VerificationReport,
     central_binomial_check,
     diagonal_bound_check,
     growth_chain_check,

@@ -22,17 +22,19 @@ The row checks take their row, the diagonal checks the integer they
 bound, p(n-1,n-1) or p(n,n-1), and central_binomial_check the binomial
 C(n, floor((n+3)/2)), which the stirling sweep walks along n; no check
 reads a triangle or computes a binomial from scratch.  Every check
-returns a VerificationReport (product_bound_check one per k of its row);
-"verified" always means the strict inequality holds with positive
-certified margin.
+returns its verdict as a plain tuple (outcome, counterexample, margin,
+bits), bits None for the exact row_bound_check; product_bound_check
+returns its row's fold (checked, outcome, counterexample, margin)
+instead.  The margin is a unitless slack: the relative slack
+(rhs-lhs)/rhs of an integer comparison, the certified lower bound of
+the gap of a real one.  "verified" always means the strict inequality
+holds with positive certified margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import lt, mul, not_, sub
-from typing import Optional
 
 from mpmath.libmp import (
     mpi_add,
@@ -60,30 +62,12 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one inequality check.
-
-    margin is a unitless slack: relative slack (rhs-lhs)/rhs for integer
-    comparisons, certified lower bound of the log-domain gap for real
-    comparisons.  precision_bits is None for pure integer checks.
-    """
-
-    claim: str
-    n: int
-    outcome: str
-    counterexample: Optional[tuple] = None
-    margin: Optional[float] = None
-    precision_bits: Optional[int] = None
-
-
 def _relative_slack(lhs: int, rhs: int) -> float:
     """(rhs - lhs)/rhs for exact integers, safe for astronomically large values."""
     return (rhs - lhs) / rhs
 
 
-def _certified(claim: str, n: int, gaps, start_bits: int,
-               counterexample: tuple) -> VerificationReport:
+def _certified(gaps, start_bits: int, counterexample: tuple) -> tuple:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
     Each rung calls gaps(bits), which returns a tuple of endpoint pairs
@@ -91,9 +75,11 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
     compute them with direct `libmpi` calls); no rung sets the global
     `iv` precision.  The rung is undecided while any gap straddles zero,
     verified when every gap is certainly positive and violated otherwise.
-    The margin is the smallest certified lower bound among the gaps,
-    rounded to the nearest float as float(mpf) rounds it (to_float's own
-    default rounds toward zero).
+    Returns the verdict (outcome, counterexample, margin, bits): the
+    counterexample only when violated, bits the last rung evaluated, and
+    the margin, only when verified, the smallest certified lower bound
+    among the gaps, rounded to the nearest float as float(mpf) rounds it
+    (to_float's own default rounds toward zero).
     """
     def evaluate(bits):
         enclosures = gaps(bits)
@@ -103,24 +89,21 @@ def _certified(claim: str, n: int, gaps, start_bits: int,
         if all(signs):
             margin = min(to_float(lower, rnd=round_nearest)
                          for lower, _ in enclosures)
-            return VerificationReport(claim, n, VERIFIED, margin=margin,
-                                      precision_bits=bits)
-        return VerificationReport(claim, n, VIOLATED,
-                                  counterexample=counterexample,
-                                  precision_bits=bits)
+            return VERIFIED, None, margin, bits
+        return VIOLATED, counterexample, None, bits
 
-    report, bits = decide_with_escalation(evaluate, start_bits)
-    if report is None:
-        return VerificationReport(claim, n, INCONCLUSIVE, precision_bits=bits)
-    return report
+    verdict, bits = decide_with_escalation(evaluate, start_bits)
+    return verdict or (INCONCLUSIVE, None, None, bits)
 
 
-def row_bound_check(n: int, row: tuple[int, ...]) -> VerificationReport:
+def row_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     """Exact check of 1600*n*p(n,k)^2 < 12769*4^n for every 1 <= k <= n.
 
     row is row n of the triangle.  This is the squared, cleared-denominator
     form of p(n,k) < (113/40)/sqrt(n) * 2^n; only integer arithmetic is
-    used.
+    used, so the verdict (outcome, counterexample, margin, bits) has no
+    bits.  The counterexample is the first violating (n, k); the margin
+    is the relative slack of the row's largest entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -130,20 +113,13 @@ def row_bound_check(n: int, row: tuple[int, ...]) -> VerificationReport:
     worst = factor * top * top
     if worst >= rhs:
         k = next(k for k in range(1, n + 1) if factor * row[k] * row[k] >= rhs)
-        return VerificationReport(
-            claim="row-bound", n=n, outcome=VIOLATED, counterexample=(n, k)
-        )
-    return VerificationReport(
-        claim="row-bound",
-        n=n,
-        outcome=VERIFIED,
-        margin=_relative_slack(worst, rhs),
-    )
+        return VIOLATED, (n, k), None, None
+    return VERIFIED, None, _relative_slack(worst, rhs), None
 
 
 def central_binomial_check(
     n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+) -> tuple:
     """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2).
 
     value is C(n, floor((n+3)/2)), 0 at n = 1.  Equivalent form used:
@@ -163,12 +139,12 @@ def central_binomial_check(
         gap = mpi_sub(rhs, lhs, bits)
         return (mpi_div(gap, rhs, bits),)
 
-    return _certified("central-binomial", n, gaps, start_bits, (n, kn))
+    return _certified(gaps, start_bits, (n, kn))
 
 
 def partition_bound_check(
     n: int, table: tuple[int, ...], start_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+) -> tuple:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 
     with a = sqrt(2/3)*pi, compared in the log domain:
@@ -187,12 +163,12 @@ def partition_bound_check(
                       mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified("partition-bound", n, gaps, start_bits, (n,))
+    return _certified(gaps, start_bits, (n,))
 
 
 def growth_chain_check(
     n: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+) -> tuple:
     """Certified check of the two-sided chain, for n >= 3:
 
     sqrt(n)/(sqrt(n+1)-1)  <  1 + pi/sqrt(6n)  <  e^(a*sqrt(n)*(sqrt(1+1/n)-1)).
@@ -218,12 +194,12 @@ def growth_chain_check(
                     mpi_sub(sqrt_step, one, bits), bits), bits)
         return (mpi_sub(mid, left, bits), mpi_sub(right, mid, bits))
 
-    return _certified("growth-chain", n, gaps, start_bits, (n,))
+    return _certified(gaps, start_bits, (n,))
 
 
 def diagonal_bound_check(
     n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+) -> tuple:
     """Certified check of p(n-1,n-1) < e^(a*sqrt(n)) for n >= 1.
 
     value is p(n-1,n-1).
@@ -237,12 +213,12 @@ def diagonal_bound_check(
         rhs = mpi_mul(alpha, mpi_sqrt(int_interval(n, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified("diagonal-bound", n, gaps, start_bits, (n,))
+    return _certified(gaps, start_bits, (n,))
 
 
 def subdiagonal_bound_check(
     n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+) -> tuple:
     """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1.
 
     value is p(n,n-1).
@@ -258,12 +234,12 @@ def subdiagonal_bound_check(
                       mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified("subdiagonal-bound", n, gaps, start_bits, (n,))
+    return _certified(gaps, start_bits, (n,))
 
 
 def product_bound_check(
     n: int, row: tuple[int, ...], depth_cap: int = DEFAULT_DEPTH_CAP
-) -> list[VerificationReport]:
+) -> tuple:
     """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j), k = 1..n-1.
 
     row is row n of the triangle.  The infinite product is lower-bounded
@@ -277,9 +253,14 @@ def product_bound_check(
     extends the previous rung's partial products from j = L_prev + 1
     (prod n^j once for the row, prod (n^j - k^j) per open k) and decides
     every k still open; a k's margin is taken at the first depth that
-    clears it.  C(n,k) is walked along the row.  The reports run
-    k = 1, 2, ... and end at the first k still open at depth_cap, which
-    is inconclusive (never asserted false).
+    clears it.  C(n,k) is walked along the row.
+
+    Returns the row's fold (checked, outcome, counterexample, margin).
+    The row is verified when every k clears; otherwise it is inconclusive
+    (never asserted false) at the first k still open at depth_cap, and
+    the counterexample is that (n, k).  checked counts the k decided,
+    k = 1, 2, ... up to the open one included, and margin is the least
+    margin over the k before it (None when there is none).
     """
     if n < 2:
         raise ValueError("need n >= 2: the row has no 1 <= k <= n-1")
@@ -320,13 +301,8 @@ def product_bound_check(
         return None if open_k[0] else depth
 
     decide_with_escalation(evaluate, 4, depth_cap)
-    reports = []
-    for k in range(1, n):
-        margin = margins.get(k)
-        if margin is None:
-            reports.append(VerificationReport("product-bound", n, INCONCLUSIVE,
-                                              counterexample=(n, k)))
-            break
-        reports.append(VerificationReport("product-bound", n, VERIFIED,
-                                          margin=margin))
-    return reports
+    if not open_k[0]:
+        return n - 1, VERIFIED, None, min(margins.values())
+    first = open_k[0][0]
+    before = [margin for k, margin in margins.items() if k < first]
+    return first, INCONCLUSIVE, (n, first), min(before, default=None)

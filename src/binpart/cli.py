@@ -92,6 +92,8 @@ def cmd_compute(args) -> int:
         if len(values) != 1:
             raise UsageError("compute p takes exactly one argument: N")
         (n,) = values
+        if n < 0:
+            raise UsageError(f"p needs N >= 0, got N={n}")
         if n > P_CEILING:
             raise UsageError(f"compute p takes N <= {P_CEILING}, got N={n}")
         result = rademacher_partition_number(n) if n >= P_SERIES_FROM else None
@@ -104,6 +106,8 @@ def cmd_compute(args) -> int:
         k, n = values
         if k < 1:
             raise UsageError("pk needs K >= 1")
+        if n < 0:
+            raise UsageError(f"pk needs N >= 0, got K={k}, N={n}")
         result = build_restricted_table(k, n)[n]
         arglist = [k, n]
     elif kind == "pnk":

@@ -1,11 +1,12 @@
 """Range sweeps over the verification checks, one per CLI claim id.
 
-Every claim runs through the same sweep loop: its per-n function returns
-the VerificationReports for one n, and the loop folds them into a
-ClaimSummary, stopping at the first report that is not verified.  Where a
-claim's input changes little from one n to the next it is streamed, not
-recomputed: triangle rows, Pascal columns and central binomials.  Claim
-ids are the stable identifiers exposed by `binpart verify`:
+Every claim runs through the same sweep loop: its per-n step returns
+plain values for one n, (checked, outcome, counterexample, margin, bits),
+and the loop folds them into a ClaimSummary, stopping at the first n
+that is not verified.  Where a claim's input changes little from one n
+to the next it is streamed, not recomputed: triangle rows, Pascal
+columns and central binomials.  Claim ids are the stable identifiers
+exposed by `binpart verify`:
 
     thm2          strict unimodality of every row, unique peak
     thm3          1600*n*p(n,k)^2 < 12769*4^n for all k (exact)
@@ -65,28 +66,9 @@ class ClaimSummary:
     notes: dict = field(default_factory=dict)
 
 
-def _merge(summary: ClaimSummary, report: checks.VerificationReport) -> bool:
-    """Fold one report into the running summary; False stops the sweep."""
-    summary.checked += 1
-    if report.margin is not None:
-        if summary.min_margin is None or report.margin < summary.min_margin:
-            summary.min_margin = report.margin
-    if report.precision_bits is not None:
-        if (summary.max_precision_bits is None
-                or report.precision_bits > summary.max_precision_bits):
-            summary.max_precision_bits = report.precision_bits
-    if report.outcome != VERIFIED:
-        summary.outcome = report.outcome
-        summary.counterexample = report.counterexample
-        return False
-    return True
-
-
-def _exact(claim: str, n: int, violation) -> checks.VerificationReport:
-    """Report of an exact check that returns its first violation, or None."""
-    if violation is None:
-        return checks.VerificationReport(claim, n, VERIFIED)
-    return checks.VerificationReport(claim, n, VIOLATED, counterexample=violation)
+def _exact(violation) -> tuple:
+    """Step of an exact check that returns its first violation, or None."""
+    return 1, VERIFIED if violation is None else VIOLATED, violation, None, None
 
 
 class SweepContext:
@@ -166,78 +148,85 @@ def _claim(claim: str, per_n, pairs=_shared(), notes=None):
     streamed triangle row for the row claims (_stream), a streamed Pascal
     column for the sign sums (_columns), a walked central binomial for
     stirling, a shared table otherwise (_shared).  `per_n(n, input)`
-    returns the reports for one n.
+    returns the step (checked, outcome, counterexample, margin, bits) of
+    one n.  The loop keeps the running count, least margin and most bits,
+    and stops at the first n that is not verified, whose outcome and
+    counterexample the summary takes.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-        summary = ClaimSummary(claim=claim, n_min=n_min, n_max=n_max,
-                               checked=0, outcome=VERIFIED,
-                               notes=dict(notes or {}))
+        checked = 0
+        outcome, counterexample, min_margin, max_bits = VERIFIED, None, None, None
         for n, source in pairs(ctx, n_min, n_max):
-            for report in per_n(n, source):
-                if not _merge(summary, report):
-                    return summary
-        return summary
+            count, outcome, counterexample, margin, bits = per_n(n, source)
+            checked += count
+            if margin is not None and (min_margin is None or margin < min_margin):
+                min_margin = margin
+            if bits is not None and (max_bits is None or bits > max_bits):
+                max_bits = bits
+            if outcome != VERIFIED:
+                break
+        return ClaimSummary(claim, n_min, n_max, checked, outcome, counterexample,
+                            min_margin, max_bits, dict(notes or {}))
 
     return sweep
 
 
-# -- per-n checks: (n, claim input) -> reports ---------------------------
+# -- per-n steps: (n, claim input) -> (checked, outcome, counterexample,
+#    margin, bits) ------------------------------------------------------
 
 
 def _unimodality(n, row):
-    return [_exact("thm2", n, verify_unimodal_profile(n, row))]
+    return _exact(verify_unimodal_profile(n, row))
 
 
 def _row_bound(n, row):
-    return [checks.row_bound_check(n, row)]
+    return 1, *checks.row_bound_check(n, row)
 
 
 def _diagonal_bound(n, diag):
-    return [checks.diagonal_bound_check(n, diag.diagonal[n - 1])]
+    return 1, *checks.diagonal_bound_check(n, diag.diagonal[n - 1])
 
 
 def _subdiagonal_bound(n, diag):
-    return [checks.subdiagonal_bound_check(n, diag.subdiagonal[n])]
+    return 1, *checks.subdiagonal_bound_check(n, diag.subdiagonal[n])
 
 
 def _ascent_sign(n, source):
     k, table, column = source
-    violation = None if peak_sign_sum(n, k, table, column) > 0 else (n, k)
-    return [_exact("lemma-links", n, violation)]
+    return _exact(None if peak_sign_sum(n, k, table, column) > 0 else (n, k))
 
 
 def _descent_sign(n, source):
     k, table, column = source
-    violation = None if peak_sign_sum(n, k, table, column) < 0 else (n, k)
-    return [_exact("lemma-rechts", n, violation)]
+    return _exact(None if peak_sign_sum(n, k, table, column) < 0 else (n, k))
 
 
 def _dominance(n, gap_row):
     bad_k = dominance_check(n, gap_row)
-    return [_exact("lemma-gr", n, None if bad_k is None else (n, bad_k))]
+    return _exact(None if bad_k is None else (n, bad_k))
 
 
 def _growth_chain(n, _):
-    return [checks.growth_chain_check(n)]
+    return 1, *checks.growth_chain_check(n)
 
 
 def _partition_bound(n, table):
-    return [checks.partition_bound_check(n, table)]
+    return 1, *checks.partition_bound_check(n, table)
 
 
 def _central_binomial(n, value):
-    return [checks.central_binomial_check(n, value)]
+    return 1, *checks.central_binomial_check(n, value)
 
 
 def _product_bound(n, row):
-    """Every 1 <= k <= n-1, decided together; the reports end at the first
-    inconclusive k."""
-    return checks.product_bound_check(n, row)
+    """Every 1 <= k <= n-1, decided together and folded by the check; an
+    inconclusive k ends the row."""
+    return *checks.product_bound_check(n, row), None
 
 
 def _series_identities(k, _):
-    return [_exact("genfun", k, check_generating_functions(k, GENFUN_DEGREE))]
+    return _exact(check_generating_functions(k, GENFUN_DEGREE))
 
 
 # claim id -> (sweep function, default range)

@@ -8,10 +8,10 @@ high-precision mpmath reference values exactly; fractions and contains
 read an enclosure's endpoint pair exactly.
 
 The functions below are oracles no command runs: brute-force partition
-enumeration, the dominance gap by multiplicative binomials, the paper's
-closed forms of the truncated sign sums, the growth conditions behind
-unimodal weighted binomial sums, and the enclosure of
-S(q) = sum_{j>=1} j*q^j/(1-q^j).
+enumeration, the dominance gap by multiplicative binomials, eq. 9 by a
+hand-written depth loop on math.comb, the paper's closed forms of the
+truncated sign sums, the growth conditions behind unimodal weighted
+binomial sums, and the enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j).
 """
 
 import math
@@ -22,6 +22,7 @@ from itertools import accumulate, count
 from mpmath import iv
 
 from binpart import qseries
+from binpart.checks import INCONCLUSIVE, VERIFIED
 from binpart.intervals import DEFAULT_PRECISION_BITS, to_fraction
 
 
@@ -85,6 +86,52 @@ def enumerate_partitions(n: int, max_part: int, cap: int = 60):
 def gap_row(n: int, row) -> tuple:
     """512*p(n,k) - 1745*C(n,k) for k = 0..n from row n of p, by math.comb."""
     return tuple(512 * p - 1745 * math.comb(n, k) for k, p in enumerate(row))
+
+
+def reference_product(n: int, k: int, row, depth_cap: int = 256):
+    """(outcome, margin, counterexample) of eq. 9 at (n, k), from the
+    hand-written depth loop: each depth 4, 8, ... up to depth_cap
+    rebuilds its partial products from j = 1, against C(n,k) by math.comb."""
+    p_val = row[k]
+    c = math.comb(n, k)
+    depth = 4
+    while True:
+        depth = min(depth, depth_cap)
+        num = 1
+        den = 1
+        npow = 1
+        kpow = 1
+        for _ in range(depth):
+            npow *= n
+            kpow *= k
+            num *= npow
+            den *= npow - kpow
+        lhs = p_val * den
+        rhs = c * num
+        if lhs < rhs:
+            return VERIFIED, (rhs - lhs) / rhs, None
+        if depth >= depth_cap:
+            return INCONCLUSIVE, None, (n, k)
+        depth *= 2
+
+
+def reference_row(n: int, row, depth_cap: int = 256) -> list:
+    """reference_product for k = 1, 2, ..., ending at the first inconclusive k."""
+    results = []
+    for k in range(1, n):
+        results.append(reference_product(n, k, row, depth_cap))
+        if results[-1][0] != VERIFIED:
+            break
+    return results
+
+
+def reference_row_fold(n: int, row, depth_cap: int = 256) -> tuple:
+    """reference_row folded as product_bound_check folds its row:
+    (checked, outcome, counterexample, least margin)."""
+    results = reference_row(n, row, depth_cap)
+    outcome, _, counterexample = results[-1]
+    margins = [margin for _, margin, _ in results if margin is not None]
+    return len(results), outcome, counterexample, min(margins, default=None)
 
 
 def pascal_column(m: int, length: int) -> tuple:

@@ -42,84 +42,83 @@ from binpart.intervals import (
 )
 
 from reference_values import (EULER_PRODUCT_HALF, contains, fractions,
-                              mpf_to_fraction)
+                              mpf_to_fraction, reference_row_fold)
 
 
 class TestRowBound:
     def test_n1(self, triangle_120):
         # p(1,1) = 2: 1600*1*4 < 12769*4
-        report = row_bound_check(1, triangle_120[1])
-        assert report.outcome == VERIFIED
-        assert report.precision_bits is None  # pure integer check
+        outcome, _, _, bits = row_bound_check(1, triangle_120[1])
+        assert outcome == VERIFIED
+        assert bits is None  # pure integer check
 
     def test_n50_peak_value(self, triangle_120):
         v = triangle_120[50][26]
         assert 1600 * 50 * v * v < 12769 * 4**50
-        assert row_bound_check(50, triangle_120[50]).outcome == VERIFIED
+        assert row_bound_check(50, triangle_120[50])[0] == VERIFIED
 
     def test_sweep(self, triangle_120):
         for n in range(1, 121):
-            report = row_bound_check(n, triangle_120[n])
-            assert report.outcome == VERIFIED, n
-            assert report.margin > 0
+            outcome, _, margin, _ = row_bound_check(n, triangle_120[n])
+            assert outcome == VERIFIED, n
+            assert margin > 0
 
     def test_margin_matches_per_k_formula(self, triangle_120):
         for n in range(1, 121):
             row = triangle_120[n]
             rhs = 12769 << (2 * n)
             worst = max(1600 * n * row[k] * row[k] for k in range(1, n + 1))
-            assert row_bound_check(n, triangle_120[n]).margin == (rhs - worst) / rhs, n
+            assert row_bound_check(n, triangle_120[n])[2] == (rhs - worst) / rhs, n
 
     def test_reports_first_violating_k(self):
         # p(4,2) and the larger p(4,3) both break 1600*4*p^2 < 12769*4^4
-        report = row_bound_check(4, (0, 1, 10**6, 10**7, 1))
-        assert report.outcome == VIOLATED
-        assert report.counterexample == (4, 2)
+        outcome, counterexample, _, _ = row_bound_check(4, (0, 1, 10**6, 10**7, 1))
+        assert outcome == VIOLATED
+        assert counterexample == (4, 2)
 
 
 class TestCentralBinomial:
     def test_zero_binomial_below_cut(self):
         assert math.comb(1, 2) == 0
-        assert central_binomial_check(1, math.comb(1, 2)).outcome == VERIFIED
+        assert central_binomial_check(1, math.comb(1, 2))[0] == VERIFIED
 
     def test_n50(self):
-        report = central_binomial_check(50, math.comb(50, 26))
-        assert report.outcome == VERIFIED
+        assert central_binomial_check(50, math.comb(50, 26))[0] == VERIFIED
         # C(50,26) = 121548660036300 against 2^50/sqrt(25*pi) ~ 1.27e14
         assert math.comb(50, 26) == 121548660036300
 
     def test_sweep(self):
         for n in range(1, 301):
-            report = central_binomial_check(n, math.comb(n, (n + 3) // 2))
-            assert report.outcome == VERIFIED, n
-            assert report.precision_bits == 128
+            outcome, _, _, bits = central_binomial_check(n, math.comb(n, (n + 3) // 2))
+            assert outcome == VERIFIED, n
+            assert bits == 128
 
 
 class TestPartitionBound:
     def test_n1(self, table_2001):
-        assert partition_bound_check(1, table_2001).outcome == VERIFIED
+        assert partition_bound_check(1, table_2001)[0] == VERIFIED
 
     def test_n50(self, table_2001):
-        report = partition_bound_check(50, table_2001)
-        assert report.outcome == VERIFIED
-        assert report.margin > 0
+        outcome, _, margin, _ = partition_bound_check(50, table_2001)
+        assert outcome == VERIFIED
+        assert margin > 0
 
     def test_sweep(self, table_2001):
         for n in range(1, 301):
-            assert partition_bound_check(n, table_2001).outcome == VERIFIED, n
+            assert partition_bound_check(n, table_2001)[0] == VERIFIED, n
 
 
 class TestGrowthChain:
     @pytest.mark.parametrize("n", [3, 16])
     def test_boundary_values(self, n):
-        assert growth_chain_check(n).outcome == VERIFIED
+        assert growth_chain_check(n)[0] == VERIFIED
 
     def test_sweep(self):
         for n in range(3, 301):
-            assert growth_chain_check(n).outcome == VERIFIED, n
+            assert growth_chain_check(n)[0] == VERIFIED, n
 
     def test_large_n(self):
-        assert growth_chain_check(10000).outcome == VERIFIED
+        assert growth_chain_check(10000)[0] == VERIFIED
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -129,47 +128,40 @@ class TestGrowthChain:
 class TestDiagonalBounds:
     def test_base_cases(self, diagonal_2001):
         # p(0,0) = 1 < e^a and p(1,0) = 1 < 1*e^a
-        diagonal = diagonal_bound_check(1, diagonal_2001.diagonal[0])
-        subdiagonal = subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1])
-        assert diagonal.outcome == VERIFIED
-        assert subdiagonal.outcome == VERIFIED
+        assert diagonal_bound_check(1, diagonal_2001.diagonal[0])[0] == VERIFIED
+        assert subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1])[0] == VERIFIED
 
     def test_golden_values(self):
         # p(50,50) = 1295971 < e^(a*sqrt(51)), p(50,49) = 6547151 < sqrt(50)e^(a*sqrt(50))
-        assert diagonal_bound_check(51, 1295971).outcome == VERIFIED
-        assert subdiagonal_bound_check(50, 6547151).outcome == VERIFIED
+        assert diagonal_bound_check(51, 1295971)[0] == VERIFIED
+        assert subdiagonal_bound_check(50, 6547151)[0] == VERIFIED
 
     def test_triangle_and_diagonal_agree(self, triangle_120, table_2001):
         diag = DiagonalTable(120, table_2001)
         for n in (5, 17, 60, 101):
             r1 = diagonal_bound_check(n, triangle_120[n - 1][n - 1])
             r2 = diagonal_bound_check(n, diag.diagonal[n - 1])
-            assert r1.outcome == VERIFIED and r2.outcome == VERIFIED
-            assert r1.margin == r2.margin
+            assert r1[0] == VERIFIED
+            assert r1 == r2
 
     def test_sweep(self, diagonal_2001):
         for n in range(1, 301):
             diagonal = diagonal_bound_check(n, diagonal_2001.diagonal[n - 1])
             subdiagonal = subdiagonal_bound_check(n, diagonal_2001.subdiagonal[n])
-            assert diagonal.outcome == VERIFIED, n
-            assert subdiagonal.outcome == VERIFIED, n
+            assert diagonal[0] == VERIFIED, n
+            assert subdiagonal[0] == VERIFIED, n
 
 
 class TestCertifiedOutcomes:
     """The non-verified outcomes of the shared escalate-and-report scaffold."""
 
     def test_huge_value_is_violated(self):
-        report = diagonal_bound_check(1, 10**100)
-        assert report.outcome == VIOLATED
-        assert report.counterexample == (1,)
+        assert diagonal_bound_check(1, 10**100) == (VIOLATED, (1,), None, 128)
 
     def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
-        report = _certified(
-            "straddle", 1,
-            lambda bits: ((fnone, fone),), 128, (1,))
-        assert report.outcome == INCONCLUSIVE
-        assert report.precision_bits == 256
+        verdict = _certified(lambda bits: ((fnone, fone),), 128, (1,))
+        assert verdict == (INCONCLUSIVE, None, None, 256)
 
     def test_undecided_gap_escalates_past_negative_gap(self, monkeypatch):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
@@ -179,8 +171,7 @@ class TestCertifiedOutcomes:
             seen.append(bits)
             return ((fnone, fone), (from_int(-2), fnone))
 
-        report = _certified("mixed", 1, gaps, 128, (1,))
-        assert report.outcome == INCONCLUSIVE
+        assert _certified(gaps, 128, (1,))[0] == INCONCLUSIVE
         assert seen == [128, 256]
 
 
@@ -226,13 +217,12 @@ class TestSignRule:
             seen.append(bits)
             return (gap,)
 
-        report = _certified("edge", 1, gaps, 128, (1,))
+        outcome, counterexample, _, bits = _certified(gaps, 128, (1,))
         expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
-        assert report.outcome == expected
+        assert outcome == expected
         assert seen == ([128, 256] if sign is None else [128])
-        assert report.precision_bits == seen[-1]
-        if sign is False:
-            assert report.counterexample == (1,)
+        assert bits == seen[-1]
+        assert counterexample == ((1,) if sign is False else None)
 
 
 def _reference_gaps(claim, n, table, diagonal):
@@ -290,18 +280,18 @@ def _reference_gaps(claim, n, table, diagonal):
     return gaps
 
 
-def _report_and_gaps(monkeypatch, run_check):
-    """run_check()'s report and the gaps(bits) its check handed _certified."""
+def _verdict_and_gaps(monkeypatch, run_check):
+    """run_check()'s verdict and the gaps(bits) its check handed _certified."""
     handed = []
 
-    def recording(claim, n, gaps, start_bits, counterexample):
+    def recording(gaps, start_bits, counterexample):
         handed.append(gaps)
-        return _certified(claim, n, gaps, start_bits, counterexample)
+        return _certified(gaps, start_bits, counterexample)
 
     monkeypatch.setattr(checks, "_certified", recording)
-    report = run_check()
+    verdict = run_check()
     (gaps,) = handed
-    return report, gaps
+    return verdict, gaps
 
 
 def _assert_same_endpoints(gaps, reference, start_bits, last_bits):
@@ -314,7 +304,7 @@ def _assert_same_endpoints(gaps, reference, start_bits, last_bits):
 
 
 def _reference_decision(gaps, start_bits):
-    """(outcome, margin, bits) from mpf endpoint reads, as _certified reports them."""
+    """(outcome, margin, bits) from mpf endpoint reads, as _certified decides them."""
     margin = {}
 
     def evaluate(bits):
@@ -351,16 +341,15 @@ class TestRawIntervalGaps:
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_matches_bound_real_reference(self, monkeypatch, claim, start_bits,
-                                          table_2001, diagonal_2001):
+    def test_matches_iv_operator_reference(self, monkeypatch, claim, start_bits,
+                                           table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
-            report, raw = _report_and_gaps(
+            (outcome, _, margin, bits), raw = _verdict_and_gaps(
                 monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
             gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
-            assert (report.outcome, report.margin, report.precision_bits) \
-                == _reference_decision(gaps, start_bits), n
-            _assert_same_endpoints(raw, gaps, start_bits, report.precision_bits)
+            assert (outcome, margin, bits) == _reference_decision(gaps, start_bits), n
+            _assert_same_endpoints(raw, gaps, start_bits, bits)
 
     @pytest.mark.parametrize("start_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
@@ -368,12 +357,11 @@ class TestRawIntervalGaps:
                                               table_2001, diagonal_2001):
         n_min, check = self.CHECKS[claim]
         for n in range(n_min, 401):
-            report, raw = _report_and_gaps(
+            (outcome, _, margin, bits), raw = _verdict_and_gaps(
                 monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
             gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
-            assert (report.outcome, report.margin, report.precision_bits) \
-                == _reference_decision(gaps, start_bits), n
-            _assert_same_endpoints(raw, gaps, start_bits, report.precision_bits)
+            assert (outcome, margin, bits) == _reference_decision(gaps, start_bits), n
+            _assert_same_endpoints(raw, gaps, start_bits, bits)
 
     # growth_chain_check's exp argument has endpoints 0 or >= 2^(1-bits):
     # sqrt(1+1/n) - 1 is a multiple of 2^(1-bits), then multiplied by
@@ -404,10 +392,10 @@ class TestRawIntervalGaps:
 
     def test_results_ignore_global_precision(self, table_2001, diagonal_2001):
         def run_all():
-            reports = [check(n, table_2001, diagonal_2001, 128)
-                       for n_min, check in self.CHECKS.values()
-                       for n in (n_min, 10, 1000)]
-            return reports, fractions(corollary_bound(50))
+            verdicts = [check(n, table_2001, diagonal_2001, 128)
+                        for n_min, check in self.CHECKS.values()
+                        for n in (n_min, 10, 1000)]
+            return verdicts, fractions(corollary_bound(50))
 
         results = []
         for prec in (53, 2048):
@@ -425,7 +413,7 @@ class TestRawIntervalGaps:
             return original(bits)
 
         monkeypatch.setattr(intervals, "working_precision", counting)
-        assert growth_chain_check(100).precision_bits == 128
+        assert growth_chain_check(100)[3] == 128
         assert enters == []
 
     def test_cached_constants_enclose_pi_and_alpha(self):
@@ -447,113 +435,79 @@ class TestRawIntervalGaps:
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):
-        report = product_bound_check(50, triangle_120[50])[24]
-        assert report.outcome == VERIFIED
+        # every k of row 50 clears, k = 25 among them
+        assert product_bound_check(50, triangle_120[50])[:3] == (49, VERIFIED, None)
         # sanity anchor: p(50,25) < C(50,25) * 3.4627...
         assert triangle_120[50][25] < math.comb(50, 25) * EULER_PRODUCT_HALF
 
     def test_n2_k1(self, triangle_120):
         # p(2,1) = 3 < 2 * F(1/2) ~ 6.93
         assert triangle_120[2][1] == 3
-        assert product_bound_check(2, triangle_120[2])[0].outcome == VERIFIED
+        assert product_bound_check(2, triangle_120[2])[:3] == (1, VERIFIED, None)
 
     def test_sweep_zero_inconclusive(self, triangle_120):
         for n in range(2, 81):
-            reports = product_bound_check(n, triangle_120[n])
-            for k in range(1, n):
-                report = reports[k - 1]
-                assert report.outcome == VERIFIED, (n, k)
+            checked, outcome, _, _ = product_bound_check(n, triangle_120[n])
+            assert (checked, outcome) == (n - 1, VERIFIED), n
 
     def test_depth_cap_reports_inconclusive(self, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
-        report = _product_report(50, 49, triangle_120[50], depth_cap=1)
-        assert report.outcome == INCONCLUSIVE
-        assert report.counterexample == (50, 49)
+        _, outcome, counterexample, _ = _product_report(
+            50, 49, triangle_120[50], depth_cap=1)
+        assert outcome == INCONCLUSIVE
+        assert counterexample == (50, 49)
 
     def test_domain(self, triangle_120):
         with pytest.raises(ValueError):
             product_bound_check(1, triangle_120[1])
 
 
-def _reference_product(n, k, triangle, depth_cap=256):
-    """(outcome, margin, counterexample) from the hand-written depth loop."""
-    p_val = triangle[n][k]
-    c = math.comb(n, k)
-    depth = 4
-    while True:
-        depth = min(depth, depth_cap)
-        num = 1
-        den = 1
-        npow = 1
-        kpow = 1
-        for _ in range(depth):
-            npow *= n
-            kpow *= k
-            num *= npow
-            den *= npow - kpow
-        lhs = p_val * den
-        rhs = c * num
-        if lhs < rhs:
-            return VERIFIED, (rhs - lhs) / rhs, None
-        if depth >= depth_cap:
-            return INCONCLUSIVE, None, (n, k)
-        depth *= 2
+def _alone(k, row):
+    """row with every entry but k zeroed: those clear at the first depth,
+    with margin 1.0, so k alone sets the rungs and decides the row's fold
+    whatever its outcome."""
+    return tuple(value if i == k else 0 for i, value in enumerate(row))
 
 
 def _product_report(n, k, row, **kwargs):
-    """The report for k of product_bound_check on row n with every other
-    entry zeroed: those clear at the first depth, so k alone sets the
-    rungs and the reports reach k whatever its outcome."""
-    alone = tuple(value if i == k else 0 for i, value in enumerate(row))
-    return product_bound_check(n, alone, **kwargs)[k - 1]
-
-
-def _reference_row(n, triangle, depth_cap=256):
-    """_reference_product for k = 1, 2, ..., ending at the first inconclusive k."""
-    reports = []
-    for k in range(1, n):
-        reports.append(_reference_product(n, k, triangle, depth_cap))
-        if reports[-1][0] != VERIFIED:
-            break
-    return reports
+    """product_bound_check's fold of row n with k alone."""
+    return product_bound_check(n, _alone(k, row), **kwargs)
 
 
 class TestProductLadder:
-    """product_bound_check on decide_with_escalation, against the old loop."""
-
-    @staticmethod
-    def _as_tuple(report):
-        return report.outcome, report.margin, report.counterexample
+    """product_bound_check on decide_with_escalation, against the fold of
+    the hand-written depth loop."""
 
     def test_matches_reference_to_120(self, triangle_120):
         for n in range(2, 121):
-            reports = product_bound_check(n, triangle_120[n])
-            for k in range(1, n):
-                report = reports[k - 1]
-                assert self._as_tuple(report) == _reference_product(
-                    n, k, triangle_120), (n, k)
+            assert product_bound_check(n, triangle_120[n]) \
+                == reference_row_fold(n, triangle_120[n]), n
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
     def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
         for k in range(1, 50):
-            report = _product_report(50, k, triangle_120[50],
-                                     depth_cap=depth_cap)
-            assert self._as_tuple(report) == _reference_product(
-                50, k, triangle_120, depth_cap), k
+            assert _product_report(50, k, triangle_120[50], depth_cap=depth_cap) \
+                == reference_row_fold(50, _alone(k, triangle_120[50]),
+                                      depth_cap), k
 
     def test_row_matches_reference_to_300(self, triangle_1000):
         for n in range(2, 301):
-            reports = product_bound_check(n, triangle_1000[n])
-            assert list(map(self._as_tuple, reports)) \
-                == _reference_row(n, triangle_1000), n
+            assert product_bound_check(n, triangle_1000[n]) \
+                == reference_row_fold(n, triangle_1000[n]), n
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
     def test_row_ends_at_first_inconclusive(self, triangle_120, depth_cap):
-        reports = product_bound_check(50, triangle_120[50], depth_cap=depth_cap)
-        expected = _reference_row(50, triangle_120, depth_cap)
-        assert list(map(self._as_tuple, reports)) == expected
-        assert [outcome for outcome, _, _ in expected].count(INCONCLUSIVE) \
-            == (depth_cap < 8)
+        fold = product_bound_check(50, triangle_120[50], depth_cap=depth_cap)
+        assert fold == reference_row_fold(50, triangle_120[50], depth_cap)
+        assert (fold[1] == INCONCLUSIVE) == (depth_cap < 8)
+
+    def test_margin_is_taken_before_the_first_open_k(self, triangle_120):
+        # k = 1 clears with margin 1.0 and k = 2 never clears; k = 3..49
+        # clear with smaller margins, which the fold must leave out
+        row = (1, 0, 10**100) + triangle_120[50][3:]
+        fold = product_bound_check(50, row)
+        assert fold == (2, INCONCLUSIVE, (50, 2), 1.0)
+        assert fold == reference_row_fold(50, row)
 
     def test_one_ladder_per_row(self, monkeypatch, triangle_1000):
         calls = []
@@ -563,7 +517,7 @@ class TestProductLadder:
             return decide_with_escalation(evaluate, *ladder_args)
 
         monkeypatch.setattr(checks, "decide_with_escalation", recording)
-        assert len(product_bound_check(130, triangle_1000[130])) == 129
+        assert product_bound_check(130, triangle_1000[130])[0] == 129
         assert calls == [(4, 256)]
 
     def test_row_length_checked(self, triangle_120):
@@ -581,19 +535,18 @@ class TestProductLadder:
             return decide_with_escalation(evaluate_and_record, *ladder_args)
 
         monkeypatch.setattr(checks, "decide_with_escalation", recording)
-        report = _product_report(*args, **kwargs)
-        return report, visited
+        fold = _product_report(*args, **kwargs)
+        return fold, visited
 
     def test_rungs_to_depth_16(self, monkeypatch, triangle_1000):
         # (130, 117) is the first pair that the partial product at depth 8
         # does not clear
-        report, visited = self._rungs(monkeypatch, 130, 117,
-                                      triangle_1000[130])
-        assert report.outcome == VERIFIED
+        fold, visited = self._rungs(monkeypatch, 130, 117, triangle_1000[130])
+        assert fold[1] == VERIFIED
         assert visited == [4, 8, 16]
 
     def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):
-        report, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50],
-                                      depth_cap=1)
-        assert report.outcome == INCONCLUSIVE
+        fold, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50],
+                                    depth_cap=1)
+        assert fold[1] == INCONCLUSIVE
         assert visited == [1]

@@ -55,6 +55,16 @@ class TestCompute:
         code, _ = run(capsys, "compute", "p", "1", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (("p", "-1"), "error: p needs N >= 0, got N=-1\n"),
+        (("pk", "3", "-2"), "error: pk needs N >= 0, got K=3, N=-2\n"),
+    ])
+    def test_negative_n_names_the_argument(self, capsys, argv, message):
+        code = main(["compute", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert (captured.out, captured.err) == ("", message)
+
 
 class TestTable:
     def test_n50_matches_golden_fixture(self, capsys):

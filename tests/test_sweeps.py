@@ -1,14 +1,16 @@
 """Row claims stream their rows: no sweep builds the p(n,k) triangle."""
 
+import functools
 import tracemalloc
 
 import pytest
+from mpmath.libmp import finf, fninf, from_int
 
-from binpart import binomial_sums, sweeps
+from binpart import binomial_sums, checks, cli, sweeps
 from binpart.binomial_sums import dominance_check, verify_unimodal_profile
-from binpart.checks import VERIFIED, VIOLATED, product_bound_check, row_bound_check
+from binpart.checks import VERIFIED, VIOLATED, row_bound_check
 
-from reference_values import gap_row
+from reference_values import gap_row, reference_row
 
 
 def test_sweeps_never_build_the_triangle(monkeypatch):
@@ -69,10 +71,10 @@ def _row_results(claim, n, row):
     if claim == "lemma-gr":
         return [(dominance_check(n, gap_row(n, row)) is None, None)]
     if claim == "thm3":
-        reports = [row_bound_check(n, row)]
-    else:
-        reports = product_bound_check(n, row)
-    return [(report.outcome == VERIFIED, report.margin) for report in reports]
+        outcome, _, margin, _ = row_bound_check(n, row)
+        return [(outcome == VERIFIED, margin)]
+    return [(outcome == VERIFIED, margin)
+            for outcome, margin, _ in reference_row(n, row)]
 
 
 @pytest.mark.parametrize("claim, n_min, n_max", [
@@ -91,3 +93,41 @@ def test_offset_range_matches_built_rows(claim, n_min, n_max, triangle_1000):
     assert summary.outcome == (
         VERIFIED if all(holds for holds, _ in results) else VIOLATED)
     assert summary.min_margin == (min(margins) if margins else None)
+
+
+def _cap_eq9_depth(monkeypatch):
+    monkeypatch.setattr(checks, "product_bound_check", functools.partial(
+        checks.product_bound_check, depth_cap=4))
+
+
+def _break_sign_sum_at_37(monkeypatch):
+    original = sweeps.peak_sign_sum
+    monkeypatch.setattr(sweeps, "peak_sign_sum", lambda n, k, table, column:
+                        -1 if n == 37 else original(n, k, table, column))
+
+
+def _constants(pair):
+    def patch(monkeypatch):
+        monkeypatch.setattr(checks, "pi_alpha", lambda bits: (pair, pair))
+    return patch
+
+
+@pytest.mark.parametrize("claim, n_min, n_max, patch, expected", [
+    ("eq9", 2, 300, _cap_eq9_depth,
+     {"checked": 736, "outcome": "inconclusive", "counterexample": [39, 33],
+      "min_margin": 0.0013317596616809085}),
+    ("lemma-links", 4, 100, _break_sign_sum_at_37,
+     {"checked": 34, "outcome": "violated", "counterexample": [37, 20]}),
+    ("prop1", 1, 50, _constants((fninf, finf)),  # every gap straddles zero
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    ("prop1", 1, 50, _constants((from_int(-2), from_int(-1))),
+     {"checked": 1, "outcome": "violated", "counterexample": [1],
+      "precision_bits": 128}),
+], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "prop1-straddling",
+        "prop1-negative"])
+def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
+                                           patch, expected):
+    patch(monkeypatch)
+    summary = sweeps.run_claim(claim, n_min, n_max)
+    assert cli._summary_doc(summary) == {
+        "claim": claim, "range": [n_min, n_max], **expected}
