@@ -45,10 +45,12 @@ EXIT_INCONCLUSIVE = 3
 
 MAX_STR_DIGITS = 2_000_000  # the int-to-str limit main sets
 # `compute p N` reads p(N) off Rademacher's series from P_SERIES_FROM on,
-# where the series and the pentagonal table cost about the same (6 ms on a
-# 2-vCPU container), and refuses N above P_CEILING, the largest power of
-# ten that ran under a minute there (10^9: 13-17 s; 10^10: over 100 s)
-P_SERIES_FROM = 1000
+# where the series and the pentagonal table cost about the same (4-7 ms
+# each on a 2-vCPU container; in two runs the table took 0.97-0.98 of the
+# series' process time over N = 1800..1899 and 1.05-1.08 over 1900..1999),
+# and refuses N above P_CEILING, the largest power of ten that ran under a
+# minute there (10^9: 13-17 s; 10^10: over 100 s)
+P_SERIES_FROM = 1900
 P_CEILING = 10**9
 # enclosure of 10^MAX_STR_DIGITS, the least number too long to print
 _TOO_LONG = mpi_pow_int(int_interval(10, DEFAULT_PRECISION_BITS), MAX_STR_DIGITS,

@@ -8,8 +8,9 @@ high-precision mpmath reference values exactly; fractions and contains
 read an enclosure's endpoint pair exactly.
 
 The functions below are oracles no command runs: brute-force partition
-enumeration, the dominance gap by multiplicative binomials, eq. 9 by a
-hand-written depth loop on math.comb, the paper's closed forms of the
+enumeration, the pentagonal recurrence one term at a time, the dominance
+gap by multiplicative binomials, thm3's bound one k at a time, eq. 9 by
+a hand-written depth loop on math.comb, the paper's closed forms of the
 truncated sign sums, the growth conditions behind unimodal weighted
 binomial sums, and the enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j).
 """
@@ -81,6 +82,39 @@ def enumerate_partitions(n: int, max_part: int, cap: int = 60):
 
     descend(n, max_part)
     return out
+
+
+def reference_partition_table(max_n: int) -> tuple:
+    """p(0..max_n) by Euler's pentagonal recurrence, one term at a time:
+
+    p(n) = sum_{k>=1} (-1)^(k-1) * [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
+    """
+    values = [0] * (max_n + 1)
+    values[0] = 1
+    for n in range(1, max_n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = n - k * (3 * k - 1) // 2
+            if g1 < 0:
+                break
+            term = values[g1]
+            g2 = n - k * (3 * k + 1) // 2
+            if g2 >= 0:
+                term += values[g2]
+            total += term if k % 2 == 1 else -term
+            k += 1
+        values[n] = total
+    return tuple(values)
+
+
+def reference_row_bound(n: int, row) -> tuple:
+    """(holds, margin) of thm3 on row n, one k at a time: every
+    1600*n*p(n,k)^2 < 12769*4^n for 1 <= k <= n, and the least relative
+    slack (rhs - lhs)/rhs over those k."""
+    rhs = 12769 * 4**n
+    lhs = [1600 * n * row[k] ** 2 for k in range(1, n + 1)]
+    return all(x < rhs for x in lhs), min((rhs - x) / rhs for x in lhs)
 
 
 def gap_row(n: int, row) -> tuple:

@@ -20,6 +20,8 @@ from binpart.cli import (
 from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED
 from binpart.partitions import rademacher_partition_number
 
+from reference_values import reference_partition_table
+
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table50.csv"
 REPO = Path(__file__).parents[1]
 GOLDEN_VERIFY_ALL = REPO / "perfbench" / "golden" / "verify_all.json"
@@ -352,14 +354,16 @@ def test_compute_p_takes_the_series_from_its_threshold(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_partition_table", _refuse)
     code, out = run(capsys, "compute", "p", str(cli.P_SERIES_FROM))
     assert code == EXIT_OK
-    assert json.loads(out)["value"] == "24061467864032622473692149727991"
+    assert json.loads(out)["value"] == str(
+        reference_partition_table(cli.P_SERIES_FROM)[-1])
 
 
 def test_compute_p_takes_the_table_below_its_threshold(capsys, monkeypatch):
     monkeypatch.setattr(cli, "rademacher_partition_number", _refuse)
     code, out = run(capsys, "compute", "p", str(cli.P_SERIES_FROM - 1))
     assert code == EXIT_OK
-    assert json.loads(out)["value"] == "23127843459154899464880444632250"
+    assert json.loads(out)["value"] == str(
+        reference_partition_table(cli.P_SERIES_FROM - 1)[-1])
 
 
 def test_compute_p_falls_back_to_the_table_when_the_series_is_undecided(

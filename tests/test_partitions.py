@@ -18,7 +18,7 @@ from binpart import (
 )
 
 from reference_values import (PK_VALUES, PartitionMultiset, enumerate_partitions,
-                              pascal_column)
+                              pascal_column, reference_partition_table)
 
 
 def test_table_base_case():
@@ -64,6 +64,25 @@ def test_whole_table_matches_coin_counting(table_2001):
 def test_negative_max_n_rejected():
     with pytest.raises(ValueError):
         build_partition_table(-1)
+
+
+@pytest.fixture(scope="module")
+def reference_5000():
+    return reference_partition_table(5000)
+
+
+def test_table_matches_term_by_term_recurrence(reference_5000):
+    # below 151 the getters are rebuilt 19 times, at g = 1, 2, 5, ..., 145;
+    # every max_n there ends a table just before, at or after each rebuild
+    mismatched = [max_n for max_n in range(151)
+                  if build_partition_table(max_n) != reference_5000[:max_n + 1]]
+    assert mismatched == []
+    assert build_partition_table(5000) == reference_5000
+
+
+def test_max_n_too_large_for_an_index_fails_at_once():
+    with pytest.raises(OverflowError):
+        build_partition_table(10**20)
 
 
 class TestEnumeration:
@@ -225,7 +244,7 @@ class TestRademacher:
     def test_known_leading_digits(self):
         assert str(rademacher_partition_number(10**6)).startswith("14716849863582")
 
-    @pytest.mark.parametrize("n", [P_SERIES_FROM, 5000])
+    @pytest.mark.parametrize("n", [1000, P_SERIES_FROM, 5000])
     def test_ladder_climbs_from_a_guard_too_small(self, monkeypatch, table_20000, n):
         levels = []
 
@@ -247,7 +266,7 @@ class TestRademacher:
         monkeypatch.setattr(partitions, "RADEMACHER_GUARD_CAP_BITS", 1)
         assert rademacher_partition_number(5000) is None
 
-    @pytest.mark.parametrize("n", [2, 110, 111, P_SERIES_FROM, 5000,
+    @pytest.mark.parametrize("n", [2, 110, 111, 1000, P_SERIES_FROM, 5000,
                                    10**5, 10**6, 10**9])
     def test_remainder_bound_is_outward_and_least(self, n):
         terms, remainder = rademacher_truncation(n)

@@ -8,9 +8,9 @@ from mpmath.libmp import finf, fninf, from_int
 
 from binpart import binomial_sums, checks, cli, sweeps
 from binpart.binomial_sums import dominance_check, verify_unimodal_profile
-from binpart.checks import VERIFIED, VIOLATED, row_bound_check
+from binpart.checks import VERIFIED, VIOLATED
 
-from reference_values import gap_row, reference_row
+from reference_values import gap_row, reference_row, reference_row_bound
 
 
 def test_sweeps_never_build_the_triangle(monkeypatch):
@@ -71,8 +71,7 @@ def _row_results(claim, n, row):
     if claim == "lemma-gr":
         return [(dominance_check(n, gap_row(n, row)) is None, None)]
     if claim == "thm3":
-        outcome, _, margin, _ = row_bound_check(n, row)
-        return [(outcome == VERIFIED, margin)]
+        return [reference_row_bound(n, row)]
     return [(outcome == VERIFIED, margin)
             for outcome, margin, _ in reference_row(n, row)]
 
