@@ -10,9 +10,11 @@ Two kinds of checks live here:
   * certified real comparisons (everything involving pi, sqrt, exp, log):
     each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
     interval functions directly on endpoint pairs, at the explicit
-    precision bits, taking integers from intervals.int_interval and pi
-    and sqrt(2/3)*pi from intervals.pi_alpha, and returns each gap as
-    its endpoint pair (lower, upper); `_certified` reads the sign
+    precision bits, taking integers from intervals.int_interval, square
+    roots from intervals.sqrt_interval (libmpi's endpoints, on the C
+    isqrt), and pi and sqrt(2/3)*pi from intervals.pi_alpha; a division
+    by a power of two is an exact mpi_shift.  It returns each gap as its
+    endpoint pair (lower, upper); `_certified` reads the sign
     (intervals.certainly_positive) and margin from those endpoints.
     No rung sets the global `iv` precision.  A claim is declared only
     when the gap exceeds the total enclosure error, with automatic
@@ -42,11 +44,11 @@ from mpmath.libmp import (
     mpi_exp,
     mpi_log,
     mpi_mul,
-    mpi_sqrt,
     mpi_sub,
     round_nearest,
     to_float,
 )
+from mpmath.libmp.libmpi import mpi_shift
 
 from .intervals import (
     DEFAULT_PRECISION_BITS,
@@ -54,6 +56,7 @@ from .intervals import (
     decide_with_escalation,
     int_interval,
     pi_alpha,
+    sqrt_interval,
 )
 from .qseries import DEFAULT_DEPTH_CAP
 
@@ -72,9 +75,10 @@ def _certified(gaps, start_bits: int, counterexample: tuple) -> tuple:
 
     Each rung calls gaps(bits), which returns a tuple of endpoint pairs
     (lower, upper) evaluated at the explicit precision bits (the checks
-    compute them with direct `libmpi` calls); no rung sets the global
-    `iv` precision.  The rung is undecided while any gap straddles zero,
-    verified when every gap is certainly positive and violated otherwise.
+    compute them with direct `libmpi` calls and sqrt_interval); no rung
+    sets the global `iv` precision.  The rung is undecided while any gap
+    straddles zero, verified when every gap is certainly positive and
+    violated otherwise.
     Returns the verdict (outcome, counterexample, margin, bits): the
     counterexample only when violated, bits the last rung evaluated, and
     the margin, only when verified, the smallest certified lower bound
@@ -132,12 +136,11 @@ def central_binomial_check(
     rhs_int = 2 << (2 * n)
 
     def gaps(bits):
-        # rhs is a power of two, so dividing by it is exact and keeps the sign
+        # rhs = 2^(2n+1), so dividing by it is an exact shift and keeps the sign
         pi, _ = pi_alpha(bits)
-        rhs = int_interval(rhs_int, bits)
         lhs = mpi_mul(int_interval(lhs_int, bits), pi, bits)
-        gap = mpi_sub(rhs, lhs, bits)
-        return (mpi_div(gap, rhs, bits),)
+        gap = mpi_sub(int_interval(rhs_int, bits), lhs, bits)
+        return (mpi_shift(gap, -(2 * n + 1)),)
 
     return _certified(gaps, start_bits, (n, kn))
 
@@ -156,11 +159,11 @@ def partition_bound_check(
 
     def gaps(bits):
         pi, alpha = pi_alpha(bits)
-        nn = int_interval(n, bits)
         lhs = mpi_log(int_interval(pn, bits), bits)
-        sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
+        sqrt_n = sqrt_interval(int_interval(n, bits), bits)
+        sqrt_6n = sqrt_interval(int_interval(6 * n, bits), bits)
         rhs = mpi_add(mpi_log(mpi_div(pi, sqrt_6n, bits), bits),
-                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
+                      mpi_mul(alpha, sqrt_n, bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
     return _certified(gaps, start_bits, (n,))
@@ -182,13 +185,14 @@ def growth_chain_check(
         pi, alpha = pi_alpha(bits)
         one = int_interval(1, bits)
         nn = int_interval(n, bits)
-        sqrt_n = mpi_sqrt(nn, bits)
+        sqrt_n = sqrt_interval(nn, bits)
         left = mpi_div(
             sqrt_n,
-            mpi_sub(mpi_sqrt(mpi_add(nn, one, bits), bits), one, bits), bits)
-        sqrt_6n = mpi_sqrt(mpi_mul(nn, int_interval(6, bits), bits), bits)
+            mpi_sub(sqrt_interval(int_interval(n + 1, bits), bits), one, bits),
+            bits)
+        sqrt_6n = sqrt_interval(int_interval(6 * n, bits), bits)
         mid = mpi_add(one, mpi_div(pi, sqrt_6n, bits), bits)
-        sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
+        sqrt_step = sqrt_interval(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
         right = mpi_exp(
             mpi_mul(mpi_mul(alpha, sqrt_n, bits),
                     mpi_sub(sqrt_step, one, bits), bits), bits)
@@ -210,7 +214,7 @@ def diagonal_bound_check(
     def gaps(bits):
         _, alpha = pi_alpha(bits)
         lhs = mpi_log(int_interval(value, bits), bits)
-        rhs = mpi_mul(alpha, mpi_sqrt(int_interval(n, bits), bits), bits)
+        rhs = mpi_mul(alpha, sqrt_interval(int_interval(n, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
     return _certified(gaps, start_bits, (n,))
@@ -230,8 +234,9 @@ def subdiagonal_bound_check(
         _, alpha = pi_alpha(bits)
         nn = int_interval(n, bits)
         lhs = mpi_log(int_interval(value, bits), bits)
-        rhs = mpi_add(mpi_div(mpi_log(nn, bits), int_interval(2, bits), bits),
-                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
+        # log(n)/2: halving a bits-bit endpoint is an exact shift
+        rhs = mpi_add(mpi_shift(mpi_log(nn, bits), -1),
+                      mpi_mul(alpha, sqrt_interval(nn, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
     return _certified(gaps, start_bits, (n,))

@@ -38,6 +38,7 @@ from binpart.intervals import (
     decide_with_escalation,
     int_interval,
     pi_alpha,
+    sqrt_interval,
     working_precision,
 )
 
@@ -376,6 +377,7 @@ class TestRawIntervalGaps:
     def test_libmpi_functions_enclose_high_precision_values(self, bits, x, y):
         # entered as the kernel enters them: integer endpoints, then mpi_div
         for fn, reference, arg in ((mpi_sqrt, mpmath.sqrt, x),
+                                   (sqrt_interval, mpmath.sqrt, x),
                                    (mpi_log, mpmath.log, x),
                                    (mpi_exp, mpmath.exp, y)):
             entered = mpi_div(int_interval(arg.numerator, bits),

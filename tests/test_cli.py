@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -273,6 +274,60 @@ class TestMu:
         assert time.perf_counter() - start < 5
         assert code == EXIT_OK
         assert json.loads(out)["best"] == "filiform"
+
+    def test_largest_printable_corollary_within_ten_seconds(self, capsys):
+        # each endpoint prints 2,000,000 digits, its 6 decimals included;
+        # str() takes about a minute for each under CPython 3.10 and 3.11
+        start = time.perf_counter()
+        code, out = run(capsys, "mu", "6643846", "1")
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_OK
+        corollary = json.loads(out)["corollary"]
+        assert [len(corollary[side]) for side in ("lower", "upper")] == [2000001] * 2
+
+
+@pytest.fixture
+def no_digit_limit():
+    """str() of any int while the test runs, as main's limit allows on 3.11."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestIntStr:
+    """cli._int_str against str(), at sizes where str() is still cheap."""
+
+    @pytest.mark.parametrize("digits", [10**4, 3 * 10**4, 10**5, 3 * 10**5])
+    def test_random_ints(self, no_digit_limit, digits):
+        rng = random.Random(digits)
+        x = rng.randrange(10 ** (digits - 1), 10**digits)
+        assert cli._int_str(x) == str(x)
+
+    @pytest.mark.parametrize("digits", [9999, 10**4, 10**4 + 1, 54321, 10**5])
+    def test_powers_of_ten_and_their_neighbours(self, no_digit_limit, digits):
+        for x in (10**digits - 1, 10**digits, 10**digits + 1):
+            assert cli._int_str(x) == str(x)
+
+    @pytest.mark.parametrize("bits", [cli._LONG_INT_BITS, cli._LONG_INT_BITS + 1,
+                                      65536, 100003])
+    def test_zero_runs_at_the_split_points(self, no_digit_limit, bits):
+        # the low half of each split is 0, 1 or all ones: short or empty
+        # halves must still fill their place in the decimal string
+        half = bits >> 1
+        rng = random.Random(bits)
+        top = rng.getrandbits(bits - half) | 1 << (bits - half - 1)
+        for x in (1 << (bits - 1), (1 << bits) - 1, top << half,
+                  (top << half) + 1, (top << half) + (1 << half) - 1,
+                  (1 << (bits - 1)) + (1 << (half >> 1))):
+            assert cli._int_str(x) == str(x)
+
+    def test_small_ints_take_str(self):
+        for x in (0, 7, 10**300):
+            assert cli._int_str(x) == str(x)
 
 
 @pytest.mark.parametrize("argv", [
