@@ -18,7 +18,8 @@ Two kinds of checks live here:
     (intervals.certainly_positive) and margin from those endpoints.
     No rung sets the global `iv` precision.  A claim is declared only
     when the gap exceeds the total enclosure error, with automatic
-    precision escalation and an explicit "inconclusive" outcome at the cap.
+    precision escalation from DEFAULT_PRECISION_BITS (a check takes no
+    start precision) and an explicit "inconclusive" outcome at the cap.
 
 The row checks take their row, the diagonal checks the integer they
 bound, p(n-1,n-1) or p(n,n-1), and central_binomial_check the binomial
@@ -70,10 +71,12 @@ def _relative_slack(lhs: int, rhs: int) -> float:
     return (rhs - lhs) / rhs
 
 
-def _certified(gaps, start_bits: int, counterexample: tuple) -> tuple:
+def _certified(gaps, counterexample: tuple) -> tuple:
     """Decide that every gap in gaps(bits) is positive, escalating precision.
 
-    Each rung calls gaps(bits), which returns a tuple of endpoint pairs
+    The ladder always starts at DEFAULT_PRECISION_BITS and doubles to the
+    cap; no check takes a start precision of its own.  Each rung calls
+    gaps(bits), which returns a tuple of endpoint pairs
     (lower, upper) evaluated at the explicit precision bits (the checks
     compute them with direct `libmpi` calls and sqrt_interval); no rung
     sets the global `iv` precision.  The rung is undecided while any gap
@@ -96,7 +99,7 @@ def _certified(gaps, start_bits: int, counterexample: tuple) -> tuple:
             return VERIFIED, None, margin, bits
         return VIOLATED, counterexample, None, bits
 
-    verdict, bits = decide_with_escalation(evaluate, start_bits)
+    verdict, bits = decide_with_escalation(evaluate, DEFAULT_PRECISION_BITS)
     return verdict or (INCONCLUSIVE, None, None, bits)
 
 
@@ -121,9 +124,7 @@ def row_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     return VERIFIED, None, _relative_slack(worst, rhs), None
 
 
-def central_binomial_check(
-    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple:
+def central_binomial_check(n: int, value: int) -> tuple:
     """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2).
 
     value is C(n, floor((n+3)/2)), 0 at n = 1.  Equivalent form used:
@@ -142,12 +143,10 @@ def central_binomial_check(
         gap = mpi_sub(int_interval(rhs_int, bits), lhs, bits)
         return (mpi_shift(gap, -(2 * n + 1)),)
 
-    return _certified(gaps, start_bits, (n, kn))
+    return _certified(gaps, (n, kn))
 
 
-def partition_bound_check(
-    n: int, table: tuple[int, ...], start_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple:
+def partition_bound_check(n: int, table: tuple[int, ...]) -> tuple:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 
     with a = sqrt(2/3)*pi, compared in the log domain:
@@ -166,12 +165,10 @@ def partition_bound_check(
                       mpi_mul(alpha, sqrt_n, bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified(gaps, start_bits, (n,))
+    return _certified(gaps, (n,))
 
 
-def growth_chain_check(
-    n: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple:
+def growth_chain_check(n: int) -> tuple:
     """Certified check of the two-sided chain, for n >= 3:
 
     sqrt(n)/(sqrt(n+1)-1)  <  1 + pi/sqrt(6n)  <  e^(a*sqrt(n)*(sqrt(1+1/n)-1)).
@@ -198,12 +195,10 @@ def growth_chain_check(
                     mpi_sub(sqrt_step, one, bits), bits), bits)
         return (mpi_sub(mid, left, bits), mpi_sub(right, mid, bits))
 
-    return _certified(gaps, start_bits, (n,))
+    return _certified(gaps, (n,))
 
 
-def diagonal_bound_check(
-    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple:
+def diagonal_bound_check(n: int, value: int) -> tuple:
     """Certified check of p(n-1,n-1) < e^(a*sqrt(n)) for n >= 1.
 
     value is p(n-1,n-1).
@@ -217,12 +212,10 @@ def diagonal_bound_check(
         rhs = mpi_mul(alpha, sqrt_interval(int_interval(n, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified(gaps, start_bits, (n,))
+    return _certified(gaps, (n,))
 
 
-def subdiagonal_bound_check(
-    n: int, value: int, start_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple:
+def subdiagonal_bound_check(n: int, value: int) -> tuple:
     """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1.
 
     value is p(n,n-1).
@@ -239,7 +232,7 @@ def subdiagonal_bound_check(
                       mpi_mul(alpha, sqrt_interval(nn, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
-    return _certified(gaps, start_bits, (n,))
+    return _certified(gaps, (n,))
 
 
 def product_bound_check(

@@ -1,12 +1,14 @@
 """Range sweeps over the verification checks, one per CLI claim id.
 
-Every claim runs through the same sweep loop: its per-n step returns
-plain values for one n, (checked, outcome, counterexample, margin, bits),
-and the loop folds them into a ClaimSummary, stopping at the first n
-that is not verified.  Where a claim's input changes little from one n
-to the next it is streamed, not recomputed: triangle rows, Pascal
-columns and central binomials.  Claim ids are the stable identifiers
-exposed by `binpart verify`:
+Each claim is one step generator `steps(ctx, n_min, n_max)`, which
+yields the plain step of each n = n_min, n_min+1, ...:
+(checked, outcome, counterexample, margin, bits).  One sweep loop folds
+the steps into a ClaimSummary and stops at the first n that is not
+verified, so no later n is evaluated.  Where a claim's input changes
+little from one n to the next it is streamed, not recomputed: triangle
+rows (_rows), the sign sums on Pascal columns (_sign_sums) and central
+binomials.  Claim ids are the stable identifiers exposed by
+`binpart verify`:
 
     thm2          strict unimodality of every row, unique peak
     thm3          1600*n*p(n,k)^2 < 12769*4^n for all k (exact)
@@ -32,7 +34,7 @@ range runs the full desk-scale verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Optional
 
 from . import checks
@@ -73,7 +75,7 @@ def _exact(violation) -> tuple:
 
 class SweepContext:
     """Tables shared across claims, built lazily and sized to the largest
-    request; each row claim streams its own rows instead (see _stream)."""
+    request; each row claim streams its own rows instead (see _rows)."""
 
     def __init__(self):
         self._table = None
@@ -90,75 +92,42 @@ class SweepContext:
         return self._diag
 
 
-def _stream(weights):
-    """Pairs (n, row n of F_f) for n_min..n_max, streamed; rows below n_min
-    are skipped.  `weights(table, n_max)` gives f from the partition table."""
-
-    def pairs(ctx: SweepContext, n_min: int, n_max: int):
-        f = weights(ctx.table(n_max), n_max)
-        return islice(iter_triangle_rows(n_max, f), n_min, None)
-
-    return pairs
+def _rows(ctx: SweepContext, lo: int, hi: int, weights=None):
+    """(n, row n of F_f) for n = lo..hi, streamed; rows below lo are
+    skipped.  f is the partition table, giving the rows of p(n,k), or
+    weights(table, hi): dominance_weights gives the gap rows."""
+    table = ctx.table(hi)
+    f = table if weights is None else weights(table, hi)
+    return islice(iter_triangle_rows(hi, f), lo, None)
 
 
-_ROWS = _stream(lambda table, _: table)  # p(n,k)
-_GAP_ROWS = _stream(dominance_weights)  # 512*p(n,k) - 1745*C(n,k)
+def _sign_sums(ctx: SweepContext, lo: int, hi: int, shift: int):
+    """(n, k, S(n,k)) for n = lo..hi at k = peak_k(n) + shift, each sum
+    taken only when asked for, on the Pascal column C(n-k+i, i), i = 0..k,
+    that iter_pascal_columns streams."""
+    table = ctx.table(hi)
+    ns = range(lo, hi + 1)
+    ks = [peak_k(n) + shift for n in ns]
+    columns = iter_pascal_columns((n - k, k + 1) for n, k in zip(ns, ks))
+    for n, k, column in zip(ns, ks, columns):
+        yield n, k, peak_sign_sum(n, k, table, column)
 
 
-def _columns(shift):
-    """Pairs (n, (k, table, column)) for n_min..n_max, for the sign sum at
-    k = peak_k(n) + shift: column is the Pascal column C(n-k+i, i) for
-    i = 0..k, streamed by iter_pascal_columns, and the partition table is
-    shared."""
-
-    def pairs(ctx: SweepContext, n_min: int, n_max: int):
-        table = ctx.table(n_max)
-        ns = range(n_min, n_max + 1)
-        ks = [peak_k(n) + shift for n in ns]
-        columns = iter_pascal_columns((n - k, k + 1) for n, k in zip(ns, ks))
-        return zip(ns, zip(ks, repeat(table), columns))
-
-    return pairs
-
-
-def _central_binomials(ctx: SweepContext, n_min: int, n_max: int):
-    """Pairs (n, C(n, floor((n+3)/2))) for n_min..n_max, walked along n."""
-    return iter_central_binomials(n_min, n_max)
-
-
-def _shared(table=None):
-    """Pairs (n, table) for n_min..n_max; `table` is the SweepContext method
-    that supplies it, sized once from n_max (None: the claim needs none)."""
-
-    def pairs(ctx: SweepContext, n_min: int, n_max: int):
-        shared = None if table is None else table(ctx, n_max)
-        return zip(range(n_min, n_max + 1), repeat(shared))
-
-    return pairs
-
-
-_TABLE = _shared(SweepContext.table)
-_DIAGONAL = _shared(SweepContext.diagonal)
-
-
-def _claim(claim: str, per_n, pairs=_shared(), notes=None):
+def _claim(claim: str, steps, notes=None):
     """The sweep of one claim, as registered in CLAIMS.
 
-    `pairs(ctx, n_min, n_max)` yields the claim's (n, input) pairs: a
-    streamed triangle row for the row claims (_stream), a streamed Pascal
-    column for the sign sums (_columns), a walked central binomial for
-    stirling, a shared table otherwise (_shared).  `per_n(n, input)`
-    returns the step (checked, outcome, counterexample, margin, bits) of
-    one n.  The loop keeps the running count, least margin and most bits,
-    and stops at the first n that is not verified, whose outcome and
-    counterexample the summary takes.
+    `steps(ctx, n_min, n_max)` is the claim's step generator: it yields
+    (checked, outcome, counterexample, margin, bits) for n = n_min,
+    n_min+1, ....  The loop keeps the running count, least margin and
+    most bits, and stops at the first n that is not verified, whose
+    outcome and counterexample the summary takes; the generator is not
+    resumed after it, so no later n is evaluated.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
         checked = 0
         outcome, counterexample, min_margin, max_bits = VERIFIED, None, None, None
-        for n, source in pairs(ctx, n_min, n_max):
-            count, outcome, counterexample, margin, bits = per_n(n, source)
+        for count, outcome, counterexample, margin, bits in steps(ctx, n_min, n_max):
             checked += count
             if margin is not None and (min_margin is None or margin < min_margin):
                 min_margin = margin
@@ -172,80 +141,91 @@ def _claim(claim: str, per_n, pairs=_shared(), notes=None):
     return sweep
 
 
-# -- per-n steps: (n, claim input) -> (checked, outcome, counterexample,
-#    margin, bits) ------------------------------------------------------
+# -- step generators: (ctx, n_min, n_max) -> (checked, outcome,
+#    counterexample, margin, bits) for each n ----------------------------
 
 
-def _unimodality(n, row):
-    return _exact(verify_unimodal_profile(n, row))
+def _unimodality(ctx, lo, hi):
+    for n, row in _rows(ctx, lo, hi):
+        yield _exact(verify_unimodal_profile(n, row))
 
 
-def _row_bound(n, row):
-    return 1, *checks.row_bound_check(n, row)
+def _row_bound(ctx, lo, hi):
+    for n, row in _rows(ctx, lo, hi):
+        yield 1, *checks.row_bound_check(n, row)
 
 
-def _diagonal_bound(n, diag):
-    return 1, *checks.diagonal_bound_check(n, diag.diagonal[n - 1])
+def _diagonal_bound(ctx, lo, hi):
+    diagonal = ctx.diagonal(hi).diagonal
+    for n in range(lo, hi + 1):
+        yield 1, *checks.diagonal_bound_check(n, diagonal[n - 1])
 
 
-def _subdiagonal_bound(n, diag):
-    return 1, *checks.subdiagonal_bound_check(n, diag.subdiagonal[n])
+def _subdiagonal_bound(ctx, lo, hi):
+    subdiagonal = ctx.diagonal(hi).subdiagonal
+    for n in range(lo, hi + 1):
+        yield 1, *checks.subdiagonal_bound_check(n, subdiagonal[n])
 
 
-def _ascent_sign(n, source):
-    k, table, column = source
-    return _exact(None if peak_sign_sum(n, k, table, column) > 0 else (n, k))
+def _ascent_sign(ctx, lo, hi):
+    for n, k, s in _sign_sums(ctx, lo, hi, 0):
+        yield _exact(None if s > 0 else (n, k))
 
 
-def _descent_sign(n, source):
-    k, table, column = source
-    return _exact(None if peak_sign_sum(n, k, table, column) < 0 else (n, k))
+def _descent_sign(ctx, lo, hi):
+    for n, k, s in _sign_sums(ctx, lo, hi, 1):
+        yield _exact(None if s < 0 else (n, k))
 
 
-def _dominance(n, gap_row):
-    bad_k = dominance_check(n, gap_row)
-    return _exact(None if bad_k is None else (n, bad_k))
+def _dominance(ctx, lo, hi):
+    for n, gap_row in _rows(ctx, lo, hi, dominance_weights):
+        bad_k = dominance_check(n, gap_row)
+        yield _exact(None if bad_k is None else (n, bad_k))
 
 
-def _growth_chain(n, _):
-    return 1, *checks.growth_chain_check(n)
+def _growth_chain(ctx, lo, hi):
+    for n in range(lo, hi + 1):
+        yield 1, *checks.growth_chain_check(n)
 
 
-def _partition_bound(n, table):
-    return 1, *checks.partition_bound_check(n, table)
+def _partition_bound(ctx, lo, hi):
+    table = ctx.table(hi)
+    for n in range(lo, hi + 1):
+        yield 1, *checks.partition_bound_check(n, table)
 
 
-def _central_binomial(n, value):
-    return 1, *checks.central_binomial_check(n, value)
+def _central_binomial(ctx, lo, hi):
+    for n, value in iter_central_binomials(lo, hi):
+        yield 1, *checks.central_binomial_check(n, value)
 
 
-def _product_bound(n, row):
-    """Every 1 <= k <= n-1, decided together and folded by the check; an
-    inconclusive k ends the row."""
-    return *checks.product_bound_check(n, row), None
+def _product_bound(ctx, lo, hi):
+    """Every 1 <= k <= n-1 of a row, decided together and folded by the
+    check; an inconclusive k ends the row."""
+    for n, row in _rows(ctx, lo, hi):
+        yield *checks.product_bound_check(n, row), None
 
 
-def _series_identities(k, _):
-    return _exact(check_generating_functions(k, GENFUN_DEGREE))
+def _series_identities(ctx, lo, hi):
+    for k in range(lo, hi + 1):
+        yield _exact(check_generating_functions(k, GENFUN_DEGREE))
 
 
 # claim id -> (sweep function, default range)
 CLAIMS = {
-    "thm2": (_claim("thm2", _unimodality, _ROWS), (4, 1000)),
-    "thm3": (_claim("thm3", _row_bound, _ROWS), (1, 1000)),
-    "prop1": (_claim("prop1", _diagonal_bound, _DIAGONAL), (1, 2000)),
-    "prop2": (_claim("prop2", _subdiagonal_bound, _DIAGONAL), (1, 2000)),
-    "lemma-links": (_claim("lemma-links", _ascent_sign, _columns(0)), (4, 1000)),
-    "lemma-rechts": (_claim("lemma-rechts", _descent_sign, _columns(1)),
-                     (4, 1000)),
-    "lemma-gr": (_claim("lemma-gr", _dominance, _GAP_ROWS), (4, 500)),
+    "thm2": (_claim("thm2", _unimodality), (4, 1000)),
+    "thm3": (_claim("thm3", _row_bound), (1, 1000)),
+    "prop1": (_claim("prop1", _diagonal_bound), (1, 2000)),
+    "prop2": (_claim("prop2", _subdiagonal_bound), (1, 2000)),
+    "lemma-links": (_claim("lemma-links", _ascent_sign), (4, 1000)),
+    "lemma-rechts": (_claim("lemma-rechts", _descent_sign), (4, 1000)),
+    "lemma-gr": (_claim("lemma-gr", _dominance), (4, 500)),
     "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
-    "apostol": (_claim("apostol", _partition_bound, _TABLE), (1, 2000)),
-    "stirling": (_claim("stirling", _central_binomial, _central_binomials),
-                 (1, 2000)),
-    "eq9": (_claim("eq9", _product_bound, _ROWS), (2, 300)),
+    "apostol": (_claim("apostol", _partition_bound), (1, 2000)),
+    "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
+    "eq9": (_claim("eq9", _product_bound), (2, 300)),
     "genfun": (_claim("genfun", _series_identities,
-                      notes={"degree": GENFUN_DEGREE}), (1, 15)),
+                      {"degree": GENFUN_DEGREE}), (1, 15)),
 }
 
 

@@ -161,7 +161,7 @@ class TestCertifiedOutcomes:
 
     def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
-        verdict = _certified(lambda bits: ((fnone, fone),), 128, (1,))
+        verdict = _certified(lambda bits: ((fnone, fone),), (1,))
         assert verdict == (INCONCLUSIVE, None, None, 256)
 
     def test_undecided_gap_escalates_past_negative_gap(self, monkeypatch):
@@ -172,7 +172,7 @@ class TestCertifiedOutcomes:
             seen.append(bits)
             return ((fnone, fone), (from_int(-2), fnone))
 
-        assert _certified(gaps, 128, (1,))[0] == INCONCLUSIVE
+        assert _certified(gaps, (1,))[0] == INCONCLUSIVE
         assert seen == [128, 256]
 
 
@@ -218,7 +218,7 @@ class TestSignRule:
             seen.append(bits)
             return (gap,)
 
-        outcome, counterexample, _, bits = _certified(gaps, 128, (1,))
+        outcome, counterexample, _, bits = _certified(gaps, (1,))
         expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
         assert outcome == expected
         assert seen == ([128, 256] if sign is None else [128])
@@ -285,9 +285,9 @@ def _verdict_and_gaps(monkeypatch, run_check):
     """run_check()'s verdict and the gaps(bits) its check handed _certified."""
     handed = []
 
-    def recording(gaps, start_bits, counterexample):
+    def recording(gaps, counterexample):
         handed.append(gaps)
-        return _certified(gaps, start_bits, counterexample)
+        return _certified(gaps, counterexample)
 
     monkeypatch.setattr(checks, "_certified", recording)
     verdict = run_check()
@@ -295,16 +295,7 @@ def _verdict_and_gaps(monkeypatch, run_check):
     return verdict, gaps
 
 
-def _assert_same_endpoints(gaps, reference, start_bits, last_bits):
-    """gaps(bits) equals the reference endpoint pairs exactly, at every
-    rung from start_bits to last_bits."""
-    bits = start_bits
-    while bits <= last_bits:
-        assert gaps(bits) == reference(bits), bits
-        bits *= 2
-
-
-def _reference_decision(gaps, start_bits):
+def _reference_decision(gaps):
     """(outcome, margin, bits) from mpf endpoint reads, as _certified decides them."""
     margin = {}
 
@@ -319,7 +310,7 @@ def _reference_decision(gaps, start_bits):
             return True
         return False
 
-    outcome, bits = decide_with_escalation(evaluate, start_bits)
+    outcome, bits = decide_with_escalation(evaluate)
     if outcome is None:
         return INCONCLUSIVE, None, bits
     return (VERIFIED if outcome else VIOLATED), margin.get("m"), bits
@@ -327,42 +318,56 @@ def _reference_decision(gaps, start_bits):
 
 class TestRawIntervalGaps:
     """The certified checks' raw-interval gaps against the endpoint pairs of
-    `iv` operator references: the decision, and every gap endpoint exactly."""
+    `iv` operator references: the decision, and every gap endpoint exactly.
+
+    A check's ladder always starts at 128 bits, so the gaps it records are
+    also compared at rungs it did not need: the from_bits=128 cases compare
+    rungs 128 up to the last one used, the from_bits=256 cases rungs 256 up
+    to max(last used, 256), so together every rung from 128 to
+    max(last used, 256) is compared."""
 
     CHECKS = {
-        "central-binomial": (1, lambda n, t, d, b: central_binomial_check(
-            n, math.comb(n, (n + 3) // 2), b)),
-        "partition-bound": (1, lambda n, t, d, b: partition_bound_check(n, t, b)),
-        "growth-chain": (3, lambda n, t, d, b: growth_chain_check(n, b)),
+        "central-binomial": (1, lambda n, t, d: central_binomial_check(
+            n, math.comb(n, (n + 3) // 2))),
+        "partition-bound": (1, lambda n, t, d: partition_bound_check(n, t)),
+        "growth-chain": (3, lambda n, t, d: growth_chain_check(n)),
         "diagonal-bound": (
-            1, lambda n, t, d, b: diagonal_bound_check(n, d.diagonal[n - 1], b)),
+            1, lambda n, t, d: diagonal_bound_check(n, d.diagonal[n - 1])),
         "subdiagonal-bound": (
-            1, lambda n, t, d, b: subdiagonal_bound_check(n, d.subdiagonal[n], b)),
+            1, lambda n, t, d: subdiagonal_bound_check(n, d.subdiagonal[n])),
     }
 
-    @pytest.mark.parametrize("start_bits", [128, 256])
-    @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_matches_iv_operator_reference(self, monkeypatch, claim, start_bits,
-                                           table_2001, diagonal_2001):
-        n_min, check = self.CHECKS[claim]
-        for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
-            (outcome, _, margin, bits), raw = _verdict_and_gaps(
-                monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
-            gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
-            assert (outcome, margin, bits) == _reference_decision(gaps, start_bits), n
-            _assert_same_endpoints(raw, gaps, start_bits, bits)
+    def _assert_matches_reference(self, monkeypatch, claim, n, from_bits,
+                                  table, diagonal):
+        """The check's verdict at n is the reference decision, and its gaps
+        equal the reference endpoint pairs exactly at every rung from
+        from_bits to max(last rung used, from_bits)."""
+        check = self.CHECKS[claim][1]
+        (outcome, _, margin, bits), raw = _verdict_and_gaps(
+            monkeypatch, lambda: check(n, table, diagonal))
+        gaps = _reference_gaps(claim, n, table, diagonal)
+        assert (outcome, margin, bits) == _reference_decision(gaps), n
+        rung = from_bits
+        while rung <= max(bits, from_bits):
+            assert raw(rung) == gaps(rung), (n, rung)
+            rung *= 2
 
-    @pytest.mark.parametrize("start_bits", [128, 256])
+    @pytest.mark.parametrize("from_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
-    def test_every_n_to_400_matches_reference(self, monkeypatch, claim, start_bits,
+    def test_matches_iv_operator_reference(self, monkeypatch, claim, from_bits,
+                                           table_2001, diagonal_2001):
+        n_min = self.CHECKS[claim][0]
+        for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
+            self._assert_matches_reference(monkeypatch, claim, n, from_bits,
+                                           table_2001, diagonal_2001)
+
+    @pytest.mark.parametrize("from_bits", [128, 256])
+    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    def test_every_n_to_400_matches_reference(self, monkeypatch, claim, from_bits,
                                               table_2001, diagonal_2001):
-        n_min, check = self.CHECKS[claim]
-        for n in range(n_min, 401):
-            (outcome, _, margin, bits), raw = _verdict_and_gaps(
-                monkeypatch, lambda: check(n, table_2001, diagonal_2001, start_bits))
-            gaps = _reference_gaps(claim, n, table_2001, diagonal_2001)
-            assert (outcome, margin, bits) == _reference_decision(gaps, start_bits), n
-            _assert_same_endpoints(raw, gaps, start_bits, bits)
+        for n in range(self.CHECKS[claim][0], 401):
+            self._assert_matches_reference(monkeypatch, claim, n, from_bits,
+                                           table_2001, diagonal_2001)
 
     # growth_chain_check's exp argument has endpoints 0 or >= 2^(1-bits):
     # sqrt(1+1/n) - 1 is a multiple of 2^(1-bits), then multiplied by
@@ -394,7 +399,7 @@ class TestRawIntervalGaps:
 
     def test_results_ignore_global_precision(self, table_2001, diagonal_2001):
         def run_all():
-            verdicts = [check(n, table_2001, diagonal_2001, 128)
+            verdicts = [check(n, table_2001, diagonal_2001)
                         for n_min, check in self.CHECKS.values()
                         for n in (n_min, 10, 1000)]
             return verdicts, fractions(corollary_bound(50))

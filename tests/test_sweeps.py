@@ -130,3 +130,21 @@ def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
     summary = sweeps.run_claim(claim, n_min, n_max)
     assert cli._summary_doc(summary) == {
         "claim": claim, "range": [n_min, n_max], **expected}
+
+
+def test_sign_sum_sweep_takes_no_sum_past_the_first_unverified_n(monkeypatch):
+    _break_sign_sum_at_37(monkeypatch)
+    broken, seen = sweeps.peak_sign_sum, []
+    monkeypatch.setattr(sweeps, "peak_sign_sum",
+                        lambda n, *args: seen.append(n) or broken(n, *args))
+    assert sweeps.run_claim("lemma-links", 4, 100).outcome == VIOLATED
+    assert seen == list(range(4, 38))
+
+
+def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch):
+    _constants((fninf, finf))(monkeypatch)  # every gap straddles zero
+    check, seen = checks.diagonal_bound_check, []
+    monkeypatch.setattr(checks, "diagonal_bound_check",
+                        lambda n, value: seen.append(n) or check(n, value))
+    assert sweeps.run_claim("prop1", 1, 50).outcome == "inconclusive"
+    assert seen == [1]
