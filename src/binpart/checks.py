@@ -32,11 +32,24 @@ instead.  The margin is a unitless slack: the relative slack
 (rhs-lhs)/rhs of an integer comparison, the certified lower bound of
 the gap of a real one.  "verified" always means the strict inequality
 holds with positive certified margin.
+
+The certified checks of prop1, prop2, apostol and stirling each have an
+integer screen, *_bracket(n, arg, constants), on screen_constants' fixed-
+point brackets of pi, a, ln 2 and ln pi, which it reads off the checks'
+own 128-bit pairs.  It returns exact integers lo <= g <= hi around the
+check's true gap g, at 2^-SCREEN_BITS, and a bound w on the width of the
+gap's enclosure at DEFAULT_PRECISION_BITS, derived where the brackets
+are defined.  When lo > w the check would verify n at that first rung,
+with its margin's exact value in [lo - w, hi]; sweeps._screened uses
+this to call the check only at the n that can hold the least margin.  A
+bracket never decides a verdict or sets a margin: those still come from
+the checks.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
+from math import ceil, floor, isqrt
 from operator import lt, mul, not_, sub
 
 from mpmath.libmp import (
@@ -58,6 +71,7 @@ from .intervals import (
     int_interval,
     pi_alpha,
     sqrt_interval,
+    to_fraction,
 )
 from .qseries import DEFAULT_DEPTH_CAP
 
@@ -304,3 +318,138 @@ def product_bound_check(
     first = open_k[0][0]
     before = [margin for k, margin in margins.items() if k < first]
     return first, INCONCLUSIVE, (n, first), min(before, default=None)
+
+
+# -- the integer screen of prop1, prop2, apostol and stirling ---------------
+#
+# Each *_bracket(n, arg, constants) takes the arguments of its check and
+# returns (lo, hi, w), integers in units of 2^-SCREEN_BITS: lo <= g <= hi
+# for the check's true gap g, and w > the width of the gap's enclosure at
+# DEFAULT_PRECISION_BITS.  That enclosure contains g, so its lower
+# endpoint, which the check's margin rounds to nearest, lies in
+# [lo - w, hi].
+#
+# Deriving w.  A libmpi operation at p = 128 bits rounds each endpoint of
+# its result outward by less than one unit in the last place, so it
+# widens the result by less than 2^-126 times the result's size.
+# Products, quotients and roots pass such a relative widening on, a log
+# turns it into an absolute one and sums add absolute widths, so each
+# rounding widens the gap by less than 2^-126 times the size of the gap
+# term it feeds, or by 2^-126 where a log takes it in.  Let M be the sum
+# of the upper brackets of the gap's terms: every term is at most M, and
+# so is the gap once lo > 0.  The gaps take 3 (stirling: C^2*n entered,
+# times pi, the difference) to 10 (apostol) roundings, each less than
+# (M + 1)*2^-126, so they widen the gap by less than (M + 1)*2^-122.  w
+# allows (M + 1)*2^-120 = (M + 1) >> WIDTH_BITS, four times that, since
+# mpmath's directed log and sqrt may miss correct rounding by an ulp.
+# Beyond rounding, the constants carry their own width into the gap: the
+# width of a's bracket times sqrt(n), for apostol the width of ln pi's
+# bracket (>= ln(pi_hi/pi_lo), what pi's width adds to log(pi/sqrt(6n))),
+# and for stirling C^2*n*(pi_hi - pi_lo)/2^(2n+1).  These come from the
+# same pi_alpha pairs the checks use, so a wider pair widens w with it.
+#
+# The brackets take sqrt(n) in [r, r+1]/2^SCREEN_BITS with
+# r = isqrt(n*4^SCREEN_BITS), and ln v in [(b-1)*ln 2, b*ln 2] for an
+# integer v >= 1 of b bits.  tests/test_checks.py checks width < w and
+# lo - w <= lower endpoint <= hi against the checks themselves.
+
+SCREEN_BITS = DEFAULT_PRECISION_BITS + 64
+WIDTH_BITS = 120
+_ONE = 1 << SCREEN_BITS
+
+
+def _scaled(pair) -> tuple[int, int]:
+    """floor and ceiling of an endpoint pair times 2^SCREEN_BITS."""
+    lower, upper = map(to_fraction, pair)
+    return floor(lower * _ONE), ceil(upper * _ONE)
+
+
+def screen_constants():
+    """The screen's brackets of pi, a, ln 2 and ln pi, or None.
+
+    Each is (floor, ceiling) of the constant times 2^SCREEN_BITS, read
+    exactly off the pairs the checks use at DEFAULT_PRECISION_BITS:
+    pi_alpha for pi and a, mpi_log for ln 2 and ln pi.  pi_alpha is looked
+    up at every call, never cached here.  None, so that the screen decides
+    nothing, when pi or a is not a finite positive pair.
+    """
+    bits = DEFAULT_PRECISION_BITS
+    pi, alpha = pi_alpha(bits)
+    if not (certainly_positive(pi) and certainly_positive(alpha)):
+        return None
+    try:
+        return tuple(map(_scaled, (pi, alpha, mpi_log(int_interval(2, bits), bits),
+                                   mpi_log(pi, bits))))
+    except ValueError:  # an infinite upper endpoint
+        return None
+
+
+def _alpha_sqrt(n: int, alpha) -> tuple[int, int, int]:
+    """Bracket of a*sqrt(n), and the width a's own bracket carries into it."""
+    a_lo, a_hi = alpha
+    r = isqrt(n << 2 * SCREEN_BITS)
+    return (a_lo * r >> SCREEN_BITS, -(-a_hi * (r + 1) >> SCREEN_BITS),
+            ((a_hi - a_lo) * (r + 1) >> SCREEN_BITS) + 1)
+
+
+def _log_bracket(v: int, ln2) -> tuple[int, int]:
+    """Bracket of ln v for an integer v >= 1: 2^(b-1) <= v < 2^b."""
+    b = v.bit_length()
+    return (b - 1) * ln2[0], b * ln2[1]
+
+
+def _width(carried: int, magnitude: int) -> int:
+    """w: the constants' carried width plus (M + 1)*2^-WIDTH_BITS, rounded up."""
+    return carried + ((magnitude + _ONE) >> WIDTH_BITS) + 1
+
+
+def diagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
+    """(lo, hi, w) of diagonal_bound_check's gap a*sqrt(n) - ln p(n-1,n-1)."""
+    _, alpha, ln2, _ = constants
+    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
+    lhs_lo, lhs_hi = _log_bracket(value, ln2)
+    return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
+
+
+def subdiagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
+    """(lo, hi, w) of subdiagonal_bound_check's gap
+
+    ln(n)/2 + a*sqrt(n) - ln p(n,n-1).
+    """
+    _, alpha, ln2, _ = constants
+    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
+    half_lo, half_hi = _log_bracket(n, ln2)
+    rhs_lo += half_lo >> 1
+    rhs_hi += -(-half_hi >> 1)
+    lhs_lo, lhs_hi = _log_bracket(value, ln2)
+    return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
+
+
+def partition_bound_bracket(n: int, table, constants) -> tuple[int, int, int]:
+    """(lo, hi, w) of partition_bound_check's gap
+
+    log(pi/sqrt(6n)) + a*sqrt(n) - log p(n) = ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2.
+    """
+    _, alpha, ln2, (lnpi_lo, lnpi_hi) = constants
+    pn = table[n]
+    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
+    lhs_lo, lhs_hi = _log_bracket(6 * n * pn * pn, ln2)
+    return (lnpi_lo + rhs_lo - (-(-lhs_hi >> 1)), lnpi_hi + rhs_hi - (lhs_lo >> 1),
+            _width(carried + lnpi_hi - lnpi_lo,
+                   max(-lnpi_lo, lnpi_hi) + rhs_hi + lhs_hi))
+
+
+def central_binomial_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
+    """(lo, hi, w) of central_binomial_check's gap 1 - C^2*n*pi/2^(2n+1).
+
+    value = C is cut to its top SCREEN_BITS + 32 bits, C in [c, c+1]*2^u,
+    so C^2*n*pi/2^(2n+1) is bracketed by shifted integers of fixed size.
+    """
+    (pi_lo, pi_hi), *_ = constants
+    u = min(max(value.bit_length() - SCREEN_BITS - 32, 0), n)
+    c = value >> u
+    shift = 2 * n + 1 - 2 * u
+    t_lo = c * c * n * pi_lo >> shift
+    t_hi = -(-(c + 1) * (c + 1) * n * pi_hi >> shift)
+    return (_ONE - t_hi, _ONE - t_lo,
+            _width(t_hi * (pi_hi - pi_lo) // pi_lo + 1, _ONE + t_hi))

@@ -7,7 +7,10 @@ the steps into a ClaimSummary and stops at the first n that is not
 verified, so no later n is evaluated.  Where a claim's input changes
 little from one n to the next it is streamed, not recomputed: triangle
 rows (_rows), the sign sums on Pascal columns (_sign_sums) and central
-binomials.  Claim ids are the stable identifiers exposed by
+binomials.  prop1, prop2, apostol and stirling decide each n on exact
+integers first and call their certified check only where the integers
+cannot decide n, or where n can hold the least margin (_screened).
+Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
     thm2          strict unimodality of every row, unique peak
@@ -50,6 +53,7 @@ from .binomial_sums import (
     verify_unimodal_profile,
 )
 from .checks import VERIFIED, VIOLATED
+from .intervals import DEFAULT_PRECISION_BITS
 from .partitions import build_partition_table, check_generating_functions
 
 GENFUN_DEGREE = 60  # series coefficients compared per k by the genfun claim
@@ -155,16 +159,77 @@ def _row_bound(ctx, lo, hi):
         yield 1, *checks.row_bound_check(n, row)
 
 
+def _screened(check, bracket, args):
+    """The steps of a certified claim whose check has an integer screen.
+
+    args yields (n, arg) for n = n_min, n_min+1, ..., check(n, arg) is the
+    claim's certified check and bracket(n, arg, constants) its screen in
+    `checks`: the lower endpoint of the check's gap enclosure at
+    DEFAULT_PRECISION_BITS, which its margin rounds to nearest, lies in
+    [lo - w, hi].  Two passes:
+
+      1. In order of n: n is screened when lo > w, since its 128-bit
+         enclosure is then certainly positive.  Any other n is checked at
+         once, and the pass stops at the first n the check does not verify.
+      2. H is the least hi of a screened n and margin of a checked n (that
+         margin rounded up to the bracket's scale), over the n pass 1
+         reached.  A screened n with lo - w <= H may hold the least margin,
+         so it is checked; every other screened n steps as verified at
+         DEFAULT_PRECISION_BITS, with no margin, as its lower endpoint
+         exceeds H and rounding to nearest keeps that order.
+
+    The unverified step of pass 1, if any, comes last.  So the check's
+    verdicts and margins are the only ones reported, and the fold sees the
+    count, least margin and most bits that checking every n would give.
+    Pass 1 keeps only the screened n with lo - w <= H, dropping the rest
+    as H falls, so it holds a few args (stirling's binomials), not all.
+    """
+    constants = checks.screen_constants()
+    screened, kept, least, stop = [], [], None, None
+    for n, arg in args:
+        # without constants the screen decides nothing: every n is checked
+        lo, hi, w = bracket(n, arg, constants) if constants else (0, 0, 0)
+        if lo > w:
+            screened.append(n)
+            bound = hi
+        else:
+            step = 1, *check(n, arg)
+            if step[1] != VERIFIED:
+                stop = step
+                break
+            yield step
+            num, den = step[3].as_integer_ratio()
+            bound = -(-(num << checks.SCREEN_BITS) // den)  # H only rounds up
+        if least is None or bound < least:
+            least = bound
+            kept = [entry for entry in kept if entry[0] <= least]
+        if lo > w and lo - w <= least:
+            kept.append((lo - w, n, arg))
+    candidates = {n: arg for _, n, arg in kept}
+    for n in screened:
+        yield ((1, *check(n, candidates[n])) if n in candidates
+               else (1, VERIFIED, None, None, DEFAULT_PRECISION_BITS))
+    if stop is not None:
+        yield stop
+
+
 def _diagonal_bound(ctx, lo, hi):
+    """p(n-1,n-1) off the diagonal table, screened on integers
+    (checks.diagonal_bound_bracket); at the default range only n = 1, 2
+    and 3 reach diagonal_bound_check."""
     diagonal = ctx.diagonal(hi).diagonal
-    for n in range(lo, hi + 1):
-        yield 1, *checks.diagonal_bound_check(n, diagonal[n - 1])
+    yield from _screened(checks.diagonal_bound_check, checks.diagonal_bound_bracket,
+                         ((n, diagonal[n - 1]) for n in range(lo, hi + 1)))
 
 
 def _subdiagonal_bound(ctx, lo, hi):
+    """p(n,n-1) off the diagonal table, screened on integers
+    (checks.subdiagonal_bound_bracket): the check runs where the bracket
+    is too wide to exclude the least margin, five n of the default range."""
     subdiagonal = ctx.diagonal(hi).subdiagonal
-    for n in range(lo, hi + 1):
-        yield 1, *checks.subdiagonal_bound_check(n, subdiagonal[n])
+    yield from _screened(checks.subdiagonal_bound_check,
+                         checks.subdiagonal_bound_bracket,
+                         ((n, subdiagonal[n]) for n in range(lo, hi + 1)))
 
 
 def _ascent_sign(ctx, lo, hi):
@@ -189,14 +254,23 @@ def _growth_chain(ctx, lo, hi):
 
 
 def _partition_bound(ctx, lo, hi):
+    """p(n) off the partition table, screened on integers
+    (checks.partition_bound_bracket, which brackets ln(6n*p(n)^2) by its
+    bit length); the least margin sits at small n, where the check runs."""
     table = ctx.table(hi)
-    for n in range(lo, hi + 1):
-        yield 1, *checks.partition_bound_check(n, table)
+    yield from _screened(checks.partition_bound_check, checks.partition_bound_bracket,
+                         ((n, table) for n in range(lo, hi + 1)))
 
 
 def _central_binomial(ctx, lo, hi):
-    for n, value in iter_central_binomials(lo, hi):
-        yield 1, *checks.central_binomial_check(n, value)
+    """C(n, floor((n+3)/2)) walked along n, screened on integers
+    (checks.central_binomial_bracket, on the binomial's top bits).  The gap
+    falls with n and its bracket is tight, so the check runs at the n whose
+    margin is least, n_max at the default range, and the screen alone
+    covers the rest."""
+    yield from _screened(checks.central_binomial_check,
+                         checks.central_binomial_bracket,
+                         iter_central_binomials(lo, hi))
 
 
 def _product_bound(ctx, lo, hi):

@@ -23,6 +23,7 @@ from mpmath.libmp import (
 from binpart import checks, intervals
 from binpart import (
     DiagonalTable,
+    build_partition_table,
     central_binomial_check,
     corollary_bound,
     diagonal_bound_check,
@@ -438,6 +439,56 @@ class TestRawIntervalGaps:
                            in map(fractions, enclosures)])
         for coarse, fine in zip(widths, widths[1:]):
             assert all(f < c for c, f in zip(coarse, fine))
+
+
+class TestScreenBrackets:
+    """The integer screen of prop1, prop2, apostol and stirling against the
+    checks themselves.  At every n <= 2000 and at sampled n to 20000:
+    [lo, hi] holds the gap (enclosed at 512 bits), w exceeds the width of
+    the 128-bit enclosure, and so that enclosure's lower endpoint, which
+    the check's margin rounds to nearest, lies in [lo - w, hi]."""
+
+    CLAIMS = {
+        "prop1": (diagonal_bound_check, checks.diagonal_bound_bracket,
+                  lambda n, table, diagonal: diagonal.diagonal[n - 1]),
+        "prop2": (subdiagonal_bound_check, checks.subdiagonal_bound_bracket,
+                  lambda n, table, diagonal: diagonal.subdiagonal[n]),
+        "apostol": (partition_bound_check, checks.partition_bound_bracket,
+                    lambda n, table, diagonal: table),
+        "stirling": (central_binomial_check, checks.central_binomial_bracket,
+                     lambda n, table, diagonal: math.comb(n, (n + 3) // 2)),
+    }
+
+    @pytest.fixture(scope="class")
+    def tables_20000(self):
+        table = build_partition_table(20000)
+        return table, DiagonalTable(20000, table)
+
+    @pytest.mark.parametrize("claim", sorted(CLAIMS))
+    def test_bracket_holds_the_gap_and_w_its_width(self, monkeypatch, claim,
+                                                   tables_20000):
+        check, bracket, arg_of = self.CLAIMS[claim]
+        constants = checks.screen_constants()
+        scale = 2 ** checks.SCREEN_BITS
+        for n in [*range(1, 2001), *range(2001, 20000, 149), 20000]:
+            arg = arg_of(n, *tables_20000)
+            lo, hi, w = bracket(n, arg, constants)
+            verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(n, arg))
+            assert verdict[0] == VERIFIED and verdict[3] == 128, n
+            (enclosure,), (fine,) = gaps(128), gaps(512)
+            lower, upper = (x * scale for x in fractions(enclosure))
+            assert upper - lower < w, n
+            assert lo - w <= lower <= hi, n
+            fine_lower, fine_upper = (x * scale for x in fractions(fine))
+            assert lo <= fine_upper and fine_lower <= hi, n
+
+    @pytest.mark.parametrize("pair", [(fninf, finf), (from_int(-2), from_int(-1)),
+                                      (fone, finf), (fnan, fone)],
+                             ids=["straddling", "negative", "infinite", "nan"])
+    def test_no_constants_unless_finite_and_positive(self, monkeypatch, pair):
+        assert checks.screen_constants() is not None
+        monkeypatch.setattr(checks, "pi_alpha", lambda bits: (pair, pair))
+        assert checks.screen_constants() is None
 
 
 class TestProductBound:

@@ -4,7 +4,7 @@ import functools
 import tracemalloc
 
 import pytest
-from mpmath.libmp import finf, fninf, from_int
+from mpmath.libmp import ComplexResult, finf, fninf, from_int
 
 from binpart import binomial_sums, checks, cli, sweeps
 from binpart.binomial_sums import dominance_check, verify_unimodal_profile
@@ -111,6 +111,14 @@ def _constants(pair):
     return patch
 
 
+def _replace_central_binomial(n, value):
+    def patch(monkeypatch):
+        walk = sweeps.iter_central_binomials
+        monkeypatch.setattr(sweeps, "iter_central_binomials", lambda lo, hi: (
+            (m, value if m == n else c) for m, c in walk(lo, hi)))
+    return patch
+
+
 @pytest.mark.parametrize("claim, n_min, n_max, patch, expected", [
     ("eq9", 2, 300, _cap_eq9_depth,
      {"checked": 736, "outcome": "inconclusive", "counterexample": [39, 33],
@@ -122,11 +130,36 @@ def _constants(pair):
     ("prop1", 1, 50, _constants((from_int(-2), from_int(-1))),
      {"checked": 1, "outcome": "violated", "counterexample": [1],
       "precision_bits": 128}),
+    ("prop2", 1, 50, _constants((fninf, finf)),
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    ("prop2", 1, 50, _constants((from_int(-2), from_int(-1))),
+     {"checked": 1, "outcome": "violated", "counterexample": [1],
+      "precision_bits": 128}),
+    # apostol takes log(pi/sqrt(6n)): a pi that is not positive raises
+    ("apostol", 1, 50, _constants((fninf, finf)), ComplexResult),
+    ("apostol", 1, 50, _constants((from_int(-2), from_int(-1))), ComplexResult),
+    ("stirling", 1, 50, _constants((fninf, finf)),
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    # a negative pi makes C^2*n*pi negative: every n holds, by a gap >= 1
+    ("stirling", 1, 50, _constants((from_int(-2), from_int(-1))),
+     {"checked": 50, "outcome": "verified", "min_margin": 1.0,
+      "precision_bits": 128}),
+    # the minimum is taken over the n before the violation only: over
+    # 1..2000 it is 0.002246473548619157, at n = 2000
+    ("stirling", 1, 2000, _replace_central_binomial(1500, 2**1500),
+     {"checked": 1500, "outcome": "violated", "counterexample": [1500, 751],
+      "min_margin": 0.002997722203686728, "precision_bits": 128}),
 ], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "prop1-straddling",
-        "prop1-negative"])
+        "prop1-negative", "prop2-straddling", "prop2-negative",
+        "apostol-straddling", "apostol-negative", "stirling-straddling",
+        "stirling-negative", "stirling-violated-at-1500"])
 def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
                                            patch, expected):
     patch(monkeypatch)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            sweeps.run_claim(claim, n_min, n_max)
+        return
     summary = sweeps.run_claim(claim, n_min, n_max)
     assert cli._summary_doc(summary) == {
         "claim": claim, "range": [n_min, n_max], **expected}
@@ -148,3 +181,22 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
                         lambda n, value: seen.append(n) or check(n, value))
     assert sweeps.run_claim("prop1", 1, 50).outcome == "inconclusive"
     assert seen == [1]
+
+
+@pytest.mark.parametrize("claim, check, expected", [
+    ("prop1", "diagonal_bound_check", [1, 2, 3]),
+    ("prop2", "subdiagonal_bound_check", [1, 2, 3, 6, 7]),
+    ("apostol", "partition_bound_check", [1, 2, 3, 4, 6]),
+    ("stirling", "central_binomial_check", [2000]),
+])
+def test_screen_checks_only_where_the_least_margin_can_be(monkeypatch, claim,
+                                                           check, expected):
+    # every other n of the default range 1..2000 is screened: its gap's
+    # lower bracket exceeds the 128-bit width bound and its least possible
+    # margin exceeds a bracket or margin already seen
+    original, seen = getattr(checks, check), []
+    monkeypatch.setattr(checks, check,
+                        lambda n, arg: seen.append(n) or original(n, arg))
+    summary = sweeps.run_claim(claim, None, None)
+    assert (summary.checked, summary.outcome) == (2000, VERIFIED)
+    assert seen == expected
