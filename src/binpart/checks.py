@@ -33,17 +33,17 @@ instead.  The margin is a unitless slack: the relative slack
 the gap of a real one.  "verified" always means the strict inequality
 holds with positive certified margin.
 
-The certified checks of prop1, prop2, apostol and stirling each have an
-integer screen, *_bracket(n, arg, constants), on screen_constants' fixed-
-point brackets of pi, a, ln 2 and ln pi, which it reads off the checks'
-own 128-bit pairs.  It returns exact integers lo <= g <= hi around the
-check's true gap g, at 2^-SCREEN_BITS, and a bound w on the width of the
-gap's enclosure at DEFAULT_PRECISION_BITS, derived where the brackets
-are defined.  When lo > w the check would verify n at that first rung,
-with its margin's exact value in [lo - w, hi]; sweeps._screened uses
-this to call the check only at the n that can hold the least margin.  A
-bracket never decides a verdict or sets a margin: those still come from
-the checks.
+The certified checks of prop1, prop2, lemma13, apostol and stirling each
+have an integer screen, *_bracket(n, arg, constants), on screen_constants'
+fixed-point brackets of pi, a, ln 2 and ln pi, which it reads off the
+checks' own 128-bit pairs.  It returns exact integers lo <= g <= hi
+around the check's true gap g (lemma13: the smaller of its two gaps), at
+2^-SCREEN_BITS, and a bound w on the width of the gap's enclosure at
+DEFAULT_PRECISION_BITS, derived where the brackets are defined.  When
+lo > w the check would verify n at that first rung, with its margin's
+exact value in [lo - w, hi]; sweeps._screened uses this to call the
+check only at the n that can hold the least margin.  A bracket never
+decides a verdict or sets a margin: those still come from the checks.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from math import ceil, floor, isqrt
 from operator import lt, mul, not_, sub
 
 from mpmath.libmp import (
+    finf,
+    fninf,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -172,6 +174,12 @@ def partition_bound_check(n: int, table: tuple[int, ...]) -> tuple:
 
     def gaps(bits):
         pi, alpha = pi_alpha(bits)
+        positive = certainly_positive(pi)
+        if not positive:
+            # log(pi/sqrt(6n)) has no finite lower bound: a pi that may be <= 0
+            # leaves the gap undecided, and a pi <= 0, whose bound <= 0 < p(n),
+            # makes it certainly negative
+            return ((fninf, finf if positive is None else fninf),)
         lhs = mpi_log(int_interval(pn, bits), bits)
         sqrt_n = sqrt_interval(int_interval(n, bits), bits)
         sqrt_6n = sqrt_interval(int_interval(6 * n, bits), bits)
@@ -320,7 +328,7 @@ def product_bound_check(
     return first, INCONCLUSIVE, (n, first), min(before, default=None)
 
 
-# -- the integer screen of prop1, prop2, apostol and stirling ---------------
+# -- the integer screen of prop1, prop2, lemma13, apostol and stirling ------
 #
 # Each *_bracket(n, arg, constants) takes the arguments of its check and
 # returns (lo, hi, w), integers in units of 2^-SCREEN_BITS: lo <= g <= hi
@@ -348,10 +356,25 @@ def product_bound_check(
 # and for stirling C^2*n*(pi_hi - pi_lo)/2^(2n+1).  These come from the
 # same pi_alpha pairs the checks use, so a wider pair widens w with it.
 #
+# lemma13's check has two gaps, and its margin is the smaller lower
+# endpoint.  Its bracket takes lo and hi as the least of the two links'
+# and one w above both links' widths, so that lo > w certifies both links
+# and the margin still lies in [lo - w, hi].  Each link takes at most 12 roundings.  The
+# right link computes sqrt(1 + 1/n) - 1, about 1/(2n), and that
+# subtraction cancels digits: the roundings of 1 + 1/n and of its root,
+# both of size below 2, leave it an absolute width below 2^-124, which
+# the product with a*sqrt(n) and then e^x scale by e^x*a*sqrt(n).  So
+# that width grows as sqrt(n), past (M + 1) >> WIDTH_BITS from n of about
+# 10^4, and w allows (M + 1 + e^x*a*sqrt(n)) >> WIDTH_BITS: 4 times the
+# other roundings' (M + 1)*2^-122 and 16 times the cancellation's
+# e^x*a*sqrt(n)*2^-124.  The constants carry pi's width through
+# pi/sqrt(6n) <= pi and a's through e^x*a/(sqrt(n+1) + sqrt(n)) <= e^x*a.
+#
 # The brackets take sqrt(n) in [r, r+1]/2^SCREEN_BITS with
-# r = isqrt(n*4^SCREEN_BITS), and ln v in [(b-1)*ln 2, b*ln 2] for an
-# integer v >= 1 of b bits.  tests/test_checks.py checks width < w and
-# lo - w <= lower endpoint <= hi against the checks themselves.
+# r = isqrt(n*4^SCREEN_BITS), ln v in [(b-1)*ln 2, b*ln 2] for an integer
+# v >= 1 of b bits, and e^x from fixed-point Taylor sums (_exp_bracket).
+# tests/test_checks.py checks width < w and lo - w <= lower endpoint <= hi
+# against the checks themselves.
 
 SCREEN_BITS = DEFAULT_PRECISION_BITS + 64
 WIDTH_BITS = 120
@@ -403,6 +426,29 @@ def _width(carried: int, magnitude: int) -> int:
     return carried + ((magnitude + _ONE) >> WIDTH_BITS) + 1
 
 
+def _exp_bracket(x_lo: int, x_hi: int) -> tuple[int, int]:
+    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi, at 2^-SCREEN_BITS.
+
+    Fixed-point Taylor sums (Brent and Zimmermann, Modern Computer
+    Arithmetic, ch. 4): term k of the lower sum is the floor of term k-1
+    times x_lo/k, so for x >= 0 every partial sum is below e^x, and term k
+    of the upper sum the ceiling of term k-1 times x_hi/k, at least
+    x^k/k!.  The sums stop at the first upper term t_k <= 1 unit, where
+    k > x (x^k/k! >= 1 for k <= x), and the upper one adds the remainder
+    sum_{j>k} x^j/j! <= t_k*x/(k+1-x), a geometric series of ratio
+    x/(k+1) < 1.
+    """
+    lo = hi = lo_term = hi_term = _ONE
+    k = 0
+    while hi_term > 1:
+        k += 1
+        lo_term = (lo_term * x_lo >> SCREEN_BITS) // k
+        hi_term = -((-hi_term * x_hi >> SCREEN_BITS) // k)
+        lo += lo_term
+        hi += hi_term
+    return lo, hi - (-hi_term * x_hi // (((k + 1) << SCREEN_BITS) - x_hi))
+
+
 def diagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
     """(lo, hi, w) of diagonal_bound_check's gap a*sqrt(n) - ln p(n-1,n-1)."""
     _, alpha, ln2, _ = constants
@@ -423,6 +469,30 @@ def subdiagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, 
     rhs_hi += -(-half_hi >> 1)
     lhs_lo, lhs_hi = _log_bracket(value, ln2)
     return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
+
+
+def growth_chain_bracket(n: int, arg, constants) -> tuple[int, int, int]:
+    """(lo, hi, w) of the smaller of growth_chain_check's two gaps,
+
+    1 + pi/sqrt(6n) - sqrt(n)/(sqrt(n+1)-1) and e^x - 1 - pi/sqrt(6n),
+    with x = a*sqrt(n)*(sqrt(1+1/n)-1) = a/(sqrt(n+1)+sqrt(n)).  The chain
+    depends on n alone, so arg (None from the sweep) is not read.
+    """
+    (pi_lo, pi_hi), (a_lo, a_hi), *_ = constants
+    r = isqrt(n << 2 * SCREEN_BITS)
+    r1 = isqrt((n + 1) << 2 * SCREEN_BITS)
+    r6 = isqrt(6 * n << 2 * SCREEN_BITS)
+    mid_lo = _ONE + (pi_lo << SCREEN_BITS) // (r6 + 1)
+    mid_hi = _ONE - (-pi_hi << SCREEN_BITS) // r6
+    left_lo = (r << SCREEN_BITS) // (r1 + 1 - _ONE)
+    left_hi = -((-(r + 1) << SCREEN_BITS) // (r1 - _ONE))
+    exp_lo, exp_hi = _exp_bracket((a_lo << SCREEN_BITS) // (r1 + r + 2),
+                                  -((-a_hi << SCREEN_BITS) // (r1 + r)))
+    cancelled = -(-exp_hi * a_hi * (r + 1) >> 2 * SCREEN_BITS)  # e^x*a*sqrt(n)
+    carried = pi_hi - pi_lo + ((a_hi - a_lo) * exp_hi >> SCREEN_BITS) + 1
+    return (min(mid_lo - left_hi, exp_lo - mid_hi),
+            min(mid_hi - left_lo, exp_hi - mid_lo),
+            _width(carried, mid_hi + max(left_hi, exp_hi + cancelled)))
 
 
 def partition_bound_bracket(n: int, table, constants) -> tuple[int, int, int]:

@@ -7,9 +7,10 @@ the steps into a ClaimSummary and stops at the first n that is not
 verified, so no later n is evaluated.  Where a claim's input changes
 little from one n to the next it is streamed, not recomputed: triangle
 rows (_rows), the sign sums on Pascal columns (_sign_sums) and central
-binomials.  prop1, prop2, apostol and stirling decide each n on exact
-integers first and call their certified check only where the integers
-cannot decide n, or where n can hold the least margin (_screened).
+binomials.  prop1, prop2, lemma13, apostol and stirling decide each n on
+exact integers first and call their certified check only where the
+integers cannot decide n, or where n can hold the least margin
+(_screened).
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -165,8 +166,8 @@ def _screened(check, bracket, args):
     args yields (n, arg) for n = n_min, n_min+1, ..., check(n, arg) is the
     claim's certified check and bracket(n, arg, constants) its screen in
     `checks`: the lower endpoint of the check's gap enclosure at
-    DEFAULT_PRECISION_BITS, which its margin rounds to nearest, lies in
-    [lo - w, hi].  Two passes:
+    DEFAULT_PRECISION_BITS (the smaller of lemma13's two), which its
+    margin rounds to nearest, lies in [lo - w, hi].  Two passes:
 
       1. In order of n: n is screened when lo > w, since its 128-bit
          enclosure is then certainly positive.  Any other n is checked at
@@ -249,8 +250,12 @@ def _dominance(ctx, lo, hi):
 
 
 def _growth_chain(ctx, lo, hi):
-    for n in range(lo, hi + 1):
-        yield 1, *checks.growth_chain_check(n)
+    """The chain at each n, screened on integers (checks.growth_chain_bracket,
+    with e^x from fixed-point Taylor sums); its least margin is the right
+    link's at n_max, where the check runs at the default range."""
+    yield from _screened(lambda n, _: checks.growth_chain_check(n),
+                         checks.growth_chain_bracket,
+                         ((n, None) for n in range(lo, hi + 1)))
 
 
 def _partition_bound(ctx, lo, hi):

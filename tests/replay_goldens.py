@@ -6,10 +6,10 @@ Runs each entry of tests/data/scale_golden.json, cli_golden.json and
 product_golden.json as `python -m binpart ARGV...`, one fresh process
 each, as users run them: eq9, the sign sums and stirling beyond their
 default ranges, compute p 100000 on the series against the table's
-bytes, lemma13, apostol, prop1 and prop2 to n = 20000; the fixed command
-lines of cli_golden.json, whose compute p entries sit on both sides of
-the table/series switch; then the 335 product command lines of the
-queries mix.  Prints one line per command with its wall time, and fails
+bytes, lemma13, apostol, prop1 and prop2 to n = 20000 and lemma13 to
+n = 100000; the fixed command lines of cli_golden.json, whose compute p
+entries sit on both sides of the table/series switch; then the 335
+product command lines of the queries mix.  Prints one line per command with its wall time, and fails
 a command under its own name when its exit code or stdout differs from
 the golden or it runs past 300 s.  Exits 1 if any command failed, 0
 otherwise.  binpart must be importable (installed, or PYTHONPATH=src).

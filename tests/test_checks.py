@@ -13,6 +13,7 @@ from mpmath.libmp import (
     fnone,
     fone,
     from_int,
+    from_man_exp,
     fzero,
     mpi_div,
     mpi_exp,
@@ -442,20 +443,23 @@ class TestRawIntervalGaps:
 
 
 class TestScreenBrackets:
-    """The integer screen of prop1, prop2, apostol and stirling against the
-    checks themselves.  At every n <= 2000 and at sampled n to 20000:
-    [lo, hi] holds the gap (enclosed at 512 bits), w exceeds the width of
-    the 128-bit enclosure, and so that enclosure's lower endpoint, which
-    the check's margin rounds to nearest, lies in [lo - w, hi]."""
+    """The integer screen of prop1, prop2, lemma13, apostol and stirling
+    against the checks themselves.  At every n <= 2000, at sampled n to
+    20000 and, for lemma13, at a few n to 10^6: [lo, hi] holds the gap
+    (enclosed at 512 bits; lemma13's is the smaller of its two), w exceeds
+    the width of each 128-bit enclosure, and so the least lower endpoint,
+    which the check's margin rounds to nearest, lies in [lo - w, hi]."""
 
     CLAIMS = {
-        "prop1": (diagonal_bound_check, checks.diagonal_bound_bracket,
+        "prop1": (1, diagonal_bound_check, checks.diagonal_bound_bracket,
                   lambda n, table, diagonal: diagonal.diagonal[n - 1]),
-        "prop2": (subdiagonal_bound_check, checks.subdiagonal_bound_bracket,
+        "prop2": (1, subdiagonal_bound_check, checks.subdiagonal_bound_bracket,
                   lambda n, table, diagonal: diagonal.subdiagonal[n]),
-        "apostol": (partition_bound_check, checks.partition_bound_bracket,
+        "lemma13": (3, lambda n, arg: growth_chain_check(n),
+                    checks.growth_chain_bracket, lambda n, table, diagonal: None),
+        "apostol": (1, partition_bound_check, checks.partition_bound_bracket,
                     lambda n, table, diagonal: table),
-        "stirling": (central_binomial_check, checks.central_binomial_bracket,
+        "stirling": (1, central_binomial_check, checks.central_binomial_bracket,
                      lambda n, table, diagonal: math.comb(n, (n + 3) // 2)),
     }
 
@@ -464,23 +468,67 @@ class TestScreenBrackets:
         table = build_partition_table(20000)
         return table, DiagonalTable(20000, table)
 
+    @staticmethod
+    def _widths(monkeypatch, claim, n, arg):
+        """The widths of the check's 128-bit enclosures at n, at 2^-SCREEN_BITS,
+        after asserting the bracket against them and the 512-bit ones."""
+        _, check, bracket, _ = TestScreenBrackets.CLAIMS[claim]
+        lo, hi, w = bracket(n, arg, checks.screen_constants())
+        verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(n, arg))
+        assert verdict[0] == VERIFIED and verdict[3] == 128, n
+        scale = 2 ** checks.SCREEN_BITS
+        coarse, fine = ([[x * scale for x in fractions(gap)] for gap in gaps(bits)]
+                        for bits in (128, 512))
+        widths = [upper - lower for lower, upper in coarse]
+        assert max(widths) < w, n
+        assert lo - w <= min(lower for lower, _ in coarse) <= hi, n
+        assert lo <= min(upper for _, upper in fine), n
+        assert min(lower for lower, _ in fine) <= hi, n
+        return widths
+
     @pytest.mark.parametrize("claim", sorted(CLAIMS))
     def test_bracket_holds_the_gap_and_w_its_width(self, monkeypatch, claim,
                                                    tables_20000):
-        check, bracket, arg_of = self.CLAIMS[claim]
-        constants = checks.screen_constants()
+        n_min, _, _, arg_of = self.CLAIMS[claim]
+        for n in [*range(n_min, 2001), *range(2001, 20000, 149), 20000]:
+            self._widths(monkeypatch, claim, n, arg_of(n, *tables_20000))
+
+    @pytest.mark.parametrize("n", [10**5, 314159, 999999, 10**6])
+    def test_growth_chain_width_grows_as_sqrt_n(self, monkeypatch, n):
+        # sqrt(1 + 1/n) - 1 cancels digits, so the right link's 128-bit width
+        # grows as a*sqrt(n), past the (M + 1) >> WIDTH_BITS that the other
+        # brackets allow; M + 1 is about 3 for lemma13 at these n
+        left, right = self._widths(monkeypatch, "lemma13", n, None)
+        assert right > (4 << checks.SCREEN_BITS >> checks.WIDTH_BITS) > left
+
+    # x = X/2^SCREEN_BITS in (0, 1.3], past the chain's largest argument
+    # a/(2 + sqrt(3)) = 0.687 at n = 3: a geometric sweep; X = 2^m and
+    # 2^m + 1, at which the last terms kept and the remainder decide the
+    # last unit; and five X found by search at which one Taylor term
+    # rounded inward (the 5th or 6th upper, the 5th to 8th lower) moves
+    # the bracket past the reference
+    EXP_ARGUMENTS = [
+        *(round(1.3 * 2**192 / 2**(i / 4)) for i in range(0, 760, 7)),
+        *(2**m + d for m in range(192) for d in (0, 1)),
+        38434506414565544159154656816409106076097576960,
+        3793333257791378215361266416562253329491508068352,
+        3278612195155372796049261064176184480462012416,
+        6067754520980391850605076396933481156596186742784,
+        279668687598976890503429642995051391971630755348480]
+
+    def test_exp_bracket_holds_e_to_the_x(self):
         scale = 2 ** checks.SCREEN_BITS
-        for n in [*range(1, 2001), *range(2001, 20000, 149), 20000]:
-            arg = arg_of(n, *tables_20000)
-            lo, hi, w = bracket(n, arg, constants)
-            verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(n, arg))
-            assert verdict[0] == VERIFIED and verdict[3] == 128, n
-            (enclosure,), (fine,) = gaps(128), gaps(512)
-            lower, upper = (x * scale for x in fractions(enclosure))
-            assert upper - lower < w, n
-            assert lo - w <= lower <= hi, n
-            fine_lower, fine_upper = (x * scale for x in fractions(fine))
-            assert lo <= fine_upper and fine_lower <= hi, n
+
+        def reference(x):  # e^x enclosed at 512 bits, at 2^-SCREEN_BITS
+            point = from_man_exp(x, -checks.SCREEN_BITS)
+            return [v * scale for v in fractions(mpi_exp((point, point), 512))]
+
+        for x in self.EXP_ARGUMENTS:
+            (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x)
+            assert lo <= e_lo and e_hi <= hi and hi - lo < 256, x
+            # an argument interval: [lo, hi] holds e^x over all of it
+            lo, hi = checks._exp_bracket(x // 2, x)
+            assert lo <= reference(x // 2)[0] and reference(x)[1] <= hi, x
 
     @pytest.mark.parametrize("pair", [(fninf, finf), (from_int(-2), from_int(-1)),
                                       (fone, finf), (fnan, fone)],

@@ -4,7 +4,7 @@ import functools
 import tracemalloc
 
 import pytest
-from mpmath.libmp import ComplexResult, finf, fninf, from_int
+from mpmath.libmp import finf, fninf, from_int
 
 from binpart import binomial_sums, checks, cli, sweeps
 from binpart.binomial_sums import dominance_check, verify_unimodal_profile
@@ -135,9 +135,18 @@ def _replace_central_binomial(n, value):
     ("prop2", 1, 50, _constants((from_int(-2), from_int(-1))),
      {"checked": 1, "outcome": "violated", "counterexample": [1],
       "precision_bits": 128}),
-    # apostol takes log(pi/sqrt(6n)): a pi that is not positive raises
-    ("apostol", 1, 50, _constants((fninf, finf)), ComplexResult),
-    ("apostol", 1, 50, _constants((from_int(-2), from_int(-1))), ComplexResult),
+    ("lemma13", 3, 50, _constants((fninf, finf)),
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    # at n = 3 the left gap is certainly negative, but the right one
+    # straddles zero, and a rung with a gap undecided is undecided
+    ("lemma13", 3, 50, _constants((from_int(-2), from_int(-1))),
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    ("apostol", 1, 50, _constants((fninf, finf)),
+     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    # a negative pi makes the bound negative: p(1) = 1 exceeds it
+    ("apostol", 1, 50, _constants((from_int(-2), from_int(-1))),
+     {"checked": 1, "outcome": "violated", "counterexample": [1],
+      "precision_bits": 128}),
     ("stirling", 1, 50, _constants((fninf, finf)),
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
     # a negative pi makes C^2*n*pi negative: every n holds, by a gap >= 1
@@ -151,15 +160,12 @@ def _replace_central_binomial(n, value):
       "min_margin": 0.002997722203686728, "precision_bits": 128}),
 ], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "prop1-straddling",
         "prop1-negative", "prop2-straddling", "prop2-negative",
-        "apostol-straddling", "apostol-negative", "stirling-straddling",
-        "stirling-negative", "stirling-violated-at-1500"])
+        "lemma13-straddling", "lemma13-negative", "apostol-straddling",
+        "apostol-negative", "stirling-straddling", "stirling-negative",
+        "stirling-violated-at-1500"])
 def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
                                            patch, expected):
     patch(monkeypatch)
-    if isinstance(expected, type):
-        with pytest.raises(expected):
-            sweeps.run_claim(claim, n_min, n_max)
-        return
     summary = sweeps.run_claim(claim, n_min, n_max)
     assert cli._summary_doc(summary) == {
         "claim": claim, "range": [n_min, n_max], **expected}
@@ -188,15 +194,17 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
     ("prop2", "subdiagonal_bound_check", [1, 2, 3, 6, 7]),
     ("apostol", "partition_bound_check", [1, 2, 3, 4, 6]),
     ("stirling", "central_binomial_check", [2000]),
+    ("lemma13", "growth_chain_check", [2000]),
 ])
 def test_screen_checks_only_where_the_least_margin_can_be(monkeypatch, claim,
                                                            check, expected):
-    # every other n of the default range 1..2000 is screened: its gap's
-    # lower bracket exceeds the 128-bit width bound and its least possible
+    # every other n of the default range is screened: its gap's lower
+    # bracket exceeds the 128-bit width bound and its least possible
     # margin exceeds a bracket or margin already seen
     original, seen = getattr(checks, check), []
     monkeypatch.setattr(checks, check,
-                        lambda n, arg: seen.append(n) or original(n, arg))
+                        lambda n, *arg: seen.append(n) or original(n, *arg))
     summary = sweeps.run_claim(claim, None, None)
-    assert (summary.checked, summary.outcome) == (2000, VERIFIED)
+    n_min, n_max = sweeps.CLAIMS[claim][1]
+    assert (summary.checked, summary.outcome) == (n_max - n_min + 1, VERIFIED)
     assert seen == expected
