@@ -10,11 +10,10 @@ Two kinds of checks live here:
   * certified real comparisons (everything involving pi, sqrt, exp, log):
     each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
     interval functions directly on endpoint pairs, at the explicit
-    precision bits, taking integers from intervals.int_interval, square
-    roots from intervals.sqrt_interval (libmpi's endpoints, on the C
-    isqrt), and pi and sqrt(2/3)*pi from intervals.pi_alpha; a division
-    by a power of two is an exact mpi_shift.  It returns each gap as its
-    endpoint pair (lower, upper); `_certified` reads the sign
+    precision bits, taking integers from intervals.int_interval and pi
+    and sqrt(2/3)*pi from intervals.pi_alpha; a division by a power of
+    two is an exact mpi_shift.  It returns each gap as its endpoint pair
+    (lower, upper); `_certified` reads the sign
     (intervals.certainly_positive) and margin from those endpoints.
     No rung sets the global `iv` precision.  A claim is declared only
     when the gap exceeds the total enclosure error, with automatic
@@ -60,6 +59,7 @@ from mpmath.libmp import (
     mpi_exp,
     mpi_log,
     mpi_mul,
+    mpi_sqrt,
     mpi_sub,
     round_nearest,
     to_float,
@@ -72,7 +72,6 @@ from .intervals import (
     decide_with_escalation,
     int_interval,
     pi_alpha,
-    sqrt_interval,
     to_fraction,
 )
 from .qseries import DEFAULT_DEPTH_CAP
@@ -92,12 +91,13 @@ def _certified(gaps, counterexample: tuple) -> tuple:
 
     The ladder always starts at DEFAULT_PRECISION_BITS and doubles to the
     cap; no check takes a start precision of its own.  Each rung calls
-    gaps(bits), which returns a tuple of endpoint pairs
-    (lower, upper) evaluated at the explicit precision bits (the checks
-    compute them with direct `libmpi` calls and sqrt_interval); no rung
-    sets the global `iv` precision.  The rung is undecided while any gap
-    straddles zero, verified when every gap is certainly positive and
-    violated otherwise.
+    gaps(bits), which returns a tuple of endpoint pairs (lower, upper)
+    evaluated at the explicit precision bits (the checks compute them with
+    direct `libmpi` calls); no rung sets the global `iv` precision.  The
+    rung is violated when any gap is certainly <= 0, even while another
+    straddles zero, as that gap's true value is <= 0; otherwise it is
+    undecided while any gap straddles zero, and verified once every gap
+    is certainly positive.
     Returns the verdict (outcome, counterexample, margin, bits): the
     counterexample only when violated, bits the last rung evaluated, and
     the margin, only when verified, the smallest certified lower bound
@@ -107,13 +107,12 @@ def _certified(gaps, counterexample: tuple) -> tuple:
     def evaluate(bits):
         enclosures = gaps(bits)
         signs = [certainly_positive(gap) for gap in enclosures]
+        if False in signs:
+            return VIOLATED, counterexample, None, bits
         if None in signs:
             return None
-        if all(signs):
-            margin = min(to_float(lower, rnd=round_nearest)
-                         for lower, _ in enclosures)
-            return VERIFIED, None, margin, bits
-        return VIOLATED, counterexample, None, bits
+        margin = min(to_float(lower, rnd=round_nearest) for lower, _ in enclosures)
+        return VERIFIED, None, margin, bits
 
     verdict, bits = decide_with_escalation(evaluate, DEFAULT_PRECISION_BITS)
     return verdict or (INCONCLUSIVE, None, None, bits)
@@ -181,8 +180,8 @@ def partition_bound_check(n: int, table: tuple[int, ...]) -> tuple:
             # makes it certainly negative
             return ((fninf, finf if positive is None else fninf),)
         lhs = mpi_log(int_interval(pn, bits), bits)
-        sqrt_n = sqrt_interval(int_interval(n, bits), bits)
-        sqrt_6n = sqrt_interval(int_interval(6 * n, bits), bits)
+        sqrt_n = mpi_sqrt(int_interval(n, bits), bits)
+        sqrt_6n = mpi_sqrt(int_interval(6 * n, bits), bits)
         rhs = mpi_add(mpi_log(mpi_div(pi, sqrt_6n, bits), bits),
                       mpi_mul(alpha, sqrt_n, bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
@@ -204,14 +203,14 @@ def growth_chain_check(n: int) -> tuple:
         pi, alpha = pi_alpha(bits)
         one = int_interval(1, bits)
         nn = int_interval(n, bits)
-        sqrt_n = sqrt_interval(nn, bits)
+        sqrt_n = mpi_sqrt(nn, bits)
         left = mpi_div(
             sqrt_n,
-            mpi_sub(sqrt_interval(int_interval(n + 1, bits), bits), one, bits),
+            mpi_sub(mpi_sqrt(int_interval(n + 1, bits), bits), one, bits),
             bits)
-        sqrt_6n = sqrt_interval(int_interval(6 * n, bits), bits)
+        sqrt_6n = mpi_sqrt(int_interval(6 * n, bits), bits)
         mid = mpi_add(one, mpi_div(pi, sqrt_6n, bits), bits)
-        sqrt_step = sqrt_interval(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
+        sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
         right = mpi_exp(
             mpi_mul(mpi_mul(alpha, sqrt_n, bits),
                     mpi_sub(sqrt_step, one, bits), bits), bits)
@@ -231,7 +230,7 @@ def diagonal_bound_check(n: int, value: int) -> tuple:
     def gaps(bits):
         _, alpha = pi_alpha(bits)
         lhs = mpi_log(int_interval(value, bits), bits)
-        rhs = mpi_mul(alpha, sqrt_interval(int_interval(n, bits), bits), bits)
+        rhs = mpi_mul(alpha, mpi_sqrt(int_interval(n, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
     return _certified(gaps, (n,))
@@ -251,7 +250,7 @@ def subdiagonal_bound_check(n: int, value: int) -> tuple:
         lhs = mpi_log(int_interval(value, bits), bits)
         # log(n)/2: halving a bits-bit endpoint is an exact shift
         rhs = mpi_add(mpi_shift(mpi_log(nn, bits), -1),
-                      mpi_mul(alpha, sqrt_interval(nn, bits), bits), bits)
+                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
         return (mpi_sub(rhs, lhs, bits),)
 
     return _certified(gaps, (n,))

@@ -2,22 +2,14 @@
 
 Every real-valued decision is made on outward-rounded enclosures built
 by mpmath's `libmpi` interval functions (the ones `iv` itself calls),
-called directly at an explicit precision, and by sqrt_interval for every
-square root.  An enclosure is its endpoint pair (lower, upper) of raw mpf
-values from first operation to verdict.  This module holds the pieces
-those computations share: int_interval enters an integer, sqrt_interval
-takes a pair's square root, pi_alpha caches the pairs of pi and
-a = sqrt(2/3)*pi per bit width, and certainly_positive is the one sign
-rule.  None of them reads the process-global `iv.prec`; pi_alpha alone
-sets it, inside its own working_precision(bits).  A finished pair is read
-by to_fraction, an endpoint's exact value, and width, upper - lower as a
-float.
-
-sqrt_interval returns the very endpoints of libmpi's interval square
-root, which rounds each endpoint with mpf_sqrt: it runs mpf_sqrt's
-algorithm with the stdlib's math.isqrt, in C, where mpmath's pure-Python
-backend takes the same integer root by a Newton loop in Python.  It takes
-a point's root at half the cost of libmpi's.
+called directly at an explicit precision.  An enclosure is its endpoint
+pair (lower, upper) of raw mpf values from first operation to verdict.
+This module holds the pieces those computations share: int_interval
+enters an integer, pi_alpha caches the pairs of pi and a = sqrt(2/3)*pi
+per bit width, and certainly_positive is the one sign rule.  None of them
+reads the process-global `iv.prec`; pi_alpha alone sets it, inside its
+own working_precision(bits).  A finished pair is read by to_fraction, an
+endpoint's exact value, and width, upper - lower as a float.
 
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
@@ -41,13 +33,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Any, Callable, Optional
 
 from mpmath import iv
-from mpmath.libmp import (ComplexResult, from_int, from_man_exp, fzero,
-                          mpf_sign, mpf_sub, round_ceiling, round_floor,
-                          round_nearest, to_float)
+from mpmath.libmp import (from_int, fzero, mpf_sign, mpf_sub, round_ceiling,
+                          round_floor, round_nearest, to_float)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 4096
@@ -67,51 +57,6 @@ def working_precision(bits: int):
 def int_interval(x: int, bits: int):
     """Endpoints of the integer x rounded outward to bits, as iv.mpf(x) gives."""
     return from_int(x, bits, round_floor), from_int(x, bits, round_ceiling)
-
-
-def _sqrt_roundings(raw, bits: int):
-    """mpf_sqrt(raw, bits, rnd) for rnd round_floor and for round_ceiling.
-
-    mpmath's own algorithm step for step, with one call of the stdlib's C
-    isqrt serving both roundings, so each is the tuple mpf_sqrt gives.
-    """
-    sign, man, exp, bc = raw
-    if sign:
-        raise ComplexResult("square root of a negative number")
-    if not man:  # zero, inf or nan
-        return raw, raw
-    if exp & 1:
-        exp -= 1
-        man <<= 1
-        bc += 1
-    elif man == 1:  # an even power of two: mpf_sqrt's normalize1 keeps it exact
-        root = (0, 1, exp // 2, 1)
-        return root, root
-    shift = max(4, 2 * bits - bc + 4)
-    shift += shift & 1
-    man <<= shift
-    root = isqrt(man)
-    half = (exp - shift) // 2
-    floor = from_man_exp(root, half, bits, round_floor)
-    if root * root == man:
-        return floor, from_man_exp(root, half, bits, round_ceiling)
-    # inexact: mpf_sqrt perturbs the root up before rounding it up
-    return floor, from_man_exp((root << 1) + 1, half - 1, bits, round_ceiling)
-
-
-def sqrt_interval(pair, bits: int):
-    """Endpoints of the square root of an endpoint pair, as libmpi gives them.
-
-    mpmath's pure-Python backend takes mpf_sqrt's integer root by a Newton
-    loop in Python; math.isqrt returns the same integer in C.  A point
-    (lower == upper, as int_interval gives for an int below 2^bits) takes
-    one root for both endpoints.  A negative lower endpoint raises
-    ComplexResult, as libmpi's square root does.
-    """
-    lower, upper = pair
-    if lower == upper:
-        return _sqrt_roundings(lower, bits)
-    return _sqrt_roundings(lower, bits)[0], _sqrt_roundings(upper, bits)[1]
 
 
 def certainly_positive(gap) -> Optional[bool]:

@@ -13,18 +13,18 @@ partition table covering 0..k, never read from a triangle.  All of
 these are exact integers, which best_bound returns keyed by label with
 the label of the least; the dimension-only corollary bound
 (3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
-never rounded into an integer claim; it is computed with
-mpmath's `libmpi` interval functions and intervals.sqrt_interval on
-endpoint pairs at DEFAULT_PRECISION_BITS, as the certified checks
-compute their gaps, and returned as the raw endpoint pair (lower, upper).
+never rounded into an integer claim; it is computed with mpmath's
+`libmpi` interval functions on endpoint pairs at DEFAULT_PRECISION_BITS,
+as the certified checks compute their gaps, and returned as the raw
+endpoint pair (lower, upper).
 """
 
 from __future__ import annotations
 
-from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int
+from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
 
 from .binomial_sums import pnk_direct
-from .intervals import DEFAULT_PRECISION_BITS, int_interval, sqrt_interval
+from .intervals import DEFAULT_PRECISION_BITS, int_interval
 
 
 def birkhoff_bound(n: int, k: int) -> int:
@@ -65,7 +65,7 @@ def corollary_bound(n: int):
     # 2^n is exact at any precision (one mantissa bit), and no n-bit int is built
     two_to_n = mpi_pow_int(int_interval(2, bits), n, bits)
     numerator = mpi_mul(two_to_n, int_interval(3, bits), bits)
-    return mpi_div(numerator, sqrt_interval(int_interval(n, bits), bits), bits)
+    return mpi_div(numerator, mpi_sqrt(int_interval(n, bits), bits), bits)
 
 
 def best_bound(

@@ -20,8 +20,8 @@ unique integer inside a certified enclosure of Rademacher's convergent
 series, truncated where Lehmer's remainder bound falls below 1/4.  It
 costs about as much as the table at n = 1900 (cli.P_SERIES_FROM) and
 less above.  Its enclosures are raw endpoint pairs at explicit
-precision, from `libmpi` calls and intervals.sqrt_interval as in
-`checks`; no float and no global precision enters the decision.
+precision, from `libmpi` calls as in `checks`; no float and no global
+precision enters the decision.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from math import isqrt
 from operator import itemgetter
 
 from mpmath.libmp import (fzero, mpf_add, mpf_lt, mpf_sub, mpi_add, mpi_cos,
-                          mpi_div, mpi_mul, mpi_sub, round_ceiling, round_floor,
-                          to_int)
+                          mpi_div, mpi_mul, mpi_sqrt, mpi_sub, round_ceiling,
+                          round_floor, to_int)
 from mpmath.libmp.libmpi import mpi_cosh_sinh, mpi_pi, mpi_shift
 
-from .intervals import decide_with_escalation, int_interval, sqrt_interval
+from .intervals import decide_with_escalation, int_interval
 
 RADEMACHER_GUARD_BITS = 16      # first rung of the guard-bit ladder
 RADEMACHER_GUARD_CAP_BITS = 256
@@ -183,18 +183,18 @@ def rademacher_truncation(n: int):
     pi = mpi_pi(bits)
     first = mpi_div(mpi_mul(int_interval(44, bits), mpi_mul(pi, pi, bits), bits),
                     mpi_mul(int_interval(225, bits),
-                            sqrt_interval(int_interval(3, bits), bits), bits), bits)
-    second = mpi_div(mpi_mul(pi, sqrt_interval(int_interval(2, bits), bits), bits),
+                            mpi_sqrt(int_interval(3, bits), bits), bits), bits)
+    second = mpi_div(mpi_mul(pi, mpi_sqrt(int_interval(2, bits), bits), bits),
                      mpi_mul(int_interval(75, bits),
-                             sqrt_interval(int_interval(n - 1, bits), bits), bits),
+                             mpi_sqrt(int_interval(n - 1, bits), bits), bits),
                      bits)
-    argument = mpi_mul(pi, sqrt_interval(mpi_div(int_interval(2 * n, bits),
-                                                 int_interval(3, bits), bits), bits),
+    argument = mpi_mul(pi, mpi_sqrt(mpi_div(int_interval(2 * n, bits),
+                                            int_interval(3, bits), bits), bits),
                        bits)
 
     def bound(terms):
         count = int_interval(terms, bits)
-        root = sqrt_interval(count, bits)
+        root = mpi_sqrt(count, bits)
         sinh = mpi_cosh_sinh(mpi_div(argument, count, bits), bits)[1]
         return mpi_add(mpi_div(first, root, bits),
                        mpi_mul(second, mpi_mul(root, sinh, bits), bits), bits)[1]
@@ -283,8 +283,7 @@ def rademacher_partition_number(n: int):
     def evaluate(guard):
         top = plan[0][2] + guard
         pi_top = mpi_pi(top)
-        pi_root = mpi_mul(pi_top, sqrt_interval(int_interval(24 * n - 1, top), top),
-                          top)
+        pi_root = mpi_mul(pi_top, mpi_sqrt(int_interval(24 * n - 1, top), top), top)
         total = (fzero, fzero)
         for k, indices, bits in plan:
             bits += guard

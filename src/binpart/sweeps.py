@@ -1,8 +1,9 @@
 """Range sweeps over the verification checks, one per CLI claim id.
 
 Each claim is one step generator `steps(ctx, n_min, n_max)`, which
-yields the plain step of each n = n_min, n_min+1, ...:
-(checked, outcome, counterexample, margin, bits).  One sweep loop folds
+yields plain steps (checked, outcome, counterexample, margin, bits) for
+n = n_min, n_min+1, ..., checked counting what a step covers: one n, the
+k of an eq. 9 row, or every n a screen verified.  One sweep loop folds
 the steps into a ClaimSummary and stops at the first n that is not
 verified, so no later n is evaluated.  Where a claim's input changes
 little from one n to the next it is streamed, not recomputed: triangle
@@ -175,23 +176,25 @@ def _screened(check, bracket, args):
       2. H is the least hi of a screened n and margin of a checked n (that
          margin rounded up to the bracket's scale), over the n pass 1
          reached.  A screened n with lo - w <= H may hold the least margin,
-         so it is checked; every other screened n steps as verified at
-         DEFAULT_PRECISION_BITS, with no margin, as its lower endpoint
-         exceeds H and rounding to nearest keeps that order.
+         so it is checked, in order of n.  The other screened n, if any,
+         take one step together, verified at DEFAULT_PRECISION_BITS with
+         no margin, as each lower endpoint exceeds H and rounding to
+         nearest keeps that order.
 
     The unverified step of pass 1, if any, comes last.  So the check's
     verdicts and margins are the only ones reported, and the fold sees the
     count, least margin and most bits that checking every n would give.
-    Pass 1 keeps only the screened n with lo - w <= H, dropping the rest
-    as H falls, so it holds a few args (stirling's binomials), not all.
+    Pass 1 counts the screened n and keeps (lo - w, n, arg) only for those
+    with lo - w <= H so far, dropping them as H falls, so it holds a few
+    args (stirling's binomials), not one entry per n of the range.
     """
     constants = checks.screen_constants()
-    screened, kept, least, stop = [], [], None, None
+    screened, kept, least, stop = 0, [], None, None
     for n, arg in args:
         # without constants the screen decides nothing: every n is checked
         lo, hi, w = bracket(n, arg, constants) if constants else (0, 0, 0)
         if lo > w:
-            screened.append(n)
+            screened += 1
             bound = hi
         else:
             step = 1, *check(n, arg)
@@ -206,10 +209,10 @@ def _screened(check, bracket, args):
             kept = [entry for entry in kept if entry[0] <= least]
         if lo > w and lo - w <= least:
             kept.append((lo - w, n, arg))
-    candidates = {n: arg for _, n, arg in kept}
-    for n in screened:
-        yield ((1, *check(n, candidates[n])) if n in candidates
-               else (1, VERIFIED, None, None, DEFAULT_PRECISION_BITS))
+    for _, n, arg in kept:
+        yield 1, *check(n, arg)
+    if screened > len(kept):
+        yield screened - len(kept), VERIFIED, None, None, DEFAULT_PRECISION_BITS
     if stop is not None:
         yield stop
 

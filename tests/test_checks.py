@@ -40,7 +40,6 @@ from binpart.intervals import (
     decide_with_escalation,
     int_interval,
     pi_alpha,
-    sqrt_interval,
     working_precision,
 )
 
@@ -166,7 +165,8 @@ class TestCertifiedOutcomes:
         verdict = _certified(lambda bits: ((fnone, fone),), (1,))
         assert verdict == (INCONCLUSIVE, None, None, 256)
 
-    def test_undecided_gap_escalates_past_negative_gap(self, monkeypatch):
+    def test_negative_gap_violates_past_undecided_gap(self, monkeypatch):
+        # a gap certainly <= 0 decides the rung: no precision could verify it
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         seen = []
 
@@ -174,8 +174,8 @@ class TestCertifiedOutcomes:
             seen.append(bits)
             return ((fnone, fone), (from_int(-2), fnone))
 
-        assert _certified(gaps, (1,))[0] == INCONCLUSIVE
-        assert seen == [128, 256]
+        assert _certified(gaps, (1,)) == (VIOLATED, (1,), None, 128)
+        assert seen == [128]
 
 
 def _record_sign(gap):
@@ -384,7 +384,6 @@ class TestRawIntervalGaps:
     def test_libmpi_functions_enclose_high_precision_values(self, bits, x, y):
         # entered as the kernel enters them: integer endpoints, then mpi_div
         for fn, reference, arg in ((mpi_sqrt, mpmath.sqrt, x),
-                                   (sqrt_interval, mpmath.sqrt, x),
                                    (mpi_log, mpmath.log, x),
                                    (mpi_exp, mpmath.exp, y)):
             entered = mpi_div(int_interval(arg.numerator, bits),

@@ -9,6 +9,9 @@ function, class or constant is reached by its name or by an attribute of
 that name; a method or property only by an attribute of its name, and a
 dunder method together with its class.  A definition left over is code
 no command runs.
+
+A second guard reads the imports: a module that imports a name and never
+mentions it carries a leftover of some deletion.
 """
 
 import ast
@@ -82,3 +85,41 @@ def unreached_definitions(root: Path) -> list[str]:
 
 def test_every_definition_is_reached_from_a_command():
     assert unreached_definitions(REPO) == []
+
+
+def unused_imports(root: Path) -> list[str]:
+    """`module.name` of each name a module in root/src/binpart imports and
+    never mentions.  `__init__`, whose imports are the package's
+    re-exports, and `from __future__ import annotations` are exempt."""
+    unused = []
+    for path in sorted((root / "src" / "binpart").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                names = [a.asname or a.name for a in stmt.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names if name not in used]
+    return sorted(unused)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(REPO) == []
+
+
+def test_unused_import_guard_reports_a_leftover(tmp_path):
+    package = tmp_path / "src" / "binpart"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .roots import root\n")
+    (package / "roots.py").write_text(
+        "from __future__ import annotations\n"
+        "import mpmath.libmp\n"
+        "from math import isqrt, sqrt as root_of\n\n"
+        "def root(x):\n    return root_of(x)\n")
+    assert unused_imports(tmp_path) == ["roots.isqrt", "roots.mpmath"]

@@ -27,7 +27,6 @@ from binpart.intervals import (
     decide_with_escalation,
     int_interval,
     pi_alpha,
-    sqrt_interval,
     to_fraction,
     width,
 )
@@ -68,9 +67,8 @@ def test_to_fraction_is_exact_and_refuses_non_finite():
 
 
 def test_sqrt_squared_contains_two():
-    for root in (mpi_sqrt, sqrt_interval):
-        sq = root(int_interval(2, BITS), BITS)
-        assert contains(mpi_mul(sq, sq, BITS), 2), root.__name__
+    sq = mpi_sqrt(int_interval(2, BITS), BITS)
+    assert contains(mpi_mul(sq, sq, BITS), 2)
 
 
 SQRT_BITS = [53, 128, 256, 4096]
@@ -92,50 +90,15 @@ def _random_pairs(bits, count=2000):
 
 
 class TestSqrtInterval:
-    """sqrt_interval against mpi_sqrt endpoint for endpoint, and against
-    exact squares with no mpmath in the reading."""
-
-    @pytest.mark.parametrize("bits", SQRT_BITS)
-    def test_every_small_int_matches_mpi_sqrt(self, bits):
-        for x in range(30001):
-            pair = int_interval(x, bits)
-            assert sqrt_interval(pair, bits) == mpi_sqrt(pair, bits), x
-
-    @pytest.mark.parametrize("bits", SQRT_BITS)
-    def test_random_ints_match_mpi_sqrt(self, bits):
-        for x in _random_ints(bits):
-            pair = int_interval(x, bits)
-            assert sqrt_interval(pair, bits) == mpi_sqrt(pair, bits), x
-
-    @pytest.mark.parametrize("bits", SQRT_BITS)
-    def test_random_non_point_pairs_match_mpi_sqrt(self, bits):
-        pairs = _random_pairs(bits)
-        assert len(pairs) > 1000
-        for pair in pairs:
-            assert sqrt_interval(pair, bits) == mpi_sqrt(pair, bits), pair
-
-    @pytest.mark.parametrize("bits", SQRT_BITS)
-    def test_special_endpoints_match_mpi_sqrt(self, bits):
-        fours = [from_man_exp(1, 2 * j) for j in range(-40, 41)]  # man == 1
-        odd_twos = [from_man_exp(1, 2 * j + 1) for j in range(-40, 41)]
-        # a square whose root has more bits than asked for: the two roundings differ
-        wide_square = from_man_exp((2**(3 * bits) + 1)**2, 0)
-        points = [fzero, finf, fnan, wide_square] + fours + odd_twos
-        pairs = [(x, x) for x in points] + [
-            (fzero, int_interval(7, bits)[1]), (fzero, finf),
-            (fours[3], odd_twos[5]), (int_interval(3, bits)[0], finf)]
-        for pair in pairs:
-            assert sqrt_interval(pair, bits) == mpi_sqrt(pair, bits), pair
-        lower, upper = sqrt_interval((wide_square, wide_square), bits)
-        assert lower != upper
+    """mpi_sqrt, the root of every certified check: its endpoints read
+    against exact squares with no mpmath routine deciding, and its refusal
+    of a negative lower endpoint."""
 
     def test_negative_lower_endpoint_raises_as_mpi_sqrt_does(self):
         for pair in ((from_int(-1), from_int(4)), (from_int(-9), from_int(-9)),
                      (from_man_exp(-3, -7), fzero)):
             with pytest.raises(ComplexResult):
                 mpi_sqrt(pair, BITS)
-            with pytest.raises(ComplexResult):
-                sqrt_interval(pair, BITS)
 
     @pytest.mark.parametrize("bits", SQRT_BITS)
     def test_exact_squares_bracket_the_radicand(self, bits):
@@ -144,7 +107,7 @@ class TestSqrtInterval:
                  for x in list(range(2000)) + _random_ints(bits, 300)]
         cases += [(pair, *map(to_fraction, pair)) for pair in _random_pairs(bits, 300)]
         for pair, x_low, x_high in cases:
-            lower, upper = map(to_fraction, sqrt_interval(pair, bits))
+            lower, upper = map(to_fraction, mpi_sqrt(pair, bits))
             assert 0 <= lower <= upper
             assert lower * lower <= x_low and x_high <= upper * upper, pair
             if pair[0] == pair[1]:  # a point's root is one ulp wide at most

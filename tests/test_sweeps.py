@@ -137,10 +137,11 @@ def _replace_central_binomial(n, value):
       "precision_bits": 128}),
     ("lemma13", 3, 50, _constants((fninf, finf)),
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
-    # at n = 3 the left gap is certainly negative, but the right one
-    # straddles zero, and a rung with a gap undecided is undecided
+    # at n = 3 the left gap is certainly negative while the right one
+    # straddles zero: one gap certainly <= 0 violates the rung
     ("lemma13", 3, 50, _constants((from_int(-2), from_int(-1))),
-     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+     {"checked": 1, "outcome": "violated", "counterexample": [3],
+      "precision_bits": 128}),
     ("apostol", 1, 50, _constants((fninf, finf)),
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
     # a negative pi makes the bound negative: p(1) = 1 exceeds it
@@ -187,6 +188,31 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
                         lambda n, value: seen.append(n) or check(n, value))
     assert sweeps.run_claim("prop1", 1, 50).outcome == "inconclusive"
     assert seen == [1]
+
+
+def test_screen_holds_no_entry_per_screened_n():
+    # a stub bracket that screens every n, its hi growing with n: only
+    # n = 1 and 2 can hold the least margin, and the rest are counted
+    seen = []
+
+    def check(n, arg):
+        seen.append(n)
+        return VERIFIED, None, 1.0, 128
+
+    checks.screen_constants()  # pi_alpha's cache is filled outside the trace
+    args = ((n, None) for n in range(1, 10**5 + 1))
+    tracemalloc.start()
+    try:
+        steps = sweeps._screened(check, lambda n, arg, constants: (n + 2, n + 2, 1),
+                                 args)
+        checked = sum(step[0] for step in steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 10**5
+    assert seen == [1, 2]
+    # listing the 10^5 screened n until a second pass peaked at about 4 MB
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("claim, check, expected", [
