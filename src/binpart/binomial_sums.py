@@ -118,30 +118,27 @@ def triangle_row(n: int, weights: Sequence[int] | None = None) -> tuple[int, ...
     return row
 
 
-def build_triangle(
-    max_n: int, table: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
+def build_triangle(max_n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..max_n of iter_triangle_rows, collected: p(n,k) is [n][k].
 
     The rows carry iter_triangle_rows' spot checks; this adds none.
     """
-    return tuple(row for _, row in iter_triangle_rows(max_n, table))
+    return tuple(row for _, row in iter_triangle_rows(max_n))
 
 
 class DiagonalTable:
     """p(n,n) and p(n,n-1) for all n <= max_n, in O(n) memory.
 
-    Uses p(n,n) = sum_{j<=n} p(j) and the incremental identity
-    p(n,n-1) = p(n-1,n-2) + p(n-1,n-1); only these two columns are stored,
-    which keeps sweeps over large n cheap.  `diagonal[n]` is p(n,n) and
-    `subdiagonal[n]` is p(n,n-1) (0 at n = 0), as tuples indexed by n.
+    table is p(0..max_n) or longer.  Uses p(n,n) = sum_{j<=n} p(j) and the
+    incremental identity p(n,n-1) = p(n-1,n-2) + p(n-1,n-1); only these two
+    columns are stored, which keeps sweeps over large n cheap.
+    `diagonal[n]` is p(n,n) and `subdiagonal[n]` is p(n,n-1) (0 at n = 0),
+    as tuples indexed by n.
     """
 
-    def __init__(self, max_n: int, table: Sequence[int] | None = None):
+    def __init__(self, max_n: int, table: Sequence[int]):
         if max_n < 0:
             raise ValueError("max_n must be >= 0")
-        if table is None:
-            table = build_partition_table(max_n)
         if len(table) <= max_n:
             raise ValueError("partition table too small")
         diag = [0] * (max_n + 1)

@@ -21,28 +21,32 @@ Two kinds of checks live here:
     start precision) and an explicit "inconclusive" outcome at the cap.
 
 The row checks take their row, the diagonal checks the integer they
-bound, p(n-1,n-1) or p(n,n-1), and central_binomial_check the binomial
-C(n, floor((n+3)/2)), which the stirling sweep walks along n; no check
-reads a triangle or computes a binomial from scratch.  Every check
-returns its verdict as a plain tuple (outcome, counterexample, margin,
-bits), bits None for the exact row_bound_check; product_bound_check
-returns its row's fold (checked, outcome, counterexample, margin)
-instead.  The margin is a unitless slack: the relative slack
-(rhs-lhs)/rhs of an integer comparison, the certified lower bound of
-the gap of a real one.  "verified" always means the strict inequality
-holds with positive certified margin.
+bound, p(n-1,n-1) or p(n,n-1), partition_bound_check the partition
+number p(n), and central_binomial_check the binomial
+C(n, floor((n+3)/2)), which the stirling sweep walks along n;
+growth_chain_check takes n alone.  No check reads a table or a triangle,
+or computes a binomial from scratch.  Every check returns its verdict as
+a plain tuple (outcome, counterexample, margin, bits), bits None for the
+exact row_bound_check; product_bound_check returns its row's fold
+(checked, outcome, counterexample, margin) instead.  The margin is a
+unitless slack: the relative slack (rhs-lhs)/rhs of an integer
+comparison, the certified lower bound of the gap of a real one.
+"verified" always means the strict inequality holds with positive
+certified margin.
 
 The certified checks of prop1, prop2, lemma13, apostol and stirling each
-have an integer screen, *_bracket(n, arg, constants), on screen_constants'
-fixed-point brackets of pi, a, ln 2 and ln pi, which it reads off the
-checks' own 128-bit pairs.  It returns exact integers lo <= g <= hi
-around the check's true gap g (lemma13: the smaller of its two gaps), at
-2^-SCREEN_BITS, and a bound w on the width of the gap's enclosure at
-DEFAULT_PRECISION_BITS, derived where the brackets are defined.  When
-lo > w the check would verify n at that first rung, with its margin's
-exact value in [lo - w, hi]; sweeps._screened uses this to call the
-check only at the n that can hold the least margin.  A bracket never
-decides a verdict or sets a margin: those still come from the checks.
+have an integer screen, *_bracket(*call, constants), on the check's own
+arguments call, (n,) for lemma13 and (n, value) for the rest, and on
+screen_constants' fixed-point brackets of pi, a, ln 2 and ln pi, which
+it reads off the checks' own 128-bit pairs.  It returns exact integers
+lo <= g <= hi around the check's true gap g (lemma13: the smaller of its
+two gaps), at 2^-SCREEN_BITS, and a bound w on the width of the gap's
+enclosure at DEFAULT_PRECISION_BITS, derived where the brackets are
+defined.  When lo > w the check would verify n at that first rung, with
+its margin's exact value in [lo - w, hi]; sweeps._screened uses this to
+call the check only at the n that can hold the least margin.  A bracket
+never decides a verdict or sets a margin: those still come from the
+checks.
 """
 
 from __future__ import annotations
@@ -161,15 +165,14 @@ def central_binomial_check(n: int, value: int) -> tuple:
     return _certified(gaps, (n, kn))
 
 
-def partition_bound_check(n: int, table: tuple[int, ...]) -> tuple:
+def partition_bound_check(n: int, pn: int) -> tuple:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 
     with a = sqrt(2/3)*pi, compared in the log domain:
-    log p(n) < log(pi/sqrt(6n)) + a*sqrt(n).
+    log p(n) < log(pi/sqrt(6n)) + a*sqrt(n).  pn is p(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pn = table[n]
 
     def gaps(bits):
         pi, alpha = pi_alpha(bits)
@@ -256,9 +259,7 @@ def subdiagonal_bound_check(n: int, value: int) -> tuple:
     return _certified(gaps, (n,))
 
 
-def product_bound_check(
-    n: int, row: tuple[int, ...], depth_cap: int = DEFAULT_DEPTH_CAP
-) -> tuple:
+def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j), k = 1..n-1.
 
     row is row n of the triangle.  The infinite product is lower-bounded
@@ -268,15 +269,15 @@ def product_bound_check(
         p(n,k) * prod_{j<=L} (n^j - k^j)  <  C(n,k) * prod_{j<=L} n^j
 
     for some depth L.  One decide_with_escalation ladder runs for the
-    whole row and deepens L (4, 8, 16, ...) up to depth_cap.  Each rung
-    extends the previous rung's partial products from j = L_prev + 1
-    (prod n^j once for the row, prod (n^j - k^j) per open k) and decides
-    every k still open; a k's margin is taken at the first depth that
-    clears it.  C(n,k) is walked along the row.
+    whole row and deepens L (4, 8, 16, ...) up to DEFAULT_DEPTH_CAP, read
+    at each call.  Each rung extends the previous rung's partial products
+    from j = L_prev + 1 (prod n^j once for the row, prod (n^j - k^j) per
+    open k) and decides every k still open; a k's margin is taken at the
+    first depth that clears it.  C(n,k) is walked along the row.
 
     Returns the row's fold (checked, outcome, counterexample, margin).
     The row is verified when every k clears; otherwise it is inconclusive
-    (never asserted false) at the first k still open at depth_cap, and
+    (never asserted false) at the first k still open at the cap, and
     the counterexample is that (n, k).  checked counts the k decided,
     k = 1, 2, ... up to the open one included, and margin is the least
     margin over the k before it (None when there is none).
@@ -319,7 +320,7 @@ def product_bound_check(
                   for column in (ks, p_vals, cs, kpows, dens)]
         return None if open_k[0] else depth
 
-    decide_with_escalation(evaluate, 4, depth_cap)
+    decide_with_escalation(evaluate, 4, DEFAULT_DEPTH_CAP)
     if not open_k[0]:
         return n - 1, VERIFIED, None, min(margins.values())
     first = open_k[0][0]
@@ -329,7 +330,7 @@ def product_bound_check(
 
 # -- the integer screen of prop1, prop2, lemma13, apostol and stirling ------
 #
-# Each *_bracket(n, arg, constants) takes the arguments of its check and
+# Each *_bracket(*call, constants) takes the arguments of its check and
 # returns (lo, hi, w), integers in units of 2^-SCREEN_BITS: lo <= g <= hi
 # for the check's true gap g, and w > the width of the gap's enclosure at
 # DEFAULT_PRECISION_BITS.  That enclosure contains g, so its lower
@@ -470,12 +471,11 @@ def subdiagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, 
     return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
 
 
-def growth_chain_bracket(n: int, arg, constants) -> tuple[int, int, int]:
+def growth_chain_bracket(n: int, constants) -> tuple[int, int, int]:
     """(lo, hi, w) of the smaller of growth_chain_check's two gaps,
 
     1 + pi/sqrt(6n) - sqrt(n)/(sqrt(n+1)-1) and e^x - 1 - pi/sqrt(6n),
-    with x = a*sqrt(n)*(sqrt(1+1/n)-1) = a/(sqrt(n+1)+sqrt(n)).  The chain
-    depends on n alone, so arg (None from the sweep) is not read.
+    with x = a*sqrt(n)*(sqrt(1+1/n)-1) = a/(sqrt(n+1)+sqrt(n)).
     """
     (pi_lo, pi_hi), (a_lo, a_hi), *_ = constants
     r = isqrt(n << 2 * SCREEN_BITS)
@@ -494,13 +494,12 @@ def growth_chain_bracket(n: int, arg, constants) -> tuple[int, int, int]:
             _width(carried, mid_hi + max(left_hi, exp_hi + cancelled)))
 
 
-def partition_bound_bracket(n: int, table, constants) -> tuple[int, int, int]:
+def partition_bound_bracket(n: int, pn: int, constants) -> tuple[int, int, int]:
     """(lo, hi, w) of partition_bound_check's gap
 
     log(pi/sqrt(6n)) + a*sqrt(n) - log p(n) = ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2.
     """
     _, alpha, ln2, (lnpi_lo, lnpi_hi) = constants
-    pn = table[n]
     rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
     lhs_lo, lhs_hi = _log_bracket(6 * n * pn * pn, ln2)
     return (lnpi_lo + rhs_lo - (-(-lhs_hi >> 1)), lnpi_hi + rhs_hi - (lhs_lo >> 1),

@@ -118,7 +118,7 @@ def _decimal_str(fr: Fraction, digits: int, round_up: bool) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def bound_to_strings(pair, digits: int = 24) -> dict:
+def bound_to_strings(pair, digits: int) -> dict:
     """An enclosure's endpoint pair (lower, upper), rounded outward in decimal."""
     lower, upper = pair
     return {

@@ -103,7 +103,7 @@ def width(pair) -> float:
 
 def decide_with_escalation(
     evaluate: Callable[[int], Any],
-    start_bits: int = DEFAULT_PRECISION_BITS,
+    start_bits: int,
     cap_bits: int | None = None,
 ) -> tuple[Any, int]:
     """Run a certified evaluation, doubling its level while undecided.

@@ -9,8 +9,9 @@ returning its table as a plain tuple indexed by n:
   2. build_restricted_table -- p_k(j) (largest part <= k) via the standard
      coin-counting dynamic program.
 
-check_generating_functions checks route 2 against a third: the logarithmic
-derivative of prod_{j=1}^{k} 1/(1-q^j), which gives the recurrence
+check_generating_functions checks a table of route 2, which its caller
+builds, against a third: the logarithmic derivative of
+prod_{j=1}^{k} 1/(1-q^j), which gives the recurrence
 j*p_k(j) = sum_{m=1}^{j} s_k(m)*p_k(j-m), where s_k(m) is the sum of the
 divisors of m that are <= k.  It shares no step with the coin-counting DP.
 The brute-force enumeration oracle lives with the tests.
@@ -125,10 +126,10 @@ def _convolve_truncated(a: list[int], b: list[int], degree: int) -> list[int]:
     return out
 
 
-def check_generating_functions(
-    k: int, degree: int, table: tuple[int, ...] | None = None
-) -> tuple[str, int] | None:
-    """Verify the weighted series identity for p_k against the DP table.
+def check_generating_functions(k: int, degree: int,
+                               table: tuple[int, ...]) -> tuple[str, int] | None:
+    """Verify the weighted series identity for p_k against the DP table,
+    p_k(0..degree) or longer, as build_restricted_table gives it.
 
     Identity "weighted": coefficient j of
     (sum_{i=1}^{k} i*q^i/(1-q^i)) * prod_{i=1}^{k} 1/(1-q^i) equals j*p_k(j),
@@ -142,8 +143,6 @@ def check_generating_functions(
         raise ValueError("k must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if table is None:
-        table = build_restricted_table(k, degree)
     if len(table) <= degree:
         raise ValueError("table does not cover the requested check")
 

@@ -11,7 +11,8 @@ rows (_rows), the sign sums on Pascal columns (_sign_sums) and central
 binomials.  prop1, prop2, lemma13, apostol and stirling decide each n on
 exact integers first and call their certified check only where the
 integers cannot decide n, or where n can hold the least margin
-(_screened).
+(_screened, which calls a check and its bracket on the check's own
+arguments: n for lemma13, n and the integer bounded for the others).
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -56,7 +57,8 @@ from .binomial_sums import (
 )
 from .checks import VERIFIED, VIOLATED
 from .intervals import DEFAULT_PRECISION_BITS
-from .partitions import build_partition_table, check_generating_functions
+from .partitions import (build_partition_table, build_restricted_table,
+                         check_generating_functions)
 
 GENFUN_DEGREE = 60  # series coefficients compared per k by the genfun claim
 
@@ -161,14 +163,15 @@ def _row_bound(ctx, lo, hi):
         yield 1, *checks.row_bound_check(n, row)
 
 
-def _screened(check, bracket, args):
+def _screened(check, bracket, calls):
     """The steps of a certified claim whose check has an integer screen.
 
-    args yields (n, arg) for n = n_min, n_min+1, ..., check(n, arg) is the
-    claim's certified check and bracket(n, arg, constants) its screen in
-    `checks`: the lower endpoint of the check's gap enclosure at
-    DEFAULT_PRECISION_BITS (the smaller of lemma13's two), which its
-    margin rounds to nearest, lies in [lo - w, hi].  Two passes:
+    calls yields the check's argument tuple for n = n_min, n_min+1, ...,
+    n first: check(*call) is the claim's certified check and
+    bracket(*call, constants) its screen in `checks`: the lower endpoint
+    of the check's gap enclosure at DEFAULT_PRECISION_BITS (the smaller of
+    lemma13's two), which its margin rounds to nearest, lies in
+    [lo - w, hi].  Two passes:
 
       1. In order of n: n is screened when lo > w, since its 128-bit
          enclosure is then certainly positive.  Any other n is checked at
@@ -184,20 +187,20 @@ def _screened(check, bracket, args):
     The unverified step of pass 1, if any, comes last.  So the check's
     verdicts and margins are the only ones reported, and the fold sees the
     count, least margin and most bits that checking every n would give.
-    Pass 1 counts the screened n and keeps (lo - w, n, arg) only for those
+    Pass 1 counts the screened n and keeps (lo - w, call) only for those
     with lo - w <= H so far, dropping them as H falls, so it holds a few
-    args (stirling's binomials), not one entry per n of the range.
+    calls (stirling's binomials), not one entry per n of the range.
     """
     constants = checks.screen_constants()
     screened, kept, least, stop = 0, [], None, None
-    for n, arg in args:
+    for call in calls:
         # without constants the screen decides nothing: every n is checked
-        lo, hi, w = bracket(n, arg, constants) if constants else (0, 0, 0)
+        lo, hi, w = bracket(*call, constants) if constants else (0, 0, 0)
         if lo > w:
             screened += 1
             bound = hi
         else:
-            step = 1, *check(n, arg)
+            step = 1, *check(*call)
             if step[1] != VERIFIED:
                 stop = step
                 break
@@ -208,9 +211,9 @@ def _screened(check, bracket, args):
             least = bound
             kept = [entry for entry in kept if entry[0] <= least]
         if lo > w and lo - w <= least:
-            kept.append((lo - w, n, arg))
-    for _, n, arg in kept:
-        yield 1, *check(n, arg)
+            kept.append((lo - w, call))
+    for _, call in kept:
+        yield 1, *check(*call)
     if screened > len(kept):
         yield screened - len(kept), VERIFIED, None, None, DEFAULT_PRECISION_BITS
     if stop is not None:
@@ -256,9 +259,8 @@ def _growth_chain(ctx, lo, hi):
     """The chain at each n, screened on integers (checks.growth_chain_bracket,
     with e^x from fixed-point Taylor sums); its least margin is the right
     link's at n_max, where the check runs at the default range."""
-    yield from _screened(lambda n, _: checks.growth_chain_check(n),
-                         checks.growth_chain_bracket,
-                         ((n, None) for n in range(lo, hi + 1)))
+    yield from _screened(checks.growth_chain_check, checks.growth_chain_bracket,
+                         ((n,) for n in range(lo, hi + 1)))
 
 
 def _partition_bound(ctx, lo, hi):
@@ -267,7 +269,7 @@ def _partition_bound(ctx, lo, hi):
     bit length); the least margin sits at small n, where the check runs."""
     table = ctx.table(hi)
     yield from _screened(checks.partition_bound_check, checks.partition_bound_bracket,
-                         ((n, table) for n in range(lo, hi + 1)))
+                         ((n, table[n]) for n in range(lo, hi + 1)))
 
 
 def _central_binomial(ctx, lo, hi):
@@ -290,7 +292,8 @@ def _product_bound(ctx, lo, hi):
 
 def _series_identities(ctx, lo, hi):
     for k in range(lo, hi + 1):
-        yield _exact(check_generating_functions(k, GENFUN_DEGREE))
+        table = build_restricted_table(k, GENFUN_DEGREE)
+        yield _exact(check_generating_functions(k, GENFUN_DEGREE, table))
 
 
 # claim id -> (sweep function, default range)
@@ -332,10 +335,8 @@ def run_claim(claim: str, n_min: int | None, n_max: int | None,
     return sweep(lo, hi, ctx)
 
 
-def run_all(n_min: int | None, n_max: int | None,
-            ctx: SweepContext | None = None) -> list[ClaimSummary]:
+def run_all(n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
     """Run every claim, sharing the partition and diagonal tables across
     sweeps; each row claim streams its own rows."""
-    if ctx is None:
-        ctx = SweepContext()
+    ctx = SweepContext()
     return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]

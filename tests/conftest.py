@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from binpart import (
     DiagonalTable,
     build_partition_table,
-    build_triangle,
+    iter_triangle_rows,
 )
 from binpart.sweeps import SweepContext
 
@@ -27,12 +27,12 @@ def table_120(table_2001):
 
 @pytest.fixture(scope="session")
 def triangle_120(table_2001):
-    return build_triangle(120, table_2001)
+    return tuple(row for _, row in iter_triangle_rows(120, table_2001))
 
 
 @pytest.fixture(scope="session")
 def triangle_1000(table_2001):
-    return build_triangle(1000, table_2001)
+    return tuple(row for _, row in iter_triangle_rows(1000, table_2001))
 
 
 @pytest.fixture(scope="session")

@@ -125,9 +125,9 @@ class TestTriangle:
 
     def test_range_errors(self, table_2001):
         with pytest.raises(ValueError):
-            build_triangle(-1, table_2001)
+            build_triangle(-1)
         with pytest.raises(ValueError):
-            build_triangle(2002, table_2001)
+            triangle_row(2002, table_2001)
 
 
 class TestDiagonalTable:

@@ -98,16 +98,16 @@ class TestCentralBinomial:
 
 class TestPartitionBound:
     def test_n1(self, table_2001):
-        assert partition_bound_check(1, table_2001)[0] == VERIFIED
+        assert partition_bound_check(1, table_2001[1])[0] == VERIFIED
 
     def test_n50(self, table_2001):
-        outcome, _, margin, _ = partition_bound_check(50, table_2001)
+        outcome, _, margin, _ = partition_bound_check(50, table_2001[50])
         assert outcome == VERIFIED
         assert margin > 0
 
     def test_sweep(self, table_2001):
         for n in range(1, 301):
-            assert partition_bound_check(n, table_2001)[0] == VERIFIED, n
+            assert partition_bound_check(n, table_2001[n])[0] == VERIFIED, n
 
 
 class TestGrowthChain:
@@ -312,7 +312,7 @@ def _reference_decision(gaps):
             return True
         return False
 
-    outcome, bits = decide_with_escalation(evaluate)
+    outcome, bits = decide_with_escalation(evaluate, 128)
     if outcome is None:
         return INCONCLUSIVE, None, bits
     return (VERIFIED if outcome else VIOLATED), margin.get("m"), bits
@@ -331,7 +331,7 @@ class TestRawIntervalGaps:
     CHECKS = {
         "central-binomial": (1, lambda n, t, d: central_binomial_check(
             n, math.comb(n, (n + 3) // 2))),
-        "partition-bound": (1, lambda n, t, d: partition_bound_check(n, t)),
+        "partition-bound": (1, lambda n, t, d: partition_bound_check(n, t[n])),
         "growth-chain": (3, lambda n, t, d: growth_chain_check(n)),
         "diagonal-bound": (
             1, lambda n, t, d: diagonal_bound_check(n, d.diagonal[n - 1])),
@@ -451,15 +451,15 @@ class TestScreenBrackets:
 
     CLAIMS = {
         "prop1": (1, diagonal_bound_check, checks.diagonal_bound_bracket,
-                  lambda n, table, diagonal: diagonal.diagonal[n - 1]),
+                  lambda n, table, diagonal: (n, diagonal.diagonal[n - 1])),
         "prop2": (1, subdiagonal_bound_check, checks.subdiagonal_bound_bracket,
-                  lambda n, table, diagonal: diagonal.subdiagonal[n]),
-        "lemma13": (3, lambda n, arg: growth_chain_check(n),
-                    checks.growth_chain_bracket, lambda n, table, diagonal: None),
+                  lambda n, table, diagonal: (n, diagonal.subdiagonal[n])),
+        "lemma13": (3, growth_chain_check, checks.growth_chain_bracket,
+                    lambda n, table, diagonal: (n,)),
         "apostol": (1, partition_bound_check, checks.partition_bound_bracket,
-                    lambda n, table, diagonal: table),
+                    lambda n, table, diagonal: (n, table[n])),
         "stirling": (1, central_binomial_check, checks.central_binomial_bracket,
-                     lambda n, table, diagonal: math.comb(n, (n + 3) // 2)),
+                     lambda n, table, diagonal: (n, math.comb(n, (n + 3) // 2))),
     }
 
     @pytest.fixture(scope="class")
@@ -468,12 +468,14 @@ class TestScreenBrackets:
         return table, DiagonalTable(20000, table)
 
     @staticmethod
-    def _widths(monkeypatch, claim, n, arg):
-        """The widths of the check's 128-bit enclosures at n, at 2^-SCREEN_BITS,
-        after asserting the bracket against them and the 512-bit ones."""
+    def _widths(monkeypatch, claim, call):
+        """The widths of the check's 128-bit enclosures at call = (n, ...),
+        at 2^-SCREEN_BITS, after asserting the bracket against them and the
+        512-bit ones."""
         _, check, bracket, _ = TestScreenBrackets.CLAIMS[claim]
-        lo, hi, w = bracket(n, arg, checks.screen_constants())
-        verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(n, arg))
+        n = call[0]
+        lo, hi, w = bracket(*call, checks.screen_constants())
+        verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(*call))
         assert verdict[0] == VERIFIED and verdict[3] == 128, n
         scale = 2 ** checks.SCREEN_BITS
         coarse, fine = ([[x * scale for x in fractions(gap)] for gap in gaps(bits)]
@@ -488,16 +490,16 @@ class TestScreenBrackets:
     @pytest.mark.parametrize("claim", sorted(CLAIMS))
     def test_bracket_holds_the_gap_and_w_its_width(self, monkeypatch, claim,
                                                    tables_20000):
-        n_min, _, _, arg_of = self.CLAIMS[claim]
+        n_min, _, _, call_of = self.CLAIMS[claim]
         for n in [*range(n_min, 2001), *range(2001, 20000, 149), 20000]:
-            self._widths(monkeypatch, claim, n, arg_of(n, *tables_20000))
+            self._widths(monkeypatch, claim, call_of(n, *tables_20000))
 
     @pytest.mark.parametrize("n", [10**5, 314159, 999999, 10**6])
     def test_growth_chain_width_grows_as_sqrt_n(self, monkeypatch, n):
         # sqrt(1 + 1/n) - 1 cancels digits, so the right link's 128-bit width
         # grows as a*sqrt(n), past the (M + 1) >> WIDTH_BITS that the other
         # brackets allow; M + 1 is about 3 for lemma13 at these n
-        left, right = self._widths(monkeypatch, "lemma13", n, None)
+        left, right = self._widths(monkeypatch, "lemma13", (n,))
         assert right > (4 << checks.SCREEN_BITS >> checks.WIDTH_BITS) > left
 
     # x = X/2^SCREEN_BITS in (0, 1.3], past the chain's largest argument
@@ -555,10 +557,10 @@ class TestProductBound:
             checked, outcome, _, _ = product_bound_check(n, triangle_120[n])
             assert (checked, outcome) == (n - 1, VERIFIED), n
 
-    def test_depth_cap_reports_inconclusive(self, triangle_120):
+    def test_depth_cap_reports_inconclusive(self, monkeypatch, triangle_120):
         # with an artificially tiny cap the partial product cannot clear
-        _, outcome, counterexample, _ = _product_report(
-            50, 49, triangle_120[50], depth_cap=1)
+        monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", 1)
+        _, outcome, counterexample, _ = _product_report(50, 49, triangle_120[50])
         assert outcome == INCONCLUSIVE
         assert counterexample == (50, 49)
 
@@ -574,9 +576,9 @@ def _alone(k, row):
     return tuple(value if i == k else 0 for i, value in enumerate(row))
 
 
-def _product_report(n, k, row, **kwargs):
+def _product_report(n, k, row):
     """product_bound_check's fold of row n with k alone."""
-    return product_bound_check(n, _alone(k, row), **kwargs)
+    return product_bound_check(n, _alone(k, row))
 
 
 class TestProductLadder:
@@ -589,9 +591,11 @@ class TestProductLadder:
                 == reference_row_fold(n, triangle_120[n]), n
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
-    def test_matches_reference_at_small_caps(self, triangle_120, depth_cap):
+    def test_matches_reference_at_small_caps(self, monkeypatch, triangle_120,
+                                             depth_cap):
+        monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", depth_cap)
         for k in range(1, 50):
-            assert _product_report(50, k, triangle_120[50], depth_cap=depth_cap) \
+            assert _product_report(50, k, triangle_120[50]) \
                 == reference_row_fold(50, _alone(k, triangle_120[50]),
                                       depth_cap), k
 
@@ -601,8 +605,10 @@ class TestProductLadder:
                 == reference_row_fold(n, triangle_1000[n]), n
 
     @pytest.mark.parametrize("depth_cap", [1, 2, 8])
-    def test_row_ends_at_first_inconclusive(self, triangle_120, depth_cap):
-        fold = product_bound_check(50, triangle_120[50], depth_cap=depth_cap)
+    def test_row_ends_at_first_inconclusive(self, monkeypatch, triangle_120,
+                                            depth_cap):
+        monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", depth_cap)
+        fold = product_bound_check(50, triangle_120[50])
         assert fold == reference_row_fold(50, triangle_120[50], depth_cap)
         assert (fold[1] == INCONCLUSIVE) == (depth_cap < 8)
 
@@ -630,7 +636,7 @@ class TestProductLadder:
             product_bound_check(50, triangle_120[49])
 
     @staticmethod
-    def _rungs(monkeypatch, *args, **kwargs):
+    def _rungs(monkeypatch, *args):
         visited = []
 
         def recording(evaluate, *ladder_args):
@@ -640,7 +646,7 @@ class TestProductLadder:
             return decide_with_escalation(evaluate_and_record, *ladder_args)
 
         monkeypatch.setattr(checks, "decide_with_escalation", recording)
-        fold = _product_report(*args, **kwargs)
+        fold = _product_report(*args)
         return fold, visited
 
     def test_rungs_to_depth_16(self, monkeypatch, triangle_1000):
@@ -651,7 +657,16 @@ class TestProductLadder:
         assert visited == [4, 8, 16]
 
     def test_rungs_clamped_to_cap(self, monkeypatch, triangle_120):
-        fold, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50],
-                                    depth_cap=1)
+        monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", 1)
+        fold, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50])
         assert fold[1] == INCONCLUSIVE
         assert visited == [1]
+
+
+def test_eq9_depth_cap_read_at_call_time(monkeypatch, triangle_1000):
+    # (130, 117) needs depth 16, so a cap of 8 set after import must end
+    # the row there; a cap bound when the check was defined would clear it
+    monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", 8)
+    fold = product_bound_check(130, triangle_1000[130])
+    assert fold[1:3] == (INCONCLUSIVE, (130, 117))
+    assert fold == reference_row_fold(130, triangle_1000[130], 8)

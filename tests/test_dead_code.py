@@ -11,7 +11,9 @@ dunder method together with its class.  A definition left over is code
 no command runs.
 
 A second guard reads the imports: a module that imports a name and never
-mentions it carries a leftover of some deletion.
+mentions it carries a leftover of some deletion.  A third reads the
+defaults: a parameter with a default that no call in src/binpart passes
+is an option no command sets.
 """
 
 import ast
@@ -123,3 +125,92 @@ def test_unused_import_guard_reports_a_leftover(tmp_path):
         "from math import isqrt, sqrt as root_of\n\n"
         "def root(x):\n    return root_of(x)\n")
     assert unused_imports(tmp_path) == ["roots.isqrt", "roots.mpmath"]
+
+
+# the console entry point: tests and the benchmark pass argv, a command never does
+SET_OUTSIDE_SRC = {"cli.main.argv"}
+
+
+def _defaulted_parameters(function):
+    """(position, name) of each parameter of function that has a default;
+    position None for a keyword-only one.  A method's self is not counted."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    found = [(i - offset, a.arg) for i, a in enumerate(positional) if i >= first]
+    found += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def _sets(call: ast.Call, position, name: str) -> bool:
+    """Whether call passes the parameter at position (None: keyword-only)
+    called name; a starred argument may pass any of them."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _functions(scope, prefix: str, cls: str | None = None):
+    """(qualified name, name a call reaches it by, function) of each function
+    defined in scope, nested ones included; a call reaches __init__ by its
+    class's name and any other function by its own."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}.{node.name}", node.name)
+        elif isinstance(node, FUNCTIONS):
+            callee = cls if cls and node.name == "__init__" else node.name
+            yield f"{prefix}.{node.name}", callee, node
+            yield from _functions(node, f"{prefix}.{node.name}")
+
+
+def unset_defaults(root: Path) -> list[str]:
+    """`module.function.parameter` (`module.Class.method.parameter` for a
+    method) of each parameter with a default in root/src/binpart that no
+    call there passes, by position or by keyword.  A call `f(...)` or
+    `x.f(...)` counts for every function named f."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((root / "src" / "binpart").glob("*.py"))}
+    calls = {}  # callee name -> calls
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in trees.items():
+        for qualified, callee, function in _functions(tree, module):
+            unset += [f"{qualified}.{param}"
+                      for position, param in _defaulted_parameters(function)
+                      if not any(_sets(call, position, param)
+                                 for call in calls.get(callee, ()))]
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_a_src_call():
+    assert [name for name in unset_defaults(REPO)
+            if name not in SET_OUTSIDE_SRC] == []
+
+
+def test_unset_default_guard_reports_a_leftover(tmp_path):
+    package = tmp_path / "src" / "binpart"
+    package.mkdir(parents=True)
+    (package / "rows.py").write_text(
+        "def build(n, table=None, *, check=True, strict=False):\n"
+        "    return n\n\n"
+        "class Table:\n"
+        "    def __init__(self, n, table=None):\n"
+        "        self.n = n\n\n"
+        "    def row(self, k, weights=None):\n"
+        "        return k\n\n"
+        "def run():\n"
+        "    build(1, check=False)\n"
+        "    Table(2, ()).row(3)\n")
+    assert unset_defaults(tmp_path) == ["rows.Table.row.weights",
+                                        "rows.build.strict", "rows.build.table"]

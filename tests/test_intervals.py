@@ -89,10 +89,10 @@ def _random_pairs(bits, count=2000):
     return [pair for pair in pairs if pair[0] != pair[1]]
 
 
-class TestSqrtInterval:
-    """mpi_sqrt, the root of every certified check: its endpoints read
-    against exact squares with no mpmath routine deciding, and its refusal
-    of a negative lower endpoint."""
+class TestMpiSqrt:
+    """mpmath's mpi_sqrt, which takes every square root in binpart: its
+    endpoints read against exact squares with no mpmath routine deciding,
+    and its refusal of a negative lower endpoint."""
 
     def test_negative_lower_endpoint_raises_as_mpi_sqrt_does(self):
         for pair in ((from_int(-1), from_int(4)), (from_int(-9), from_int(-9)),

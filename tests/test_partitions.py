@@ -174,17 +174,19 @@ class TestRestricted:
 class TestSeriesIdentities:
     def test_geometric_case(self):
         # k=1: product is the geometric series, all coefficients 1
-        assert check_generating_functions(1, 5) is None
         table = build_restricted_table(1, 5)
+        assert check_generating_functions(1, 5, table) is None
         assert all(table[j] == 1 for j in range(6))
 
     @pytest.mark.parametrize("k,degree", [(3, 10), (12, 50), (10**12, 20)])
     def test_known_passes(self, k, degree):
-        assert check_generating_functions(k, degree) is None
+        table = build_restricted_table(k, degree)
+        assert check_generating_functions(k, degree, table) is None
 
     def test_full_range(self):
         for k in range(1, 16):
-            assert check_generating_functions(k, 60) is None, k
+            table = build_restricted_table(k, 60)
+            assert check_generating_functions(k, 60, table) is None, k
 
     def test_mismatch_detected(self):
         good = build_restricted_table(4, 12)

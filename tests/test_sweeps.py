@@ -1,6 +1,5 @@
 """Row claims stream their rows: no sweep builds the p(n,k) triangle."""
 
-import functools
 import tracemalloc
 
 import pytest
@@ -95,8 +94,7 @@ def test_offset_range_matches_built_rows(claim, n_min, n_max, triangle_1000):
 
 
 def _cap_eq9_depth(monkeypatch):
-    monkeypatch.setattr(checks, "product_bound_check", functools.partial(
-        checks.product_bound_check, depth_cap=4))
+    monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", 4)
 
 
 def _break_sign_sum_at_37(monkeypatch):
@@ -195,16 +193,16 @@ def test_screen_holds_no_entry_per_screened_n():
     # n = 1 and 2 can hold the least margin, and the rest are counted
     seen = []
 
-    def check(n, arg):
+    def check(n):
         seen.append(n)
         return VERIFIED, None, 1.0, 128
 
     checks.screen_constants()  # pi_alpha's cache is filled outside the trace
-    args = ((n, None) for n in range(1, 10**5 + 1))
+    calls = ((n,) for n in range(1, 10**5 + 1))
     tracemalloc.start()
     try:
-        steps = sweeps._screened(check, lambda n, arg, constants: (n + 2, n + 2, 1),
-                                 args)
+        steps = sweeps._screened(check, lambda n, constants: (n + 2, n + 2, 1),
+                                 calls)
         checked = sum(step[0] for step in steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
