@@ -14,7 +14,6 @@ from .binomial_sums import (
     dominance_check,
     dominance_weights,
     iter_central_binomials,
-    iter_pascal_columns,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,

@@ -27,12 +27,14 @@ decides ascent/descent at a given k is the exact integer sum
 
     S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j, k-j) * p(j)
 
-which equals (n+1-k) * (2*p(n,k) - p(n+1,k)); its sign tells whether the
+which equals (n+1-k) * (2*p(n,k) - p(n+1,k)), since
+C(n+1-j, k-j) = (n+1-j)/(n+1-k) * C(n-j, k-j); its sign tells whether the
 row is still ascending into k (positive) or already descending (negative).
-Its binomials C(n-j, k-j) = C(m+i, i), m = n-k and i = k-j, form one
-Pascal column, which iter_pascal_columns streams along a sweep: column
-m+1 is the prefix sum of column m.  iter_central_binomials likewise walks
-C(n, floor((n+3)/2)), the binomial at the peak, along n.
+So the sweeps read it off rows n and n+1 of the stream, cut just past the
+peak since no k to the right is read, and peak_sign_sum
+takes the defining sum itself, term by term as pnk_direct does, as
+evidence that shares nothing with the recursion.  iter_central_binomials
+walks C(n, floor((n+3)/2)), the binomial at the peak, along n.
 The paper's closed rational forms of its truncated, C(n,k)-normalised
 sums are references for the tests, not code the commands run.
 """
@@ -41,48 +43,55 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .partitions import build_partition_table
+
+
+def _walked_binomials(n: int, k: int) -> Iterator[int]:
+    """C(n-j, k-j) for j = 0..k, from one math.comb at j = 0, each next one
+    by the exact update C(n-j-1, k-j-1) = C(n-j, k-j) * (k-j) / (n-j)."""
+    c = math.comb(n, k)
+    for j in range(k):
+        yield c
+        c = c * (k - j) // (n - j)
+    yield c
 
 
 def pnk_direct(n: int, k: int, table: Sequence[int]) -> int:
     """Evaluate p(n,k) term by term from the defining sum.
 
-    O(k) terms on a partition table covering 0..k.  Binomials are updated
-    incrementally, C(n-j-1, k-j-1) = C(n-j, k-j) * (k-j) / (n-j).
+    O(k) terms on a partition table covering 0..k, on _walked_binomials.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if len(table) <= k:
         raise ValueError(f"partition table covers only 0..{len(table) - 1}, need {k}")
-    c = math.comb(n, k)  # C(n-j, k-j) at j=0, updated in the loop
-    total = 0
-    for j in range(k + 1):
-        total += c * table[j]
-        if j < k:
-            c = c * (k - j) // (n - j)
-    return total
+    return sum(map(operator.mul, _walked_binomials(n, k), table))
 
 
 def iter_triangle_rows(
-    max_n: int, weights: Sequence[int] | None = None
+    max_n: int, width: int, weights: Sequence[int] | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (n, row n of F_f) for n = 0..max_n keeping only O(n) memory.
 
     `weights` is f(0..max_n) (or longer); None means the partition numbers,
     so the rows are p(n,0..n).  Rows are produced by the recursion
     F_f(n+1,k) = F_f(n,k) + F_f(n,k-1); the diagonal is seeded with
-    F_f(n+1,n+1) = F_f(n,n) + f(n+1).  This is the one row builder: the
-    sweeps and triangle_row stream it, and build_triangle collects it.
-    Every row is spot-checked against the direct sum at k in {1, n}
-    before it is yielded: F_f(n,1) = n*f(0) + f(1) and F_f(n,n) against an
+    F_f(n+1,n+1) = F_f(n,n) + f(n+1).  Each row keeps its first `width`
+    entries, k < width: the recursion reads no entry right of k, so a cut
+    row is the start of the whole row, and width = max_n + 1 cuts none.
+    This is the one row builder: the sweeps and triangle_row stream it,
+    and build_triangle collects it.  Every row is spot-checked against the
+    direct sum at k in {1, n} before it is yielded, k = n only while the
+    row is whole: F_f(n,1) = n*f(0) + f(1) and F_f(n,n) against an
     independently accumulated prefix sum of f.  For f = p these read
     p(n,1) = n+1 and p(n,n) = p(0)+...+p(n).
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if max_n and width < 2:
+        raise ValueError("rows past row 0 keep k = 1: width must be >= 2")
     if weights is None:
         weights = build_partition_table(max_n)
     if len(weights) <= max_n:
@@ -94,16 +103,14 @@ def iter_triangle_rows(
     for n in range(max_n + 1):
         if n:
             prev = row
-            # interior k = 1..n-1: prev[k] + prev[k-1], pairing prev[1:] with prev
-            row = (
-                (f0,)
-                + tuple(map(operator.add, prev[1:], prev))
-                + (prev[n - 1] + weights[n],)
-            )
+            # k = 1..min(n, width)-1: prev[k] + prev[k-1], pairing prev[1:] with prev
+            row = (f0,) + tuple(map(operator.add, prev[1:width], prev))
+            if n < width:
+                row += (prev[n - 1] + weights[n],)
         prefix += weights[n]
         if n >= 1 and row[1] != n * f0 + weights[1]:
             raise AssertionError(f"F({n},1) != {n}*f(0) + f(1)")
-        if row[n] != prefix:
+        if n < width and row[n] != prefix:
             raise AssertionError(f"F({n},{n}) != sum of f(0..{n})")
         yield n, row
 
@@ -113,7 +120,7 @@ def triangle_row(n: int, weights: Sequence[int] | None = None) -> tuple[int, ...
 
     Every row passed on the way keeps iter_triangle_rows' spot checks.
     """
-    for _, row in iter_triangle_rows(n, weights):
+    for _, row in iter_triangle_rows(n, n + 1, weights):
         pass
     return row
 
@@ -123,7 +130,7 @@ def build_triangle(max_n: int) -> tuple[tuple[int, ...], ...]:
 
     The rows carry iter_triangle_rows' spot checks; this adds none.
     """
-    return tuple(row for _, row in iter_triangle_rows(max_n))
+    return tuple(row for _, row in iter_triangle_rows(max_n, max_n + 1))
 
 
 class DiagonalTable:
@@ -199,36 +206,6 @@ def verify_unimodal_profile(n: int, row: tuple[int, ...]) -> tuple[int, int] | N
     raise AssertionError(f"row {n} failed its scan but no step is broken")
 
 
-def iter_pascal_columns(
-    spans: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    """For each (m, length) of spans, the Pascal column C(m+i, i), i < length.
-
-    m must never decrease and length must be >= 1.  The first column is
-    built term by term, C(m+i, i) = C(m+i-1, i-1) * (m+i) / i; every later
-    one is walked from the one before: column m+1 is the prefix sum of
-    column m (C(m+1+i, i) = sum_{t<=i} C(m+t, t)), an exact
-    itertools.accumulate at C speed, and a column that must grow gains its
-    next entries by the same term-by-term update.  Each column holds
-    exactly `length` entries.
-    """
-    column = None
-    for m, length in spans:
-        if length < 1:
-            raise ValueError("a column needs length >= 1")
-        if column is None:
-            column, at = (1,), m
-        if m < at:
-            raise ValueError(f"columns must not go back from m={at} to m={m}")
-        for _ in range(at, m):
-            column = tuple(accumulate(column))
-        at = m
-        column = column[:length]
-        for i in range(len(column), length):
-            column += (column[-1] * (m + i) // i,)
-        yield column
-
-
 def iter_central_binomials(n_min: int, n_max: int) -> Iterator[tuple[int, int]]:
     """Yield (n, C(n, floor((n+3)/2))) for n = n_min..n_max, walked along n.
 
@@ -252,24 +229,21 @@ def iter_central_binomials(n_min: int, n_max: int) -> Iterator[tuple[int, int]]:
         yield n, c
 
 
-def peak_sign_sum(n: int, k: int, table: Sequence[int],
-                  column: Sequence[int]) -> int:
+def peak_sign_sum(n: int, k: int, table: Sequence[int]) -> int:
     """Exact signed sum S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j,k-j) * p(j).
 
     Positive iff the row still ascends into k, negative iff it descends;
-    equals (n+1-k) * (2*p(n,k) - p(n+1,k)).  column is the Pascal column
-    C(n-k+i, i) for i = 0..k (or longer), as iter_pascal_columns streams
-    it; term j reads C(n-j, k-j) = column[k-j].  The sum is taken with
-    map at C speed, with no per-term Python loop.
+    equals (n+1-k) * (2*p(n,k) - p(n+1,k)).  The defining sum on
+    _walked_binomials, as pnk_direct takes p(n,k): no row of the triangle
+    is read, so the sweeps that read S off the rows call it at a sample of
+    n as evidence from a second route.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if len(table) <= k:
         raise ValueError("partition table too small")
-    if len(column) <= k or column[1] != n - k + 1:
-        raise ValueError(f"need the column C({n - k}+i, i) for i = 0..{k}")
     return sum(map(operator.mul, range(n + 1 - 2 * k, n + 2 - k),
-                   map(operator.mul, column[k::-1], table)))
+                   map(operator.mul, _walked_binomials(n, k), table)))
 
 
 def dominance_weights(table: Sequence[int], max_n: int) -> tuple[int, ...]:
@@ -277,7 +251,8 @@ def dominance_weights(table: Sequence[int], max_n: int) -> tuple[int, ...]:
 
     f(0) = 512 - 1745 and f(j) = 512*p(j) for j >= 1: the defining sum of
     512*p(n,k) plus -1745*delta_0, whose binomial sum is -1745*C(n,k).
-    iter_triangle_rows(max_n, f) streams the gap rows dominance_check reads.
+    iter_triangle_rows(max_n, max_n + 1, f) streams the gap rows
+    dominance_check reads.
     """
     if len(table) <= max_n:
         raise ValueError("partition table too small")

@@ -7,10 +7,11 @@ k of an eq. 9 row, or every n a screen verified.  One sweep loop folds
 the steps into a ClaimSummary and stops at the first n that is not
 verified, so no later n is evaluated.  Where a claim's input changes
 little from one n to the next it is streamed, not recomputed: triangle
-rows (_rows), the sign sums on Pascal columns (_sign_sums) and central
-binomials.  prop1, prop2, lemma13, apostol and stirling decide each n on
-exact integers first and call their certified check only where the
-integers cannot decide n, or where n can hold the least margin
+rows (_rows), which also give lemma-links and lemma-rechts their sign
+sums off rows n and n+1 (_peak_signs), and central binomials.  prop1,
+prop2, lemma13, apostol and stirling decide each n on exact integers
+first and call their certified check only where the integers cannot
+decide n, or where n can hold the least margin
 (_screened, which calls a check and its bracket on the check's own
 arguments: n for lemma13, n and the integer bounded for the others).
 Claim ids are the stable identifiers exposed by
@@ -20,8 +21,8 @@ Claim ids are the stable identifiers exposed by
     thm3          1600*n*p(n,k)^2 < 12769*4^n for all k (exact)
     prop1         p(n-1,n-1) < e^(a*sqrt(n))            (certified)
     prop2         p(n,n-1) < sqrt(n)*e^(a*sqrt(n))      (certified)
-    lemma-links   sign sum positive at the peak k       (exact, on
-                  streamed Pascal columns)
+    lemma-links   sign sum positive at the peak k       (exact, off
+                  streamed rows n and n+1)
     lemma-rechts  sign sum negative just past the peak  (exact, likewise)
     lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact,
                   on streamed rows of the gap 512*p(n,k) - 1745*C(n,k))
@@ -40,7 +41,7 @@ range runs the full desk-scale verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Optional
 
 from . import checks
@@ -49,7 +50,6 @@ from .binomial_sums import (
     dominance_check,
     dominance_weights,
     iter_central_binomials,
-    iter_pascal_columns,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
@@ -61,6 +61,7 @@ from .partitions import (build_partition_table, build_restricted_table,
                          check_generating_functions)
 
 GENFUN_DEGREE = 60  # series coefficients compared per k by the genfun claim
+SIGN_SUM_SAMPLE = 64  # peak_sign_sum runs at each n it divides, and at n_max
 
 
 @dataclass
@@ -100,25 +101,30 @@ class SweepContext:
         return self._diag
 
 
-def _rows(ctx: SweepContext, lo: int, hi: int, weights=None):
-    """(n, row n of F_f) for n = lo..hi, streamed; rows below lo are
-    skipped.  f is the partition table, giving the rows of p(n,k), or
-    weights(table, hi): dominance_weights gives the gap rows."""
+def _rows(ctx: SweepContext, lo: int, hi: int, width: int, weights=None):
+    """(n, row n of F_f) for n = lo..hi, streamed and cut after `width`
+    entries; rows below lo are skipped.  f is the partition table, giving
+    the rows of p(n,k), or weights(table, hi): dominance_weights gives the
+    gap rows."""
     table = ctx.table(hi)
     f = table if weights is None else weights(table, hi)
-    return islice(iter_triangle_rows(hi, f), lo, None)
+    return islice(iter_triangle_rows(hi, width, f), lo, None)
 
 
-def _sign_sums(ctx: SweepContext, lo: int, hi: int, shift: int):
-    """(n, k, S(n,k)) for n = lo..hi at k = peak_k(n) + shift, each sum
-    taken only when asked for, on the Pascal column C(n-k+i, i), i = 0..k,
-    that iter_pascal_columns streams."""
-    table = ctx.table(hi)
-    ns = range(lo, hi + 1)
-    ks = [peak_k(n) + shift for n in ns]
-    columns = iter_pascal_columns((n - k, k + 1) for n, k in zip(ns, ks))
-    for n, k, column in zip(ns, ks, columns):
-        yield n, k, peak_sign_sum(n, k, table, column)
+def _peak_signs(ctx: SweepContext, lo: int, hi: int, shift: int):
+    """(n, k, S(n,k)) for n = lo..hi at k = peak_k(n) + shift, read off
+    rows n and n+1 of one stream as (n+1-k) * (2*p(n,k) - p(n+1,k)).  No
+    k past peak_k(hi) + 1 is read, so the rows are cut there.  At every n
+    that SIGN_SUM_SAMPLE divides, and at hi, peak_sign_sum's defining sum
+    must equal it, or AssertionError is raised."""
+    table = ctx.table(hi + 1)
+    for (n, row), (_, after) in pairwise(_rows(ctx, lo, hi + 1, peak_k(hi) + 2)):
+        k = peak_k(n) + shift
+        s = (n + 1 - k) * (2 * row[k] - after[k])
+        if (n % SIGN_SUM_SAMPLE == 0 or n == hi) and peak_sign_sum(n, k, table) != s:
+            raise AssertionError(f"S({n},{k}) off rows {n} and {n + 1} "
+                                 "differs from its defining sum")
+        yield n, k, s
 
 
 def _claim(claim: str, steps, notes=None):
@@ -154,12 +160,12 @@ def _claim(claim: str, steps, notes=None):
 
 
 def _unimodality(ctx, lo, hi):
-    for n, row in _rows(ctx, lo, hi):
+    for n, row in _rows(ctx, lo, hi, hi + 1):
         yield _exact(verify_unimodal_profile(n, row))
 
 
 def _row_bound(ctx, lo, hi):
-    for n, row in _rows(ctx, lo, hi):
+    for n, row in _rows(ctx, lo, hi, hi + 1):
         yield 1, *checks.row_bound_check(n, row)
 
 
@@ -240,17 +246,17 @@ def _subdiagonal_bound(ctx, lo, hi):
 
 
 def _ascent_sign(ctx, lo, hi):
-    for n, k, s in _sign_sums(ctx, lo, hi, 0):
+    for n, k, s in _peak_signs(ctx, lo, hi, 0):
         yield _exact(None if s > 0 else (n, k))
 
 
 def _descent_sign(ctx, lo, hi):
-    for n, k, s in _sign_sums(ctx, lo, hi, 1):
+    for n, k, s in _peak_signs(ctx, lo, hi, 1):
         yield _exact(None if s < 0 else (n, k))
 
 
 def _dominance(ctx, lo, hi):
-    for n, gap_row in _rows(ctx, lo, hi, dominance_weights):
+    for n, gap_row in _rows(ctx, lo, hi, hi + 1, dominance_weights):
         bad_k = dominance_check(n, gap_row)
         yield _exact(None if bad_k is None else (n, bad_k))
 
@@ -286,7 +292,7 @@ def _central_binomial(ctx, lo, hi):
 def _product_bound(ctx, lo, hi):
     """Every 1 <= k <= n-1 of a row, decided together and folded by the
     check; an inconclusive k ends the row."""
-    for n, row in _rows(ctx, lo, hi):
+    for n, row in _rows(ctx, lo, hi, hi + 1):
         yield *checks.product_bound_check(n, row), None
 
 

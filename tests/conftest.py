@@ -27,12 +27,12 @@ def table_120(table_2001):
 
 @pytest.fixture(scope="session")
 def triangle_120(table_2001):
-    return tuple(row for _, row in iter_triangle_rows(120, table_2001))
+    return tuple(row for _, row in iter_triangle_rows(120, 121, table_2001))
 
 
 @pytest.fixture(scope="session")
 def triangle_1000(table_2001):
-    return tuple(row for _, row in iter_triangle_rows(1000, table_2001))
+    return tuple(row for _, row in iter_triangle_rows(1000, 1001, table_2001))
 
 
 @pytest.fixture(scope="session")

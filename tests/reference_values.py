@@ -168,11 +168,6 @@ def reference_row_fold(n: int, row, depth_cap: int = 256) -> tuple:
     return len(results), outcome, counterexample, min(margins, default=None)
 
 
-def pascal_column(m: int, length: int) -> tuple:
-    """C(m+i, i) for i < length, by math.comb."""
-    return tuple(math.comb(m + i, i) for i in range(length))
-
-
 def peak_sign_sum_by_terms(n: int, k: int, table) -> int:
     """S(n,k) = sum_{j<=k} (n+1-2k+j) * C(n-j,k-j) * p(j), one term at a time.
 

@@ -10,7 +10,6 @@ from binpart import (
     dominance_check,
     dominance_weights,
     iter_central_binomials,
-    iter_pascal_columns,
     iter_triangle_rows,
     peak_k,
     peak_sign_sum,
@@ -29,8 +28,6 @@ from reference_values import (
     enumerate_partitions,
     gap_row,
     partial_sign_sum_ratio,
-    pascal_column,
-    peak_sign_sum_by_terms,
 )
 
 
@@ -104,8 +101,18 @@ class TestTriangle:
                 )
 
     def test_streaming_matches_built(self, triangle_120, table_2001):
-        for n, row in iter_triangle_rows(80, table_2001):
+        for n, row in iter_triangle_rows(80, 81, table_2001):
             assert row == triangle_120[n]
+
+    @pytest.mark.parametrize("width", [2, 3, 30, 81])
+    def test_cut_rows_start_the_whole_rows(self, triangle_120, table_2001, width):
+        for n, row in iter_triangle_rows(80, width, table_2001):
+            assert row == triangle_120[n][:width], n
+
+    def test_cut_rows_keep_k_one(self, table_2001):
+        assert list(iter_triangle_rows(0, 1, table_2001)) == [(0, (1,))]
+        with pytest.raises(ValueError):
+            next(iter_triangle_rows(1, 1, table_2001))
 
     def test_single_row_matches_built(self, triangle_120, table_2001):
         for n in (0, 1, 4, 50, 120):
@@ -263,23 +270,21 @@ class TestBinomialRatio:
 
 
 class TestSignSums:
-    def test_ties_recursion(self, triangle_120, table_2001):
-        # S(n,k) = (n+1-k) * (2*p(n,k) - p(n+1,k))
-        for n in range(4, 60):
-            for k in range(1, n + 1):
-                lhs = peak_sign_sum(n, k, table_2001, pascal_column(n - k, k + 1))
-                rhs = (n + 1 - k) * (
-                    2 * triangle_120[n][k] - triangle_120[n + 1][k]
-                )
-                assert lhs == rhs, (n, k)
+    def test_ties_recursion(self, triangle_1000, table_2001):
+        # S(n,k) = (n+1-k) * (2*p(n,k) - p(n+1,k)): every k below n = 60,
+        # and k = peak and peak + 1, where the sign lemmas read S off rows
+        # n and n+1, for every n up to 300
+        cases = [(n, k) for n in range(4, 60) for k in range(1, n + 1)]
+        cases += [(n, peak_k(n) + shift) for n in range(4, 301) for shift in (0, 1)]
+        for n, k in cases:
+            rhs = (n + 1 - k) * (2 * triangle_1000[n][k] - triangle_1000[n + 1][k])
+            assert peak_sign_sum(n, k, table_2001) == rhs, (n, k)
 
     def test_signs_at_peak(self, table_2001):
         for n in range(4, 201):
             k = peak_k(n)
-            assert peak_sign_sum(n, k, table_2001,
-                                 pascal_column(n - k, k + 1)) > 0, n
-            assert peak_sign_sum(n, k + 1, table_2001,
-                                 pascal_column(n - k - 1, k + 2)) < 0, n
+            assert peak_sign_sum(n, k, table_2001) > 0, n
+            assert peak_sign_sum(n, k + 1, table_2001) < 0, n
 
     def test_even_closed_form(self, table_2001):
         for n in (4, 10, 100, 200, 500):
@@ -291,25 +296,6 @@ class TestSignSums:
             k = (n + 3) // 2
             assert partial_sign_sum_ratio(n, k, 7, table_2001) == closed_form_odd(n)
 
-    @pytest.mark.parametrize("shift", [0, 1])
-    def test_streamed_columns_match_the_term_loop_to_1000(self, table_2001, shift):
-        # k = peak and peak + 1, as lemma-links and lemma-rechts stream them
-        ns = range(4, 1001)
-        ks = [peak_k(n) + shift for n in ns]
-        columns = iter_pascal_columns((n - k, k + 1) for n, k in zip(ns, ks))
-        for n, k, column in zip(ns, ks, columns):
-            assert len(column) == k + 1
-            assert peak_sign_sum(n, k, table_2001, column) \
-                == peak_sign_sum_by_terms(n, k, table_2001), (n, k)
-
-    def test_wrong_column_rejected(self, table_2001):
-        assert peak_sign_sum(20, 10, table_2001, pascal_column(10, 12)) \
-            == peak_sign_sum_by_terms(20, 10, table_2001)
-        for column in (pascal_column(9, 11), pascal_column(11, 11),
-                       pascal_column(10, 10)):
-            with pytest.raises(ValueError):
-                peak_sign_sum(20, 10, table_2001, column)
-
     def test_closed_form_domains(self):
         with pytest.raises(ValueError):
             closed_form_even(5)
@@ -318,21 +304,6 @@ class TestSignSums:
 
 
 class TestBinomialWalks:
-    @pytest.mark.parametrize("spans", [
-        [(0, 1), (0, 5), (1, 5), (1, 6), (2, 6)],
-        [(7, 3), (7, 9), (8, 4), (12, 10), (12, 2), (13, 8)],
-        [(m // 2, m // 2 + 3) for m in range(2, 200)],
-    ], ids=["from-zero", "jumps-and-shrinks", "lemma-links-like"])
-    def test_columns_match_comb(self, spans):
-        columns = list(iter_pascal_columns(spans))
-        assert columns == [pascal_column(m, length) for m, length in spans]
-
-    def test_columns_refuse_going_back_or_empty(self):
-        with pytest.raises(ValueError):
-            list(iter_pascal_columns([(3, 4), (2, 4)]))
-        with pytest.raises(ValueError):
-            list(iter_pascal_columns([(3, 0)]))
-
     def test_central_binomials_match_comb_to_3000(self):
         expected = [(n, math.comb(n, (n + 3) // 2)) for n in range(1, 3001)]
         for n_min in range(1, 6):
@@ -394,8 +365,8 @@ class TestGapRows:
             dominance_weights(table_2001, 2002)
 
     def test_every_row_to_300(self, table_2001):
-        gaps = iter_triangle_rows(300, dominance_weights(table_2001, 300))
-        for (n, gap), (_, row) in zip(gaps, iter_triangle_rows(300, table_2001)):
+        gaps = iter_triangle_rows(300, 301, dominance_weights(table_2001, 300))
+        for (n, gap), (_, row) in zip(gaps, iter_triangle_rows(300, 301, table_2001)):
             assert gap == gap_row(n, row), n
         assert n == 300
 

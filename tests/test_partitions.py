@@ -18,7 +18,7 @@ from binpart import (
 )
 
 from reference_values import (PK_VALUES, PartitionMultiset, enumerate_partitions,
-                              pascal_column, reference_partition_table)
+                              reference_partition_table)
 
 
 def test_table_base_case():
@@ -212,7 +212,7 @@ class TestSeriesIdentities:
 
 @pytest.mark.parametrize("reader", [
     lambda table: pnk_direct(20, 10, table),
-    lambda table: peak_sign_sum(20, 10, table, pascal_column(10, 11)),
+    lambda table: peak_sign_sum(20, 10, table),
     lambda table: DiagonalTable(10, table),
     lambda table: dominance_weights(table, 10),
 ], ids=["pnk_direct", "peak_sign_sum", "DiagonalTable", "dominance_weights"])

@@ -6,10 +6,11 @@ import pytest
 from mpmath.libmp import finf, fninf, from_int
 
 from binpart import binomial_sums, checks, cli, sweeps
-from binpart.binomial_sums import dominance_check, verify_unimodal_profile
+from binpart.binomial_sums import dominance_check, peak_k, verify_unimodal_profile
 from binpart.checks import VERIFIED, VIOLATED
 
-from reference_values import gap_row, reference_row, reference_row_bound
+from reference_values import (gap_row, peak_sign_sum_by_terms, reference_row,
+                              reference_row_bound)
 
 
 def test_sweeps_never_build_the_triangle(monkeypatch):
@@ -63,8 +64,13 @@ def test_gap_claim_reads_gap_rows(monkeypatch, triangle_1000):
     assert seen == {n: gap_row(n, triangle_1000[n]) for n in range(4, 81)}
 
 
-def _row_results(claim, n, row):
-    """(holds, margin) of every check the claim makes on row n."""
+def _row_results(claim, n, row, table):
+    """(holds, margin) of every check the claim makes on row n; the sign
+    lemmas' from the defining sum, which reads no row."""
+    if claim == "lemma-links":
+        return [(peak_sign_sum_by_terms(n, peak_k(n), table) > 0, None)]
+    if claim == "lemma-rechts":
+        return [(peak_sign_sum_by_terms(n, peak_k(n) + 1, table) < 0, None)]
     if claim == "thm2":
         return [(verify_unimodal_profile(n, row) is None, None)]
     if claim == "lemma-gr":
@@ -80,10 +86,13 @@ def _row_results(claim, n, row):
     ("thm3", 500, 700),
     ("lemma-gr", 500, 700),
     ("eq9", 250, 300),
+    ("lemma-links", 500, 700),
+    ("lemma-rechts", 500, 700),
 ])
-def test_offset_range_matches_built_rows(claim, n_min, n_max, triangle_1000):
+def test_offset_range_matches_built_rows(claim, n_min, n_max, triangle_1000,
+                                         table_2001):
     results = [result for n in range(n_min, n_max + 1)
-               for result in _row_results(claim, n, triangle_1000[n])]
+               for result in _row_results(claim, n, triangle_1000[n], table_2001)]
     margins = [margin for _, margin in results if margin is not None]
 
     summary = sweeps.run_claim(claim, n_min, n_max)
@@ -97,10 +106,14 @@ def _cap_eq9_depth(monkeypatch):
     monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", 4)
 
 
-def _break_sign_sum_at_37(monkeypatch):
-    original = sweeps.peak_sign_sum
-    monkeypatch.setattr(sweeps, "peak_sign_sum", lambda n, k, table, column:
-                        -1 if n == 37 else original(n, k, table, column))
+def _corrupt_row(n, k, change):
+    """Patch the sweeps' row stream so that row n holds change(p(n,k)) at k."""
+    def patch(monkeypatch):
+        stream = sweeps.iter_triangle_rows
+        monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
+            (m, row[:k] + (change(row[k]),) + row[k + 1:] if m == n else row)
+            for m, row in stream(*args)))
+    return patch
 
 
 def _constants(pair):
@@ -121,7 +134,8 @@ def _replace_central_binomial(n, value):
     ("eq9", 2, 300, _cap_eq9_depth,
      {"checked": 736, "outcome": "inconclusive", "counterexample": [39, 33],
       "min_margin": 0.0013317596616809085}),
-    ("lemma-links", 4, 100, _break_sign_sum_at_37,
+    # S(37,20) = 18 * (2*0 - p(38,20)) < 0; row 37 is read at k = 19 by n = 36
+    ("lemma-links", 4, 100, _corrupt_row(37, 20, lambda p: 0),
      {"checked": 34, "outcome": "violated", "counterexample": [37, 20]}),
     ("prop1", 1, 50, _constants((fninf, finf)),  # every gap straddles zero
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
@@ -171,12 +185,29 @@ def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
 
 
 def test_sign_sum_sweep_takes_no_sum_past_the_first_unverified_n(monkeypatch):
-    _break_sign_sum_at_37(monkeypatch)
-    broken, seen = sweeps.peak_sign_sum, []
-    monkeypatch.setattr(sweeps, "peak_sign_sum",
-                        lambda n, *args: seen.append(n) or broken(n, *args))
+    _corrupt_row(37, 20, lambda p: 0)(monkeypatch)
+    corrupted, seen = sweeps.iter_triangle_rows, []
+    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
+        seen.append(m) or (m, row) for m, row in corrupted(*args)))
+    # the sampled sums at n = 64 and 100 lie past the violation at 37
+    monkeypatch.setattr(sweeps, "peak_sign_sum", lambda *args: pytest.fail(
+        "a sampled sum was taken"))
     assert sweeps.run_claim("lemma-links", 4, 100).outcome == VIOLATED
-    assert seen == list(range(4, 38))
+    assert seen == list(range(39))  # rows 37 and 38 decide n = 37
+
+
+@pytest.mark.parametrize("claim, n, n_max", [
+    ("lemma-links", 64, 100),
+    ("lemma-rechts", 64, 100),
+    ("lemma-links", 70, 70),  # n_max is sampled too
+    ("lemma-rechts", 70, 70),
+])
+def test_corrupted_row_at_a_sampled_n_fails_the_claim(monkeypatch, claim, n, n_max):
+    # one unit more keeps every sign, so only the defining sum can tell
+    k = peak_k(n) + (claim == "lemma-rechts")
+    _corrupt_row(n, k, lambda p: p + 1)(monkeypatch)
+    with pytest.raises(AssertionError, match=rf"S\({n},{k}\)"):
+        sweeps.run_claim(claim, 4, n_max)
 
 
 def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch):
