@@ -28,12 +28,13 @@ decides ascent/descent at a given k is the exact integer sum
     S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j, k-j) * p(j)
 
 which equals (n+1-k) * (2*p(n,k) - p(n+1,k)), since
-C(n+1-j, k-j) = (n+1-j)/(n+1-k) * C(n-j, k-j); its sign tells whether the
-row is still ascending into k (positive) or already descending (negative).
-So the sweeps read it off rows n and n+1 of the stream, cut just past the
-peak since no k to the right is read, and peak_sign_sum
-takes the defining sum itself, term by term as pnk_direct does, as
-evidence that shares nothing with the recursion.  iter_central_binomials
+C(n+1-j, k-j) = (n+1-j)/(n+1-k) * C(n-j, k-j), and so, by the recursion
+p(n+1,k) = p(n,k) + p(n,k-1), equals (n+1-k) * (p(n,k) - p(n,k-1)); its
+sign tells whether the row is still ascending into k (positive) or
+already descending (negative).  So the sweeps read it off row n of the
+stream, cut just past the peak since no k to the right is read, and
+peak_sign_sum takes the defining sum itself, term by term as pnk_direct
+does, as evidence that shares nothing with the recursion.  iter_central_binomials
 walks C(n, floor((n+3)/2)), the binomial at the peak, along n.
 The paper's closed rational forms of its truncated, C(n,k)-normalised
 sums are references for the tests, not code the commands run.
@@ -233,7 +234,7 @@ def peak_sign_sum(n: int, k: int, table: Sequence[int]) -> int:
     """Exact signed sum S(n,k) = sum_{j=0}^{k} (n+1-2k+j) * C(n-j,k-j) * p(j).
 
     Positive iff the row still ascends into k, negative iff it descends;
-    equals (n+1-k) * (2*p(n,k) - p(n+1,k)).  The defining sum on
+    equals (n+1-k) * (2*p(n,k) - p(n+1,k)) = (n+1-k) * (p(n,k) - p(n,k-1)).  The defining sum on
     _walked_binomials, as pnk_direct takes p(n,k): no row of the triangle
     is read, so the sweeps that read S off the rows call it at a sample of
     n as evidence from a second route.

@@ -6,9 +6,12 @@ n = n_min, n_min+1, ..., checked counting what a step covers: one n, the
 k of an eq. 9 row, or every n a screen verified.  One sweep loop folds
 the steps into a ClaimSummary and stops at the first n that is not
 verified, so no later n is evaluated.  Where a claim's input changes
-little from one n to the next it is streamed, not recomputed: triangle
-rows (_rows), which also give lemma-links and lemma-rechts their sign
-sums off rows n and n+1 (_peak_signs), and central binomials.  prop1,
+little from one n to the next it is streamed, not recomputed: the
+p(n,k) rows, the rows of lemma-gr's gap and central binomials.  The row
+claims thm2, thm3, lemma-links, lemma-rechts and eq9 take each n's step
+off row n alone (ROW_STEPS), and one lazy row pass per SweepContext
+streams the rows once for all the row claims registered with it and
+queues their steps, so `verify all` streams the p(n,k) rows once.  prop1,
 prop2, lemma13, apostol and stirling decide each n on exact integers
 first and call their certified check only where the integers cannot
 decide n, or where n can hold the least margin
@@ -22,7 +25,7 @@ Claim ids are the stable identifiers exposed by
     prop1         p(n-1,n-1) < e^(a*sqrt(n))            (certified)
     prop2         p(n,n-1) < sqrt(n)*e^(a*sqrt(n))      (certified)
     lemma-links   sign sum positive at the peak k       (exact, off
-                  streamed rows n and n+1)
+                  streamed row n)
     lemma-rechts  sign sum negative just past the peak  (exact, likewise)
     lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact,
                   on streamed rows of the gap 512*p(n,k) - 1745*C(n,k))
@@ -41,7 +44,7 @@ range runs the full desk-scale verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
+from itertools import islice
 from typing import Optional
 
 from . import checks
@@ -84,11 +87,24 @@ def _exact(violation) -> tuple:
 
 class SweepContext:
     """Tables shared across claims, built lazily and sized to the largest
-    request; each row claim streams its own rows instead (see _rows)."""
+    request, and one lazy row pass that the row claims read.
+
+    The row pass streams the p(n,k) rows once, to the largest n_max of
+    the row claims registered with it, cut after the most entries any of
+    them reads, and advances one row only when a claim pulls it.  At row n
+    it takes the step of every registered claim whose range holds n and
+    that is still open (ROW_STEPS), and queues it for that claim: steps
+    are queued, never rows, and a step queued behind another is folded
+    into it (_fold), so each claim waits on at most one step.  A claim
+    closes after its n_max or its first step that is not verified, so no
+    later n of it is evaluated, while the other claims go on.
+    """
 
     def __init__(self):
         self._table = None
         self._diag = None
+        self._untaken = {}  # row claim -> range, registered, steps not taken
+        self._open, self._queued, self._rows = {}, {}, None
 
     def table(self, max_n: int):
         if self._table is None or len(self._table) <= max_n:
@@ -100,31 +116,58 @@ class SweepContext:
             self._diag = DiagonalTable(max_n, self.table(max_n))
         return self._diag
 
+    def open_pass(self, ranges: dict):
+        """Register the row claims of ranges (claim id -> (n_min, n_max),
+        clamped) with a new row pass; the other claims are left out."""
+        self._untaken = {claim: ranges[claim] for claim in ranges if claim in ROW_STEPS}
+        self._open = dict(self._untaken)
+        self._queued = {}
+        top = max(hi for _, hi in self._untaken.values())
+        self._rows = iter_triangle_rows(
+            top, max(ROW_STEPS[claim][1](hi) for claim, (_, hi) in self._open.items()),
+            self.table(top))
 
-def _rows(ctx: SweepContext, lo: int, hi: int, width: int, weights=None):
-    """(n, row n of F_f) for n = lo..hi, streamed and cut after `width`
-    entries; rows below lo are skipped.  f is the partition table, giving
-    the rows of p(n,k), or weights(table, hi): dominance_weights gives the
-    gap rows."""
-    table = ctx.table(hi)
-    f = table if weights is None else weights(table, hi)
-    return islice(iter_triangle_rows(hi, width, f), lo, None)
+    def row_steps(self, claim: str, lo: int, hi: int):
+        """The steps of a row claim over lo..hi, as the row pass queues them.
+        A claim that the pass does not hold over lo..hi, or whose steps it
+        gave out already, gets a pass of its own."""
+        if self._untaken.pop(claim, None) != (lo, hi):
+            self.open_pass({claim: (lo, hi)})
+            del self._untaken[claim]
+        while True:
+            step = self._queued.pop(claim, None)
+            if step is not None:
+                yield step
+            elif claim in self._open:
+                self._advance()
+            else:
+                return
+
+    def _advance(self):
+        n, row = next(self._rows)
+        for claim, (lo, hi) in list(self._open.items()):
+            if n >= lo:
+                step = ROW_STEPS[claim][0](n, row, hi, self._table)
+                if claim in self._queued:
+                    step = _fold(self._queued[claim], step)
+                self._queued[claim] = step
+                if step[1] != VERIFIED or n == hi:
+                    del self._open[claim]
+        if not self._open:
+            self._rows = None  # the stream's last rows go with it
 
 
-def _peak_signs(ctx: SweepContext, lo: int, hi: int, shift: int):
-    """(n, k, S(n,k)) for n = lo..hi at k = peak_k(n) + shift, read off
-    rows n and n+1 of one stream as (n+1-k) * (2*p(n,k) - p(n+1,k)).  No
-    k past peak_k(hi) + 1 is read, so the rows are cut there.  At every n
-    that SIGN_SUM_SAMPLE divides, and at hi, peak_sign_sum's defining sum
-    must equal it, or AssertionError is raised."""
-    table = ctx.table(hi + 1)
-    for (n, row), (_, after) in pairwise(_rows(ctx, lo, hi + 1, peak_k(hi) + 2)):
-        k = peak_k(n) + shift
-        s = (n + 1 - k) * (2 * row[k] - after[k])
-        if (n % SIGN_SUM_SAMPLE == 0 or n == hi) and peak_sign_sum(n, k, table) != s:
-            raise AssertionError(f"S({n},{k}) off rows {n} and {n + 1} "
-                                 "differs from its defining sum")
-        yield n, k, s
+def _fold(total: tuple, step: tuple) -> tuple:
+    """The step covering a verified step total and then step: the counts
+    add, the least margin and the most bits are kept, and step's outcome
+    and counterexample are taken."""
+    checked, _, _, least, most = total
+    count, outcome, counterexample, margin, bits = step
+    if margin is None or (least is not None and least <= margin):
+        margin = least
+    if bits is None or (most is not None and most >= bits):
+        bits = most
+    return checked + count, outcome, counterexample, margin, bits
 
 
 def _claim(claim: str, steps, notes=None):
@@ -132,41 +175,25 @@ def _claim(claim: str, steps, notes=None):
 
     `steps(ctx, n_min, n_max)` is the claim's step generator: it yields
     (checked, outcome, counterexample, margin, bits) for n = n_min,
-    n_min+1, ....  The loop keeps the running count, least margin and
-    most bits, and stops at the first n that is not verified, whose
-    outcome and counterexample the summary takes; the generator is not
-    resumed after it, so no later n is evaluated.
+    n_min+1, ....  The loop folds them (_fold) into the running count,
+    least margin and most bits, and stops at the first n that is not
+    verified, whose outcome and counterexample the summary takes; the
+    generator is not resumed after it, so no later n is evaluated.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
-        checked = 0
-        outcome, counterexample, min_margin, max_bits = VERIFIED, None, None, None
-        for count, outcome, counterexample, margin, bits in steps(ctx, n_min, n_max):
-            checked += count
-            if margin is not None and (min_margin is None or margin < min_margin):
-                min_margin = margin
-            if bits is not None and (max_bits is None or bits > max_bits):
-                max_bits = bits
-            if outcome != VERIFIED:
+        total = 0, VERIFIED, None, None, None
+        for step in steps(ctx, n_min, n_max):
+            total = _fold(total, step)
+            if step[1] != VERIFIED:
                 break
-        return ClaimSummary(claim, n_min, n_max, checked, outcome, counterexample,
-                            min_margin, max_bits, dict(notes or {}))
+        return ClaimSummary(claim, n_min, n_max, *total, dict(notes or {}))
 
     return sweep
 
 
 # -- step generators: (ctx, n_min, n_max) -> (checked, outcome,
 #    counterexample, margin, bits) for each n ----------------------------
-
-
-def _unimodality(ctx, lo, hi):
-    for n, row in _rows(ctx, lo, hi, hi + 1):
-        yield _exact(verify_unimodal_profile(n, row))
-
-
-def _row_bound(ctx, lo, hi):
-    for n, row in _rows(ctx, lo, hi, hi + 1):
-        yield 1, *checks.row_bound_check(n, row)
 
 
 def _screened(check, bracket, calls):
@@ -245,18 +272,11 @@ def _subdiagonal_bound(ctx, lo, hi):
                          ((n, subdiagonal[n]) for n in range(lo, hi + 1)))
 
 
-def _ascent_sign(ctx, lo, hi):
-    for n, k, s in _peak_signs(ctx, lo, hi, 0):
-        yield _exact(None if s > 0 else (n, k))
-
-
-def _descent_sign(ctx, lo, hi):
-    for n, k, s in _peak_signs(ctx, lo, hi, 1):
-        yield _exact(None if s < 0 else (n, k))
-
-
 def _dominance(ctx, lo, hi):
-    for n, gap_row in _rows(ctx, lo, hi, hi + 1, dominance_weights):
+    """Rows of the gap 512*p(n,k) - 1745*C(n,k), streamed on their own
+    weights (dominance_weights), apart from the row pass."""
+    gaps = dominance_weights(ctx.table(hi), hi)
+    for n, gap_row in islice(iter_triangle_rows(hi, hi + 1, gaps), lo, None):
         bad_k = dominance_check(n, gap_row)
         yield _exact(None if bad_k is None else (n, bad_k))
 
@@ -289,60 +309,122 @@ def _central_binomial(ctx, lo, hi):
                          iter_central_binomials(lo, hi))
 
 
-def _product_bound(ctx, lo, hi):
-    """Every 1 <= k <= n-1 of a row, decided together and folded by the
-    check; an inconclusive k ends the row."""
-    for n, row in _rows(ctx, lo, hi, hi + 1):
-        yield *checks.product_bound_check(n, row), None
-
-
 def _series_identities(ctx, lo, hi):
     for k in range(lo, hi + 1):
         table = build_restricted_table(k, GENFUN_DEGREE)
         yield _exact(check_generating_functions(k, GENFUN_DEGREE, table))
 
 
+# -- row steps: (n, row n of p(n,k), claim's n_max, partition table) ->
+#    the step of n, taken by the row pass ------------------------------
+
+
+def _unimodality(n, row, hi, table):
+    return _exact(verify_unimodal_profile(n, row))
+
+
+def _row_bound(n, row, hi, table):
+    return 1, *checks.row_bound_check(n, row)
+
+
+def _product_bound(n, row, hi, table):
+    """Every 1 <= k <= n-1 of a row, decided together and folded by the
+    check; an inconclusive k ends the row."""
+    return *checks.product_bound_check(n, row), None
+
+
+def _peak_sign(shift: int, holds):
+    """The step of a sign lemma: holds(S(n,k)) at k = peak_k(n) + shift.
+
+    S(n,k) = (n+1-k) * (2*p(n,k) - p(n+1,k)) is read off row n alone as
+    (n+1-k) * (p(n,k) - p(n,k-1)), since p(n+1,k) = p(n,k) + p(n,k-1).
+    At every n that SIGN_SUM_SAMPLE divides, and at n_max,
+    peak_sign_sum's defining sum must equal it, or AssertionError is
+    raised.
+    """
+    def step(n, row, hi, table):
+        k = peak_k(n) + shift
+        s = (n + 1 - k) * (row[k] - row[k - 1])
+        if (n % SIGN_SUM_SAMPLE == 0 or n == hi) and peak_sign_sum(n, k, table) != s:
+            raise AssertionError(f"S({n},{k}) off row {n} differs from its "
+                                 "defining sum")
+        return _exact(None if holds(s) else (n, k))
+    return step
+
+
+def _whole(hi):
+    return hi + 1
+
+
+def _past_peak(hi):
+    return peak_k(hi) + 2
+
+
+# row claim id -> (row step, entries k < width(n_max) of the rows it reads)
+ROW_STEPS = {
+    "thm2": (_unimodality, _whole),
+    "thm3": (_row_bound, _whole),
+    "lemma-links": (_peak_sign(0, lambda s: s > 0), _past_peak),
+    "lemma-rechts": (_peak_sign(1, lambda s: s < 0), _past_peak),
+    "eq9": (_product_bound, _whole),
+}
+
+
+def _from_pass(claim: str):
+    """The step generator of a row claim: the steps the row pass queues."""
+    return lambda ctx, lo, hi: ctx.row_steps(claim, lo, hi)
+
+
 # claim id -> (sweep function, default range)
 CLAIMS = {
-    "thm2": (_claim("thm2", _unimodality), (4, 1000)),
-    "thm3": (_claim("thm3", _row_bound), (1, 1000)),
+    "thm2": (_claim("thm2", _from_pass("thm2")), (4, 1000)),
+    "thm3": (_claim("thm3", _from_pass("thm3")), (1, 1000)),
     "prop1": (_claim("prop1", _diagonal_bound), (1, 2000)),
     "prop2": (_claim("prop2", _subdiagonal_bound), (1, 2000)),
-    "lemma-links": (_claim("lemma-links", _ascent_sign), (4, 1000)),
-    "lemma-rechts": (_claim("lemma-rechts", _descent_sign), (4, 1000)),
+    "lemma-links": (_claim("lemma-links", _from_pass("lemma-links")), (4, 1000)),
+    "lemma-rechts": (_claim("lemma-rechts", _from_pass("lemma-rechts")), (4, 1000)),
     "lemma-gr": (_claim("lemma-gr", _dominance), (4, 500)),
     "lemma13": (_claim("lemma13", _growth_chain), (3, 2000)),
     "apostol": (_claim("apostol", _partition_bound), (1, 2000)),
     "stirling": (_claim("stirling", _central_binomial), (1, 2000)),
-    "eq9": (_claim("eq9", _product_bound), (2, 300)),
+    "eq9": (_claim("eq9", _from_pass("eq9")), (2, 300)),
     "genfun": (_claim("genfun", _series_identities,
                       {"degree": GENFUN_DEGREE}), (1, 15)),
 }
 
 
-def run_claim(claim: str, n_min: int | None, n_max: int | None,
-              ctx: SweepContext | None = None) -> ClaimSummary:
-    """Run one claim sweep; None range components fall back to defaults.
+def _clamped(claim: str, n_min: int | None, n_max: int | None) -> tuple[int, int]:
+    """The claim's range; None range components fall back to defaults.
 
     A range with no n left once clamped to the claim's minimum raises
     ValueError: an empty sweep checks nothing and must not verify.
     """
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim {claim!r}")
-    sweep, (default_min, default_max) = CLAIMS[claim]
+    default_min, default_max = CLAIMS[claim][1]
     lo = default_min if n_min is None else max(n_min, default_min)
     hi = default_max if n_max is None else n_max
     if lo > hi:
         raise ValueError(
             f"claim {claim} starts at n = {default_min}: "
             f"nothing to check in the range {n_min}..{n_max}")
+    return lo, hi
+
+
+def run_claim(claim: str, n_min: int | None, n_max: int | None,
+              ctx: SweepContext | None = None) -> ClaimSummary:
+    """Run one claim sweep over its clamped range (see _clamped).  A row
+    claim reads the steps ctx's row pass holds for it, or a pass of its own."""
+    lo, hi = _clamped(claim, n_min, n_max)
     if ctx is None:
         ctx = SweepContext()
-    return sweep(lo, hi, ctx)
+    return CLAIMS[claim][0](lo, hi, ctx)
 
 
 def run_all(n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
     """Run every claim, sharing the partition and diagonal tables across
-    sweeps; each row claim streams its own rows."""
+    sweeps and one row pass across the row claims, which streams the
+    p(n,k) rows once."""
     ctx = SweepContext()
+    ctx.open_pass({claim: _clamped(claim, n_min, n_max) for claim in CLAIMS})
     return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]

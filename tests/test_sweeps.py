@@ -134,7 +134,7 @@ def _replace_central_binomial(n, value):
     ("eq9", 2, 300, _cap_eq9_depth,
      {"checked": 736, "outcome": "inconclusive", "counterexample": [39, 33],
       "min_margin": 0.0013317596616809085}),
-    # S(37,20) = 18 * (2*0 - p(38,20)) < 0; row 37 is read at k = 19 by n = 36
+    # S(37,20) = 18 * (0 - p(37,19)) < 0; n = 36 reads row 36 alone
     ("lemma-links", 4, 100, _corrupt_row(37, 20, lambda p: 0),
      {"checked": 34, "outcome": "violated", "counterexample": [37, 20]}),
     ("prop1", 1, 50, _constants((fninf, finf)),  # every gap straddles zero
@@ -193,7 +193,7 @@ def test_sign_sum_sweep_takes_no_sum_past_the_first_unverified_n(monkeypatch):
     monkeypatch.setattr(sweeps, "peak_sign_sum", lambda *args: pytest.fail(
         "a sampled sum was taken"))
     assert sweeps.run_claim("lemma-links", 4, 100).outcome == VIOLATED
-    assert seen == list(range(39))  # rows 37 and 38 decide n = 37
+    assert seen == list(range(38))  # row 37 alone decides n = 37
 
 
 @pytest.mark.parametrize("claim, n, n_max", [
@@ -263,3 +263,74 @@ def test_screen_checks_only_where_the_least_margin_can_be(monkeypatch, claim,
     n_min, n_max = sweeps.CLAIMS[claim][1]
     assert (summary.checked, summary.outcome) == (n_max - n_min + 1, VERIFIED)
     assert seen == expected
+
+
+def test_run_all_builds_one_partition_table(monkeypatch):
+    build, sizes = sweeps.build_partition_table, []
+    monkeypatch.setattr(sweeps, "build_partition_table",
+                        lambda max_n: sizes.append(max_n) or build(max_n))
+    sweeps.run_all(4, 200)
+    assert sizes == [200]
+
+
+def _unchanged(monkeypatch):
+    pass
+
+
+@pytest.mark.parametrize("patch", [_unchanged, _corrupt_row(37, 20, lambda p: 0)],
+                         ids=["unchanged", "corrupt-row-37"])
+def test_run_all_matches_separate_runs(monkeypatch, patch):
+    patch(monkeypatch)
+    alone = [sweeps.run_claim(claim, 4, 120) for claim in sweeps.CLAIMS]
+
+    # f(0) of every row stream: 1 for the p(n,k) rows, 512 - 1745 for the gap
+    stream, firsts = sweeps.iter_triangle_rows, []
+    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
+        firsts.append(args[2][0]) or stream(*args)))
+    seen = {}
+    for claim, (step, width) in list(sweeps.ROW_STEPS.items()):
+        def spy(n, row, hi, table, claim=claim, step=step):
+            seen.setdefault(claim, []).append(n)
+            return step(n, row, hi, table)
+        monkeypatch.setitem(sweeps.ROW_STEPS, claim, (spy, width))
+
+    together = sweeps.run_all(4, 120)
+    assert together == alone
+    assert sorted(firsts) == [512 - 1745, 1]
+    # each row claim's steps run from its first n to its last n evaluated:
+    # n_max, or the first n not verified
+    for summary in together:
+        if summary.claim in sweeps.ROW_STEPS:
+            last = (summary.n_max if summary.outcome == VERIFIED
+                    else summary.counterexample[0])
+            assert seen[summary.claim] == list(range(summary.n_min, last + 1))
+    if patch is not _unchanged:
+        stopped = {s.claim for s in together if s.outcome != VERIFIED}
+        assert {"thm2", "lemma-links"} <= stopped
+        assert {"thm3", "eq9"}.isdisjoint(stopped)
+
+
+def test_run_all_queues_steps_not_rows():
+    # the p(n,k) rows 0..400, all held, peak at about 4.9 MB under tracemalloc
+    checks.screen_constants()  # pi_alpha's cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        summaries = sweeps.run_all(4, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(s.outcome == VERIFIED for s in summaries)
+    assert peak < 2 * 2**20
+
+
+def test_row_pass_lets_its_rows_go_once_every_claim_closes():
+    ctx = sweeps.SweepContext()
+    ctx.table(1000)  # the partition table stays with the context
+    tracemalloc.start()
+    try:
+        assert sweeps.run_claim("thm2", 4, 1000, ctx).outcome == VERIFIED
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a stream left suspended at row 1000 holds rows 999 and 1000, about 250 KB
+    assert held < 2**16
