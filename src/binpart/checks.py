@@ -8,17 +8,17 @@ Two kinds of checks live here:
     ladder per row, walking C(n,k) along the row;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log):
-    each check's gaps(bits) calls mpmath's outward-rounding `libmpi`
-    interval functions directly on endpoint pairs, at the explicit
-    precision bits, taking integers from intervals.int_interval and pi
-    and sqrt(2/3)*pi from intervals.pi_alpha; a division by a power of
-    two is an exact mpi_shift.  It returns each gap as its endpoint pair
-    (lower, upper); `_certified` reads the sign
-    (intervals.certainly_positive) and margin from those endpoints.
-    No rung sets the global `iv` precision.  A claim is declared only
-    when the gap exceeds the total enclosure error, with automatic
-    precision escalation from DEFAULT_PRECISION_BITS (a check takes no
-    start precision) and an explicit "inconclusive" outcome at the cap.
+    each check's kernel gaps(bits) encloses its gap on exact integers, as
+    a pair (lo, hi) with lo <= g*2^bits <= hi, in units of 2^-bits.  pi
+    and a = sqrt(2/3)*pi are read off intervals.pi_alpha(bits) at every
+    call and scaled to integers by shifts; a square root is math.isqrt,
+    ln is _ln and e^x _exp_bracket, fixed-point series that count the
+    units each floor can lose.  `_certified` reads the sign and margin
+    from lo and hi.  A claim is declared only when the gap exceeds the
+    total enclosure error, with automatic precision escalation from
+    DEFAULT_PRECISION_BITS (a check takes no start precision) and an
+    explicit "inconclusive" outcome at the cap.  A pi or a whose pair has
+    an infinite or NaN endpoint leaves every gap undecided.
 
 The row checks take their row, the diagonal checks the integer they
 bound, p(n-1,n-1) or p(n,n-1), partition_bound_check the partition
@@ -33,51 +33,16 @@ unitless slack: the relative slack (rhs-lhs)/rhs of an integer
 comparison, the certified lower bound of the gap of a real one.
 "verified" always means the strict inequality holds with positive
 certified margin.
-
-The certified checks of prop1, prop2, lemma13, apostol and stirling each
-have an integer screen, *_bracket(*call, constants), on the check's own
-arguments call, (n,) for lemma13 and (n, value) for the rest, and on
-screen_constants' fixed-point brackets of pi, a, ln 2 and ln pi, which
-it reads off the checks' own 128-bit pairs.  It returns exact integers
-lo <= g <= hi around the check's true gap g (lemma13: the smaller of its
-two gaps), at 2^-SCREEN_BITS, and a bound w on the width of the gap's
-enclosure at DEFAULT_PRECISION_BITS, derived where the brackets are
-defined.  When lo > w the check would verify n at that first rung, with
-its margin's exact value in [lo - w, hi]; sweeps._screened uses this to
-call the check only at the n that can hold the least margin.  A bracket
-never decides a verdict or sets a margin: those still come from the
-checks.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from math import ceil, floor, isqrt
+from functools import lru_cache
+from itertools import accumulate, compress, repeat
+from math import isqrt
 from operator import lt, mul, not_, sub
 
-from mpmath.libmp import (
-    finf,
-    fninf,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    mpi_sqrt,
-    mpi_sub,
-    round_nearest,
-    to_float,
-)
-from mpmath.libmp.libmpi import mpi_shift
-
-from .intervals import (
-    DEFAULT_PRECISION_BITS,
-    certainly_positive,
-    decide_with_escalation,
-    int_interval,
-    pi_alpha,
-    to_fraction,
-)
+from .intervals import DEFAULT_PRECISION_BITS, decide_with_escalation, pi_alpha
 from .qseries import DEFAULT_DEPTH_CAP
 
 VERIFIED = "verified"
@@ -95,28 +60,26 @@ def _certified(gaps, counterexample: tuple) -> tuple:
 
     The ladder always starts at DEFAULT_PRECISION_BITS and doubles to the
     cap; no check takes a start precision of its own.  Each rung calls
-    gaps(bits), which returns a tuple of endpoint pairs (lower, upper)
-    evaluated at the explicit precision bits (the checks compute them with
-    direct `libmpi` calls); no rung sets the global `iv` precision.  The
-    rung is violated when any gap is certainly <= 0, even while another
-    straddles zero, as that gap's true value is <= 0; otherwise it is
-    undecided while any gap straddles zero, and verified once every gap
-    is certainly positive.
+    gaps(bits), which returns a tuple of integer pairs (lo, hi), one per
+    gap g, with lo <= g*2^bits <= hi.  The rung is violated when any gap
+    is certainly <= 0 (hi <= 0), even while another straddles zero, as
+    that gap's true value is <= 0; otherwise it is undecided while any
+    gap straddles zero (lo <= 0 < hi), and verified once every lo > 0.
     Returns the verdict (outcome, counterexample, margin, bits): the
     counterexample only when violated, bits the last rung evaluated, and
-    the margin, only when verified, the smallest certified lower bound
-    among the gaps, rounded to the nearest float as float(mpf) rounds it
-    (to_float's own default rounds toward zero).
+    the margin, only when verified, the least lo/2^bits, rounded to the
+    nearest float (an int's true division rounds correctly).
     """
     def evaluate(bits):
-        enclosures = gaps(bits)
-        signs = [certainly_positive(gap) for gap in enclosures]
-        if False in signs:
-            return VIOLATED, counterexample, None, bits
-        if None in signs:
+        least = None
+        for lo, hi in gaps(bits):
+            if hi <= 0:
+                return VIOLATED, counterexample, None, bits
+            if least is None or lo < least:
+                least = lo
+        if least <= 0:
             return None
-        margin = min(to_float(lower, rnd=round_nearest) for lower, _ in enclosures)
-        return VERIFIED, None, margin, bits
+        return VERIFIED, None, least / (1 << bits), bits
 
     verdict, bits = decide_with_escalation(evaluate, DEFAULT_PRECISION_BITS)
     return verdict or (INCONCLUSIVE, None, None, bits)
@@ -146,21 +109,26 @@ def row_bound_check(n: int, row: tuple[int, ...]) -> tuple:
 def central_binomial_check(n: int, value: int) -> tuple:
     """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2).
 
-    value is C(n, floor((n+3)/2)), 0 at n = 1.  Equivalent form used:
-    C^2 * n * pi < 2 * 4^n, with pi the only non-integer quantity.
+    value is C(n, floor((n+3)/2)), 0 at n = 1.  The gap is
+    1 - C^2*n*pi/2^(2n+1), with pi the only non-integer quantity.  Past
+    bits + 32 bits, C is cut to its top bits, C in [c, c+1]*2^u, so that
+    the product keeps a fixed size: (c+1)^2/c^2 < 1 + 2^-(bits+30) widens
+    C^2*n*pi/2^(2n+1) < 1 by less than a unit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     kn = (n + 3) // 2
-    lhs_int = value * value * n
-    rhs_int = 2 << (2 * n)
 
     def gaps(bits):
-        # rhs = 2^(2n+1), so dividing by it is an exact shift and keeps the sign
-        pi, _ = pi_alpha(bits)
-        lhs = mpi_mul(int_interval(lhs_int, bits), pi, bits)
-        gap = mpi_sub(int_interval(rhs_int, bits), lhs, bits)
-        return (mpi_shift(gap, -(2 * n + 1)),)
+        constants = _constants(pi_alpha(bits), bits)
+        if constants is None:
+            return _UNDECIDED
+        u = max(value.bit_length() - bits - 32, 0)
+        c = value >> u
+        top = c + 1 if u else c
+        t_lo, t_hi = _times(constants[0], c * c * n, top * top * n, 2 * n + 1 - 2 * u)
+        one = 1 << bits
+        return ((one - t_hi, one - t_lo),)
 
     return _certified(gaps, (n, kn))
 
@@ -169,25 +137,27 @@ def partition_bound_check(n: int, pn: int) -> tuple:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 
     with a = sqrt(2/3)*pi, compared in the log domain:
-    log p(n) < log(pi/sqrt(6n)) + a*sqrt(n).  pn is p(n).
+    ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2 > 0.  pn is p(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     def gaps(bits):
-        pi, alpha = pi_alpha(bits)
-        positive = certainly_positive(pi)
-        if not positive:
-            # log(pi/sqrt(6n)) has no finite lower bound: a pi that may be <= 0
-            # leaves the gap undecided, and a pi <= 0, whose bound <= 0 < p(n),
+        pairs = pi_alpha(bits)
+        constants = _constants(pairs, bits)
+        if constants is None:
+            return _UNDECIDED
+        (pi_lo, pi_hi), alpha = constants
+        if pi_lo <= 0:
+            # ln pi has no finite lower bound: a pi that may be <= 0 leaves
+            # the gap undecided, and a pi <= 0, whose bound <= 0 < p(n),
             # makes it certainly negative
-            return ((fninf, finf if positive is None else fninf),)
-        lhs = mpi_log(int_interval(pn, bits), bits)
-        sqrt_n = mpi_sqrt(int_interval(n, bits), bits)
-        sqrt_6n = mpi_sqrt(int_interval(6 * n, bits), bits)
-        rhs = mpi_add(mpi_log(mpi_div(pi, sqrt_6n, bits), bits),
-                      mpi_mul(alpha, sqrt_n, bits), bits)
-        return (mpi_sub(rhs, lhs, bits),)
+            return _UNDECIDED if pi_hi > 0 else _NEGATIVE
+        ln_pi_lo, ln_pi_hi = _ln_pi(pairs[0], bits)
+        rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
+        lhs_lo, lhs_hi = _ln(6 * n * pn * pn, 1, bits)
+        return ((ln_pi_lo + rhs_lo - (-(-lhs_hi >> 1)),
+                 ln_pi_hi + rhs_hi - (lhs_lo >> 1)),)
 
     return _certified(gaps, (n,))
 
@@ -197,27 +167,28 @@ def growth_chain_check(n: int) -> tuple:
 
     sqrt(n)/(sqrt(n+1)-1)  <  1 + pi/sqrt(6n)  <  e^(a*sqrt(n)*(sqrt(1+1/n)-1)).
 
-    The reported margin is the smaller certified gap of the two links.
+    The exponent is taken as a/(sqrt(n+1)+sqrt(n)), its exact equal.  The
+    reported margin is the smaller certified gap of the two links.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
 
     def gaps(bits):
-        pi, alpha = pi_alpha(bits)
-        one = int_interval(1, bits)
-        nn = int_interval(n, bits)
-        sqrt_n = mpi_sqrt(nn, bits)
-        left = mpi_div(
-            sqrt_n,
-            mpi_sub(mpi_sqrt(int_interval(n + 1, bits), bits), one, bits),
-            bits)
-        sqrt_6n = mpi_sqrt(int_interval(6 * n, bits), bits)
-        mid = mpi_add(one, mpi_div(pi, sqrt_6n, bits), bits)
-        sqrt_step = mpi_sqrt(mpi_add(one, mpi_div(one, nn, bits), bits), bits)
-        right = mpi_exp(
-            mpi_mul(mpi_mul(alpha, sqrt_n, bits),
-                    mpi_sub(sqrt_step, one, bits), bits), bits)
-        return (mpi_sub(mid, left, bits), mpi_sub(right, mid, bits))
+        constants = _constants(pi_alpha(bits), bits)
+        if constants is None:
+            return _UNDECIDED
+        pi, alpha = constants
+        one = 1 << bits
+        # r <= sqrt(n)*2^bits < r + 1, and so for n + 1 and 6n
+        r, r1, r6 = (isqrt(m << 2 * bits) for m in (n, n + 1, 6 * n))
+        left_lo, left_hi = _over((r, r + 1), r1 - one, r1 + 1 - one, bits)
+        mid_lo, mid_hi = _over(pi, r6, r6 + 1, bits)
+        x_lo, x_hi = _over(alpha, r1 + r, r1 + r + 2, bits)
+        exp_lo, exp_hi = _exp_bracket(max(x_lo, 0), max(x_hi, 0), bits)
+        if x_lo < 0:
+            exp_lo = 0  # e^x > 0
+        return ((one + mid_lo - left_hi, one + mid_hi - left_lo),
+                (exp_lo - one - mid_hi, exp_hi - one - mid_lo))
 
     return _certified(gaps, (n,))
 
@@ -225,16 +196,18 @@ def growth_chain_check(n: int) -> tuple:
 def diagonal_bound_check(n: int, value: int) -> tuple:
     """Certified check of p(n-1,n-1) < e^(a*sqrt(n)) for n >= 1.
 
-    value is p(n-1,n-1).
+    value is p(n-1,n-1); the gap is a*sqrt(n) - ln p(n-1,n-1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     def gaps(bits):
-        _, alpha = pi_alpha(bits)
-        lhs = mpi_log(int_interval(value, bits), bits)
-        rhs = mpi_mul(alpha, mpi_sqrt(int_interval(n, bits), bits), bits)
-        return (mpi_sub(rhs, lhs, bits),)
+        constants = _constants(pi_alpha(bits), bits)
+        if constants is None:
+            return _UNDECIDED
+        rhs_lo, rhs_hi = _alpha_sqrt(constants[1], n, bits)
+        lhs_lo, lhs_hi = _ln(value, 1, bits)
+        return ((rhs_lo - lhs_hi, rhs_hi - lhs_lo),)
 
     return _certified(gaps, (n,))
 
@@ -242,19 +215,19 @@ def diagonal_bound_check(n: int, value: int) -> tuple:
 def subdiagonal_bound_check(n: int, value: int) -> tuple:
     """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1.
 
-    value is p(n,n-1).
+    value is p(n,n-1); the gap is a*sqrt(n) - ln(p(n,n-1)^2/n)/2, one ln
+    per n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     def gaps(bits):
-        _, alpha = pi_alpha(bits)
-        nn = int_interval(n, bits)
-        lhs = mpi_log(int_interval(value, bits), bits)
-        # log(n)/2: halving a bits-bit endpoint is an exact shift
-        rhs = mpi_add(mpi_shift(mpi_log(nn, bits), -1),
-                      mpi_mul(alpha, mpi_sqrt(nn, bits), bits), bits)
-        return (mpi_sub(rhs, lhs, bits),)
+        constants = _constants(pi_alpha(bits), bits)
+        if constants is None:
+            return _UNDECIDED
+        rhs_lo, rhs_hi = _alpha_sqrt(constants[1], n, bits)
+        lhs_lo, lhs_hi = _ln(value * value, n, bits)
+        return ((rhs_lo - (-(-lhs_hi >> 1)), rhs_hi - (lhs_lo >> 1)),)
 
     return _certified(gaps, (n,))
 
@@ -328,106 +301,70 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     return first, INCONCLUSIVE, (n, first), min(before, default=None)
 
 
-# -- the integer screen of prop1, prop2, lemma13, apostol and stirling ------
+# -- the integer kernel of prop1, prop2, lemma13, apostol and stirling ------
 #
-# Each *_bracket(*call, constants) takes the arguments of its check and
-# returns (lo, hi, w), integers in units of 2^-SCREEN_BITS: lo <= g <= hi
-# for the check's true gap g, and w > the width of the gap's enclosure at
-# DEFAULT_PRECISION_BITS.  That enclosure contains g, so its lower
-# endpoint, which the check's margin rounds to nearest, lies in
-# [lo - w, hi].
-#
-# Deriving w.  A libmpi operation at p = 128 bits rounds each endpoint of
-# its result outward by less than one unit in the last place, so it
-# widens the result by less than 2^-126 times the result's size.
-# Products, quotients and roots pass such a relative widening on, a log
-# turns it into an absolute one and sums add absolute widths, so each
-# rounding widens the gap by less than 2^-126 times the size of the gap
-# term it feeds, or by 2^-126 where a log takes it in.  Let M be the sum
-# of the upper brackets of the gap's terms: every term is at most M, and
-# so is the gap once lo > 0.  The gaps take 3 (stirling: C^2*n entered,
-# times pi, the difference) to 10 (apostol) roundings, each less than
-# (M + 1)*2^-126, so they widen the gap by less than (M + 1)*2^-122.  w
-# allows (M + 1)*2^-120 = (M + 1) >> WIDTH_BITS, four times that, since
-# mpmath's directed log and sqrt may miss correct rounding by an ulp.
-# Beyond rounding, the constants carry their own width into the gap: the
-# width of a's bracket times sqrt(n), for apostol the width of ln pi's
-# bracket (>= ln(pi_hi/pi_lo), what pi's width adds to log(pi/sqrt(6n))),
-# and for stirling C^2*n*(pi_hi - pi_lo)/2^(2n+1).  These come from the
-# same pi_alpha pairs the checks use, so a wider pair widens w with it.
-#
-# lemma13's check has two gaps, and its margin is the smaller lower
-# endpoint.  Its bracket takes lo and hi as the least of the two links'
-# and one w above both links' widths, so that lo > w certifies both links
-# and the margin still lies in [lo - w, hi].  Each link takes at most 12 roundings.  The
-# right link computes sqrt(1 + 1/n) - 1, about 1/(2n), and that
-# subtraction cancels digits: the roundings of 1 + 1/n and of its root,
-# both of size below 2, leave it an absolute width below 2^-124, which
-# the product with a*sqrt(n) and then e^x scale by e^x*a*sqrt(n).  So
-# that width grows as sqrt(n), past (M + 1) >> WIDTH_BITS from n of about
-# 10^4, and w allows (M + 1 + e^x*a*sqrt(n)) >> WIDTH_BITS: 4 times the
-# other roundings' (M + 1)*2^-122 and 16 times the cancellation's
-# e^x*a*sqrt(n)*2^-124.  The constants carry pi's width through
-# pi/sqrt(6n) <= pi and a's through e^x*a/(sqrt(n+1) + sqrt(n)) <= e^x*a.
-#
-# The brackets take sqrt(n) in [r, r+1]/2^SCREEN_BITS with
-# r = isqrt(n*4^SCREEN_BITS), ln v in [(b-1)*ln 2, b*ln 2] for an integer
-# v >= 1 of b bits, and e^x from fixed-point Taylor sums (_exp_bracket).
-# tests/test_checks.py checks width < w and lo - w <= lower endpoint <= hi
-# against the checks themselves.
+# Every value below is an integer in units of 2^-bits; a pair (lo, hi)
+# brackets a real x as lo <= x*2^bits <= hi.  Each floor and ceiling
+# rounds outward, and where a series floors term by term, the units its
+# floors can lose are counted and added to hi.
 
-SCREEN_BITS = DEFAULT_PRECISION_BITS + 64
-WIDTH_BITS = 120
-_ONE = 1 << SCREEN_BITS
+LN_TABLE_BITS = 8  # T: _ln reduces by a table of ln(1 + i/2^T), i < 2^T
+LN_GUARD_BITS = 32  # _ln works at 2^-(bits + LN_GUARD_BITS)
+
+_UNDECIDED = ((-1, 1),)  # a gap that straddles zero at every rung
+_NEGATIVE = ((-1, -1),)  # a gap certainly below zero
 
 
-def _scaled(pair) -> tuple[int, int]:
-    """floor and ceiling of an endpoint pair times 2^SCREEN_BITS."""
-    lower, upper = map(to_fraction, pair)
-    return floor(lower * _ONE), ceil(upper * _ONE)
+@lru_cache(maxsize=None)
+def _constants(pairs, bits: int):
+    """(pi, a), each (floor, ceiling) at 2^-bits, of pi_alpha(bits)'s pairs,
+    which every kernel reads at every call: cached on the pairs' value, so
+    a pi_alpha that changes its pairs is never read off a stale entry.
+    None when an endpoint is infinite or NaN."""
+    pi, alpha = (_fixed(pair, bits) for pair in pairs)
+    return None if pi is None or alpha is None else (pi, alpha)
 
 
-def screen_constants():
-    """The screen's brackets of pi, a, ln 2 and ln pi, or None.
-
-    Each is (floor, ceiling) of the constant times 2^SCREEN_BITS, read
-    exactly off the pairs the checks use at DEFAULT_PRECISION_BITS:
-    pi_alpha for pi and a, mpi_log for ln 2 and ln pi.  pi_alpha is looked
-    up at every call, never cached here.  None, so that the screen decides
-    nothing, when pi or a is not a finite positive pair.
-    """
-    bits = DEFAULT_PRECISION_BITS
-    pi, alpha = pi_alpha(bits)
-    if not (certainly_positive(pi) and certainly_positive(alpha)):
-        return None
-    try:
-        return tuple(map(_scaled, (pi, alpha, mpi_log(int_interval(2, bits), bits),
-                                   mpi_log(pi, bits))))
-    except ValueError:  # an infinite upper endpoint
-        return None
+def _fixed(pair, bits: int):
+    """(floor, ceiling) of a raw mpf endpoint pair times 2^bits, by shifts;
+    None when an endpoint is infinite or NaN."""
+    scaled = []
+    for (sign, man, exp, _), ceiling in zip(pair, (False, True)):
+        if not man and exp:  # mpmath's infinities and NaN: no mantissa
+            return None
+        value = -int(man) if sign else int(man)
+        shift = exp + bits
+        if shift >= 0:
+            scaled.append(value << shift)
+        else:
+            scaled.append(-(-value >> -shift) if ceiling else value >> -shift)
+    return tuple(scaled)
 
 
-def _alpha_sqrt(n: int, alpha) -> tuple[int, int, int]:
-    """Bracket of a*sqrt(n), and the width a's own bracket carries into it."""
-    a_lo, a_hi = alpha
-    r = isqrt(n << 2 * SCREEN_BITS)
-    return (a_lo * r >> SCREEN_BITS, -(-a_hi * (r + 1) >> SCREEN_BITS),
-            ((a_hi - a_lo) * (r + 1) >> SCREEN_BITS) + 1)
+def _times(c, q_lo: int, q_hi: int, shift: int) -> tuple[int, int]:
+    """(floor, ceiling) of c*q/2^shift over c in the pair c, of any sign,
+    and q in [q_lo, q_hi], 0 <= q_lo."""
+    c_lo, c_hi = c
+    return (c_lo * (q_lo if c_lo >= 0 else q_hi) >> shift,
+            -(-c_hi * (q_hi if c_hi >= 0 else q_lo) >> shift))
 
 
-def _log_bracket(v: int, ln2) -> tuple[int, int]:
-    """Bracket of ln v for an integer v >= 1: 2^(b-1) <= v < 2^b."""
-    b = v.bit_length()
-    return (b - 1) * ln2[0], b * ln2[1]
+def _over(c, d_lo: int, d_hi: int, bits: int) -> tuple[int, int]:
+    """(floor, ceiling) of c*2^bits/d over c in the pair c, of any sign,
+    and d in [d_lo, d_hi], 0 < d_lo."""
+    c_lo, c_hi = c
+    return ((c_lo << bits) // (d_hi if c_lo >= 0 else d_lo),
+            -((-c_hi << bits) // (d_lo if c_hi >= 0 else d_hi)))
 
 
-def _width(carried: int, magnitude: int) -> int:
-    """w: the constants' carried width plus (M + 1)*2^-WIDTH_BITS, rounded up."""
-    return carried + ((magnitude + _ONE) >> WIDTH_BITS) + 1
+def _alpha_sqrt(alpha, n: int, bits: int) -> tuple[int, int]:
+    """a*sqrt(n) for a in the pair alpha: sqrt(n)*2^bits lies in [r, r + 1]."""
+    r = isqrt(n << 2 * bits)
+    return _times(alpha, r, r + 1, bits)
 
 
-def _exp_bracket(x_lo: int, x_hi: int) -> tuple[int, int]:
-    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi, at 2^-SCREEN_BITS.
+def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
+    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi, at 2^-bits.
 
     Fixed-point Taylor sums (Brent and Zimmermann, Modern Computer
     Arithmetic, ch. 4): term k of the lower sum is the floor of term k-1
@@ -438,86 +375,96 @@ def _exp_bracket(x_lo: int, x_hi: int) -> tuple[int, int]:
     sum_{j>k} x^j/j! <= t_k*x/(k+1-x), a geometric series of ratio
     x/(k+1) < 1.
     """
-    lo = hi = lo_term = hi_term = _ONE
+    lo = hi = lo_term = hi_term = 1 << bits
     k = 0
     while hi_term > 1:
         k += 1
-        lo_term = (lo_term * x_lo >> SCREEN_BITS) // k
-        hi_term = -((-hi_term * x_hi >> SCREEN_BITS) // k)
+        lo_term = (lo_term * x_lo >> bits) // k
+        hi_term = -((-hi_term * x_hi >> bits) // k)
         lo += lo_term
         hi += hi_term
-    return lo, hi - (-hi_term * x_hi // (((k + 1) << SCREEN_BITS) - x_hi))
+    return lo, hi - (-hi_term * x_hi // (((k + 1) << bits) - x_hi))
 
 
-def diagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
-    """(lo, hi, w) of diagonal_bound_check's gap a*sqrt(n) - ln p(n-1,n-1)."""
-    _, alpha, ln2, _ = constants
-    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
-    lhs_lo, lhs_hi = _log_bracket(value, ln2)
-    return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
+def _atanh2(num: int, den: int, w: int) -> tuple[int, int]:
+    """(lo, hi) around 2*atanh(z)*2^w = ln((1+z)/(1-z))*2^w, z = num/den <= 1/3.
 
-
-def subdiagonal_bound_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
-    """(lo, hi, w) of subdiagonal_bound_check's gap
-
-    ln(n)/2 + a*sqrt(n) - ln p(n,n-1).
+    The series z * sum_{k<=K} z^(2k)/(2k+1) in fixed point by Horner's rule
+    (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4), on
+    Z = floor(z*2^w), Z2 = floor(Z^2/2^w) and C_k = floor(2^w/(2k+1)):
+    acc = C_k + floor(acc*Z2/2^w) from k = K down to 0, then
+    S = floor(acc*Z/2^w).  Every floor rounds down and every term is
+    positive, so S is a lower bound.  The units lost, with z <= 1/3: Z2
+    falls short of z^2*2^w by less than 2z + 1 <= 5/3, so acc falls short
+    of its exact value by less than 2 + (5/3)*(3/8) plus 1/9 of the
+    previous shortfall, so by less than 3; S then loses less than
+    1 + 9/8 + 3*z < 4; and K, the least with z^(2K+3)*2^w <= 1 for
+    z < 2^-e, e = w - (bit length of Z), leaves a tail below 1 unit.
+    So 2*atanh(z)*2^w lies in [2S, 2S + 10].
     """
-    _, alpha, ln2, _ = constants
-    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
-    half_lo, half_hi = _log_bracket(n, ln2)
-    rhs_lo += half_lo >> 1
-    rhs_hi += -(-half_hi >> 1)
-    lhs_lo, lhs_hi = _log_bracket(value, ln2)
-    return rhs_lo - lhs_hi, rhs_hi - lhs_lo, _width(carried, rhs_hi + lhs_hi)
+    z = (num << w) // den
+    e = w - z.bit_length()
+    square = z * z >> w
+    acc = 0
+    for coef in _reciprocals(w, max(0, (w - e - 1) // (2 * e))):
+        acc = coef + (acc * square >> w)
+    total = acc * z >> w
+    return 2 * total, 2 * total + 10
 
 
-def growth_chain_bracket(n: int, constants) -> tuple[int, int, int]:
-    """(lo, hi, w) of the smaller of growth_chain_check's two gaps,
+@lru_cache(maxsize=None)
+def _reciprocals(w: int, terms: int) -> tuple[int, ...]:
+    """floor(2^w/(2k+1)) for k = terms down to 0, _atanh2's Horner order."""
+    return tuple((1 << w) // (2 * k + 1) for k in range(terms, -1, -1))
 
-    1 + pi/sqrt(6n) - sqrt(n)/(sqrt(n+1)-1) and e^x - 1 - pi/sqrt(6n),
-    with x = a*sqrt(n)*(sqrt(1+1/n)-1) = a/(sqrt(n+1)+sqrt(n)).
+
+@lru_cache(maxsize=None)
+def _ln_constants(w: int):
+    """ln 2 and the reduction table ln(1 + i/2^T), i < 2^T, as (lo, hi) at
+    2^-w.  Entry i + 1 is entry i plus
+    ln((2^T+i+1)/(2^T+i)) = 2*atanh(1/(2^(T+1)+2i+1)), so each entry is a
+    short series and its pair sums the pairs of its steps."""
+    steps = [_atanh2(1, (2 << LN_TABLE_BITS) + 2 * i + 1, w)
+             for i in range((1 << LN_TABLE_BITS) - 1)]
+    table = list(zip(accumulate((lo for lo, _ in steps), initial=0),
+                     accumulate((hi for _, hi in steps), initial=0)))
+    return _atanh2(1, 3, w), table
+
+
+def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= ln(num/den)*2^bits <= hi, for integers num, den >= 1.
+
+    At w = bits + LN_GUARD_BITS, q = floor(num/den*2^s) has w + 3 bits or
+    more, so num/den lies in [q, q + 1)*2^-s, and ln(q + 1) - ln q < 1/q
+    adds less than a unit at 2^-w.  With c the top T + 1 bits of q, and
+    d = c*2^m <= q for m = (bit length of q) - T - 1,
+
+        ln(q*2^-s) = (m + T - s)*ln 2 + ln(c/2^T) + 2*atanh((q - d)/(q + d)),
+
+    ln 2 and ln(c/2^T) from _ln_constants, and the last term an _atanh2
+    series in z < 2^-(T+1), which gains 2T + 2 bits a term.  The result
+    sums the pairs of the three terms and rounds them outward to 2^-bits.
     """
-    (pi_lo, pi_hi), (a_lo, a_hi), *_ = constants
-    r = isqrt(n << 2 * SCREEN_BITS)
-    r1 = isqrt((n + 1) << 2 * SCREEN_BITS)
-    r6 = isqrt(6 * n << 2 * SCREEN_BITS)
-    mid_lo = _ONE + (pi_lo << SCREEN_BITS) // (r6 + 1)
-    mid_hi = _ONE - (-pi_hi << SCREEN_BITS) // r6
-    left_lo = (r << SCREEN_BITS) // (r1 + 1 - _ONE)
-    left_hi = -((-(r + 1) << SCREEN_BITS) // (r1 - _ONE))
-    exp_lo, exp_hi = _exp_bracket((a_lo << SCREEN_BITS) // (r1 + r + 2),
-                                  -((-a_hi << SCREEN_BITS) // (r1 + r)))
-    cancelled = -(-exp_hi * a_hi * (r + 1) >> 2 * SCREEN_BITS)  # e^x*a*sqrt(n)
-    carried = pi_hi - pi_lo + ((a_hi - a_lo) * exp_hi >> SCREEN_BITS) + 1
-    return (min(mid_lo - left_hi, exp_lo - mid_hi),
-            min(mid_hi - left_lo, exp_hi - mid_lo),
-            _width(carried, mid_hi + max(left_hi, exp_hi + cancelled)))
+    w = bits + LN_GUARD_BITS
+    ln2, table = _ln_constants(w)
+    s = w + 3 - num.bit_length() + den.bit_length()
+    q = (num << s) // den if s >= 0 else (num >> -s) // den
+    m = q.bit_length() - 1 - LN_TABLE_BITS
+    c = q >> m
+    d = c << m
+    b = m + LN_TABLE_BITS - s
+    z_lo, z_hi = _atanh2(q - d, q + d, w)
+    t_lo, t_hi = table[c - (1 << LN_TABLE_BITS)]
+    two_lo, two_hi = ln2 if b >= 0 else ln2[::-1]
+    return (b * two_lo + t_lo + z_lo >> LN_GUARD_BITS,
+            -(-(b * two_hi + t_hi + z_hi + 1) >> LN_GUARD_BITS))
 
 
-def partition_bound_bracket(n: int, pn: int, constants) -> tuple[int, int, int]:
-    """(lo, hi, w) of partition_bound_check's gap
-
-    log(pi/sqrt(6n)) + a*sqrt(n) - log p(n) = ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2.
-    """
-    _, alpha, ln2, (lnpi_lo, lnpi_hi) = constants
-    rhs_lo, rhs_hi, carried = _alpha_sqrt(n, alpha)
-    lhs_lo, lhs_hi = _log_bracket(6 * n * pn * pn, ln2)
-    return (lnpi_lo + rhs_lo - (-(-lhs_hi >> 1)), lnpi_hi + rhs_hi - (lhs_lo >> 1),
-            _width(carried + lnpi_hi - lnpi_lo,
-                   max(-lnpi_lo, lnpi_hi) + rhs_hi + lhs_hi))
-
-
-def central_binomial_bracket(n: int, value: int, constants) -> tuple[int, int, int]:
-    """(lo, hi, w) of central_binomial_check's gap 1 - C^2*n*pi/2^(2n+1).
-
-    value = C is cut to its top SCREEN_BITS + 32 bits, C in [c, c+1]*2^u,
-    so C^2*n*pi/2^(2n+1) is bracketed by shifted integers of fixed size.
-    """
-    (pi_lo, pi_hi), *_ = constants
-    u = min(max(value.bit_length() - SCREEN_BITS - 32, 0), n)
-    c = value >> u
-    shift = 2 * n + 1 - 2 * u
-    t_lo = c * c * n * pi_lo >> shift
-    t_hi = -(-(c + 1) * (c + 1) * n * pi_hi >> shift)
-    return (_ONE - t_hi, _ONE - t_lo,
-            _width(t_hi * (pi_hi - pi_lo) // pi_lo + 1, _ONE + t_hi))
+@lru_cache(maxsize=None)
+def _ln_pi(pi, bits: int) -> tuple[int, int]:
+    """(lo, hi) of ln pi at 2^-bits off pi's raw endpoint pair, both
+    endpoints positive.  Cached on the pair's value, so a pi_alpha that
+    changes its pairs is never read off a stale entry."""
+    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = pi
+    return (_ln(int(man_lo) << max(exp_lo, 0), 1 << max(-exp_lo, 0), bits)[0],
+            _ln(int(man_hi) << max(exp_hi, 0), 1 << max(-exp_hi, 0), bits)[1])

@@ -1,14 +1,18 @@
 """Certified real arithmetic for inequality decisions.
 
-Every real-valued decision is made on outward-rounded enclosures built
-by mpmath's `libmpi` interval functions (the ones `iv` itself calls),
-called directly at an explicit precision.  An enclosure is its endpoint
-pair (lower, upper) of raw mpf values from first operation to verdict.
-This module holds the pieces those computations share: int_interval
-enters an integer, pi_alpha caches the pairs of pi and a = sqrt(2/3)*pi
-per bit width, and certainly_positive is the one sign rule.  None of them
-reads the process-global `iv.prec`; pi_alpha alone sets it, inside its
-own working_precision(bits).  A finished pair is read by to_fraction, an
+Every real-valued decision is made on outward-rounded enclosures.  The
+certified checks of `checks` enclose their gaps on exact integers at
+2^-bits, and read pi and a = sqrt(2/3)*pi off pi_alpha's endpoint pairs.
+The Rademacher sum of `partitions` and the bounds of `lie` and `cli`
+call mpmath's `libmpi` interval functions (the ones `iv` itself calls)
+directly at an explicit precision, and `qseries` runs `iv` inside
+working_precision; there an enclosure is its endpoint pair (lower,
+upper) of raw mpf values from first operation to verdict.  This module
+holds the pieces those computations share: int_interval enters an
+integer, pi_alpha caches the pairs of pi and a per bit width, and
+certainly_positive is the sign rule of a pair.  None of them reads the
+process-global `iv.prec`; pi_alpha alone sets it, inside its own
+working_precision(bits).  A finished pair is read by to_fraction, an
 endpoint's exact value, and width, upper - lower as a float.
 
 decide_with_escalation is the one ladder for every verdict that can end

@@ -15,8 +15,7 @@ the label of the least; the dimension-only corollary bound
 (3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
 never rounded into an integer claim; it is computed with mpmath's
 `libmpi` interval functions on endpoint pairs at DEFAULT_PRECISION_BITS,
-as the certified checks compute their gaps, and returned as the raw
-endpoint pair (lower, upper).
+and returned as the raw endpoint pair (lower, upper).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ unique integer inside a certified enclosure of Rademacher's convergent
 series, truncated where Lehmer's remainder bound falls below 1/4.  It
 costs about as much as the table at n = 1900 (cli.P_SERIES_FROM) and
 less above.  Its enclosures are raw endpoint pairs at explicit
-precision, from `libmpi` calls as in `checks`; no float and no global
-precision enters the decision.
+precision, from direct `libmpi` calls; no float and no global precision
+enters the decision.
 """
 
 from __future__ import annotations

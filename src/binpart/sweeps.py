@@ -2,21 +2,19 @@
 
 Each claim is one step generator `steps(ctx, n_min, n_max)`, which
 yields plain steps (checked, outcome, counterexample, margin, bits) for
-n = n_min, n_min+1, ..., checked counting what a step covers: one n, the
-k of an eq. 9 row, or every n a screen verified.  One sweep loop folds
-the steps into a ClaimSummary and stops at the first n that is not
-verified, so no later n is evaluated.  Where a claim's input changes
-little from one n to the next it is streamed, not recomputed: the
-p(n,k) rows, the rows of lemma-gr's gap and central binomials.  The row
-claims thm2, thm3, lemma-links, lemma-rechts and eq9 take each n's step
-off row n alone (ROW_STEPS), and one lazy row pass per SweepContext
-streams the rows once for all the row claims registered with it and
-queues their steps, so `verify all` streams the p(n,k) rows once.  prop1,
-prop2, lemma13, apostol and stirling decide each n on exact integers
-first and call their certified check only where the integers cannot
-decide n, or where n can hold the least margin
-(_screened, which calls a check and its bracket on the check's own
-arguments: n for lemma13, n and the integer bounded for the others).
+n = n_min, n_min+1, ..., checked counting what a step covers: one n, or
+the k of an eq. 9 row.  One sweep loop folds the steps into a
+ClaimSummary and stops at the first n that is not verified, so no later
+n is evaluated.  Where a claim's input changes little from one n to the
+next it is streamed, not recomputed: the p(n,k) rows, the rows of
+lemma-gr's gap and central binomials.  The row claims thm2, thm3,
+lemma-links, lemma-rechts and eq9 take each n's step off row n alone
+(ROW_STEPS), and one lazy row pass per SweepContext streams the rows
+once for all the row claims registered with it and queues their steps,
+so `verify all` streams the p(n,k) rows once.  prop1, prop2, lemma13,
+apostol and stirling call their certified check once per n, through
+the `checks` module, on the check's own arguments: n for lemma13, n and
+the integer bounded for the others.
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -59,7 +57,6 @@ from .binomial_sums import (
     verify_unimodal_profile,
 )
 from .checks import VERIFIED, VIOLATED
-from .intervals import DEFAULT_PRECISION_BITS
 from .partitions import (build_partition_table, build_restricted_table,
                          check_generating_functions)
 
@@ -196,80 +193,18 @@ def _claim(claim: str, steps, notes=None):
 #    counterexample, margin, bits) for each n ----------------------------
 
 
-def _screened(check, bracket, calls):
-    """The steps of a certified claim whose check has an integer screen.
-
-    calls yields the check's argument tuple for n = n_min, n_min+1, ...,
-    n first: check(*call) is the claim's certified check and
-    bracket(*call, constants) its screen in `checks`: the lower endpoint
-    of the check's gap enclosure at DEFAULT_PRECISION_BITS (the smaller of
-    lemma13's two), which its margin rounds to nearest, lies in
-    [lo - w, hi].  Two passes:
-
-      1. In order of n: n is screened when lo > w, since its 128-bit
-         enclosure is then certainly positive.  Any other n is checked at
-         once, and the pass stops at the first n the check does not verify.
-      2. H is the least hi of a screened n and margin of a checked n (that
-         margin rounded up to the bracket's scale), over the n pass 1
-         reached.  A screened n with lo - w <= H may hold the least margin,
-         so it is checked, in order of n.  The other screened n, if any,
-         take one step together, verified at DEFAULT_PRECISION_BITS with
-         no margin, as each lower endpoint exceeds H and rounding to
-         nearest keeps that order.
-
-    The unverified step of pass 1, if any, comes last.  So the check's
-    verdicts and margins are the only ones reported, and the fold sees the
-    count, least margin and most bits that checking every n would give.
-    Pass 1 counts the screened n and keeps (lo - w, call) only for those
-    with lo - w <= H so far, dropping them as H falls, so it holds a few
-    calls (stirling's binomials), not one entry per n of the range.
-    """
-    constants = checks.screen_constants()
-    screened, kept, least, stop = 0, [], None, None
-    for call in calls:
-        # without constants the screen decides nothing: every n is checked
-        lo, hi, w = bracket(*call, constants) if constants else (0, 0, 0)
-        if lo > w:
-            screened += 1
-            bound = hi
-        else:
-            step = 1, *check(*call)
-            if step[1] != VERIFIED:
-                stop = step
-                break
-            yield step
-            num, den = step[3].as_integer_ratio()
-            bound = -(-(num << checks.SCREEN_BITS) // den)  # H only rounds up
-        if least is None or bound < least:
-            least = bound
-            kept = [entry for entry in kept if entry[0] <= least]
-        if lo > w and lo - w <= least:
-            kept.append((lo - w, call))
-    for _, call in kept:
-        yield 1, *check(*call)
-    if screened > len(kept):
-        yield screened - len(kept), VERIFIED, None, None, DEFAULT_PRECISION_BITS
-    if stop is not None:
-        yield stop
-
-
 def _diagonal_bound(ctx, lo, hi):
-    """p(n-1,n-1) off the diagonal table, screened on integers
-    (checks.diagonal_bound_bracket); at the default range only n = 1, 2
-    and 3 reach diagonal_bound_check."""
+    """p(n-1,n-1) off the diagonal table, one certified check per n."""
     diagonal = ctx.diagonal(hi).diagonal
-    yield from _screened(checks.diagonal_bound_check, checks.diagonal_bound_bracket,
-                         ((n, diagonal[n - 1]) for n in range(lo, hi + 1)))
+    for n in range(lo, hi + 1):
+        yield 1, *checks.diagonal_bound_check(n, diagonal[n - 1])
 
 
 def _subdiagonal_bound(ctx, lo, hi):
-    """p(n,n-1) off the diagonal table, screened on integers
-    (checks.subdiagonal_bound_bracket): the check runs where the bracket
-    is too wide to exclude the least margin, five n of the default range."""
+    """p(n,n-1) off the diagonal table, one certified check per n."""
     subdiagonal = ctx.diagonal(hi).subdiagonal
-    yield from _screened(checks.subdiagonal_bound_check,
-                         checks.subdiagonal_bound_bracket,
-                         ((n, subdiagonal[n]) for n in range(lo, hi + 1)))
+    for n in range(lo, hi + 1):
+        yield 1, *checks.subdiagonal_bound_check(n, subdiagonal[n])
 
 
 def _dominance(ctx, lo, hi):
@@ -282,31 +217,25 @@ def _dominance(ctx, lo, hi):
 
 
 def _growth_chain(ctx, lo, hi):
-    """The chain at each n, screened on integers (checks.growth_chain_bracket,
-    with e^x from fixed-point Taylor sums); its least margin is the right
-    link's at n_max, where the check runs at the default range."""
-    yield from _screened(checks.growth_chain_check, checks.growth_chain_bracket,
-                         ((n,) for n in range(lo, hi + 1)))
+    """The chain at each n, one certified check per n; its least margin is
+    the right link's at n_max."""
+    for n in range(lo, hi + 1):
+        yield 1, *checks.growth_chain_check(n)
 
 
 def _partition_bound(ctx, lo, hi):
-    """p(n) off the partition table, screened on integers
-    (checks.partition_bound_bracket, which brackets ln(6n*p(n)^2) by its
-    bit length); the least margin sits at small n, where the check runs."""
+    """p(n) off the partition table, one certified check per n; the least
+    margin sits at small n."""
     table = ctx.table(hi)
-    yield from _screened(checks.partition_bound_check, checks.partition_bound_bracket,
-                         ((n, table[n]) for n in range(lo, hi + 1)))
+    for n in range(lo, hi + 1):
+        yield 1, *checks.partition_bound_check(n, table[n])
 
 
 def _central_binomial(ctx, lo, hi):
-    """C(n, floor((n+3)/2)) walked along n, screened on integers
-    (checks.central_binomial_bracket, on the binomial's top bits).  The gap
-    falls with n and its bracket is tight, so the check runs at the n whose
-    margin is least, n_max at the default range, and the screen alone
-    covers the rest."""
-    yield from _screened(checks.central_binomial_check,
-                         checks.central_binomial_bracket,
-                         iter_central_binomials(lo, hi))
+    """C(n, floor((n+3)/2)) walked along n, one certified check per n; the
+    gap falls with n, so the least margin is n_max's."""
+    for n, value in iter_central_binomials(lo, hi):
+        yield 1, *checks.central_binomial_check(n, value)
 
 
 def _series_identities(ctx, lo, hi):
@@ -422,9 +351,11 @@ def run_claim(claim: str, n_min: int | None, n_max: int | None,
 
 
 def run_all(n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
-    """Run every claim, sharing the partition and diagonal tables across
-    sweeps and one row pass across the row claims, which streams the
-    p(n,k) rows once."""
+    """Run every claim, sharing one partition table, sized once to the
+    largest n_max of the claims' ranges, the diagonal table and one row
+    pass across the row claims, which streams the p(n,k) rows once."""
+    ranges = {claim: _clamped(claim, n_min, n_max) for claim in CLAIMS}
     ctx = SweepContext()
-    ctx.open_pass({claim: _clamped(claim, n_min, n_max) for claim in CLAIMS})
+    ctx.table(max(hi for _, hi in ranges.values()))
+    ctx.open_pass(ranges)
     return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,13 +13,13 @@ from mpmath.libmp import (
     fninf,
     fnone,
     fone,
-    from_int,
-    from_man_exp,
+    from_rational,
     fzero,
     mpi_div,
     mpi_exp,
     mpi_log,
     mpi_sqrt,
+    round_floor,
 )
 
 from binpart import checks, intervals
@@ -155,14 +156,15 @@ class TestDiagonalBounds:
 
 
 class TestCertifiedOutcomes:
-    """The non-verified outcomes of the shared escalate-and-report scaffold."""
+    """The outcomes of the shared escalate-and-report scaffold, fed the
+    integer pairs (lo, hi) a kernel returns."""
 
     def test_huge_value_is_violated(self):
         assert diagonal_bound_check(1, 10**100) == (VIOLATED, (1,), None, 128)
 
     def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
-        verdict = _certified(lambda bits: ((fnone, fone),), (1,))
+        verdict = _certified(lambda bits: ((-1, 1),), (1,))
         assert verdict == (INCONCLUSIVE, None, None, 256)
 
     def test_negative_gap_violates_past_undecided_gap(self, monkeypatch):
@@ -172,10 +174,35 @@ class TestCertifiedOutcomes:
 
         def gaps(bits):
             seen.append(bits)
-            return ((fnone, fone), (from_int(-2), fnone))
+            return ((-1, 1), (-2 << bits, -1))
 
         assert _certified(gaps, (1,)) == (VIOLATED, (1,), None, 128)
         assert seen == [128]
+
+    @pytest.mark.parametrize("gaps, sign", [
+        (((0, 1),), None),       # touches 0 from above: undecided
+        (((-1, 0),), False),     # touches 0 from below: violated
+        (((0, 0),), False),
+        (((1, 1),), True),
+        (((1, 2), (0, 5)), None),
+        (((3, 4), (1, 10**60)), True),
+    ])
+    def test_sign_rule_on_integer_pairs(self, monkeypatch, gaps, sign):
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
+        seen = []
+
+        def record(bits):
+            seen.append(bits)
+            return gaps
+
+        outcome, counterexample, margin, bits = _certified(record, (1,))
+        expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
+        assert outcome == expected
+        assert seen == ([128, 256] if sign is None else [128])
+        assert bits == seen[-1]
+        assert counterexample == ((1,) if sign is False else None)
+        # the least lower end in units of 2^-bits, rounded to nearest
+        assert margin == (min(lo for lo, _ in gaps) / 2**128 if sign else None)
 
 
 def _record_sign(gap):
@@ -191,9 +218,10 @@ def _record_sign(gap):
 
 
 class TestSignRule:
-    """certainly_positive, the sign rule _certified reads from a gap's raw
-    endpoints, agrees with mpmath's own interval comparison gap > 0 and
-    with mpf comparisons of the gap's endpoints on every edge gap."""
+    """certainly_positive, the sign rule of an endpoint pair (the bounds
+    `cli` checks read it), agrees with mpmath's own interval comparison
+    gap > 0 and with mpf comparisons of the gap's endpoints, the rule of
+    the reference decisions below, on every edge gap."""
 
     @pytest.mark.parametrize("lower, upper, sign", [
         (fzero, fone, None),     # touches 0 from above: undecided
@@ -207,34 +235,44 @@ class TestSignRule:
         (fone, fnan, True),
         (fone, finf, True),
     ])
-    def test_edges_match_iv_comparison(self, monkeypatch, lower, upper, sign):
-        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
+    def test_edges_match_iv_comparison(self, lower, upper, sign):
         gap = (lower, upper)
         # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
         assert (iv.make_mpf(gap) > 0) is sign
         assert certainly_positive(gap) is sign
         assert _record_sign(gap) is sign
-        seen = []
-
-        def gaps(bits):
-            seen.append(bits)
-            return (gap,)
-
-        outcome, counterexample, _, bits = _certified(gaps, (1,))
-        expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
-        assert outcome == expected
-        assert seen == ([128, 256] if sign is None else [128])
-        assert bits == seen[-1]
-        assert counterexample == ((1,) if sign is False else None)
 
 
-def _reference_gaps(claim, n, table, diagonal):
+NON_FINITE = [(fninf, finf), (fnan, fone), (fone, fnan), (fone, finf),
+              (fninf, fone), (fnan, fnan)]
+
+
+@pytest.mark.parametrize("which", ["pi", "alpha", "both"])
+@pytest.mark.parametrize("pair", NON_FINITE,
+                         ids=["-inf,inf", "nan,1", "1,nan", "1,inf", "-inf,1", "nan,nan"])
+def test_non_finite_constants_leave_every_gap_undecided(monkeypatch, pair, which):
+    real = pi_alpha(128)
+    monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
+    monkeypatch.setattr(checks, "pi_alpha", lambda bits: (
+        pair if which != "alpha" else real[0], pair if which != "pi" else real[1]))
+    for verdict in (central_binomial_check(50, math.comb(50, 26)),
+                    partition_bound_check(50, 204226),
+                    growth_chain_check(50),
+                    diagonal_bound_check(51, 1295971),
+                    subdiagonal_bound_check(50, 6547151)):
+        assert verdict == (INCONCLUSIVE, None, None, 256)
+
+
+def _reference_gaps(claim, n, table, diagonal, point=None):
     """Each certified check's gaps as `iv` operator expressions, as endpoint pairs.
 
     mpmath's operator dispatch, inside one working_precision(bits), is a
-    route separate from the checks' direct `libmpi` calls.
+    route separate from the checks' integer kernels.  point, if given, is
+    a pair of raw mpf values that stand for pi and a.
     """
     def constants():
+        if point:
+            return tuple(iv.mpf(mpmath.mp.make_mpf(x)) for x in point)
         pi = +iv.pi
         return pi, iv.sqrt(iv.mpf(2) / 3) * pi
 
@@ -284,7 +322,8 @@ def _reference_gaps(claim, n, table, diagonal):
 
 
 def _verdict_and_gaps(monkeypatch, run_check):
-    """run_check()'s verdict and the gaps(bits) its check handed _certified."""
+    """run_check()'s verdict and the kernel gaps(bits) its check handed
+    _certified."""
     handed = []
 
     def recording(gaps, counterexample):
@@ -318,15 +357,20 @@ def _reference_decision(gaps):
     return (VERIFIED if outcome else VIOLATED), margin.get("m"), bits
 
 
-class TestRawIntervalGaps:
-    """The certified checks' raw-interval gaps against the endpoint pairs of
-    `iv` operator references: the decision, and every gap endpoint exactly.
+@pytest.fixture(scope="module")
+def tables_20000():
+    table = build_partition_table(20000)
+    return table, DiagonalTable(20000, table)
 
-    A check's ladder always starts at 128 bits, so the gaps it records are
-    also compared at rungs it did not need: the from_bits=128 cases compare
-    rungs 128 up to the last one used, the from_bits=256 cases rungs 256 up
-    to max(last used, 256), so together every rung from 128 to
-    max(last used, 256) is compared."""
+
+class TestRawIntervalGaps:
+    """The certified checks' integer kernels against `iv` operator
+    references, a second library: at each rung from 128 or 256 bits to
+    512, every kernel pair (lo, hi) holds the reference gap enclosed at
+    1024 bits, and its width in units of 2^-bits stays within a stated
+    bound; and each check's verdict (outcome, margin, bits) is the
+    decision the reference reaches from 128 bits, as the `libmpi` checks
+    it replaced reached it, which keeps every printed margin."""
 
     CHECKS = {
         "central-binomial": (1, lambda n, t, d: central_binomial_check(
@@ -339,29 +383,49 @@ class TestRawIntervalGaps:
             1, lambda n, t, d: subdiagonal_bound_check(n, d.subdiagonal[n])),
     }
 
+    @staticmethod
+    def _width_bound(claim, n, bits):
+        """hi - lo at 2^-bits: a's width times sqrt(n) for the logs, the
+        fixed-point Taylor terms of e^x for lemma13, a few units for
+        stirling."""
+        if claim == "central-binomial":
+            return 4
+        if claim == "growth-chain":
+            return (16 + bits // 4) * (math.isqrt(n) + 1)
+        return 16 * (math.isqrt(n) + 1)
+
     def _assert_matches_reference(self, monkeypatch, claim, n, from_bits,
-                                  table, diagonal):
-        """The check's verdict at n is the reference decision, and its gaps
-        equal the reference endpoint pairs exactly at every rung from
-        from_bits to max(last rung used, from_bits)."""
+                                  table, diagonal, decide=True):
+        """The kernel's pairs at every rung from from_bits to 512 hold the
+        1024-bit reference and keep within the width bound; with decide,
+        the check's verdict at n is the 128-bit reference decision."""
         check = self.CHECKS[claim][1]
-        (outcome, _, margin, bits), raw = _verdict_and_gaps(
+        (outcome, _, margin, bits), kernel = _verdict_and_gaps(
             monkeypatch, lambda: check(n, table, diagonal))
-        gaps = _reference_gaps(claim, n, table, diagonal)
-        assert (outcome, margin, bits) == _reference_decision(gaps), n
+        reference = _reference_gaps(claim, n, table, diagonal)
+        if decide:
+            assert (outcome, margin, bits) == _reference_decision(reference), n
+        exact = [fractions(gap) for gap in reference(1024)]
         rung = from_bits
-        while rung <= max(bits, from_bits):
-            assert raw(rung) == gaps(rung), (n, rung)
+        while rung <= 512:
+            for (lo, hi), (lower, upper) in zip(kernel(rung), exact):
+                assert Fraction(lo, 2**rung) <= lower and upper <= Fraction(hi, 2**rung), \
+                    (n, rung)
+                assert hi - lo <= self._width_bound(claim, n, rung), (n, rung)
             rung *= 2
 
     @pytest.mark.parametrize("from_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
     def test_matches_iv_operator_reference(self, monkeypatch, claim, from_bits,
-                                           table_2001, diagonal_2001):
+                                           tables_20000):
         n_min = self.CHECKS[claim][0]
-        for n in (n_min, n_min + 1, 10, 100, 1000, 1999, 2000):
+        samples = [n_min, n_min + 1, 10, 100, 1000, 1999, 2000,
+                   *range(2001 + from_bits, 20000, 997), 20000]
+        if claim == "growth-chain":
+            samples += [10**5, 314159, 999999, 10**6]
+        for n in samples:
             self._assert_matches_reference(monkeypatch, claim, n, from_bits,
-                                           table_2001, diagonal_2001)
+                                           *tables_20000)
 
     @pytest.mark.parametrize("from_bits", [128, 256])
     @pytest.mark.parametrize("claim", sorted(CHECKS))
@@ -369,20 +433,54 @@ class TestRawIntervalGaps:
                                               table_2001, diagonal_2001):
         for n in range(self.CHECKS[claim][0], 401):
             self._assert_matches_reference(monkeypatch, claim, n, from_bits,
-                                           table_2001, diagonal_2001)
+                                           table_2001, diagonal_2001, decide=False)
 
-    # growth_chain_check's exp argument has endpoints 0 or >= 2^(1-bits):
-    # sqrt(1+1/n) - 1 is a multiple of 2^(1-bits), then multiplied by
-    # alpha*sqrt(n) > 1.  Denominators below 2^120 keep y there at 128 and
-    # 256 bits.  (mpmath 1.3.0's mpf_exp rounds exp(y) up to exactly 1 for
-    # y in [2^-(bits+15), 2^-(bits+14)), an argument the kernel never forms.)
+    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    def test_every_n_to_2000_decides_as_the_128_bit_reference(self, claim, table_2001,
+                                                              diagonal_2001):
+        n_min, check = self.CHECKS[claim]
+        for n in range(n_min, 2001):
+            outcome, _, margin, bits = check(n, table_2001, diagonal_2001)
+            reference = _reference_gaps(claim, n, table_2001, diagonal_2001)
+            assert (outcome, margin, bits) == _reference_decision(reference), n
+
+    # n at which one unit moved inward in a kernel shows: every n to 60,
+    # then a sweep
+    POINT_NS = [*range(3, 61), *range(61, 2001, 13)]
+
+    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    def test_kernels_hold_the_reference_at_point_constants(self, monkeypatch, claim,
+                                                           table_2001, diagonal_2001):
+        # pi and a as points, pi_alpha's lower endpoints, which a kernel
+        # scales exactly: the pairs then differ from the reference only by
+        # the kernel's own roundings, so one moved inward shows
+        check = self.CHECKS[claim][1]
+        points = {bits: tuple(lower for lower, _ in pi_alpha(bits)) for bits in (128, 256)}
+        monkeypatch.setattr(checks, "pi_alpha", lambda bits: tuple(
+            (x, x) for x in points[bits]))
+        for n in self.POINT_NS:
+            _, kernel = _verdict_and_gaps(
+                monkeypatch, lambda: check(n, table_2001, diagonal_2001))
+            for bits, point in points.items():
+                reference = _reference_gaps(claim, n, table_2001, diagonal_2001, point)
+                for (lo, hi), (lower, upper) in zip(kernel(bits),
+                                                    map(fractions, reference(1024))):
+                    assert Fraction(lo, 2**bits) <= lower, (n, bits)
+                    assert upper <= Fraction(hi, 2**bits), (n, bits)
+                    # e^x's Taylor sums lose a unit a term on each side
+                    assert hi - lo <= (bits // 2 if claim == "growth-chain" else 8), \
+                        (n, bits)
+
+    # the tests' `iv` references call these libmpi functions, entered as
+    # integer endpoints and then mpi_div; mpmath 1.3.0's mpf_exp rounds
+    # exp(y) up to exactly 1 for y in [2^-(bits+15), 2^-(bits+14)), so y
+    # keeps to denominators below 2^120
     @pytest.mark.parametrize("bits", [128, 256])
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(x=st.builds(Fraction, st.integers(1, 10**45), st.integers(1, 10**45)),
            y=st.builds(Fraction, st.integers(1, 10**39),
                        st.integers(10**33, 10**36)))
     def test_libmpi_functions_enclose_high_precision_values(self, bits, x, y):
-        # entered as the kernel enters them: integer endpoints, then mpi_div
         for fn, reference, arg in ((mpi_sqrt, mpmath.sqrt, x),
                                    (mpi_log, mpmath.log, x),
                                    (mpi_exp, mpmath.exp, y)):
@@ -441,68 +539,95 @@ class TestRawIntervalGaps:
             assert all(f < c for c, f in zip(coarse, fine))
 
 
-class TestScreenBrackets:
-    """The integer screen of prop1, prop2, lemma13, apostol and stirling
-    against the checks themselves.  At every n <= 2000, at sampled n to
-    20000 and, for lemma13, at a few n to 10^6: [lo, hi] holds the gap
-    (enclosed at 512 bits; lemma13's is the smaller of its two), w exceeds
-    the width of each 128-bit enclosure, and so the least lower endpoint,
-    which the check's margin rounds to nearest, lies in [lo - w, hi]."""
+def _iv_fractions(value):
+    """The 1024-bit `iv` enclosure of an expression value(), as Fractions."""
+    with working_precision(1024):
+        return fractions(value()._mpi_)
 
-    CLAIMS = {
-        "prop1": (1, diagonal_bound_check, checks.diagonal_bound_bracket,
-                  lambda n, table, diagonal: (n, diagonal.diagonal[n - 1])),
-        "prop2": (1, subdiagonal_bound_check, checks.subdiagonal_bound_bracket,
-                  lambda n, table, diagonal: (n, diagonal.subdiagonal[n])),
-        "lemma13": (3, growth_chain_check, checks.growth_chain_bracket,
-                    lambda n, table, diagonal: (n,)),
-        "apostol": (1, partition_bound_check, checks.partition_bound_bracket,
-                    lambda n, table, diagonal: (n, table[n])),
-        "stirling": (1, central_binomial_check, checks.central_binomial_bracket,
-                     lambda n, table, diagonal: (n, math.comb(n, (n + 3) // 2))),
-    }
 
-    @pytest.fixture(scope="class")
-    def tables_20000(self):
-        table = build_partition_table(20000)
-        return table, DiagonalTable(20000, table)
+class TestFixedPoint:
+    """_ln and _exp_bracket, the kernels' fixed-point series, against
+    mpmath's `iv` at 1024 bits, at rungs 128, 256 and 512."""
 
-    @staticmethod
-    def _widths(monkeypatch, claim, call):
-        """The widths of the check's 128-bit enclosures at call = (n, ...),
-        at 2^-SCREEN_BITS, after asserting the bracket against them and the
-        512-bit ones."""
-        _, check, bracket, _ = TestScreenBrackets.CLAIMS[claim]
-        n = call[0]
-        lo, hi, w = bracket(*call, checks.screen_constants())
-        verdict, gaps = _verdict_and_gaps(monkeypatch, lambda: check(*call))
-        assert verdict[0] == VERIFIED and verdict[3] == 128, n
-        scale = 2 ** checks.SCREEN_BITS
-        coarse, fine = ([[x * scale for x in fractions(gap)] for gap in gaps(bits)]
-                        for bits in (128, 512))
-        widths = [upper - lower for lower, upper in coarse]
-        assert max(widths) < w, n
-        assert lo - w <= min(lower for lower, _ in coarse) <= hi, n
-        assert lo <= min(upper for _, upper in fine), n
-        assert min(lower for lower, _ in fine) <= hi, n
-        return widths
+    T = checks.LN_TABLE_BITS
 
-    @pytest.mark.parametrize("claim", sorted(CLAIMS))
-    def test_bracket_holds_the_gap_and_w_its_width(self, monkeypatch, claim,
-                                                   tables_20000):
-        n_min, _, _, call_of = self.CLAIMS[claim]
-        for n in [*range(n_min, 2001), *range(2001, 20000, 149), 20000]:
-            self._widths(monkeypatch, claim, call_of(n, *tables_20000))
+    @pytest.fixture(params=[checks.LN_GUARD_BITS, 0], ids=["guarded", "unguarded"])
+    def guard(self, request, monkeypatch):
+        """_ln as it runs, and with no guard bits, so that its pairs show
+        every unit its own roundings lose."""
+        monkeypatch.setattr(checks, "LN_GUARD_BITS", request.param)
+        return request.param
 
-    @pytest.mark.parametrize("n", [10**5, 314159, 999999, 10**6])
-    def test_growth_chain_width_grows_as_sqrt_n(self, monkeypatch, n):
-        # sqrt(1 + 1/n) - 1 cancels digits, so the right link's 128-bit width
-        # grows as a*sqrt(n), past the (M + 1) >> WIDTH_BITS that the other
-        # brackets allow; M + 1 is about 3 for lemma13 at these n
-        left, right = self._widths(monkeypatch, "lemma13", (n,))
-        assert right > (4 << checks.SCREEN_BITS >> checks.WIDTH_BITS) > left
+    def _assert_ln(self, num, den, guard):
+        lower, upper = _iv_fractions(lambda: iv.log(iv.mpf(num) / den))
+        for bits in (128, 256, 512):
+            lo, hi = checks._ln(num, den, bits)
+            assert Fraction(lo, 2**bits) <= lower, (num, den, bits)
+            assert upper <= Fraction(hi, 2**bits), (num, den, bits)
+            # at 2^-w: 10 units of ln 2 per power of two, 10 per table step
+            # and 10 for the series, rounded outward to 2^-bits
+            b = abs(num.bit_length() - den.bit_length()) + 1
+            assert hi - lo <= ((10 * b + 2570) >> guard) + 2, (num, den, bits)
 
-    # x = X/2^SCREEN_BITS in (0, 1.3], past the chain's largest argument
+    @pytest.mark.parametrize("w", [128, 160, 288, 544])
+    def test_atanh2_encloses_the_reference(self, w):
+        rng = random.Random(w)
+        for _ in range(300):
+            den = rng.getrandbits(rng.choice((8, 64, 300))) + 3
+            num = rng.randrange(den // 3 + 1)
+            lower, upper = _iv_fractions(
+                lambda: iv.log((iv.mpf(den) + num) / (iv.mpf(den) - num)))
+            lo, hi = checks._atanh2(num, den, w)
+            assert Fraction(lo, 2**w) <= lower and upper <= Fraction(hi, 2**w), (num, den)
+            assert hi - lo == 10
+
+    def test_ln_of_powers_of_two_and_their_neighbours(self, guard):
+        self._assert_ln(1, 1, guard)
+        self._assert_ln(2, 1, guard)
+        for m in range(1, 300, 7):
+            for v in (2**m - 1, 2**m, 2**m + 1):
+                self._assert_ln(v, 1, guard)
+
+    def test_ln_on_the_reduction_table_boundaries(self, guard):
+        # q's top T + 1 bits are c = 2^T + i: mantissas at both ends of
+        # entry i, and ratios num/den below 1 and past 2^w
+        for c in [*range(1 << self.T, 2 << self.T, 17), (2 << self.T) - 1]:
+            for k in (0, 40, 150, 600):
+                self._assert_ln(c << k, 1, guard)
+                self._assert_ln((c << k) - 1, 1, guard)
+                self._assert_ln(((c + 1) << k) - 1, 1, guard)
+            self._assert_ln(c, 3 << 200, guard)
+            self._assert_ln(c << 900, 7, guard)
+
+    def test_ln_of_partition_numbers(self, tables_20000, guard):
+        table, _ = tables_20000
+        for n in [*range(1, 400), *range(400, 20001, 83)]:
+            self._assert_ln(table[n], 1, guard)
+            self._assert_ln(table[n] ** 2, n, guard)
+
+    def test_ln_of_a_100000_bit_integer(self, guard):
+        v = 3**63093 >> 1
+        assert v.bit_length() == 100000
+        self._assert_ln(v, 1, guard)
+        self._assert_ln(v + 1, 5**100, guard)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_fixed_scales_endpoints_exactly(self, bits):
+        # endpoints of every sign and of more and fewer fractional bits
+        # than bits: the floor of the lower and the ceiling of the upper
+        rng = random.Random(bits)
+        for _ in range(500):
+            ends = sorted(Fraction(rng.randrange(-2**200, 2**200), 2**rng.randrange(400))
+                          for _ in range(2))
+            pair = tuple(from_rational(x.numerator, x.denominator, 600, round_floor)
+                         for x in ends)
+            assert fractions(pair) == tuple(ends)
+            assert checks._fixed(pair, bits) == (math.floor(ends[0] * 2**bits),
+                                                 math.ceil(ends[1] * 2**bits))
+        for pair in NON_FINITE:
+            assert checks._fixed(pair, bits) is None
+
+    # x = X/2^192 in (0, 1.3], past the chain's largest argument
     # a/(2 + sqrt(3)) = 0.687 at n = 3: a geometric sweep; X = 2^m and
     # 2^m + 1, at which the last terms kept and the remainder decide the
     # last unit; and five X found by search at which one Taylor term
@@ -517,27 +642,19 @@ class TestScreenBrackets:
         6067754520980391850605076396933481156596186742784,
         279668687598976890503429642995051391971630755348480]
 
-    def test_exp_bracket_holds_e_to_the_x(self):
-        scale = 2 ** checks.SCREEN_BITS
-
-        def reference(x):  # e^x enclosed at 512 bits, at 2^-SCREEN_BITS
-            point = from_man_exp(x, -checks.SCREEN_BITS)
-            return [v * scale for v in fractions(mpi_exp((point, point), 512))]
+    @pytest.mark.parametrize("bits", [128, 192, 256, 512])
+    def test_exp_bracket_holds_e_to_the_x(self, bits):
+        def reference(x):  # e^x enclosed at 1024 bits, at 2^-bits
+            return [v * 2**bits for v in _iv_fractions(
+                lambda: iv.exp(iv.mpf(x) / 2**bits))]
 
         for x in self.EXP_ARGUMENTS:
-            (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x)
-            assert lo <= e_lo and e_hi <= hi and hi - lo < 256, x
+            x = x << bits >> 192
+            (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x, bits)
+            assert lo <= e_lo and e_hi <= hi and hi - lo < bits, x
             # an argument interval: [lo, hi] holds e^x over all of it
-            lo, hi = checks._exp_bracket(x // 2, x)
+            lo, hi = checks._exp_bracket(x // 2, x, bits)
             assert lo <= reference(x // 2)[0] and reference(x)[1] <= hi, x
-
-    @pytest.mark.parametrize("pair", [(fninf, finf), (from_int(-2), from_int(-1)),
-                                      (fone, finf), (fnan, fone)],
-                             ids=["straddling", "negative", "infinite", "nan"])
-    def test_no_constants_unless_finite_and_positive(self, monkeypatch, pair):
-        assert checks.screen_constants() is not None
-        monkeypatch.setattr(checks, "pi_alpha", lambda bits: (pair, pair))
-        assert checks.screen_constants() is None
 
 
 class TestProductBound:

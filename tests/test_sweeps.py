@@ -219,50 +219,29 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
     assert seen == [1]
 
 
-def test_screen_holds_no_entry_per_screened_n():
-    # a stub bracket that screens every n, its hi growing with n: only
-    # n = 1 and 2 can hold the least margin, and the rest are counted
-    seen = []
-
-    def check(n):
-        seen.append(n)
-        return VERIFIED, None, 1.0, 128
-
-    checks.screen_constants()  # pi_alpha's cache is filled outside the trace
-    calls = ((n,) for n in range(1, 10**5 + 1))
-    tracemalloc.start()
-    try:
-        steps = sweeps._screened(check, lambda n, constants: (n + 2, n + 2, 1),
-                                 calls)
-        checked = sum(step[0] for step in steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert checked == 10**5
-    assert seen == [1, 2]
-    # listing the 10^5 screened n until a second pass peaked at about 4 MB
-    assert peak < 2**16
-
-
-@pytest.mark.parametrize("claim, check, expected", [
-    ("prop1", "diagonal_bound_check", [1, 2, 3]),
-    ("prop2", "subdiagonal_bound_check", [1, 2, 3, 6, 7]),
-    ("apostol", "partition_bound_check", [1, 2, 3, 4, 6]),
-    ("stirling", "central_binomial_check", [2000]),
-    ("lemma13", "growth_chain_check", [2000]),
+@pytest.mark.parametrize("stop", [40, None], ids=["violated-at-40", "verified"])
+@pytest.mark.parametrize("claim, check", [
+    ("prop1", "diagonal_bound_check"),
+    ("prop2", "subdiagonal_bound_check"),
+    ("lemma13", "growth_chain_check"),
+    ("apostol", "partition_bound_check"),
+    ("stirling", "central_binomial_check"),
 ])
-def test_screen_checks_only_where_the_least_margin_can_be(monkeypatch, claim,
-                                                           check, expected):
-    # every other n of the default range is screened: its gap's lower
-    # bracket exceeds the 128-bit width bound and its least possible
-    # margin exceeds a bracket or margin already seen
+def test_certified_sweep_checks_each_n_once_in_order(monkeypatch, claim, check, stop):
+    # the check is the claim's own, but reports n = stop violated
     original, seen = getattr(checks, check), []
-    monkeypatch.setattr(checks, check,
-                        lambda n, *arg: seen.append(n) or original(n, *arg))
-    summary = sweeps.run_claim(claim, None, None)
-    n_min, n_max = sweeps.CLAIMS[claim][1]
-    assert (summary.checked, summary.outcome) == (n_max - n_min + 1, VERIFIED)
-    assert seen == expected
+
+    def recording(n, *arg):
+        seen.append(n)
+        return (VIOLATED, (n,), None, 128) if n == stop else original(n, *arg)
+
+    monkeypatch.setattr(checks, check, recording)
+    summary = sweeps.run_claim(claim, None, 60)
+    n_min = sweeps.CLAIMS[claim][1][0]
+    last = 60 if stop is None else stop
+    assert seen == list(range(n_min, last + 1))
+    assert (summary.checked, summary.outcome) == (
+        last - n_min + 1, VERIFIED if stop is None else VIOLATED)
 
 
 def test_run_all_builds_one_partition_table(monkeypatch):
@@ -271,6 +250,11 @@ def test_run_all_builds_one_partition_table(monkeypatch):
                         lambda max_n: sizes.append(max_n) or build(max_n))
     sweeps.run_all(4, 200)
     assert sizes == [200]
+    # at the default ranges the row claims end at 1000, and prop1, prop2
+    # and apostol read the table to 2000
+    sizes.clear()
+    sweeps.run_all(None, None)
+    assert sizes == [2000]
 
 
 def _unchanged(monkeypatch):
@@ -312,7 +296,8 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
 
 def test_run_all_queues_steps_not_rows():
     # the p(n,k) rows 0..400, all held, peak at about 4.9 MB under tracemalloc
-    checks.screen_constants()  # pi_alpha's cache is filled outside the trace
+    # pi_alpha's and the kernels' caches are filled outside the trace
+    checks.partition_bound_check(1, 1)
     tracemalloc.start()
     try:
         summaries = sweeps.run_all(4, 400)
