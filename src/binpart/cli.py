@@ -13,7 +13,8 @@ Exit codes: 0 success/verified, 1 violation found, 2 usage error,
 3 inconclusive (precision or depth cap hit).  All big integers are
 emitted as decimal strings; output is deterministic for a given command
 line (stable key order, no timestamps).  The parser is built once per
-process, on main's first call.
+process, on main's first call.  mpmath is imported only by the functions
+that call it, so a command on exact integers never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
 
 from . import sweeps
 from .binomial_sums import (build_triangle, peak_k, strict_sides, triangle_row,
@@ -61,9 +60,6 @@ P_CEILING = 10**9
 # 0.89 against 0.08 s at 200,000; the split route prints 10^1999999 in 1.0 s
 _LONG_INT_BITS = 33_220
 _LEAF_BITS = 512  # halves this short enter decimal.Decimal directly
-# enclosure of 10^MAX_STR_DIGITS, the least number too long to print
-_TOO_LONG = mpi_pow_int(int_interval(10, DEFAULT_PRECISION_BITS), MAX_STR_DIGITS,
-                        DEFAULT_PRECISION_BITS)
 
 
 class UsageError(Exception):
@@ -322,6 +318,15 @@ def _mu_doc(n: int, k: int, filiform: bool) -> dict:
     }
 
 
+@functools.cache
+def _too_long():
+    """Enclosure of 10^MAX_STR_DIGITS, the least number too long to print."""
+    from mpmath.libmp import mpi_pow_int
+
+    bits = DEFAULT_PRECISION_BITS
+    return mpi_pow_int(int_interval(10, bits), MAX_STR_DIGITS, bits)
+
+
 def _mu_prints_too_many_digits(n: int, k: int) -> bool:
     """Whether `mu N K` would print a number of more than MAX_STR_DIGITS digits.
 
@@ -330,13 +335,16 @@ def _mu_prints_too_many_digits(n: int, k: int) -> bool:
     10^MAX_STR_DIGITS on 128-bit enclosures, never built.  A comparison
     the enclosures leave open counts as fitting.
     """
+    from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
+
     bits = DEFAULT_PRECISION_BITS
+    too_long = _too_long()
     # (n^(k+2) - 1)/(n - 1) >= 10^L exactly when n^(k+2) > (n - 1)*10^L
     birkhoff = mpi_sub(mpi_pow_int(int_interval(n, bits), k + 2, bits),
-                       mpi_mul(int_interval(n - 1, bits), _TOO_LONG, bits), bits)
+                       mpi_mul(int_interval(n - 1, bits), too_long, bits), bits)
     corollary = mpi_mul(corollary_bound(n), int_interval(10**6, bits), bits)
     return any(certainly_positive(gap)
-               for gap in (birkhoff, mpi_sub(corollary, _TOO_LONG, bits)))
+               for gap in (birkhoff, mpi_sub(corollary, too_long, bits)))
 
 
 def cmd_mu(args) -> int:

@@ -15,6 +15,14 @@ process-global `iv.prec`; pi_alpha alone sets it, inside its own
 working_precision(bits).  A finished pair is read by to_fraction, an
 endpoint's exact value, and width, upper - lower as a float.
 
+mpmath is imported where it is called: inside each function here and in
+`partitions`, `qseries`, `lie` and `cli` that calls it, never at module
+level.  So importing binpart loads no mpmath, and neither do the
+commands on exact integers: compute pnk and pk, compute p below
+cli.P_SERIES_FROM, table, peak, and verify of thm2, thm3, lemma-links,
+lemma-rechts, lemma-gr, eq9 and genfun.  On the certified checks' path,
+pi_alpha is the one function that loads it.
+
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
 doubling to DEFAULT_PRECISION_CAP_BITS; the eq. 9 product check climbs its
@@ -39,10 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional
 
-from mpmath import iv
-from mpmath.libmp import (from_int, fzero, mpf_sign, mpf_sub, round_ceiling,
-                          round_floor, round_nearest, to_float)
-
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 4096
 
@@ -50,6 +54,8 @@ DEFAULT_PRECISION_CAP_BITS = 4096
 @contextmanager
 def working_precision(bits: int):
     """Temporarily set the interval context precision."""
+    from mpmath import iv
+
     old = iv.prec
     iv.prec = bits
     try:
@@ -60,6 +66,8 @@ def working_precision(bits: int):
 
 def int_interval(x: int, bits: int):
     """Endpoints of the integer x rounded outward to bits, as iv.mpf(x) gives."""
+    from mpmath.libmp import from_int, round_ceiling, round_floor
+
     return from_int(x, bits, round_floor), from_int(x, bits, round_ceiling)
 
 
@@ -69,6 +77,8 @@ def certainly_positive(gap) -> Optional[bool]:
     True when lower > 0, False when upper <= 0, None otherwise; a NaN
     endpoint (mpf_sign 0, but neither positive nor <= 0) leaves it None.
     """
+    from mpmath.libmp import fzero, mpf_sign
+
     lower, upper = gap
     if mpf_sign(lower) > 0:
         return True
@@ -84,6 +94,8 @@ def pi_alpha(bits: int):
     Keyed on the escalation rung, so the cache holds one entry per rung
     ever used (a handful: the ladder doubles from 128 bits to the cap).
     """
+    from mpmath import iv
+
     with working_precision(bits):
         pi = +iv.pi
         return pi._mpi_, (iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi)._mpi_
@@ -101,6 +113,8 @@ def to_fraction(raw) -> Fraction:
 
 def width(pair) -> float:
     """upper - lower of an endpoint pair, rounded to nearest at 53 bits."""
+    from mpmath.libmp import mpf_sub, round_nearest, to_float
+
     lo, hi = pair
     return to_float(mpf_sub(hi, lo, 53, round_nearest))
 

@@ -15,12 +15,11 @@ the label of the least; the dimension-only corollary bound
 (3/sqrt(n)) * 2^n is a real and is reported as a certified enclosure,
 never rounded into an integer claim; it is computed with mpmath's
 `libmpi` interval functions on endpoint pairs at DEFAULT_PRECISION_BITS,
-and returned as the raw endpoint pair (lower, upper).
+and returned as the raw endpoint pair (lower, upper), importing mpmath
+where it is called.
 """
 
 from __future__ import annotations
-
-from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
 
 from .binomial_sums import pnk_direct
 from .intervals import DEFAULT_PRECISION_BITS, int_interval
@@ -58,6 +57,8 @@ def corollary_bound(n: int):
     A strict upper bound for every p(n,k) (the exact row bound carries
     constant 113/40 < 3), hence a class-independent bound for mu.
     """
+    from mpmath.libmp import mpi_div, mpi_mul, mpi_pow_int, mpi_sqrt
+
     if n < 1:
         raise ValueError("n must be >= 1")
     bits = DEFAULT_PRECISION_BITS

@@ -22,18 +22,14 @@ series, truncated where Lehmer's remainder bound falls below 1/4.  It
 costs about as much as the table at n = 1900 (cli.P_SERIES_FROM) and
 less above.  Its enclosures are raw endpoint pairs at explicit
 precision, from direct `libmpi` calls; no float and no global precision
-enters the decision.
+enters the decision.  The series' functions import mpmath where they
+call it, so building a table loads none.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from operator import itemgetter
-
-from mpmath.libmp import (fzero, mpf_add, mpf_lt, mpf_sub, mpi_add, mpi_cos,
-                          mpi_div, mpi_mul, mpi_sqrt, mpi_sub, round_ceiling,
-                          round_floor, to_int)
-from mpmath.libmp.libmpi import mpi_cosh_sinh, mpi_pi, mpi_shift
 
 from .intervals import decide_with_escalation, int_interval
 
@@ -178,6 +174,9 @@ def rademacher_truncation(n: int):
     (see qseries).
     Needs n >= 2.
     """
+    from mpmath.libmp import mpf_lt, mpi_add, mpi_div, mpi_mul, mpi_sqrt
+    from mpmath.libmp.libmpi import mpi_cosh_sinh, mpi_pi
+
     bits = _REMAINDER_BITS
     pi = mpi_pi(bits)
     first = mpi_div(mpi_mul(int_interval(44, bits), mpi_mul(pi, pi, bits), bits),
@@ -239,6 +238,9 @@ def _cos_sum(k: int, indices: tuple[list[int], bool], pi, bits: int):
 
     S_k(n) adds (-1)^l cos(pi (6l+1) / (6k)) over the l of _selberg_indices.
     """
+    from mpmath.libmp import fzero, mpi_add, mpi_cos, mpi_div, mpi_mul, mpi_sub
+    from mpmath.libmp.libmpi import mpi_shift
+
     ls, doubled = indices
     six_k = int_interval(6 * k, bits)
     total = (fzero, fzero)
@@ -268,6 +270,10 @@ def rademacher_partition_number(n: int):
     decide_with_escalation from RADEMACHER_GUARD_BITS to
     RADEMACHER_GUARD_CAP_BITS.  Needs n >= 2.
     """
+    from mpmath.libmp import (fzero, mpf_add, mpf_sub, mpi_add, mpi_div, mpi_mul,
+                              mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_int)
+    from mpmath.libmp.libmpi import mpi_cosh_sinh, mpi_pi
+
     terms, remainder = rademacher_truncation(n)
     root = isqrt(24 * n - 1) + 1
     drop = n.bit_length() // 2

@@ -17,6 +17,7 @@ and enclose_euler_product raises ell on decide_with_escalation, the
 ladder every other inconclusive verdict climbs, resuming one walk across
 its rungs at the call's fixed precision, as eq. 9 resumes its depth; the
 precision and guard-bit ladders restart, since each rung changes precision.
+mpmath is imported inside the functions that call it, not with the module.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from itertools import islice
 
 from .intervals import (DEFAULT_PRECISION_BITS, decide_with_escalation, width,
                         working_precision)
-from mpmath import iv
-from mpmath.libmp import fone, mpf_gt, mpf_lt
 
 DEFAULT_DEPTH_CAP = 256
 
@@ -44,6 +43,9 @@ def _tail_factor(x):
     tiny x > 0, below exp(x) > 1.  Only then is the upper endpoint
     replaced, by 1 + 2x rounded up: exp(x) <= 1 + 2x on [0, 1].
     """
+    from mpmath import iv
+    from mpmath.libmp import fone
+
     factor = iv.exp(x)
     if factor._mpi_[1] == fone:
         return iv.mpf([1, (1 + 2 * x).b])
@@ -61,6 +63,9 @@ def _walk_bounds(q: Fraction, bits: int, steps):
     endpoint across points 2..ell: raising ell then tightens the result
     even when the analytic improvement falls below one rounding ulp.
     """
+    from mpmath import iv
+    from mpmath.libmp import mpf_gt, mpf_lt
+
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0,1), got {q}")
     pairs, reached, best_lo, best_hi = None, 1, None, None
@@ -84,6 +89,8 @@ def _walk_bounds(q: Fraction, bits: int, steps):
 
 
 def _product_steps(q):
+    from mpmath import iv
+
     inv_square = 1 / (1 - q) ** 2
     partial = iv.mpf(1)
     qj = iv.mpf(1)

@@ -12,7 +12,8 @@ enumeration, the pentagonal recurrence one term at a time, the dominance
 gap by multiplicative binomials, thm3's bound one k at a time, eq. 9 by
 a hand-written depth loop on math.comb, the paper's closed forms of the
 truncated sign sums, the growth conditions behind unimodal weighted
-binomial sums, and the enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j).
+binomial sums, the enclosure of S(q) = sum_{j>=1} j*q^j/(1-q^j), and a
+bracket of pi by Machin's formula on integers alone.
 """
 
 import math
@@ -268,6 +269,50 @@ def _weighted_steps(q):
 def weighted_sum_upper(q: Fraction, ell: int):
     """Endpoint pair of S(q) over truncation points 2..ell, as F(q)'s is built."""
     return qseries._walk_bounds(q, DEFAULT_PRECISION_BITS, _weighted_steps)(ell)
+
+
+MACHIN_GUARD_BITS = 64
+
+
+def _arctan_inverse(x: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo < atan(1/x)*2^w < hi, for an integer x >= 2.
+
+    atan(1/x) = sum_{k>=0} (-1)^k / ((2k+1) x^(2k+1)).  Each term scaled
+    by 2^w is floored once from an exact integer quotient, so it loses
+    less than a unit: an added term leaves the sum low and a subtracted
+    one high, by less than 1 each, and the losses are counted by sign.
+    The sum stops at the first term below a unit; the terms fall and
+    alternate, so the tail lies strictly within one unit of 0.
+    """
+    one = 1 << w
+    total = added = subtracted = 0
+    power, k = x, 0  # power = x^(2k+1)
+    while (2 * k + 1) * power <= one:
+        term = one // ((2 * k + 1) * power)
+        if k % 2:
+            total -= term
+            subtracted += 1
+        else:
+            total += term
+            added += 1
+        power *= x * x
+        k += 1
+    return total - subtracted - 1, total + added + 1
+
+
+def machin_pi_bracket(bits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo < pi < hi, by Machin's pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Both arctangents are integer series at 2^-(bits + MACHIN_GUARD_BITS)
+    with counted floor losses (_arctan_inverse), so no mpmath routine, and
+    no float, takes part.  The bracket is about 2^14 units of that scale
+    wide at 4096 bits, far inside one unit of 2^-bits.
+    """
+    w = bits + MACHIN_GUARD_BITS
+    lo5, hi5 = _arctan_inverse(5, w)
+    lo239, hi239 = _arctan_inverse(239, w)
+    return (Fraction(16 * lo5 - 4 * hi239, 1 << w),
+            Fraction(16 * hi5 - 4 * lo239, 1 << w))
 
 
 # p(k) for k = 1..50

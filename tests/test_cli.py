@@ -373,6 +373,70 @@ def _run_module(module, argv, **kwargs):
                           **kwargs)
 
 
+# `import binpart`, then `import binpart.cli`, then each argv of sys.argv[1]
+# through cli.main, all in one interpreter; prints whether mpmath is loaded
+# after each step, the exit codes and the binpart modules loaded
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = []
+import binpart
+loaded.append("mpmath" in sys.modules)
+from binpart import cli
+loaded.append("mpmath" in sys.modules)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append("mpmath" in sys.modules)
+print(json.dumps({"mpmath": loaded, "codes": codes, "modules": sorted(
+    name for name in sys.modules if name.startswith("binpart."))}))
+"""
+
+
+def _probe_imports(commands):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# commands on exact integers alone
+MPMATH_FREE = [
+    ["compute", "pnk", "30", "10"], ["compute", "pk", "3", "20"],
+    ["compute", "p", "100"], ["table", "20"], ["peak", "40"],
+    ["verify", "thm2", "4", "30"], ["verify", "thm3", "1", "30"],
+    ["verify", "lemma-links", "4", "30"], ["verify", "lemma-rechts", "4", "30"],
+    ["verify", "lemma-gr", "4", "30"], ["verify", "eq9", "2", "30"],
+    ["verify", "genfun", "1", "5"],
+]
+
+
+def test_import_and_integer_commands_load_no_mpmath():
+    """Importing binpart and binpart.cli loads every binpart module but no
+    mpmath, and the commands on exact integers leave it unloaded."""
+    probe = _probe_imports(MPMATH_FREE)
+    assert probe["codes"] == [EXIT_OK] * len(MPMATH_FREE)
+    assert probe["mpmath"] == [False] * (2 + len(MPMATH_FREE))
+    assert {f"binpart.{name}" for name in (
+        "binomial_sums", "checks", "cli", "intervals", "lie", "partitions",
+        "qseries", "sweeps")} <= set(probe["modules"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "prop1", "1", "10"],
+    ["compute", "p", "2000"],       # the series, from cli.P_SERIES_FROM
+    ["product", "1", "3", "1e-10"],
+    ["mu", "10", "3"],
+], ids=" ".join)
+def test_real_valued_commands_load_mpmath_when_they_run(argv):
+    probe = _probe_imports([argv])
+    assert probe["codes"] == [EXIT_OK]
+    assert probe["mpmath"] == [False, False, True]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 

@@ -31,7 +31,7 @@ from binpart.intervals import (
     width,
 )
 
-from reference_values import contains, fractions
+from reference_values import contains, fractions, machin_pi_bracket
 
 BITS = 128
 
@@ -122,6 +122,31 @@ def test_pi_enclosure():
     assert lo < hi
     assert lo < bracket_hi and hi > bracket_lo  # enclosures overlap
     assert hi - lo < Fraction(1, 10**30)  # and the computed one is tight
+
+
+# every rung of the certified checks' ladder, DEFAULT_PRECISION_BITS doubling to the cap
+LADDER = [128 << i for i in range(6)]
+
+
+@pytest.mark.parametrize("bits", LADDER)
+def test_pi_alpha_holds_machins_pi(bits):
+    """pi_alpha's pairs, which every certified verdict reads, against pi
+    by Machin's formula on integers: a route that shares nothing with
+    mpmath.  The pi pair holds the whole Machin bracket; the a pair holds
+    sqrt(2/3) times it, read on exact squares, since 3 a^2 = 2 pi^2 and
+    every endpoint is positive; each pair is a few units of 2^-bits wide."""
+    assert LADDER[0] == intervals.DEFAULT_PRECISION_BITS
+    assert LADDER[-1] == intervals.DEFAULT_PRECISION_CAP_BITS
+    pi_pair, a_pair = map(fractions, pi_alpha(bits))
+    lo, hi = machin_pi_bracket(bits)
+    assert pi_pair[0] <= lo and hi <= pi_pair[1]
+    a_lo, a_hi = a_pair
+    assert a_lo > 0
+    assert 3 * a_lo**2 <= 2 * lo**2 and 2 * hi**2 <= 3 * a_hi**2
+    unit = Fraction(1, 1 << bits)
+    # pi in [2, 4) at `bits` significant bits: one ulp is 4 units
+    assert pi_pair[1] - pi_pair[0] <= 4 * unit
+    assert a_hi - a_lo <= 16 * unit
 
 
 def test_exp_log_round_trip():
