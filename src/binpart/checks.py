@@ -5,15 +5,18 @@ Two kinds of checks live here:
   * pure big-integer comparisons (row_bound_check, product_bound_check):
     no real arithmetic at all, so the outcome is exact by construction;
     product_bound_check decides eq. 9 for a whole row at once, one depth
-    ladder per row, walking C(n,k) along the row;
+    ladder per row, walking half of C(n,k) along the row and mirroring
+    the rest, with p(n,k) folded into each open k's running product and
+    the open k kept as a suffix of the row while they are one;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log):
     each check's kernel gaps(bits) encloses its gap on exact integers, as
     a pair (lo, hi) with lo <= g*2^bits <= hi, in units of 2^-bits.  pi
     and a = sqrt(2/3)*pi are read off intervals.pi_alpha(bits) at every
     call and scaled to integers by shifts; a square root is math.isqrt,
-    ln is _ln and e^x _exp_bracket, fixed-point series that count the
-    units each floor can lose.  `_certified` reads the sign and margin
+    ln is _ln and e^x _exp_bracket, fixed-point series after a table
+    reduction of the argument, which count the units each floor can
+    lose.  `_certified` reads the sign and margin
     from lo and hi.  A claim is declared only when the gap exceeds the
     total enclosure error, with automatic precision escalation from
     DEFAULT_PRECISION_BITS (a check takes no start precision) and an
@@ -37,10 +40,11 @@ certified margin.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from math import isqrt
-from operator import lt, mul, not_, sub
+from math import factorial, isqrt
+from operator import lt, mul, not_, sub, truediv
 
 from .intervals import DEFAULT_PRECISION_BITS, decide_with_escalation, pi_alpha
 from .qseries import DEFAULT_DEPTH_CAP
@@ -243,62 +247,95 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
 
     for some depth L.  One decide_with_escalation ladder runs for the
     whole row and deepens L (4, 8, 16, ...) up to DEFAULT_DEPTH_CAP, read
-    at each call.  Each rung extends the previous rung's partial products
-    from j = L_prev + 1 (prod n^j once for the row, prod (n^j - k^j) per
-    open k) and decides every k still open; a k's margin is taken at the
-    first depth that clears it.  C(n,k) is walked along the row.
+    at each call.  Each rung extends the previous rung's products from
+    j = L_prev + 1 (prod n^j once for the row, and per open k the left
+    side, p(n,k) folded in from the start, times n^j - k^j, k^j a power
+    at the rung's first j and one more factor k at each next one) and
+    decides every k still open.  A rung that clears a prefix of the open
+    k keeps the rest by slices, so the open k stay a suffix of the row;
+    a rung that leaves a k open before a cleared one keeps them by a
+    mask.  C(n,k) is walked along the first half of the row and
+    mirrored, C(n,n-k) = C(n,k).
 
     Returns the row's fold (checked, outcome, counterexample, margin).
     The row is verified when every k clears; otherwise it is inconclusive
     (never asserted false) at the first k still open at the cap, and
     the counterexample is that (n, k).  checked counts the k decided,
     k = 1, 2, ... up to the open one included, and margin is the least
-    margin over the k before it (None when there is none).
+    relative slack (rhs-lhs)/rhs over the k before it, each at the first
+    depth that clears it (None when there is none).  The least slack is
+    at the largest lhs/rhs, and an int's true division is correctly
+    rounded and so monotone: the k that tie for the largest float ratio
+    hold it, and only their sides are taken again (_product_sides) for
+    the exact slack.
     """
     if n < 2:
         raise ValueError("need n >= 2: the row has no 1 <= k <= n-1")
     if len(row) != n + 1:
         raise ValueError(f"row {n} has {n + 1} entries, got {len(row)}")
-    binomials = []
+    half = []  # C(n,k) for k <= n/2, from C(n,k-1); C(n,n-k) = C(n,k)
     c = 1
-    for k in range(1, n):
-        c = c * (n - k + 1) // k  # C(n,k) from C(n,k-1)
-        binomials.append(c)
+    for k in range(1, n // 2 + 1):
+        c = c * (n - k + 1) // k
+        half.append(c)
+    binomials = half + half[:n - 1 - len(half)][::-1]
 
-    margins = {}  # k -> relative slack at the first depth that clears k
-    # per open k: k, p(n,k), C(n,k), k^j and prod (n^j - k^j) at the built depth
-    open_k = [list(range(1, n)), list(row[1:n]), binomials,
-              [1] * (n - 1), [1] * (n - 1)]
-    num = npow = 1
-    built = 0  # the depth num and the per-k products are built to
+    # the open k, their left sides p(n,k) * prod (n^j - k^j) and C(n,k)
+    ks, lhs, cs = range(1, n), list(row[1:n]), binomials
+    cleared_by_rung = []  # (depth, the k it clears, their lhs/rhs)
+    num = 1
+    built = 0  # the depth num and the left sides are built to
 
     def evaluate(depth):
         # the ladder's depths only grow, so extend the previous rung's products
-        nonlocal open_k, num, npow, built
-        ks, p_vals, cs, kpows, dens = open_k
-        for _ in range(built, depth):
-            npow *= n
+        nonlocal ks, lhs, cs, num, built
+        kpows = ks if built == 0 else list(map(pow, ks, repeat(built + 1)))
+        for j in range(built + 1, depth + 1):
+            npow = n**j
             num *= npow
-            kpows = list(map(mul, kpows, ks))
-            dens = list(map(mul, dens, map(sub, repeat(npow), kpows)))
+            if j > built + 1:
+                kpows = list(map(mul, kpows, ks))
+            lhs = list(map(mul, lhs, map(sub, repeat(npow), kpows)))
         built = depth
-        lhs = list(map(mul, p_vals, dens))
         rhs = list(map(mul, cs, repeat(num)))
         cleared = list(map(lt, lhs, rhs))
-        margins.update(zip(compress(ks, cleared),
-                           map(_relative_slack, compress(lhs, cleared),
-                               compress(rhs, cleared))))
-        still_open = list(map(not_, cleared))
-        open_k = [list(compress(column, still_open))
-                  for column in (ks, p_vals, cs, kpows, dens)]
-        return None if open_k[0] else depth
+        done = cleared.count(True)
+        if done:
+            cleared_by_rung.append((depth, list(compress(ks, cleared)), list(
+                map(truediv, compress(lhs, cleared), compress(rhs, cleared)))))
+        if True in cleared[done:]:  # a k left open before a cleared one
+            still_open = list(map(not_, cleared))
+            ks, lhs, cs = (list(compress(column, still_open))
+                           for column in (ks, lhs, cs))
+        else:
+            ks, lhs, cs = ks[done:], lhs[done:], cs[done:]
+        return None if ks else depth
 
     decide_with_escalation(evaluate, 4, DEFAULT_DEPTH_CAP)
-    if not open_k[0]:
-        return n - 1, VERIFIED, None, min(margins.values())
-    first = open_k[0][0]
-    before = [margin for k, margin in margins.items() if k < first]
-    return first, INCONCLUSIVE, (n, first), min(before, default=None)
+    first = ks[0] if ks else n
+    # each rung's cleared k and ratios, cut to the k before the first open one
+    before = [(depth, cleared_k[:cut], ratios[:cut])
+              for depth, cleared_k, ratios in cleared_by_rung
+              if (cut := bisect_left(cleared_k, first))]
+    margin = None
+    if before:
+        largest = max(max(ratios) for _, _, ratios in before)
+        margin = min(
+            _relative_slack(*_product_sides(n, k, row[k], binomials[k - 1], depth))
+            for depth, cleared_k, ratios in before
+            for k, ratio in zip(cleared_k, ratios) if ratio == largest)
+    if not ks:
+        return n - 1, VERIFIED, None, margin
+    return first, INCONCLUSIVE, (n, first), margin
+
+
+def _product_sides(n: int, k: int, p: int, c: int, depth: int) -> tuple[int, int]:
+    """The two sides of eq. 9 at (n, k) and one depth, p = p(n,k) and
+    c = C(n,k): (p * prod_{j<=depth} (n^j - k^j), c * prod_{j<=depth} n^j)."""
+    for j in range(1, depth + 1):
+        p *= n**j - k**j
+        c *= n**j
+    return p, c
 
 
 # -- the integer kernel of prop1, prop2, lemma13, apostol and stirling ------
@@ -310,6 +347,8 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
 
 LN_TABLE_BITS = 8  # T: _ln reduces by a table of ln(1 + i/2^T), i < 2^T
 LN_GUARD_BITS = 32  # _ln works at 2^-(bits + LN_GUARD_BITS)
+EXP_TABLE_BITS = 8  # T: _exp_bracket reduces by a table of e^(i/2^T), i <= 2^T
+EXP_GUARD_BITS = 32  # _exp_bracket works at 2^-(bits + EXP_GUARD_BITS)
 
 _UNDECIDED = ((-1, 1),)  # a gap that straddles zero at every rung
 _NEGATIVE = ((-1, -1),)  # a gap certainly below zero
@@ -366,24 +405,103 @@ def _alpha_sqrt(alpha, n: int, bits: int) -> tuple[int, int]:
 def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
     """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi, at 2^-bits.
 
-    Fixed-point Taylor sums (Brent and Zimmermann, Modern Computer
-    Arithmetic, ch. 4): term k of the lower sum is the floor of term k-1
-    times x_lo/k, so for x >= 0 every partial sum is below e^x, and term k
-    of the upper sum the ceiling of term k-1 times x_hi/k, at least
-    x^k/k!.  The sums stop at the first upper term t_k <= 1 unit, where
-    k > x (x^k/k! >= 1 for k <= x), and the upper one adds the remainder
-    sum_{j>k} x^j/j! <= t_k*x/(k+1-x), a geometric series of ratio
-    x/(k+1) < 1.
+    Argument reduction (Brent and Zimmermann, Modern Computer Arithmetic,
+    ch. 4), at w = bits + EXP_GUARD_BITS: with s halvings, the least that
+    bring x_hi below 1, a = floor(x_lo*2^(w-s)) and
+    b = ceil(x_hi*2^(w-s)) in units of 2^-w, so 0 <= a <= b <= 2^w.
+    The lower end is _exp_point(a)'s; the upper end is e^a's upper end
+    times e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a).  Both are then
+    squared s times, rounded outward, and rounded outward to 2^-bits.
+
+    Units lost at 2^-w: each _exp_point pair is within 2^12 units of the
+    truth, so the upper end is within 2^12*(e + e) + 2 < 2^15 (the
+    product of two pairs, each below e*2^w), and a squaring of a pair
+    within u units of a value y*2^w leaves it within 2u*y + 2.  So for
+    x_hi < 2 (s <= 1) both ends are within 2^18 units of the truth at
+    2^-w, 2^-14 units at 2^-bits at EXP_GUARD_BITS = 32, so after the
+    last rounding each end lies less than 1 + 2^-14 units from its exact
+    value at 2^-bits.
     """
-    lo = hi = lo_term = hi_term = 1 << bits
-    k = 0
-    while hi_term > 1:
-        k += 1
-        lo_term = (lo_term * x_lo >> bits) // k
-        hi_term = -((-hi_term * x_hi >> bits) // k)
-        lo += lo_term
-        hi += hi_term
-    return lo, hi - (-hi_term * x_hi // (((k + 1) << bits) - x_hi))
+    w = bits + EXP_GUARD_BITS
+    s = max(x_hi.bit_length() - bits, 0)
+    a = (x_lo << EXP_GUARD_BITS) >> s
+    b = -(-(x_hi << EXP_GUARD_BITS) >> s)
+    lo, hi = _exp_point(a, w)
+    hi = -(-hi * _exp_point(b - a, w)[1] >> w)
+    for _ in range(s):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return lo >> EXP_GUARD_BITS, -(-hi >> EXP_GUARD_BITS)
+
+
+def _exp_point(x: int, w: int) -> tuple[int, int]:
+    """(lo, hi) around e^(x/2^w)*2^w for 0 <= x <= 2^w: entry
+    i = floor(x/2^(w-T)) of the table of _exp_constants times e^r,
+    r = x - i*2^(w-T) < 2^(w-T), from _exp_series, each product rounded
+    outward.
+
+    Units lost at 2^-w: the entry is within 2088 units of e^(i/2^T)*2^w
+    and S within 2 of e^r*2^w, with e^r < 1.004 and e^(i/2^T) <= e, so
+    either end is within 2088*1.004 + 2*e + 2*2088/2^w + 1 < 2^12 units
+    of the truth.
+    """
+    m = w - EXP_TABLE_BITS
+    table, coefficients, terms = _exp_constants(w)
+    t_lo, t_hi = table[x >> m]
+    series = _exp_series(x & ((1 << m) - 1), w, coefficients, terms)
+    return t_lo * series >> w, -(-t_hi * (series + 2) >> w)
+
+
+def _exp_series(r: int, w: int, coefficients, terms) -> int:
+    """S with S <= e^(r/2^w)*2^w < S + 2, for 0 <= r <= 2^(w-T), on
+    _exp_constants(w)'s coefficients and term counts.
+
+    Horner's rule on C_k = floor(2^w/k!), as _atanh2 does:
+    acc = C_k + floor(acc*r/2^w) from k = K down to 0, every floor
+    rounding down and every term positive, so S = acc <= e^rho*2^w,
+    rho = r/2^w <= 2^-T.  The units lost: acc at k >= 1 falls short of
+    its exact value by less than 2 + rho times the previous shortfall,
+    so by less than 2/(1 - rho) < 2.008, and S, whose C_0 = 2^w is exact,
+    by less than 1 + 2.008*rho < 1.008.  K is the least with
+    2^((K+1)e)*(K+1)! >= 2^(w+1) for rho < 2^-e, e = w - (bit length of
+    r), so the tail sum_{k>K} rho^k/k! <= rho^(K+1)/(K+1)!/(1 - rho)
+    is below 0.51 units.
+    """
+    acc = 0
+    for coef in coefficients[terms[w - r.bit_length()]::-1]:
+        acc = coef + (acc * r >> w)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _exp_constants(w: int):
+    """_exp_series' coefficients floor(2^w/k!), k = 0, 1, ..., and term
+    counts K by e (the least K with 2^((K+1)e)*(K+1)! >= 2^(w+1), for
+    T - 1 <= e <= w), and the reduction table: e^(i/2^T) for
+    i = 0..2^T as (lo, hi) at 2^-w.
+
+    The table is built by repeated multiplication: entry i + 1 is entry
+    i times e^(1/2^T), whose pair is (S, S + 2) from _exp_series at
+    r = 2^(w-T), each product rounded outward.  Units lost: entry i + 1
+    misses by at most e^(1/2^T) times entry i's miss, plus 2*e^(i/2^T)
+    from the step's pair and 1 from the rounding, so entry i misses by
+    less than 3i*e^(i/2^T) <= 3*2^T*e < 2088.
+    """
+    terms = [0] * (w + 1)
+    count = 0
+    for e in range(w, EXP_TABLE_BITS - 2, -1):  # fewer bits, more terms
+        while factorial(count + 1) << (count + 1) * e < 1 << (w + 1):
+            count += 1
+        terms[e] = count
+    coefficients = tuple((1 << w) // factorial(k) for k in range(count + 1))
+    step = _exp_series(1 << (w - EXP_TABLE_BITS), w, coefficients, terms)
+    lo = hi = 1 << w
+    table = [(lo, hi)]
+    for _ in range(1 << EXP_TABLE_BITS):
+        lo = lo * step >> w
+        hi = -(-hi * (step + 2) >> w)
+        table.append((lo, hi))
+    return tuple(table), coefficients, tuple(terms)
 
 
 def _atanh2(num: int, den: int, w: int) -> tuple[int, int]:

@@ -550,6 +550,7 @@ class TestFixedPoint:
     mpmath's `iv` at 1024 bits, at rungs 128, 256 and 512."""
 
     T = checks.LN_TABLE_BITS
+    T_EXP = checks.EXP_TABLE_BITS
 
     @pytest.fixture(params=[checks.LN_GUARD_BITS, 0], ids=["guarded", "unguarded"])
     def guard(self, request, monkeypatch):
@@ -629,10 +630,9 @@ class TestFixedPoint:
 
     # x = X/2^192 in (0, 1.3], past the chain's largest argument
     # a/(2 + sqrt(3)) = 0.687 at n = 3: a geometric sweep; X = 2^m and
-    # 2^m + 1, at which the last terms kept and the remainder decide the
-    # last unit; and five X found by search at which one Taylor term
-    # rounded inward (the 5th or 6th upper, the 5th to 8th lower) moves
-    # the bracket past the reference
+    # 2^m + 1; and five X found by search at which one term of a plain
+    # term-by-term Taylor sum, rounded inward, moves the bracket past the
+    # reference
     EXP_ARGUMENTS = [
         *(round(1.3 * 2**192 / 2**(i / 4)) for i in range(0, 760, 7)),
         *(2**m + d for m in range(192) for d in (0, 1)),
@@ -643,18 +643,43 @@ class TestFixedPoint:
         279668687598976890503429642995051391971630755348480]
 
     @pytest.mark.parametrize("bits", [128, 192, 256, 512])
-    def test_exp_bracket_holds_e_to_the_x(self, bits):
-        def reference(x):  # e^x enclosed at 1024 bits, at 2^-bits
-            return [v * 2**bits for v in _iv_fractions(
-                lambda: iv.exp(iv.mpf(x) / 2**bits))]
+    def test_exp_bracket_holds_e_to_the_x(self, bits, monkeypatch):
+        references = {}
 
-        for x in self.EXP_ARGUMENTS:
-            x = x << bits >> 192
-            (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x, bits)
-            assert lo <= e_lo and e_hi <= hi and hi - lo < bits, x
-            # an argument interval: [lo, hi] holds e^x over all of it
-            lo, hi = checks._exp_bracket(x // 2, x, bits)
-            assert lo <= reference(x // 2)[0] and reference(x)[1] <= hi, x
+        def reference(x):  # e^x enclosed at 1024 bits, at 2^-bits
+            if x not in references:
+                references[x] = [v * 2**bits for v in _iv_fractions(
+                    lambda: iv.exp(iv.mpf(x) / 2**bits))]
+            return references[x]
+
+        # the reduction table's entries e^(i/2^T) sit at x = i*2^(bits-T):
+        # each, one unit either side, up to x = 1.3, where the argument
+        # is halved first; and intervals that straddle an entry, by one
+        # unit and by a quarter of the table's step
+        step = 1 << (bits - self.T_EXP)
+        boundaries = [i * step for i in range(math.floor(1.3 * 2**self.T_EXP) + 1)]
+        points = [*(x << bits >> 192 for x in self.EXP_ARGUMENTS),
+                  *(b + d for b in boundaries for d in (-1, 0, 1) if b + d >= 0)]
+        intervals = [*((x // 2, x) for x in points),
+                     *((b - d, b + d) for b in boundaries[1:] for d in (1, step // 4))]
+        # as it runs, and with no guard bits, so that the pairs show every
+        # unit the table and the series lose: each end misses e^x by less
+        # than 2^18 units at 2^-(bits + guard)
+        for guard in (checks.EXP_GUARD_BITS, 0):
+            monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
+            slack = (2**19 >> guard) + 3
+            for x in points:
+                (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x, bits)
+                assert lo <= e_lo and e_hi <= hi and hi - lo <= slack, (x, guard)
+                if guard:
+                    assert hi - lo < bits, x
+            for x_lo, x_hi in intervals:
+                # [lo, hi] holds e^x over all of [x_lo, x_hi]
+                lo, hi = checks._exp_bracket(x_lo, x_hi, bits)
+                assert lo <= reference(x_lo)[0] and reference(x_hi)[1] <= hi, \
+                    (x_lo, x_hi, guard)
+                assert hi - lo <= reference(x_hi)[1] - reference(x_lo)[0] + slack, \
+                    (x_lo, x_hi, guard)
 
 
 class TestProductBound:
@@ -736,6 +761,44 @@ class TestProductLadder:
         fold = product_bound_check(50, row)
         assert fold == (2, INCONCLUSIVE, (50, 2), 1.0)
         assert fold == reference_row_fold(50, row)
+
+    def test_rows_301_to_600_match_reference(self, triangle_1000):
+        for n in range(301, 601, 10):
+            assert product_bound_check(n, triangle_1000[n]) \
+                == reference_row_fold(n, triangle_1000[n]), n
+
+    @pytest.mark.parametrize("depth_cap", [4, 8, 256])
+    def test_open_k_with_holes(self, monkeypatch, triangle_120, depth_cap):
+        # row 50 leaves k = 35..48 open at depth 4; zeroing k = 40 and 44
+        # clears them there, so the open k after depth 4 are not contiguous
+        row = tuple(0 if k in (40, 44) else p for k, p in enumerate(triangle_120[50]))
+        open_at_4 = [k for k in range(1, 50)
+                     if reference_row_fold(50, _alone(k, row), 4)[1] == INCONCLUSIVE]
+        assert open_at_4 == [35, 36, 37, 38, 39, 41, 42, 43, 45, 46, 47, 48]
+        monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", depth_cap)
+        assert product_bound_check(50, row) == reference_row_fold(50, row, depth_cap)
+
+    def test_margin_among_tied_ratios_is_exact(self):
+        # k = 100 and 101 of row 200 alone, each with lhs/rhs at depth 4
+        # just below t = 1 - 1/(3*10^10): the float ratios tie, but k = 100
+        # sits 10^-20 lower, so its slack is larger and the margin is
+        # k = 101's, which 1 - (lhs/rhs) as a float would miss
+        n, t = 200, 1 - Fraction(1, 3 * 10**10)
+        num = math.prod(n**j for j in range(1, 5))
+        row = [0] * (n + 1)
+        sides = {}
+        for k, below in ((100, Fraction(1, 10**20)), (101, 0)):
+            den = math.prod(n**j - k**j for j in range(1, 5))
+            rhs = math.comb(n, k) * num
+            row[k] = math.floor((t - below) * rhs / den)
+            sides[k] = row[k] * den, rhs
+        (lhs_a, rhs_a), (lhs_b, rhs_b) = sides[100], sides[101]
+        assert lhs_a / rhs_a == lhs_b / rhs_b
+        slack = (rhs_b - lhs_b) / rhs_b
+        assert (rhs_a - lhs_a) / rhs_a > slack != 1 - lhs_b / rhs_b
+        fold = product_bound_check(n, tuple(row))
+        assert fold == (n - 1, VERIFIED, None, slack)
+        assert fold == reference_row_fold(n, tuple(row))
 
     def test_one_ladder_per_row(self, monkeypatch, triangle_1000):
         calls = []
