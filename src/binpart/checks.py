@@ -9,33 +9,28 @@ Two kinds of checks live here:
     the rest, with p(n,k) folded into each open k's running product and
     the open k kept as a suffix of the row while they are one;
 
-  * certified real comparisons (everything involving pi, sqrt, exp, log):
-    each check's kernel gaps(bits) encloses its gap on exact integers, as
-    a pair (lo, hi) with lo <= g*2^bits <= hi, in units of 2^-bits.  pi
-    and a = sqrt(2/3)*pi are read off intervals.pi_alpha(bits) at every
-    call and scaled to integers by shifts; a square root is math.isqrt,
-    ln is _ln and e^x _exp_bracket, fixed-point series after a table
-    reduction of the argument, which count the units each floor can
-    lose.  `_certified` reads the sign and margin
-    from lo and hi.  A claim is declared only when the gap exceeds the
-    total enclosure error, with automatic precision escalation from
-    DEFAULT_PRECISION_BITS (a check takes no start precision) and an
-    explicit "inconclusive" outcome at the cap.  A pi or a whose pair has
-    an infinite or NaN endpoint leaves every gap undecided.
+  * certified real comparisons (everything involving pi, sqrt, exp, log),
+    each over a range of n on one precision ladder (_certified), from
+    DEFAULT_PRECISION_BITS up, with an explicit "inconclusive" at the
+    cap.  At each rung, pi and a = sqrt(2/3)*pi are read once off
+    intervals.pi_alpha(bits) and scaled to integers by shifts, and the
+    check's integer kernel encloses the gap g at each n still open as a
+    pair (lo, hi), lo <= g*2^bits <= hi: a square root is math.isqrt, ln
+    is _ln and e^x _exp_bracket, fixed-point series after a table
+    reduction of the argument, which count the units each floor can lose.
 
-The row checks take their row, the diagonal checks the integer they
-bound, p(n-1,n-1) or p(n,n-1), partition_bound_check the partition
-number p(n), and central_binomial_check the binomial
-C(n, floor((n+3)/2)), which the stirling sweep walks along n;
-growth_chain_check takes n alone.  No check reads a table or a triangle,
-or computes a binomial from scratch.  Every check returns its verdict as
-a plain tuple (outcome, counterexample, margin, bits), bits None for the
-exact row_bound_check; product_bound_check returns its row's fold
-(checked, outcome, counterexample, margin) instead.  The margin is a
-unitless slack: the relative slack (rhs-lhs)/rhs of an integer
-comparison, the certified lower bound of the gap of a real one.
-"verified" always means the strict inequality holds with positive
-certified margin.
+The row checks take their row.  A certified check takes a range of n and
+the integers it bounds, in order: p(n-1,n-1) or p(n,n-1), p(n), or
+C(n, floor((n+3)/2)), which the stirling sweep walks along n; lemma13's
+growth_chain_check takes the range alone.  No check reads a table or a
+triangle, or computes a binomial from scratch.  row_bound_check returns
+a verdict (outcome, counterexample, margin, bits), product_bound_check
+its row's fold (checked, outcome, counterexample, margin) and a
+certified check its range's fold (checked, outcome, counterexample,
+margin, bits).  The margin is a unitless slack: the relative slack
+(rhs-lhs)/rhs of an integer comparison, the certified lower bound of the
+gap of a real one.  "verified" always means the strict inequality holds
+with positive certified margin.
 """
 
 from __future__ import annotations
@@ -59,34 +54,67 @@ def _relative_slack(lhs: int, rhs: int) -> float:
     return (rhs - lhs) / rhs
 
 
-def _certified(gaps, counterexample: tuple) -> tuple:
-    """Decide that every gap in gaps(bits) is positive, escalating precision.
+def _certified(kernel, ns: range, values, counterexample, least_n: int) -> tuple:
+    """Decide a gap positive at every n of ns, in order, on one ladder.
 
-    The ladder always starts at DEFAULT_PRECISION_BITS and doubles to the
-    cap; no check takes a start precision of its own.  Each rung calls
-    gaps(bits), which returns a tuple of integer pairs (lo, hi), one per
-    gap g, with lo <= g*2^bits <= hi.  The rung is violated when any gap
-    is certainly <= 0 (hi <= 0), even while another straddles zero, as
-    that gap's true value is <= 0; otherwise it is undecided while any
-    gap straddles zero (lo <= 0 < hi), and verified once every lo > 0.
-    Returns the verdict (outcome, counterexample, margin, bits): the
-    counterexample only when violated, bits the last rung evaluated, and
-    the margin, only when verified, the least lo/2^bits, rounded to the
-    nearest float (an int's true division rounds correctly).
+    ns is a nonempty range of consecutive n >= least_n (else ValueError)
+    and values, read lazily, holds one value per n.  At each rung,
+    kernel(bits, pi, a), with pi and a as integer pairs at 2^-bits,
+    returns the gap function (n, value) -> (lo, hi), lo <= g*2^bits <= hi,
+    or None when no gap can be decided at the rung (pi or a not finite).
+    n is violated when hi <= 0, undecided while lo <= 0 < hi and verified
+    once lo > 0.  The first n violated ends the rung, and no later n is
+    evaluated or read; only the undecided n before it go on, each with
+    the least margin of the n verified before it.  Returns the step
+    (checked, outcome, counterexample, margin, bits) that one ladder per
+    n, folded in order (sweeps._fold), would give, margin the least
+    lo/2^bits (an int's true division rounds correctly), each n's at its
+    own rung.
     """
-    def evaluate(bits):
-        least = None
-        for lo, hi in gaps(bits):
-            if hi <= 0:
-                return VIOLATED, counterexample, None, bits
-            if least is None or lo < least:
-                least = lo
-        if least <= 0:
-            return None
-        return VERIFIED, None, least / (1 << bits), bits
+    if not ns or ns.step != 1 or ns[0] < least_n:
+        raise ValueError(f"need a range of n >= {least_n}")
+    pending = zip(ns, values, repeat(None))  # (n, value, margin before n)
+    stop = least = None  # the first n violated, the least margin before it
 
-    verdict, bits = decide_with_escalation(evaluate, DEFAULT_PRECISION_BITS)
-    return verdict or (INCONCLUSIVE, None, None, bits)
+    def evaluate(bits):
+        nonlocal pending, stop, least
+        constants = [_fixed(pair, bits) for pair in pi_alpha(bits)]
+        gap = None if None in constants else kernel(bits, *constants)
+        if gap is None:
+            return None
+        scale, undecided, running = 1 << bits, [], None
+        for n, value, before in pending:
+            lo, hi = gap(n, value)
+            if hi <= 0:
+                stop, least = n, _least(before, running, scale)
+                break
+            if lo <= 0:
+                undecided.append((n, value, _least(before, running, scale)))
+            elif running is None or lo < running:
+                running = lo  # the least lo verified at this rung so far
+        else:
+            least = _least(least, running, scale)
+        pending = undecided
+        return None if undecided else bits
+
+    _, bits = decide_with_escalation(evaluate, DEFAULT_PRECISION_BITS)
+    first = next(iter(pending), None)  # the first n open at the cap
+    if first is not None:
+        return first[0] - ns[0] + 1, INCONCLUSIVE, None, first[2], bits
+    if stop is None:
+        return len(ns), VERIFIED, None, least, bits
+    return stop - ns[0] + 1, VIOLATED, counterexample(stop), least, bits
+
+
+def _least(margin, lo, scale: int):
+    """The lesser of margin and lo/scale, either None for none."""
+    if lo is None:
+        return margin
+    return lo / scale if margin is None else min(margin, lo / scale)
+
+
+def _alone(n: int) -> tuple:
+    return (n,)
 
 
 def row_bound_check(n: int, row: tuple[int, ...]) -> tuple:
@@ -110,130 +138,118 @@ def row_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     return VERIFIED, None, _relative_slack(worst, rhs), None
 
 
-def central_binomial_check(n: int, value: int) -> tuple:
-    """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2).
+def central_binomial_check(ns: range, values) -> tuple:
+    """Certified check of C(n, floor((n+3)/2)) < 2^n / sqrt(pi*n/2), n >= 1.
 
-    value is C(n, floor((n+3)/2)), 0 at n = 1.  The gap is
-    1 - C^2*n*pi/2^(2n+1), with pi the only non-integer quantity.  Past
-    bits + 32 bits, C is cut to its top bits, C in [c, c+1]*2^u, so that
-    the product keeps a fixed size: (c+1)^2/c^2 < 1 + 2^-(bits+30) widens
-    C^2*n*pi/2^(2n+1) < 1 by less than a unit.
+    values holds C(n, floor((n+3)/2)) for each n of ns, 0 at n = 1.  The
+    gap is 1 - C^2*n*pi/2^(2n+1), with pi the only non-integer quantity.
+    Past bits + 32 bits, C is cut to its top bits, C in [c, c+1]*2^u, so
+    that the product keeps a fixed size: (c+1)^2/c^2 < 1 + 2^-(bits+30)
+    widens C^2*n*pi/2^(2n+1) < 1 by less than a unit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kn = (n + 3) // 2
+    def kernel(bits, pi, alpha):
+        def gap(n, value):
+            u = max(value.bit_length() - bits - 32, 0)
+            c = value >> u
+            top = c + 1 if u else c
+            t_lo, t_hi = _times(pi, c * c * n, top * top * n, 2 * n + 1 - 2 * u)
+            return (1 << bits) - t_hi, (1 << bits) - t_lo
+        return gap
 
-    def gaps(bits):
-        constants = _constants(pi_alpha(bits), bits)
-        if constants is None:
-            return _UNDECIDED
-        u = max(value.bit_length() - bits - 32, 0)
-        c = value >> u
-        top = c + 1 if u else c
-        t_lo, t_hi = _times(constants[0], c * c * n, top * top * n, 2 * n + 1 - 2 * u)
-        one = 1 << bits
-        return ((one - t_hi, one - t_lo),)
-
-    return _certified(gaps, (n, kn))
+    return _certified(kernel, ns, values, lambda n: (n, (n + 3) // 2), 1)
 
 
-def partition_bound_check(n: int, pn: int) -> tuple:
+def partition_bound_check(ns: range, values) -> tuple:
     """Certified check of the classical bound p(n) < pi/sqrt(6n) * e^(a*sqrt(n))
 
-    with a = sqrt(2/3)*pi, compared in the log domain:
-    ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2 > 0.  pn is p(n).
+    for n >= 1, with a = sqrt(2/3)*pi, compared in the log domain:
+    ln pi + a*sqrt(n) - ln(6n*p(n)^2)/2 > 0.  values holds p(n) for each
+    n of ns.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    def kernel(bits, pi, alpha):
+        if pi[0] <= 0:
+            # no finite ln pi: a pi that may be <= 0 leaves every gap
+            # undecided, and a pi <= 0 (bound <= 0 < p(n)) makes it negative
+            return None if pi[1] > 0 else lambda n, pn: (-1, -1)
+        ln_pi_lo, ln_pi_hi = _ln_pi(pi_alpha(bits)[0], bits)
 
-    def gaps(bits):
-        pairs = pi_alpha(bits)
-        constants = _constants(pairs, bits)
-        if constants is None:
-            return _UNDECIDED
-        (pi_lo, pi_hi), alpha = constants
-        if pi_lo <= 0:
-            # ln pi has no finite lower bound: a pi that may be <= 0 leaves
-            # the gap undecided, and a pi <= 0, whose bound <= 0 < p(n),
-            # makes it certainly negative
-            return _UNDECIDED if pi_hi > 0 else _NEGATIVE
-        ln_pi_lo, ln_pi_hi = _ln_pi(pairs[0], bits)
-        rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
-        lhs_lo, lhs_hi = _ln(6 * n * pn * pn, 1, bits)
-        return ((ln_pi_lo + rhs_lo - (-(-lhs_hi >> 1)),
-                 ln_pi_hi + rhs_hi - (lhs_lo >> 1)),)
+        def gap(n, pn):
+            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = _ln(6 * n * pn * pn, 1, bits)
+            return (ln_pi_lo + rhs_lo - (-(-lhs_hi >> 1)),
+                    ln_pi_hi + rhs_hi - (lhs_lo >> 1))
+        return gap
 
-    return _certified(gaps, (n,))
+    return _certified(kernel, ns, values, _alone, 1)
 
 
-def growth_chain_check(n: int) -> tuple:
+def growth_chain_check(ns: range) -> tuple:
     """Certified check of the two-sided chain, for n >= 3:
 
     sqrt(n)/(sqrt(n+1)-1)  <  1 + pi/sqrt(6n)  <  e^(a*sqrt(n)*(sqrt(1+1/n)-1)).
 
-    The exponent is taken as a/(sqrt(n+1)+sqrt(n)), its exact equal.  The
-    reported margin is the smaller certified gap of the two links.
+    The gap decided, and so the margin, is the lesser of the two links'
+    (_chain_links).  Within a rung, n + 1's root is reused at the next n.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    def kernel(bits, pi, alpha):
+        last = root = None  # the n before, and isqrt((n + 1)*4^bits) there
 
-    def gaps(bits):
-        constants = _constants(pi_alpha(bits), bits)
-        if constants is None:
-            return _UNDECIDED
-        pi, alpha = constants
-        one = 1 << bits
-        # r <= sqrt(n)*2^bits < r + 1, and so for n + 1 and 6n
-        r, r1, r6 = (isqrt(m << 2 * bits) for m in (n, n + 1, 6 * n))
-        left_lo, left_hi = _over((r, r + 1), r1 - one, r1 + 1 - one, bits)
-        mid_lo, mid_hi = _over(pi, r6, r6 + 1, bits)
-        x_lo, x_hi = _over(alpha, r1 + r, r1 + r + 2, bits)
-        exp_lo, exp_hi = _exp_bracket(max(x_lo, 0), max(x_hi, 0), bits)
-        if x_lo < 0:
-            exp_lo = 0  # e^x > 0
-        return ((one + mid_lo - left_hi, one + mid_hi - left_lo),
-                (exp_lo - one - mid_hi, exp_hi - one - mid_lo))
+        def gap(n, _):
+            nonlocal last, root
+            r = root if n - 1 == last else isqrt(n << 2 * bits)
+            last, root = n, isqrt(n + 1 << 2 * bits)
+            (l_lo, l_hi), (r_lo, r_hi) = _chain_links(pi, alpha, n, r, root, bits)
+            return (l_lo if l_lo < r_lo else r_lo), (l_hi if l_hi < r_hi else r_hi)
+        return gap
 
-    return _certified(gaps, (n,))
+    return _certified(kernel, ns, repeat(None, len(ns)), _alone, 3)
 
 
-def diagonal_bound_check(n: int, value: int) -> tuple:
+def _chain_links(pi, alpha, n: int, r: int, r1: int, bits: int):
+    """lemma13's two gaps at n, r = isqrt(n*4^bits) and r1 n + 1's; the
+    exponent is taken as a/(sqrt(n+1)+sqrt(n)), its exact equal."""
+    one = 1 << bits
+    r6 = isqrt(6 * n << 2 * bits)
+    left_lo, left_hi = _over((r, r + 1), r1 - one, r1 + 1 - one, bits)
+    mid_lo, mid_hi = _over(pi, r6, r6 + 1, bits)
+    x_lo, x_hi = _over(alpha, r1 + r, r1 + r + 2, bits)
+    exp_lo, exp_hi = _exp_bracket(max(x_lo, 0), max(x_hi, 0), bits)
+    if x_lo < 0:
+        exp_lo = 0  # e^x > 0
+    return ((one + mid_lo - left_hi, one + mid_hi - left_lo),
+            (exp_lo - one - mid_hi, exp_hi - one - mid_lo))
+
+
+def diagonal_bound_check(ns: range, values) -> tuple:
     """Certified check of p(n-1,n-1) < e^(a*sqrt(n)) for n >= 1.
 
-    value is p(n-1,n-1); the gap is a*sqrt(n) - ln p(n-1,n-1).
+    values holds p(n-1,n-1) for each n of ns; the gap is
+    a*sqrt(n) - ln p(n-1,n-1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    def kernel(bits, pi, alpha):
+        def gap(n, value):
+            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = _ln(value, 1, bits)
+            return rhs_lo - lhs_hi, rhs_hi - lhs_lo
+        return gap
 
-    def gaps(bits):
-        constants = _constants(pi_alpha(bits), bits)
-        if constants is None:
-            return _UNDECIDED
-        rhs_lo, rhs_hi = _alpha_sqrt(constants[1], n, bits)
-        lhs_lo, lhs_hi = _ln(value, 1, bits)
-        return ((rhs_lo - lhs_hi, rhs_hi - lhs_lo),)
-
-    return _certified(gaps, (n,))
+    return _certified(kernel, ns, values, _alone, 1)
 
 
-def subdiagonal_bound_check(n: int, value: int) -> tuple:
+def subdiagonal_bound_check(ns: range, values) -> tuple:
     """Certified check of p(n,n-1) < sqrt(n) * e^(a*sqrt(n)) for n >= 1.
 
-    value is p(n,n-1); the gap is a*sqrt(n) - ln(p(n,n-1)^2/n)/2, one ln
-    per n.
+    values holds p(n,n-1) for each n of ns; the gap is
+    a*sqrt(n) - ln(p(n,n-1)^2/n)/2, one ln per n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    def kernel(bits, pi, alpha):
+        def gap(n, value):
+            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = _ln(value * value, n, bits)
+            return rhs_lo - (-(-lhs_hi >> 1)), rhs_hi - (lhs_lo >> 1)
+        return gap
 
-    def gaps(bits):
-        constants = _constants(pi_alpha(bits), bits)
-        if constants is None:
-            return _UNDECIDED
-        rhs_lo, rhs_hi = _alpha_sqrt(constants[1], n, bits)
-        lhs_lo, lhs_hi = _ln(value * value, n, bits)
-        return ((rhs_lo - (-(-lhs_hi >> 1)), rhs_hi - (lhs_lo >> 1)),)
-
-    return _certified(gaps, (n,))
+    return _certified(kernel, ns, values, _alone, 1)
 
 
 def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
@@ -350,19 +366,6 @@ LN_GUARD_BITS = 32  # _ln works at 2^-(bits + LN_GUARD_BITS)
 EXP_TABLE_BITS = 8  # T: _exp_bracket reduces by a table of e^(i/2^T), i <= 2^T
 EXP_GUARD_BITS = 32  # _exp_bracket works at 2^-(bits + EXP_GUARD_BITS)
 
-_UNDECIDED = ((-1, 1),)  # a gap that straddles zero at every rung
-_NEGATIVE = ((-1, -1),)  # a gap certainly below zero
-
-
-@lru_cache(maxsize=None)
-def _constants(pairs, bits: int):
-    """(pi, a), each (floor, ceiling) at 2^-bits, of pi_alpha(bits)'s pairs,
-    which every kernel reads at every call: cached on the pairs' value, so
-    a pi_alpha that changes its pairs is never read off a stale entry.
-    None when an endpoint is infinite or NaN."""
-    pi, alpha = (_fixed(pair, bits) for pair in pairs)
-    return None if pi is None or alpha is None else (pi, alpha)
-
 
 def _fixed(pair, bits: int):
     """(floor, ceiling) of a raw mpf endpoint pair times 2^bits, by shifts;
@@ -410,8 +413,10 @@ def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
     bring x_hi below 1, a = floor(x_lo*2^(w-s)) and
     b = ceil(x_hi*2^(w-s)) in units of 2^-w, so 0 <= a <= b <= 2^w.
     The lower end is _exp_point(a)'s; the upper end is e^a's upper end
-    times e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a).  Both are then
-    squared s times, rounded outward, and rounded outward to 2^-bits.
+    times e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a), where a width
+    b - a of a few units at 2^-bits takes _exp_point's closed form.  Both
+    are then squared s times, rounded outward, and rounded outward to
+    2^-bits.
 
     Units lost at 2^-w: each _exp_point pair is within 2^12 units of the
     truth, so the upper end is within 2^12*(e + e) + 2 < 2^15 (the
@@ -435,16 +440,20 @@ def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
 
 
 def _exp_point(x: int, w: int) -> tuple[int, int]:
-    """(lo, hi) around e^(x/2^w)*2^w for 0 <= x <= 2^w: entry
-    i = floor(x/2^(w-T)) of the table of _exp_constants times e^r,
-    r = x - i*2^(w-T) < 2^(w-T), from _exp_series, each product rounded
-    outward.
+    """(lo, hi) around e^(x/2^w)*2^w for 0 <= x <= 2^w.
 
-    Units lost at 2^-w: the entry is within 2088 units of e^(i/2^T)*2^w
-    and S within 2 of e^r*2^w, with e^r < 1.004 and e^(i/2^T) <= e, so
-    either end is within 2088*1.004 + 2*e + 2*2088/2^w + 1 < 2^12 units
-    of the truth.
+    Below 2^(w/2), as the width of lemma13's argument is, the closed
+    (2^w + x, 2^w + x + 1), within a unit: with delta = x/2^w,
+    1 + delta <= e^delta < 1 + delta + delta^2 and delta^2 < 2^-w.
+    Otherwise entry i = floor(x/2^(w-T)) of the table of _exp_constants
+    times e^r, r = x - i*2^(w-T) < 2^(w-T), from _exp_series, each
+    product rounded outward.  Units lost at 2^-w: the entry is within
+    2088 units of e^(i/2^T)*2^w and S within 2 of e^r*2^w, with
+    e^r < 1.004 and e^(i/2^T) <= e, so either end is within
+    2088*1.004 + 2*e + 2*2088/2^w + 1 < 2^12 units of the truth.
     """
+    if not x >> w // 2:
+        return (1 << w) + x, (1 << w) + x + 1
     m = w - EXP_TABLE_BITS
     table, coefficients, terms = _exp_constants(w)
     t_lo, t_hi = table[x >> m]
@@ -578,11 +587,9 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
             -(-(b * two_hi + t_hi + z_hi + 1) >> LN_GUARD_BITS))
 
 
-@lru_cache(maxsize=None)
 def _ln_pi(pi, bits: int) -> tuple[int, int]:
     """(lo, hi) of ln pi at 2^-bits off pi's raw endpoint pair, both
-    endpoints positive.  Cached on the pair's value, so a pi_alpha that
-    changes its pairs is never read off a stale entry."""
+    endpoints positive."""
     (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = pi
     return (_ln(int(man_lo) << max(exp_lo, 0), 1 << max(-exp_lo, 0), bits)[0],
             _ln(int(man_hi) << max(exp_hi, 0), 1 << max(-exp_hi, 0), bits)[1])

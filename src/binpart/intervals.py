@@ -25,12 +25,13 @@ pi_alpha is the one function that loads it.
 
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
-doubling to DEFAULT_PRECISION_CAP_BITS; the eq. 9 product check climbs its
-truncation depth, 4 doubling to 256, one ladder per row that decides every
-k of the row still open at each depth; `qseries.enclose_euler_product`
-its truncation point ell, 8 doubling to 256; and
-`partitions.rademacher_partition_number` the guard bits of its series
-terms, 16 doubling to 256.  The depth and ell ladders resume, each rung
+doubling to DEFAULT_PRECISION_CAP_BITS, one ladder per sweep that
+decides every n of the range still open at each rung; the eq. 9 product
+check climbs its truncation depth, 4 doubling to 256, one ladder per row
+that decides every k of the row still open at each depth;
+`qseries.enclose_euler_product` its truncation point ell, 8 doubling to
+256; and `partitions.rademacher_partition_number` the guard bits of its
+series terms, 16 doubling to 256.  The depth and ell ladders resume, each rung
 extending the products or the walk of the rung below at one precision;
 the precision and guard-bit ladders restart, as each rung changes precision.
 

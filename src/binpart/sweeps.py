@@ -12,9 +12,9 @@ lemma-links, lemma-rechts and eq9 take each n's step off row n alone
 (ROW_STEPS), and one lazy row pass per SweepContext streams the rows
 once for all the row claims registered with it and queues their steps,
 so `verify all` streams the p(n,k) rows once.  prop1, prop2, lemma13,
-apostol and stirling call their certified check once per n, through
-the `checks` module, on the check's own arguments: n for lemma13, n and
-the integer bounded for the others.
+apostol and stirling yield one step, their certified check's fold of
+the whole range on one precision ladder, called through the `checks`
+module on the range and the integers bounded, read lazily.
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Optional
 
 from . import checks
@@ -190,21 +191,18 @@ def _claim(claim: str, steps, notes=None):
 
 
 # -- step generators: (ctx, n_min, n_max) -> (checked, outcome,
-#    counterexample, margin, bits) for each n ----------------------------
+#    counterexample, margin, bits) for each n, or, for a certified claim,
+#    one: its check's fold of n_min..n_max ------------------------------
 
 
 def _diagonal_bound(ctx, lo, hi):
-    """p(n-1,n-1) off the diagonal table, one certified check per n."""
-    diagonal = ctx.diagonal(hi).diagonal
-    for n in range(lo, hi + 1):
-        yield 1, *checks.diagonal_bound_check(n, diagonal[n - 1])
+    yield checks.diagonal_bound_check(
+        range(lo, hi + 1), islice(ctx.diagonal(hi).diagonal, lo - 1, hi))
 
 
 def _subdiagonal_bound(ctx, lo, hi):
-    """p(n,n-1) off the diagonal table, one certified check per n."""
-    subdiagonal = ctx.diagonal(hi).subdiagonal
-    for n in range(lo, hi + 1):
-        yield 1, *checks.subdiagonal_bound_check(n, subdiagonal[n])
+    yield checks.subdiagonal_bound_check(
+        range(lo, hi + 1), islice(ctx.diagonal(hi).subdiagonal, lo, hi + 1))
 
 
 def _dominance(ctx, lo, hi):
@@ -217,25 +215,18 @@ def _dominance(ctx, lo, hi):
 
 
 def _growth_chain(ctx, lo, hi):
-    """The chain at each n, one certified check per n; its least margin is
-    the right link's at n_max."""
-    for n in range(lo, hi + 1):
-        yield 1, *checks.growth_chain_check(n)
+    yield checks.growth_chain_check(range(lo, hi + 1))
 
 
 def _partition_bound(ctx, lo, hi):
-    """p(n) off the partition table, one certified check per n; the least
-    margin sits at small n."""
-    table = ctx.table(hi)
-    for n in range(lo, hi + 1):
-        yield 1, *checks.partition_bound_check(n, table[n])
+    yield checks.partition_bound_check(
+        range(lo, hi + 1), islice(ctx.table(hi), lo, hi + 1))
 
 
 def _central_binomial(ctx, lo, hi):
-    """C(n, floor((n+3)/2)) walked along n, one certified check per n; the
-    gap falls with n, so the least margin is n_max's."""
-    for n, value in iter_central_binomials(lo, hi):
-        yield 1, *checks.central_binomial_check(n, value)
+    """C(n, floor((n+3)/2)) walked along n, as the check reads it."""
+    yield checks.central_binomial_check(
+        range(lo, hi + 1), map(itemgetter(1), iter_central_binomials(lo, hi)))
 
 
 def _series_identities(ctx, lo, hi):

@@ -36,6 +36,7 @@ from binpart import (
     subdiagonal_bound_check,
 )
 from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED, _certified
+from binpart.sweeps import _fold
 from binpart.intervals import (
     certainly_positive,
     decide_with_escalation,
@@ -80,103 +81,206 @@ class TestRowBound:
         assert counterexample == (4, 2)
 
 
+def _at(check, n, *value):
+    """check's verdict (outcome, counterexample, margin, bits) at n alone."""
+    ns = range(n, n + 1)
+    checked, *verdict = check(ns, list(value)) if value else check(ns)
+    assert checked == 1
+    return tuple(verdict)
+
+
 class TestCentralBinomial:
     def test_zero_binomial_below_cut(self):
         assert math.comb(1, 2) == 0
-        assert central_binomial_check(1, math.comb(1, 2))[0] == VERIFIED
+        assert _at(central_binomial_check, 1, math.comb(1, 2))[0] == VERIFIED
 
     def test_n50(self):
-        assert central_binomial_check(50, math.comb(50, 26))[0] == VERIFIED
+        assert _at(central_binomial_check, 50, math.comb(50, 26))[0] == VERIFIED
         # C(50,26) = 121548660036300 against 2^50/sqrt(25*pi) ~ 1.27e14
         assert math.comb(50, 26) == 121548660036300
 
     def test_sweep(self):
-        for n in range(1, 301):
-            outcome, _, _, bits = central_binomial_check(n, math.comb(n, (n + 3) // 2))
-            assert outcome == VERIFIED, n
-            assert bits == 128
+        # every n verified, and at 128 bits, the most any n took
+        ns = range(1, 301)
+        checked, outcome, _, _, bits = central_binomial_check(
+            ns, [math.comb(n, (n + 3) // 2) for n in ns])
+        assert (checked, outcome, bits) == (300, VERIFIED, 128)
 
 
 class TestPartitionBound:
     def test_n1(self, table_2001):
-        assert partition_bound_check(1, table_2001[1])[0] == VERIFIED
+        assert _at(partition_bound_check, 1, table_2001[1])[0] == VERIFIED
 
     def test_n50(self, table_2001):
-        outcome, _, margin, _ = partition_bound_check(50, table_2001[50])
+        outcome, _, margin, _ = _at(partition_bound_check, 50, table_2001[50])
         assert outcome == VERIFIED
         assert margin > 0
 
     def test_sweep(self, table_2001):
-        for n in range(1, 301):
-            assert partition_bound_check(n, table_2001[n])[0] == VERIFIED, n
+        assert partition_bound_check(range(1, 301), table_2001[1:301])[:2] == (
+            300, VERIFIED)
 
 
 class TestGrowthChain:
     @pytest.mark.parametrize("n", [3, 16])
     def test_boundary_values(self, n):
-        assert growth_chain_check(n)[0] == VERIFIED
+        assert _at(growth_chain_check, n)[0] == VERIFIED
 
     def test_sweep(self):
-        for n in range(3, 301):
-            assert growth_chain_check(n)[0] == VERIFIED, n
+        assert growth_chain_check(range(3, 301))[:2] == (298, VERIFIED)
 
     def test_large_n(self):
-        assert growth_chain_check(10000)[0] == VERIFIED
+        assert _at(growth_chain_check, 10000)[0] == VERIFIED
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            growth_chain_check(2)
+        for ns in (range(2, 10), range(3, 3)):
+            with pytest.raises(ValueError):
+                growth_chain_check(ns)
 
 
 class TestDiagonalBounds:
     def test_base_cases(self, diagonal_2001):
         # p(0,0) = 1 < e^a and p(1,0) = 1 < 1*e^a
-        assert diagonal_bound_check(1, diagonal_2001.diagonal[0])[0] == VERIFIED
-        assert subdiagonal_bound_check(1, diagonal_2001.subdiagonal[1])[0] == VERIFIED
+        assert _at(diagonal_bound_check, 1, diagonal_2001.diagonal[0])[0] == VERIFIED
+        assert _at(subdiagonal_bound_check, 1, diagonal_2001.subdiagonal[1])[0] == VERIFIED
 
     def test_golden_values(self):
         # p(50,50) = 1295971 < e^(a*sqrt(51)), p(50,49) = 6547151 < sqrt(50)e^(a*sqrt(50))
-        assert diagonal_bound_check(51, 1295971)[0] == VERIFIED
-        assert subdiagonal_bound_check(50, 6547151)[0] == VERIFIED
+        assert _at(diagonal_bound_check, 51, 1295971)[0] == VERIFIED
+        assert _at(subdiagonal_bound_check, 50, 6547151)[0] == VERIFIED
 
     def test_triangle_and_diagonal_agree(self, triangle_120, table_2001):
         diag = DiagonalTable(120, table_2001)
         for n in (5, 17, 60, 101):
-            r1 = diagonal_bound_check(n, triangle_120[n - 1][n - 1])
-            r2 = diagonal_bound_check(n, diag.diagonal[n - 1])
+            r1 = _at(diagonal_bound_check, n, triangle_120[n - 1][n - 1])
+            r2 = _at(diagonal_bound_check, n, diag.diagonal[n - 1])
             assert r1[0] == VERIFIED
             assert r1 == r2
 
     def test_sweep(self, diagonal_2001):
-        for n in range(1, 301):
-            diagonal = diagonal_bound_check(n, diagonal_2001.diagonal[n - 1])
-            subdiagonal = subdiagonal_bound_check(n, diagonal_2001.subdiagonal[n])
-            assert diagonal[0] == VERIFIED, n
-            assert subdiagonal[0] == VERIFIED, n
+        ns = range(1, 301)
+        diagonal = diagonal_bound_check(ns, diagonal_2001.diagonal[0:300])
+        subdiagonal = subdiagonal_bound_check(ns, diagonal_2001.subdiagonal[1:301])
+        assert diagonal[:2] == subdiagonal[:2] == (300, VERIFIED)
+
+
+# each certified check, its least n and its value at n off the partition
+# table t and the diagonal table d (None: the check takes n alone)
+CERTIFIED = {
+    "central-binomial": (central_binomial_check, 1,
+                         lambda n, t, d: math.comb(n, (n + 3) // 2)),
+    "partition-bound": (partition_bound_check, 1, lambda n, t, d: t[n]),
+    "growth-chain": (growth_chain_check, 3, None),
+    "diagonal-bound": (diagonal_bound_check, 1, lambda n, t, d: d.diagonal[n - 1]),
+    "subdiagonal-bound": (subdiagonal_bound_check, 1, lambda n, t, d: d.subdiagonal[n]),
+}
+
+
+def _value_at(claim, n, table, diagonal):
+    """The value claim's check takes at n, None for a check of n alone."""
+    value = CERTIFIED[claim][2]
+    return None if value is None else value(n, table, diagonal)
+
+
+def _run(claim, ns, table, diagonal):
+    """The step of claim's check over ns."""
+    check, _, value = CERTIFIED[claim]
+    if value is None:
+        return check(ns)
+    return check(ns, [value(n, table, diagonal) for n in ns])
+
+
+def _ladder_per_n(kernel, ns, values, counterexample):
+    """The fold of one ladder per n, in order, as sweeps._fold folds a
+    sweep's steps: the reference a one-ladder check must equal.
+    kernel's gap function is taken afresh for every n and rung."""
+    total = 0, VERIFIED, None, None, None
+    for n, value in zip(ns, values):
+        def evaluate(bits):
+            pi, alpha = (checks._fixed(pair, bits) for pair in checks.pi_alpha(bits))
+            gap = None if pi is None or alpha is None else kernel(bits, pi, alpha)
+            if gap is None:
+                return None
+            lo, hi = gap(n, value)
+            if hi <= 0:
+                return VIOLATED, counterexample(n), None, bits
+            return None if lo <= 0 else (VERIFIED, None, lo / 2**bits, bits)
+
+        verdict, bits = decide_with_escalation(evaluate, 128)
+        total = _fold(total, (1, *(verdict or (INCONCLUSIVE, None, None, bits))))
+        if total[1] != VERIFIED:
+            break
+    return total
+
+
+def _one_gap(pair):
+    """A kernel whose gap is pair at every rung and n."""
+    return lambda bits, pi, alpha: lambda n, value: pair
+
+
+def _perturbed(kernel, straddles, fails):
+    """kernel, but at each (n, bits) where straddles holds the gap
+    straddles zero, and where fails holds it is certainly negative."""
+    def rung(bits, pi, alpha):
+        gap = kernel(bits, pi, alpha)
+
+        def perturbed(n, value):
+            if straddles(n, bits):
+                return -1, 1
+            return (-2, -1) if fails(n, bits) else gap(n, value)
+        return perturbed
+    return rung
+
+
+def _never(n, bits):
+    return False
+
+
+# perturbations of the claims' kernels over n <= 200: (straddles, fails,
+# the fold's (outcome, first n not verified, bits))
+PERTURBATIONS = {
+    "as-is": (_never, _never, (VERIFIED, None, 128)),
+    # every seventh n is open at 128 bits and climbs to 256 alone
+    "climb": (lambda n, bits: n % 7 == 0 and bits == 128, _never,
+              (VERIFIED, None, 256)),
+    # 150 fails at 128 bits and ends the first rung; 98, open there,
+    # fails at 256 and so is the first n not verified
+    "late-violation": (lambda n, bits: n % 7 == 0 and bits == 128,
+                       lambda n, bits: n == 150 or (n, bits) == (98, 256),
+                       (VIOLATED, 98, 256)),
+    # 140 stays open to the cap, past 112, which clears at 512 bits, and
+    # before 180, which fails at 128
+    "open-at-cap": (lambda n, bits: n % 7 == 0 and bits == 128 or n == 140
+                    or n == 112 and bits < 512,
+                    lambda n, bits: n == 180, (INCONCLUSIVE, 140, 512)),
+}
 
 
 class TestCertifiedOutcomes:
-    """The outcomes of the shared escalate-and-report scaffold, fed the
-    integer pairs (lo, hi) a kernel returns."""
+    """The outcomes of the shared one-ladder scaffold, fed the integer
+    pairs (lo, hi) a kernel's gap function returns."""
 
     def test_huge_value_is_violated(self):
-        assert diagonal_bound_check(1, 10**100) == (VIOLATED, (1,), None, 128)
+        assert diagonal_bound_check(range(1, 2), [10**100]) == (
+            1, VIOLATED, (1,), None, 128)
 
     def test_straddling_gap_is_inconclusive_at_cap(self, monkeypatch):
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
-        verdict = _certified(lambda bits: ((-1, 1),), (1,))
-        assert verdict == (INCONCLUSIVE, None, None, 256)
+        step = _certified(_one_gap((-1, 1)), range(1, 2), [None], checks._alone, 1)
+        assert step == (1, INCONCLUSIVE, None, None, 256)
 
     def test_negative_gap_violates_past_undecided_gap(self, monkeypatch):
-        # a gap certainly <= 0 decides the rung: no precision could verify it
+        # a gap certainly <= 0 decides the rung: no precision could verify
+        # it; lemma13's chain is decided on the least ends of its two links
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         seen = []
 
-        def gaps(bits):
+        def links(pi, alpha, n, r, r1, bits):
             seen.append(bits)
-            return ((-1, 1), (-2 << bits, -1))
+            return (-1, 1), (-2 << bits, -1)
 
-        assert _certified(gaps, (1,)) == (VIOLATED, (1,), None, 128)
+        monkeypatch.setattr(checks, "_chain_links", links)
+        assert growth_chain_check(range(3, 4)) == (1, VIOLATED, (3,), None, 128)
         assert seen == [128]
 
     @pytest.mark.parametrize("gaps, sign", [
@@ -188,21 +292,108 @@ class TestCertifiedOutcomes:
         (((3, 4), (1, 10**60)), True),
     ])
     def test_sign_rule_on_integer_pairs(self, monkeypatch, gaps, sign):
+        # one gap, as both of lemma13's links, or two links
         monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
         seen = []
 
-        def record(bits):
+        def record(pi, alpha, n, r, r1, bits):
             seen.append(bits)
-            return gaps
+            return gaps if len(gaps) == 2 else gaps * 2
 
-        outcome, counterexample, margin, bits = _certified(record, (1,))
+        monkeypatch.setattr(checks, "_chain_links", record)
+        checked, outcome, counterexample, margin, bits = growth_chain_check(range(3, 4))
         expected = {True: VERIFIED, False: VIOLATED, None: INCONCLUSIVE}[sign]
+        assert checked == 1
         assert outcome == expected
         assert seen == ([128, 256] if sign is None else [128])
         assert bits == seen[-1]
-        assert counterexample == ((1,) if sign is False else None)
+        assert counterexample == ((3,) if sign is False else None)
         # the least lower end in units of 2^-bits, rounded to nearest
         assert margin == (min(lo for lo, _ in gaps) / 2**128 if sign else None)
+
+    def test_one_undecided_n_climbs_alone(self):
+        # n = 5 straddles zero at 128 bits: it alone is taken at 256, where
+        # it clears with the least margin, 1/8
+        seen = []
+
+        def kernel(bits, pi, alpha):
+            def gap(n, value):
+                seen.append((bits, n))
+                if n == 5:
+                    return (-1, 1) if bits == 128 else (1 << bits - 3, 1 << bits)
+                return n << bits, n + 1 << bits
+            return gap
+
+        assert _certified(kernel, range(1, 10), [None] * 9, checks._alone, 1) == (
+            9, VERIFIED, None, 0.125, 256)
+        assert seen == [(128, n) for n in range(1, 10)] + [(256, 5)]
+
+    def test_violation_ends_the_walk(self):
+        # n = 7 fails at 128 bits: no later n is evaluated or read, and
+        # n = 4, open at 128, climbs alone and decides the bits
+        read, seen = [], []
+
+        def kernel(bits, pi, alpha):
+            def gap(n, value):
+                seen.append((bits, n))
+                if n == 7:
+                    return -2, -1
+                return (-1, 1) if (n, bits) == (4, 128) else (1 << bits, 2 << bits)
+            return gap
+
+        values = (read.append(n) or n for n in range(1, 50))
+        assert _certified(kernel, range(1, 50), values, checks._alone, 1) == (
+            7, VIOLATED, (7,), 1.0, 256)
+        assert read == list(range(1, 8))
+        assert seen == [(128, n) for n in range(1, 8)] + [(256, 4)]
+
+    def test_random_kernels_fold_as_a_ladder_per_n(self, monkeypatch):
+        # each (n, bits) clears with a random margin, straddles zero or
+        # fails; a rung can have no gap function at all
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 1024)
+        for seed in range(300):
+            rng = random.Random(seed)
+            ns = range(rng.randrange(1, 4), rng.randrange(4, 60))
+            blank = {bits for bits in (128, 256, 512, 1024) if rng.random() < 0.1}
+            failing, straddling = rng.choice([(0.0, 0.1), (0.02, 0.2), (0.05, 0.5)])
+            pairs = {}
+            for n in ns:
+                for bits in (128, 256, 512, 1024):
+                    draw = rng.random()
+                    lo = rng.randrange(1, 4 << bits)
+                    pairs[n, bits] = ((-1, -1) if draw < failing else (-1, 1)
+                                      if draw < failing + straddling else (lo, lo + 9))
+
+            def kernel(bits, pi, alpha):
+                return None if bits in blank else lambda n, value: pairs[n, bits]
+
+            values = [None] * len(ns)
+            assert _certified(kernel, ns, values, checks._alone, 1) == _ladder_per_n(
+                kernel, ns, values, checks._alone), seed
+
+    @pytest.mark.parametrize("case", sorted(PERTURBATIONS))
+    @pytest.mark.parametrize("claim", sorted(CERTIFIED))
+    def test_claims_to_200_fold_as_a_ladder_per_n(self, monkeypatch, claim, case,
+                                                  table_2001, diagonal_2001):
+        # each check's own kernel and counterexample, perturbed: checked,
+        # outcome, counterexample, margin and bits as one ladder per n
+        monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 512)
+        straddles, fails, (outcome, first, bits) = PERTURBATIONS[case]
+        references = []
+
+        def one_ladder(kernel, ns, values, counterexample, least_n):
+            values = list(values)
+            kernel = _perturbed(kernel, straddles, fails)
+            references.append(_ladder_per_n(kernel, ns, values, counterexample))
+            return _certified(kernel, ns, values, counterexample, least_n)
+
+        monkeypatch.setattr(checks, "_certified", one_ladder)
+        n_min = CERTIFIED[claim][1]
+        step = _run(claim, range(n_min, 201), table_2001, diagonal_2001)
+        assert [step] == references
+        checked = 201 - n_min if first is None else first - n_min + 1
+        assert (step[0], step[1], step[4]) == (checked, outcome, bits)
+        assert step[3] is not None
 
 
 def _record_sign(gap):
@@ -255,12 +446,12 @@ def test_non_finite_constants_leave_every_gap_undecided(monkeypatch, pair, which
     monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
     monkeypatch.setattr(checks, "pi_alpha", lambda bits: (
         pair if which != "alpha" else real[0], pair if which != "pi" else real[1]))
-    for verdict in (central_binomial_check(50, math.comb(50, 26)),
-                    partition_bound_check(50, 204226),
-                    growth_chain_check(50),
-                    diagonal_bound_check(51, 1295971),
-                    subdiagonal_bound_check(50, 6547151)):
-        assert verdict == (INCONCLUSIVE, None, None, 256)
+    for step in (central_binomial_check(range(50, 51), [math.comb(50, 26)]),
+                 partition_bound_check(range(50, 51), [204226]),
+                 growth_chain_check(range(50, 51)),
+                 diagonal_bound_check(range(51, 52), [1295971]),
+                 subdiagonal_bound_check(range(50, 51), [6547151])):
+        assert step == (1, INCONCLUSIVE, None, None, 256)
 
 
 def _reference_gaps(claim, n, table, diagonal, point=None):
@@ -321,19 +512,36 @@ def _reference_gaps(claim, n, table, diagonal, point=None):
     return gaps
 
 
-def _verdict_and_gaps(monkeypatch, run_check):
-    """run_check()'s verdict and the kernel gaps(bits) its check handed
-    _certified."""
+def _step_and_kernel(monkeypatch, run_check):
+    """run_check()'s step and the kernel its check handed _certified."""
     handed = []
 
-    def recording(gaps, counterexample):
-        handed.append(gaps)
-        return _certified(gaps, counterexample)
+    def recording(kernel, *args):
+        handed.append(kernel)
+        return _certified(kernel, *args)
 
     monkeypatch.setattr(checks, "_certified", recording)
-    verdict = run_check()
-    (gaps,) = handed
-    return verdict, gaps
+    step = run_check()
+    (kernel,) = handed
+    return step, kernel
+
+
+_CHAIN_LINKS = checks._chain_links
+
+
+def _kernel_pairs(monkeypatch, kernel, bits, n, value):
+    """The gap pairs kernel decides n on at bits: lemma13's two links,
+    whose least ends its gap function returns, or the one gap."""
+    links = []
+    monkeypatch.setattr(checks, "_chain_links", lambda *args: (
+        links.append(_CHAIN_LINKS(*args)) or links[-1]))
+    pi, alpha = (checks._fixed(pair, bits) for pair in checks.pi_alpha(bits))
+    pair = kernel(bits, pi, alpha)(n, value)
+    if not links:
+        return (pair,)
+    (both,) = links
+    assert pair == tuple(map(min, *both))
+    return both
 
 
 def _reference_decision(gaps):
@@ -372,17 +580,6 @@ class TestRawIntervalGaps:
     decision the reference reaches from 128 bits, as the `libmpi` checks
     it replaced reached it, which keeps every printed margin."""
 
-    CHECKS = {
-        "central-binomial": (1, lambda n, t, d: central_binomial_check(
-            n, math.comb(n, (n + 3) // 2))),
-        "partition-bound": (1, lambda n, t, d: partition_bound_check(n, t[n])),
-        "growth-chain": (3, lambda n, t, d: growth_chain_check(n)),
-        "diagonal-bound": (
-            1, lambda n, t, d: diagonal_bound_check(n, d.diagonal[n - 1])),
-        "subdiagonal-bound": (
-            1, lambda n, t, d: subdiagonal_bound_check(n, d.subdiagonal[n])),
-    }
-
     @staticmethod
     def _width_bound(claim, n, bits):
         """hi - lo at 2^-bits: a's width times sqrt(n) for the logs, the
@@ -399,26 +596,27 @@ class TestRawIntervalGaps:
         """The kernel's pairs at every rung from from_bits to 512 hold the
         1024-bit reference and keep within the width bound; with decide,
         the check's verdict at n is the 128-bit reference decision."""
-        check = self.CHECKS[claim][1]
-        (outcome, _, margin, bits), kernel = _verdict_and_gaps(
-            monkeypatch, lambda: check(n, table, diagonal))
+        (_, outcome, _, margin, bits), kernel = _step_and_kernel(
+            monkeypatch, lambda: _run(claim, range(n, n + 1), table, diagonal))
         reference = _reference_gaps(claim, n, table, diagonal)
         if decide:
             assert (outcome, margin, bits) == _reference_decision(reference), n
         exact = [fractions(gap) for gap in reference(1024)]
+        value = _value_at(claim, n, table, diagonal)
         rung = from_bits
         while rung <= 512:
-            for (lo, hi), (lower, upper) in zip(kernel(rung), exact):
+            for (lo, hi), (lower, upper) in zip(
+                    _kernel_pairs(monkeypatch, kernel, rung, n, value), exact):
                 assert Fraction(lo, 2**rung) <= lower and upper <= Fraction(hi, 2**rung), \
                     (n, rung)
                 assert hi - lo <= self._width_bound(claim, n, rung), (n, rung)
             rung *= 2
 
     @pytest.mark.parametrize("from_bits", [128, 256])
-    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    @pytest.mark.parametrize("claim", sorted(CERTIFIED))
     def test_matches_iv_operator_reference(self, monkeypatch, claim, from_bits,
                                            tables_20000):
-        n_min = self.CHECKS[claim][0]
+        n_min = CERTIFIED[claim][1]
         samples = [n_min, n_min + 1, 10, 100, 1000, 1999, 2000,
                    *range(2001 + from_bits, 20000, 997), 20000]
         if claim == "growth-chain":
@@ -428,43 +626,49 @@ class TestRawIntervalGaps:
                                            *tables_20000)
 
     @pytest.mark.parametrize("from_bits", [128, 256])
-    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    @pytest.mark.parametrize("claim", sorted(CERTIFIED))
     def test_every_n_to_400_matches_reference(self, monkeypatch, claim, from_bits,
                                               table_2001, diagonal_2001):
-        for n in range(self.CHECKS[claim][0], 401):
+        for n in range(CERTIFIED[claim][1], 401):
             self._assert_matches_reference(monkeypatch, claim, n, from_bits,
                                            table_2001, diagonal_2001, decide=False)
 
-    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    @pytest.mark.parametrize("claim", sorted(CERTIFIED))
     def test_every_n_to_2000_decides_as_the_128_bit_reference(self, claim, table_2001,
                                                               diagonal_2001):
-        n_min, check = self.CHECKS[claim]
+        # each n alone, and their fold as the check takes them together
+        n_min = CERTIFIED[claim][1]
+        total = 0, VERIFIED, None, None, None
         for n in range(n_min, 2001):
-            outcome, _, margin, bits = check(n, table_2001, diagonal_2001)
+            _, outcome, _, margin, bits = _run(claim, range(n, n + 1), table_2001,
+                                               diagonal_2001)
             reference = _reference_gaps(claim, n, table_2001, diagonal_2001)
             assert (outcome, margin, bits) == _reference_decision(reference), n
+            total = _fold(total, (1, outcome, None, margin, bits))
+        assert _run(claim, range(n_min, 2001), table_2001, diagonal_2001) == total
 
     # n at which one unit moved inward in a kernel shows: every n to 60,
     # then a sweep
     POINT_NS = [*range(3, 61), *range(61, 2001, 13)]
 
-    @pytest.mark.parametrize("claim", sorted(CHECKS))
+    @pytest.mark.parametrize("claim", sorted(CERTIFIED))
     def test_kernels_hold_the_reference_at_point_constants(self, monkeypatch, claim,
                                                            table_2001, diagonal_2001):
         # pi and a as points, pi_alpha's lower endpoints, which a kernel
         # scales exactly: the pairs then differ from the reference only by
         # the kernel's own roundings, so one moved inward shows
-        check = self.CHECKS[claim][1]
         points = {bits: tuple(lower for lower, _ in pi_alpha(bits)) for bits in (128, 256)}
         monkeypatch.setattr(checks, "pi_alpha", lambda bits: tuple(
             (x, x) for x in points[bits]))
         for n in self.POINT_NS:
-            _, kernel = _verdict_and_gaps(
-                monkeypatch, lambda: check(n, table_2001, diagonal_2001))
+            _, kernel = _step_and_kernel(monkeypatch, lambda: _run(
+                claim, range(n, n + 1), table_2001, diagonal_2001))
+            value = _value_at(claim, n, table_2001, diagonal_2001)
             for bits, point in points.items():
                 reference = _reference_gaps(claim, n, table_2001, diagonal_2001, point)
-                for (lo, hi), (lower, upper) in zip(kernel(bits),
-                                                    map(fractions, reference(1024))):
+                for (lo, hi), (lower, upper) in zip(
+                        _kernel_pairs(monkeypatch, kernel, bits, n, value),
+                        map(fractions, reference(1024))):
                     assert Fraction(lo, 2**bits) <= lower, (n, bits)
                     assert upper <= Fraction(hi, 2**bits), (n, bits)
                     # e^x's Taylor sums lose a unit a term on each side
@@ -498,8 +702,8 @@ class TestRawIntervalGaps:
 
     def test_results_ignore_global_precision(self, table_2001, diagonal_2001):
         def run_all():
-            verdicts = [check(n, table_2001, diagonal_2001)
-                        for n_min, check in self.CHECKS.values()
+            verdicts = [_run(claim, range(n, n + 1), table_2001, diagonal_2001)
+                        for claim, (_, n_min, _) in CERTIFIED.items()
                         for n in (n_min, 10, 1000)]
             return verdicts, fractions(corollary_bound(50))
 
@@ -519,7 +723,7 @@ class TestRawIntervalGaps:
             return original(bits)
 
         monkeypatch.setattr(intervals, "working_precision", counting)
-        assert growth_chain_check(100)[3] == 128
+        assert growth_chain_check(range(100, 101))[4] == 128
         assert enters == []
 
     def test_cached_constants_enclose_pi_and_alpha(self):
@@ -681,6 +885,41 @@ class TestFixedPoint:
                 assert hi - lo <= reference(x_hi)[1] - reference(x_lo)[0] + slack, \
                     (x_lo, x_hi, guard)
 
+
+    @pytest.mark.parametrize("w", [160, 288])
+    def test_exp_point_in_closed_form_below_the_square_root(self, w):
+        # within a unit of e^(x/2^w)*2^w on each side below 2^(w/2), the
+        # closed form's range, and enclosing it past that
+        rng = random.Random(w)
+        edge = 1 << w // 2
+        for x in [0, 1, 2, edge - 1, edge, edge + 1, 2 * edge, 4 * edge, 1 << w,
+                  *(rng.getrandbits(rng.randrange(1, w + 1)) for _ in range(200))]:
+            e_lo, e_hi = (v * 2**w for v in _iv_fractions(lambda: iv.exp(iv.mpf(x) / 2**w)))
+            lo, hi = checks._exp_point(x, w)
+            assert lo <= e_lo and e_hi <= hi, x
+            if x < edge:
+                assert e_lo - lo <= 1 and hi - e_hi <= 1, x
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_exp_bracket_holds_e_to_the_x_over_random_widths(self, bits, monkeypatch):
+        # random x below 1.3 and widths of 0, of a few units, as the chain
+        # passes, of any bit length, and about the largest, edge, whose
+        # e^(x_hi - x_lo) is taken in closed form: d < 2^(w/2) for
+        # d = width*2^guard at 2^-w, w = bits + guard
+        for guard in (checks.EXP_GUARD_BITS, 0):
+            monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
+            rng = random.Random(bits + guard)
+            edge = 1 << (bits - guard) // 2
+            slack = (2**19 >> guard) + 3
+            for _ in range(150):
+                x_lo = rng.randrange(math.floor(1.3 * 2**bits))
+                x_hi = x_lo + rng.choice([0, rng.randrange(1, 9), edge, edge + 1,
+                                          rng.getrandbits(rng.randrange(1, bits))])
+                lo, hi = checks._exp_bracket(x_lo, x_hi, bits)
+                e_lo = _iv_fractions(lambda: iv.exp(iv.mpf(x_lo) / 2**bits))[0] * 2**bits
+                e_hi = _iv_fractions(lambda: iv.exp(iv.mpf(x_hi) / 2**bits))[1] * 2**bits
+                assert lo <= e_lo and e_hi <= hi, (x_lo, x_hi, guard)
+                assert hi - lo <= e_hi - e_lo + slack, (x_lo, x_hi, guard)
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):

@@ -212,11 +212,24 @@ def test_corrupted_row_at_a_sampled_n_fails_the_claim(monkeypatch, claim, n, n_m
 
 def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch):
     _constants((fninf, finf))(monkeypatch)  # every gap straddles zero
-    check, seen = checks.diagonal_bound_check, []
-    monkeypatch.setattr(checks, "diagonal_bound_check",
-                        lambda n, value: seen.append(n) or check(n, value))
+    check, calls, read = checks.diagonal_bound_check, [], []
+
+    def recording(ns, values):
+        calls.append(ns)
+        return check(ns, (read.append(value) or value for value in values))
+
+    monkeypatch.setattr(checks, "diagonal_bound_check", recording)
+    certified, kernels = checks._certified, []
+    monkeypatch.setattr(checks, "_certified", lambda kernel, *args: certified(
+        lambda bits, *constants: kernels.append(bits) or kernel(bits, *constants),
+        *args))
     assert sweeps.run_claim("prop1", 1, 50).outcome == "inconclusive"
-    assert seen == [1]
+    # one check over the range; no rung has finite constants to take a gap
+    # at any n with, and only n = 1's value, p(0,0), is read, as the first
+    # n open
+    assert calls == [range(1, 51)]
+    assert kernels == []
+    assert read == [1]
 
 
 @pytest.mark.parametrize("stop", [40, None], ids=["violated-at-40", "verified"])
@@ -228,18 +241,35 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
     ("stirling", "central_binomial_check"),
 ])
 def test_certified_sweep_checks_each_n_once_in_order(monkeypatch, claim, check, stop):
-    # the check is the claim's own, but reports n = stop violated
-    original, seen = getattr(checks, check), []
+    # the claim's own check and kernel, but n = stop reports violated
+    original, calls, seen, read = getattr(checks, check), [], [], []
+    certified = checks._certified
 
-    def recording(n, *arg):
-        seen.append(n)
-        return (VIOLATED, (n,), None, 128) if n == stop else original(n, *arg)
+    def recording(kernel, *args):
+        def rung(bits, pi, alpha):
+            gap = kernel(bits, pi, alpha)
 
-    monkeypatch.setattr(checks, check, recording)
+            def recorded(n, value):
+                seen.append(n)
+                return (-1, -1) if n == stop else gap(n, value)
+            return recorded
+        return certified(rung, *args)
+
+    def counted(values):
+        for value in values:
+            read.append(value)
+            yield value
+
+    monkeypatch.setattr(checks, "_certified", recording)
+    monkeypatch.setattr(checks, check, lambda ns, *values: (
+        calls.append(ns) or original(ns, *map(counted, values))))
     summary = sweeps.run_claim(claim, None, 60)
     n_min = sweeps.CLAIMS[claim][1][0]
     last = 60 if stop is None else stop
+    assert calls == [range(n_min, 61)]
     assert seen == list(range(n_min, last + 1))
+    # no value past the last n evaluated is read; lemma13 reads none
+    assert len(read) == (0 if claim == "lemma13" else last - n_min + 1)
     assert (summary.checked, summary.outcome) == (
         last - n_min + 1, VERIFIED if stop is None else VIOLATED)
 
@@ -297,7 +327,7 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
 def test_run_all_queues_steps_not_rows():
     # the p(n,k) rows 0..400, all held, peak at about 4.9 MB under tracemalloc
     # pi_alpha's and the kernels' caches are filled outside the trace
-    checks.partition_bound_check(1, 1)
+    checks.partition_bound_check(range(1, 2), [1])
     tracemalloc.start()
     try:
         summaries = sweeps.run_all(4, 400)
