@@ -57,8 +57,8 @@ def _relative_slack(lhs: int, rhs: int) -> float:
 def _certified(kernel, ns: range, values, counterexample, least_n: int) -> tuple:
     """Decide a gap positive at every n of ns, in order, on one ladder.
 
-    ns is a nonempty range of consecutive n >= least_n (else ValueError)
-    and values, read lazily, holds one value per n.  At each rung,
+    ns is a nonempty range of consecutive n >= least_n and values, read
+    lazily, holds one value per n (else ValueError).  At each rung,
     kernel(bits, pi, a), with pi and a as integer pairs at 2^-bits,
     returns the gap function (n, value) -> (lo, hi), lo <= g*2^bits <= hi,
     or None when no gap can be decided at the rung (pi or a not finite).
@@ -73,7 +73,8 @@ def _certified(kernel, ns: range, values, counterexample, least_n: int) -> tuple
     """
     if not ns or ns.step != 1 or ns[0] < least_n:
         raise ValueError(f"need a range of n >= {least_n}")
-    pending = zip(ns, values, repeat(None))  # (n, value, margin before n)
+    # (n, value, the least margin before n); strict: one value per n
+    pending = zip(ns, values, repeat(None, len(ns)), strict=True)
     stop = least = None  # the first n violated, the least margin before it
 
     def evaluate(bits):

@@ -311,6 +311,16 @@ class TestCertifiedOutcomes:
         # the least lower end in units of 2^-bits, rounded to nearest
         assert margin == (min(lo for lo, _ in gaps) / 2**128 if sign else None)
 
+    @pytest.mark.parametrize("values", [[None] * 4, [None] * 6],
+                             ids=["one-short", "one-over"])
+    def test_values_must_match_the_range(self, values):
+        # a range read to its end with a value missing or left over is no
+        # verdict: checked would count an n never evaluated
+        with pytest.raises(ValueError):
+            _certified(_one_gap((1, 2)), range(1, 6), values, checks._alone, 1)
+        assert _certified(_one_gap((1, 2)), range(1, 6), [None] * 5, checks._alone,
+                          1) == (5, VERIFIED, None, 2**-128, 128)
+
     def test_one_undecided_n_climbs_alone(self):
         # n = 5 straddles zero at 128 bits: it alone is taken at 256, where
         # it clears with the least margin, 1/8
