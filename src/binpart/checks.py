@@ -421,9 +421,10 @@ def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
 
     Units lost at 2^-w: each _exp_point pair is within 2^12 units of the
     truth, so the upper end is within 2^12*(e + e) + 2 < 2^15 (the
-    product of two pairs, each below e*2^w), and a squaring of a pair
-    within u units of a value y*2^w leaves it within 2u*y + 2.  So for
-    x_hi < 2 (s <= 1) both ends are within 2^18 units of the truth at
+    product of two pairs, each below e*2^w; with the width's closed form,
+    within a unit, 2^12*(1 + 2^-(w/2)) + e + 1 < 2^13), and a squaring of
+    a pair within u units of a value y*2^w leaves it within 2u*y + 2.  So
+    for x_hi < 2 (s <= 1) both ends are within 2^18 units of the truth at
     2^-w, 2^-14 units at 2^-bits at EXP_GUARD_BITS = 32, so after the
     last rounding each end lies less than 1 + 2^-14 units from its exact
     value at 2^-bits.
