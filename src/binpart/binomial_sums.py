@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .partitions import build_partition_table
 

@@ -13,19 +13,19 @@ Exit codes: 0 success/verified, 1 violation found, 2 usage error,
 3 inconclusive (precision or depth cap hit).  All big integers are
 emitted as decimal strings; output is deterministic for a given command
 line (stable key order, no timestamps).  The parser is built once per
-process, on main's first call.  mpmath is imported only by the functions
-that call it, so a command on exact integers never loads it.
+process, on main's first call.  mpmath, fractions and decimal are
+imported only by the functions that call them, so a command on exact
+integers never loads mpmath, and only product, mu and ints longer than
+_LONG_INT_BITS load fractions or decimal.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import sweeps
 from .binomial_sums import (build_triangle, peak_k, strict_sides, triangle_row,
@@ -81,6 +81,8 @@ def _int_str(n: int) -> str:
     """
     if n.bit_length() <= _LONG_INT_BITS:
         return str(n)
+    import decimal
+
     powers = {}
 
     def power(w):
@@ -283,6 +285,8 @@ def cmd_product(args) -> int:
         raise UsageError("need 0 < QNUM/QDEN < 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("TOL must be a finite positive number")
+    from fractions import Fraction
+
     q = Fraction(args.q_num, args.q_den)
     try:
         enclosure, ell = enclose_euler_product(q, args.tol)

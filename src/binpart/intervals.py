@@ -21,7 +21,11 @@ level.  So importing binpart loads no mpmath, and neither do the
 commands on exact integers: compute pnk and pk, compute p below
 cli.P_SERIES_FROM, table, peak, and verify of thm2, thm3, lemma-links,
 lemma-rechts, lemma-gr, eq9 and genfun.  On the certified checks' path,
-pi_alpha is the one function that loads it.
+pi_alpha is the one function that loads it.  The same rule holds for
+`fractions` and `decimal`: to_fraction and `cli.cmd_product` import
+Fraction, and `cli._int_str` imports decimal only for an int longer than
+cli._LONG_INT_BITS, so importing binpart loads neither, and of the
+commands only product, mu and the printing of such ints do.
 
 decide_with_escalation is the one ladder for every verdict that can end
 inconclusive.  The certified checks climb precision, DEFAULT_PRECISION_BITS
@@ -43,10 +47,9 @@ parallelizing sweeps should use processes, not threads.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Optional
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 4096
@@ -72,7 +75,7 @@ def int_interval(x: int, bits: int):
     return from_int(x, bits, round_floor), from_int(x, bits, round_ceiling)
 
 
-def certainly_positive(gap) -> Optional[bool]:
+def certainly_positive(gap) -> bool | None:
     """The sign of a gap given as its endpoint pair (lower, upper).
 
     True when lower > 0, False when upper <= 0, None otherwise; a NaN
@@ -104,6 +107,8 @@ def pi_alpha(bits: int):
 
 def to_fraction(raw) -> Fraction:
     """Exact value of a raw mpf tuple (sign, man, exp, bc) as a Fraction."""
+    from fractions import Fraction
+
     sign, man, exp, _ = raw
     man = int(man)
     if man == 0 and exp != 0:
@@ -121,10 +126,10 @@ def width(pair) -> float:
 
 
 def decide_with_escalation(
-    evaluate: Callable[[int], Any],
+    evaluate: Callable[[int], object],
     start_bits: int,
     cap_bits: int | None = None,
-) -> tuple[Any, int]:
+) -> tuple[object, int]:
     """Run a certified evaluation, doubling its level while undecided.
 
     `evaluate(level)` returns None while undecided and any other value,

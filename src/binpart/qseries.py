@@ -23,7 +23,6 @@ mpmath is imported inside the functions that call it, not with the module.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
 
 from .intervals import (DEFAULT_PRECISION_BITS, decide_with_escalation, width,

@@ -41,10 +41,8 @@ range runs the full desk-scale verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Optional
 
 from . import checks
 from .binomial_sums import (
@@ -65,17 +63,32 @@ GENFUN_DEGREE = 60  # series coefficients compared per k by the genfun claim
 SIGN_SUM_SAMPLE = 64  # peak_sign_sum runs at each n it divides, and at n_max
 
 
-@dataclass
 class ClaimSummary:
-    claim: str
-    n_min: int
-    n_max: int
-    checked: int
-    outcome: str
-    counterexample: Optional[tuple] = None
-    min_margin: Optional[float] = None
-    max_precision_bits: Optional[int] = None
-    notes: dict = field(default_factory=dict)
+    """One claim's verdict over its range, equal to another field by field.
+
+    A plain class, not a dataclass, so that importing the CLI loads no
+    `dataclasses` (and with it `inspect`); notes defaults to a fresh {}.
+    """
+
+    def __init__(self, claim: str, n_min: int, n_max: int, checked: int,
+                 outcome: str, counterexample: tuple | None = None,
+                 min_margin: float | None = None,
+                 max_precision_bits: int | None = None,
+                 notes: dict | None = None):
+        self.claim, self.n_min, self.n_max = claim, n_min, n_max
+        self.checked, self.outcome = checked, outcome
+        self.counterexample, self.min_margin = counterexample, min_margin
+        self.max_precision_bits = max_precision_bits
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ClaimSummary({fields})"
 
 
 def _exact(violation) -> tuple:

@@ -14,7 +14,9 @@ with its wall time and its peak RSS (ru_maxrss from os.wait4), Python
 start-up included, and fails a command under its own name when its exit
 code or stdout differs from the golden or it runs past 300 s.  Exits 1
 if any command failed, 0 otherwise.  binpart must be importable
-(installed, or PYTHONPATH=src).
+(installed, or PYTHONPATH=src).  The commands run without
+PYTHONDONTWRITEBYTECODE, as perfbench's workers do, so that their times
+count start-up from cached bytecode however the caller set it.
 """
 
 import json
@@ -38,10 +40,12 @@ def run(argv: list[str]):
     os.wait4, whose resource usage holds its own peak RSS (Linux counts
     ru_maxrss in KiB).
     """
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     with subprocess.Popen([sys.executable, "-m", "binpart", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                          text=True) as proc:
+                          text=True, env=env) as proc:
         timer = threading.Timer(TIMEOUT_S, proc.kill)
         timer.start()
         try:

@@ -374,21 +374,24 @@ def _run_module(module, argv, **kwargs):
 
 
 # `import binpart`, then `import binpart.cli`, then each argv of sys.argv[1]
-# through cli.main, all in one interpreter; prints whether mpmath is loaded
-# after each step, the exit codes and the binpart modules loaded
+# through cli.main, all in one interpreter; prints which of WATCHED are
+# loaded after each step, the exit codes and the binpart modules loaded
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+WATCHED = ("mpmath", "dataclasses", "inspect", "fractions", "decimal")
 loaded = []
+def watch():
+    loaded.append([name for name in WATCHED if name in sys.modules])
 import binpart
-loaded.append("mpmath" in sys.modules)
+watch()
 from binpart import cli
-loaded.append("mpmath" in sys.modules)
+watch()
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-    loaded.append("mpmath" in sys.modules)
-print(json.dumps({"mpmath": loaded, "codes": codes, "modules": sorted(
+    watch()
+print(json.dumps({"loaded": loaded, "codes": codes, "modules": sorted(
     name for name in sys.modules if name.startswith("binpart."))}))
 """
 
@@ -416,10 +419,12 @@ MPMATH_FREE = [
 
 def test_import_and_integer_commands_load_no_mpmath():
     """Importing binpart and binpart.cli loads every binpart module but no
-    mpmath, and the commands on exact integers leave it unloaded."""
+    mpmath, dataclasses, inspect, fractions or decimal, and the commands on
+    exact integers leave them all unloaded.  typing, re and enum are not
+    watched: the interpreter's `site` may load them before binpart."""
     probe = _probe_imports(MPMATH_FREE)
     assert probe["codes"] == [EXIT_OK] * len(MPMATH_FREE)
-    assert probe["mpmath"] == [False] * (2 + len(MPMATH_FREE))
+    assert probe["loaded"] == [[]] * (2 + len(MPMATH_FREE))
     assert {f"binpart.{name}" for name in (
         "binomial_sums", "checks", "cli", "intervals", "lie", "partitions",
         "qseries", "sweeps")} <= set(probe["modules"])
@@ -430,11 +435,17 @@ def test_import_and_integer_commands_load_no_mpmath():
     ["compute", "p", "2000"],       # the series, from cli.P_SERIES_FROM
     ["product", "1", "3", "1e-10"],
     ["mu", "10", "3"],
+    ["verify", "all", "4", "40"],
 ], ids=" ".join)
 def test_real_valued_commands_load_mpmath_when_they_run(argv):
+    """Of the other modules watched, only product and mu, which print
+    rationals exactly, may load one: fractions, which imports decimal."""
     probe = _probe_imports([argv])
     assert probe["codes"] == [EXIT_OK]
-    assert probe["mpmath"] == [False, False, True]
+    assert probe["loaded"][:2] == [[], []]
+    exact = {"fractions", "decimal"} if argv[0] in ("product", "mu") else set()
+    assert "mpmath" in probe["loaded"][2]
+    assert set(probe["loaded"][2]) - {"mpmath"} <= exact
 
 
 def _limit_address_space():

@@ -349,3 +349,33 @@ def test_row_pass_lets_its_rows_go_once_every_claim_closes():
         tracemalloc.stop()
     # a stream left suspended at row 1000 holds rows 999 and 1000, about 250 KB
     assert held < 2**16
+
+
+_SUMMARY_FIELDS = {
+    "claim": "thm2", "n_min": 4, "n_max": 40, "checked": 37, "outcome": VERIFIED,
+    "counterexample": (5, 2), "min_margin": 0.25, "max_precision_bits": 128,
+    "notes": {"streamed": True},
+}
+
+
+def test_claim_summary_compares_field_by_field():
+    """run_all is checked against separate runs by ==, so a summary equals
+    another exactly when all nine fields do, however it was built."""
+    summary = sweeps.ClaimSummary(**_SUMMARY_FIELDS)
+    assert summary == sweeps.ClaimSummary(*_SUMMARY_FIELDS.values())
+    assert vars(summary) == _SUMMARY_FIELDS
+    for name in _SUMMARY_FIELDS:
+        other = dict(_SUMMARY_FIELDS, **{name: "changed"})
+        assert summary != sweeps.ClaimSummary(**other), name
+    assert summary != tuple(_SUMMARY_FIELDS.values())
+
+
+def test_claim_summary_defaults_and_unshared_notes():
+    first = sweeps.ClaimSummary("genfun", 1, 5, 5, VERIFIED)
+    second = sweeps.ClaimSummary("genfun", 1, 5, 5, VERIFIED)
+    assert (first.counterexample, first.min_margin, first.max_precision_bits,
+            first.notes) == (None, None, None, {})
+    assert first == second
+    first.notes["degree"] = 60
+    assert second.notes == {}
+    assert first != second
