@@ -13,11 +13,12 @@ Two kinds of checks live here:
     each over a range of n on one precision ladder (_certified), from
     DEFAULT_PRECISION_BITS up, with an explicit "inconclusive" at the
     cap.  At each rung, pi and a = sqrt(2/3)*pi are read once off
-    intervals.pi_alpha(bits) and scaled to integers by shifts, and the
-    check's integer kernel encloses the gap g at each n still open as a
-    pair (lo, hi), lo <= g*2^bits <= hi: a square root is math.isqrt, ln
-    is _ln and e^x _exp_bracket, fixed-point series after a table
-    reduction of the argument, which count the units each floor can lose.
+    intervals.pi_alpha(bits), as integer pairs at 2^-bits, and the check's
+    integer kernel encloses the gap g at each n still open as a pair
+    (lo, hi), lo <= g*2^bits <= hi: a square root is math.isqrt, ln is
+    _ln and e^x (for 0 <= x <= 1) _exp_bracket, fixed-point series after a
+    table reduction of the argument, which count the units each floor
+    can lose.
 
 The row checks take their row.  A certified check takes a range of n and
 the integers it bounds, in order: p(n-1,n-1) or p(n,n-1), p(n), or
@@ -59,9 +60,10 @@ def _certified(kernel, ns: range, values, counterexample, least_n: int) -> tuple
 
     ns is a nonempty range of consecutive n >= least_n and values, read
     lazily, holds one value per n (else ValueError).  At each rung,
-    kernel(bits, pi, a), with pi and a as integer pairs at 2^-bits,
-    returns the gap function (n, value) -> (lo, hi), lo <= g*2^bits <= hi,
-    or None when no gap can be decided at the rung (pi or a not finite).
+    kernel(bits, pi, a), with pi and a intervals.pi_alpha(bits)'s integer
+    pairs at 2^-bits, returns the gap function (n, value) -> (lo, hi),
+    lo <= g*2^bits <= hi, or None when no gap can be decided at the rung
+    (apostol's kernel, when pi is not certainly positive).
     n is violated when hi <= 0, undecided while lo <= 0 < hi and verified
     once lo > 0.  The first n violated ends the rung, and no later n is
     evaluated or read; only the undecided n before it go on, each with
@@ -79,8 +81,7 @@ def _certified(kernel, ns: range, values, counterexample, least_n: int) -> tuple
 
     def evaluate(bits):
         nonlocal pending, stop, least
-        constants = [_fixed(pair, bits) for pair in pi_alpha(bits)]
-        gap = None if None in constants else kernel(bits, *constants)
+        gap = kernel(bits, *pi_alpha(bits))
         if gap is None:
             return None
         scale, undecided, running = 1 << bits, [], None
@@ -172,7 +173,8 @@ def partition_bound_check(ns: range, values) -> tuple:
             # no finite ln pi: a pi that may be <= 0 leaves every gap
             # undecided, and a pi <= 0 (bound <= 0 < p(n)) makes it negative
             return None if pi[1] > 0 else lambda n, pn: (-1, -1)
-        ln_pi_lo, ln_pi_hi = _ln_pi(pi_alpha(bits)[0], bits)
+        ln_pi_lo = _ln(pi[0], 1 << bits, bits)[0]
+        ln_pi_hi = _ln(pi[1], 1 << bits, bits)[1]
 
         def gap(n, pn):
             rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
@@ -368,22 +370,6 @@ EXP_TABLE_BITS = 8  # T: _exp_bracket reduces by a table of e^(i/2^T), i <= 2^T
 EXP_GUARD_BITS = 32  # _exp_bracket works at 2^-(bits + EXP_GUARD_BITS)
 
 
-def _fixed(pair, bits: int):
-    """(floor, ceiling) of a raw mpf endpoint pair times 2^bits, by shifts;
-    None when an endpoint is infinite or NaN."""
-    scaled = []
-    for (sign, man, exp, _), ceiling in zip(pair, (False, True)):
-        if not man and exp:  # mpmath's infinities and NaN: no mantissa
-            return None
-        value = -int(man) if sign else int(man)
-        shift = exp + bits
-        if shift >= 0:
-            scaled.append(value << shift)
-        else:
-            scaled.append(-(-value >> -shift) if ceiling else value >> -shift)
-    return tuple(scaled)
-
-
 def _times(c, q_lo: int, q_hi: int, shift: int) -> tuple[int, int]:
     """(floor, ceiling) of c*q/2^shift over c in the pair c, of any sign,
     and q in [q_lo, q_hi], 0 <= q_lo."""
@@ -407,37 +393,31 @@ def _alpha_sqrt(alpha, n: int, bits: int) -> tuple[int, int]:
 
 
 def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
-    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi, at 2^-bits.
+    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi <= 2^bits,
+    at 2^-bits; ValueError for x_hi past 2^bits (x > 1), a domain that
+    lemma13's exponents, below 0.69 for n >= 3, never leave.
 
-    Argument reduction (Brent and Zimmermann, Modern Computer Arithmetic,
-    ch. 4), at w = bits + EXP_GUARD_BITS: with s halvings, the least that
-    bring x_hi below 1, a = floor(x_lo*2^(w-s)) and
-    b = ceil(x_hi*2^(w-s)) in units of 2^-w, so 0 <= a <= b <= 2^w.
-    The lower end is _exp_point(a)'s; the upper end is e^a's upper end
-    times e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a), where a width
-    b - a of a few units at 2^-bits takes _exp_point's closed form.  Both
-    are then squared s times, rounded outward, and rounded outward to
-    2^-bits.
+    At w = bits + EXP_GUARD_BITS, a = x_lo*2^(w-bits) and
+    b = x_hi*2^(w-bits) in units of 2^-w, so 0 <= a <= b <= 2^w.  The
+    lower end is _exp_point(a)'s; the upper end is e^a's upper end times
+    e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a), where a width b - a
+    of a few units at 2^-bits takes _exp_point's closed form.  Both are
+    then rounded outward to 2^-bits.
 
     Units lost at 2^-w: each _exp_point pair is within 2^12 units of the
     truth, so the upper end is within 2^12*(e + e) + 2 < 2^15 (the
     product of two pairs, each below e*2^w; with the width's closed form,
-    within a unit, 2^12*(1 + 2^-(w/2)) + e + 1 < 2^13), and a squaring of
-    a pair within u units of a value y*2^w leaves it within 2u*y + 2.  So
-    for x_hi < 2 (s <= 1) both ends are within 2^18 units of the truth at
-    2^-w, 2^-14 units at 2^-bits at EXP_GUARD_BITS = 32, so after the
-    last rounding each end lies less than 1 + 2^-14 units from its exact
-    value at 2^-bits.
+    within a unit, 2^12*(1 + 2^-(w/2)) + e + 1 < 2^13).  So both ends are
+    within 2^15 units of the truth at 2^-w, 2^-17 units at 2^-bits at
+    EXP_GUARD_BITS = 32, and after the last rounding each end lies less
+    than 1 + 2^-17 units from its exact value at 2^-bits.
     """
+    if x_hi > 1 << bits:
+        raise ValueError("_exp_bracket takes x <= 1")
     w = bits + EXP_GUARD_BITS
-    s = max(x_hi.bit_length() - bits, 0)
-    a = (x_lo << EXP_GUARD_BITS) >> s
-    b = -(-(x_hi << EXP_GUARD_BITS) >> s)
+    a = x_lo << EXP_GUARD_BITS
     lo, hi = _exp_point(a, w)
-    hi = -(-hi * _exp_point(b - a, w)[1] >> w)
-    for _ in range(s):
-        lo = lo * lo >> w
-        hi = -(-hi * hi >> w)
+    hi = -(-hi * _exp_point((x_hi << EXP_GUARD_BITS) - a, w)[1] >> w)
     return lo >> EXP_GUARD_BITS, -(-hi >> EXP_GUARD_BITS)
 
 
@@ -588,10 +568,3 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
     return (b * two_lo + t_lo + z_lo >> LN_GUARD_BITS,
             -(-(b * two_hi + t_hi + z_hi + 1) >> LN_GUARD_BITS))
 
-
-def _ln_pi(pi, bits: int) -> tuple[int, int]:
-    """(lo, hi) of ln pi at 2^-bits off pi's raw endpoint pair, both
-    endpoints positive."""
-    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = pi
-    return (_ln(int(man_lo) << max(exp_lo, 0), 1 << max(-exp_lo, 0), bits)[0],
-            _ln(int(man_hi) << max(exp_hi, 0), 1 << max(-exp_hi, 0), bits)[1])

@@ -2,14 +2,15 @@
 
 Every real-valued decision is made on outward-rounded enclosures.  The
 certified checks of `checks` enclose their gaps on exact integers at
-2^-bits, and read pi and a = sqrt(2/3)*pi off pi_alpha's endpoint pairs.
+2^-bits, and read pi and a = sqrt(2/3)*pi off pi_alpha, which hands
+them out as integer pairs at 2^-bits.
 The Rademacher sum of `partitions` and the bounds of `lie` and `cli`
 call mpmath's `libmpi` interval functions (the ones `iv` itself calls)
 directly at an explicit precision, and `qseries` runs `iv` inside
 working_precision; there an enclosure is its endpoint pair (lower,
 upper) of raw mpf values from first operation to verdict.  This module
 holds the pieces those computations share: int_interval enters an
-integer, pi_alpha caches the pairs of pi and a per bit width, and
+integer, pi_alpha caches the integer pairs of pi and a per bit width, and
 certainly_positive is the sign rule of a pair.  None of them reads the
 process-global `iv.prec`; pi_alpha alone sets it, inside its own
 working_precision(bits).  A finished pair is read by to_fraction, an
@@ -93,16 +94,23 @@ def certainly_positive(gap) -> bool | None:
 
 @lru_cache(maxsize=None)
 def pi_alpha(bits: int):
-    """Endpoint pairs of pi and the growth constant a = sqrt(2/3)*pi.
+    """Integer pairs of pi and the growth constant a = sqrt(2/3)*pi at 2^-bits.
 
-    Keyed on the escalation rung, so the cache holds one entry per rung
-    ever used (a handful: the ladder doubles from 128 bits to the cap).
+    Returns ((pi_lo, pi_hi), (a_lo, a_hi)) with lo <= x*2^bits <= hi: each
+    value is enclosed in `iv` at bits, and its lower end floored and its
+    upper end ceiled at 2^-bits.  Keyed on the escalation rung, so the
+    cache holds one entry per rung ever used (a handful: the ladder
+    doubles from 128 bits to the cap).
     """
     from mpmath import iv
+    from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
 
     with working_precision(bits):
         pi = +iv.pi
-        return pi._mpi_, (iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi)._mpi_
+        alpha = iv.sqrt(iv.mpf(2) / iv.mpf(3)) * pi
+    return tuple((to_int(mpf_shift(lo, bits), round_floor),
+                  to_int(mpf_shift(hi, bits), round_ceiling))
+                 for lo, hi in (pi._mpi_, alpha._mpi_))
 
 
 def to_fraction(raw) -> Fraction:

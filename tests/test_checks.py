@@ -13,13 +13,11 @@ from mpmath.libmp import (
     fninf,
     fnone,
     fone,
-    from_rational,
     fzero,
     mpi_div,
     mpi_exp,
     mpi_log,
     mpi_sqrt,
-    round_floor,
 )
 
 from binpart import checks, intervals
@@ -197,8 +195,7 @@ def _ladder_per_n(kernel, ns, values, counterexample):
     total = 0, VERIFIED, None, None, None
     for n, value in zip(ns, values):
         def evaluate(bits):
-            pi, alpha = (checks._fixed(pair, bits) for pair in checks.pi_alpha(bits))
-            gap = None if pi is None or alpha is None else kernel(bits, pi, alpha)
+            gap = kernel(bits, *checks.pi_alpha(bits))
             if gap is None:
                 return None
             lo, hi = gap(n, value)
@@ -444,36 +441,16 @@ class TestSignRule:
         assert _record_sign(gap) is sign
 
 
-NON_FINITE = [(fninf, finf), (fnan, fone), (fone, fnan), (fone, finf),
-              (fninf, fone), (fnan, fnan)]
-
-
-@pytest.mark.parametrize("which", ["pi", "alpha", "both"])
-@pytest.mark.parametrize("pair", NON_FINITE,
-                         ids=["-inf,inf", "nan,1", "1,nan", "1,inf", "-inf,1", "nan,nan"])
-def test_non_finite_constants_leave_every_gap_undecided(monkeypatch, pair, which):
-    real = pi_alpha(128)
-    monkeypatch.setattr(intervals, "DEFAULT_PRECISION_CAP_BITS", 256)
-    monkeypatch.setattr(checks, "pi_alpha", lambda bits: (
-        pair if which != "alpha" else real[0], pair if which != "pi" else real[1]))
-    for step in (central_binomial_check(range(50, 51), [math.comb(50, 26)]),
-                 partition_bound_check(range(50, 51), [204226]),
-                 growth_chain_check(range(50, 51)),
-                 diagonal_bound_check(range(51, 52), [1295971]),
-                 subdiagonal_bound_check(range(50, 51), [6547151])):
-        assert step == (1, INCONCLUSIVE, None, None, 256)
-
-
 def _reference_gaps(claim, n, table, diagonal, point=None):
     """Each certified check's gaps as `iv` operator expressions, as endpoint pairs.
 
     mpmath's operator dispatch, inside one working_precision(bits), is a
     route separate from the checks' integer kernels.  point, if given, is
-    a pair of raw mpf values that stand for pi and a.
+    a pair of dyadic Fractions that stand for pi and a.
     """
     def constants():
         if point:
-            return tuple(iv.mpf(mpmath.mp.make_mpf(x)) for x in point)
+            return tuple(iv.mpf(x.numerator) / x.denominator for x in point)
         pi = +iv.pi
         return pi, iv.sqrt(iv.mpf(2) / 3) * pi
 
@@ -545,8 +522,7 @@ def _kernel_pairs(monkeypatch, kernel, bits, n, value):
     links = []
     monkeypatch.setattr(checks, "_chain_links", lambda *args: (
         links.append(_CHAIN_LINKS(*args)) or links[-1]))
-    pi, alpha = (checks._fixed(pair, bits) for pair in checks.pi_alpha(bits))
-    pair = kernel(bits, pi, alpha)(n, value)
+    pair = kernel(bits, *checks.pi_alpha(bits))(n, value)
     if not links:
         return (pair,)
     (both,) = links
@@ -664,9 +640,9 @@ class TestRawIntervalGaps:
     @pytest.mark.parametrize("claim", sorted(CERTIFIED))
     def test_kernels_hold_the_reference_at_point_constants(self, monkeypatch, claim,
                                                            table_2001, diagonal_2001):
-        # pi and a as points, pi_alpha's lower endpoints, which a kernel
-        # scales exactly: the pairs then differ from the reference only by
-        # the kernel's own roundings, so one moved inward shows
+        # pi and a as points, pi_alpha's lower ends: the pairs then differ
+        # from the reference only by the kernel's own roundings, so one
+        # moved inward shows
         points = {bits: tuple(lower for lower, _ in pi_alpha(bits)) for bits in (128, 256)}
         monkeypatch.setattr(checks, "pi_alpha", lambda bits: tuple(
             (x, x) for x in points[bits]))
@@ -675,7 +651,8 @@ class TestRawIntervalGaps:
                 claim, range(n, n + 1), table_2001, diagonal_2001))
             value = _value_at(claim, n, table_2001, diagonal_2001)
             for bits, point in points.items():
-                reference = _reference_gaps(claim, n, table_2001, diagonal_2001, point)
+                reference = _reference_gaps(claim, n, table_2001, diagonal_2001,
+                                            [Fraction(x, 2**bits) for x in point])
                 for (lo, hi), (lower, upper) in zip(
                         _kernel_pairs(monkeypatch, kernel, bits, n, value),
                         map(fractions, reference(1024))):
@@ -745,10 +722,9 @@ class TestRawIntervalGaps:
         for bits in (128, 256, 512):
             assert pi_alpha(bits) is pi_alpha(bits)
             enclosures = pi_alpha(bits)
-            for enclosure, value in zip(enclosures, exact):
-                assert contains(enclosure, value), bits
-            widths.append([upper - lower for lower, upper
-                           in map(fractions, enclosures)])
+            for (lo, hi), value in zip(enclosures, exact):
+                assert Fraction(lo, 2**bits) <= value <= Fraction(hi, 2**bits), bits
+            widths.append([Fraction(hi - lo, 2**bits) for lo, hi in enclosures])
         for coarse, fine in zip(widths, widths[1:]):
             assert all(f < c for c, f in zip(coarse, fine))
 
@@ -828,27 +804,21 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_fixed_scales_endpoints_exactly(self, bits):
-        # endpoints of every sign and of more and fewer fractional bits
-        # than bits: the floor of the lower and the ceiling of the upper
-        rng = random.Random(bits)
-        for _ in range(500):
-            ends = sorted(Fraction(rng.randrange(-2**200, 2**200), 2**rng.randrange(400))
-                          for _ in range(2))
-            pair = tuple(from_rational(x.numerator, x.denominator, 600, round_floor)
-                         for x in ends)
-            assert fractions(pair) == tuple(ends)
-            assert checks._fixed(pair, bits) == (math.floor(ends[0] * 2**bits),
-                                                 math.ceil(ends[1] * 2**bits))
-        for pair in NON_FINITE:
-            assert checks._fixed(pair, bits) is None
+        # pi_alpha's integer pairs are the floor of the lower and the
+        # ceiling of the upper end of pi and a enclosed in `iv` at bits
+        with working_precision(bits):
+            pi = +iv.pi
+            enclosures = pi._mpi_, (iv.sqrt(iv.mpf(2) / 3) * pi)._mpi_
+        for (lo, hi), (lower, upper) in zip(pi_alpha(bits), map(fractions, enclosures)):
+            assert (lo, hi) == (math.floor(lower * 2**bits), math.ceil(upper * 2**bits))
 
-    # x = X/2^192 in (0, 1.3], past the chain's largest argument
+    # x = X/2^192 in (0, 1], past the chain's largest argument
     # a/(2 + sqrt(3)) = 0.687 at n = 3: a geometric sweep; X = 2^m and
     # 2^m + 1; and five X found by search at which one term of a plain
     # term-by-term Taylor sum, rounded inward, moves the bracket past the
     # reference
     EXP_ARGUMENTS = [
-        *(round(1.3 * 2**192 / 2**(i / 4)) for i in range(0, 760, 7)),
+        *(round(2**192 / 2**(i / 4)) for i in range(0, 760, 7)),
         *(2**m + d for m in range(192) for d in (0, 1)),
         38434506414565544159154656816409106076097576960,
         3793333257791378215361266416562253329491508068352,
@@ -867,21 +837,22 @@ class TestFixedPoint:
             return references[x]
 
         # the reduction table's entries e^(i/2^T) sit at x = i*2^(bits-T):
-        # each, one unit either side, up to x = 1.3, where the argument
-        # is halved first; and intervals that straddle an entry, by one
-        # unit and by a quarter of the table's step
+        # each, one unit either side, up to x = 1, the domain's end; and
+        # intervals that straddle an entry, by one unit and by a quarter
+        # of the table's step
         step = 1 << (bits - self.T_EXP)
-        boundaries = [i * step for i in range(math.floor(1.3 * 2**self.T_EXP) + 1)]
+        boundaries = [i * step for i in range((1 << self.T_EXP) + 1)]
         points = [*(x << bits >> 192 for x in self.EXP_ARGUMENTS),
-                  *(b + d for b in boundaries for d in (-1, 0, 1) if b + d >= 0)]
+                  *(b + d for b in boundaries for d in (-1, 0, 1)
+                    if 0 <= b + d <= 1 << bits)]
         intervals = [*((x // 2, x) for x in points),
-                     *((b - d, b + d) for b in boundaries[1:] for d in (1, step // 4))]
+                     *((b - d, b + d) for b in boundaries[1:-1] for d in (1, step // 4))]
         # as it runs, and with no guard bits, so that the pairs show every
         # unit the table and the series lose: each end misses e^x by less
-        # than 2^18 units at 2^-(bits + guard)
+        # than 2^15 units at 2^-(bits + guard)
         for guard in (checks.EXP_GUARD_BITS, 0):
             monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
-            slack = (2**19 >> guard) + 3
+            slack = (2**16 >> guard) + 3
             for x in points:
                 (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x, bits)
                 assert lo <= e_lo and e_hi <= hi and hi - lo <= slack, (x, guard)
@@ -895,6 +866,11 @@ class TestFixedPoint:
                 assert hi - lo <= reference(x_hi)[1] - reference(x_lo)[0] + slack, \
                     (x_lo, x_hi, guard)
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_exp_bracket_refuses_x_past_one(self, bits):
+        # x = 1 itself is among test_exp_bracket_holds_e_to_the_x's points
+        with pytest.raises(ValueError):
+            checks._exp_bracket(0, (1 << bits) + 1, bits)
 
     @pytest.mark.parametrize("w", [160, 288])
     def test_exp_point_in_closed_form_below_the_square_root(self, w):
@@ -912,7 +888,7 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_exp_bracket_holds_e_to_the_x_over_random_widths(self, bits, monkeypatch):
-        # random x below 1.3 and widths of 0, of a few units, as the chain
+        # random x in [0, 1] and widths of 0, of a few units, as the chain
         # passes, of any bit length, and about the largest, edge, whose
         # e^(x_hi - x_lo) is taken in closed form: d < 2^(w/2) for
         # d = width*2^guard at 2^-w, w = bits + guard
@@ -920,16 +896,18 @@ class TestFixedPoint:
             monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
             rng = random.Random(bits + guard)
             edge = 1 << (bits - guard) // 2
-            slack = (2**19 >> guard) + 3
+            slack = (2**16 >> guard) + 3
             for _ in range(150):
-                x_lo = rng.randrange(math.floor(1.3 * 2**bits))
-                x_hi = x_lo + rng.choice([0, rng.randrange(1, 9), edge, edge + 1,
-                                          rng.getrandbits(rng.randrange(1, bits))])
+                x_lo = rng.randrange(1 << bits)
+                x_hi = min(x_lo + rng.choice([0, rng.randrange(1, 9), edge, edge + 1,
+                                              rng.getrandbits(rng.randrange(1, bits))]),
+                           1 << bits)
                 lo, hi = checks._exp_bracket(x_lo, x_hi, bits)
                 e_lo = _iv_fractions(lambda: iv.exp(iv.mpf(x_lo) / 2**bits))[0] * 2**bits
                 e_hi = _iv_fractions(lambda: iv.exp(iv.mpf(x_hi) / 2**bits))[1] * 2**bits
                 assert lo <= e_lo and e_hi <= hi, (x_lo, x_hi, guard)
                 assert hi - lo <= e_hi - e_lo + slack, (x_lo, x_hi, guard)
+
 
 class TestProductBound:
     def test_n50_k25(self, triangle_120):

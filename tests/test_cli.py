@@ -532,6 +532,19 @@ def test_python_dash_m_cli_module():
     _assert_module_runs_verify("binpart.cli")
 
 
+@pytest.mark.parametrize("argv, code, value", [(["compute", "p", "10"], EXIT_OK, "42"),
+                                               (["compute"], EXIT_USAGE, None)],
+                         ids=["success", "usage-error"])
+def test_console_script_exits_with_mains_code(monkeypatch, capsys, argv, code, value):
+    # pyproject.toml's `binpart` script is cli.entry, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["binpart", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    out = capsys.readouterr().out
+    assert (json.loads(out)["value"] if out else None) == value
+
+
 @pytest.mark.parametrize("entry", GOLDEN_CLI, ids=lambda e: " ".join(e["argv"]))
 def test_mu_and_product_match_golden(capsys, entry):
     code, out = run(capsys, *entry["argv"])

@@ -31,7 +31,7 @@ from binpart.intervals import (
     width,
 )
 
-from reference_values import contains, fractions, machin_pi_bracket
+from reference_values import contains, machin_pi_bracket
 
 BITS = 128
 
@@ -115,7 +115,7 @@ class TestMpiSqrt:
 
 
 def test_pi_enclosure():
-    lo, hi = fractions(pi_alpha(BITS)[0])
+    lo, hi = (Fraction(x, 2**BITS) for x in pi_alpha(BITS)[0])
     # rational bracket around the true value, one ulp-of-25-digits wide
     bracket_lo = Fraction(31415926535897932384626433, 10**25)
     bracket_hi = Fraction(31415926535897932384626434, 10**25)
@@ -130,23 +130,22 @@ LADDER = [128 << i for i in range(6)]
 
 @pytest.mark.parametrize("bits", LADDER)
 def test_pi_alpha_holds_machins_pi(bits):
-    """pi_alpha's pairs, which every certified verdict reads, against pi
-    by Machin's formula on integers: a route that shares nothing with
-    mpmath.  The pi pair holds the whole Machin bracket; the a pair holds
-    sqrt(2/3) times it, read on exact squares, since 3 a^2 = 2 pi^2 and
-    every endpoint is positive; each pair is a few units of 2^-bits wide."""
+    """pi_alpha's integer pairs, which every certified verdict reads,
+    against pi by Machin's formula on integers: a route that shares
+    nothing with mpmath.  The pi pair holds the whole Machin bracket; the
+    a pair holds sqrt(2/3) times it, read on exact squares, since
+    3 a^2 = 2 pi^2 and every endpoint is positive; each pair is a few
+    units of 2^-bits wide."""
     assert LADDER[0] == intervals.DEFAULT_PRECISION_BITS
     assert LADDER[-1] == intervals.DEFAULT_PRECISION_CAP_BITS
-    pi_pair, a_pair = map(fractions, pi_alpha(bits))
-    lo, hi = machin_pi_bracket(bits)
-    assert pi_pair[0] <= lo and hi <= pi_pair[1]
-    a_lo, a_hi = a_pair
+    (pi_lo, pi_hi), (a_lo, a_hi) = pi_alpha(bits)
+    lo, hi = (x * 2**bits for x in machin_pi_bracket(bits))
+    assert pi_lo <= lo and hi <= pi_hi
     assert a_lo > 0
     assert 3 * a_lo**2 <= 2 * lo**2 and 2 * hi**2 <= 3 * a_hi**2
-    unit = Fraction(1, 1 << bits)
     # pi in [2, 4) at `bits` significant bits: one ulp is 4 units
-    assert pi_pair[1] - pi_pair[0] <= 4 * unit
-    assert a_hi - a_lo <= 16 * unit
+    assert pi_hi - pi_lo <= 4
+    assert a_hi - a_lo <= 16
 
 
 def test_exp_log_round_trip():

@@ -1,9 +1,9 @@
 """Row claims stream their rows: no sweep builds the p(n,k) triangle."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
-from mpmath.libmp import finf, fninf, from_int
 
 from binpart import binomial_sums, checks, cli, sweeps
 from binpart.binomial_sums import dominance_check, peak_k, verify_unimodal_profile
@@ -116,10 +116,19 @@ def _corrupt_row(n, k, change):
     return patch
 
 
-def _constants(pair):
+def _constants(lo, hi):
+    """Patch pi_alpha so that pi and a both lie in [lo, hi], dyadic, at
+    every rung."""
     def patch(monkeypatch):
-        monkeypatch.setattr(checks, "pi_alpha", lambda bits: (pair, pair))
+        monkeypatch.setattr(checks, "pi_alpha", lambda bits: (
+            (int(lo * 2**bits), int(hi * 2**bits)),) * 2)
     return patch
+
+
+# pi and a in [-7/2, 7/2]: each claim's gap straddles zero at its first n,
+# save stirling's, which C(1,2) = 0 holds at 1 whatever pi is, and which
+# first straddles at n = 42; lemma13's exponent stays below 1
+STRADDLING = _constants(Fraction(-7, 2), Fraction(7, 2))
 
 
 def _replace_central_binomial(n, value):
@@ -137,33 +146,35 @@ def _replace_central_binomial(n, value):
     # S(37,20) = 18 * (0 - p(37,19)) < 0; n = 36 reads row 36 alone
     ("lemma-links", 4, 100, _corrupt_row(37, 20, lambda p: 0),
      {"checked": 34, "outcome": "violated", "counterexample": [37, 20]}),
-    ("prop1", 1, 50, _constants((fninf, finf)),  # every gap straddles zero
+    ("prop1", 1, 50, STRADDLING,
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
-    ("prop1", 1, 50, _constants((from_int(-2), from_int(-1))),
+    ("prop1", 1, 50, _constants(-2, -1),
      {"checked": 1, "outcome": "violated", "counterexample": [1],
       "precision_bits": 128}),
-    ("prop2", 1, 50, _constants((fninf, finf)),
+    ("prop2", 1, 50, STRADDLING,
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
-    ("prop2", 1, 50, _constants((from_int(-2), from_int(-1))),
+    ("prop2", 1, 50, _constants(-2, -1),
      {"checked": 1, "outcome": "violated", "counterexample": [1],
       "precision_bits": 128}),
-    ("lemma13", 3, 50, _constants((fninf, finf)),
+    ("lemma13", 3, 50, STRADDLING,
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
     # at n = 3 the left gap is certainly negative while the right one
     # straddles zero: one gap certainly <= 0 violates the rung
-    ("lemma13", 3, 50, _constants((from_int(-2), from_int(-1))),
+    ("lemma13", 3, 50, _constants(-2, -1),
      {"checked": 1, "outcome": "violated", "counterexample": [3],
       "precision_bits": 128}),
-    ("apostol", 1, 50, _constants((fninf, finf)),
+    ("apostol", 1, 50, STRADDLING,
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
     # a negative pi makes the bound negative: p(1) = 1 exceeds it
-    ("apostol", 1, 50, _constants((from_int(-2), from_int(-1))),
+    ("apostol", 1, 50, _constants(-2, -1),
      {"checked": 1, "outcome": "violated", "counterexample": [1],
       "precision_bits": 128}),
-    ("stirling", 1, 50, _constants((fninf, finf)),
-     {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
+    # n = 1 to 41 hold at 128 bits; n = 42 straddles at every rung
+    ("stirling", 1, 50, STRADDLING,
+     {"checked": 42, "outcome": "inconclusive", "min_margin": 0.0020438530662778604,
+      "precision_bits": 4096}),
     # a negative pi makes C^2*n*pi negative: every n holds, by a gap >= 1
-    ("stirling", 1, 50, _constants((from_int(-2), from_int(-1))),
+    ("stirling", 1, 50, _constants(-2, -1),
      {"checked": 50, "outcome": "verified", "min_margin": 1.0,
       "precision_bits": 128}),
     # the minimum is taken over the n before the violation only: over
@@ -211,24 +222,23 @@ def test_corrupted_row_at_a_sampled_n_fails_the_claim(monkeypatch, claim, n, n_m
 
 
 def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch):
-    _constants((fninf, finf))(monkeypatch)  # every gap straddles zero
-    check, calls, read = checks.diagonal_bound_check, [], []
+    STRADDLING(monkeypatch)  # pi straddles zero: apostol's kernel gives no gap
+    check, calls, read = checks.partition_bound_check, [], []
 
     def recording(ns, values):
         calls.append(ns)
         return check(ns, (read.append(value) or value for value in values))
 
-    monkeypatch.setattr(checks, "diagonal_bound_check", recording)
+    monkeypatch.setattr(checks, "partition_bound_check", recording)
     certified, kernels = checks._certified, []
     monkeypatch.setattr(checks, "_certified", lambda kernel, *args: certified(
         lambda bits, *constants: kernels.append(bits) or kernel(bits, *constants),
         *args))
-    assert sweeps.run_claim("prop1", 1, 50).outcome == "inconclusive"
-    # one check over the range; no rung has finite constants to take a gap
-    # at any n with, and only n = 1's value, p(0,0), is read, as the first
-    # n open
+    assert sweeps.run_claim("apostol", 1, 50).outcome == "inconclusive"
+    # one check over the range; no rung has a gap to take at any n, and
+    # only n = 1's value, p(1), is read, as the first n open
     assert calls == [range(1, 51)]
-    assert kernels == []
+    assert kernels == [128 << i for i in range(6)]
     assert read == [1]
 
 
