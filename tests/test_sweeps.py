@@ -116,6 +116,15 @@ def _corrupt_row(n, k, change):
     return patch
 
 
+def _gap_weights(change):
+    """Patch the sweeps' gap weights: f(0..max_n) becomes change(f)."""
+    def patch(monkeypatch):
+        weights = sweeps.dominance_weights
+        monkeypatch.setattr(sweeps, "dominance_weights", lambda table, max_n: (
+            change(weights(table, max_n))))
+    return patch
+
+
 def _constants(lo, hi):
     """Patch pi_alpha so that pi and a both lie in [lo, hi], dyadic, at
     every rung."""
@@ -146,6 +155,13 @@ def _replace_central_binomial(n, value):
     # S(37,20) = 18 * (0 - p(37,19)) < 0; n = 36 reads row 36 alone
     ("lemma-links", 4, 100, _corrupt_row(37, 20, lambda p: 0),
      {"checked": 34, "outcome": "violated", "counterexample": [37, 20]}),
+    # 512*p(n,k) > 2000*C(n,k) first fails at n = 36, at k = floor(41/2)
+    ("lemma-gr", 4, 500, _gap_weights(lambda f: (512 - 2000,) + f[1:]),
+     {"checked": 33, "outcome": "violated", "counterexample": [36, 20]}),
+    # f(37) enters row 37 at k = 37 alone, with coefficient C(0,0) = 1
+    ("lemma-gr", 4, 500,
+     _gap_weights(lambda f: f[:37] + (f[37] - 10**40,) + f[38:]),
+     {"checked": 34, "outcome": "violated", "counterexample": [37, 37]}),
     ("prop1", 1, 50, STRADDLING,
      {"checked": 1, "outcome": "inconclusive", "precision_bits": 4096}),
     ("prop1", 1, 50, _constants(-2, -1),
@@ -182,7 +198,8 @@ def _replace_central_binomial(n, value):
     ("stirling", 1, 2000, _replace_central_binomial(1500, 2**1500),
      {"checked": 1500, "outcome": "violated", "counterexample": [1500, 751],
       "min_margin": 0.002997722203686728, "precision_bits": 128}),
-], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "prop1-straddling",
+], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "lemma-gr-ratio-2000",
+         "lemma-gr-weight-37", "prop1-straddling",
         "prop1-negative", "prop2-straddling", "prop2-negative",
         "lemma13-straddling", "lemma13-negative", "apostol-straddling",
         "apostol-negative", "stirling-straddling", "stirling-negative",
