@@ -15,6 +15,7 @@ from .binomial_sums import (
     dominance_weights,
     iter_central_binomials,
     iter_triangle_rows,
+    iter_triangle_tails,
     peak_k,
     peak_sign_sum,
     pnk_direct,

@@ -10,16 +10,20 @@ obeys the Pascal-style recursion
 
     F_f(n+1,k) = F_f(n,k) + F_f(n,k-1)        (1 <= k <= n)
 
-with F_f(n,0) = f(0) and F_f(n,n) = f(0) + ... + f(n), which is how
-iter_triangle_rows, the one row builder, streams the triangle of F_f row by
-row; it writes F_f(n,0) itself and spot-checks k = 1 and k = n.  f = p
+with F_f(n,0) = f(0) and F_f(n,n) = f(0) + ... + f(n).  One Pascal step
+(_pascal_step) streams the triangle of F_f row by row from either end:
+iter_triangle_rows keeps the first entries of each row, k < width, and
+iter_triangle_tails the last ones, G(n,i) = F_f(n,n-i) for i < width,
+which obey the same recursion with the two seeds swapped.  Each stream
+writes its seeds itself and spot-checks two entries of every row.  f = p
 gives the p(n,k) triangle (triangle_row keeps only the last row of that
 stream, build_triangle collects all of it into a tuple of rows).
 f = 512*p - 1745*delta_0, that is f(0) = 512 - 1745 and
 f(j) = 512*p(j) for j >= 1 (dominance_weights), gives the gap
 512*p(n,k) - 1745*C(n,k) of the dominance lemma, because the delta_0 term
-contributes exactly C(n,k).  A single value p(n,k) is pnk_direct's O(k)
-direct sum.
+contributes exactly C(n,k); the lemma reads k > n/2 only, so its gap rows
+are streamed from their right ends, at half width.  A single value p(n,k)
+is pnk_direct's O(k) direct sum.
 
 For fixed n >= 4 the row k -> p(n,k) rises strictly to its unique peak at
 k = floor((n+3)/2) and falls strictly afterwards.  The sign machinery that
@@ -71,6 +75,15 @@ def pnk_direct(n: int, k: int, table: Sequence[int]) -> int:
     return sum(map(operator.mul, _walked_binomials(n, k), table))
 
 
+def _pascal_step(first: int, prev: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """The next row of a Pascal recursion from its first entry and the row
+    before, cut to `width` entries and without the new last entry, which
+    the caller appends while the row is whole: (first, prev[1] + prev[0],
+    prev[2] + prev[1], ...)."""
+    # entry i >= 1 is prev[i] + prev[i-1]: prev[1:] paired with prev
+    return (first,) + tuple(map(operator.add, prev[1:width], prev))
+
+
 def iter_triangle_rows(
     max_n: int, width: int, weights: Sequence[int] | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -78,12 +91,12 @@ def iter_triangle_rows(
 
     `weights` is f(0..max_n) (or longer); None means the partition numbers,
     so the rows are p(n,0..n).  Rows are produced by the recursion
-    F_f(n+1,k) = F_f(n,k) + F_f(n,k-1); the diagonal is seeded with
-    F_f(n+1,n+1) = F_f(n,n) + f(n+1).  Each row keeps its first `width`
-    entries, k < width: the recursion reads no entry right of k, so a cut
-    row is the start of the whole row, and width = max_n + 1 cuts none.
-    This is the one row builder: the sweeps and triangle_row stream it,
-    and build_triangle collects it.  Every row is spot-checked against the
+    F_f(n+1,k) = F_f(n,k) + F_f(n,k-1) (_pascal_step); the diagonal is
+    seeded with F_f(n+1,n+1) = F_f(n,n) + f(n+1).  Each row keeps its first
+    `width` entries, k < width: the recursion reads no entry right of k, so
+    a cut row is the start of the whole row, and width = max_n + 1 cuts
+    none.  The sweeps of the p(n,k) rows and triangle_row stream it, and
+    build_triangle collects it.  Every row is spot-checked against the
     direct sum at k in {1, n} before it is yielded, k = n only while the
     row is whole: F_f(n,1) = n*f(0) + f(1) and F_f(n,n) against an
     independently accumulated prefix sum of f.  For f = p these read
@@ -104,8 +117,7 @@ def iter_triangle_rows(
     for n in range(max_n + 1):
         if n:
             prev = row
-            # k = 1..min(n, width)-1: prev[k] + prev[k-1], pairing prev[1:] with prev
-            row = (f0,) + tuple(map(operator.add, prev[1:width], prev))
+            row = _pascal_step(f0, prev, width)
             if n < width:
                 row += (prev[n - 1] + weights[n],)
         prefix += weights[n]
@@ -114,6 +126,48 @@ def iter_triangle_rows(
         if n < width and row[n] != prefix:
             raise AssertionError(f"F({n},{n}) != sum of f(0..{n})")
         yield n, row
+
+
+def iter_triangle_tails(
+    max_n: int, width: int, weights: Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (n, tail n) for n = 0..max_n: row n of F_f read from its
+    right end, G(n,i) = F_f(n,n-i), cut after `width` entries, i < width.
+
+    `weights` is f(0..max_n) (or longer).  The tails follow the rows'
+    recursion, G(n,i) = G(n-1,i-1) + G(n-1,i) (_pascal_step), with the
+    seeds swapped: G(n,0) = F_f(n,n) = f(0) + ... + f(n) and
+    G(n,n) = F_f(n,0) = f(0).  So a cut tail needs only the cut tail
+    before it, and streaming k > n - width of every row takes about
+    width*max_n additions instead of max_n^2/2.  Every tail past row 0 is
+    spot-checked before it is yielded, at F_f(n,n-1) = n*P(n-1) -
+    sum_{j<n} j*f(j), P(n-1) = f(0) + ... + f(n-1), both sums accumulated
+    apart from the stream, and, while the row is whole, at
+    F_f(n,1) = n*f(0) + f(1).
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    if max_n and width < 2:
+        raise ValueError("tails past row 0 keep k = n-1: width must be >= 2")
+    if len(weights) <= max_n:
+        raise ValueError("weight sequence too short for requested triangle")
+
+    f0 = weights[0]
+    tail = (f0,)
+    prefix = moment = 0
+    for n in range(max_n + 1):
+        if n:
+            tail = _pascal_step(tail[0] + weights[n], tail, width)
+            if n < width:
+                tail += (f0,)
+            if tail[1] != n * prefix - moment:
+                raise AssertionError(f"F({n},{n - 1}) != {n}*P({n - 1}) - "
+                                     f"sum of j*f(j) over j < {n}")
+            if n < width and tail[n - 1] != n * f0 + weights[1]:
+                raise AssertionError(f"F({n},1) != {n}*f(0) + f(1)")
+        prefix += weights[n]
+        moment += n * weights[n]
+        yield n, tail
 
 
 def triangle_row(n: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -252,26 +306,32 @@ def dominance_weights(table: Sequence[int], max_n: int) -> tuple[int, ...]:
 
     f(0) = 512 - 1745 and f(j) = 512*p(j) for j >= 1: the defining sum of
     512*p(n,k) plus -1745*delta_0, whose binomial sum is -1745*C(n,k).
-    iter_triangle_rows(max_n, max_n + 1, f) streams the gap rows
-    dominance_check reads.
+    iter_triangle_tails(max_n, width, f) streams the gap rows from their
+    right ends, as dominance_check reads them.
     """
     if len(table) <= max_n:
         raise ValueError("partition table too small")
     return (512 - 1745,) + tuple(512 * p for p in table[1:max_n + 1])
 
 
-def dominance_check(n: int, gap_row: tuple[int, ...]) -> int | None:
+def dominance_check(n: int, gap_tail: tuple[int, ...]) -> int | None:
     """Exact check that 512 * p(n,k) > 1745 * C(n,k) on the descent range.
 
-    gap_row is row n of the gap triangle 512*p(n,k) - 1745*C(n,k) (stream
-    it with dominance_weights).  The range is floor((n+5)/2) <= k <= n,
-    n >= 4.  Returns None when every gap there is positive, else the first
-    k in the range with a gap <= 0; entries below the range are not read.
+    gap_tail is row n of the gap triangle 512*p(n,k) - 1745*C(n,k) read
+    from its right end, (gap(n,n), gap(n,n-1), ...) (stream it with
+    iter_triangle_tails on dominance_weights).  The range is
+    ell = floor((n+5)/2) <= k <= n, n >= 4: the first n + 1 - ell
+    entries, and no entry past them is read.  Returns None
+    when every gap there is positive, else the smallest k in the range
+    with a gap <= 0.
     """
     if n < 4:
         raise ValueError("defined for n >= 4")
     ell = (n + 5) // 2
-    tail = gap_row[ell:]
-    if min(tail) > 0:
+    descent = gap_tail[:n + 1 - ell]
+    if len(descent) <= n - ell:
+        raise ValueError(f"row {n}'s descent range needs its last "
+                         f"{n + 1 - ell} gaps, got {len(descent)}")
+    if min(descent) > 0:
         return None
-    return next(k for k, gap in enumerate(tail, ell) if gap <= 0)
+    return next(k for k, gap in enumerate(reversed(descent), ell) if gap <= 0)

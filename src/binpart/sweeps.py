@@ -6,12 +6,13 @@ n = n_min, n_min+1, ..., checked counting what a step covers: one n, or
 the k of an eq. 9 row.  One sweep loop folds the steps into a
 ClaimSummary and stops at the first n that is not verified, so no later
 n is evaluated.  Where a claim's input changes little from one n to the
-next it is streamed, not recomputed: the p(n,k) rows, the rows of
-lemma-gr's gap and central binomials.  The row claims thm2, thm3,
-lemma-links, lemma-rechts and eq9 take each n's step off row n alone
-(ROW_STEPS), and one lazy row pass per SweepContext streams the rows
-once for all the row claims registered with it and queues their steps,
-so `verify all` streams the p(n,k) rows once.  prop1, prop2, lemma13,
+next it is streamed, not recomputed: the p(n,k) rows, central binomials,
+and the rows of lemma-gr's gap, from their right ends and cut at half
+width, since the lemma reads only the descent range k > n/2.  The row
+claims thm2, thm3, lemma-links, lemma-rechts and eq9 take each n's step
+off row n alone (ROW_STEPS), and one lazy row pass per SweepContext
+streams the rows once for all the row claims registered with it and
+queues their steps, so `verify all` streams the p(n,k) rows once.  prop1, prop2, lemma13,
 apostol and stirling yield one step, their certified check's fold of
 the whole range on one precision ladder, called through the `checks`
 module on the range and the integers bounded, read lazily.
@@ -26,7 +27,8 @@ Claim ids are the stable identifiers exposed by
                   streamed row n)
     lemma-rechts  sign sum negative just past the peak  (exact, likewise)
     lemma-gr      512*p(n,k) > 1745*C(n,k) on the descent range (exact,
-                  on streamed rows of the gap 512*p(n,k) - 1745*C(n,k))
+                  on the gap 512*p(n,k) - 1745*C(n,k), its rows
+                  streamed from their right ends)
     lemma13       sqrt chain inequality                 (certified)
     apostol       p(n) < pi/sqrt(6n)*e^(a*sqrt(n))      (certified)
     stirling      C(n,peak)^2 * n * pi < 2*4^n          (certified, on
@@ -51,6 +53,7 @@ from .binomial_sums import (
     dominance_weights,
     iter_central_binomials,
     iter_triangle_rows,
+    iter_triangle_tails,
     peak_k,
     peak_sign_sum,
     verify_unimodal_profile,
@@ -219,11 +222,14 @@ def _subdiagonal_bound(ctx, lo, hi):
 
 
 def _dominance(ctx, lo, hi):
-    """Rows of the gap 512*p(n,k) - 1745*C(n,k), streamed on their own
-    weights (dominance_weights), apart from the row pass."""
+    """Rows of the gap 512*p(n,k) - 1745*C(n,k) from their right ends,
+    streamed on their own weights (dominance_weights), apart from the row
+    pass.  The descent range k >= floor((n+5)/2) of row n is its last
+    n - peak_k(n) entries, fewer than hi // 2 for every n <= hi, so the
+    tails are cut there."""
     gaps = dominance_weights(ctx.table(hi), hi)
-    for n, gap_row in islice(iter_triangle_rows(hi, hi + 1, gaps), lo, None):
-        bad_k = dominance_check(n, gap_row)
+    for n, gap_tail in islice(iter_triangle_tails(hi, hi // 2, gaps), lo, None):
+        bad_k = dominance_check(n, gap_tail)
         yield _exact(None if bad_k is None else (n, bad_k))
 
 

@@ -11,6 +11,7 @@ from binpart import (
     dominance_weights,
     iter_central_binomials,
     iter_triangle_rows,
+    iter_triangle_tails,
     peak_k,
     peak_sign_sum,
     pnk_direct,
@@ -314,21 +315,21 @@ class TestBinomialWalks:
 class TestDominance:
     def test_row50_k28(self, triangle_120):
         assert 512 * triangle_120[50][28] > 1745 * math.comb(50, 28)
-        assert dominance_check(50, gap_row(50, triangle_120[50])) is None
+        assert dominance_check(50, gap_row(50, triangle_120[50])[::-1]) is None
 
     def test_n4(self, triangle_120):
         # p(4,4) = 12 far above (1745/512)*C(4,4) ~ 3.41
-        assert dominance_check(4, gap_row(4, triangle_120[4])) is None
+        assert dominance_check(4, gap_row(4, triangle_120[4])[::-1]) is None
 
     def test_sweep_to_120(self, triangle_120):
         for n in range(4, 121):
-            assert dominance_check(n, gap_row(n, triangle_120[n])) is None
+            assert dominance_check(n, gap_row(n, triangle_120[n])[::-1]) is None
 
     def test_gaps_below_the_range_are_negative(self, triangle_120):
         # the lemma needs the descent range: at k = 1 the gap is negative
         gap = gap_row(50, triangle_120[50])
         assert gap[1] < 0
-        assert dominance_check(50, gap) is None
+        assert dominance_check(50, gap[::-1]) is None
 
     @pytest.mark.parametrize("n, bad, expected", [
         (4, {4: 0}, 4),
@@ -341,17 +342,24 @@ class TestDominance:
         row = [1] * (n + 1)
         for k, value in bad.items():
             row[k] = value
-        assert dominance_check(n, tuple(row)) == expected
+        assert dominance_check(n, tuple(reversed(row))) == expected
 
     def test_entries_below_ell_ignored(self):
         # ell = (n+5)//2 = 7 for n = 10: k = 0..6 are not in the range
         row = (-9, 0, -1, 0, -7, 0, -2) + (1, 1, 1, 1)
-        assert dominance_check(10, row) is None
-        assert dominance_check(10, row[:7] + (1, 1, 0, 1)) == 9
+        assert dominance_check(10, row[::-1]) is None
+        assert dominance_check(10, (row[:7] + (1, 1, 0, 1))[::-1]) == 9
+        # the tail is read from the right end: its first four entries alone
+        assert dominance_check(10, (1, 1, 1, 1)) is None
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             dominance_check(3, (1, 1, 1, 1))
+
+    def test_tail_short_of_the_range_rejected(self):
+        # a tail that stops before ell would verify k it never read
+        with pytest.raises(ValueError):
+            dominance_check(10, (1, 1, 1))
 
 
 class TestGapRows:
@@ -380,3 +388,42 @@ class TestGapRows:
         assert triangle_row(2, (3, 5, 7)) == (3, 11, 15)
         with pytest.raises(ValueError):
             triangle_row(3, (3, 5, 7))
+
+
+
+class TestTriangleTails:
+    """iter_triangle_tails streams each row from its right end; the rows'
+    stream, read backwards, is the second route."""
+
+    @pytest.mark.parametrize("width", [2, 3, 151, 301])
+    @pytest.mark.parametrize("gaps", [False, True], ids=["p", "gap"])
+    def test_tails_are_reversed_row_suffixes(self, table_2001, width, gaps):
+        weights = dominance_weights(table_2001, 300) if gaps else table_2001
+        tails = iter_triangle_tails(300, width, weights)
+        for (n, tail), (m, row) in zip(tails, iter_triangle_rows(300, 301, weights)):
+            assert (n, tail) == (m, row[::-1][:width]), n
+        assert n == 300
+
+    def test_bad_input_rejected(self, table_2001):
+        for max_n, width, weights in [(-1, 2, table_2001), (1, 1, table_2001),
+                                      (3, 2, (3, 5, 7))]:
+            with pytest.raises(ValueError):
+                next(iter_triangle_tails(max_n, width, weights))
+        assert list(iter_triangle_tails(0, 1, table_2001)) == [(0, (1,))]
+
+    @pytest.mark.parametrize("width", [2, 60])
+    def test_corrupted_weight_trips_a_spot_check(self, table_2001, width):
+        class Corrupted(tuple):
+            """p(0..60), whose first read of p(40) is one unit off: the
+            stream seeds G(40,0) with it, the spot checks' sums do not."""
+            reads = 0
+
+            def __getitem__(self, i):
+                if i == 40:
+                    Corrupted.reads += 1
+                    return super().__getitem__(i) + (Corrupted.reads == 1)
+                return super().__getitem__(i)
+
+        with pytest.raises(AssertionError, match=r"F\(41,40\)"):
+            for _ in iter_triangle_tails(60, width, Corrupted(table_2001[:61])):
+                pass

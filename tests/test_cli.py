@@ -131,6 +131,18 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("hi", range(4, 13))
+    def test_gap_claim_small_ranges_keep_their_bytes(self, capsys, hi):
+        # the tails of lemma-gr are cut at hi // 2 entries, 2 to 6 here
+        code, out = run(capsys, "verify", "lemma-gr", "4", str(hi))
+        assert code == 0
+        assert out == (
+            '{\n  "command": "verify",\n  "claims": [\n    {\n'
+            '      "claim": "lemma-gr",\n      "range": [\n        4,\n'
+            f'        {hi}\n      ],\n      "checked": {hi - 3},\n'
+            '      "outcome": "verified"\n    }\n  ],\n'
+            '  "overall": "verified"\n}\n')
+
     def test_unknown_claim(self, capsys):
         code, _ = run(capsys, "verify", "bogus")
         assert code == EXIT_USAGE

@@ -55,13 +55,20 @@ def test_gap_claim_reads_gap_rows(monkeypatch, triangle_1000):
     # p rows would pass dominance_check vacuously: every p(n,k) is positive
     seen = {}
 
-    def spy(n, row):
-        seen[n] = row
-        return dominance_check(n, row)
+    def spy(n, gap_tail):
+        seen[n] = gap_tail
+        return dominance_check(n, gap_tail)
 
     monkeypatch.setattr(sweeps, "dominance_check", spy)
     assert sweeps.run_claim("lemma-gr", 4, 80).outcome == VERIFIED
-    assert seen == {n: gap_row(n, triangle_1000[n]) for n in range(4, 81)}
+    assert sorted(seen) == list(range(4, 81))
+    for n, gap_tail in seen.items():
+        gaps = gap_row(n, triangle_1000[n])
+        # the descent range, k = n down to floor((n+5)/2), heads the tail,
+        # and dominance_check reads no entry past it
+        assert gap_tail[:n - peak_k(n)] == gaps[:peak_k(n):-1], n
+        # the rest is the gap row's left part, cut at 80 // 2 entries
+        assert gap_tail == gaps[::-1][:40], n
 
 
 def _row_results(claim, n, row, table):
@@ -74,7 +81,7 @@ def _row_results(claim, n, row, table):
     if claim == "thm2":
         return [(verify_unimodal_profile(n, row) is None, None)]
     if claim == "lemma-gr":
-        return [(dominance_check(n, gap_row(n, row)) is None, None)]
+        return [(dominance_check(n, gap_row(n, row)[::-1]) is None, None)]
     if claim == "thm3":
         return [reference_row_bound(n, row)]
     return [(outcome == VERIFIED, margin)
@@ -324,10 +331,12 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
     patch(monkeypatch)
     alone = [sweeps.run_claim(claim, 4, 120) for claim in sweeps.CLAIMS]
 
-    # f(0) of every row stream: 1 for the p(n,k) rows, 512 - 1745 for the gap
-    stream, firsts = sweeps.iter_triangle_rows, []
-    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
-        firsts.append(args[2][0]) or stream(*args)))
+    # f(0) of every row stream: 1 for the p(n,k) rows, 512 - 1745 for the
+    # gap rows, streamed from their right ends
+    firsts = []
+    for name in ("iter_triangle_rows", "iter_triangle_tails"):
+        monkeypatch.setattr(sweeps, name, lambda *args, stream=getattr(sweeps, name): (
+            firsts.append(args[2][0]) or stream(*args)))
     seen = {}
     for claim, (step, width) in list(sweeps.ROW_STEPS.items()):
         def spy(n, row, hi, table, claim=claim, step=step):
