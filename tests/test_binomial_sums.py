@@ -390,7 +390,6 @@ class TestGapRows:
             triangle_row(3, (3, 5, 7))
 
 
-
 class TestTriangleTails:
     """iter_triangle_tails streams each row from its right end; the rows'
     stream, read backwards, is the second route."""
