@@ -1027,6 +1027,51 @@ class TestProductLadder:
         assert fold == (n - 1, VERIFIED, None, slack)
         assert fold == reference_row_fold(n, tuple(row))
 
+    @staticmethod
+    def _sides_at_depth_4(n, k):
+        """(den, rhs) of eq. 9 at (n, k) and depth 4: lhs = p(n,k) * den."""
+        den = math.prod(n**j - k**j for j in range(1, 5))
+        return den, math.comb(n, k) * math.prod(n**j for j in range(1, 5))
+
+    def test_clears_a_hair_below_one_exactly(self, monkeypatch):
+        # lhs = rhs - O(den) at depth 4: lhs/rhs - 1 is about -10^-59, far
+        # inside any float's rounding, so only exact sides can clear it
+        n, k = 200, 100
+        den, rhs = self._sides_at_depth_4(n, k)
+        row = [0] * (n + 1)
+        row[k] = (rhs - 1) // den
+        lhs = row[k] * den
+        assert lhs < rhs and 0 < (rhs - lhs) / rhs < 1e-58
+        fold, visited = self._rungs(monkeypatch, n, k, tuple(row))
+        assert visited == [4]
+        assert fold == (n - 1, VERIFIED, None, (rhs - lhs) / rhs)
+        assert fold == reference_row_fold(n, tuple(row))
+
+    def test_does_not_clear_a_hair_above_one(self, monkeypatch):
+        # lhs >= rhs by less than den at depth 4: open there, cleared at 8
+        n, k = 200, 100
+        den, rhs = self._sides_at_depth_4(n, k)
+        row = [0] * (n + 1)
+        row[k] = -(-rhs // den)
+        assert rhs <= row[k] * den < rhs + den
+        fold, visited = self._rungs(monkeypatch, n, k, tuple(row))
+        assert visited == [4, 8]
+        assert fold[:3] == (n - 1, VERIFIED, None)
+        assert fold == reference_row_fold(n, tuple(row))
+
+    def test_ratio_past_the_float_range(self, monkeypatch):
+        # p(n,k)/C(n,k) = 10^400/C(200,100) overflows a float: the k is
+        # decided on exact sides at every depth, open to the cap
+        n, k = 200, 100
+        row = [0] * (n + 1)
+        row[k] = 10**400
+        with pytest.raises(OverflowError):
+            row[k] / math.comb(n, k)
+        fold, visited = self._rungs(monkeypatch, n, k, tuple(row))
+        assert visited == [4, 8, 16, 32, 64, 128, 256]
+        assert fold == (k, INCONCLUSIVE, (n, k), 1.0)
+        assert fold == reference_row_fold(n, tuple(row))
+
     def test_one_ladder_per_row(self, monkeypatch, triangle_1000):
         calls = []
 
