@@ -2,12 +2,17 @@
 
 Two kinds of checks live here:
 
-  * pure big-integer comparisons (row_bound_check, product_bound_check):
-    no real arithmetic at all, so the outcome is exact by construction;
-    product_bound_check decides eq. 9 for a whole row at once, one depth
-    ladder per row, walking half of C(n,k) along the row and mirroring
-    the rest, with p(n,k) folded into each open k's running product and
-    the open k kept as a suffix of the row while they are one;
+  * exact checks, whose outcome is exact by construction:
+    row_bound_check compares big integers alone; product_bound_check
+    decides eq. 9 for a whole row at once, one depth ladder per row,
+    walking half of C(n,k) along the row and mirroring the rest.  Each
+    open k carries a binary64 product that encloses its ratio of the two
+    sides within a proven relative error bound eps, and the open k stay
+    a suffix of the row while they are one.  The float decides a k that
+    lies more than 2 eps from 1; a k in the band between, or whose
+    p(n,k)/C(n,k) is not a finite float, is decided on the exact integer
+    sides, and so is the margin, from the few k whose floats lie near
+    the row's largest;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log),
     each over a range of n on one precision ladder (_certified), from
@@ -256,25 +261,56 @@ def subdiagonal_bound_check(ns: range, values) -> tuple:
 
 
 def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
-    """Exact check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j), k = 1..n-1.
+    """Check of p(n,k) < C(n,k) * prod_{j>=1} 1/(1-(k/n)^j), k = 1..n-1.
 
     row is row n of the triangle.  The infinite product is lower-bounded
     by its partial products (every omitted factor exceeds 1), so for each
-    k it suffices to verify
+    k it suffices that, at some depth L,
 
-        p(n,k) * prod_{j<=L} (n^j - k^j)  <  C(n,k) * prod_{j<=L} n^j
+        r = p(n,k)/C(n,k) * prod_{j<=L} (1 - (k/n)^j)  <  1,
 
-    for some depth L.  One decide_with_escalation ladder runs for the
-    whole row and deepens L (4, 8, 16, ...) up to DEFAULT_DEPTH_CAP, read
-    at each call.  Each rung extends the previous rung's products from
-    j = L_prev + 1 (prod n^j once for the row, and per open k the left
-    side, p(n,k) folded in from the start, times n^j - k^j, k^j a power
-    at the rung's first j and one more factor k at each next one) and
-    decides every k still open.  A rung that clears a prefix of the open
-    k keeps the rest by slices, so the open k stay a suffix of the row;
-    a rung that leaves a k open before a cleared one keeps them by a
-    mask.  C(n,k) is walked along the first half of the row and
-    mirrored, C(n,n-k) = C(n,k).
+    that is lhs < rhs for the exact sides of _product_sides.  One
+    decide_with_escalation ladder runs for the whole row and deepens L
+    (4, 8, 16, ...) up to DEFAULT_DEPTH_CAP, read at each call.  Each open
+    k carries a binary64 enclosure of r,
+
+        r^ = fl(p/C) * fl(1 - q_1) * ... * fl(1 - q_L),
+
+    q_1 = fl(k/n) and q_j = fl(q_{j-1} * q_1), multiplied left to right
+    and extended from rung to rung by list maps.  With u = 2^-53,
+    L <= 2^10 and n < 2^30, and while no step of r^ underflows,
+
+        |r^ - r| <= eps(n, L) * r,   eps = 1.01 * u * (2L(n+1) + 1).
+
+    Proof (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
+    every step rounds to nearest, fl(x op y) = (x op y)(1 + d) + e with
+    |d| <= u, |e| <= 2^-1075 on underflow, d*e = 0).  An int's true
+    division is correctly rounded, so fl(p/C) and q_1 = q(1 + d), q = k/n,
+    each take one factor 1 + d.  Since q_1 <= 1 - u, q_1(1 + u) < 1, so
+    q_j = q^j (1 + t) + e_j with |t| <= gamma_{2j-1} = (2j-1)u/(1-(2j-1)u)
+    and |e_j| <= j*2^-1075, underflow included (q_j = 0 at deep j and
+    small q).  As 1 - q^j >= j*q^(j-1)*(1 - q), q^j/(1 - q^j) <= (n-1)/j,
+    and 1 - q^j >= 1/n, so 1 - q_j = (1 - q^j)(1 + s) with
+    |s| <= (n-1)/j * gamma_{2j-1} + n*j*2^-1075 < 2(n-1)u(1 + 2^-40).
+    The subtraction and the product each add one more 1 + d.  So r^/r is
+    a product of 2L + 1 factors 1 + d and L factors 1 + s, whose |d| and
+    |s| sum to S < u(2L(n+1) + 1) <= 2^-11, so 1 - S <= r^/r <= e^S and
+    |r^/r - 1| < 1.01 S.
+
+    At depth L a k clears when r^ < 1 - 2 eps and stays open when
+    r^ > 1 + 2 eps: then no step underflowed (each step's factor is at
+    most 1, and rounding is monotone, so every step is at least r^), and
+    r >= r^/(1 + eps) > 1 (twice eps also covers the rounding of the two
+    thresholds).  A cleared k has r <= r^/(1 - eps) < 1 when no
+    step underflowed; when one did, the steps before it keep the bound
+    and the first one to underflow lies below 2^-1022, so r, at most that
+    step's exact value, is below 2^-1021.  Every other k, in the band
+    between, and every k whose p/C is not a finite float (carried as
+    NaN, which lies on neither side), is decided on its exact sides.  A
+    rung that clears a prefix of the open k keeps the rest by slices,
+    so the open k stay a suffix of the row; a rung that leaves a k open
+    before a cleared one keeps them by a mask.  C(n,k) is walked along
+    the first half of the row and mirrored, C(n,n-k) = C(n,k).
 
     Returns the row's fold (checked, outcome, counterexample, margin).
     The row is verified when every k clears; otherwise it is inconclusive
@@ -283,10 +319,16 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     k = 1, 2, ... up to the open one included, and margin is the least
     relative slack (rhs-lhs)/rhs over the k before it, each at the first
     depth that clears it (None when there is none).  The least slack is
-    at the largest lhs/rhs, and an int's true division is correctly
-    rounded and so monotone: the k that tie for the largest float ratio
-    hold it, and only their sides are taken again (_product_sides) for
-    the exact slack.
+    at the largest r, and an int's true division is correctly rounded
+    and so monotone, so it is held by the k that tie for the largest
+    float lhs/rhs.  Each of those has r^ within 4 eps of the largest r^
+    (eps at the deepest rung that cleared a k, r^ of an exactly cleared
+    k its float lhs/rhs): the k with the largest r is never one whose
+    steps underflowed unless every r is below 2^-1020, and then 4 eps
+    exceeds every r^.
+    Only the k that near are taken again on exact sides (_product_sides),
+    and of them those with the largest float lhs/rhs give the least
+    exact slack.
     """
     if n < 2:
         raise ValueError("need n >= 2: the row has no 1 <= k <= n-1")
@@ -299,50 +341,66 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
         half.append(c)
     binomials = half + half[:n - 1 - len(half)][::-1]
 
-    # the open k, their left sides p(n,k) * prod (n^j - k^j) and C(n,k)
-    ks, lhs, cs = range(1, n), list(row[1:n]), binomials
-    cleared_by_rung = []  # (depth, the k it clears, their lhs/rhs)
-    num = 1
-    built = 0  # the depth num and the left sides are built to
+    def epsilon(depth):
+        return 1.01 * 2.0**-53 * (2 * depth * (n + 1) + 1)
+
+    # the open k, q_1 = fl(k/n), q_j at the depth built, and their r^
+    ks = range(1, n)
+    qs = list(map(truediv, ks, repeat(n)))
+    qpows = [1.0] * (n - 1)
+    try:
+        ratios = list(map(truediv, row[1:n], binomials))
+    except OverflowError:  # some p/C past the float range
+        ratios = [p / c if p >> 1023 < c else float("nan")
+                  for p, c in zip(row[1:n], binomials)]
+    cleared_by_rung = []  # (depth, the k it clears, their r^)
+    built = 0  # the depth qpows and ratios are built to
 
     def evaluate(depth):
         # the ladder's depths only grow, so extend the previous rung's products
-        nonlocal ks, lhs, cs, num, built
-        kpows = ks if built == 0 else list(map(pow, ks, repeat(built + 1)))
-        for j in range(built + 1, depth + 1):
-            npow = n**j
-            num *= npow
-            if j > built + 1:
-                kpows = list(map(mul, kpows, ks))
-            lhs = list(map(mul, lhs, map(sub, repeat(npow), kpows)))
+        nonlocal ks, qs, qpows, ratios, built
+        for _ in range(built, depth):
+            qpows = list(map(mul, qpows, qs))
+            ratios = list(map(mul, ratios, map(sub, repeat(1.0), qpows)))
         built = depth
-        rhs = list(map(mul, cs, repeat(num)))
-        cleared = list(map(lt, lhs, rhs))
+        eps = epsilon(depth)
+        cleared = list(map(lt, ratios, repeat(1 - 2 * eps)))
+        above = list(map(lt, repeat(1 + 2 * eps), ratios))
+        if cleared.count(True) + above.count(True) < len(ks):  # a k in the band
+            band = [i for i, sides in enumerate(zip(cleared, above))
+                    if True not in sides]
+            for i in band:
+                k = ks[i]
+                lhs, rhs = _product_sides(n, k, row[k], binomials[k - 1], depth)
+                if lhs < rhs:
+                    cleared[i], ratios[i] = True, lhs / rhs
         done = cleared.count(True)
         if done:
-            cleared_by_rung.append((depth, list(compress(ks, cleared)), list(
-                map(truediv, compress(lhs, cleared), compress(rhs, cleared)))))
+            cleared_by_rung.append((depth, list(compress(ks, cleared)),
+                                    list(compress(ratios, cleared))))
         if True in cleared[done:]:  # a k left open before a cleared one
             still_open = list(map(not_, cleared))
-            ks, lhs, cs = (list(compress(column, still_open))
-                           for column in (ks, lhs, cs))
+            ks, qs, qpows, ratios = (list(compress(column, still_open))
+                                     for column in (ks, qs, qpows, ratios))
         else:
-            ks, lhs, cs = ks[done:], lhs[done:], cs[done:]
+            ks, qs, qpows, ratios = ks[done:], qs[done:], qpows[done:], ratios[done:]
         return None if ks else depth
 
     decide_with_escalation(evaluate, 4, DEFAULT_DEPTH_CAP)
     first = ks[0] if ks else n
-    # each rung's cleared k and ratios, cut to the k before the first open one
+    # each rung's cleared k and r^, cut to the k before the first open one
     before = [(depth, cleared_k[:cut], ratios[:cut])
               for depth, cleared_k, ratios in cleared_by_rung
               if (cut := bisect_left(cleared_k, first))]
     margin = None
     if before:
-        largest = max(max(ratios) for _, _, ratios in before)
-        margin = min(
-            _relative_slack(*_product_sides(n, k, row[k], binomials[k - 1], depth))
-            for depth, cleared_k, ratios in before
-            for k, ratio in zip(cleared_k, ratios) if ratio == largest)
+        near = max(max(ratios) for _, _, ratios in before) - 4 * epsilon(before[-1][0])
+        sides = [_product_sides(n, k, row[k], binomials[k - 1], depth)
+                 for depth, cleared_k, ratios in before
+                 for k in compress(cleared_k, map(lt, repeat(near), ratios))]
+        largest = max(lhs / rhs for lhs, rhs in sides)
+        margin = min(_relative_slack(lhs, rhs)
+                     for lhs, rhs in sides if lhs / rhs == largest)
     if not ks:
         return n - 1, VERIFIED, None, margin
     return first, INCONCLUSIVE, (n, first), margin

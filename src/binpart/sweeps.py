@@ -34,7 +34,9 @@ Claim ids are the stable identifiers exposed by
     stirling      C(n,peak)^2 * n * pi < 2*4^n          (certified, on
                   C(n,peak) walked along n)
     eq9           p(n,k) < C(n,k) * partial Euler product (exact, one depth
-                  ladder per streamed row)
+                  ladder per streamed row; each k decided on a float
+                  enclosure with a proven error bound, on integers in the
+                  band where the float cannot separate)
     genfun        generating-function coefficients match the DP table
 
 Default ranges reproduce the acceptance gate, so `verify all` with no

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -950,6 +951,17 @@ def _product_report(n, k, row):
     return product_bound_check(n, _alone(k, row))
 
 
+def _float_ratio(n, k, p, c, depth):
+    """product_bound_check's r^ = fl(p/C) * fl(1 - q_1) * ... * fl(1 - q_L),
+    q_1 = fl(k/n) and q_j = fl(q_{j-1} * q_1), multiplied left to right."""
+    q = k / n
+    qpow, ratio = 1.0, p / c
+    for _ in range(depth):
+        qpow *= q
+        ratio *= 1.0 - qpow
+    return ratio
+
+
 class TestProductLadder:
     """product_bound_check on decide_with_escalation, against the fold of
     the hand-written depth loop."""
@@ -1023,6 +1035,26 @@ class TestProductLadder:
         assert lhs_a / rhs_a == lhs_b / rhs_b
         slack = (rhs_b - lhs_b) / rhs_b
         assert (rhs_a - lhs_a) / rhs_a > slack != 1 - lhs_b / rhs_b
+        fold = product_bound_check(n, tuple(row))
+        assert fold == (n - 1, VERIFIED, None, slack)
+        assert fold == reference_row_fold(n, tuple(row))
+
+    def test_margin_where_float_enclosures_misorder(self):
+        # k = 100 and 120 of row 200 alone at depth 4: k = 120's lhs/rhs
+        # is 10^-17 above k = 100's, so its slack is the margin, but k = 100
+        # has the larger r^ by an ulp: the margin must be sought among all
+        # k whose r^ is near the largest, not at the largest alone
+        n, t = 200, 1 - Fraction(28, 1000)
+        row, sides = [0] * (n + 1), {}
+        for k, below in ((100, Fraction(1, 10**17)), (120, 0)):
+            den, rhs = self._sides_at_depth_4(n, k)
+            row[k] = math.floor((t - below) * rhs / den)
+            sides[k] = row[k] * den, rhs
+        assert _float_ratio(n, 100, row[100], math.comb(n, 100), 4) \
+            > _float_ratio(n, 120, row[120], math.comb(n, 120), 4)
+        (lhs_a, rhs_a), (lhs_b, rhs_b) = sides[100], sides[120]
+        slack = (rhs_b - lhs_b) / rhs_b
+        assert lhs_a * rhs_b < lhs_b * rhs_a and (rhs_a - lhs_a) / rhs_a > slack
         fold = product_bound_check(n, tuple(row))
         assert fold == (n - 1, VERIFIED, None, slack)
         assert fold == reference_row_fold(n, tuple(row))
@@ -1113,6 +1145,37 @@ class TestProductLadder:
         fold, visited = self._rungs(monkeypatch, 50, 49, triangle_120[50])
         assert fold[1] == INCONCLUSIVE
         assert visited == [1]
+
+
+class TestProductEnclosure:
+    """The float enclosure r^ of product_bound_check's docstring stays
+    within eps(n, L) = 1.01*u*(2L(n+1) + 1) of the exact ratio lhs/rhs."""
+
+    def test_binary64_premise(self):
+        # the bound assumes radix 2, a 53-bit significand and round to nearest
+        info = sys.float_info
+        assert (info.radix, info.mant_dig, info.rounds) == (2, 53, 1)
+
+    def test_error_within_bound(self):
+        rng = random.Random(20260)
+        cases = [(10**4, 1, 256), (10**4, 5000, 256), (10**4, 10**4 - 1, 256),
+                 (2, 1, 1), (3, 2, 256)]
+        for _ in range(30):
+            n = rng.randint(2, 10**4)
+            cases.append((n, rng.choice((1, n // 2, n - 1)), rng.randint(1, 256)))
+        for n, k, depth in cases:
+            # p/C just above 2^e, e set so that r^ stays a normal float: at
+            # (10^4, 1, 256) q_j underflows to 0 from j = 77 on
+            log2_product = sum(math.log1p(-((k / n) ** j))
+                               for j in range(1, depth + 1)) / math.log(2)
+            e = min(1000, max(0, round(-log2_product)))
+            c = math.comb(n, k)
+            p = (c << e) + rng.randrange(c)
+            lhs, rhs = checks._product_sides(n, k, p, c, depth)
+            # |r^ - lhs/rhs| <= eps * lhs/rhs on integers: r^ = a/b, eps = ea/eb
+            a, b = _float_ratio(n, k, p, c, depth).as_integer_ratio()
+            ea, eb = (1.01 * 2.0**-53 * (2 * depth * (n + 1) + 1)).as_integer_ratio()
+            assert abs(a * rhs - b * lhs) * eb <= ea * b * lhs, (n, k, depth)
 
 
 def test_eq9_depth_cap_read_at_call_time(monkeypatch, triangle_1000):
