@@ -7,12 +7,12 @@ Two kinds of checks live here:
     decides eq. 9 for a whole row at once, one depth ladder per row,
     walking half of C(n,k) along the row and mirroring the rest.  Each
     open k carries a binary64 product that encloses its ratio of the two
-    sides within a proven relative error bound eps, and the open k stay
-    a suffix of the row while they are one.  The float decides a k that
-    lies more than 2 eps from 1; a k in the band between, or whose
-    p(n,k)/C(n,k) is not a finite float, is decided on the exact integer
-    sides, and so is the margin, from the few k whose floats lie near
-    the row's largest;
+    sides within a proven relative error bound eps, and each rung
+    extends, decides and keeps the open k in one pass, in row order.
+    The float decides a k that lies more than 2 eps from 1; a k in the
+    band between, or whose p(n,k)/C(n,k) is not a finite float, is
+    decided on the exact integer sides, and so is the margin, from the
+    few k whose floats lie near the row's largest;
 
   * certified real comparisons (everything involving pi, sqrt, exp, log),
     each over a range of n on one precision ladder (_certified), from
@@ -45,7 +45,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import factorial, isqrt
-from operator import lt, mul, not_, sub, truediv
+from operator import lt, truediv
 
 from .intervals import DEFAULT_PRECISION_BITS, decide_with_escalation, pi_alpha
 from .qseries import DEFAULT_DEPTH_CAP
@@ -277,7 +277,7 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
         r^ = fl(p/C) * fl(1 - q_1) * ... * fl(1 - q_L),
 
     q_1 = fl(k/n) and q_j = fl(q_{j-1} * q_1), multiplied left to right
-    and extended from rung to rung by list maps.  With u = 2^-53,
+    and extended k by k from the depth already built.  With u = 2^-53,
     L <= 2^10 and n < 2^30, and while no step of r^ underflows,
 
         |r^ - r| <= eps(n, L) * r,   eps = 1.01 * u * (2L(n+1) + 1).
@@ -306,10 +306,11 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     and the first one to underflow lies below 2^-1022, so r, at most that
     step's exact value, is below 2^-1021.  Every other k, in the band
     between, and every k whose p/C is not a finite float (carried as
-    NaN, which lies on neither side), is decided on its exact sides.  A
-    rung that clears a prefix of the open k keeps the rest by slices,
-    so the open k stay a suffix of the row; a rung that leaves a k open
-    before a cleared one keeps them by a mask.  C(n,k) is walked along
+    NaN, which lies on neither side), is decided on its exact sides.
+    Each rung is one pass over the open k in row order: it extends the
+    k's q_j and r^ to the rung's depth, decides the k, and puts it among
+    the rung's cleared k or the next rung's open k, so both stay in row
+    order; a k kept open goes on with its r^.  C(n,k) is walked along
     the first half of the row and mirrored, C(n,n-k) = C(n,k).
 
     Returns the row's fold (checked, outcome, counterexample, margin).
@@ -344,50 +345,45 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
     def epsilon(depth):
         return 1.01 * 2.0**-53 * (2 * depth * (n + 1) + 1)
 
-    # the open k, q_1 = fl(k/n), q_j at the depth built, and their r^
-    ks = range(1, n)
-    qs = list(map(truediv, ks, repeat(n)))
-    qpows = [1.0] * (n - 1)
     try:
         ratios = list(map(truediv, row[1:n], binomials))
     except OverflowError:  # some p/C past the float range
         ratios = [p / c if p >> 1023 < c else float("nan")
                   for p, c in zip(row[1:n], binomials)]
+    # the open k in row order: (k, q_1 = fl(k/n), q_j at the depth built, r^)
+    still_open = list(zip(range(1, n), map(truediv, range(1, n), repeat(n)),
+                          repeat(1.0), ratios))
     cleared_by_rung = []  # (depth, the k it clears, their r^)
-    built = 0  # the depth qpows and ratios are built to
+    built = 0  # the depth q_j and r^ are built to
 
     def evaluate(depth):
         # the ladder's depths only grow, so extend the previous rung's products
-        nonlocal ks, qs, qpows, ratios, built
-        for _ in range(built, depth):
-            qpows = list(map(mul, qpows, qs))
-            ratios = list(map(mul, ratios, map(sub, repeat(1.0), qpows)))
-        built = depth
-        eps = epsilon(depth)
-        cleared = list(map(lt, ratios, repeat(1 - 2 * eps)))
-        above = list(map(lt, repeat(1 + 2 * eps), ratios))
-        if cleared.count(True) + above.count(True) < len(ks):  # a k in the band
-            band = [i for i, sides in enumerate(zip(cleared, above))
-                    if True not in sides]
-            for i in band:
-                k = ks[i]
+        nonlocal still_open, built
+        steps, built = range(built, depth), depth
+        low, high = 1 - 2 * epsilon(depth), 1 + 2 * epsilon(depth)
+        cleared_k, cleared_r, next_open = [], [], []
+        for k, q, qj, r in still_open:
+            for _ in steps:
+                qj *= q
+                r *= 1.0 - qj
+            if not (r < low or r > high):  # in the band, or NaN
                 lhs, rhs = _product_sides(n, k, row[k], binomials[k - 1], depth)
                 if lhs < rhs:
-                    cleared[i], ratios[i] = True, lhs / rhs
-        done = cleared.count(True)
-        if done:
-            cleared_by_rung.append((depth, list(compress(ks, cleared)),
-                                    list(compress(ratios, cleared))))
-        if True in cleared[done:]:  # a k left open before a cleared one
-            still_open = list(map(not_, cleared))
-            ks, qs, qpows, ratios = (list(compress(column, still_open))
-                                     for column in (ks, qs, qpows, ratios))
-        else:
-            ks, qs, qpows, ratios = ks[done:], qs[done:], qpows[done:], ratios[done:]
-        return None if ks else depth
+                    cleared_k.append(k)
+                    cleared_r.append(lhs / rhs)
+                    continue
+            if r < low:
+                cleared_k.append(k)
+                cleared_r.append(r)
+            else:
+                next_open.append((k, q, qj, r))
+        if cleared_k:
+            cleared_by_rung.append((depth, cleared_k, cleared_r))
+        still_open = next_open
+        return None if still_open else depth
 
     decide_with_escalation(evaluate, 4, DEFAULT_DEPTH_CAP)
-    first = ks[0] if ks else n
+    first = still_open[0][0] if still_open else n
     # each rung's cleared k and r^, cut to the k before the first open one
     before = [(depth, cleared_k[:cut], ratios[:cut])
               for depth, cleared_k, ratios in cleared_by_rung
@@ -401,7 +397,7 @@ def product_bound_check(n: int, row: tuple[int, ...]) -> tuple:
         largest = max(lhs / rhs for lhs, rhs in sides)
         margin = min(_relative_slack(lhs, rhs)
                      for lhs, rhs in sides if lhs / rhs == largest)
-    if not ks:
+    if not still_open:
         return n - 1, VERIFIED, None, margin
     return first, INCONCLUSIVE, (n, first), margin
 

@@ -1,0 +1,126 @@
+"""Apply each committed mutation to a copy of src and require a test to fail.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (file under src, exact old text, new text, test
+selection).  The script copies src to a temporary directory once, checks
+that binpart imports from the copy and that the unmutated copy passes
+every selection, then, for each entry, writes the file with the old text
+replaced and runs the selection against the copy with pytest (`-x`,
+`pythonpath` set to the copy).  An entry is killed when its selection
+fails (pytest exit code 1), and the file is restored before the next
+entry.  Prints one line per entry with its verdict and wall time.  Exits
+1 if any entry survives, if its old text no longer occurs exactly once
+in its file (so the list follows the code), or if the unmutated copy
+fails a selection; 0 otherwise.  Each entry names a test selection small
+enough to run in seconds; a mutation that is meant to be caught joins
+the list with the selection that catches it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EQ9 = "tests/test_checks.py::TestProductLadder"
+
+MUTANTS = [
+    # eq9: an in-band k decided by the float alone, never on exact sides
+    ("binpart/checks.py",
+     "            if not (r < low or r > high):  # in the band, or NaN\n"
+     "                lhs, rhs = _product_sides(n, k, row[k], binomials[k - 1], depth)\n"
+     "                if lhs < rhs:\n"
+     "                    cleared_k.append(k)\n"
+     "                    cleared_r.append(lhs / rhs)\n"
+     "                    continue\n"
+     "            if r < low:\n",
+     "            if r < 1:\n",
+     EQ9),
+    # eq9: a band k kept open goes on with lhs/rhs instead of its r^
+    ("binpart/checks.py",
+     "                if lhs < rhs:\n"
+     "                    cleared_k.append(k)\n",
+     "                r = lhs / rhs\n"
+     "                if lhs < rhs:\n"
+     "                    cleared_k.append(k)\n",
+     EQ9),
+    # eq9: the margin sought only among the k at the single largest r^
+    ("binpart/checks.py",
+     "        near = max(max(ratios) for _, _, ratios in before)"
+     " - 4 * epsilon(before[-1][0])\n"
+     "        sides = [_product_sides(n, k, row[k], binomials[k - 1], depth)\n"
+     "                 for depth, cleared_k, ratios in before\n"
+     "                 for k in compress(cleared_k, map(lt, repeat(near), ratios))]\n",
+     "        near = max(max(ratios) for _, _, ratios in before)\n"
+     "        sides = [_product_sides(n, k, row[k], binomials[k - 1], depth)\n"
+     "                 for depth, cleared_k, ratios in before\n"
+     "                 for k in compress(cleared_k, map(near.__eq__, ratios))]\n",
+     EQ9),
+    # eq9: r <- r*(1 - q_j) taken before q_j advances
+    ("binpart/checks.py",
+     "                qj *= q\n"
+     "                r *= 1.0 - qj\n",
+     "                r *= 1.0 - qj\n"
+     "                qj *= q\n",
+     EQ9),
+]
+
+
+def pytest_exit(src: Path, selection: str) -> int:
+    """pytest's exit code for selection, run against the binpart in src.
+
+    No bytecode is written: a mutant of the same size as the original,
+    written within the same second, could otherwise load the other's.
+    """
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", selection],
+        cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    ).returncode
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        where = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]);"
+             " import binpart; print(binpart.__file__)", str(src)],
+            capture_output=True, text=True).stdout.strip()
+        if not Path(where).is_relative_to(src):
+            print(f"binpart imports from {where or 'nowhere'}, not the copy in {src}")
+            return 1
+        for selection in dict.fromkeys(entry[3] for entry in MUTANTS):
+            if pytest_exit(src, selection) != 0:
+                print(f"the unmutated copy fails {selection}")
+                return 1
+        for number, (name, old, new, selection) in enumerate(MUTANTS, 1):
+            path = src / name
+            original = path.read_text()
+            if original.count(old) != 1:
+                print(f"mutant {number}: its old text occurs "
+                      f"{original.count(old)} times in {name}, not once")
+                failed = 1
+                continue
+            path.write_text(original.replace(old, new))
+            start = time.perf_counter()
+            try:
+                code = pytest_exit(src, selection)
+            finally:
+                path.write_text(original)
+            seconds = time.perf_counter() - start
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"{seconds:6.2f} s  mutant {number} in {name}: {verdict}")
+            failed |= code != 1
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -1016,6 +1017,38 @@ class TestProductLadder:
         assert open_at_4 == [35, 36, 37, 38, 39, 41, 42, 43, 45, 46, 47, 48]
         monkeypatch.setattr(checks, "DEFAULT_DEPTH_CAP", depth_cap)
         assert product_bound_check(50, row) == reference_row_fold(50, row, depth_cap)
+        # row 200 meets three kinds of k at depth 4, in row order and
+        # reversed: one the float clears; one in the band whose exact sides
+        # stay >= 1 although its r^ is below 1, so that the float alone
+        # would clear it (it goes on with its r^ and clears at 8); and one
+        # whose p/C overflows, as would its lhs/rhs if a k kept open went
+        # on with lhs/rhs instead of r^
+        for cleared, band, overflow in ((60, 105, 140), (140, 105, 60)):
+            row = self._three_kinds(200, cleared, band, overflow)
+            fold = product_bound_check(200, row)
+            assert fold == reference_row_fold(200, row, depth_cap)
+            # the counterexample is the first k still open, in row order
+            first = band if depth_cap == 4 and band < overflow else overflow
+            assert fold[1:3] == (INCONCLUSIVE, (200, first))
+
+    def _three_kinds(self, n, cleared, band, overflow):
+        """Row n, zero but at three k: at depth 4, cleared's r^ is about
+        1/2, band's r^ lies below 1 by less than 2 eps while its lhs >= rhs,
+        and overflow's p/C is past the float range."""
+        row = [0] * (n + 1)
+        den, rhs = self._sides_at_depth_4(n, cleared)
+        row[cleared] = rhs // (2 * den)
+        den, rhs = self._sides_at_depth_4(n, band)
+        row[band] = -(-rhs // den)
+        row[overflow] = 10**400
+        eps = 1.01 * 2.0**-53 * (2 * 4 * (n + 1) + 1)
+        assert _float_ratio(n, cleared, row[cleared], math.comb(n, cleared), 4) \
+            < 1 - 2 * eps
+        assert 1 - 2 * eps <= _float_ratio(n, band, row[band], math.comb(n, band), 4) \
+            < 1 <= row[band] * den / rhs
+        with pytest.raises(OverflowError):
+            row[overflow] / math.comb(n, overflow)
+        return tuple(row)
 
     def test_margin_among_tied_ratios_is_exact(self):
         # k = 100 and 101 of row 200 alone, each with lhs/rhs at depth 4
@@ -1114,6 +1147,31 @@ class TestProductLadder:
         monkeypatch.setattr(checks, "decide_with_escalation", recording)
         assert product_bound_check(130, triangle_1000[130])[0] == 129
         assert calls == [(4, 256)]
+
+    def test_ladder_work_at_the_default_range(self, monkeypatch, triangle_1000):
+        # verify eq9's default rows 2..300: the rungs each row's ladder
+        # visits and the depths at which exact sides are taken, band and
+        # margin together, so that a change which widens the band or the
+        # margin search, or climbs more rungs, fails here
+        rungs, exact = Counter(), Counter()
+        product_sides = checks._product_sides
+
+        def recording_sides(n, k, p, c, depth):
+            exact[depth] += 1
+            return product_sides(n, k, p, c, depth)
+
+        def recording(evaluate, *ladder_args):
+            def evaluate_and_record(level):
+                rungs[level] += 1
+                return evaluate(level)
+            return decide_with_escalation(evaluate_and_record, *ladder_args)
+
+        monkeypatch.setattr(checks, "_product_sides", recording_sides)
+        monkeypatch.setattr(checks, "decide_with_escalation", recording)
+        for n in range(2, 301):
+            assert product_bound_check(n, triangle_1000[n])[1] == VERIFIED, n
+        assert rungs == {4: 299, 8: 262, 16: 171}
+        assert exact == {4: 298, 8: 1}
 
     def test_row_length_checked(self, triangle_120):
         with pytest.raises(ValueError):
