@@ -2,20 +2,22 @@
 
 Each claim is one step generator `steps(ctx, n_min, n_max)`, which
 yields plain steps (checked, outcome, counterexample, margin, bits) for
-n = n_min, n_min+1, ..., checked counting what a step covers: one n, or
-the k of an eq. 9 row.  One sweep loop folds the steps into a
-ClaimSummary and stops at the first n that is not verified, so no later
-n is evaluated.  Where a claim's input changes little from one n to the
-next it is streamed, not recomputed: the p(n,k) rows, central binomials,
-and the rows of lemma-gr's gap, from their right ends and cut at half
-width, since the lemma reads only the descent range k > n/2.  The row
-claims thm2, thm3, lemma-links, lemma-rechts and eq9 take each n's step
-off row n alone (ROW_STEPS), and one lazy row pass per SweepContext
-streams the rows once for all the row claims registered with it and
-queues their steps, so `verify all` streams the p(n,k) rows once.  prop1, prop2, lemma13,
-apostol and stirling yield one step, their certified check's fold of
-the whole range on one precision ladder, called through the `checks`
-module on the range and the integers bounded, read lazily.
+n = n_min, n_min+1, ..., or one step, their fold, checked counting what
+a step covers: one n, the k of an eq. 9 row, or a whole range.  One
+sweep loop folds the steps into a ClaimSummary and stops at the first n
+that is not verified, so no later n is evaluated.  Where a claim's input
+changes little from one n to the next it is streamed, not recomputed:
+the p(n,k) rows, central binomials, and the rows of lemma-gr's gap, from
+their right ends and cut at half width, since the lemma reads only the
+descent range k > n/2.  The row claims thm2, thm3, lemma-links,
+lemma-rechts and eq9 take each n's step off row n alone (ROW_STEPS).
+One row pass (_row_pass) streams the rows once for all the row claims
+registered with a SweepContext and folds each claim's steps, so `verify
+all` streams the p(n,k) rows once.  Each row claim, and each of prop1,
+prop2, lemma13, apostol and stirling, yields one step: the fold of its
+whole range, off the row pass or off its certified check's one precision
+ladder, called through the `checks` module on the range and the integers
+bounded, read lazily.
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -103,24 +105,14 @@ def _exact(violation) -> tuple:
 
 class SweepContext:
     """Tables shared across claims, built lazily and sized to the largest
-    request, and one lazy row pass that the row claims read.
-
-    The row pass streams the p(n,k) rows once, to the largest n_max of
-    the row claims registered with it, cut after the most entries any of
-    them reads, and advances one row only when a claim pulls it.  At row n
-    it takes the step of every registered claim whose range holds n and
-    that is still open (ROW_STEPS), and queues it for that claim: steps
-    are queued, never rows, and a step queued behind another is folded
-    into it (_fold), so each claim waits on at most one step.  A claim
-    closes after its n_max or its first step that is not verified, so no
-    later n of it is evaluated, while the other claims go on.
-    """
+    request, and the row claims registered with one shared row pass
+    (open_pass), which runs when the first of them asks (row_fold)."""
 
     def __init__(self):
         self._table = None
         self._diag = None
-        self._untaken = {}  # row claim -> range, registered, steps not taken
-        self._open, self._queued, self._rows = {}, {}, None
+        self._ranges = {}  # row claim -> range, registered, fold not given out
+        self._folds = None  # row claim -> fold, once the shared pass has run
 
     def table(self, max_n: int):
         if self._table is None or len(self._table) <= max_n:
@@ -134,43 +126,44 @@ class SweepContext:
 
     def open_pass(self, ranges: dict):
         """Register the row claims of ranges (claim id -> (n_min, n_max),
-        clamped) with a new row pass; the other claims are left out."""
-        self._untaken = {claim: ranges[claim] for claim in ranges if claim in ROW_STEPS}
-        self._open = dict(self._untaken)
-        self._queued = {}
-        top = max(hi for _, hi in self._untaken.values())
-        self._rows = iter_triangle_rows(
-            top, max(ROW_STEPS[claim][1](hi) for claim, (_, hi) in self._open.items()),
-            self.table(top))
+        clamped) with a new shared row pass; the other claims are left out."""
+        self._ranges = {claim: ranges[claim] for claim in ranges if claim in ROW_STEPS}
+        self._folds = None
+        self.table(max(hi for _, hi in self._ranges.values()))
 
-    def row_steps(self, claim: str, lo: int, hi: int):
-        """The steps of a row claim over lo..hi, as the row pass queues them.
-        A claim that the pass does not hold over lo..hi, or whose steps it
-        gave out already, gets a pass of its own."""
-        if self._untaken.pop(claim, None) != (lo, hi):
-            self.open_pass({claim: (lo, hi)})
-            del self._untaken[claim]
-        while True:
-            step = self._queued.pop(claim, None)
-            if step is not None:
-                yield step
-            elif claim in self._open:
-                self._advance()
-            else:
-                return
+    def row_fold(self, claim: str, lo: int, hi: int) -> tuple:
+        """The fold of a row claim's steps over lo..hi.  The first claim
+        registered over lo..hi to ask runs the shared pass for them all, and
+        each later one takes its fold; a claim asked over another range, or
+        a second time, gets a pass of its own."""
+        if self._ranges.pop(claim, None) != (lo, hi):
+            return _row_pass({claim: (lo, hi)}, self.table(hi))[claim]
+        if self._folds is None:
+            self._folds = _row_pass({**self._ranges, claim: (lo, hi)}, self._table)
+        return self._folds.pop(claim)
 
-    def _advance(self):
-        n, row = next(self._rows)
-        for claim, (lo, hi) in list(self._open.items()):
+
+def _row_pass(ranges: dict, table) -> dict:
+    """{row claim: the fold of its steps} over the ranges (claim id ->
+    (n_min, n_max)), from one stream of the p(n,k) rows to the largest
+    n_max, cut after the most entries any claim reads.  At row n each open
+    claim whose range holds n takes its step (ROW_STEPS) into its fold
+    (_fold); a claim closes at its n_max or its first step that is not
+    verified, so no later n of it is evaluated, and the stream stops once
+    every claim has closed."""
+    open_claims = dict(ranges)
+    folds = dict.fromkeys(ranges, (0, VERIFIED, None, None, None))
+    top = max(hi for _, hi in ranges.values())
+    width = max(ROW_STEPS[claim][1](hi) for claim, (_, hi) in ranges.items())
+    for n, row in iter_triangle_rows(top, width, table):
+        for claim, (lo, hi) in list(open_claims.items()):
             if n >= lo:
-                step = ROW_STEPS[claim][0](n, row, hi, self._table)
-                if claim in self._queued:
-                    step = _fold(self._queued[claim], step)
-                self._queued[claim] = step
+                step = ROW_STEPS[claim][0](n, row, hi, table)
+                folds[claim] = _fold(folds[claim], step)
                 if step[1] != VERIFIED or n == hi:
-                    del self._open[claim]
-        if not self._open:
-            self._rows = None  # the stream's last rows go with it
+                    del open_claims[claim]
+        if not open_claims:
+            return folds
 
 
 def _fold(total: tuple, step: tuple) -> tuple:
@@ -191,10 +184,11 @@ def _claim(claim: str, steps, notes=None):
 
     `steps(ctx, n_min, n_max)` is the claim's step generator: it yields
     (checked, outcome, counterexample, margin, bits) for n = n_min,
-    n_min+1, ....  The loop folds them (_fold) into the running count,
-    least margin and most bits, and stops at the first n that is not
-    verified, whose outcome and counterexample the summary takes; the
-    generator is not resumed after it, so no later n is evaluated.
+    n_min+1, ..., or one step, their fold.  The loop folds them (_fold)
+    into the running count, least margin and most bits, and stops at the
+    first n that is not verified, whose outcome and counterexample the
+    summary takes; the generator is not resumed after it, so no later n
+    is evaluated.
     """
 
     def sweep(n_min: int, n_max: int, ctx: SweepContext) -> ClaimSummary:
@@ -312,8 +306,8 @@ ROW_STEPS = {
 
 
 def _from_pass(claim: str):
-    """The step generator of a row claim: the steps the row pass queues."""
-    return lambda ctx, lo, hi: ctx.row_steps(claim, lo, hi)
+    """The step generator of a row claim: one step, its fold off a row pass."""
+    return lambda ctx, lo, hi: [ctx.row_fold(claim, lo, hi)]
 
 
 # claim id -> (sweep function, default range)
@@ -355,7 +349,8 @@ def _clamped(claim: str, n_min: int | None, n_max: int | None) -> tuple[int, int
 def run_claim(claim: str, n_min: int | None, n_max: int | None,
               ctx: SweepContext | None = None) -> ClaimSummary:
     """Run one claim sweep over its clamped range (see _clamped).  A row
-    claim reads the steps ctx's row pass holds for it, or a pass of its own."""
+    claim takes the fold ctx's shared row pass holds for it, or runs a
+    pass of its own."""
     lo, hi = _clamped(claim, n_min, n_max)
     if ctx is None:
         ctx = SweepContext()

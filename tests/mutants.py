@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EQ9 = "tests/test_checks.py::TestProductLadder"
+ROW_PASS = "tests/test_sweeps.py::test_run_all_matches_separate_runs"
 
 MUTANTS = [
     # eq9: an in-band k decided by the float alone, never on exact sides
@@ -67,6 +68,38 @@ MUTANTS = [
      "                r *= 1.0 - qj\n"
      "                qj *= q\n",
      EQ9),
+    # thm3: 12769 raised to 12770, a bound the margin reads at every k
+    ("binpart/checks.py",
+     "    rhs = 12769 << (2 * n)\n",
+     "    rhs = 12770 << (2 * n)\n",
+     "tests/test_checks.py::TestRowBound::test_margin_matches_per_k_formula"),
+    # lemma13's e^x: the refusal of x > 1 removed
+    ("binpart/checks.py",
+     "    if x_hi > 1 << bits:\n"
+     "        raise ValueError(\"_exp_bracket takes x <= 1\")\n",
+     "",
+     "tests/test_checks.py::TestFixedPoint::test_exp_bracket_refuses_x_past_one"),
+    # lemma-gr's gap tails: G(n,n) seeded with f(0) + 1
+    ("binpart/binomial_sums.py",
+     "                tail += (f0,)\n",
+     "                tail += (f0 + 1,)\n",
+     "tests/test_binomial_sums.py::TestTriangleTails"),
+    # pi_alpha: the lower ends of pi and a floored from their upper ends
+    ("binpart/intervals.py",
+     "    return tuple((to_int(mpf_shift(lo, bits), round_floor),\n",
+     "    return tuple((to_int(mpf_shift(hi, bits), round_floor),\n",
+     "tests/test_intervals.py::test_pi_alpha_holds_machins_pi"),
+    # row pass: a claim closes at its n_max only, not at its first step
+    # that is not verified
+    ("binpart/sweeps.py",
+     "                if step[1] != VERIFIED or n == hi:\n",
+     "                if n == hi:\n",
+     ROW_PASS),
+    # row pass: every claim takes a step at every row, from row 0
+    ("binpart/sweeps.py",
+     "            if n >= lo:\n",
+     "            if True:\n",
+     ROW_PASS),
 ]
 
 

@@ -360,8 +360,33 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
         assert {"thm3", "eq9"}.isdisjoint(stopped)
 
 
+def test_claims_the_shared_pass_does_not_hold_get_passes_of_their_own(monkeypatch):
+    ranges = {"thm2": (4, 120), "thm3": (1, 120), "lemma-links": (4, 120),
+              "eq9": (2, 60)}
+    fresh = {claim: sweeps.run_claim(claim, lo, hi)
+             for claim, (lo, hi) in ranges.items()}
+    fresh_thm3_to_80 = sweeps.run_claim("thm3", 1, 80)
+
+    stream, streams = sweeps.iter_triangle_rows, []
+    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
+        streams.append(args[0]) or stream(*args)))
+    ctx = sweeps.SweepContext()
+    ctx.open_pass(ranges)
+    # the registered claims asked over their ranges share one row stream
+    for claim in ("thm2", "lemma-links", "eq9"):
+        assert sweeps.run_claim(claim, *ranges[claim], ctx) == fresh[claim]
+    assert streams == [120]
+    # thm3 is registered to 120, but asked to 80 it gets a pass of its own
+    assert sweeps.run_claim("thm3", 1, 80, ctx) == fresh_thm3_to_80
+    assert streams == [120, 80]
+    # thm2's fold was given out already: asked again, it gets its own pass
+    assert sweeps.run_claim("thm2", 4, 120, ctx) == fresh["thm2"]
+    assert streams == [120, 80, 120]
+
+
 def test_run_all_queues_steps_not_rows():
-    # the p(n,k) rows 0..400, all held, peak at about 4.9 MB under tracemalloc
+    # the row pass folds steps and holds no row past the one it is on; the
+    # p(n,k) rows 0..400, all held, peak at about 4.9 MB under tracemalloc
     # pi_alpha's and the kernels' caches are filled outside the trace
     checks.partition_bound_check(range(1, 2), [1])
     tracemalloc.start()
