@@ -1,6 +1,7 @@
 """Margin-checked verification of the upper-bound inequalities.
 
-Two kinds of checks live here:
+This module holds the claims alone, of two kinds; the certified ones
+rest on the integer kernel of `intervals`.
 
   * exact checks, whose outcome is exact by construction:
     row_bound_check compares big integers alone; product_bound_check
@@ -18,12 +19,10 @@ Two kinds of checks live here:
     each over a range of n on one precision ladder (_certified), from
     DEFAULT_PRECISION_BITS up, with an explicit "inconclusive" at the
     cap.  At each rung, pi and a = sqrt(2/3)*pi are read once off
-    intervals.pi_alpha(bits), as integer pairs at 2^-bits, and the check's
-    integer kernel encloses the gap g at each n still open as a pair
-    (lo, hi), lo <= g*2^bits <= hi: a square root is math.isqrt, ln is
-    _ln and e^x (for 0 <= x <= 1) _exp_bracket, fixed-point series after a
-    table reduction of the argument, which count the units each floor
-    can lose.
+    intervals.pi_alpha(bits), as integer pairs at 2^-bits, and the check
+    encloses the gap g at each n still open as a pair (lo, hi),
+    lo <= g*2^bits <= hi: a square root is math.isqrt, ln is
+    intervals.ln and e^x (for 0 <= x <= 1) intervals.exp_bracket.
 
 The row checks take their row.  A certified check takes a range of n and
 the integers it bounds, in order: p(n-1,n-1) or p(n,n-1), p(n), or
@@ -42,12 +41,12 @@ with positive certified margin.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from math import factorial, isqrt
+from itertools import compress, repeat
+from math import isqrt
 from operator import lt, truediv
 
-from .intervals import DEFAULT_PRECISION_BITS, decide_with_escalation, pi_alpha
+from .intervals import (DEFAULT_PRECISION_BITS, alpha_sqrt, decide_with_escalation,
+                        exp_bracket, ln, over, pi_alpha, times)
 from .qseries import DEFAULT_DEPTH_CAP
 
 VERIFIED = "verified"
@@ -159,7 +158,7 @@ def central_binomial_check(ns: range, values) -> tuple:
             u = max(value.bit_length() - bits - 32, 0)
             c = value >> u
             top = c + 1 if u else c
-            t_lo, t_hi = _times(pi, c * c * n, top * top * n, 2 * n + 1 - 2 * u)
+            t_lo, t_hi = times(pi, c * c * n, top * top * n, 2 * n + 1 - 2 * u)
             return (1 << bits) - t_hi, (1 << bits) - t_lo
         return gap
 
@@ -178,12 +177,12 @@ def partition_bound_check(ns: range, values) -> tuple:
             # no finite ln pi: a pi that may be <= 0 leaves every gap
             # undecided, and a pi <= 0 (bound <= 0 < p(n)) makes it negative
             return None if pi[1] > 0 else lambda n, pn: (-1, -1)
-        ln_pi_lo = _ln(pi[0], 1 << bits, bits)[0]
-        ln_pi_hi = _ln(pi[1], 1 << bits, bits)[1]
+        ln_pi_lo = ln(pi[0], 1 << bits, bits)[0]
+        ln_pi_hi = ln(pi[1], 1 << bits, bits)[1]
 
         def gap(n, pn):
-            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
-            lhs_lo, lhs_hi = _ln(6 * n * pn * pn, 1, bits)
+            rhs_lo, rhs_hi = alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = ln(6 * n * pn * pn, 1, bits)
             return (ln_pi_lo + rhs_lo - (-(-lhs_hi >> 1)),
                     ln_pi_hi + rhs_hi - (lhs_lo >> 1))
         return gap
@@ -218,10 +217,10 @@ def _chain_links(pi, alpha, n: int, r: int, r1: int, bits: int):
     exponent is taken as a/(sqrt(n+1)+sqrt(n)), its exact equal."""
     one = 1 << bits
     r6 = isqrt(6 * n << 2 * bits)
-    left_lo, left_hi = _over((r, r + 1), r1 - one, r1 + 1 - one, bits)
-    mid_lo, mid_hi = _over(pi, r6, r6 + 1, bits)
-    x_lo, x_hi = _over(alpha, r1 + r, r1 + r + 2, bits)
-    exp_lo, exp_hi = _exp_bracket(max(x_lo, 0), max(x_hi, 0), bits)
+    left_lo, left_hi = over((r, r + 1), r1 - one, r1 + 1 - one, bits)
+    mid_lo, mid_hi = over(pi, r6, r6 + 1, bits)
+    x_lo, x_hi = over(alpha, r1 + r, r1 + r + 2, bits)
+    exp_lo, exp_hi = exp_bracket(max(x_lo, 0), max(x_hi, 0), bits)
     if x_lo < 0:
         exp_lo = 0  # e^x > 0
     return ((one + mid_lo - left_hi, one + mid_hi - left_lo),
@@ -236,8 +235,8 @@ def diagonal_bound_check(ns: range, values) -> tuple:
     """
     def kernel(bits, pi, alpha):
         def gap(n, value):
-            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
-            lhs_lo, lhs_hi = _ln(value, 1, bits)
+            rhs_lo, rhs_hi = alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = ln(value, 1, bits)
             return rhs_lo - lhs_hi, rhs_hi - lhs_lo
         return gap
 
@@ -252,8 +251,8 @@ def subdiagonal_bound_check(ns: range, values) -> tuple:
     """
     def kernel(bits, pi, alpha):
         def gap(n, value):
-            rhs_lo, rhs_hi = _alpha_sqrt(alpha, n, bits)
-            lhs_lo, lhs_hi = _ln(value * value, n, bits)
+            rhs_lo, rhs_hi = alpha_sqrt(alpha, n, bits)
+            lhs_lo, lhs_hi = ln(value * value, n, bits)
             return rhs_lo - (-(-lhs_hi >> 1)), rhs_hi - (lhs_lo >> 1)
         return gap
 
@@ -409,216 +408,3 @@ def _product_sides(n: int, k: int, p: int, c: int, depth: int) -> tuple[int, int
         p *= n**j - k**j
         c *= n**j
     return p, c
-
-
-# -- the integer kernel of prop1, prop2, lemma13, apostol and stirling ------
-#
-# Every value below is an integer in units of 2^-bits; a pair (lo, hi)
-# brackets a real x as lo <= x*2^bits <= hi.  Each floor and ceiling
-# rounds outward, and where a series floors term by term, the units its
-# floors can lose are counted and added to hi.
-
-LN_TABLE_BITS = 8  # T: _ln reduces by a table of ln(1 + i/2^T), i < 2^T
-LN_GUARD_BITS = 32  # _ln works at 2^-(bits + LN_GUARD_BITS)
-EXP_TABLE_BITS = 8  # T: _exp_bracket reduces by a table of e^(i/2^T), i <= 2^T
-EXP_GUARD_BITS = 32  # _exp_bracket works at 2^-(bits + EXP_GUARD_BITS)
-
-
-def _times(c, q_lo: int, q_hi: int, shift: int) -> tuple[int, int]:
-    """(floor, ceiling) of c*q/2^shift over c in the pair c, of any sign,
-    and q in [q_lo, q_hi], 0 <= q_lo."""
-    c_lo, c_hi = c
-    return (c_lo * (q_lo if c_lo >= 0 else q_hi) >> shift,
-            -(-c_hi * (q_hi if c_hi >= 0 else q_lo) >> shift))
-
-
-def _over(c, d_lo: int, d_hi: int, bits: int) -> tuple[int, int]:
-    """(floor, ceiling) of c*2^bits/d over c in the pair c, of any sign,
-    and d in [d_lo, d_hi], 0 < d_lo."""
-    c_lo, c_hi = c
-    return ((c_lo << bits) // (d_hi if c_lo >= 0 else d_lo),
-            -((-c_hi << bits) // (d_lo if c_hi >= 0 else d_hi)))
-
-
-def _alpha_sqrt(alpha, n: int, bits: int) -> tuple[int, int]:
-    """a*sqrt(n) for a in the pair alpha: sqrt(n)*2^bits lies in [r, r + 1]."""
-    r = isqrt(n << 2 * bits)
-    return _times(alpha, r, r + 1, bits)
-
-
-def _exp_bracket(x_lo: int, x_hi: int, bits: int) -> tuple[int, int]:
-    """Bracket of e^x for x in [x_lo, x_hi], 0 <= x_lo <= x_hi <= 2^bits,
-    at 2^-bits; ValueError for x_hi past 2^bits (x > 1), a domain that
-    lemma13's exponents, below 0.69 for n >= 3, never leave.
-
-    At w = bits + EXP_GUARD_BITS, a = x_lo*2^(w-bits) and
-    b = x_hi*2^(w-bits) in units of 2^-w, so 0 <= a <= b <= 2^w.  The
-    lower end is _exp_point(a)'s; the upper end is e^a's upper end times
-    e^(b - a)'s, rounded up, as e^b = e^a * e^(b-a), where a width b - a
-    of a few units at 2^-bits takes _exp_point's closed form.  Both are
-    then rounded outward to 2^-bits.
-
-    Units lost at 2^-w: each _exp_point pair is within 2^12 units of the
-    truth, so the upper end is within 2^12*(e + e) + 2 < 2^15 (the
-    product of two pairs, each below e*2^w; with the width's closed form,
-    within a unit, 2^12*(1 + 2^-(w/2)) + e + 1 < 2^13).  So both ends are
-    within 2^15 units of the truth at 2^-w, 2^-17 units at 2^-bits at
-    EXP_GUARD_BITS = 32, and after the last rounding each end lies less
-    than 1 + 2^-17 units from its exact value at 2^-bits.
-    """
-    if x_hi > 1 << bits:
-        raise ValueError("_exp_bracket takes x <= 1")
-    w = bits + EXP_GUARD_BITS
-    a = x_lo << EXP_GUARD_BITS
-    lo, hi = _exp_point(a, w)
-    hi = -(-hi * _exp_point((x_hi << EXP_GUARD_BITS) - a, w)[1] >> w)
-    return lo >> EXP_GUARD_BITS, -(-hi >> EXP_GUARD_BITS)
-
-
-def _exp_point(x: int, w: int) -> tuple[int, int]:
-    """(lo, hi) around e^(x/2^w)*2^w for 0 <= x <= 2^w.
-
-    Below 2^(w/2), as the width of lemma13's argument is, the closed
-    (2^w + x, 2^w + x + 1), within a unit: with delta = x/2^w,
-    1 + delta <= e^delta < 1 + delta + delta^2 and delta^2 < 2^-w.
-    Otherwise entry i = floor(x/2^(w-T)) of the table of _exp_constants
-    times e^r, r = x - i*2^(w-T) < 2^(w-T), from _exp_series, each
-    product rounded outward.  Units lost at 2^-w: the entry is within
-    2088 units of e^(i/2^T)*2^w and S within 2 of e^r*2^w, with
-    e^r < 1.004 and e^(i/2^T) <= e, so either end is within
-    2088*1.004 + 2*e + 2*2088/2^w + 1 < 2^12 units of the truth.
-    """
-    if not x >> w // 2:
-        return (1 << w) + x, (1 << w) + x + 1
-    m = w - EXP_TABLE_BITS
-    table, coefficients, terms = _exp_constants(w)
-    t_lo, t_hi = table[x >> m]
-    series = _exp_series(x & ((1 << m) - 1), w, coefficients, terms)
-    return t_lo * series >> w, -(-t_hi * (series + 2) >> w)
-
-
-def _exp_series(r: int, w: int, coefficients, terms) -> int:
-    """S with S <= e^(r/2^w)*2^w < S + 2, for 0 <= r <= 2^(w-T), on
-    _exp_constants(w)'s coefficients and term counts.
-
-    Horner's rule on C_k = floor(2^w/k!), as _atanh2 does:
-    acc = C_k + floor(acc*r/2^w) from k = K down to 0, every floor
-    rounding down and every term positive, so S = acc <= e^rho*2^w,
-    rho = r/2^w <= 2^-T.  The units lost: acc at k >= 1 falls short of
-    its exact value by less than 2 + rho times the previous shortfall,
-    so by less than 2/(1 - rho) < 2.008, and S, whose C_0 = 2^w is exact,
-    by less than 1 + 2.008*rho < 1.008.  K is the least with
-    2^((K+1)e)*(K+1)! >= 2^(w+1) for rho < 2^-e, e = w - (bit length of
-    r), so the tail sum_{k>K} rho^k/k! <= rho^(K+1)/(K+1)!/(1 - rho)
-    is below 0.51 units.
-    """
-    acc = 0
-    for coef in coefficients[terms[w - r.bit_length()]::-1]:
-        acc = coef + (acc * r >> w)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _exp_constants(w: int):
-    """_exp_series' coefficients floor(2^w/k!), k = 0, 1, ..., and term
-    counts K by e (the least K with 2^((K+1)e)*(K+1)! >= 2^(w+1), for
-    T - 1 <= e <= w), and the reduction table: e^(i/2^T) for
-    i = 0..2^T as (lo, hi) at 2^-w.
-
-    The table is built by repeated multiplication: entry i + 1 is entry
-    i times e^(1/2^T), whose pair is (S, S + 2) from _exp_series at
-    r = 2^(w-T), each product rounded outward.  Units lost: entry i + 1
-    misses by at most e^(1/2^T) times entry i's miss, plus 2*e^(i/2^T)
-    from the step's pair and 1 from the rounding, so entry i misses by
-    less than 3i*e^(i/2^T) <= 3*2^T*e < 2088.
-    """
-    terms = [0] * (w + 1)
-    count = 0
-    for e in range(w, EXP_TABLE_BITS - 2, -1):  # fewer bits, more terms
-        while factorial(count + 1) << (count + 1) * e < 1 << (w + 1):
-            count += 1
-        terms[e] = count
-    coefficients = tuple((1 << w) // factorial(k) for k in range(count + 1))
-    step = _exp_series(1 << (w - EXP_TABLE_BITS), w, coefficients, terms)
-    lo = hi = 1 << w
-    table = [(lo, hi)]
-    for _ in range(1 << EXP_TABLE_BITS):
-        lo = lo * step >> w
-        hi = -(-hi * (step + 2) >> w)
-        table.append((lo, hi))
-    return tuple(table), coefficients, tuple(terms)
-
-
-def _atanh2(num: int, den: int, w: int) -> tuple[int, int]:
-    """(lo, hi) around 2*atanh(z)*2^w = ln((1+z)/(1-z))*2^w, z = num/den <= 1/3.
-
-    The series z * sum_{k<=K} z^(2k)/(2k+1) in fixed point by Horner's rule
-    (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4), on
-    Z = floor(z*2^w), Z2 = floor(Z^2/2^w) and C_k = floor(2^w/(2k+1)):
-    acc = C_k + floor(acc*Z2/2^w) from k = K down to 0, then
-    S = floor(acc*Z/2^w).  Every floor rounds down and every term is
-    positive, so S is a lower bound.  The units lost, with z <= 1/3: Z2
-    falls short of z^2*2^w by less than 2z + 1 <= 5/3, so acc falls short
-    of its exact value by less than 2 + (5/3)*(3/8) plus 1/9 of the
-    previous shortfall, so by less than 3; S then loses less than
-    1 + 9/8 + 3*z < 4; and K, the least with z^(2K+3)*2^w <= 1 for
-    z < 2^-e, e = w - (bit length of Z), leaves a tail below 1 unit.
-    So 2*atanh(z)*2^w lies in [2S, 2S + 10].
-    """
-    z = (num << w) // den
-    e = w - z.bit_length()
-    square = z * z >> w
-    acc = 0
-    for coef in _reciprocals(w, max(0, (w - e - 1) // (2 * e))):
-        acc = coef + (acc * square >> w)
-    total = acc * z >> w
-    return 2 * total, 2 * total + 10
-
-
-@lru_cache(maxsize=None)
-def _reciprocals(w: int, terms: int) -> tuple[int, ...]:
-    """floor(2^w/(2k+1)) for k = terms down to 0, _atanh2's Horner order."""
-    return tuple((1 << w) // (2 * k + 1) for k in range(terms, -1, -1))
-
-
-@lru_cache(maxsize=None)
-def _ln_constants(w: int):
-    """ln 2 and the reduction table ln(1 + i/2^T), i < 2^T, as (lo, hi) at
-    2^-w.  Entry i + 1 is entry i plus
-    ln((2^T+i+1)/(2^T+i)) = 2*atanh(1/(2^(T+1)+2i+1)), so each entry is a
-    short series and its pair sums the pairs of its steps."""
-    steps = [_atanh2(1, (2 << LN_TABLE_BITS) + 2 * i + 1, w)
-             for i in range((1 << LN_TABLE_BITS) - 1)]
-    table = list(zip(accumulate((lo for lo, _ in steps), initial=0),
-                     accumulate((hi for _, hi in steps), initial=0)))
-    return _atanh2(1, 3, w), table
-
-
-def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= ln(num/den)*2^bits <= hi, for integers num, den >= 1.
-
-    At w = bits + LN_GUARD_BITS, q = floor(num/den*2^s) has w + 3 bits or
-    more, so num/den lies in [q, q + 1)*2^-s, and ln(q + 1) - ln q < 1/q
-    adds less than a unit at 2^-w.  With c the top T + 1 bits of q, and
-    d = c*2^m <= q for m = (bit length of q) - T - 1,
-
-        ln(q*2^-s) = (m + T - s)*ln 2 + ln(c/2^T) + 2*atanh((q - d)/(q + d)),
-
-    ln 2 and ln(c/2^T) from _ln_constants, and the last term an _atanh2
-    series in z < 2^-(T+1), which gains 2T + 2 bits a term.  The result
-    sums the pairs of the three terms and rounds them outward to 2^-bits.
-    """
-    w = bits + LN_GUARD_BITS
-    ln2, table = _ln_constants(w)
-    s = w + 3 - num.bit_length() + den.bit_length()
-    q = (num << s) // den if s >= 0 else (num >> -s) // den
-    m = q.bit_length() - 1 - LN_TABLE_BITS
-    c = q >> m
-    d = c << m
-    b = m + LN_TABLE_BITS - s
-    z_lo, z_hi = _atanh2(q - d, q + d, w)
-    t_lo, t_hi = table[c - (1 << LN_TABLE_BITS)]
-    two_lo, two_hi = ln2 if b >= 0 else ln2[::-1]
-    return (b * two_lo + t_lo + z_lo >> LN_GUARD_BITS,
-            -(-(b * two_hi + t_hi + z_hi + 1) >> LN_GUARD_BITS))
-

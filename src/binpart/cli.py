@@ -15,8 +15,10 @@ emitted as decimal strings; output is deterministic for a given command
 line (stable key order, no timestamps).  The parser is built once per
 process, on main's first call.  mpmath, fractions and decimal are
 imported only by the functions that call them, so a command on exact
-integers never loads mpmath, and only product, mu and ints longer than
-_LONG_INT_BITS load fractions or decimal.
+integers never loads mpmath, nor does a mu refused for its output's
+length (the limit is decided on the integer kernel of `intervals`), and
+only product, mu and ints longer than _LONG_INT_BITS load fractions or
+decimal.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from . import sweeps
 from .binomial_sums import (build_triangle, peak_k, strict_sides, triangle_row,
                             verify_unimodal_profile)
 from .checks import INCONCLUSIVE, VERIFIED, VIOLATED
-from .intervals import (DEFAULT_PRECISION_BITS, certainly_positive, int_interval,
-                        to_fraction, width)
+from .intervals import DEFAULT_PRECISION_BITS, ln, to_fraction, width
 from .lie import best_bound, corollary_bound
 from .partitions import (build_partition_table, build_restricted_table,
                          rademacher_partition_number)
@@ -322,33 +323,24 @@ def _mu_doc(n: int, k: int, filiform: bool) -> dict:
     }
 
 
-@functools.cache
-def _too_long():
-    """Enclosure of 10^MAX_STR_DIGITS, the least number too long to print."""
-    from mpmath.libmp import mpi_pow_int
-
-    bits = DEFAULT_PRECISION_BITS
-    return mpi_pow_int(int_interval(10, bits), MAX_STR_DIGITS, bits)
-
-
 def _mu_prints_too_many_digits(n: int, k: int) -> bool:
     """Whether `mu N K` would print a number of more than MAX_STR_DIGITS digits.
 
     The longest it prints are Birkhoff's (n^(k+2) - 1)/(n - 1) and the
-    corollary's endpoints with 6 decimals.  Both are compared with
-    10^MAX_STR_DIGITS on 128-bit enclosures, never built.  A comparison
-    the enclosures leave open counts as fitting.
+    corollary's endpoints of 3*2^n/sqrt(n) with 6 decimals.  Both are
+    compared with 10^L, L = MAX_STR_DIGITS, in the log domain on
+    intervals.ln's pairs at DEFAULT_PRECISION_BITS, never built: each side
+    is rounded outward, and a comparison the pairs leave open counts as
+    fitting.
     """
-    from mpmath.libmp import mpi_mul, mpi_pow_int, mpi_sub
-
     bits = DEFAULT_PRECISION_BITS
-    too_long = _too_long()
+    ln_n = ln(n, 1, bits)
+    too_long = MAX_STR_DIGITS * ln(10, 1, bits)[1]
     # (n^(k+2) - 1)/(n - 1) >= 10^L exactly when n^(k+2) > (n - 1)*10^L
-    birkhoff = mpi_sub(mpi_pow_int(int_interval(n, bits), k + 2, bits),
-                       mpi_mul(int_interval(n - 1, bits), too_long, bits), bits)
-    corollary = mpi_mul(corollary_bound(n), int_interval(10**6, bits), bits)
-    return any(certainly_positive(gap)
-               for gap in (birkhoff, mpi_sub(corollary, too_long, bits)))
+    birkhoff = (k + 2) * ln_n[0] - ln(n - 1, 1, bits)[1]
+    # 3*2^n/sqrt(n)*10^6 >= 10^L; -ceil(hi/2) is (-hi) >> 1
+    corollary = n * ln(2, 1, bits)[0] + ln(3 * 10**6, 1, bits)[0] + (-ln_n[1] >> 1)
+    return birkhoff > too_long or corollary > too_long
 
 
 def cmd_mu(args) -> int:

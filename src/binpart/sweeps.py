@@ -247,7 +247,8 @@ def _central_binomial(ctx, lo, hi):
 def _series_identities(ctx, lo, hi):
     for k in range(lo, hi + 1):
         table = build_restricted_table(k, GENFUN_DEGREE)
-        yield _exact(check_generating_functions(k, GENFUN_DEGREE, table))
+        violation = check_generating_functions(k, GENFUN_DEGREE, table)
+        yield _exact(violation and (k, *violation))
 
 
 # -- row steps: (n, row n of p(n,k), claim's n_max, partition table) ->

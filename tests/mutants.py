@@ -28,6 +28,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EQ9 = "tests/test_checks.py::TestProductLadder"
 ROW_PASS = "tests/test_sweeps.py::test_run_all_matches_separate_runs"
+FIXED_POINT = "tests/test_checks.py::TestFixedPoint"
+POINT_CONSTANTS = ("tests/test_checks.py::TestRawIntervalGaps::"
+                   "test_kernels_hold_the_reference_at_point_constants")
+DIGIT_LIMIT = "tests/test_cli.py::TestMu::test_digit_limit_is_exact_at_its_boundaries"
 
 MUTANTS = [
     # eq9: an in-band k decided by the float alone, never on exact sides
@@ -74,11 +78,52 @@ MUTANTS = [
      "    rhs = 12770 << (2 * n)\n",
      "tests/test_checks.py::TestRowBound::test_margin_matches_per_k_formula"),
     # lemma13's e^x: the refusal of x > 1 removed
-    ("binpart/checks.py",
+    ("binpart/intervals.py",
      "    if x_hi > 1 << bits:\n"
-     "        raise ValueError(\"_exp_bracket takes x <= 1\")\n",
+     "        raise ValueError(\"exp_bracket takes x <= 1\")\n",
      "",
-     "tests/test_checks.py::TestFixedPoint::test_exp_bracket_refuses_x_past_one"),
+     f"{FIXED_POINT}::test_exp_bracket_refuses_x_past_one"),
+    # the integer kernel, each rounded inward at one end: ln's upper end
+    # floored, not ceiled
+    ("binpart/intervals.py",
+     "            -(-(b * two_hi + t_hi + z_hi + 1) >> LN_GUARD_BITS))",
+     "            b * two_hi + t_hi + z_hi + 1 >> LN_GUARD_BITS)",
+     f"{FIXED_POINT}::test_ln_of_powers_of_two_and_their_neighbours"),
+    # atanh2's z = num/den ceiled, not floored, under its lower bound
+    ("binpart/intervals.py",
+     "    z = (num << w) // den\n",
+     "    z = -(-(num << w) // den)\n",
+     f"{FIXED_POINT}::test_atanh2_encloses_the_reference"),
+    # exp_bracket's lower end ceiled, not floored, to 2^-bits
+    ("binpart/intervals.py",
+     "    return lo >> EXP_GUARD_BITS, -(-hi >> EXP_GUARD_BITS)",
+     "    return -(-lo >> EXP_GUARD_BITS), -(-hi >> EXP_GUARD_BITS)",
+     f"{FIXED_POINT}::test_exp_bracket_holds_e_to_the_x_over_random_widths"),
+    # exp_point's closed form: the upper end 1 + delta, below e^delta
+    ("binpart/intervals.py",
+     "        return (1 << w) + x, (1 << w) + x + 1\n",
+     "        return (1 << w) + x, (1 << w) + x\n",
+     f"{FIXED_POINT}::test_exp_point_in_closed_form_below_the_square_root"),
+    # exp_point's closed form: the lower end 1 + delta + 2^-w
+    ("binpart/intervals.py",
+     "        return (1 << w) + x, (1 << w) + x + 1\n",
+     "        return (1 << w) + x + 1, (1 << w) + x + 1\n",
+     f"{FIXED_POINT}::test_exp_point_in_closed_form_below_the_square_root"),
+    # times' upper end floored, not ceiled
+    ("binpart/intervals.py",
+     "            -(-c_hi * (q_hi if c_hi >= 0 else q_lo) >> shift))",
+     "            c_hi * (q_hi if c_hi >= 0 else q_lo) >> shift)",
+     f"{POINT_CONSTANTS}[central-binomial]"),
+    # over's upper end floored, not ceiled
+    ("binpart/intervals.py",
+     "            -((-c_hi << bits) // (d_lo if c_hi >= 0 else d_hi)))",
+     "            (c_hi << bits) // (d_lo if c_hi >= 0 else d_hi))",
+     f"{POINT_CONSTANTS}[growth-chain]"),
+    # alpha_sqrt's sqrt(n)*2^bits taken as r alone, not [r, r + 1]
+    ("binpart/intervals.py",
+     "    return times(alpha, r, r + 1, bits)",
+     "    return times(alpha, r, r, bits)",
+     f"{POINT_CONSTANTS}[diagonal-bound]"),
     # lemma-gr's gap tails: G(n,n) seeded with f(0) + 1
     ("binpart/binomial_sums.py",
      "                tail += (f0,)\n",
@@ -100,6 +145,16 @@ MUTANTS = [
      "            if n >= lo:\n",
      "            if True:\n",
      ROW_PASS),
+    # mu's digit limit: Birkhoff's n^(k+2) taken as n^(k+1)
+    ("binpart/cli.py",
+     "    birkhoff = (k + 2) * ln_n[0]",
+     "    birkhoff = (k + 1) * ln_n[0]",
+     DIGIT_LIMIT),
+    # mu's digit limit: the corollary's 2^n taken as 2^(n-1)
+    ("binpart/cli.py",
+     "    corollary = n * ln(2, 1, bits)[0]",
+     "    corollary = (n - 1) * ln(2, 1, bits)[0]",
+     DIGIT_LIMIT),
 ]
 
 

@@ -9,18 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    fnone,
-    fone,
-    fzero,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_sqrt,
-)
+from mpmath.libmp import mpi_div, mpi_exp, mpi_log, mpi_sqrt
 
 from binpart import checks, intervals
 from binpart import (
@@ -38,7 +27,6 @@ from binpart import (
 from binpart.checks import INCONCLUSIVE, VERIFIED, VIOLATED, _certified
 from binpart.sweeps import _fold
 from binpart.intervals import (
-    certainly_positive,
     decide_with_escalation,
     int_interval,
     pi_alpha,
@@ -417,32 +405,6 @@ def _record_sign(gap):
     return None
 
 
-class TestSignRule:
-    """certainly_positive, the sign rule of an endpoint pair (the bounds
-    `cli` checks read it), agrees with mpmath's own interval comparison
-    gap > 0 and with mpf comparisons of the gap's endpoints, the rule of
-    the reference decisions below, on every edge gap."""
-
-    @pytest.mark.parametrize("lower, upper, sign", [
-        (fzero, fone, None),     # touches 0 from above: undecided
-        (fnone, fzero, False),   # touches 0 from below: violated
-        (fzero, fzero, False),
-        (fninf, finf, None),
-        (fnan, fone, None),
-        (fnone, fnan, None),     # mpf_sign(nan) == 0, yet not <= 0
-        (fnan, fnan, None),
-        (fnan, fnone, False),
-        (fone, fnan, True),
-        (fone, finf, True),
-    ])
-    def test_edges_match_iv_comparison(self, lower, upper, sign):
-        gap = (lower, upper)
-        # make_mpf keeps a NaN endpoint; iv.mpf would widen it to [-inf, inf]
-        assert (iv.make_mpf(gap) > 0) is sign
-        assert certainly_positive(gap) is sign
-        assert _record_sign(gap) is sign
-
-
 def _reference_gaps(claim, n, table, diagonal, point=None):
     """Each certified check's gaps as `iv` operator expressions, as endpoint pairs.
 
@@ -738,23 +700,23 @@ def _iv_fractions(value):
 
 
 class TestFixedPoint:
-    """_ln and _exp_bracket, the kernels' fixed-point series, against
+    """ln and exp_bracket, the kernel's fixed-point series, against
     mpmath's `iv` at 1024 bits, at rungs 128, 256 and 512."""
 
-    T = checks.LN_TABLE_BITS
-    T_EXP = checks.EXP_TABLE_BITS
+    T = intervals.LN_TABLE_BITS
+    T_EXP = intervals.EXP_TABLE_BITS
 
-    @pytest.fixture(params=[checks.LN_GUARD_BITS, 0], ids=["guarded", "unguarded"])
+    @pytest.fixture(params=[intervals.LN_GUARD_BITS, 0], ids=["guarded", "unguarded"])
     def guard(self, request, monkeypatch):
-        """_ln as it runs, and with no guard bits, so that its pairs show
+        """ln as it runs, and with no guard bits, so that its pairs show
         every unit its own roundings lose."""
-        monkeypatch.setattr(checks, "LN_GUARD_BITS", request.param)
+        monkeypatch.setattr(intervals, "LN_GUARD_BITS", request.param)
         return request.param
 
     def _assert_ln(self, num, den, guard):
         lower, upper = _iv_fractions(lambda: iv.log(iv.mpf(num) / den))
         for bits in (128, 256, 512):
-            lo, hi = checks._ln(num, den, bits)
+            lo, hi = intervals.ln(num, den, bits)
             assert Fraction(lo, 2**bits) <= lower, (num, den, bits)
             assert upper <= Fraction(hi, 2**bits), (num, den, bits)
             # at 2^-w: 10 units of ln 2 per power of two, 10 per table step
@@ -770,7 +732,7 @@ class TestFixedPoint:
             num = rng.randrange(den // 3 + 1)
             lower, upper = _iv_fractions(
                 lambda: iv.log((iv.mpf(den) + num) / (iv.mpf(den) - num)))
-            lo, hi = checks._atanh2(num, den, w)
+            lo, hi = intervals._atanh2(num, den, w)
             assert Fraction(lo, 2**w) <= lower and upper <= Fraction(hi, 2**w), (num, den)
             assert hi - lo == 10
 
@@ -847,22 +809,22 @@ class TestFixedPoint:
         points = [*(x << bits >> 192 for x in self.EXP_ARGUMENTS),
                   *(b + d for b in boundaries for d in (-1, 0, 1)
                     if 0 <= b + d <= 1 << bits)]
-        intervals = [*((x // 2, x) for x in points),
-                     *((b - d, b + d) for b in boundaries[1:-1] for d in (1, step // 4))]
+        ranges = [*((x // 2, x) for x in points),
+                  *((b - d, b + d) for b in boundaries[1:-1] for d in (1, step // 4))]
         # as it runs, and with no guard bits, so that the pairs show every
         # unit the table and the series lose: each end misses e^x by less
         # than 2^15 units at 2^-(bits + guard)
-        for guard in (checks.EXP_GUARD_BITS, 0):
-            monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
+        for guard in (intervals.EXP_GUARD_BITS, 0):
+            monkeypatch.setattr(intervals, "EXP_GUARD_BITS", guard)
             slack = (2**16 >> guard) + 3
             for x in points:
-                (e_lo, e_hi), (lo, hi) = reference(x), checks._exp_bracket(x, x, bits)
+                (e_lo, e_hi), (lo, hi) = reference(x), intervals.exp_bracket(x, x, bits)
                 assert lo <= e_lo and e_hi <= hi and hi - lo <= slack, (x, guard)
                 if guard:
                     assert hi - lo < bits, x
-            for x_lo, x_hi in intervals:
+            for x_lo, x_hi in ranges:
                 # [lo, hi] holds e^x over all of [x_lo, x_hi]
-                lo, hi = checks._exp_bracket(x_lo, x_hi, bits)
+                lo, hi = intervals.exp_bracket(x_lo, x_hi, bits)
                 assert lo <= reference(x_lo)[0] and reference(x_hi)[1] <= hi, \
                     (x_lo, x_hi, guard)
                 assert hi - lo <= reference(x_hi)[1] - reference(x_lo)[0] + slack, \
@@ -872,7 +834,7 @@ class TestFixedPoint:
     def test_exp_bracket_refuses_x_past_one(self, bits):
         # x = 1 itself is among test_exp_bracket_holds_e_to_the_x's points
         with pytest.raises(ValueError):
-            checks._exp_bracket(0, (1 << bits) + 1, bits)
+            intervals.exp_bracket(0, (1 << bits) + 1, bits)
 
     @pytest.mark.parametrize("w", [160, 288])
     def test_exp_point_in_closed_form_below_the_square_root(self, w):
@@ -883,7 +845,7 @@ class TestFixedPoint:
         for x in [0, 1, 2, edge - 1, edge, edge + 1, 2 * edge, 4 * edge, 1 << w,
                   *(rng.getrandbits(rng.randrange(1, w + 1)) for _ in range(200))]:
             e_lo, e_hi = (v * 2**w for v in _iv_fractions(lambda: iv.exp(iv.mpf(x) / 2**w)))
-            lo, hi = checks._exp_point(x, w)
+            lo, hi = intervals._exp_point(x, w)
             assert lo <= e_lo and e_hi <= hi, x
             if x < edge:
                 assert e_lo - lo <= 1 and hi - e_hi <= 1, x
@@ -894,8 +856,8 @@ class TestFixedPoint:
         # passes, of any bit length, and about the largest, edge, whose
         # e^(x_hi - x_lo) is taken in closed form: d < 2^(w/2) for
         # d = width*2^guard at 2^-w, w = bits + guard
-        for guard in (checks.EXP_GUARD_BITS, 0):
-            monkeypatch.setattr(checks, "EXP_GUARD_BITS", guard)
+        for guard in (intervals.EXP_GUARD_BITS, 0):
+            monkeypatch.setattr(intervals, "EXP_GUARD_BITS", guard)
             rng = random.Random(bits + guard)
             edge = 1 << (bits - guard) // 2
             slack = (2**16 >> guard) + 3
@@ -904,7 +866,7 @@ class TestFixedPoint:
                 x_hi = min(x_lo + rng.choice([0, rng.randrange(1, 9), edge, edge + 1,
                                               rng.getrandbits(rng.randrange(1, bits))]),
                            1 << bits)
-                lo, hi = checks._exp_bracket(x_lo, x_hi, bits)
+                lo, hi = intervals.exp_bracket(x_lo, x_hi, bits)
                 e_lo = _iv_fractions(lambda: iv.exp(iv.mpf(x_lo) / 2**bits))[0] * 2**bits
                 e_hi = _iv_fractions(lambda: iv.exp(iv.mpf(x_hi) / 2**bits))[1] * 2**bits
                 assert lo <= e_lo and e_hi <= hi, (x_lo, x_hi, guard)

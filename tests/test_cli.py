@@ -442,6 +442,13 @@ def test_import_and_integer_commands_load_no_mpmath():
         "qseries", "sweeps")} <= set(probe["modules"])
 
 
+def test_mu_refused_for_its_length_loads_no_mpmath():
+    """mu's digit limit is decided on the integer kernel of `intervals`."""
+    probe = _probe_imports([["mu", "7000000", "5"]])
+    assert probe["codes"] == [EXIT_USAGE]
+    assert probe["loaded"] == [[], [], []]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "prop1", "1", "10"],
     ["compute", "p", "2000"],       # the series, from cli.P_SERIES_FROM

@@ -23,7 +23,6 @@ from mpmath.libmp import (
 
 from binpart import intervals
 from binpart.intervals import (
-    certainly_positive,
     decide_with_escalation,
     int_interval,
     pi_alpha,
@@ -159,13 +158,22 @@ def test_arithmetic_widens_not_loses():
     assert contains(total, 1)
 
 
+def _sign(gap):
+    """True when a gap's endpoint pair (lower, upper) is certainly positive,
+    False when certainly not, None while it straddles zero."""
+    lower, upper = map(to_fraction, gap)
+    if lower > 0:
+        return True
+    return False if upper <= 0 else None
+
+
 def test_escalation_resolves_tight_gap():
     # log(1 + 2^-100) > 0 is undecidable at 64 bits, decidable at higher
     target = 1 + Fraction(1, 2**100)
 
     def evaluate(bits):
         gap = mpi_log(_rational(target, bits), bits)
-        return certainly_positive(gap)
+        return _sign(gap)
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=64)
     assert outcome is True
@@ -177,7 +185,7 @@ def test_escalation_hits_cap_on_equality():
     def evaluate(bits):
         two = int_interval(2, bits)
         gap = mpi_sub(mpi_exp(mpi_log(two, bits), bits), two, bits)
-        return certainly_positive(gap)
+        return _sign(gap)
 
     outcome, bits = decide_with_escalation(evaluate, start_bits=128, cap_bits=512)
     assert outcome is None

@@ -147,6 +147,16 @@ def _constants(lo, hi):
 STRADDLING = _constants(Fraction(-7, 2), Fraction(7, 2))
 
 
+def _corrupt_restricted_table(k, j):
+    """Patch the sweeps' restricted tables so that p_k(j) is one more."""
+    def patch(monkeypatch):
+        build = sweeps.build_restricted_table
+        monkeypatch.setattr(sweeps, "build_restricted_table", lambda m, degree: (
+            build(m, degree) if m != k
+            else tuple(p + (i == j) for i, p in enumerate(build(m, degree)))))
+    return patch
+
+
 def _replace_central_binomial(n, value):
     def patch(monkeypatch):
         walk = sweeps.iter_central_binomials
@@ -205,12 +215,16 @@ def _replace_central_binomial(n, value):
     ("stirling", 1, 2000, _replace_central_binomial(1500, 2**1500),
      {"checked": 1500, "outcome": "violated", "counterexample": [1500, 751],
       "min_margin": 0.002997722203686728, "precision_bits": 128}),
+    # the weighted identity first fails at coefficient 10 of k = 7's series
+    ("genfun", 1, 15, _corrupt_restricted_table(7, 10),
+     {"checked": 7, "outcome": "violated", "counterexample": [7, "weighted", 10],
+      "notes": {"degree": 60}}),
 ], ids=["eq9-depth-cap-4", "lemma-links-broken-at-37", "lemma-gr-ratio-2000",
          "lemma-gr-weight-37", "prop1-straddling",
         "prop1-negative", "prop2-straddling", "prop2-negative",
         "lemma13-straddling", "lemma13-negative", "apostol-straddling",
         "apostol-negative", "stirling-straddling", "stirling-negative",
-        "stirling-violated-at-1500"])
+        "stirling-violated-at-1500", "genfun-table-broken-at-7"])
 def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
                                            patch, expected):
     patch(monkeypatch)
