@@ -12,8 +12,10 @@ explicit precision, and `qseries` runs `iv` inside working_precision;
 there an enclosure is its endpoint pair (lower, upper) of raw mpf values
 from first operation to verdict: int_interval enters an integer, and a
 finished pair is read by to_fraction, an endpoint's exact value, and
-width, upper - lower as a float.  None of them reads the process-global
-`iv.prec`; pi_alpha alone sets it, inside its own working_precision(bits).
+width, upper - lower as a float.  `partitions` and `lie` never read the
+process-global `iv.prec`; pi_alpha and `qseries._walk_bounds` run their
+`iv` arithmetic inside a working_precision(bits) of their own, which
+sets it.
 
 mpmath is imported where it is called: inside each function here and in
 `partitions`, `qseries` and `lie` that calls it, never at module level.

@@ -11,9 +11,11 @@ the p(n,k) rows, central binomials, and the rows of lemma-gr's gap, from
 their right ends and cut at half width, since the lemma reads only the
 descent range k > n/2.  The row claims thm2, thm3, lemma-links,
 lemma-rechts and eq9 take each n's step off row n alone (ROW_STEPS).
-One row pass (_row_pass) streams the rows once for all the row claims
-registered with a SweepContext and folds each claim's steps, so `verify
-all` streams the p(n,k) rows once.  Each row claim, and each of prop1,
+One row pass (_row_pass) streams the rows once for a set of row claims
+and folds each claim's steps.  run_all runs it up front for all five and
+leaves the folds with its SweepContext, where each claim's sweep takes
+its own, so `verify all` streams the p(n,k) rows once; a row claim run
+alone gets a pass of its own.  Each row claim, and each of prop1,
 prop2, lemma13, apostol and stirling, yields one step: the fold of its
 whole range, off the row pass or off its certified check's one precision
 ladder, called through the `checks` module on the range and the integers
@@ -105,14 +107,13 @@ def _exact(violation) -> tuple:
 
 class SweepContext:
     """Tables shared across claims, built lazily and sized to the largest
-    request, and the row claims registered with one shared row pass
-    (open_pass), which runs when the first of them asks (row_fold)."""
+    request, and the folds of a shared row pass, keyed by (claim, n_min,
+    n_max), each taken once by the claim's sweep over that range."""
 
     def __init__(self):
         self._table = None
         self._diag = None
-        self._ranges = {}  # row claim -> range, registered, fold not given out
-        self._folds = None  # row claim -> fold, once the shared pass has run
+        self.folds = {}
 
     def table(self, max_n: int):
         if self._table is None or len(self._table) <= max_n:
@@ -123,24 +124,6 @@ class SweepContext:
         if self._diag is None or self._diag.max_n < max_n:
             self._diag = DiagonalTable(max_n, self.table(max_n))
         return self._diag
-
-    def open_pass(self, ranges: dict):
-        """Register the row claims of ranges (claim id -> (n_min, n_max),
-        clamped) with a new shared row pass; the other claims are left out."""
-        self._ranges = {claim: ranges[claim] for claim in ranges if claim in ROW_STEPS}
-        self._folds = None
-        self.table(max(hi for _, hi in self._ranges.values()))
-
-    def row_fold(self, claim: str, lo: int, hi: int) -> tuple:
-        """The fold of a row claim's steps over lo..hi.  The first claim
-        registered over lo..hi to ask runs the shared pass for them all, and
-        each later one takes its fold; a claim asked over another range, or
-        a second time, gets a pass of its own."""
-        if self._ranges.pop(claim, None) != (lo, hi):
-            return _row_pass({claim: (lo, hi)}, self.table(hi))[claim]
-        if self._folds is None:
-            self._folds = _row_pass({**self._ranges, claim: (lo, hi)}, self._table)
-        return self._folds.pop(claim)
 
 
 def _row_pass(ranges: dict, table) -> dict:
@@ -307,8 +290,15 @@ ROW_STEPS = {
 
 
 def _from_pass(claim: str):
-    """The step generator of a row claim: one step, its fold off a row pass."""
-    return lambda ctx, lo, hi: [ctx.row_fold(claim, lo, hi)]
+    """The step generator of a row claim: one step, its fold over lo..hi.
+    The fold ctx holds under (claim, lo, hi) is popped, so it serves one
+    sweep; with none there, a pass of the claim's own runs."""
+    def steps(ctx, lo, hi):
+        fold = ctx.folds.pop((claim, lo, hi), None)
+        if fold is None:
+            fold = _row_pass({claim: (lo, hi)}, ctx.table(hi))[claim]
+        yield fold
+    return steps
 
 
 # claim id -> (sweep function, default range)
@@ -350,8 +340,8 @@ def _clamped(claim: str, n_min: int | None, n_max: int | None) -> tuple[int, int
 def run_claim(claim: str, n_min: int | None, n_max: int | None,
               ctx: SweepContext | None = None) -> ClaimSummary:
     """Run one claim sweep over its clamped range (see _clamped).  A row
-    claim takes the fold ctx's shared row pass holds for it, or runs a
-    pass of its own."""
+    claim takes the fold ctx holds for it over that range, or runs a pass
+    of its own."""
     lo, hi = _clamped(claim, n_min, n_max)
     if ctx is None:
         ctx = SweepContext()
@@ -360,10 +350,12 @@ def run_claim(claim: str, n_min: int | None, n_max: int | None,
 
 def run_all(n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
     """Run every claim, sharing one partition table, sized once to the
-    largest n_max of the claims' ranges, the diagonal table and one row
-    pass across the row claims, which streams the p(n,k) rows once."""
+    largest n_max of the claims' ranges, and the diagonal table.  One row
+    pass over the row claims' clamped ranges runs first, streaming the
+    p(n,k) rows once, and each row claim's sweep takes its fold."""
     ranges = {claim: _clamped(claim, n_min, n_max) for claim in CLAIMS}
     ctx = SweepContext()
-    ctx.table(max(hi for _, hi in ranges.values()))
-    ctx.open_pass(ranges)
+    table = ctx.table(max(hi for _, hi in ranges.values()))
+    folds = _row_pass({claim: ranges[claim] for claim in ROW_STEPS}, table)
+    ctx.folds = {(claim, *ranges[claim]): fold for claim, fold in folds.items()}
     return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]

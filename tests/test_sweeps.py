@@ -374,6 +374,24 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
         assert {"thm3", "eq9"}.isdisjoint(stopped)
 
 
+def _count_row_streams(monkeypatch) -> list:
+    """Patch the sweeps' p(n,k) row stream to note each stream's last n."""
+    stream, streams = sweeps.iter_triangle_rows, []
+    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
+        streams.append(args[0]) or stream(*args)))
+    return streams
+
+
+@pytest.mark.parametrize("n_min, n_max", [(1, 120), (None, None)])
+def test_run_all_streams_the_rows_once_over_clamped_ranges(monkeypatch, n_min, n_max):
+    # thm2, lemma-links and lemma-rechts start at 4 and eq9 at 2, so at
+    # 1..120, and at no range given, a claim's range is not the arguments
+    streams = _count_row_streams(monkeypatch)
+    summaries = sweeps.run_all(n_min, n_max)
+    assert streams == [120 if n_max else 1000]
+    assert all(s.outcome == VERIFIED for s in summaries)
+
+
 def test_claims_the_shared_pass_does_not_hold_get_passes_of_their_own(monkeypatch):
     ranges = {"thm2": (4, 120), "thm3": (1, 120), "lemma-links": (4, 120),
               "eq9": (2, 60)}
@@ -381,19 +399,19 @@ def test_claims_the_shared_pass_does_not_hold_get_passes_of_their_own(monkeypatc
              for claim, (lo, hi) in ranges.items()}
     fresh_thm3_to_80 = sweeps.run_claim("thm3", 1, 80)
 
-    stream, streams = sweeps.iter_triangle_rows, []
-    monkeypatch.setattr(sweeps, "iter_triangle_rows", lambda *args: (
-        streams.append(args[0]) or stream(*args)))
+    streams = _count_row_streams(monkeypatch)
     ctx = sweeps.SweepContext()
-    ctx.open_pass(ranges)
-    # the registered claims asked over their ranges share one row stream
+    folds = sweeps._row_pass(ranges, ctx.table(120))
+    ctx.folds = {(claim, *ranges[claim]): fold for claim, fold in folds.items()}
+    assert streams == [120]
+    # the claims asked over their own ranges take their folds, no new stream
     for claim in ("thm2", "lemma-links", "eq9"):
         assert sweeps.run_claim(claim, *ranges[claim], ctx) == fresh[claim]
     assert streams == [120]
-    # thm3 is registered to 120, but asked to 80 it gets a pass of its own
+    # thm3's fold is over 1..120: asked to 80, it gets a pass of its own
     assert sweeps.run_claim("thm3", 1, 80, ctx) == fresh_thm3_to_80
     assert streams == [120, 80]
-    # thm2's fold was given out already: asked again, it gets its own pass
+    # thm2's fold was taken already: asked again, it gets its own pass
     assert sweeps.run_claim("thm2", 4, 120, ctx) == fresh["thm2"]
     assert streams == [120, 80, 120]
 
