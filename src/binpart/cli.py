@@ -240,10 +240,8 @@ def cmd_verify(args) -> int:
         raise UsageError("give both NMIN and NMAX, or neither")
     if args.n_min is not None and args.n_min > args.n_max:
         raise UsageError("NMIN must not exceed NMAX")
-    if claim == "all":
-        summaries = sweeps.run_all(args.n_min, args.n_max)
-    else:
-        summaries = [sweeps.run_claim(claim, args.n_min, args.n_max)]
+    summaries = sweeps.run(sweeps.CLAIMS if claim == "all" else [claim],
+                           args.n_min, args.n_max)
     code = _verify_exit(summaries)
     _emit({
         "command": "verify",

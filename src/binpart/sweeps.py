@@ -12,14 +12,14 @@ their right ends and cut at half width, since the lemma reads only the
 descent range k > n/2.  The row claims thm2, thm3, lemma-links,
 lemma-rechts and eq9 take each n's step off row n alone (ROW_STEPS).
 One row pass (_row_pass) streams the rows once for a set of row claims
-and folds each claim's steps.  run_all runs it up front for all five and
-leaves the folds with its SweepContext, where each claim's sweep takes
-its own, so `verify all` streams the p(n,k) rows once; a row claim run
-alone gets a pass of its own.  Each row claim, and each of prop1,
-prop2, lemma13, apostol and stirling, yields one step: the fold of its
-whole range, off the row pass or off its certified check's one precision
-ladder, called through the `checks` module on the range and the integers
-bounded, read lazily.
+and folds each claim's steps.  run, the one entry point of `binpart
+verify`, runs it up front over the row claims among those it is given
+and leaves the folds with its SweepContext, where each row claim's sweep
+takes its own, so a run streams the p(n,k) rows at most once.  Each row
+claim, and each of prop1, prop2, lemma13, apostol and stirling, yields
+one step: the fold of its whole range, off the row pass or off its
+certified check's one precision ladder, called through the `checks`
+module on the range and the integers bounded, read lazily.
 Claim ids are the stable identifiers exposed by
 `binpart verify`:
 
@@ -49,6 +49,7 @@ range runs the full desk-scale verification.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
@@ -106,24 +107,22 @@ def _exact(violation) -> tuple:
 
 
 class SweepContext:
-    """Tables shared across claims, built lazily and sized to the largest
-    request, and the folds of a shared row pass, keyed by (claim, n_min,
-    n_max), each taken once by the claim's sweep over that range."""
+    """What one run shares across its claims: the partition table
+    p(0..max_n) and the diagonal table to max_n, each built on first use,
+    so a run whose claims read neither builds neither; and folds, the fold
+    of each row claim of the run off its row pass (claim id -> fold)."""
 
-    def __init__(self):
-        self._table = None
-        self._diag = None
+    def __init__(self, max_n: int):
+        self.max_n = max_n
         self.folds = {}
 
-    def table(self, max_n: int):
-        if self._table is None or len(self._table) <= max_n:
-            self._table = build_partition_table(max_n)
-        return self._table
+    @cached_property
+    def table(self):
+        return build_partition_table(self.max_n)
 
-    def diagonal(self, max_n: int):
-        if self._diag is None or self._diag.max_n < max_n:
-            self._diag = DiagonalTable(max_n, self.table(max_n))
-        return self._diag
+    @cached_property
+    def diagonal(self):
+        return DiagonalTable(self.max_n, self.table)
 
 
 def _row_pass(ranges: dict, table) -> dict:
@@ -192,12 +191,12 @@ def _claim(claim: str, steps, notes=None):
 
 def _diagonal_bound(ctx, lo, hi):
     yield checks.diagonal_bound_check(
-        range(lo, hi + 1), islice(ctx.diagonal(hi).diagonal, lo - 1, hi))
+        range(lo, hi + 1), islice(ctx.diagonal.diagonal, lo - 1, hi))
 
 
 def _subdiagonal_bound(ctx, lo, hi):
     yield checks.subdiagonal_bound_check(
-        range(lo, hi + 1), islice(ctx.diagonal(hi).subdiagonal, lo, hi + 1))
+        range(lo, hi + 1), islice(ctx.diagonal.subdiagonal, lo, hi + 1))
 
 
 def _dominance(ctx, lo, hi):
@@ -206,7 +205,7 @@ def _dominance(ctx, lo, hi):
     pass.  The descent range k >= floor((n+5)/2) of row n is its last
     n - peak_k(n) entries, fewer than hi // 2 for every n <= hi, so the
     tails are cut there."""
-    gaps = dominance_weights(ctx.table(hi), hi)
+    gaps = dominance_weights(ctx.table, hi)
     for n, gap_tail in islice(iter_triangle_tails(hi, hi // 2, gaps), lo, None):
         bad_k = dominance_check(n, gap_tail)
         yield _exact(None if bad_k is None else (n, bad_k))
@@ -218,7 +217,7 @@ def _growth_chain(ctx, lo, hi):
 
 def _partition_bound(ctx, lo, hi):
     yield checks.partition_bound_check(
-        range(lo, hi + 1), islice(ctx.table(hi), lo, hi + 1))
+        range(lo, hi + 1), islice(ctx.table, lo, hi + 1))
 
 
 def _central_binomial(ctx, lo, hi):
@@ -290,14 +289,10 @@ ROW_STEPS = {
 
 
 def _from_pass(claim: str):
-    """The step generator of a row claim: one step, its fold over lo..hi.
-    The fold ctx holds under (claim, lo, hi) is popped, so it serves one
-    sweep; with none there, a pass of the claim's own runs."""
+    """The step generator of a row claim: one step, its fold over lo..hi,
+    which run's row pass left in ctx.folds."""
     def steps(ctx, lo, hi):
-        fold = ctx.folds.pop((claim, lo, hi), None)
-        if fold is None:
-            fold = _row_pass({claim: (lo, hi)}, ctx.table(hi))[claim]
-        yield fold
+        yield ctx.folds[claim]
     return steps
 
 
@@ -337,25 +332,17 @@ def _clamped(claim: str, n_min: int | None, n_max: int | None) -> tuple[int, int
     return lo, hi
 
 
-def run_claim(claim: str, n_min: int | None, n_max: int | None,
-              ctx: SweepContext | None = None) -> ClaimSummary:
-    """Run one claim sweep over its clamped range (see _clamped).  A row
-    claim takes the fold ctx holds for it over that range, or runs a pass
-    of its own."""
-    lo, hi = _clamped(claim, n_min, n_max)
-    if ctx is None:
-        ctx = SweepContext()
-    return CLAIMS[claim][0](lo, hi, ctx)
+def run(claims, n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
+    """Run each claim over its clamped range (see _clamped), in order.
 
-
-def run_all(n_min: int | None, n_max: int | None) -> list[ClaimSummary]:
-    """Run every claim, sharing one partition table, sized once to the
-    largest n_max of the claims' ranges, and the diagonal table.  One row
-    pass over the row claims' clamped ranges runs first, streaming the
-    p(n,k) rows once, and each row claim's sweep takes its fold."""
-    ranges = {claim: _clamped(claim, n_min, n_max) for claim in CLAIMS}
-    ctx = SweepContext()
-    table = ctx.table(max(hi for _, hi in ranges.values()))
-    folds = _row_pass({claim: ranges[claim] for claim in ROW_STEPS}, table)
-    ctx.folds = {(claim, *ranges[claim]): fold for claim, fold in folds.items()}
-    return [run_claim(claim, n_min, n_max, ctx) for claim in CLAIMS]
+    The claims share one SweepContext, sized to the largest n_max of
+    their ranges.  One row pass over the row claims among them runs
+    first, streaming the p(n,k) rows once, and each row claim's sweep
+    takes its fold.
+    """
+    ranges = {claim: _clamped(claim, n_min, n_max) for claim in claims}
+    ctx = SweepContext(max(hi for _, hi in ranges.values()))
+    rows = {claim: ranges[claim] for claim in ROW_STEPS if claim in ranges}
+    if rows:
+        ctx.folds = _row_pass(rows, ctx.table)
+    return [CLAIMS[claim][0](*ranges[claim], ctx) for claim in claims]

@@ -32,9 +32,7 @@ FIXED_POINT = "tests/test_checks.py::TestFixedPoint"
 POINT_CONSTANTS = ("tests/test_checks.py::TestRawIntervalGaps::"
                    "test_kernels_hold_the_reference_at_point_constants")
 DIGIT_LIMIT = "tests/test_cli.py::TestMu::test_digit_limit_is_exact_at_its_boundaries"
-OWN_PASSES = ("tests/test_sweeps.py::"
-              "test_claims_the_shared_pass_does_not_hold_get_passes_of_their_own")
-STREAMED_ONCE = "tests/test_sweeps.py::test_run_all_streams_the_rows_once_over_clamped_ranges"
+ONE_TABLE = "tests/test_sweeps.py::test_run_all_builds_one_partition_table"
 
 MUTANTS = [
     # eq9: an in-band k decided by the float alone, never on exact sides
@@ -148,23 +146,23 @@ MUTANTS = [
      "            if n >= lo:\n",
      "            if True:\n",
      ROW_PASS),
-    # run_all: thm2 left out of the shared row pass, to a pass of its own
+    # run: thm2 left out of the row pass
     ("binpart/sweeps.py",
-     "    folds = _row_pass({claim: ranges[claim] for claim in ROW_STEPS}, table)\n",
-     "    folds = _row_pass({claim: ranges[claim] for claim in list(ROW_STEPS)[1:]},"
-     " table)\n",
+     "    rows = {claim: ranges[claim] for claim in ROW_STEPS if claim in ranges}\n",
+     "    rows = {claim: ranges[claim] for claim in list(ROW_STEPS)[1:]"
+     " if claim in ranges}\n",
      ROW_PASS),
-    # a row claim's sweep takes the first fold stored for it, whatever its range
+    # run: the context sized to the first claim's n_max, not the largest
     ("binpart/sweeps.py",
-     "        fold = ctx.folds.pop((claim, lo, hi), None)\n",
-     "        fold = next((ctx.folds.pop(key) for key in list(ctx.folds)\n"
-     "                     if key[0] == claim), None)\n",
-     OWN_PASSES),
-    # run_all: the folds keyed by the arguments, not the clamped ranges
+     "    ctx = SweepContext(max(hi for _, hi in ranges.values()))\n",
+     "    ctx = SweepContext(next(iter(ranges.values()))[1])\n",
+     ONE_TABLE),
+    # SweepContext: the partition table built in __init__, not on first use
     ("binpart/sweeps.py",
-     "    ctx.folds = {(claim, *ranges[claim]): fold for claim, fold in folds.items()}\n",
-     "    ctx.folds = {(claim, n_min, n_max): fold for claim, fold in folds.items()}\n",
-     STREAMED_ONCE),
+     "        self.folds = {}\n",
+     "        self.folds = {}\n"
+     "        self.table\n",
+     ONE_TABLE),
     # mu's digit limit: Birkhoff's n^(k+2) taken as n^(k+1)
     ("binpart/cli.py",
      "    birkhoff = (k + 2) * ln_n[0]",

@@ -2,7 +2,7 @@
 with its runtime and worst margin (visible with pytest -s).
 
 Criteria that a `binpart verify` claim covers take their verdict from
-sweeps.run_claim over the claim's default range, the code path the CLI
+sweeps.run over the claim's default range, the code path the CLI
 ships; the default ranges are the criteria's ranges.
 
 Run with:  pytest tests/test_acceptance.py -v -s
@@ -44,9 +44,9 @@ def _report(tag: str, detail: str, t0: float, budget: float):
     assert elapsed < budget, f"{tag} exceeded {budget}s budget ({elapsed:.2f}s)"
 
 
-def _verified_claim(claim: str, ctx, checked: int) -> sweeps.ClaimSummary:
+def _verified_claim(claim: str, checked: int) -> sweeps.ClaimSummary:
     """Run `claim` over its default range; it must verify exactly `checked` cases."""
-    summary = sweeps.run_claim(claim, None, None, ctx)
+    summary, = sweeps.run([claim], None, None)
     assert summary.outcome == VERIFIED, (claim, summary.counterexample)
     assert summary.checked == checked, (claim, summary.checked)
     return summary
@@ -64,9 +64,9 @@ def test_criterion_01_table_reproduction(capsys):
     _report("01 table-50", "100/100 values exact", t0, 1.0)
 
 
-def test_criterion_02_unimodality_to_1000(sweep_ctx, triangle_1000):
+def test_criterion_02_unimodality_to_1000(triangle_1000):
     t0 = time.time()
-    _verified_claim("thm2", sweep_ctx, 997)
+    _verified_claim("thm2", 997)
     for n in range(4, 1001):
         row = triangle_1000[n]
         peak_value = row[peak_k(n)]
@@ -76,16 +76,16 @@ def test_criterion_02_unimodality_to_1000(sweep_ctx, triangle_1000):
             t0, 60.0)
 
 
-def test_criterion_03_row_bound_to_1000(sweep_ctx):
+def test_criterion_03_row_bound_to_1000():
     t0 = time.time()
-    worst = _verified_claim("thm3", sweep_ctx, 1000).min_margin
+    worst = _verified_claim("thm3", 1000).min_margin
     _report("03 row-bound", f"n=1..1000 exact, min rel margin {worst:.3e}",
             t0, 120.0)
 
 
-def test_criterion_04_diagonal_bounds_to_2000(sweep_ctx):
+def test_criterion_04_diagonal_bounds_to_2000():
     t0 = time.time()
-    summaries = [_verified_claim(claim, sweep_ctx, 2000)
+    summaries = [_verified_claim(claim, 2000)
                  for claim in ("prop1", "prop2")]
     worst_bits = max(s.max_precision_bits for s in summaries)
     worst_margin = min(s.min_margin for s in summaries)
@@ -116,10 +116,10 @@ def test_criterion_05_product_constants():
             t0, 60.0)
 
 
-def test_criterion_06_sign_sums_to_1000(sweep_ctx, table_2001):
+def test_criterion_06_sign_sums_to_1000(table_2001):
     t0 = time.time()
-    _verified_claim("lemma-links", sweep_ctx, 997)
-    _verified_claim("lemma-rechts", sweep_ctx, 997)
+    _verified_claim("lemma-links", 997)
+    _verified_claim("lemma-rechts", 997)
     for n in (4, 10, 50, 100, 200, 300, 400, 500, 750, 1000):
         k = (n + 2) // 2
         assert partial_sign_sum_ratio(n, k, 3, table_2001) == closed_form_even(n)
@@ -131,21 +131,21 @@ def test_criterion_06_sign_sums_to_1000(sweep_ctx, table_2001):
             t0, 60.0)
 
 
-def test_criterion_07_dominance_to_500(sweep_ctx):
+def test_criterion_07_dominance_to_500():
     t0 = time.time()
-    _verified_claim("lemma-gr", sweep_ctx, 497)
+    _verified_claim("lemma-gr", 497)
     _report("07 dominance", "512*p(n,k) > 1745*C(n,k) on 4..500", t0, 60.0)
 
 
-def test_criterion_08_product_bound_to_300(sweep_ctx):
+def test_criterion_08_product_bound_to_300():
     t0 = time.time()
-    checked = _verified_claim("eq9", sweep_ctx, 44850).checked
+    checked = _verified_claim("eq9", 44850).checked
     _report("08 product-bound",
             f"{checked} pairs verified, zero inconclusive at depth cap 256",
             t0, 120.0)
 
 
-def test_criterion_09_oracle_equivalence(sweep_ctx, table_2001):
+def test_criterion_09_oracle_equivalence(table_2001):
     t0 = time.time()
     for n in range(41):
         assert len(enumerate_partitions(n, max(n, 1))) == table_2001[n], n
@@ -153,7 +153,7 @@ def test_criterion_09_oracle_equivalence(sweep_ctx, table_2001):
         restricted = build_restricted_table(k, 30)
         for j in range(31):
             assert restricted[j] == len(enumerate_partitions(j, k)), (j, k)
-    genfun = _verified_claim("genfun", sweep_ctx, 15)
+    genfun = _verified_claim("genfun", 15)
     assert genfun.notes == {"degree": 60}
     _report("09 oracle-equivalence",
             "enumeration matches p(n) to 40 and p_k(j) to 30; series to k=15",
@@ -170,11 +170,11 @@ def test_criterion_10_recursion_full_triangle(triangle_1000):
     _report("10 recursion", "exact over the full 1000-row triangle", t0, 60.0)
 
 
-def test_criterion_11_certified_sweeps_to_2000(sweep_ctx):
+def test_criterion_11_certified_sweeps_to_2000():
     t0 = time.time()
-    _verified_claim("lemma13", sweep_ctx, 1998)
-    _verified_claim("apostol", sweep_ctx, 2000)
-    _verified_claim("stirling", sweep_ctx, 2000)
+    _verified_claim("lemma13", 1998)
+    _verified_claim("apostol", 2000)
+    _verified_claim("stirling", 2000)
     _report("11 certified-sweeps",
             "growth chain 3..2000, partition bound and central binomial 1..2000",
             t0, 120.0)

@@ -18,7 +18,7 @@ def test_sweeps_never_build_the_triangle(monkeypatch):
         raise AssertionError("a sweep built the whole triangle")
 
     monkeypatch.setattr(binomial_sums, "build_triangle", refuse)
-    summaries = sweeps.run_all(4, 60)
+    summaries = sweeps.run(sweeps.CLAIMS, 4, 60)
     assert [s.claim for s in summaries] == list(sweeps.CLAIMS)
     for summary in summaries:
         assert summary.outcome == VERIFIED, summary.claim
@@ -29,7 +29,7 @@ def test_row_claim_holds_rows_not_the_triangle():
     # build_triangle(600) alone peaks at about 13 MB under tracemalloc
     tracemalloc.start()
     try:
-        summary = sweeps.run_claim("thm3", 1, 600)
+        summary = sweeps.run(["thm3"], 1, 600)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -42,7 +42,7 @@ def test_gap_claim_holds_one_row_and_its_weights():
     # lemma-gr streams gap rows: one row plus the weight tuple, no triangle
     tracemalloc.start()
     try:
-        summary = sweeps.run_claim("lemma-gr", 4, 600)
+        summary = sweeps.run(["lemma-gr"], 4, 600)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -60,7 +60,7 @@ def test_gap_claim_reads_gap_rows(monkeypatch, triangle_1000):
         return dominance_check(n, gap_tail)
 
     monkeypatch.setattr(sweeps, "dominance_check", spy)
-    assert sweeps.run_claim("lemma-gr", 4, 80).outcome == VERIFIED
+    assert sweeps.run(["lemma-gr"], 4, 80)[0].outcome == VERIFIED
     assert sorted(seen) == list(range(4, 81))
     for n, gap_tail in seen.items():
         gaps = gap_row(n, triangle_1000[n])
@@ -102,7 +102,7 @@ def test_offset_range_matches_built_rows(claim, n_min, n_max, triangle_1000,
                for result in _row_results(claim, n, triangle_1000[n], table_2001)]
     margins = [margin for _, margin in results if margin is not None]
 
-    summary = sweeps.run_claim(claim, n_min, n_max)
+    summary = sweeps.run([claim], n_min, n_max)[0]
     assert summary.checked == len(results)
     assert summary.outcome == (
         VERIFIED if all(holds for holds, _ in results) else VIOLATED)
@@ -228,7 +228,7 @@ def _replace_central_binomial(n, value):
 def test_sweep_stops_at_first_unverified_n(monkeypatch, claim, n_min, n_max,
                                            patch, expected):
     patch(monkeypatch)
-    summary = sweeps.run_claim(claim, n_min, n_max)
+    summary = sweeps.run([claim], n_min, n_max)[0]
     assert cli._summary_doc(summary) == {
         "claim": claim, "range": [n_min, n_max], **expected}
 
@@ -241,7 +241,7 @@ def test_sign_sum_sweep_takes_no_sum_past_the_first_unverified_n(monkeypatch):
     # the sampled sums at n = 64 and 100 lie past the violation at 37
     monkeypatch.setattr(sweeps, "peak_sign_sum", lambda *args: pytest.fail(
         "a sampled sum was taken"))
-    assert sweeps.run_claim("lemma-links", 4, 100).outcome == VIOLATED
+    assert sweeps.run(["lemma-links"], 4, 100)[0].outcome == VIOLATED
     assert seen == list(range(38))  # row 37 alone decides n = 37
 
 
@@ -256,7 +256,7 @@ def test_corrupted_row_at_a_sampled_n_fails_the_claim(monkeypatch, claim, n, n_m
     k = peak_k(n) + (claim == "lemma-rechts")
     _corrupt_row(n, k, lambda p: p + 1)(monkeypatch)
     with pytest.raises(AssertionError, match=rf"S\({n},{k}\)"):
-        sweeps.run_claim(claim, 4, n_max)
+        sweeps.run([claim], 4, n_max)[0]
 
 
 def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch):
@@ -272,7 +272,7 @@ def test_certified_sweep_calls_no_check_past_the_first_unverified_n(monkeypatch)
     monkeypatch.setattr(checks, "_certified", lambda kernel, *args: certified(
         lambda bits, *constants: kernels.append(bits) or kernel(bits, *constants),
         *args))
-    assert sweeps.run_claim("apostol", 1, 50).outcome == "inconclusive"
+    assert sweeps.run(["apostol"], 1, 50)[0].outcome == "inconclusive"
     # one check over the range; no rung has a gap to take at any n, and
     # only n = 1's value, p(1), is read, as the first n open
     assert calls == [range(1, 51)]
@@ -311,7 +311,7 @@ def test_certified_sweep_checks_each_n_once_in_order(monkeypatch, claim, check, 
     monkeypatch.setattr(checks, "_certified", recording)
     monkeypatch.setattr(checks, check, lambda ns, *values: (
         calls.append(ns) or original(ns, *map(counted, values))))
-    summary = sweeps.run_claim(claim, None, 60)
+    summary = sweeps.run([claim], None, 60)[0]
     n_min = sweeps.CLAIMS[claim][1][0]
     last = 60 if stop is None else stop
     assert calls == [range(n_min, 61)]
@@ -326,13 +326,20 @@ def test_run_all_builds_one_partition_table(monkeypatch):
     build, sizes = sweeps.build_partition_table, []
     monkeypatch.setattr(sweeps, "build_partition_table",
                         lambda max_n: sizes.append(max_n) or build(max_n))
-    sweeps.run_all(4, 200)
+    sweeps.run(sweeps.CLAIMS, 4, 200)
     assert sizes == [200]
     # at the default ranges the row claims end at 1000, and prop1, prop2
     # and apostol read the table to 2000
     sizes.clear()
-    sweeps.run_all(None, None)
+    sweeps.run(sweeps.CLAIMS, None, None)
     assert sizes == [2000]
+    # lemma13, stirling and genfun read no table, so a run of them builds none
+    sizes.clear()
+    sweeps.run(["lemma13", "stirling", "genfun"], None, None)
+    assert sizes == []
+    # the row pass and apostol share one table
+    sweeps.run(["apostol", "thm3"], 1, 300)
+    assert sizes == [300]
 
 
 def _unchanged(monkeypatch):
@@ -343,7 +350,7 @@ def _unchanged(monkeypatch):
                          ids=["unchanged", "corrupt-row-37"])
 def test_run_all_matches_separate_runs(monkeypatch, patch):
     patch(monkeypatch)
-    alone = [sweeps.run_claim(claim, 4, 120) for claim in sweeps.CLAIMS]
+    alone = [sweeps.run([claim], 4, 120)[0] for claim in sweeps.CLAIMS]
 
     # f(0) of every row stream: 1 for the p(n,k) rows, 512 - 1745 for the
     # gap rows, streamed from their right ends
@@ -358,7 +365,7 @@ def test_run_all_matches_separate_runs(monkeypatch, patch):
             return step(n, row, hi, table)
         monkeypatch.setitem(sweeps.ROW_STEPS, claim, (spy, width))
 
-    together = sweeps.run_all(4, 120)
+    together = sweeps.run(sweeps.CLAIMS, 4, 120)
     assert together == alone
     assert sorted(firsts) == [512 - 1745, 1]
     # each row claim's steps run from its first n to its last n evaluated:
@@ -382,38 +389,24 @@ def _count_row_streams(monkeypatch) -> list:
     return streams
 
 
-@pytest.mark.parametrize("n_min, n_max", [(1, 120), (None, None)])
-def test_run_all_streams_the_rows_once_over_clamped_ranges(monkeypatch, n_min, n_max):
+@pytest.mark.parametrize("claims, n_min, n_max, streams_to", [
+    pytest.param(list(sweeps.CLAIMS), 1, 120, [120], id="1-120"),
+    pytest.param(list(sweeps.CLAIMS), None, None, [1000], id="None-None"),
+    pytest.param(["thm3"], 1, 80, [80], id="thm3-1-80"),
+    pytest.param(["apostol", "eq9", "thm2"], 1, 120, [120],
+                 id="apostol-eq9-thm2-1-120"),
+    pytest.param(["lemma13", "stirling", "genfun"], 1, 120, [],
+                 id="no-row-claim-1-120"),
+])
+def test_run_all_streams_the_rows_once_over_clamped_ranges(monkeypatch, claims,
+                                                           n_min, n_max, streams_to):
     # thm2, lemma-links and lemma-rechts start at 4 and eq9 at 2, so at
     # 1..120, and at no range given, a claim's range is not the arguments
     streams = _count_row_streams(monkeypatch)
-    summaries = sweeps.run_all(n_min, n_max)
-    assert streams == [120 if n_max else 1000]
+    summaries = sweeps.run(claims, n_min, n_max)
+    assert streams == streams_to
+    assert [s.claim for s in summaries] == claims
     assert all(s.outcome == VERIFIED for s in summaries)
-
-
-def test_claims_the_shared_pass_does_not_hold_get_passes_of_their_own(monkeypatch):
-    ranges = {"thm2": (4, 120), "thm3": (1, 120), "lemma-links": (4, 120),
-              "eq9": (2, 60)}
-    fresh = {claim: sweeps.run_claim(claim, lo, hi)
-             for claim, (lo, hi) in ranges.items()}
-    fresh_thm3_to_80 = sweeps.run_claim("thm3", 1, 80)
-
-    streams = _count_row_streams(monkeypatch)
-    ctx = sweeps.SweepContext()
-    folds = sweeps._row_pass(ranges, ctx.table(120))
-    ctx.folds = {(claim, *ranges[claim]): fold for claim, fold in folds.items()}
-    assert streams == [120]
-    # the claims asked over their own ranges take their folds, no new stream
-    for claim in ("thm2", "lemma-links", "eq9"):
-        assert sweeps.run_claim(claim, *ranges[claim], ctx) == fresh[claim]
-    assert streams == [120]
-    # thm3's fold is over 1..120: asked to 80, it gets a pass of its own
-    assert sweeps.run_claim("thm3", 1, 80, ctx) == fresh_thm3_to_80
-    assert streams == [120, 80]
-    # thm2's fold was taken already: asked again, it gets its own pass
-    assert sweeps.run_claim("thm2", 4, 120, ctx) == fresh["thm2"]
-    assert streams == [120, 80, 120]
 
 
 def test_run_all_queues_steps_not_rows():
@@ -423,7 +416,7 @@ def test_run_all_queues_steps_not_rows():
     checks.partition_bound_check(range(1, 2), [1])
     tracemalloc.start()
     try:
-        summaries = sweeps.run_all(4, 400)
+        summaries = sweeps.run(sweeps.CLAIMS, 4, 400)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,11 +425,10 @@ def test_run_all_queues_steps_not_rows():
 
 
 def test_row_pass_lets_its_rows_go_once_every_claim_closes():
-    ctx = sweeps.SweepContext()
-    ctx.table(1000)  # the partition table stays with the context
+    # the run's context, partition table and all, goes with the run
     tracemalloc.start()
     try:
-        assert sweeps.run_claim("thm2", 4, 1000, ctx).outcome == VERIFIED
+        assert sweeps.run(["thm2"], 4, 1000)[0].outcome == VERIFIED
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -452,8 +444,9 @@ _SUMMARY_FIELDS = {
 
 
 def test_claim_summary_compares_field_by_field():
-    """run_all is checked against separate runs by ==, so a summary equals
-    another exactly when all nine fields do, however it was built."""
+    """A run of every claim is checked against runs of one claim each by
+    ==, so a summary equals another exactly when all nine fields do,
+    however it was built."""
     summary = sweeps.ClaimSummary(**_SUMMARY_FIELDS)
     assert summary == sweeps.ClaimSummary(*_SUMMARY_FIELDS.values())
     assert vars(summary) == _SUMMARY_FIELDS
